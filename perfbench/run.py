@@ -48,8 +48,6 @@ WORK = ROOT / ".perfbench"
 SETUP_REPEATS = 2
 TAIL_BEYOND = 10         # the tail percentile keeps this many samples above it
 JOB_TIMEOUT_S = 120      # a child running longer is killed and its job fails
-PASS_CAP = 2.2           # a pass that would end after PASS_CAP * --seconds is skipped
-                         # (at least 2 run): a very slow machine stays within budget
 
 END_TO_END_UNITS = {"sweep_s": "s", "job_s_p50": "s", "job_s_tail": "s",
                     "setup_s": "s", "peak_rss_mb": "MB"}
@@ -104,7 +102,8 @@ def environment() -> dict:
 
 class Children:
     """Runs `python -m nchodge.cli` children one at a time in `workdir`,
-    each bracketed by speed-reference samples on the same CPU."""
+    each bracketed by speed-reference samples.  Children get every CPU this
+    process may use."""
 
     def __init__(self, workdir: Path):
         self.workdir = workdir
@@ -194,18 +193,13 @@ def end_to_end(workload: str, seed: int, seconds: int, workdir: Path) -> dict:
                 setup_failures.append(" ".join(cmd))
 
     rows = []
-    cap = time.monotonic() + PASS_CAP * seconds
-    for pass_no in range(passes_for(workload, seconds)):
-        if pass_no >= 2 and time.monotonic() + pass_s > cap:
-            break
-        pass_start = time.monotonic()
+    for pass_no in range(passes_for(seconds)):
         for inst in instances:
             times, code, rss_mb, text = children.run(inst.argv)
             problems = check_report(inst, code, text, expected)
             rows.append({"pass": pass_no, "job": inst.job.id, **times,
                          "exit": code, "peak_rss_mb": rss_mb,
                          "report_bytes": len(text.encode()), "problems": problems})
-        pass_s = time.monotonic() - pass_start
 
     leftovers = sorted({p.name for p in workdir.iterdir()} - inputs)
     if leftovers:
@@ -225,8 +219,15 @@ def end_to_end(workload: str, seed: int, seconds: int, workdir: Path) -> dict:
                       "setup_samples": len(setup_samples),
                       "reference_s": {"nominal": REFERENCE_S,
                                       "median": statistics.median(refs),
-                                      "min": min(refs), "max": max(refs)}},
+                                      "min": min(refs), "max": max(refs),
+                                      "median_by_cpu": _by_cpu(children.probe)}},
             "inputs": _inputs_record(instances)}
+
+
+def _by_cpu(probe) -> dict:
+    return {str(cpu): statistics.median(s for s, c in zip(probe.samples, probe.sample_cpus)
+                                        if c == cpu)
+            for cpu in probe.cpus}
 
 
 def _timings(rows: list, setup: list, key: str) -> dict:
@@ -288,6 +289,9 @@ def in_process_pass(cli, instances, tracer=None) -> list[dict]:
 def traced(workload: str, seed: int, workdir: Path) -> dict:
     from tracer import METRICS, Tracer, TracerError
 
+    # The jobs run in this process, so its own environment must not name a
+    # report cache: the untraced pass would fill it and the traced one replay it.
+    os.environ.pop("NCHODGE_CACHE_DIR", None)
     expected = load_expected()
     instances = instantiate(workload, seed, workdir)
     cli = _import_tree()
@@ -358,9 +362,6 @@ def main(argv=None) -> int:
         print(f"error: no nchodge source tree at {SRC}", file=sys.stderr)
         return 2
     load_before = os.getloadavg()
-    if not args.trace:
-        # children inherit this: the speed reference and the jobs share a CPU
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     WORK.mkdir(exist_ok=True)
     workdir = WORK / f"run-{os.getpid()}"
     workdir.mkdir()

@@ -4,14 +4,20 @@ The shared 2-CPU host this benchmark was built on runs at two or more
 speeds that alternate over seconds to minutes, up to 1.8x apart, and the
 same slowdown shows in CPU time, so no statistic over one run removes it.
 Each child process is therefore bracketed by a fixed pure-Python
-computation, independent of nchodge, timed on the same CPU.  A job's wall
-time is scaled by REFERENCE_S / (mean of the reference times just before
-and just after it): the time the job would have taken with the machine at
-its reference speed.  Raw wall times are kept next to the scaled ones.
+computation, independent of nchodge.  A job's wall time is scaled by
+REFERENCE_S / (mean of the reference times just before and just after it):
+the time the job would have taken with the machine at its reference speed.
+Raw wall times are kept next to the scaled ones.
+
+A child may run on any CPU this process may use, so the reference is timed
+on each of them in turn: on two CPUs every before/after bracket holds one
+sample of each.  Only the reference is pinned; between samples the process
+gets its whole CPU set back, and the children inherit that.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from fractions import Fraction
@@ -50,19 +56,28 @@ def reference_work():
 
 
 class SpeedProbe:
-    """Times reference_work() between children and converts wall times to
-    reference-speed seconds."""
+    """Times reference_work() between children, on each CPU of this
+    process's set in turn, and converts wall times to reference-speed
+    seconds."""
 
     def __init__(self):
+        self.cpus = sorted(os.sched_getaffinity(0))
         reference_work()                       # warm the allocator and caches
         self.samples: list = []
+        self.sample_cpus: list = []
         self.last = self._sample()
 
     def _sample(self) -> float:
-        start = time.perf_counter()
-        reference_work()
-        seconds = time.perf_counter() - start
+        cpu = self.cpus[len(self.samples) % len(self.cpus)]
+        os.sched_setaffinity(0, {cpu})
+        try:
+            start = time.perf_counter()
+            reference_work()
+            seconds = time.perf_counter() - start
+        finally:
+            os.sched_setaffinity(0, self.cpus)
         self.samples.append(seconds)
+        self.sample_cpus.append(cpu)
         return seconds
 
     def scale(self, wall_s: float) -> tuple[float, float, float]:

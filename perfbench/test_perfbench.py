@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import sys
 
 import pytest
 
 import check
 import run
+import speed
 import tracer
 from workloads import IDEMPOTENT_PLACEHOLDER, Job, WORKLOADS, instantiate
 
@@ -136,12 +138,32 @@ def test_check_reads_the_chern_certificate(tmp_path, cli):
     assert check.check_report(inst, code, flipped, expected) == ["u0_class_nonzero is not true"]
 
 
-def test_children_get_no_cache_and_no_inherited_python_settings(monkeypatch):
-    monkeypatch.setenv("NCHODGE_CACHE_DIR", "/somewhere")
+def test_children_get_no_cache_and_no_inherited_python_settings(tmp_path, monkeypatch, cli):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("NCHODGE_CACHE_DIR", str(cache))
     monkeypatch.setenv("PYTHONOPTIMIZE", "2")
     env = run.child_env()
     assert "NCHODGE_CACHE_DIR" not in env and "PYTHONOPTIMIZE" not in env
     assert env["PYTHONPATH"] == str(run.SRC) and env["PYTHONHASHSEED"] == "0"
+
+    # the traced part runs jobs in this process, whose environment names the cache
+    monkeypatch.setitem(WORKLOADS, "small", SMALL_JOBS[:4])
+    monkeypatch.setattr(run, "WORK", tmp_path / "work")
+    monkeypatch.setattr(run, "load_expected", lambda: {j.id: {"exit": 0} for j in SMALL_JOBS})
+    (tmp_path / "inputs").mkdir()
+    out = run.traced("small", 7, tmp_path / "inputs")
+    assert not cache.exists()
+    assert out["failed"] == 0
+    assert out["metrics"]["sparse.calls"] > 0 and out["metrics"]["umodule.calls"] > 0
+
+
+def test_speed_probe_pins_only_itself_and_visits_every_cpu():
+    cpus = os.sched_getaffinity(0)
+    probe = speed.SpeedProbe()
+    for _ in range(len(cpus)):
+        probe.scale(1.0)
+    assert os.sched_getaffinity(0) == cpus        # children inherit the whole set
+    assert set(probe.sample_cpus) == cpus
 
 
 def test_tail_keeps_ten_samples_above_it():

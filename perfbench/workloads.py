@@ -102,20 +102,20 @@ WORKLOADS = {
     ),
 }
 
-# Seconds of --seconds that one pass of each workload uses up.  A run makes
-# round(seconds / this) passes, at least two: 3 per workload at --seconds
-# 30, which take 20-30 s on the 2-CPU host in its fast state and 35-60 s in
-# its slowest.  The count depends only on --seconds, so it (and with it the
-# sample that the tail percentile lands on) is the same in every state.
-PASS_BUDGET_S = {"ungraded-elim": 10.0, "graded-cyclic": 10.0, "chains-forms": 10.0}
+# Seconds of --seconds that one pass uses up.  A run makes
+# round(seconds / this) passes, at least two: 3 at --seconds 30, which take
+# 20-30 s on the 2-CPU host in its fast state and 35-60 s in its slowest.
+# The count depends only on --seconds, so it (and with it the sample that
+# the tail percentile lands on) is the same in every state.
+PASS_BUDGET_S = 10.0
 
 # Coefficients are +-p/q for distinct p, q from this set: nonzero, never
 # integral and of height at most 7, so report sizes barely vary by seed.
 _COEFF_PRIMES = (2, 3, 5, 7)
 
 
-def passes_for(workload: str, seconds: float) -> int:
-    return max(2, round(seconds / PASS_BUDGET_S[workload]))
+def passes_for(seconds: float) -> int:
+    return max(2, round(seconds / PASS_BUDGET_S))
 
 
 def _coefficient(rng: random.Random) -> Fraction:
