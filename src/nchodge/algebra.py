@@ -96,14 +96,6 @@ class AlgebraSpec:
     def is_super(self) -> bool:
         return self.parity is not None and any(self.parity)
 
-    def parity_of(self, i: int) -> int:
-        return self.parity[i] if self.parity is not None else 0
-
-    def weight_of(self, i: int) -> int:
-        if self.weight is None:
-            raise AlgebraError(f"algebra {self.name} carries no weight grading")
-        return self.weight[i]
-
     @property
     def connected_graded(self) -> bool:
         """Weight-graded with the unit the only weight-0 basis element."""
@@ -453,14 +445,6 @@ def _monomials(nvars: int, max_weight: int):
     """All exponent tuples with total degree <= max_weight, ordered by
     (total degree, lexicographic)."""
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
     for total in range(max_weight + 1):
         pool = []
 

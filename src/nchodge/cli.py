@@ -6,8 +6,9 @@ version, field, window, truncation and guard/diagnostic flags alongside the
 result payload, and is emitted deterministically (sorted keys, fixed
 separators) so that identical runs are byte-identical.
 
-Exit codes: 0 success, 1 structural error, 2 validation failure,
-3 inconclusive verdict under --strict.
+Exit codes: 0 success, 1 structural error, 2 validation failure (including
+a failed certificate), 3 inconclusive verdict under --strict or an operation
+the field or parameters do not support.
 """
 
 from __future__ import annotations
@@ -757,18 +758,17 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (SchemaError,) as exc:
+    # Most specific first: every class below except NotImplementedError is
+    # a ValueError subclass.
+    except (SchemaError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (WindowError, StructuralError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
     except UnsupportedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except ContractError as exc:
+    except (WindowError, StructuralError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_STRUCTURAL
     except NotImplementedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import AlgebraSpec
 from .fields import Field
 from .hochschild import ChainComplex, DegreeWindow, word_parity
-from .sparse import SparseMatrix, kernel_basis, rank_of_columns
+from .sparse import SparseMatrix, homology_rank, kernel_basis, rank_of_columns
 from .umodule import (UTruncation, UComplex, UModuleReport,
                       blocks_from_filtration_dims, u_module_decompose)
 
@@ -243,11 +243,8 @@ class _Staircase:
         return self._bdry[key]
 
     def homology_dim(self, m: int, p: int) -> int:
-        bd = self.boundaries(m, p)
-        if bd is None:
-            bd = []
-        b_rank = rank_of_columns(bd, self.F)
-        return len(self.cycles(m, p)) - b_rank
+        d_in = self.diff(m - 1, p) if m - 1 >= self.m_floor else None
+        return homology_rank(self.diff(m, p), d_in, self.F)
 
     def shift(self, vectors: list, m: int, p: int, t: int) -> list:
         """Apply u^t to vectors on T^m_p, landing in T^{m+2t}_p."""
@@ -533,17 +530,11 @@ def graded_piece_analysis(dimV: int, n: int, F: Field) -> dict:
     for _ in range(n):
         norm = norm.add(power, F)
         power = sigma.mul(power, F)
-    k1 = kernel_basis(one_minus, F)
-    kn = kernel_basis(norm, F)
-    im1 = [c for c in one_minus.columns() if c]
-    imn = [c for c in norm.columns() if c]
-    r_imn = rank_of_columns(imn, F)
-    r_im1 = rank_of_columns(im1, F)
-    h_at_one_minus = rank_of_columns(k1 + imn, F) - r_imn   # ker(1-s)/im(N)
-    h_at_norm = rank_of_columns(kn + im1, F) - r_im1        # ker(N)/im(1-s)
+    # Both homologies are dim - rank(1 - sigma) - rank(norm).
+    h = homology_rank(one_minus, norm, F)
     return {
         "dimV": dimV, "n": n, "field": str(F),
-        "ker_one_minus_sigma_mod_norm": h_at_one_minus,
-        "ker_norm_mod_one_minus_sigma": h_at_norm,
-        "acyclic": h_at_one_minus == 0 and h_at_norm == 0,
+        "ker_one_minus_sigma_mod_norm": h,
+        "ker_norm_mod_one_minus_sigma": h,
+        "acyclic": h == 0,
     }

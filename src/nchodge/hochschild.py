@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError
-from .sparse import SparseMatrix, kernel_basis, rank_of_columns
+from .sparse import SparseMatrix, homology_rank, rank_of_columns
 
 
 @dataclass
@@ -213,21 +213,8 @@ class ChainComplex:
 
     def hh_rank(self, n: int, weight: int | None = None) -> int:
         """Rank of ker(boundary_n) / im(boundary_{n+1}) at one block."""
-        F = self.A.field
-        d_out = self.boundary(n, weight)
-        cycles = kernel_basis(d_out, F)
-        d_in = self.boundary(n + 1, weight)
-        boundaries = [col for col in d_in.columns() if col]
-        b_rank = rank_of_columns(boundaries, F)
-        return rank_of_columns(cycles + boundaries, F) - b_rank
-
-
-def boundary(A: AlgebraSpec, n: int, weight: int | None = None) -> SparseMatrix:
-    return ChainComplex(A).boundary(n, weight)
-
-
-def connes_b(A: AlgebraSpec, n: int, weight: int | None = None) -> SparseMatrix:
-    return ChainComplex(A).connes(n, weight)
+        return homology_rank(self.boundary(n, weight), self.boundary(n + 1, weight),
+                             self.A.field)
 
 
 def guard_safe_weights(A: AlgebraSpec, weights) -> dict:
@@ -280,15 +267,14 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
     return result
 
 
-def hh0_direct(A: AlgebraSpec) -> dict:
-    """Rank and commutator data of A/[A,A], computed without chain machinery.
+def commutator_columns(A: AlgebraSpec) -> list[dict]:
+    """Nonzero super commutators e_i e_j - (-1)^{|i||j|} e_j e_i for i <= j,
+    as coefficient vectors; they span [A, A].
 
-    The commutator span is generated by e_i e_j - (-1)^{|i||j|} e_j e_i over
-    all basis pairs.
+    The diagonal matters in the super case: [e_i, e_i] = 2 e_i^2 for odd e_i.
     """
     F = A.field
     cols = []
-    # the diagonal matters in the super case: [e_i, e_i] = 2 e_i^2 for odd e_i
     for i in range(A.dim):
         for j in range(i, A.dim):
             v = dict(A.mul_basis(i, j))
@@ -303,7 +289,12 @@ def hh0_direct(A: AlgebraSpec) -> dict:
                     v[k] = s
             if v:
                 cols.append(v)
-    commutator_rank = rank_of_columns(cols, F)
+    return cols
+
+
+def hh0_direct(A: AlgebraSpec) -> dict:
+    """Rank and commutator data of A/[A,A], computed without chain machinery."""
+    commutator_rank = rank_of_columns(commutator_columns(A), A.field)
     return {"rank": A.dim - commutator_rank, "commutator_rank": commutator_rank}
 
 

@@ -17,8 +17,8 @@ from math import factorial
 from .algebra import AlgebraSpec
 from .cyclic import UnsupportedError
 from .fields import Field
-from .hochschild import ChainComplex, hh0_direct
-from .sparse import rank_of_columns
+from .hochschild import ChainComplex, commutator_columns, hh0_direct
+from .sparse import rank_of_columns, solve_in_span
 
 
 class ContractError(ValueError):
@@ -136,21 +136,7 @@ def u0_class_nonzero(chain: UChain) -> bool:
         next(iter(comp)), tuple) else dict(comp)
     if not v:
         return False
-    cols = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            col = dict(A.mul_basis(i, j))
-            sign = F.one()
-            if A.parity is not None and A.parity[i] % 2 and A.parity[j] % 2:
-                sign = F.neg(F.one())
-            for k, c in A.mul_basis(j, i).items():
-                s = F.sub(col.get(k, F.zero()), F.mul(sign, c))
-                if F.is_zero(s):
-                    col.pop(k, None)
-                else:
-                    col[k] = s
-            if col:
-                cols.append(col)
+    cols = commutator_columns(A)
     base = rank_of_columns(cols, F)
     return rank_of_columns(cols + [v], F) > base
 
@@ -160,74 +146,6 @@ def u0_class_nonzero(chain: UChain) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _solve_in_span(F: Field, cols: list, target: dict):
-    """Express target in the span of cols; returns coefficients or None."""
-    rows = sorted({r for col in cols for r in col} | set(target))
-    aug = []
-    for r in rows:
-        row = {i: col[r] for i, col in enumerate(cols) if r in col}
-        t = target.get(r, F.zero())
-        if not F.is_zero(t):
-            row[len(cols)] = t
-        if row:
-            aug.append(row)
-    # naive elimination on the augmented rows
-    coeffs = {}
-    pivots = []
-    active = [dict(r) for r in aug]
-    while active:
-        row = active.pop(0)
-        pc = min(c for c in row if c < len(cols)) if any(
-            c < len(cols) for c in row) else None
-        if pc is None:
-            return None  # inconsistent: a row with only the target column
-        inv = F.inv(row[pc])
-        row = {c: F.mul(inv, v) for c, v in row.items()}
-        pivots.append((pc, row))
-        nxt = []
-        for rd in active:
-            if pc in rd:
-                f = rd[pc]
-                for c, v in row.items():
-                    s = F.sub(rd.get(c, F.zero()), F.mul(f, v))
-                    if F.is_zero(s):
-                        rd.pop(c, None)
-                    else:
-                        rd[c] = s
-            if rd:
-                nxt.append(rd)
-        active = nxt
-    # back-substitute
-    pivots.sort(key=lambda t: -t[0])
-    values = {}
-    for pc, row in pivots:
-        v = row.get(len(cols), F.zero())
-        for c, cv in row.items():
-            if c != pc and c != len(cols):
-                v = F.sub(v, F.mul(cv, values.get(c, F.zero())))
-        values[pc] = v
-    return values
-
-
-def _commutator_columns(A: AlgebraSpec) -> list:
-    F = A.field
-    cols = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if i == j:
-                continue
-            col = dict(A.mul_basis(i, j))
-            for k, c in A.mul_basis(j, i).items():
-                s = F.sub(col.get(k, F.zero()), c)
-                if F.is_zero(s):
-                    col.pop(k, None)
-                else:
-                    col[k] = s
-            if col:
-                cols.append(col)
-    return cols
-
-
 def ppower_on_hh0(A: AlgebraSpec) -> dict:
     """The p-semilinear map a -> a^p on A/[A,A] in characteristic p, with
     well-definedness and additivity certificates."""
@@ -235,7 +153,7 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
     p = F.characteristic
     if p == 0:
         raise UnsupportedError("ppower_on_hh0 requires a prime field")
-    comm = _commutator_columns(A)
+    comm = commutator_columns(A)
     comm_rank = rank_of_columns(comm, F)
 
     def in_commutators(v: dict) -> bool:
@@ -258,7 +176,7 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
 
     def project(v: dict):
         """Coordinates of the class of v on the representative basis."""
-        sol = _solve_in_span(F, comm + [{i: F.one()} for i in reps], v)
+        sol = solve_in_span(comm + [{i: F.one()} for i in reps], v, F)
         if sol is None:
             raise ContractError("projection to A/[A,A] failed")
         return {t: sol.get(len(comm) + t, F.zero()) for t in range(len(reps))}

@@ -102,6 +102,39 @@ def dense_rank(rows, field) -> int:
     return dense_rank_p([[int(x) for x in r] for r in rows], field.p)
 
 
+def dense_kernel(rows, ncols: int, field) -> list[list]:
+    """Basis of {x : rows . x = 0}, one vector per free column, by naive
+    reduced row echelon form with first-nonzero pivots."""
+    p = field.p
+    red = (lambda x: Fraction(x)) if p is None else (lambda x: int(x) % p)
+    inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, p - 2, p))
+    m = [[red(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        sel = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if sel is None:
+            continue
+        m[top], m[sel] = m[sel], m[top]
+        s = inv(m[top][col])
+        m[top] = [red(x * s) for x in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                f = m[r][col]
+                m[r] = [red(a - f * b) for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [red(0)] * ncols
+        v[free] = red(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = red(-m[r][free])
+        basis.append(v)
+    return basis
+
+
 def dense_homology_rank(d_out_rows, d_in_rows, ncols_here, field) -> int:
     """dim ker(d_out) - rank(d_in) from dense matrices given as row lists.
 

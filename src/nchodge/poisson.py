@@ -18,7 +18,7 @@ from itertools import combinations
 from math import factorial
 
 from .fields import QQ
-from .sparse import kernel_basis, rank_of_columns, SparseMatrix
+from .sparse import SparseMatrix, homology_rank
 
 Poly = dict  # exponent tuple -> Fraction
 
@@ -484,7 +484,6 @@ def _folded_ranks(alpha: Bivector, D: int):
     degree <= D (overflowing terms dropped)."""
     v = alpha.nvars
     basis = _form_basis(v, D)
-    index = {b: i for i, b in enumerate(basis)}
     evens = [b for b in basis if len(b[1]) % 2 == 0]
     odds = [b for b in basis if len(b[1]) % 2 == 1]
     idx_e = {b: i for i, b in enumerate(evens)}
@@ -504,13 +503,15 @@ def _folded_ranks(alpha: Bivector, D: int):
     d_eo = diff_matrix(evens, idx_o)
     d_oe = diff_matrix(odds, idx_e)
 
-    ranks = {}
-    for name, d_out, d_in in (("even", d_eo, d_oe), ("odd", d_oe, d_eo)):
-        cycles = kernel_basis(d_out, QQ)
-        boundaries = [col for col in d_in.columns() if col]
-        b_rank = rank_of_columns(boundaries, QQ)
-        ranks[name] = rank_of_columns(cycles + boundaries, QQ) - b_rank
-    return ranks
+    if not (d_eo.mul(d_oe, QQ).is_zero() and d_oe.mul(d_eo, QQ).is_zero()):
+        # alpha mixes coefficients of degree <= 1 and >= 3: terms dropped
+        # above the cutoff would have mapped back below it
+        raise PoissonError(f"truncation at total degree {D} breaks "
+                           f"(d + hbar L_alpha)^2 = 0; no homology to report")
+    even = homology_rank(d_eo, d_oe, QQ)
+    # Both parities are dims minus the same two ranks, so they differ by
+    # the difference of the dims (the 2-periodic Euler characteristic).
+    return {"even": even, "odd": even - len(evens) + len(odds)}
 
 
 def poisson_homology_ranks(alpha: Bivector, D: int) -> dict:

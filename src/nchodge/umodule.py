@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
-from .sparse import SparseMatrix, StructuralError, rank_of_columns, kernel_basis
+from .sparse import (SparseMatrix, StructuralError, kernel_basis, rank_of_columns,
+                     span_quotient)
 
 
 @dataclass(frozen=True)
@@ -190,16 +191,16 @@ def u_module_decompose(c: UComplex, field: Field) -> dict:
             cycles = [{i: field.one()} for i in range(N * r)]
         d_in = c.diff_at(pos + 1)
         if d_in is not None:
-            src = c.rank_at(pos + 1)
-            k_in = _k_expand(d_in, N, src, r)
-            boundary_cols = [col for col in k_in.columns() if col]
+            boundary_cols = _k_expand(d_in, N, c.rank_at(pos + 1), r).columns()
         else:
             boundary_cols = []
-        b_rank = rank_of_columns(boundary_cols, field)
-        dims = []
-        for j in range(N):
+        # dim u^j H = dim (u^j Z + B) / B; B lies in Z, so dims[0] needs no
+        # elimination, and the others reduce u^j Z modulo B.
+        b_rank, reduce = span_quotient(boundary_cols, N * r, field)
+        dims = [len(cycles) - b_rank]
+        for j in range(1, N):
             shifted = _shift_columns(cycles, j, r, N)
-            dims.append(rank_of_columns(shifted + boundary_cols, field) - b_rank)
+            dims.append(rank_of_columns([reduce(v) for v in shifted], field))
         reports[pos] = blocks_from_filtration_dims(dims, N)
     return reports
 

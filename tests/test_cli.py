@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from nchodge import cli
 from nchodge.cli import main
 
 
@@ -186,3 +189,35 @@ def test_cache_unwritable_warns(tmp_path, capsys):
                        "--cache-dir", "/proc/does-not-exist")
     assert code == 0
     assert "unwritable" in err
+
+
+# Exit codes 0, 1, 2 (schema) and 3 (--strict) have their own tests above.
+@pytest.mark.parametrize("argv, code", [
+    (("hh", "--algebra", "no_such_algebra", "--n-max", "2"), 2),
+    # UnsupportedError is a ValueError; it must not fall through to exit 1
+    (("ppower", "--algebra", "clifford1", "--field", "Q"), 3),
+])
+def test_exit_codes(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
+def test_contract_error_exits_2(tmp_path, capsys, monkeypatch):
+    from nchodge.kchern import ContractError
+
+    def failing(pi, N):
+        raise ContractError("cycle certificate failed")
+
+    monkeypatch.setattr(cli, "chern_idempotent", failing)
+    idem = tmp_path / "e11.json"
+    idem.write_text(json.dumps({"format": "ncg-idempotent/1",
+                                "vector": {"E11*1": "1/1"}}))
+    code, _, err = run(capsys, "chern", "--algebra", "mat", "--param", "m=2",
+                       "--u-trunc", "2", "--idempotent", str(idem))
+    assert code == 2
+    assert "certificate" in err
+
+
+def test_ppower_clifford1_f3_ranks_agree(capsys):
+    code, rep, _ = run_json(capsys, "ppower", "--algebra", "clifford1", "--field", "F3")
+    assert code == 0
+    assert rep["result"]["hh0_rank"] == rep["result"]["hh0_rank_direct"] == 1

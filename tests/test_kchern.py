@@ -95,3 +95,43 @@ def test_ppower_lift_p3_not_implemented():
     A = builtin("truncated_poly", GF(3), m=3)
     with pytest.raises(NotImplementedError):
         ppower_lift(A, {1: A.field.one()}, 3)
+
+
+def test_clifford1_unit_is_a_commutator():
+    # [xi, xi] = 2 xi^2 = 2 . 1 in the super sense, so the unit's class in
+    # HH_0 of clifford1 over Q vanishes; xi spans HH_0
+    from nchodge.kchern import UChain
+    A = builtin("clifford1", QQ)
+    one = A.field.one()
+    assert not u0_class_nonzero(UChain(A, 1, [{(0,): one}]))
+    assert u0_class_nonzero(UChain(A, 1, [{(1,): one}]))
+
+
+def test_ppower_clifford1_f3_uses_super_commutators():
+    rep = ppower_on_hh0(builtin("clifford1", GF(3)))
+    assert rep["hh0_rank"] == rep["hh0_rank_direct"] == 1
+    assert rep["representatives"] == [1]
+    assert rep["matrix"] == {0: {0: 1}}  # xi^3 = xi
+
+
+def test_ppower_representative_coordinates():
+    # commutative: [A, A] = 0, every basis element is a representative
+    rep = ppower_on_hh0(builtin("dual_numbers", GF(2)))
+    assert rep["representatives"] == [0, 1]
+    assert rep["matrix"] == {0: {0: 1, 1: 0}, 1: {0: 0, 1: 0}}
+    rep = ppower_on_hh0(builtin("truncated_poly", GF(3), m=3))
+    assert rep["representatives"] == [0, 1, 2]
+    assert rep["matrix"] == {0: {0: 1, 1: 0, 2: 0}, 1: {0: 0, 1: 0, 2: 0},
+                             2: {0: 0, 1: 0, 2: 0}}
+
+
+def test_solve_in_span_through_commutators():
+    # Mat2 over F3: A/[A,A] is the trace, and trace(1) = 2, so
+    # E11 = 2 . 1 mod [A, A]
+    from nchodge.hochschild import commutator_columns
+    from nchodge.sparse import solve_in_span
+    A = builtin("mat", GF(3), m=2)
+    comm = commutator_columns(A)
+    sol = solve_in_span(comm + [{0: 1}], {1: 1}, A.field)
+    assert sol[len(comm)] == 2
+    assert solve_in_span(comm, {0: 1}, A.field) is None

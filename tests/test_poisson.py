@@ -115,3 +115,14 @@ def test_hbar_scaling():
 def test_catalogue_complete():
     assert set(BIVECTOR_CATALOGUE) == {"standard", "xy", "so3", "nonjacobi4",
                                        "zero"}
+
+
+def test_homology_refuses_truncation_that_breaks_the_complex():
+    # Poisson (Jacobi holds), but mixing a constant and a cubic coefficient:
+    # terms dropped above the cutoff would map back below it, so the
+    # truncated folded complex is not a complex
+    one = Fraction(1)
+    alpha = Bivector(3, {(0, 2): {(1, 2, 0): 2 * one}, (1, 2): {(0, 0, 0): one}})
+    assert jacobi_check(alpha, 2)["pass"]
+    with pytest.raises(PoissonError, match="breaks"):
+        poisson_homology_ranks(alpha, 4)

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from nchodge import oracle
 from nchodge.fields import GF, QQ
-from nchodge.sparse import (SparseMatrix, StructuralError, kernel_basis,
-                            matrix_from_columns, rank, rank_of_columns)
+from nchodge.sparse import (SparseMatrix, StructuralError, homology_rank, kernel_basis,
+                            matrix_from_columns, rank, rank_of_columns, solve_in_span)
+from nchodge.umodule import UComplex, UTruncation, u_module_decompose
 
 
 def M(rows, cols, entries, field=QQ):
@@ -57,3 +60,270 @@ def test_mul_and_identity():
     a = M(2, 2, {(0, 1): 1, (1, 0): 1})
     ident = SparseMatrix.identity(2, QQ)
     assert a.mul(a, QQ).entries == ident.entries
+
+
+# ---------------------------------------------------------------------------
+# property tests: the elimination core against the dense oracle
+# ---------------------------------------------------------------------------
+
+FIELDS = (QQ, GF(2), GF(3))
+
+
+def _scalar(rng, F):
+    return F.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+
+
+def _random_matrix(rng, F, shape):
+    """Random sparse matrix of a named shape; entries are nonzero scalars."""
+    rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+    entries = {}
+    if shape == "equal-length" and cols:
+        # every nonempty row has the same length: ties in the pivot key
+        k = rng.randint(1, cols)
+        for r in range(rows):
+            for c in rng.sample(range(cols), k):
+                entries[(r, c)] = _scalar(rng, F)
+    elif shape != "zero":
+        density = rng.choice((0.15, 0.35, 0.7))
+        for r in range(rows):
+            if shape == "empty-rows" and r % 2:
+                continue
+            for c in range(cols):
+                if rng.random() < density:
+                    entries[(r, c)] = _scalar(rng, F)
+        if shape == "duplicate-rows" and rows >= 2:
+            for r in range(1, rows, 2):
+                for c in range(cols):
+                    entries.pop((r, c), None)
+                    if (r - 1, c) in entries:
+                        entries[(r, c)] = entries[(r - 1, c)]
+    entries = {k: v for k, v in entries.items() if not F.is_zero(v)}
+    return SparseMatrix(rows, cols, entries)
+
+
+def _dense(M, F):
+    rows = [[F.zero()] * M.cols for _ in range(M.rows)]
+    for (r, c), v in M.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+SHAPES = ("random", "duplicate-rows", "empty-rows", "zero", "equal-length")
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_rank_and_kernel_match_dense_oracle(F):
+    rng = random.Random(20260 + F.characteristic)
+    for trial in range(150):
+        M = _random_matrix(rng, F, SHAPES[trial % len(SHAPES)])
+        expected = oracle.dense_rank(_dense(M, F), F) if M.rows and M.cols else 0
+        assert rank(M, F) == expected
+        assert rank_of_columns(M.columns(), F) == expected
+        ker = kernel_basis(M, F)
+        assert len(ker) == M.cols - expected
+        for v in ker:
+            assert not M.apply(v, F)
+        if ker:
+            dense_ker = [[v.get(c, F.zero()) for c in range(M.cols)] for v in ker]
+            assert oracle.dense_rank(dense_ker, F) == len(ker)
+
+
+def _random_invertible(rng, F, n):
+    """(P, P^-1) as dense matrices, from a product of elementary operations."""
+    P = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(3 * n):
+        if n < 2:
+            break
+        i, j = rng.sample(range(n), 2)
+        c = _scalar(rng, F)
+        # P <- P (I + c E_ij): column j += c * column i; the inverse
+        # (I - c E_ij) acts on the left: row i -= c * row j
+        for r in range(n):
+            P[r][j] = F.add(P[r][j], F.mul(c, P[r][i]))
+        Pinv[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(Pinv[i], Pinv[j])]
+    return P, Pinv
+
+
+def _matmul(A, B, F, inner):
+    cols = len(B[0]) if B else 0
+    return [[_dot(A[r], [B[k][c] for k in range(inner)], F) for c in range(cols)]
+            for r in range(len(A))]
+
+
+def _dot(a, b, F):
+    acc = F.zero()
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def _to_sparse(rows, nrows, ncols, F):
+    return SparseMatrix(nrows, ncols, {(r, c): v for r, row in enumerate(rows)
+                                       for c, v in enumerate(row) if not F.is_zero(v)})
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_homology_rank_matches_dense_oracle(F):
+    rng = random.Random(31 + F.characteristic)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        a, b = rng.randint(0, 5), rng.randint(0, 5)
+        r = rng.randint(0, n)
+        s = rng.randint(0, n - r)
+        P, Pinv = _random_invertible(rng, F, n)
+        # d_in = P [first r coordinates] X and d_out = Y [next s coordinates] P^-1,
+        # so d_out . d_in = 0
+        X = [[_scalar(rng, F) if i < r and rng.random() < 0.6 else F.zero()
+              for _ in range(a)] for i in range(n)]
+        Y = [[_scalar(rng, F) if r <= j < r + s and rng.random() < 0.6 else F.zero()
+              for j in range(n)] for _ in range(b)]
+        d_in_rows = _matmul(P, X, F, n)
+        d_out_rows = _matmul(Y, Pinv, F, n)
+        d_in = _to_sparse(d_in_rows, n, a, F)
+        d_out = _to_sparse(d_out_rows, b, n, F)
+        assert d_out.mul(d_in, F).is_zero()
+        expected = oracle.dense_homology_rank(d_out_rows if b else [],
+                                              d_in_rows if a else [], n, F)
+        assert homology_rank(d_out, d_in, F) == expected
+        assert homology_rank(d_out, None, F) == n - (oracle.dense_rank(d_out_rows, F)
+                                                     if b else 0)
+
+
+def test_solve_in_span():
+    for F in FIELDS:
+        one = F.one()
+        target = {r: v for r, v in {0: F.from_int(2), 1: one}.items() if not F.is_zero(v)}
+        cols = [{0: one, 1: one}, {1: one}, {0: one}]  # dependent
+        sol = solve_in_span(cols, target, F)
+        assert sol is not None
+        total = {}
+        for i, x in sol.items():
+            for r, v in cols[i].items():
+                total[r] = F.add(total.get(r, F.zero()), F.mul(x, v))
+        assert {r: v for r, v in total.items() if not F.is_zero(v)} == target
+        assert solve_in_span(cols, {2: one}, F) is None
+        assert solve_in_span(cols, {}, F) == {}
+        assert solve_in_span([], {0: one}, F) is None
+
+
+# random complexes over k[u]/u^N ------------------------------------------------
+
+
+def _rmat_mul(A, B, F, N):
+    """Product of R-matrices given as N coefficient matrices (dense)."""
+    out = []
+    for t in range(N):
+        acc = None
+        for a in range(t + 1):
+            term = _matmul(A[a], B[t - a], F, len(B[0]))
+            acc = term if acc is None else [[F.add(x, y) for x, y in zip(r1, r2)]
+                                            for r1, r2 in zip(acc, term)]
+        out.append(acc)
+    return out
+
+
+def _random_r_invertible(rng, F, n, N):
+    """(G, G^-1) over k[u]/u^N from unipotent elementary operations."""
+    def ident():
+        return [[[F.one() if (i == j and t == 0) else F.zero() for j in range(n)]
+                 for i in range(n)] for t in range(N)]
+    G, Ginv = ident(), ident()
+    for _ in range(2 * n if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        t, c = rng.randrange(N), _scalar(rng, F)
+        E, Einv = ident(), ident()
+        E[t][i][j] = c
+        Einv[t][i][j] = F.neg(c)
+        G = _rmat_mul(G, E, F, N)
+        Ginv = _rmat_mul(Einv, Ginv, F, N)
+    return G, Ginv
+
+
+def _random_u_complex(rng, F, N):
+    """A random complex at positions 0..2: a direct sum of free summands and
+    two-term pieces R --u^a--> R, conjugated by random invertible maps.
+
+    Returns the complex and its expected {pos: (free, {block: mult})}.
+    """
+    ranks = {0: 0, 1: 0, 2: 0}
+    pieces = []
+    expected = {p: [0, {}] for p in ranks}
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.25:
+            p = rng.randrange(3)
+            ranks[p] += 1
+            expected[p][0] += 1
+            continue
+        top, a = rng.choice((1, 2)), rng.randint(0, N)
+        pieces.append((top, ranks[top - 1], ranks[top], a))
+        ranks[top] += 1
+        ranks[top - 1] += 1
+        for p in (top, top - 1):
+            if a == N:
+                expected[p][0] += 1
+            elif a:
+                expected[p][1][a] = expected[p][1].get(a, 0) + 1
+    diffs = {}
+    conj = {p: _random_r_invertible(rng, F, ranks[p], N) for p in ranks}
+    for top in (1, 2):
+        rows, cols = ranks[top - 1], ranks[top]
+        if not rows or not cols:
+            continue
+        d = [[[F.zero()] * cols for _ in range(rows)] for _ in range(N)]
+        for ptop, dst, src, a in pieces:
+            if ptop == top and a < N:
+                d[a][dst][src] = F.one()
+        d = _rmat_mul(_rmat_mul(conj[top - 1][0], d, F, N), conj[top][1], F, N)
+        diffs[top] = [_to_sparse(m, rows, cols, F) for m in d]
+    return UComplex(UTruncation(N), ranks, diffs), expected
+
+
+def _expand(coeffs, N, rows, cols, F):
+    """Dense k-matrix of an R-matrix on slots (j, v) -> j * rank + v."""
+    out = [[F.zero()] * (N * cols) for _ in range(N * rows)]
+    for t, M in enumerate(coeffs):
+        for (r, c), v in M.entries.items():
+            for j in range(N - t):
+                out[(j + t) * rows + r][j * cols + c] = v
+    return out
+
+
+def _oracle_dims(cx, pos, F):
+    """dims[t] = dim u^t H at pos, by dense elimination."""
+    N, r = cx.truncation.N, cx.ranks[pos]
+    zero = F.zero()
+
+    def apply_u(vec):
+        return [zero] * r + vec[:(N - 1) * r]
+
+    if pos in cx.diffs:
+        cycles = oracle.dense_kernel(_expand(cx.diffs[pos], N, cx.ranks[pos - 1], r, F),
+                                     N * r, F)
+    else:
+        cycles = [[F.one() if i == k else zero for i in range(N * r)] for k in range(N * r)]
+    if pos + 1 not in cx.diffs:
+        return oracle.dense_u_module_dims(apply_u, cycles, N, F)
+    k_in = _expand(cx.diffs[pos + 1], N, r, cx.ranks[pos + 1], F)
+    bd = [[row[c] for row in k_in] for c in range(len(k_in[0]))]
+    b_rank = oracle.dense_rank(bd, F)
+    dims, current = [], cycles
+    for _ in range(N):
+        dims.append(oracle.dense_rank(current + bd, F) - b_rank)
+        current = [apply_u(v) for v in current]
+    return dims
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_u_module_decompose_matches_dense_oracle(F):
+    rng = random.Random(7 + F.characteristic)
+    for _ in range(25):
+        N = rng.randint(1, 4)
+        cx, expected = _random_u_complex(rng, F, N)
+        reports = u_module_decompose(cx, F)
+        for pos, (free, blocks) in expected.items():
+            rep = reports[pos]
+            assert (rep.free_rank, rep.torsion_blocks) == (free, blocks), (pos, N)
+            if cx.ranks[pos]:
+                o_free, o_blocks = oracle.dense_blocks_from_dims(_oracle_dims(cx, pos, F))
+                assert (o_free, o_blocks) == (free, blocks), (pos, N)
