@@ -628,7 +628,7 @@ def algebra_to_json(spec: AlgebraSpec) -> dict:
     structure = []
     for (i, j) in sorted(spec.structure):
         for k in sorted(spec.structure[(i, j)]):
-            structure.append([i, j, k, format_scalar(spec.structure[(i, j)][k])])
+            structure.append([i, j, k, format_scalar(spec.structure[(i, j)][k], spec.field)])
     obj = {
         "format": ALGEBRA_FORMAT,
         "name": spec.name,

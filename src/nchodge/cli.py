@@ -27,7 +27,7 @@ from .algebra import (AlgebraError, CATALOGUE, SchemaError,
 from .cyclic import (UnsupportedError, WindowError, char_p_compare,
                      degeneration_check, graded_piece_analysis, hodge_filtration,
                      hp_ranks, negative_cyclic)
-from .fields import Field, format_scalar, parse_field, parse_scalar
+from .fields import QQ, Field, format_scalar, parse_field, parse_scalar
 from .hochschild import DegreeWindow, hh0_direct, hh_ranks
 from .kchern import (ContractError, Idempotent, chern_idempotent,
                      ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
@@ -137,16 +137,13 @@ def _parse_poly_json(obj, nvars: int, path: str) -> dict:
             raise CliError(f"{path}: bad exponent vector {exps}", EXIT_VALIDATION)
         c = _parse_fraction(str(term["coeff"]), path)
         key = tuple(exps)
-        poly[key] = poly.get(key, Fraction(0)) + c
+        poly[key] = poly.get(key, 0) + c
     return {e: c for e, c in poly.items() if c != 0}
 
 
-def _parse_fraction(text: str, where: str) -> Fraction:
+def _parse_fraction(text: str, where: str):
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return parse_scalar(text, QQ)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"{where}: bad rational {text!r}: {exc}", EXIT_VALIDATION)
 
@@ -216,18 +213,18 @@ def _form_arg(text: str, nvars: int, what: str) -> PolyForm:
             raise CliError(f"{what}: bad dx index set {dxs}", EXIT_VALIDATION)
         c = _parse_fraction(str(term["coeff"]), what)
         key = (tuple(exps), tuple(dxs))
-        terms[key] = terms.get(key, Fraction(0)) + c
+        terms[key] = terms.get(key, 0) + c
     return PolyForm(nvars, {k: v for k, v in terms.items() if v != 0})
 
 
 def _poly_json(poly: dict) -> list:
-    return [{"exponents": list(e), "coeff": format_scalar(poly[e])}
+    return [{"exponents": list(e), "coeff": format_scalar(poly[e], QQ)}
             for e in sorted(poly)]
 
 
 def _form_json(form: PolyForm) -> list:
     return [{"exponents": list(e), "dxs": list(S),
-             "coeff": format_scalar(form.terms[(e, S)])}
+             "coeff": format_scalar(form.terms[(e, S)], QQ)}
             for (e, S) in sorted(form.terms)]
 
 
@@ -237,9 +234,14 @@ def _form_json(form: PolyForm) -> list:
 
 
 def _jsonable(obj):
-    """Coerce report payloads to plain JSON types (rationals as "num/den")."""
+    """Coerce report payloads to plain JSON types (Fractions as "num/den").
+
+    Field scalars are formatted by the handlers, with their field, before
+    they get here: an integral Q scalar is a plain int and would otherwise
+    be written as a JSON number.
+    """
     if isinstance(obj, Fraction):
-        return format_scalar(obj)
+        return format_scalar(obj, QQ)
     if isinstance(obj, dict):
         return {str(k) if not isinstance(k, str) else k: _jsonable(v)
                 for k, v in obj.items()}
@@ -317,6 +319,14 @@ def _cache_store(cache_dir: str, key: str, body: str):
               f"uncached", file=sys.stderr)
 
 
+def _cache_key(args, command: str, meta: dict, inputs) -> str:
+    """Content address of a report: sha256 over the command, its inputs, the
+    report metadata, the output format and the tool version."""
+    return hashlib.sha256(_canonical(
+        {"command": command, "inputs": inputs, "meta": meta,
+         "format": args.format, "version": __version__}).encode()).hexdigest()
+
+
 def emit(args, command: str, meta: dict, result: dict,
          cache_inputs: dict | None = None) -> int:
     report = {
@@ -329,10 +339,7 @@ def emit(args, command: str, meta: dict, result: dict,
     body = _render(report, args.format)
     cache_dir = _cache_dir(args)
     if cache_dir is not None and cache_inputs is not None:
-        key = hashlib.sha256(_canonical(
-            {"command": command, "inputs": cache_inputs, "meta": meta,
-             "format": args.format, "version": __version__}).encode()).hexdigest()
-        _cache_store(cache_dir, key, body)
+        _cache_store(cache_dir, _cache_key(args, command, meta, cache_inputs), body)
     out = getattr(args, "output", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -346,10 +353,7 @@ def _cached_or_compute(args, command, meta, cache_inputs, compute) -> int:
     """Replay a byte-identical cached report when available."""
     cache_dir = _cache_dir(args)
     if cache_dir is not None and cache_inputs is not None:
-        key = hashlib.sha256(_canonical(
-            {"command": command, "inputs": cache_inputs, "meta": meta,
-             "format": args.format, "version": __version__}).encode()).hexdigest()
-        body = _cache_lookup(cache_dir, key)
+        body = _cache_lookup(cache_dir, _cache_key(args, command, meta, cache_inputs))
         if body is not None:
             out = getattr(args, "output", None)
             if out:
@@ -506,7 +510,7 @@ def cmd_chern(args) -> int:
         "components": [
             {"u_power": t,
              "terms": [{"word": [A.label(i) for i in w],
-                        "coeff": format_scalar(c)}
+                        "coeff": format_scalar(c, A.field)}
                        for w, c in sorted(chain.components[t].items())]}
             for t in range(N)],
         "is_cycle": True,
@@ -515,7 +519,7 @@ def cmd_chern(args) -> int:
     meta = _meta(args, A, None, N)
     return emit(args, "chern", meta, result,
                 {"algebra": _algebra_inputs(A),
-                 "idempotent": {str(k): format_scalar(v)
+                 "idempotent": {str(k): format_scalar(v, A.field)
                                 for k, v in sorted(pi.vector.items())}})
 
 
@@ -527,7 +531,7 @@ def cmd_ppower(args) -> int:
         "p": rep["p"],
         "hh0_rank": rep["hh0_rank"],
         "representatives": [A.label(i) for i in rep["representatives"]],
-        "matrix": {str(t): {str(s): format_scalar(c) for s, c in row.items()}
+        "matrix": {str(t): {str(s): format_scalar(c, A.field) for s, c in row.items()}
                    for t, row in rep["matrix"].items()},
         "well_defined": rep["well_defined"],
         "additive": rep["additive"],
@@ -541,7 +545,7 @@ def cmd_ppower(args) -> int:
         result["lift"] = [
             {"u_power": t,
              "terms": [{"word": [A.label(i) for i in w],
-                        "coeff": format_scalar(c)}
+                        "coeff": format_scalar(c, A.field)}
                        for w, c in sorted(chain.components[t].items())]}
             for t in range(chain.N)]
     meta = _meta(args, A)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import AlgebraSpec
 from .fields import Field
 from .hochschild import ChainComplex, DegreeWindow, word_parity
-from .sparse import SparseMatrix, homology_rank, kernel_basis, rank_of_columns
+from .sparse import SparseMatrix, homology_rank, kernel_basis, rank, rank_of_columns
 from .umodule import (UTruncation, UComplex, UModuleReport,
                       blocks_from_filtration_dims, u_module_decompose)
 
@@ -188,6 +188,7 @@ class _Staircase:
         self._bases: dict = {}
         self._index: dict = {}
         self._diff: dict = {}
+        self._ranks: dict = {}
         self._cycles: dict = {}
         self._bdry: dict = {}
 
@@ -226,6 +227,18 @@ class _Staircase:
         self._diff[key] = mat
         return mat
 
+    def diff_rank(self, m: int, p: int) -> int:
+        """Rank of D: T^m_p -> T^{m+1}_p, eliminated once per block."""
+        key = (m, p)
+        if key not in self._ranks:
+            self._ranks[key] = rank(self.diff(m, p), self.F)
+        return self._ranks[key]
+
+    def boundary_rank(self, m: int, p: int) -> int:
+        """Rank of D into T^m_p; 0 below the window floor, where no
+        incoming map is built."""
+        return self.diff_rank(m - 1, p) if m - 1 >= self.m_floor else 0
+
     def cycles(self, m: int, p: int) -> list:
         key = (m, p)
         if key not in self._cycles:
@@ -243,8 +256,7 @@ class _Staircase:
         return self._bdry[key]
 
     def homology_dim(self, m: int, p: int) -> int:
-        d_in = self.diff(m - 1, p) if m - 1 >= self.m_floor else None
-        return homology_rank(self.diff(m, p), d_in, self.F)
+        return len(self.basis(m, p)) - self.diff_rank(m, p) - self.boundary_rank(m, p)
 
     def shift(self, vectors: list, m: int, p: int, t: int) -> list:
         """Apply u^t to vectors on T^m_p, landing in T^{m+2t}_p."""
@@ -269,11 +281,9 @@ class _Staircase:
         if target > self.m_hi:
             return 0
         shifted = [v for v in self.shift(self.cycles(m, p), m, p, t) if v]
-        bd = self.boundaries(target, p)
-        if bd is None:
-            bd = []
-        b_rank = rank_of_columns(bd, self.F)
-        return rank_of_columns(shifted + bd, self.F) - b_rank
+        bd = self.boundaries(target, p) or []
+        # the rank of the boundary columns is the rank of the map they span
+        return rank_of_columns(shifted + bd, self.F) - self.boundary_rank(target, p)
 
 
 def _staircase_negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int,

@@ -1,7 +1,10 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-Every scalar in the engine is either a `fractions.Fraction` (over Q) or an
-int reduced mod p (over F_p).  No floating point anywhere.
+A scalar over Q is an `int` or a `fractions.Fraction`: integral values stay
+plain ints, and mixed int/Fraction arithmetic is exact.  A division over Q
+happens only in `Field.inv` or in an explicit `Fraction(a, b)`, never as
+`a / b` between ints, which would give a float.  A scalar over F_p is an
+int reduced mod p.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -44,17 +47,17 @@ class Field:
         return 0 if self.p is None else self.p
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+        return n if self.p is None else n % self.p
 
     def from_fraction(self, q: Fraction):
         if self.p is None:
-            return q
+            return q.numerator if q.denominator == 1 else q
         den = q.denominator % self.p
         if den == 0:
             raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
@@ -76,7 +79,10 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / a
+            if a == 1 or a == -1:
+                return int(a)
+            q = Fraction(1, a)
+            return q.numerator if q.denominator == 1 else q
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
@@ -105,9 +111,10 @@ def parse_field(text: str) -> Field:
     raise ValueError(f"unknown field {text!r}")
 
 
-def format_scalar(x) -> str:
-    """Serialize a scalar as a "num/den" string (F_p elements as plain ints)."""
-    if isinstance(x, Fraction):
+def format_scalar(x, field: Field) -> str:
+    """Serialize a scalar: "num/den" over Q (ints too, as "n/1"), the
+    plain residue over F_p."""
+    if field.p is None:
         return f"{x.numerator}/{x.denominator}"
     return str(x)
 

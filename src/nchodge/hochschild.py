@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError
-from .sparse import SparseMatrix, homology_rank, rank_of_columns
+from .sparse import SparseMatrix, rank, rank_of_columns
 
 
 @dataclass
@@ -79,8 +79,9 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None) -> list[tuple
 class ChainComplex:
     """Cached reduced Hochschild chain data for one algebra.
 
-    Bases and matrices are memoized per (n, weight); all outputs are
-    deterministic for a fixed algebra.
+    Bases, matrices and boundary ranks are memoized per (n, weight), so each
+    boundary block is eliminated once; all outputs are deterministic for a
+    fixed algebra.
     """
 
     def __init__(self, A: AlgebraSpec):
@@ -88,6 +89,7 @@ class ChainComplex:
         self._bases: dict = {}
         self._boundaries: dict = {}
         self._connes: dict = {}
+        self._ranks: dict = {}
 
     def basis(self, n: int, weight: int | None = None) -> list[tuple]:
         key = (n, weight)
@@ -211,10 +213,18 @@ class ChainComplex:
 
     # -- homology -----------------------------------------------------------
 
+    def boundary_rank(self, n: int, weight: int | None = None) -> int:
+        """Rank of the boundary block(n) -> block(n-1)."""
+        key = (n, weight)
+        if key not in self._ranks:
+            self._ranks[key] = rank(self.boundary(n, weight), self.A.field)
+        return self._ranks[key]
+
     def hh_rank(self, n: int, weight: int | None = None) -> int:
-        """Rank of ker(boundary_n) / im(boundary_{n+1}) at one block."""
-        return homology_rank(self.boundary(n, weight), self.boundary(n + 1, weight),
-                             self.A.field)
+        """Rank of ker(boundary_n) / im(boundary_{n+1}) at one block:
+        dim - rank(boundary_n) - rank(boundary_{n+1})."""
+        return (len(self.basis(n, weight)) - self.boundary_rank(n, weight)
+                - self.boundary_rank(n + 1, weight))
 
 
 def guard_safe_weights(A: AlgebraSpec, weights) -> dict:

@@ -12,7 +12,8 @@ conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from math import factorial, lcm
 
 from .algebra import AlgebraSpec
 from .cyclic import UnsupportedError
@@ -80,20 +81,36 @@ def _add_into(F: Field, acc: dict, inc: dict, scale=None):
 
 
 def cycle_certificate(chain: UChain) -> dict:
-    """Apply (d + uB) mod u^N to the chain; empty components mean a cycle."""
+    """Apply (d + uB) mod u^N to the chain; empty components mean a cycle.
+
+    Over Q the chain is first scaled by L, the lcm of its coefficient
+    denominators, so the images accumulate in ints; (d + uB) is linear and
+    L is nonzero, so the scaled chain is a cycle exactly when the chain is,
+    and the residue is divided by L on the way out.
+    """
     A = chain.algebra
     F = A.field
     cx = ChainComplex(A)
+    # F_p scalars are ints, so L = 1 there
+    scale = lcm(*(c.denominator for comp in chain.components for c in comp.values()))
+
+    def scaled(t):
+        for word, c in chain.components[t].items():
+            yield word, c.numerator * (scale // c.denominator)
+
     out = []
     for t in range(chain.N):
         acc: dict = {}
-        for word, c in chain.components[t].items():
+        for word, c in scaled(t):
             if len(word) >= 2:
                 _add_into(F, acc, cx.boundary_word(word), c)
         if t >= 1:
-            for word, c in chain.components[t - 1].items():
+            for word, c in scaled(t - 1):
                 _add_into(F, acc, cx.connes_word(word), c)
         out.append(acc)
+    if scale != 1:
+        unscale = F.inv(scale)
+        out = [{w: F.mul(v, unscale) for w, v in acc.items()} for acc in out]
     return {"is_cycle": all(not a for a in out), "residue": out}
 
 
@@ -108,7 +125,7 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     if p != 0 and p <= 2 * N:
         raise UnsupportedError(
             f"chern_idempotent needs char 0 or p > 2N (p={p}, N={N})")
-    half = F.from_fraction(__import__("fractions").Fraction(1, 2))
+    half = F.from_fraction(Fraction(1, 2))
     shifted = dict(pi.vector)
     _add_into(F, shifted, {0: F.neg(half)})
     tail = _reduce_tail(F, pi.vector)

@@ -14,23 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
 from .fields import QQ
 from .sparse import SparseMatrix, homology_rank
 
-Poly = dict  # exponent tuple -> Fraction
+Poly = dict  # exponent tuple -> rational (int or Fraction)
 
 
 class PoissonError(ValueError):
     pass
 
 
-def poly_add(p: Poly, q: Poly, scale: Fraction = Fraction(1)) -> Poly:
+def poly_add(p: Poly, q: Poly, scale=1) -> Poly:
     out = dict(p)
     for e, c in q.items():
-        s = out.get(e, Fraction(0)) + scale * c
+        s = out.get(e, 0) + scale * c
         if s == 0:
             out.pop(e, None)
         else:
@@ -43,7 +44,7 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
+            s = out.get(e, 0) + c1 * c2
             if s == 0:
                 out.pop(e, None)
             else:
@@ -56,7 +57,7 @@ def poly_diff(p: Poly, i: int) -> Poly:
     for e, c in p.items():
         if e[i]:
             e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[e2] = out.get(e2, Fraction(0)) + c * e[i]
+            out[e2] = out.get(e2, 0) + c * e[i]
     return {e: c for e, c in out.items() if c != 0}
 
 
@@ -66,7 +67,7 @@ def monomial(nvars: int, exps: dict | tuple) -> Poly:
         for i, v in exps.items():
             e[i] = v
         exps = tuple(e)
-    return {tuple(exps): Fraction(1)}
+    return {tuple(exps): 1}
 
 
 @dataclass
@@ -92,17 +93,17 @@ class PolyForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add(self, other: "PolyForm", scale: Fraction = Fraction(1)) -> "PolyForm":
+    def add(self, other: "PolyForm", scale=1) -> "PolyForm":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + scale * c
+            s = out.get(k, 0) + scale * c
             if s == 0:
                 out.pop(k, None)
             else:
                 out[k] = s
         return PolyForm(self.nvars, out)
 
-    def scale(self, a: Fraction) -> "PolyForm":
+    def scale(self, a) -> "PolyForm":
         if a == 0:
             return PolyForm(self.nvars, {})
         return PolyForm(self.nvars, {k: a * c for k, c in self.terms.items()})
@@ -125,7 +126,7 @@ def monomial_form(nvars: int, exps, dxs) -> PolyForm:
         for i, v in exps.items():
             e[i] = v
         exps = tuple(e)
-    return PolyForm(nvars, {(tuple(exps), tuple(dxs)): Fraction(1)})
+    return PolyForm(nvars, {(tuple(exps), tuple(dxs)): 1})
 
 
 def d(form: PolyForm) -> PolyForm:
@@ -137,10 +138,10 @@ def d(form: PolyForm) -> PolyForm:
                 continue
             e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
             pos = sum(1 for j in S if j < i)
-            sign = Fraction(-1) ** pos
+            sign = (-1) ** pos
             S2 = tuple(sorted(S + (i,)))
             key = (e2, S2)
-            s = out.get(key, Fraction(0)) + sign * c * e[i]
+            s = out.get(key, 0) + sign * c * e[i]
             if s == 0:
                 out.pop(key, None)
             else:
@@ -155,9 +156,9 @@ def _interior(form: PolyForm, i: int) -> PolyForm:
         if i not in S:
             continue
         pos = S.index(i)
-        sign = Fraction(-1) ** pos
+        sign = (-1) ** pos
         key = (e, S[:pos] + S[pos + 1:])
-        s = out.get(key, Fraction(0)) + sign * c
+        s = out.get(key, 0) + sign * c
         if s == 0:
             out.pop(key, None)
         else:
@@ -174,7 +175,7 @@ class Bivector:
     nvars: int
     components: dict  # (i, j) with i < j -> Poly
     name: str = ""
-    hbar: Fraction = Fraction(1)
+    hbar: int | Fraction = 1
 
     def __post_init__(self):
         for (i, j) in self.components:
@@ -198,7 +199,7 @@ def iota(alpha: Bivector, form: PolyForm) -> PolyForm:
         for (e, S), c in contracted.terms.items():
             for e2, c2 in p.items():
                 key = (tuple(a + b for a, b in zip(e, e2)), S)
-                s = terms.get(key, Fraction(0)) + c * c2
+                s = terms.get(key, 0) + c * c2
                 if s == 0:
                     terms.pop(key, None)
                 else:
@@ -209,7 +210,7 @@ def iota(alpha: Bivector, form: PolyForm) -> PolyForm:
 
 def lie_derivative(alpha: Bivector, form: PolyForm) -> PolyForm:
     """The Brylinski differential L_alpha = iota_alpha d - d iota_alpha."""
-    return iota(alpha, d(form)).add(d(iota(alpha, form)), Fraction(-1))
+    return iota(alpha, d(form)).add(d(iota(alpha, form)), -1)
 
 
 def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
@@ -217,7 +218,7 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
     out: Poly = {}
     for (i, j), p in alpha.components.items():
         term = poly_add(poly_mul(poly_diff(f, i), poly_diff(g, j)),
-                        poly_mul(poly_diff(f, j), poly_diff(g, i)), Fraction(-1))
+                        poly_mul(poly_diff(f, j), poly_diff(g, i)), -1)
         out = poly_add(out, poly_mul(p, term))
     return out
 
@@ -281,7 +282,7 @@ def _exp_iota(alpha: Bivector, form: PolyForm, sign: int = 1) -> PolyForm:
         term = iota(alpha, term)
         if term.is_zero():
             return out
-        out = out.add(term, Fraction(sign ** k, factorial(k)))
+        out = out.add(term, QQ.from_fraction(Fraction(sign ** k, factorial(k))))
         k += 1
 
 
@@ -322,12 +323,12 @@ class ConstantSymplectic:
 
     def form(self) -> PolyForm:
         zero = tuple([0] * self.nvars)
-        return PolyForm(self.nvars, {(zero, (i, j)): Fraction(1)
+        return PolyForm(self.nvars, {(zero, (i, j)): 1
                                      for i, j in self.pairs()})
 
     def inverse_bivector(self) -> Bivector:
         zero = tuple([0] * self.nvars)
-        return Bivector(self.nvars, {(i, j): {zero: Fraction(1)}
+        return Bivector(self.nvars, {(i, j): {zero: 1}
                                      for i, j in self.pairs()}, name="standard")
 
 
@@ -346,12 +347,43 @@ def _grassmann_mul(a: dict, b: dict) -> dict:
                     if lst[i] > lst[j]:
                         sign = -sign
             key = tuple(sorted(merged))
-            s = out.get(key, Fraction(0)) + sign * ca * cb
+            s = out.get(key, 0) + sign * ca * cb
             if s == 0:
                 out.pop(key, None)
             else:
                 out[key] = s
     return out
+
+
+@lru_cache(maxsize=None)
+def _star_of_dx(v: int, S: tuple) -> tuple:
+    """The star of dx_S in the standard v-variable structure, as
+    ((eta index tuple, coefficient), ...); see `hodge_star`."""
+    # generators: 0..v-1 are xi_i, v..2v-1 are eta_i
+    kernel_b: dict = {}
+    for i, j in ConstantSymplectic(v).pairs():
+        kernel_b = poly_add(kernel_b, {(i, v + j): 1})
+        kernel_b = poly_add(kernel_b, {(j, v + i): -1})
+    exp_b = {(): 1}
+    term = {(): 1}
+    for k in range(1, v + 1):
+        term = _grassmann_mul(term, kernel_b)
+        if not term:
+            break
+        for g, c in term.items():
+            s = exp_b.get(g, 0) + Fraction(c, factorial(k))
+            if s == 0:
+                exp_b.pop(g, None)
+            else:
+                exp_b[g] = s
+    full = tuple(range(v))
+    global_sign = (-1) ** (v // 2)
+    out = []
+    for g, cg in _grassmann_mul({S: 1}, exp_b).items():
+        if tuple(i for i in g if i < v) == full:
+            out.append((tuple(i - v for i in g if i >= v),
+                        QQ.from_fraction(Fraction(global_sign * cg))))
+    return tuple(out)
 
 
 def hodge_star(form: PolyForm, omega: ConstantSymplectic) -> PolyForm:
@@ -364,40 +396,17 @@ def hodge_star(form: PolyForm, omega: ConstantSymplectic) -> PolyForm:
     *(1) = dx^dy and *(dx^dy) = -1 in two variables, and the star identity
     e^{w ^ .} = e^{iota_alpha} o * o e^{iota_alpha} holds exactly (see
     star_identity_check); no other degree-homogeneous star satisfies it.
+    The transform of each dx_S is computed once per (v, S); the star maps
+    x^e dx_S to x^e * star(dx_S).
     """
     v = omega.nvars
     if form.nvars != v:
         raise PoissonError("variable count mismatch")
-    # generators: 0..v-1 are xi_i, v..2v-1 are eta_i
-    kernel_b: dict = {}
-    for i, j in omega.pairs():
-        kernel_b = poly_add(kernel_b, {(i, v + j): Fraction(1)})
-        kernel_b = poly_add(kernel_b, {(j, v + i): Fraction(-1)})
-    exp_b = {(): Fraction(1)}
-    term = {(): Fraction(1)}
-    for k in range(1, v + 1):
-        term = _grassmann_mul(term, kernel_b)
-        if not term:
-            break
-        for g, c in term.items():
-            s = exp_b.get(g, Fraction(0)) + c / factorial(k)
-            if s == 0:
-                exp_b.pop(g, None)
-            else:
-                exp_b[g] = s
-    full = tuple(range(v))
-    global_sign = Fraction(-1) ** (v // 2)
     out: dict = {}
     for (e, S), c in form.terms.items():
-        c = c * global_sign
-        integrand = _grassmann_mul({tuple(S): Fraction(1)}, exp_b)
-        for g, cg in integrand.items():
-            xi_part = tuple(i for i in g if i < v)
-            if xi_part != full:
-                continue
-            eta_part = tuple(i - v for i in g if i >= v)
+        for eta_part, cg in _star_of_dx(v, S):
             key = (e, eta_part)
-            s = out.get(key, Fraction(0)) + c * cg
+            s = out.get(key, 0) + c * cg
             if s == 0:
                 out.pop(key, None)
             else:
@@ -436,7 +445,7 @@ def star_identity_check(nvars: int, D: int) -> dict:
                             if lst[ii] > lst[jj]:
                                 sign = -sign
                     key = (e, tuple(sorted(lst)))
-                    s = nxt.get(key, Fraction(0)) + sign * c * cw
+                    s = nxt.get(key, 0) + sign * c * cw
                     if s == 0:
                         nxt.pop(key, None)
                     else:
@@ -444,7 +453,7 @@ def star_identity_check(nvars: int, D: int) -> dict:
             term = PolyForm(mu.nvars, nxt)
             if term.is_zero():
                 return out
-            out = out.add(term, Fraction(1, factorial(k)))
+            out = out.add(term, QQ.from_fraction(Fraction(1, factorial(k))))
             k += 1
 
     for e in _monomials_upto(nvars, D):
@@ -550,7 +559,7 @@ def builtin_bivector(name: str, nvars: int | None = None) -> Bivector:
     xy (the comparison example xy del_x ^ del_y), so3 (the linear
     3-dimensional Lie-Poisson structure), nonjacobi4 (a constant-plus-linear
     bivector in 4 variables with nonzero Jacobiator), zero."""
-    one = Fraction(1)
+    one = 1
     if name == "standard":
         v = nvars or 2
         return ConstantSymplectic(v).inverse_bivector()

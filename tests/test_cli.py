@@ -221,3 +221,20 @@ def test_ppower_clifford1_f3_ranks_agree(capsys):
     code, rep, _ = run_json(capsys, "ppower", "--algebra", "clifford1", "--field", "F3")
     assert code == 0
     assert rep["result"]["hh0_rank"] == rep["result"]["hh0_rank_direct"] == 1
+
+
+def test_cache_key_is_pinned(tmp_path, capsys):
+    # The key hashes the algebra's structure constants and the idempotent as
+    # "num/den" strings ("1/1" for integral Q scalars); a change of spelling
+    # or of the hashed fields would orphan every cached report.  The tool
+    # version is hashed too, so a version bump changes this value.
+    idem = tmp_path / "pi.json"
+    idem.write_text(json.dumps({"format": "ncg-idempotent/1",
+                                "vector": {"E11*1": "1/1", "E12*1": "2/3"}}))
+    cache = tmp_path / "cache"
+    code, _, _ = run(capsys, "chern", "--algebra", "mat", "--param", "m=2",
+                     "--u-trunc", "2", "--idempotent", str(idem),
+                     "--cache-dir", str(cache))
+    assert code == 0
+    assert [p.name for p in cache.glob("*.report")] == [
+        "f68bebd4fb5f87207e5865a40a1894281919074ea30b48f8ce2f99715a2ea24a.report"]

@@ -1,11 +1,14 @@
+from collections import Counter
+
 import pytest
 
+from nchodge import cyclic, hochschild, sparse
 from nchodge.algebra import builtin
 from nchodge.cyclic import (UnsupportedError, WindowError, char_p_compare,
                             degeneration_check, graded_piece_analysis,
                             hodge_filtration, hp_ranks, negative_cyclic)
 from nchodge.fields import GF, QQ
-from nchodge.hochschild import DegreeWindow
+from nchodge.hochschild import DegreeWindow, hh_ranks
 
 
 def test_window_precondition():
@@ -100,3 +103,30 @@ def test_graded_pieces_acyclicity():
 def test_graded_pieces_char_zero_always_acyclic():
     for n in (1, 2, 3):
         assert graded_piece_analysis(2, n, QQ)["acyclic"]
+
+
+def test_each_boundary_block_is_eliminated_once(monkeypatch):
+    # count eliminations per matrix object; the complexes memoize their
+    # blocks, so a repeated id is a block eliminated twice (the matrices are
+    # kept alive so that no id is reused)
+    calls = Counter()
+    alive = []
+    original = sparse.rank
+
+    def counting_rank(M, field):
+        calls[id(M)] += 1
+        alive.append(M)
+        return original(M, field)
+
+    for module in (sparse, hochschild, cyclic):
+        if getattr(module, "rank", None) is original:
+            monkeypatch.setattr(module, "rank", counting_rank)
+    rep = degeneration_check(builtin("mat", QQ, m=2), DegreeWindow(4), 2)
+    assert rep["verdict"] == "collapses-in-window"
+    staircase_blocks = len(calls)
+    assert staircase_blocks and set(calls.values()) == {1}
+    ranks = hh_ranks(builtin("mat", QQ, m=2), DegreeWindow(4))
+    assert ranks["per_n"] == {0: 1, 1: 0, 2: 0, 3: 0}
+    ranks = hh_ranks(builtin("dual_numbers", QQ), DegreeWindow(5))
+    assert ranks["per_n"] == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
+    assert len(calls) > staircase_blocks and set(calls.values()) == {1}

@@ -11,7 +11,13 @@ def test_rationals_descriptor():
     assert str(QQ) == "Q"
     assert QQ.zero() == Fraction(0)
     assert QQ.one() == Fraction(1)
-    assert isinstance(QQ.from_int(3), Fraction)
+    # Q scalars are ints or Fractions, never floats; integral values may be
+    # plain ints, and reports still spell them "n/1"
+    assert QQ.from_int(3) == 3 and type(QQ.from_int(3)) in (int, Fraction)
+    assert QQ.inv(3) == Fraction(1, 3) and not isinstance(QQ.inv(3), float)
+    assert QQ.inv(Fraction(1, 3)) == 3
+    assert format_scalar(3, QQ) == "3/1"
+    assert format_scalar(3, GF(5)) == "3"
 
 
 def test_prime_field_arithmetic():
@@ -36,7 +42,7 @@ def test_parse_and_format():
     assert parse_field("F7") == GF(7)
     with pytest.raises(ValueError):
         parse_field("R")
-    assert format_scalar(Fraction(-3, 2)) == "-3/2"
+    assert format_scalar(Fraction(-3, 2), QQ) == "-3/2"
     assert parse_scalar("-3/2", QQ) == Fraction(-3, 2)
     assert parse_scalar("7", GF(5)) == 2
 

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from nchodge.algebra import builtin, glue, zero_bimodule
 from nchodge.cyclic import UnsupportedError
 from nchodge.fields import GF, QQ
-from nchodge.kchern import (ContractError, Idempotent,
+from nchodge.hochschild import ChainComplex
+from nchodge.kchern import (ContractError, Idempotent, UChain,
                             chern_idempotent, cycle_certificate,
                             lift_difference_is_boundary, ppower_lift,
                             ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
@@ -135,3 +138,40 @@ def test_solve_in_span_through_commutators():
     sol = solve_in_span(comm + [{0: 1}], {1: 1}, A.field)
     assert sol[len(comm)] == 2
     assert solve_in_span(comm, {0: 1}, A.field) is None
+
+
+def _fraction_residue(chain):
+    """(d + uB) applied to the chain in Fraction arithmetic only."""
+    cx = ChainComplex(chain.algebra)
+    out = []
+    for t in range(chain.N):
+        acc = {}
+        terms = [(cx.boundary_word(w), c) for w, c in chain.components[t].items()
+                 if len(w) >= 2]
+        if t >= 1:
+            terms += [(cx.connes_word(w), c) for w, c in chain.components[t - 1].items()]
+        for image, c in terms:
+            for target, v in image.items():
+                acc[target] = acc.get(target, Fraction(0)) + Fraction(c) * Fraction(v)
+        out.append({w: v for w, v in acc.items() if v != 0})
+    return out
+
+
+def test_certificate_of_broken_chain_with_fractional_coefficients():
+    A = builtin("mat", QQ, m=2)
+    labels = {A.label(i): i for i in range(A.dim)}
+    pi = Idempotent(A, {labels["E11*1"]: 1, labels["E12*1"]: Fraction(2, 3)})
+    chain = chern_idempotent(pi, 3)
+    assert any(isinstance(c, Fraction) and c.denominator != 1
+               for comp in chain.components for c in comp.values())
+    # break the u^1 component: rescale it by 3/7 and add a stray term
+    broken = [dict(comp) for comp in chain.components]
+    broken[1] = {w: c * Fraction(3, 7) for w, c in broken[1].items()}
+    stray = (labels["E21*1"], labels["E12*1"], labels["E11*1"])
+    broken[1][stray] = broken[1].get(stray, 0) + Fraction(-5, 11)
+    cert = cycle_certificate(UChain(A, 3, broken))
+    assert not cert["is_cycle"]
+    assert cert["residue"] == _fraction_residue(UChain(A, 3, broken))
+    assert not any(isinstance(v, float) for acc in cert["residue"] for v in acc.values())
+    # the intact chain certifies, and its residue is empty in every component
+    assert cycle_certificate(chain)["residue"] == [{}, {}, {}]

@@ -327,3 +327,58 @@ def test_u_module_decompose_matches_dense_oracle(F):
             if cx.ranks[pos]:
                 o_free, o_blocks = oracle.dense_blocks_from_dims(_oracle_dims(cx, pos, F))
                 assert (o_free, o_blocks) == (free, blocks), (pos, N)
+
+
+# Q scalars are ints or Fractions: mixed entries, no floats -------------------
+
+
+def _mixed_q_scalar(rng):
+    if rng.random() < 0.5:
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    return Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)), rng.choice((1, 2, 3, 7)))
+
+
+def _no_float(obj):
+    if isinstance(obj, dict):
+        return all(_no_float(k) and _no_float(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(_no_float(v) for v in obj)
+    return not isinstance(obj, float)
+
+
+def test_mixed_int_fraction_entries_match_dense_oracle():
+    rng = random.Random(4242)
+    for _ in range(120):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        density = rng.choice((0.2, 0.4, 0.7))
+        M = SparseMatrix(rows, cols, {(r, c): _mixed_q_scalar(rng)
+                                      for r in range(rows) for c in range(cols)
+                                      if rng.random() < density})
+        expected = oracle.dense_rank(_dense(M, QQ), QQ) if rows and cols else 0
+        assert rank(M, QQ) == expected
+        assert rank_of_columns(M.columns(), QQ) == expected
+        ker = kernel_basis(M, QQ)
+        assert _no_float(ker)
+        assert len(ker) == cols - expected
+        for v in ker:
+            assert not M.apply(v, QQ)
+        if ker:
+            dense_ker = [[v.get(c, 0) for c in range(cols)] for v in ker]
+            assert oracle.dense_rank(dense_ker, QQ) == len(ker)
+        # a combination of the columns is in their span; a fresh unit
+        # vector appended below them is not
+        columns = M.columns()
+        coeffs = {i: _mixed_q_scalar(rng) for i in range(cols) if rng.random() < 0.5}
+        target = {}
+        for i, x in coeffs.items():
+            for r, v in columns[i].items():
+                target[r] = target.get(r, 0) + x * v
+        target = {r: v for r, v in target.items() if v != 0}
+        sol = solve_in_span(columns, target, QQ)
+        assert sol is not None and _no_float(sol)
+        total = {}
+        for i, x in sol.items():
+            for r, v in columns[i].items():
+                total[r] = total.get(r, 0) + x * v
+        assert {r: v for r, v in total.items() if v != 0} == target
+        assert solve_in_span(columns, {rows: Fraction(1, 3)}, QQ) is None
