@@ -6,6 +6,12 @@ version, field, window, truncation and guard/diagnostic flags alongside the
 result payload, and is emitted deterministically (sorted keys, fixed
 separators) so that identical runs are byte-identical.
 
+Reports are streamed: one renderer writes the text in pieces of about
+64 KB to stdout or, progressively, to the --output file, and the same
+pieces to a cache entry's .tmp file, which replaces the entry only after
+the last piece.  No report is held as one string; the bytes and the cache
+keys are those of the whole-string json.dumps rendering it replaced.
+
 Exit codes: 0 success, 1 structural error, 2 validation failure (including
 a failed certificate), 3 inconclusive verdict under --strict or an operation
 the field or parameters do not support.
@@ -14,11 +20,13 @@ the field or parameters do not support.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import (AlgebraError, CATALOGUE, SchemaError,
@@ -233,56 +241,224 @@ def _form_json(form: PolyForm) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    """Coerce report payloads to plain JSON types (Fractions as "num/den").
-
-    Field scalars are formatted by the handlers, with their field, before
-    they get here: an integral Q scalar is a plain int and would otherwise
-    be written as a JSON number.
-    """
-    if isinstance(obj, Fraction):
-        return format_scalar(obj, QQ)
-    if isinstance(obj, dict):
-        return {str(k) if not isinstance(k, str) else k: _jsonable(v)
-                for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+# Reports are streamed: the renderer hands its text to a write callable in
+# pieces of about this many characters.
+_CHUNK = 1 << 16
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+class _Pieces:
+    """Rendered text collected as small pieces and passed to `write` about
+    `_CHUNK` characters at a time."""
 
+    def __init__(self, write):
+        self.write = write
+        self.parts: list = []
 
-def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    flat = []
-
-    def walk(prefix, value):
-        if isinstance(value, dict):
-            for k in sorted(value, key=str):
-                walk(f"{prefix}.{k}" if prefix else str(k), value[k])
-        elif isinstance(value, list):
-            flat.append((prefix, json.dumps(value, sort_keys=True)))
+    def check(self):
+        """Pass the text on once it reaches `_CHUNK` characters.  Called
+        after every value; the text is measured every 1024 pieces."""
+        if len(self.parts) < 1024:
+            return
+        text = "".join(self.parts)
+        self.parts.clear()
+        if len(text) >= _CHUNK:
+            self.write(text)
         else:
-            flat.append((prefix, json.dumps(value)))
+            self.parts.append(text)
 
-    walk("", report)
-    if fmt == "csv":
-        lines = ["key,value"]
-        for k, v in flat:
-            v = v.replace('"', '""')
-            lines.append(f'{k},"{v}"')
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        lines = [f"# {report.get('command', 'report')}", "",
-                 "| key | value |", "| --- | --- |"]
-        for k, v in flat:
-            escaped = v.replace("|", "\\|")
-            lines.append(f"| {k} | {escaped} |")
-        return "\n".join(lines) + "\n"
-    raise CliError(f"unknown output format {fmt!r}", EXIT_STRUCTURAL)
+    def close(self):
+        if self.parts:
+            self.write("".join(self.parts))
+            self.parts.clear()
+
+
+class _Encoded(dict):
+    """str -> its JSON text (ASCII-escaped, quoted) with the report format's
+    escape applied.  A report repeats a few strings many times (a basis
+    label can occur in every word of a Chern chain), so each distinct
+    string is encoded once."""
+
+    def __init__(self, escape=None):
+        super().__init__()
+        self.escape = escape
+
+    def __missing__(self, s):
+        text = encode_basestring_ascii(s)
+        if self.escape is not None:
+            text = self.escape(text)
+        self[s] = text
+        return text
+
+
+def _sorted_items(d: dict) -> list:
+    """A mapping's items in key order, every key a string (str(k) for the
+    others; a later key with the same string wins)."""
+    if not all(isinstance(k, str) for k in d):
+        d = {k if isinstance(k, str) else str(k): v for k, v in d.items()}
+    return sorted(d.items())
+
+
+def _encoder(pieces: _Pieces, indent: int | None, escape=None):
+    """encode(value, level): append the JSON text of a report value to the
+    pieces, as json.dumps(value, sort_keys=True) writes it, with
+    indent=indent and the default ensure_ascii.
+
+    Report values pass through as they are built: a Fraction is written as
+    its "num/den" string, a tuple as a list and a non-string key as str(k).
+    Any other type json cannot write raises TypeError.  `escape`, if
+    given, is applied to every encoded string and key; no other piece can
+    hold a '"' or a '|'.
+    """
+    add, check = pieces.parts.append, pieces.check
+    strings = _Encoded(escape)
+    keys: dict = {}
+    frames: dict = {}
+
+    def delimiters(level, open_, close):
+        """(opening, separator, closing) of a container at this level."""
+        frame = frames.get((level, open_))
+        if frame is None:
+            if indent is None:
+                frame = (open_, ", ", close)
+            else:
+                outer = "\n" + " " * (indent * level)
+                inner = outer + " " * indent
+                frame = (open_ + inner, "," + inner, outer + close)
+            frames[(level, open_)] = frame
+        return frame
+
+    def encode(obj, level):
+        if isinstance(obj, str):
+            add(strings[obj])
+        elif isinstance(obj, dict):
+            encode_dict(obj, level)
+        elif isinstance(obj, (list, tuple)):
+            encode_list(obj, level)
+        elif obj is None:
+            add("null")
+        elif obj is True:
+            add("true")
+        elif obj is False:
+            add("false")
+        elif isinstance(obj, int):
+            add(int.__repr__(obj))
+        elif isinstance(obj, Fraction):
+            add(strings[format_scalar(obj, QQ)])
+        elif isinstance(obj, float):
+            add(json.dumps(obj))
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            f"is not JSON serializable")
+
+    def encode_list(lst, level):
+        if not lst:
+            add("[]")
+            return
+        open_, sep, close = delimiters(level, "[", "]")
+        try:
+            # a list of strings is joined in one call; any other item
+            # (unhashable, or a miss that json cannot encode as a string)
+            # raises TypeError and the list is written item by item
+            text = sep.join(map(strings.__getitem__, lst))
+        except TypeError:
+            text = None
+        add(open_)
+        if text is not None:
+            add(text)
+        else:
+            level += 1
+            first = True
+            for item in lst:
+                if first:
+                    first = False
+                else:
+                    add(sep)
+                encode(item, level)
+                check()
+        add(close)
+
+    def encode_dict(d, level):
+        if not d:
+            add("{}")
+            return
+        open_, sep, close = delimiters(level, "{", "}")
+        add(open_)
+        level += 1
+        first = True
+        for k, v in _sorted_items(d):
+            if first:
+                first = False
+            else:
+                add(sep)
+            key = keys.get(k)
+            if key is None:
+                key = keys[k] = strings[k] + ": "
+            add(key)
+            if isinstance(v, str):
+                add(strings[v])
+            else:
+                encode(v, level)
+            check()
+        add(close)
+
+    return encode
+
+
+def _leaves(prefix: str, d: dict):
+    """(dotted key, value) for every value of a report that is not a dict,
+    in key order: the rows of the csv and markdown formats."""
+    for k, v in _sorted_items(d):
+        key = f"{prefix}.{k}" if prefix else k
+        if isinstance(v, dict):
+            yield from _leaves(key, v)
+        else:
+            yield key, v
+
+
+def _render(report: dict, fmt: str, write) -> None:
+    """Stream a report to `write` in pieces of about `_CHUNK` characters.
+
+    json is written as json.dumps(report, sort_keys=True, indent=2) plus a
+    newline.  csv and markdown have one row per leaf of the report (a
+    value that is not a dict), holding the leaf as compact JSON with '"'
+    doubled (csv) or '|' escaped (markdown).
+    """
+    if fmt not in ("json", "csv", "markdown"):
+        raise CliError(f"unknown output format {fmt!r}", EXIT_STRUCTURAL)
+    pieces = _Pieces(write)
+    add = pieces.parts.append
+    if fmt == "json":
+        _encoder(pieces, 2)(report, 0)
+        add("\n")
+    elif fmt == "csv":
+        encode = _encoder(pieces, None, lambda s: s.replace('"', '""'))
+        add("key,value\n")
+        for key, value in _leaves("", report):
+            add(key + ',"')
+            encode(value, 0)
+            add('"\n')
+            pieces.check()
+    else:
+        encode = _encoder(pieces, None, lambda s: s.replace("|", "\\|"))
+        add(f"# {report.get('command', 'report')}\n\n"
+            "| key | value |\n| --- | --- |\n")
+        for key, value in _leaves("", report):
+            add(f"| {key} | ")
+            encode(value, 0)
+            add(" |\n")
+            pieces.check()
+    pieces.close()
+
+
+@contextlib.contextmanager
+def _report_output(args):
+    """write(text) for the report's destination: --output or stdout."""
+    out = getattr(args, "output", None)
+    if not out:
+        yield sys.stdout.write
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        yield fh.write
 
 
 def _cache_dir(args) -> str | None:
@@ -291,32 +467,87 @@ def _cache_dir(args) -> str | None:
     return os.environ.get("NCHODGE_CACHE_DIR") or None
 
 
-def _cache_lookup(cache_dir: str, key: str) -> str | None:
-    path = os.path.join(cache_dir, key + ".report")
+def _cache_path(cache_dir: str, key: str) -> str:
+    return os.path.join(cache_dir, key + ".report")
+
+
+def _cache_marker(key: str) -> str:
+    return "ncg-cache/1 " + key + "\n"
+
+
+def _cache_replay(args, cache_dir: str, key: str) -> bool:
+    """Copy a cached report to the output; False when there is no valid
+    entry."""
+    path = _cache_path(cache_dir, key)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = fh.read()
+        fh = open(path, "r", encoding="utf-8")
     except OSError:
-        return None
-    marker, sep, body = stored.partition("\n")
-    if marker != "ncg-cache/1 " + key or not sep:
-        print(f"warning: corrupted cache entry {path}; recomputing",
-              file=sys.stderr)
-        return None
-    return body
+        return False
+    with fh:
+        if fh.readline() != _cache_marker(key):
+            print(f"warning: corrupted cache entry {path}; recomputing",
+                  file=sys.stderr)
+            return False
+        with _report_output(args) as write:
+            for text in iter(lambda: fh.read(_CHUNK), ""):
+                write(text)
+    return True
 
 
-def _cache_store(cache_dir: str, key: str, body: str):
-    path = os.path.join(cache_dir, key + ".report")
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("ncg-cache/1 " + key + "\n" + body)
-        os.replace(tmp, path)
-    except OSError as exc:
+class _CacheEntry:
+    """A cache entry being written.  Every piece of the report goes to
+    <key>.report.tmp, which becomes <key>.report only after the last piece;
+    a render that fails, or any OSError, removes the .tmp file, and an
+    OSError warns and leaves the report uncached."""
+
+    def __init__(self, cache_dir: str, key: str):
+        self.path = _cache_path(cache_dir, key)
+        self.tmp = self.path + ".tmp"
+        self.fh = None
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            self.fh = open(self.tmp, "w", encoding="utf-8")
+            self.fh.write(_cache_marker(key))
+        except OSError as exc:
+            self._give_up(exc)
+
+    def write(self, text: str):
+        if self.fh is not None:
+            try:
+                self.fh.write(text)
+            except OSError as exc:
+                self._give_up(exc)
+
+    def commit(self):
+        if self.fh is None:
+            return
+        try:
+            self.fh.close()
+            self.fh = None
+            os.replace(self.tmp, self.path)
+        except OSError as exc:
+            self._give_up(exc)
+
+    def discard(self):
+        if self.fh is not None:
+            try:
+                self.fh.close()
+            except OSError:
+                pass
+            self.fh = None
+        try:
+            os.remove(self.tmp)
+        except OSError:
+            pass
+
+    def _give_up(self, exc: OSError):
         print(f"warning: cache directory unwritable ({exc}); proceeding "
               f"uncached", file=sys.stderr)
+        self.discard()
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _cache_key(args, command: str, meta: dict, inputs) -> str:
@@ -329,39 +560,49 @@ def _cache_key(args, command: str, meta: dict, inputs) -> str:
 
 def emit(args, command: str, meta: dict, result: dict,
          cache_inputs: dict | None = None) -> int:
+    """Stream the report to stdout or --output and, with a cache directory
+    and cache inputs, to its cache entry.
+
+    Field scalars are formatted by the handlers, with their field, before
+    they get here: an integral Q scalar is a plain int and would otherwise
+    be written as a JSON number.
+    """
     report = {
         "format": REPORT_FORMAT,
         "tool": {"name": "nchodge", "version": __version__},
         "command": command,
         **meta,
-        "result": _jsonable(result),
+        "result": result,
     }
-    body = _render(report, args.format)
     cache_dir = _cache_dir(args)
+    entry = None
     if cache_dir is not None and cache_inputs is not None:
-        _cache_store(cache_dir, _cache_key(args, command, meta, cache_inputs), body)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+        entry = _CacheEntry(cache_dir, _cache_key(args, command, meta, cache_inputs))
+    try:
+        with _report_output(args) as out:
+            if entry is None:
+                _render(report, args.format, out)
+            else:
+                def write(text):
+                    out(text)
+                    entry.write(text)
+                _render(report, args.format, write)
+    except BaseException:
+        if entry is not None:
+            entry.discard()
+        raise
+    if entry is not None:
+        entry.commit()
     return EXIT_OK
 
 
 def _cached_or_compute(args, command, meta, cache_inputs, compute) -> int:
     """Replay a byte-identical cached report when available."""
     cache_dir = _cache_dir(args)
-    if cache_dir is not None and cache_inputs is not None:
-        body = _cache_lookup(cache_dir, _cache_key(args, command, meta, cache_inputs))
-        if body is not None:
-            out = getattr(args, "output", None)
-            if out:
-                with open(out, "w", encoding="utf-8") as fh:
-                    fh.write(body)
-            else:
-                sys.stdout.write(body)
-            return EXIT_OK
+    if (cache_dir is not None and cache_inputs is not None
+            and _cache_replay(args, cache_dir,
+                              _cache_key(args, command, meta, cache_inputs))):
+        return EXIT_OK
     result = compute()
     return emit(args, command, meta, result, cache_inputs)
 

@@ -228,10 +228,15 @@ class _Staircase:
         return mat
 
     def diff_rank(self, m: int, p: int) -> int:
-        """Rank of D: T^m_p -> T^{m+1}_p, eliminated once per block."""
+        """Rank of D: T^m_p -> T^{m+1}_p, eliminated once per block.  Where
+        u_image_rank may need the cycles of the block, they are built
+        instead and the rank follows from them."""
         key = (m, p)
         if key not in self._ranks:
-            self._ranks[key] = rank(self.diff(m, p), self.F)
+            if self.N > 1 and self.m_floor < m <= self.m_hi - 2:
+                self.cycles(m, p)
+            else:
+                self._ranks[key] = rank(self.diff(m, p), self.F)
         return self._ranks[key]
 
     def boundary_rank(self, m: int, p: int) -> int:
@@ -240,9 +245,13 @@ class _Staircase:
         return self.diff_rank(m - 1, p) if m - 1 >= self.m_floor else 0
 
     def cycles(self, m: int, p: int) -> list:
+        """Kernel basis of D: T^m_p -> T^{m+1}_p; records the block's rank
+        as cols - len(kernel)."""
         key = (m, p)
         if key not in self._cycles:
-            self._cycles[key] = kernel_basis(self.diff(m, p), self.F)
+            D = self.diff(m, p)
+            self._cycles[key] = kernel_basis(D, self.F)
+            self._ranks[key] = D.cols - len(self._cycles[key])
         return self._cycles[key]
 
     def boundaries(self, m: int, p: int) -> list:

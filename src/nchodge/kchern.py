@@ -55,18 +55,28 @@ def _reduce_tail(F: Field, vec: dict) -> dict:
     return {k: v for k, v in vec.items() if k != 0 and not F.is_zero(v)}
 
 
-def _tensor_words(F: Field, factors: list) -> dict:
-    """Expand a tensor product of coefficient vectors into chain words."""
-    words = {(): F.one()}
+def _tensor_words(F: Field, factors: list, scale: int = 1) -> dict:
+    """Expand scale * (x)_i factors[i], a tensor product of coefficient
+    vectors, into chain words.
+
+    Each factor's denominators are cleared by their lcm, so the products
+    are int products (over F_p every denominator is 1).  Each word's int
+    product c becomes a field element once, as c / D with D the product of
+    those lcms; integral values over Q come out as ints.
+    """
+    if F.is_zero(F.from_int(scale)):
+        return {}
+    words = {(): scale}
+    den = 1
     for vec in factors:
-        nxt = {}
-        for word, c in words.items():
-            for i, v in vec.items():
-                cv = F.mul(c, v)
-                if not F.is_zero(cv):
-                    nxt[word + (i,)] = cv
-        words = nxt
-    return words
+        d = lcm(*(v.denominator for v in vec.values()))
+        nums = [(i, v.numerator * (d // v.denominator))
+                for i, v in vec.items() if not F.is_zero(v)]
+        den *= d
+        words = {word + (i,): c * n for word, c in words.items() for i, n in nums}
+    if den == 1:
+        return {word: F.from_int(c) for word, c in words.items()}
+    return {word: F.from_fraction(Fraction(c, den)) for word, c in words.items()}
 
 
 def _add_into(F: Field, acc: dict, inc: dict, scale=None):
@@ -83,30 +93,37 @@ def _add_into(F: Field, acc: dict, inc: dict, scale=None):
 def cycle_certificate(chain: UChain) -> dict:
     """Apply (d + uB) mod u^N to the chain; empty components mean a cycle.
 
-    Over Q the chain is first scaled by L, the lcm of its coefficient
-    denominators, so the images accumulate in ints; (d + uB) is linear and
-    L is nonzero, so the scaled chain is a cycle exactly when the chain is,
-    and the residue is divided by L on the way out.
+    Over Q every coefficient is scaled by L, the lcm of the chain's
+    coefficient denominators, so the images accumulate in ints; (d + uB) is
+    linear and L is nonzero, so the scaled chain is a cycle exactly when the
+    chain is, and the residue is divided by L on the way out.  Images are
+    summed with plain + and *, and each component drops its zeros (over
+    F_p, after reducing mod p) once, when it is complete.
     """
     A = chain.algebra
     F = A.field
+    p = F.p
     cx = ChainComplex(A)
     # F_p scalars are ints, so L = 1 there
     scale = lcm(*(c.denominator for comp in chain.components for c in comp.values()))
-
-    def scaled(t):
-        for word, c in chain.components[t].items():
-            yield word, c.numerator * (scale // c.denominator)
-
     out = []
     for t in range(chain.N):
         acc: dict = {}
-        for word, c in scaled(t):
+        get = acc.get
+        for word, c in chain.components[t].items():
             if len(word) >= 2:
-                _add_into(F, acc, cx.boundary_word(word), c)
+                c = c.numerator * (scale // c.denominator)
+                for target, v in cx.boundary_word(word).items():
+                    acc[target] = get(target, 0) + c * v
         if t >= 1:
-            for word, c in scaled(t - 1):
-                _add_into(F, acc, cx.connes_word(word), c)
+            for word, c in chain.components[t - 1].items():
+                c = c.numerator * (scale // c.denominator)
+                for target, v in cx.connes_word(word).items():
+                    acc[target] = get(target, 0) + c * v
+        if p is not None:
+            acc = {w: r for w, v in acc.items() if (r := v % p)}
+        else:
+            acc = {w: v for w, v in acc.items() if v}
         out.append(acc)
     if scale != 1:
         unscale = F.inv(scale)
@@ -131,11 +148,8 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     tail = _reduce_tail(F, pi.vector)
     components = [{(k,): v for k, v in pi.vector.items() if not F.is_zero(v)}]
     for k in range(1, N):
-        coeff = F.from_int((-1) ** k * factorial(2 * k) // factorial(k))
-        words = _tensor_words(F, [shifted] + [tail] * (2 * k))
-        comp: dict = {}
-        _add_into(F, comp, words, coeff)
-        components.append(comp)
+        coeff = (-1) ** k * factorial(2 * k) // factorial(k)
+        components.append(_tensor_words(F, [shifted] + [tail] * (2 * k), coeff))
     chain = UChain(A, N, components)
     cert = cycle_certificate(chain)
     if not cert["is_cycle"]:

@@ -1,4 +1,8 @@
+import argparse
+import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -238,3 +242,181 @@ def test_cache_key_is_pinned(tmp_path, capsys):
     assert code == 0
     assert [p.name for p in cache.glob("*.report")] == [
         "f68bebd4fb5f87207e5865a40a1894281919074ea30b48f8ce2f99715a2ea24a.report"]
+
+
+# ---------------------------------------------------------------------------
+# the streaming renderer
+# ---------------------------------------------------------------------------
+
+
+def _reference_jsonable(obj):
+    """The conversion reports went through before they were streamed:
+    Fractions as "num/den", tuples as lists, non-string keys as str(k)."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        return {str(k) if not isinstance(k, str) else k: _reference_jsonable(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    return obj
+
+
+def _reference_render(report, fmt):
+    """Whole-string rendering of a converted report: json.dumps for json,
+    one compact-JSON row per leaf for csv and markdown."""
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    flat = []
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for k in sorted(value, key=str):
+                walk(f"{prefix}.{k}" if prefix else str(k), value[k])
+        elif isinstance(value, list):
+            flat.append((prefix, json.dumps(value, sort_keys=True)))
+        else:
+            flat.append((prefix, json.dumps(value)))
+
+    walk("", report)
+    if fmt == "csv":
+        lines = ["key,value"]
+        for k, v in flat:
+            v = v.replace('"', '""')
+            lines.append(f'{k},"{v}"')
+        return "\n".join(lines) + "\n"
+    lines = [f"# {report.get('command', 'report')}", "",
+             "| key | value |", "| --- | --- |"]
+    for k, v in flat:
+        escaped = v.replace("|", "\\|")
+        lines.append(f"| {k} | {escaped} |")
+    return "\n".join(lines) + "\n"
+
+
+_LETTERS = ["a", "Z", "7", " ", ",", ":", ".", '"', "|", "\\", "\n", "\t",
+            "\u00e9", "\u2200", "\u2028", "\U0001d6c2", "/"]
+
+
+def _random_string(rng):
+    return "".join(rng.choice(_LETTERS) for _ in range(rng.randrange(0, 6)))
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(12 if depth < 4 else 7)
+    if kind == 0:
+        return _random_string(rng)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -12345, 2 ** 70, 0.5, -1e-07, float("inf")])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
+    if kind == 5:
+        return rng.choice(["E12*1", "1/1", "-3/2"])
+    if kind == 6:
+        return {} if rng.random() < 0.5 else []
+    if kind in (7, 8):
+        items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(0, 5))]
+        if rng.random() < 0.3:
+            items = [_random_string(rng) for _ in items]  # all strings
+        return tuple(items) if kind == 8 else items
+    out = {}
+    for _ in range(rng.randrange(0, 5)):
+        key = rng.choice([_random_string(rng), rng.randrange(-3, 12),
+                          rng.choice(["a", "b", "1"])])
+        out[key] = _random_value(rng, depth + 1)
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_render_matches_whole_string_reference(fmt):
+    rng = random.Random(20261018)
+    for _ in range(300):
+        report = {"command": _random_string(rng)} if rng.random() < 0.7 else {}
+        for _ in range(rng.randrange(0, 5)):
+            report[rng.choice([_random_string(rng), rng.randrange(-3, 12)])] = \
+                _random_value(rng, 0)
+        pieces = []
+        cli._render(report, fmt, pieces.append)
+        expected = _reference_render(_reference_jsonable(report), fmt)
+        assert "".join(pieces) == expected, report
+
+
+def test_render_streams_in_chunks():
+    # a 1 MB report reaches write() in several pieces of about 64 KB
+    report = {"command": "x", "result": [{"word": ["E11*1", "E12*1"], "coeff": "-3/2"}
+                                         for _ in range(20000)]}
+    pieces = []
+    cli._render(report, "json", pieces.append)
+    assert "".join(pieces) == _reference_render(report, "json")
+    assert len(pieces) > 5
+    assert all(len(p) < 4 * 65536 for p in pieces)
+
+
+def _chern_argv(tmp_path, m, N, vector, *extra):
+    idem = tmp_path / f"pi-{m}.json"
+    idem.write_text(json.dumps({"format": "ncg-idempotent/1", "vector": vector}))
+    return ("chern", "--algebra", "mat", "--param", f"m={m}", "--u-trunc", str(N),
+            "--idempotent", str(idem)) + extra
+
+
+# sha256 of reports rendered by the whole-string renderer that the streaming
+# one replaced; the bytes must not change
+@pytest.mark.parametrize("argv, digest", [
+    ((3, 5, {"E11*1": "1/1", "E12*1": "2/3", "E13*1": "-5/7"}),
+     "322d52c1c71af0f5452e77088fa1b09f215bcd5a506167b3f566bb995e8944a6"),
+    ((2, 7, {"E11*1": "1/1", "E12*1": "-3/2"}, "--format", "csv"),
+     "9890fab0919fcf1e81f67dfebec9e1ea58639dcae302b4c974487701e8fdf28f"),
+    (("hp", "--algebra", "clifford1", "--n-max", "8", "--u-trunc", "3",
+      "--format", "markdown"),
+     "479acee44ecdaf91a9b0e55979ec7043231fd344abfe45b246294728bbe3ea3a"),
+    (("catalogue",),
+     "71928e67e10d810380658fba54aa2641776fd7472f6bb15ab0e2b5c1f01bbf94"),
+], ids=["chern-mat3-u5-json", "chern-mat2-u7-csv", "hp-clifford1-markdown",
+        "catalogue"])
+def test_golden_reports(tmp_path, capsys, argv, digest):
+    if isinstance(argv[0], int):
+        argv = _chern_argv(tmp_path, *argv)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_output_cache_and_stdout_agree(tmp_path, capsys, fmt):
+    argv = _chern_argv(tmp_path, 2, 4, {"E11*1": "1/1", "E12*1": "-3/2"},
+                       "--format", fmt)
+    _, stdout, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--output", str(tmp_path / "out.txt"))[1:] == ("", "")
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == stdout
+    cache = tmp_path / "cache"
+    assert run(capsys, *argv, "--cache-dir", str(cache))[1] == stdout
+    [entry] = cache.iterdir()
+    key = entry.name.removesuffix(".report")
+    # chern stores its report but never looks it up: replay the entry directly
+    assert cli._cache_replay(argparse.Namespace(output=None), str(cache), key)
+    assert capsys.readouterr().out == stdout
+    replayed = tmp_path / "replayed.txt"
+    assert cli._cache_replay(argparse.Namespace(output=str(replayed)), str(cache), key)
+    assert replayed.read_text(encoding="utf-8") == stdout
+    # hh looks its report up: the second run replays it into --output
+    hh = ("hh", "--algebra", "dual_numbers", "--n-max", "3", "--format", fmt,
+          "--cache-dir", str(cache))
+    _, hh_out, _ = run(capsys, *hh)
+    assert run(capsys, *hh, "--output", str(replayed))[1:] == ("", "")
+    assert replayed.read_text(encoding="utf-8") == hh_out
+
+
+def test_failed_render_leaves_no_cache_entry(tmp_path, capsys, monkeypatch):
+    # the bad value sorts after the chain, so the render fails after its
+    # first pieces have reached stdout and the cache's .tmp file
+    monkeypatch.setattr(cli, "u0_class_nonzero", lambda chain: object())
+    cache = tmp_path / "cache"
+    argv = _chern_argv(tmp_path, 2, 5, {"E11*1": "1/1", "E12*1": "-3/2"},
+                       "--cache-dir", str(cache))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(list(argv))
+    assert len(capsys.readouterr().out) >= cli._CHUNK
+    assert list(cache.iterdir()) == []

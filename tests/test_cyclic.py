@@ -130,3 +130,27 @@ def test_each_boundary_block_is_eliminated_once(monkeypatch):
     ranks = hh_ranks(builtin("dual_numbers", QQ), DegreeWindow(5))
     assert ranks["per_n"] == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
     assert len(calls) > staircase_blocks and set(calls.values()) == {1}
+
+
+def test_each_staircase_block_is_eliminated_once(monkeypatch):
+    # rank and kernel_basis both eliminate a block; a block whose cycles are
+    # built takes its rank from them, so no matrix may reach both (the
+    # matrices are kept alive so that no id is reused)
+    calls = Counter()
+    alive = []
+    for name in ("rank", "kernel_basis"):
+        original = getattr(sparse, name)
+
+        def counting(M, field, _original=original):
+            calls[id(M)] += 1
+            alive.append(M)
+            return _original(M, field)
+
+        for module in (sparse, cyclic):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    rep = degeneration_check(builtin("mat", QQ, m=2), DegreeWindow(6), 2)
+    assert rep["verdict"] == "collapses-in-window"
+    hp = hp_ranks(builtin("a2_path", QQ), DegreeWindow(8), 3)
+    assert (hp.hp_even, hp.hp_odd, hp.conclusive) == (2, 0, True)
+    assert calls and set(calls.values()) == {1}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from nchodge.algebra import builtin, glue, zero_bimodule
 from nchodge.cyclic import UnsupportedError
 from nchodge.fields import GF, QQ
 from nchodge.hochschild import ChainComplex
-from nchodge.kchern import (ContractError, Idempotent, UChain,
+from nchodge.kchern import (ContractError, Idempotent, UChain, _tensor_words,
                             chern_idempotent, cycle_certificate,
                             lift_difference_is_boundary, ppower_lift,
                             ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
@@ -175,3 +176,101 @@ def test_certificate_of_broken_chain_with_fractional_coefficients():
     assert not any(isinstance(v, float) for acc in cert["residue"] for v in acc.values())
     # the intact chain certifies, and its residue is empty in every component
     assert cycle_certificate(chain)["residue"] == [{}, {}, {}]
+
+
+def _fraction_tensor_words(factors, scale):
+    """scale * (x) factors expanded word by word in Fraction arithmetic."""
+    words = {(): Fraction(scale)}
+    for vec in factors:
+        nxt = {}
+        for word, c in words.items():
+            for i, v in vec.items():
+                if c * v != 0:
+                    nxt[word + (i,)] = c * Fraction(v)
+        words = nxt
+    return words
+
+
+def test_tensor_words_match_fraction_products():
+    rng = random.Random(4)
+    values = [0, 1, -1, 2, -6, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7),
+              Fraction(-9, 4)]
+    for _ in range(200):
+        factors = [{i: rng.choice(values) for i in rng.sample(range(6), rng.randrange(1, 4))}
+                   for _ in range(rng.randrange(0, 5))]
+        scale = rng.choice([1, -2, 12, -120])
+        words = _tensor_words(QQ, factors, scale)
+        expected = _fraction_tensor_words(factors, scale)
+        assert words == expected
+        assert list(words) == list(expected)  # same words in the same order
+        for c in words.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for p in (5, 7):
+            F = GF(p)
+            reduced = [{i: F.from_fraction(Fraction(v)) for i, v in vec.items()}
+                       for vec in factors if all(Fraction(v).denominator % p for v in vec.values())]
+            expected_p = {w: c for w, c in ((w, F.from_fraction(c)) for w, c in
+                                            _fraction_tensor_words(reduced, scale).items()) if c}
+            assert _tensor_words(F, reduced, scale) == expected_p
+
+
+def _field_residue(chain):
+    """(d + uB) applied to the chain through Field methods only."""
+    F = chain.algebra.field
+    cx = ChainComplex(chain.algebra)
+    out = []
+    for t in range(chain.N):
+        acc = {}
+        terms = [(cx.boundary_word(w), c) for w, c in chain.components[t].items()
+                 if len(w) >= 2]
+        if t >= 1:
+            terms += [(cx.connes_word(w), c) for w, c in chain.components[t - 1].items()]
+        for image, c in terms:
+            for target, v in image.items():
+                acc[target] = F.add(acc.get(target, F.zero()), F.mul(c, v))
+        out.append({w: v for w, v in acc.items() if not F.is_zero(v)})
+    return out
+
+
+@pytest.mark.parametrize("p, N", [(5, 2), (7, 3)])
+def test_certificate_of_broken_chain_over_fp(p, N):
+    A = builtin("mat", GF(p), m=2)
+    labels = {A.label(i): i for i in range(A.dim)}
+    pi = Idempotent(A, {labels["E11*1"]: 1, labels["E12*1"]: 3})
+    chain = chern_idempotent(pi, N)
+    assert cycle_certificate(chain)["residue"] == [{}] * N
+    broken = [dict(comp) for comp in chain.components]
+    broken[1] = {w: c * 2 % p for w, c in broken[1].items()}
+    stray = (labels["E21*1"], labels["E12*1"], labels["E11*1"])
+    broken[1][stray] = (broken[1].get(stray, 0) + 4) % p
+    bad = UChain(A, N, broken)
+    cert = cycle_certificate(bad)
+    assert not cert["is_cycle"]
+    assert cert["residue"] == _field_residue(bad)
+    assert all(0 < v < p for acc in cert["residue"] for v in acc.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_certificate_of_random_super_chains(field):
+    # clifford1 is a super algebra: the Koszul signs of d and B enter
+    A = builtin("clifford1", field)
+    rng = random.Random(7)
+    coeffs = [1, 2, -1, Fraction(1, 2), Fraction(-3, 5)] if field.p is None else [1, 2]
+    for _ in range(20):
+        N = rng.randrange(1, 4)
+        comps = [{(rng.randrange(A.dim),) + tuple(rng.randrange(1, A.dim)
+                                                  for _ in range(2 * t)): rng.choice(coeffs)
+                  for _ in range(rng.randrange(0, 4))} for t in range(N)]
+        chain = UChain(A, N, comps)
+        cert = cycle_certificate(chain)
+        assert cert["residue"] == _field_residue(chain)
+        assert cert["is_cycle"] == (not any(_field_residue(chain)))
+
+
+def test_ppower_lift_p2_of_a_sum_certifies():
+    A = builtin("mat", GF(2), m=2)
+    labels = {A.label(i): i for i in range(A.dim)}
+    a = {labels["E11*1"]: 1, labels["E12*1"]: 1, labels["E21*1"]: 1}
+    chain = ppower_lift_p2(A, a)
+    assert cycle_certificate(chain)["is_cycle"]
+    assert chain.components[1] and all(v == 1 for v in chain.components[1].values())
