@@ -92,6 +92,9 @@ def load_algebra(ref: str, field: Field, params: dict):
         return builtin(ref, field, **params)
     except AlgebraError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
+    except ZeroDivisionError as exc:
+        # a rational parameter whose denominator vanishes in the field
+        raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
 
 
 def load_idempotent(path: str, algebra) -> Idempotent:
@@ -846,8 +849,18 @@ def cmd_catalogue(args) -> int:
     return emit(args, "catalogue", {"field": None}, result, {"catalogue": 1})
 
 
+def _bivector_inputs(alpha: Bivector) -> dict:
+    """The bivector's content, canonically ordered, for the cache key: the
+    same bivector keys alike whatever file or catalogue name it came from."""
+    return {"nvars": alpha.nvars, "hbar": format_scalar(alpha.hbar, QQ),
+            "components": [[i, j, sorted([list(e), format_scalar(c, QQ)]
+                                         for e, c in poly.items())]
+                           for (i, j), poly in sorted(alpha.components.items())]}
+
+
 def cmd_poisson(args) -> int:
     sub = args.poisson_command
+    alpha = None
     if sub == "bracket":
         alpha = load_bivector(args.bivector)
         f = _poly_arg(args.f, alpha.nvars, "--f")
@@ -886,9 +899,13 @@ def cmd_poisson(args) -> int:
     if hasattr(args, "bivector"):
         meta["bivector"] = args.bivector
     failed = isinstance(result, dict) and result.get("pass") is False
-    code = emit(args, f"poisson-{sub}", meta, result,
-                {"sub": sub, "args": {k: v for k, v in vars(args).items()
-                                      if isinstance(v, (str, int, type(None)))}})
+    inputs = {"sub": sub}
+    for name in ("degree", "nvars", "f", "g", "form"):
+        if hasattr(args, name):
+            inputs[name] = getattr(args, name)
+    if alpha is not None:
+        inputs["bivector"] = _bivector_inputs(alpha)
+    code = emit(args, f"poisson-{sub}", meta, result, inputs)
     if failed and args.strict:
         return EXIT_VALIDATION
     return code

@@ -106,47 +106,74 @@ class ChainComplex:
 
     # -- boundary -----------------------------------------------------------
 
-    def boundary_word(self, word: tuple) -> dict:
-        """Image of a basis word under the boundary, as {word: coefficient}."""
+    def add_boundary(self, word: tuple, c, acc: dict):
+        """Add c times the boundary of a basis word into acc ({word:
+        coefficient}), with plain + and *.
+
+        The sums are left raw: entries may be zero and, over F_p, unreduced
+        ints; `normalized` drops the zeros and reduces once, when the caller
+        has added every image.  c is an int or a Fraction.
+        """
         A = self.A
-        F = A.field
         n = len(word) - 1
-        out: dict = {}
         if n == 0:
-            return out
-        fzero, fadd, fneg, fis0 = F.zero(), F.add, F.neg, F.is_zero
-        mul_basis = A.mul_basis
+            return
+        get = acc.get
+        products = A.structure.get  # (i, j) -> {k: c}, as A.mul_basis reads it
         for i in range(n):
-            prod = mul_basis(word[i], word[i + 1])
+            prod = products(word[i:i + 2])
             if not prod:
                 continue
-            negate = i % 2
+            ci = -c if i % 2 else c
             head, tail = word[:i], word[i + 2:]
             skip_unit = i > 0
-            for k, c in prod.items():
+            for k, v in prod.items():
                 if skip_unit and k == 0:
                     continue  # tail product landing on the unit dies in A/k.1
                 target = head + (k,) + tail
-                s = fadd(out.get(target, fzero), fneg(c) if negate else c)
-                if fis0(s):
-                    out.pop(target, None)
-                else:
-                    out[target] = s
+                acc[target] = get(target, 0) + ci * v
         # wrap face: a_n a_0 (x) a_1 ... a_{n-1}
         negate = n % 2
         if A.parity is not None and A.parity[word[n]] % 2:
             others = sum(A.parity[j] for j in word[:n]) % 2
             if others:
                 negate = 1 - negate
+        ci = -c if negate else c
         tail = word[1:n]
-        for k, c in mul_basis(word[n], word[0]).items():
+        for k, v in products((word[n], word[0]), {}).items():
             target = (k,) + tail
-            s = fadd(out.get(target, fzero), fneg(c) if negate else c)
-            if fis0(s):
-                out.pop(target, None)
-            else:
-                out[target] = s
-        return out
+            acc[target] = get(target, 0) + ci * v
+
+    def add_connes(self, word: tuple, c, acc: dict):
+        """Add c times B of a basis word into acc, raw as in `add_boundary`."""
+        A = self.A
+        if word[0] == 0:
+            return  # unit head: every rotation puts the unit in a tail slot
+        get = acc.get
+        shifted = [(A.parity[i] + 1) % 2 if A.parity is not None else 1 for i in word]
+        total_shift = sum(shifted) % 2
+        n = len(word) - 1
+        front = 0
+        for i in range(n + 1):
+            # rotation: (a_i, ..., a_n, a_0, ..., a_{i-1}) prefixed by 1
+            back = (total_shift - front) % 2
+            exponent = (front * back) if A.parity is not None else (n * i)
+            target = (0,) + word[i:] + word[:i]
+            acc[target] = get(target, 0) + (-c if exponent % 2 else c)
+            front = (front + shifted[i]) % 2
+
+    def normalized(self, acc: dict) -> dict:
+        """acc with its zero entries dropped and, over F_p, reduced mod p."""
+        p = self.A.field.p
+        if p is None:
+            return {t: v for t, v in acc.items() if v}
+        return {t: r for t, v in acc.items() if (r := v % p)}
+
+    def boundary_word(self, word: tuple) -> dict:
+        """Image of a basis word under the boundary, as {word: coefficient}."""
+        acc: dict = {}
+        self.add_boundary(word, 1, acc)
+        return self.normalized(acc)
 
     def boundary(self, n: int, weight: int | None = None) -> SparseMatrix:
         """Matrix of the boundary block(n) -> block(n-1)."""
@@ -171,30 +198,9 @@ class ChainComplex:
 
     def connes_word(self, word: tuple) -> dict:
         """Image of a basis word under B, as {word: coefficient}."""
-        A = self.A
-        F = A.field
-        n = len(word) - 1
-        out: dict = {}
-        if word[0] == 0:
-            return out  # unit head: every rotation puts the unit in a tail slot
-        shifted = [(A.parity[i] + 1) % 2 if A.parity is not None else 1 for i in word]
-        total_shift = sum(shifted) % 2
-        fzero, fadd, fis0 = F.zero(), F.add, F.is_zero
-        one, neg_one = F.one(), F.neg(F.one())
-        front = 0
-        for i in range(n + 1):
-            # rotation: (a_i, ..., a_n, a_0, ..., a_{i-1}) prefixed by 1
-            back = (total_shift - front) % 2
-            exponent = (front * back) if A.parity is not None else (n * i)
-            sign = one if exponent % 2 == 0 else neg_one
-            target = (0,) + word[i:] + word[:i]
-            s = fadd(out.get(target, fzero), sign)
-            if fis0(s):
-                out.pop(target, None)
-            else:
-                out[target] = s
-            front = (front + shifted[i]) % 2
-        return out
+        acc: dict = {}
+        self.add_connes(word, 1, acc)
+        return self.normalized(acc)
 
     def connes(self, n: int, weight: int | None = None) -> SparseMatrix:
         """Matrix of B: block(n) -> block(n+1)."""

@@ -96,35 +96,25 @@ def cycle_certificate(chain: UChain) -> dict:
     Over Q every coefficient is scaled by L, the lcm of the chain's
     coefficient denominators, so the images accumulate in ints; (d + uB) is
     linear and L is nonzero, so the scaled chain is a cycle exactly when the
-    chain is, and the residue is divided by L on the way out.  Images are
-    summed with plain + and *, and each component drops its zeros (over
-    F_p, after reducing mod p) once, when it is complete.
+    chain is, and the residue is divided by L on the way out.  The images
+    of every coefficient go straight into one accumulator per component
+    (`ChainComplex.add_boundary` / `add_connes`, plain + and *), which drops
+    its zeros (over F_p, after reducing mod p) once, when it is complete.
     """
     A = chain.algebra
     F = A.field
-    p = F.p
     cx = ChainComplex(A)
     # F_p scalars are ints, so L = 1 there
     scale = lcm(*(c.denominator for comp in chain.components for c in comp.values()))
     out = []
     for t in range(chain.N):
         acc: dict = {}
-        get = acc.get
         for word, c in chain.components[t].items():
-            if len(word) >= 2:
-                c = c.numerator * (scale // c.denominator)
-                for target, v in cx.boundary_word(word).items():
-                    acc[target] = get(target, 0) + c * v
+            cx.add_boundary(word, c.numerator * (scale // c.denominator), acc)
         if t >= 1:
             for word, c in chain.components[t - 1].items():
-                c = c.numerator * (scale // c.denominator)
-                for target, v in cx.connes_word(word).items():
-                    acc[target] = get(target, 0) + c * v
-        if p is not None:
-            acc = {w: r for w, v in acc.items() if (r := v % p)}
-        else:
-            acc = {w: v for w, v in acc.items() if v}
-        out.append(acc)
+                cx.add_connes(word, c.numerator * (scale // c.denominator), acc)
+        out.append(cx.normalized(acc))
     if scale != 1:
         unscale = F.inv(scale)
         out = [{w: F.mul(v, unscale) for w, v in acc.items()} for acc in out]

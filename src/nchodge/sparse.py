@@ -227,7 +227,8 @@ def kernel_basis(M: SparseMatrix, field: Field) -> list[dict]:
     """Basis of the right null space, as sparse vectors {col_index: value}.
 
     Returns cols - rank(M) vectors; each free column yields one vector with
-    a 1 in that position (deterministic given the matrix).
+    a 1 in that position, its first key, and 0 at every other free column
+    (deterministic given the matrix).
     """
     _, pivots = _row_echelon(M, field, want_basis=True)
     pivot_cols = {pc for pc, _ in pivots}

@@ -7,6 +7,15 @@ and therefore a direct sum (k[u]/u^N)^f + sum_i k[u]/u^{a_i}.  The block
 sizes are recovered from the k-dimensions of u^j * H, computed by exact
 elimination on the k-linear expansion (u acting as the shift on coefficient
 slots).
+
+Only the positions a caller names are decomposed: the folded complexes of
+`cyclic` carry padding positions whose homology nobody reads.  At each
+position the quotient by the boundaries B is taken in cycle coordinates.
+Every `kernel_basis` vector is 1 at its own free column and 0 at every
+other free column, so reading a cycle at the free columns is an isomorphism
+Z -> k^{dim Z}.  B lies in Z (d^2 = 0 is checked first) and so does u^j Z,
+so B and the shifted cycles are restricted to the free columns and
+eliminated in k^{dim Z} rather than in the whole expansion k^{N r}.
 """
 
 from __future__ import annotations
@@ -143,7 +152,7 @@ def _check_square_zero(c: UComplex, field: Field):
             acc = None
             for a in range(t + 1):
                 b = t - a
-                if a >= len(d1) or b >= len(d2):
+                if a >= len(d1) or b >= len(d2) or d1[a].is_zero() or d2[b].is_zero():
                     continue
                 term = d1[a].mul(d2[b], field)
                 acc = term if acc is None else acc.add(term, field)
@@ -155,21 +164,17 @@ def _check_square_zero(c: UComplex, field: Field):
                 )
 
 
-def _shift_columns(cols: list[dict], j: int, rank_: int, N: int) -> list[dict]:
-    """Apply u^j to k-expanded column vectors (slot shift, truncate at N)."""
-    out = []
-    for col in cols:
-        shifted = {}
-        for idx, v in col.items():
-            slot, base = divmod(idx, rank_)
-            if slot + j < N:
-                shifted[(slot + j) * rank_ + base] = v
-        out.append(shifted)
-    return out
+def _in_cycle_coordinates(vec: dict, coord: dict, shift: int = 0) -> dict:
+    """A vector of Z, moved by shift slots (u^j moves index i to i + j * rank),
+    in cycle coordinates: coord maps each free column to its cycle's index.
+    An index moved past u^{N-1} is no free column, so truncation at N is
+    automatic."""
+    return {coord[k]: v for i, v in vec.items() if (k := i + shift) in coord}
 
 
-def u_module_decompose(c: UComplex, field: Field) -> dict:
-    """Decompose the homology of the complex at every position.
+def u_module_decompose(c: UComplex, field: Field, positions=None) -> dict:
+    """Decompose the homology of the complex at the given positions (default:
+    every position).
 
     Returns {position: UModuleReport}.  The differentials are checked to
     square to zero over k[u]/u^N first.
@@ -177,7 +182,7 @@ def u_module_decompose(c: UComplex, field: Field) -> dict:
     N = c.truncation.N
     _check_square_zero(c, field)
     reports = {}
-    for pos in c.positions():
+    for pos in c.positions() if positions is None else positions:
         r = c.rank_at(pos)
         if r == 0:
             reports[pos] = UModuleReport(0, {}, N)
@@ -185,22 +190,26 @@ def u_module_decompose(c: UComplex, field: Field) -> dict:
         d_out = c.diff_at(pos)
         if d_out is not None:
             dst = d_out[0].rows if d_out else 0
-            k_out = _k_expand(d_out, N, r, dst)
-            cycles = kernel_basis(k_out, field)
+            cycles = kernel_basis(_k_expand(d_out, N, r, dst), field)
         else:
             cycles = [{i: field.one()} for i in range(N * r)]
+        # each cycle's first key is its free column
+        coord = {next(iter(z)): i for i, z in enumerate(cycles)}
         d_in = c.diff_at(pos + 1)
-        if d_in is not None:
-            boundary_cols = _k_expand(d_in, N, c.rank_at(pos + 1), r).columns()
-        else:
-            boundary_cols = []
+        boundary_cols = [] if d_in is None else [
+            _in_cycle_coordinates(col, coord)
+            for col in _k_expand(d_in, N, c.rank_at(pos + 1), r).columns()]
         # dim u^j H = dim (u^j Z + B) / B; B lies in Z, so dims[0] needs no
-        # elimination, and the others reduce u^j Z modulo B.
-        b_rank, reduce = span_quotient(boundary_cols, N * r, field)
+        # elimination, and the others reduce u^j Z modulo B.  u^j H = 0
+        # forces u^{j+1} H = 0.
+        b_rank, reduce = span_quotient(boundary_cols, len(cycles), field)
         dims = [len(cycles) - b_rank]
         for j in range(1, N):
-            shifted = _shift_columns(cycles, j, r, N)
-            dims.append(rank_of_columns([reduce(v) for v in shifted], field))
+            if not dims[-1]:
+                dims.append(0)
+                continue
+            dims.append(rank_of_columns(
+                [reduce(_in_cycle_coordinates(z, coord, j * r)) for z in cycles], field))
         reports[pos] = blocks_from_filtration_dims(dims, N)
     return reports
 

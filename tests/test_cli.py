@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nchodge import cli
+from nchodge.algebra import CATALOGUE
 from nchodge.cli import main
 
 
@@ -130,6 +131,33 @@ def test_bivector_json_file(tmp_path, capsys):
     assert rep["result"]["pass"]
 
 
+def test_poisson_cache_key_follows_inputs(tmp_path, capsys):
+    # the key hashes the subcommand, its options and the bivector's content;
+    # not the cache directory, --output or --strict
+    path = tmp_path / "alpha.json"
+
+    def write_bivector(coeff):
+        path.write_text(json.dumps({
+            "format": "ncg-bivector/1", "nvars": 3,
+            "components": [{"i": 0, "j": 1,
+                            "poly": [{"exponents": [0, 0, 1], "coeff": coeff}]}]}))
+
+    def keys(cache, *extra):
+        code, _, _ = run(capsys, "poisson", "jacobi", "--bivector", str(path),
+                         "--degree", "2", "--cache-dir", str(cache), *extra)
+        assert code == 0
+        return [p.name for p in cache.glob("*.report")]
+
+    write_bivector("1/2")
+    first = keys(tmp_path / "c1")
+    assert len(first) == 1
+    assert keys(tmp_path / "c2", "--output", str(tmp_path / "a.json")) == first
+    assert keys(tmp_path / "c3", "--output", str(tmp_path / "b.json"), "--strict") == first
+    write_bivector("1/3")
+    changed = keys(tmp_path / "c4")
+    assert len(changed) == 1 and changed != first
+
+
 def test_glue_cli(capsys):
     code, rep, _ = run_json(capsys, "glue", "--algebra-a", "point",
                             "--algebra-b", "point", "--bimodule", "trivial")
@@ -203,6 +231,30 @@ def test_cache_unwritable_warns(tmp_path, capsys):
 ])
 def test_exit_codes(capsys, argv, code):
     assert run(capsys, *argv)[0] == code
+
+
+@pytest.mark.parametrize("command", [
+    ("hc", "--n-max", "4", "--u-trunc", "2"), ("hh", "--n-max", "3"),
+    ("hp", "--n-max", "4", "--u-trunc", "2"), ("validate",)])
+def test_parameter_denominator_vanishing_mod_p_exits_2(capsys, command):
+    code, out, err = run(capsys, command[0], "--algebra", "quantum_plane",
+                         "--param", "q=3/2", "--field", "F2", *command[1:])
+    assert code == 2
+    assert not out and "Traceback" not in err
+    assert "vanishes mod 2" in err
+
+
+@pytest.mark.parametrize("field", ["Q", "F2", "F3"])
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_catalogue_grid_exits_cleanly(capsys, name, field):
+    # every catalogue algebra over Q and small primes: a documented exit
+    # code and an error line, never an uncaught exception
+    for command in (("validate",), ("hh", "--n-max", "2")):
+        code, _, err = run(capsys, command[0], "--algebra", name, "--field", field,
+                           *command[1:])
+        assert code in (0, 1, 2, 3), (name, field, command)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: ")
 
 
 def test_contract_error_exits_2(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from nchodge import cyclic, hochschild, sparse
+from nchodge import cyclic, hochschild, sparse, umodule
 from nchodge.algebra import builtin
 from nchodge.cyclic import (UnsupportedError, WindowError, char_p_compare,
                             degeneration_check, graded_piece_analysis,
@@ -154,3 +154,54 @@ def test_each_staircase_block_is_eliminated_once(monkeypatch):
     hp = hp_ranks(builtin("a2_path", QQ), DegreeWindow(8), 3)
     assert (hp.hp_even, hp.hp_odd, hp.conclusive) == (2, 0, True)
     assert calls and set(calls.values()) == {1}
+
+
+def test_graded_path_decomposes_only_positions_0_and_1(monkeypatch):
+    # the folded complex pads positions 0/1 with -1 and 2; only 0 and 1 are
+    # read, so only they get a decomposition (and one cycle basis per
+    # position that has chains)
+    decomposed = []
+    occupied = []
+    kernels = Counter()
+    original = cyclic.u_module_decompose
+    original_kernel = umodule.kernel_basis
+
+    def recording(c, field, *args, **kwargs):
+        reports = original(c, field, *args, **kwargs)
+        decomposed.append(sorted(reports))
+        occupied.append(sum(1 for pos in (0, 1) if c.rank_at(pos)))
+        return reports
+
+    def counting_kernel(M, field):
+        kernels[len(decomposed)] += 1
+        return original_kernel(M, field)
+
+    monkeypatch.setattr(cyclic, "u_module_decompose", recording)
+    monkeypatch.setattr(umodule, "kernel_basis", counting_kernel)
+    A = builtin("truncated_poly", QQ, m=3)
+    rep = negative_cyclic(A, DegreeWindow(8), 3)
+    assert len(decomposed) == len(rep.per_weight) > 1
+    assert all(positions == [0, 1] for positions in decomposed)
+    assert [kernels[i] for i in range(len(decomposed))] == occupied
+
+
+@pytest.mark.parametrize("name,params,p", [
+    ("truncated_poly", {"m": 3}, 3), ("poly_truncated", {}, 2),
+    ("poly_truncated", {}, 3), ("quantum_plane", {}, 5)])
+def test_char_p_compare_d_only_side_matches_decomposition(name, params, p):
+    # the d-only free ranks come from ranks of the folded d blocks; an N-fold
+    # decomposition of (C (x) k[u]/u^N, d) must give the same, with no torsion
+    A = builtin(name, GF(p), **params)
+    window, N = DegreeWindow(8), 3
+    rep = char_p_compare(A, window, N)
+    assert rep["per_slot"]
+    cx = hochschild.ChainComplex(A)
+    for slot in rep["per_slot"]:
+        uc = cyclic._folded_weight_complex(cx, slot["weight"], N, window.n_max)
+        for pos, coeffs in uc.diffs.items():
+            uc.diffs[pos] = [coeffs[0]] + [sparse.SparseMatrix.zero(coeffs[0].rows,
+                                                                    coeffs[0].cols)
+                                           for _ in range(N - 1)]
+        reports = umodule.u_module_decompose(uc, A.field)
+        assert not reports[0].torsion_blocks and not reports[1].torsion_blocks
+        assert slot["without_b"] == [reports[0].free_rank, reports[1].free_rank], slot

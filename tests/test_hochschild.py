@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 from nchodge.algebra import builtin
 from nchodge.fields import GF, QQ
 from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis,
@@ -110,3 +113,30 @@ def test_super_wrap_sign():
     # reinforce: the identity d^2 = 0 is what pins the convention, so only
     # check the image is a multiple of the unit word
     assert set(img) <= {(0,)}
+
+
+def test_raw_image_kernel_accumulates_scaled_images():
+    # add_boundary / add_connes add c times an image with plain + and *;
+    # normalized then equals the field-method sum of the scaled images, for
+    # unreduced int scales over F_p and Fraction scales over Q
+    rng = random.Random(5)
+    for name, F in (("mat", QQ), ("clifford1", QQ), ("clifford1", GF(3)),
+                    ("a2_path", GF(5)), ("quantum_plane", GF(7))):
+        A = builtin(name, F)
+        cx = ChainComplex(A)
+        words = [w for n in (1, 2, 3) for w in chain_basis(A, n)]
+        for _ in range(40):
+            picked = [(rng.choice(words), rng.randint(-20, 20)) for _ in range(3)]
+            if F.p is None:
+                picked = [(w, Fraction(c, rng.choice((1, 2, 3)))) for w, c in picked]
+            for add, image in ((cx.add_boundary, cx.boundary_word),
+                               (cx.add_connes, cx.connes_word)):
+                acc = {}
+                expected = {}
+                for w, c in picked:
+                    add(w, c, acc)
+                    for t, v in image(w).items():
+                        expected[t] = F.add(expected.get(t, F.zero()),
+                                            F.mul(F.from_fraction(Fraction(c)), v))
+                expected = {t: v for t, v in expected.items() if not F.is_zero(v)}
+                assert cx.normalized(acc) == expected

@@ -274,3 +274,35 @@ def test_ppower_lift_p2_of_a_sum_certifies():
     chain = ppower_lift_p2(A, a)
     assert cycle_certificate(chain)["is_cycle"]
     assert chain.components[1] and all(v == 1 for v in chain.components[1].values())
+
+
+def test_certificate_applies_d_and_b_to_every_coefficient(monkeypatch):
+    # every coefficient of component t goes through d, and through B into
+    # component t + 1 below N, straight into the accumulator: no per-word
+    # image dict is built
+    from nchodge import hochschild
+    calls = {"add_boundary": [], "add_connes": []}
+    for name in calls:
+        original = getattr(hochschild.ChainComplex, name)
+
+        def recording(self, word, c, acc, _name=name, _original=original):
+            calls[_name].append(word)
+            return _original(self, word, c, acc)
+
+        monkeypatch.setattr(hochschild.ChainComplex, name, recording)
+
+    def forbidden(self, word):
+        raise AssertionError("per-word image built")
+
+    monkeypatch.setattr(hochschild.ChainComplex, "boundary_word", forbidden)
+    monkeypatch.setattr(hochschild.ChainComplex, "connes_word", forbidden)
+    A = builtin("mat", QQ, m=2)
+    labels = {A.label(i): i for i in range(A.dim)}
+    pi = Idempotent(A, {labels["E11*1"]: 1, labels["E12*1"]: Fraction(2, 3)})
+    chain = chern_idempotent(pi, 4)
+    for words in calls.values():
+        words.clear()  # drop the certificate run inside chern_idempotent
+    assert cycle_certificate(chain)["is_cycle"]
+    assert sorted(calls["add_boundary"]) == sorted(w for comp in chain.components for w in comp)
+    assert sorted(calls["add_connes"]) == sorted(w for comp in chain.components[:-1]
+                                                 for w in comp)
