@@ -116,6 +116,7 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     F = spec.field
     v: list[Violation] = []
     d = spec.dim
+    triples = []  # (i, j, k) of the stored constants, every index in range
     for (i, j), comps in spec.structure.items():
         if not (0 <= i < d and 0 <= j < d):
             v.append(Violation("index-bounds", (i, j), "structure index out of range"))
@@ -123,6 +124,8 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
         for k, c in comps.items():
             if not 0 <= k < d:
                 v.append(Violation("index-bounds", (i, j, k), "target index out of range"))
+            else:
+                triples.append((i, j, k))
             if F.is_zero(c):
                 v.append(Violation("stored-zero", (i, j, k), "zero structure constant stored"))
     for i in range(d):
@@ -148,20 +151,18 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
         elif spec.weight[0] != 0:
             v.append(Violation("weight-unit", (0,), "unit must have weight 0"))
         else:
-            for (i, j), comps in spec.structure.items():
-                for k in comps:
-                    if spec.weight[k] != spec.weight[i] + spec.weight[j]:
-                        v.append(Violation("weight-multiplicativity", (i, j, k)))
+            for i, j, k in triples:
+                if spec.weight[k] != spec.weight[i] + spec.weight[j]:
+                    v.append(Violation("weight-multiplicativity", (i, j, k)))
     if spec.parity is not None:
         if len(spec.parity) != d:
             v.append(Violation("parity-table", (len(spec.parity),), "wrong length"))
         elif spec.parity[0] % 2 != 0:
             v.append(Violation("parity-unit", (0,), "unit must be even"))
         else:
-            for (i, j), comps in spec.structure.items():
-                for k in comps:
-                    if spec.parity[k] % 2 != (spec.parity[i] + spec.parity[j]) % 2:
-                        v.append(Violation("parity-multiplicativity", (i, j, k)))
+            for i, j, k in triples:
+                if spec.parity[k] % 2 != (spec.parity[i] + spec.parity[j]) % 2:
+                    v.append(Violation("parity-multiplicativity", (i, j, k)))
     return ValidationReport(v)
 
 
@@ -604,6 +605,48 @@ class SchemaError(ValueError):
     pass
 
 
+def json_object(obj, fmt: str, fields, what: str) -> dict:
+    """obj as a JSON object of format `fmt` with no field outside `fields`:
+    the common check of every ncg-*/1 input format."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what}: expected a JSON object")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise SchemaError(f"{what}: unknown fields {sorted(unknown)}")
+    if obj.get("format") != fmt:
+        raise SchemaError(f"{what}: format must be {fmt!r}")
+    return obj
+
+
+def json_int(value, what: str, low: int | None = None) -> int:
+    """A JSON integer (true and false are not integers here), at least
+    `low` when given."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, not {type(value).__name__}")
+    if low is not None and value < low:
+        raise SchemaError(f"{what} must be >= {low}")
+    return value
+
+
+def json_list(value, what: str, length: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, not {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise SchemaError(f"{what} must have {length} entries, not {len(value)}")
+    return value
+
+
+def json_scalar(value, field: Field, what: str):
+    """A field scalar spelled as a JSON integer or a "num/den" or integer
+    string."""
+    if type(value) is not int and not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string or an integer, not {type(value).__name__}")
+    try:
+        return parse_scalar(str(value), field)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{what}: bad scalar {value!r}: {exc}")
+
+
 def field_to_json(field: Field) -> dict:
     if field.p is None:
         return {"kind": "rationals"}
@@ -620,7 +663,11 @@ def field_from_json(obj) -> Field:
     if obj["kind"] == "prime-field":
         if set(obj) != {"kind", "p"}:
             raise SchemaError("field: prime-field needs exactly 'kind' and 'p'")
-        return Field(int(obj["p"]))
+        p = json_int(obj["p"], "field: p", 2)
+        try:
+            return Field(p)
+        except ValueError as exc:
+            raise SchemaError(f"field: {exc}")
     raise SchemaError(f"field: unknown kind {obj['kind']!r}")
 
 
@@ -647,46 +694,51 @@ def algebra_to_json(spec: AlgebraSpec) -> dict:
 
 
 def algebra_from_json(obj) -> AlgebraSpec:
-    """Strict parser for the ncg-algebra/1 schema; unknown fields rejected."""
-    if not isinstance(obj, dict):
-        raise SchemaError("algebra: expected a JSON object")
-    allowed = {"format", "name", "field", "dim", "unit_index", "structure",
-               "weight", "parity", "max_weight"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"algebra: unknown fields {sorted(unknown)}")
-    if obj.get("format") != ALGEBRA_FORMAT:
-        raise SchemaError(f"algebra: format must be {ALGEBRA_FORMAT!r}")
+    """Strict parser for the ncg-algebra/1 schema: unknown fields are
+    rejected and every field is type-checked, so a malformed object raises
+    SchemaError.  Whether the structure constants define a unital
+    associative algebra is `validate`'s question."""
+    json_object(obj, ALGEBRA_FORMAT, ("format", "name", "field", "dim", "unit_index",
+                                      "structure", "weight", "parity", "max_weight"),
+                "algebra")
     for key in ("name", "field", "dim", "unit_index", "structure"):
         if key not in obj:
             raise SchemaError(f"algebra: missing field {key!r}")
+    if not isinstance(obj["name"], str):
+        raise SchemaError("algebra: name must be a string")
     field = field_from_json(obj["field"])
-    dim = int(obj["dim"])
-    if dim < 1:
-        raise SchemaError("algebra: dim must be >= 1")
-    unit_index = int(obj["unit_index"])
-    if not 0 <= unit_index < dim:
+    dim = json_int(obj["dim"], "algebra: dim", 1)
+    unit_index = json_int(obj["unit_index"], "algebra: unit_index", 0)
+    if unit_index >= dim:
         raise SchemaError("algebra: unit_index out of range")
+    # the unit becomes basis vector 0 by a plain relabelling, so that
+    # validate still reports a unit of nonzero weight or odd parity
+    perm = [unit_index] + [i for i in range(dim) if i != unit_index]
+    inv = {old: new for new, old in enumerate(perm)}
     structure = {}
-    for entry in obj["structure"]:
+    for entry in json_list(obj["structure"], "algebra: structure"):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise SchemaError(f"algebra: structure entry {entry!r} is not [i,j,k,value]")
-        i, j, k, val = entry
-        c = parse_scalar(str(val), field)
+        what = f"algebra: structure entry {entry!r}"
+        i, j, k = (json_int(n, what + " index", 0) for n in entry[:3])
+        if max(i, j, k) >= dim:
+            raise SchemaError(f"{what}: index out of range for dim {dim}")
+        c = json_scalar(entry[3], field, what)
         if field.is_zero(c):
             raise SchemaError(f"algebra: zero structure constant at {(i, j, k)}")
-        structure.setdefault((int(i), int(j)), {})[int(k)] = c
-    weight = tuple(int(w) for w in obj["weight"]) if "weight" in obj else None
-    parity = tuple(int(p) % 2 for p in obj["parity"]) if "parity" in obj else None
-    max_weight = int(obj["max_weight"]) if "max_weight" in obj else None
-    spec = AlgebraSpec(str(obj["name"]), field, dim, structure, weight, parity, max_weight)
-    if unit_index != 0:
-        perm = [unit_index] + [i for i in range(dim) if i != unit_index]
-        inv = {old: new for new, old in enumerate(perm)}
-        structure2 = {}
-        for (i, j), comps in structure.items():
-            structure2[(inv[i], inv[j])] = {inv[k]: c for k, c in comps.items()}
-        weight2 = tuple(weight[p] for p in perm) if weight else None
-        parity2 = tuple(parity[p] for p in perm) if parity else None
-        spec = AlgebraSpec(spec.name, field, dim, structure2, weight2, parity2, max_weight)
-    return spec
+        structure.setdefault((inv[i], inv[j]), {})[inv[k]] = c
+
+    def table(key):
+        if key not in obj:
+            return None
+        values = [json_int(v, f"algebra: {key} entry")
+                  for v in json_list(obj[key], f"algebra: {key}", dim)]
+        return tuple(values[p] for p in perm)
+
+    weight = table("weight")
+    parity = table("parity")
+    if parity is not None:
+        parity = tuple(p % 2 for p in parity)
+    max_weight = (json_int(obj["max_weight"], "algebra: max_weight")
+                  if "max_weight" in obj else None)
+    return AlgebraSpec(obj["name"], field, dim, structure, weight, parity, max_weight)

@@ -1,5 +1,13 @@
-"""Command-line entry point: input parsing, computation dispatch, report
+"""Command-line entry point: one pipeline for every command, report
 emission, and a content-addressed results cache.
+
+`run` takes every command through the same steps: load and check its
+inputs (a file algebra is validated once, on load, and only validate
+accepts an invalid one), derive the report metadata and cache key, replay
+the cached report or compute it and `emit` it, and return the exit code.
+A command is a compute function returning its result and its exit codes
+without and with --strict; a cache entry's first line, "ncg-cache/2 <key>
+<code> <strict code>", records both, so every command replays.
 
 Reports follow the "ncg-report/1" shape: every report embeds the tool
 version, field, window, truncation and guard/diagnostic flags alongside the
@@ -13,8 +21,8 @@ the last piece.  No report is held as one string; the bytes and the cache
 keys are those of the whole-string json.dumps rendering it replaced.
 
 Exit codes: 0 success, 1 structural error, 2 validation failure (including
-a failed certificate), 3 inconclusive verdict under --strict or an operation
-the field or parameters do not support.
+a failed certificate or an invalid input), 3 inconclusive verdict under
+--strict or an operation the field or parameters do not support.
 """
 
 from __future__ import annotations
@@ -27,15 +35,17 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .algebra import (AlgebraError, CATALOGUE, SchemaError,
-                      algebra_from_json, algebra_to_json, builtin, glue,
-                      trivial_bimodule, validate, zero_bimodule)
-from .cyclic import (UnsupportedError, WindowError, char_p_compare,
+from .algebra import (AlgebraError, AlgebraSpec, CATALOGUE, SchemaError, ValidationReport,
+                      algebra_from_json, algebra_to_json, builtin, glue, json_int,
+                      json_list, json_object, json_scalar, trivial_bimodule, validate,
+                      zero_bimodule)
+from .cyclic import (UnsupportedError, char_p_compare,
                      degeneration_check, graded_piece_analysis, hodge_filtration,
                      hp_ranks, negative_cyclic)
-from .fields import QQ, Field, format_scalar, parse_field, parse_scalar
+from .fields import QQ, Field, format_scalar, parse_field
 from .hochschild import DegreeWindow, hh0_direct, hh_ranks
 from .kchern import (ContractError, Idempotent, chern_idempotent,
                      ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
@@ -44,11 +54,11 @@ from .poisson import (BIVECTOR_CATALOGUE, Bivector, ConstantSymplectic,
                       conjugation_check, hodge_star, jacobi_check,
                       lie_derivative, poisson_bracket,
                       poisson_homology_ranks, star_identity_check)
-from .sparse import StructuralError
 
 IDEMPOTENT_FORMAT = "ncg-idempotent/1"
 BIVECTOR_FORMAT = "ncg-bivector/1"
 REPORT_FORMAT = "ncg-report/1"
+CACHE_FORMAT = "ncg-cache/2"
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
@@ -78,154 +88,112 @@ def _load_json(path: str):
                        f"column {exc.colno}: {exc.msg}", EXIT_VALIDATION)
 
 
+def _is_path(ref: str) -> bool:
+    return ref.endswith(".json") or os.path.sep in ref
+
+
 def load_algebra(ref: str, field: Field, params: dict):
-    """Resolve --algebra: a catalogue name or a path to an ncg-algebra/1 file."""
-    if ref.endswith(".json") or os.path.sep in ref:
-        obj = _load_json(ref)
-        try:
-            return algebra_from_json(obj)
-        except SchemaError as exc:
-            raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
-        except AlgebraError as exc:
-            raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
+    """Resolve --algebra: a catalogue name or a path to an ncg-algebra/1 file.
+
+    Returns (algebra, report).  A file algebra is validated here, once, and
+    `report` is its ValidationReport; a catalogue algebra is valid by
+    construction and its report is None.
+    """
     try:
-        return builtin(ref, field, **params)
-    except AlgebraError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
-    except ZeroDivisionError as exc:
-        # a rational parameter whose denominator vanishes in the field
+        if not _is_path(ref):
+            return builtin(ref, field, **params), None
+        A = algebra_from_json(_load_json(ref))
+    except (SchemaError, AlgebraError, ZeroDivisionError) as exc:
+        # ZeroDivisionError: a catalogue parameter whose denominator
+        # vanishes in the field
         raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
+    return A, validate(A)
 
 
 def load_idempotent(path: str, algebra) -> Idempotent:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or obj.get("format") != IDEMPOTENT_FORMAT:
-        raise CliError(f"{path}: expected format {IDEMPOTENT_FORMAT!r}",
-                       EXIT_VALIDATION)
-    extra = set(obj) - {"format", "vector"}
-    if extra:
-        raise CliError(f"{path}: unknown fields {sorted(extra)}", EXIT_VALIDATION)
-    if not isinstance(obj.get("vector"), dict):
-        raise CliError(f"{path}: 'vector' must map basis labels or indices "
-                       f"to scalars", EXIT_VALIDATION)
     labels = {algebra.label(i): i for i in range(algebra.dim)}
-    F = algebra.field
-    vec = {}
-    for key, val in obj["vector"].items():
-        if key in labels:
-            idx = labels[key]
-        else:
-            try:
-                idx = int(key)
-            except ValueError:
-                raise CliError(f"{path}: unknown basis label {key!r}",
-                               EXIT_VALIDATION)
-            if not 0 <= idx < algebra.dim:
-                raise CliError(f"{path}: basis index {idx} out of range",
-                               EXIT_VALIDATION)
-        try:
-            vec[idx] = parse_scalar(str(val), F)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"{path}: bad scalar {val!r}: {exc}", EXIT_VALIDATION)
     try:
+        json_object(obj, IDEMPOTENT_FORMAT, ("format", "vector"), "idempotent")
+        if not isinstance(obj.get("vector"), dict):
+            raise SchemaError("'vector' must map basis labels or indices to scalars")
+        vec = {}
+        for key, val in obj["vector"].items():
+            idx = labels.get(key)
+            if idx is None:
+                try:
+                    idx = int(key)
+                except ValueError:
+                    raise SchemaError(f"unknown basis label {key!r}")
+                if not 0 <= idx < algebra.dim:
+                    raise SchemaError(f"basis index {idx} out of range")
+            vec[idx] = json_scalar(val, algebra.field, f"coefficient of {key!r}")
         return Idempotent(algebra, vec)
-    except ContractError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    except (SchemaError, ContractError) as exc:
+        raise CliError(f"{path}: {exc}", EXIT_VALIDATION)
 
 
-def _parse_poly_json(obj, nvars: int, path: str) -> dict:
-    if not isinstance(obj, list):
-        raise CliError(f"{path}: polynomial must be a list of terms",
-                       EXIT_VALIDATION)
-    poly = {}
-    for term in obj:
-        if not isinstance(term, dict) or set(term) != {"exponents", "coeff"}:
-            raise CliError(f"{path}: each term needs exactly 'exponents' and "
-                           f"'coeff'", EXIT_VALIDATION)
+def _terms(obj, nvars: int, what: str, forms: bool = False) -> dict:
+    """The terms of a polynomial ({exponents: coeff}) or, with `forms`, of a
+    differential form ({(exponents, dxs): coeff}) from a JSON term list;
+    like terms are summed and zero sums dropped."""
+    fields = {"exponents", "dxs", "coeff"} if forms else {"exponents", "coeff"}
+    out: dict = {}
+    for term in json_list(obj, what):
+        if not isinstance(term, dict) or set(term) != fields:
+            raise SchemaError(f"{what}: each term needs exactly {sorted(fields)}")
         exps = term["exponents"]
         if (not isinstance(exps, list) or len(exps) != nvars
-                or any(not isinstance(e, int) or e < 0 for e in exps)):
-            raise CliError(f"{path}: bad exponent vector {exps}", EXIT_VALIDATION)
-        c = _parse_fraction(str(term["coeff"]), path)
+                or any(type(e) is not int or e < 0 for e in exps)):
+            raise SchemaError(f"{what}: bad exponent vector {exps}")
         key = tuple(exps)
-        poly[key] = poly.get(key, 0) + c
-    return {e: c for e, c in poly.items() if c != 0}
-
-
-def _parse_fraction(text: str, where: str):
-    try:
-        return parse_scalar(text, QQ)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"{where}: bad rational {text!r}: {exc}", EXIT_VALIDATION)
+        if forms:
+            dxs = term["dxs"]
+            if (not isinstance(dxs, list)
+                    or any(type(i) is not int or not 0 <= i < nvars for i in dxs)
+                    or dxs != sorted(set(dxs))):
+                raise SchemaError(f"{what}: bad dx index set {dxs}")
+            key = (key, tuple(dxs))
+        out[key] = out.get(key, 0) + json_scalar(term["coeff"], QQ, f"{what}: coefficient")
+    return {k: c for k, c in out.items() if c != 0}
 
 
 def load_bivector(ref: str) -> Bivector:
     """Resolve --bivector: a catalogue name or a path to ncg-bivector/1."""
-    if not (ref.endswith(".json") or os.path.sep in ref):
-        try:
-            return builtin_bivector(ref)
-        except PoissonError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
-    obj = _load_json(ref)
-    if not isinstance(obj, dict) or obj.get("format") != BIVECTOR_FORMAT:
-        raise CliError(f"{ref}: expected format {BIVECTOR_FORMAT!r}",
-                       EXIT_VALIDATION)
-    extra = set(obj) - {"format", "nvars", "components", "hbar", "name"}
-    if extra:
-        raise CliError(f"{ref}: unknown fields {sorted(extra)}", EXIT_VALIDATION)
-    nvars = obj.get("nvars")
-    if not isinstance(nvars, int) or nvars < 1:
-        raise CliError(f"{ref}: 'nvars' must be a positive integer",
-                       EXIT_VALIDATION)
-    comps = {}
-    for entry in obj.get("components", []):
-        if not isinstance(entry, dict) or set(entry) != {"i", "j", "poly"}:
-            raise CliError(f"{ref}: each component needs exactly 'i', 'j', "
-                           f"'poly'", EXIT_VALIDATION)
-        i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < nvars):
-            raise CliError(f"{ref}: component indices ({i},{j}) must satisfy "
-                           f"0 <= i < j < nvars", EXIT_VALIDATION)
-        comps[(i, j)] = _parse_poly_json(entry["poly"], nvars, ref)
-    hbar = _parse_fraction(str(obj.get("hbar", "1")), ref)
     try:
-        return Bivector(nvars, comps, name=str(obj.get("name", ref)), hbar=hbar)
-    except PoissonError as exc:
+        if not _is_path(ref):
+            return builtin_bivector(ref)
+        obj = _load_json(ref)
+        json_object(obj, BIVECTOR_FORMAT, ("format", "nvars", "components", "hbar", "name"),
+                    "bivector")
+        nvars = json_int(obj.get("nvars"), "'nvars'", 1)
+        comps = {}
+        for entry in json_list(obj.get("components", []), "'components'"):
+            if not isinstance(entry, dict) or set(entry) != {"i", "j", "poly"}:
+                raise SchemaError("each component needs exactly 'i', 'j', 'poly'")
+            i, j = entry["i"], entry["j"]
+            if not (type(i) is int and type(j) is int and 0 <= i < j < nvars):
+                raise SchemaError(f"component indices ({i},{j}) must satisfy "
+                                  f"0 <= i < j < nvars")
+            comps[(i, j)] = _terms(entry["poly"], nvars, "'poly'")
+        hbar = json_scalar(obj.get("hbar", "1"), QQ, "'hbar'")
+        name = obj.get("name", ref)
+        if not isinstance(name, str):
+            raise SchemaError("'name' must be a string")
+        return Bivector(nvars, comps, name=name, hbar=hbar)
+    except (SchemaError, PoissonError) as exc:
         raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
 
 
-def _poly_arg(text: str, nvars: int, what: str) -> dict:
+def _term_arg(option: str, text: str, nvars: int):
+    """--f and --g as polynomials, --form as a PolyForm."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{what}: invalid JSON: {exc.msg}", EXIT_VALIDATION)
-    return _parse_poly_json(obj, nvars, what)
-
-
-def _form_arg(text: str, nvars: int, what: str) -> PolyForm:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{what}: invalid JSON: {exc.msg}", EXIT_VALIDATION)
-    if not isinstance(obj, list):
-        raise CliError(f"{what}: form must be a list of terms", EXIT_VALIDATION)
-    terms = {}
-    for term in obj:
-        if not isinstance(term, dict) or set(term) != {"exponents", "dxs", "coeff"}:
-            raise CliError(f"{what}: each form term needs exactly 'exponents', "
-                           f"'dxs' and 'coeff'", EXIT_VALIDATION)
-        exps = term["exponents"]
-        dxs = term["dxs"]
-        if (not isinstance(exps, list) or len(exps) != nvars
-                or any(not isinstance(e, int) or e < 0 for e in exps)):
-            raise CliError(f"{what}: bad exponent vector {exps}", EXIT_VALIDATION)
-        if (not isinstance(dxs, list) or dxs != sorted(set(dxs))
-                or any(not isinstance(i, int) or not 0 <= i < nvars for i in dxs)):
-            raise CliError(f"{what}: bad dx index set {dxs}", EXIT_VALIDATION)
-        c = _parse_fraction(str(term["coeff"]), what)
-        key = (tuple(exps), tuple(dxs))
-        terms[key] = terms.get(key, 0) + c
-    return PolyForm(nvars, {k: v for k, v in terms.items() if v != 0})
+        raise CliError(f"{option}: invalid JSON: {exc.msg}", EXIT_VALIDATION)
+    if option != "--form":
+        return _terms(obj, nvars, option)
+    return PolyForm(nvars, _terms(obj, nvars, option, forms=True))
 
 
 def _poly_json(poly: dict) -> list:
@@ -474,27 +442,26 @@ def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, key + ".report")
 
 
-def _cache_marker(key: str) -> str:
-    return "ncg-cache/1 " + key + "\n"
-
-
-def _cache_replay(args, cache_dir: str, key: str) -> bool:
-    """Copy a cached report to the output; False when there is no valid
+def _cache_replay(args, cache_dir: str, key: str) -> tuple | None:
+    """Copy a cached report to the output and return the exit codes its
+    entry records (without and with --strict); None when there is no valid
     entry."""
     path = _cache_path(cache_dir, key)
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError:
-        return False
+        return None
     with fh:
-        if fh.readline() != _cache_marker(key):
+        head = fh.readline().split()
+        if not (len(head) == 4 and head[:2] == [CACHE_FORMAT, key]
+                and head[2].isdigit() and head[3].isdigit()):
             print(f"warning: corrupted cache entry {path}; recomputing",
                   file=sys.stderr)
-            return False
+            return None
         with _report_output(args) as write:
             for text in iter(lambda: fh.read(_CHUNK), ""):
                 write(text)
-    return True
+    return int(head[2]), int(head[3])
 
 
 class _CacheEntry:
@@ -503,14 +470,14 @@ class _CacheEntry:
     a render that fails, or any OSError, removes the .tmp file, and an
     OSError warns and leaves the report uncached."""
 
-    def __init__(self, cache_dir: str, key: str):
+    def __init__(self, cache_dir: str, key: str, codes: tuple):
         self.path = _cache_path(cache_dir, key)
         self.tmp = self.path + ".tmp"
         self.fh = None
         try:
             os.makedirs(cache_dir, exist_ok=True)
             self.fh = open(self.tmp, "w", encoding="utf-8")
-            self.fh.write(_cache_marker(key))
+            self.fh.write(f"{CACHE_FORMAT} {key} {codes[0]} {codes[1]}\n")
         except OSError as exc:
             self._give_up(exc)
 
@@ -561,12 +528,12 @@ def _cache_key(args, command: str, meta: dict, inputs) -> str:
          "format": args.format, "version": __version__}).encode()).hexdigest()
 
 
-def emit(args, command: str, meta: dict, result: dict,
-         cache_inputs: dict | None = None) -> int:
-    """Stream the report to stdout or --output and, with a cache directory
-    and cache inputs, to its cache entry.
+def emit(args, command: str, meta: dict, result: dict, codes: tuple = (EXIT_OK, EXIT_OK),
+         key: str | None = None) -> None:
+    """Stream the report to stdout or --output and, given a cache key, to
+    its cache entry, which records the exit codes with the report.
 
-    Field scalars are formatted by the handlers, with their field, before
+    Field scalars are formatted by the commands, with their field, before
     they get here: an integral Q scalar is a plain int and would otherwise
     be written as a JSON number.
     """
@@ -577,49 +544,38 @@ def emit(args, command: str, meta: dict, result: dict,
         **meta,
         "result": result,
     }
-    cache_dir = _cache_dir(args)
-    entry = None
-    if cache_dir is not None and cache_inputs is not None:
-        entry = _CacheEntry(cache_dir, _cache_key(args, command, meta, cache_inputs))
+    entry = _CacheEntry(_cache_dir(args), key, codes) if key is not None else None
     try:
         with _report_output(args) as out:
-            if entry is None:
-                _render(report, args.format, out)
-            else:
-                def write(text):
-                    out(text)
-                    entry.write(text)
-                _render(report, args.format, write)
+            def tee(text):
+                out(text)
+                entry.write(text)
+            _render(report, args.format, out if entry is None else tee)
     except BaseException:
         if entry is not None:
             entry.discard()
         raise
     if entry is not None:
         entry.commit()
-    return EXIT_OK
-
-
-def _cached_or_compute(args, command, meta, cache_inputs, compute) -> int:
-    """Replay a byte-identical cached report when available."""
-    cache_dir = _cache_dir(args)
-    if (cache_dir is not None and cache_inputs is not None
-            and _cache_replay(args, cache_dir,
-                              _cache_key(args, command, meta, cache_inputs))):
-        return EXIT_OK
-    result = compute()
-    return emit(args, command, meta, result, cache_inputs)
 
 
 # ---------------------------------------------------------------------------
-# shared argument plumbing
+# the command pipeline
 # ---------------------------------------------------------------------------
 
 
-def _field(args) -> Field:
-    try:
-        return parse_field(args.field)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+class _Inputs:
+    """Everything a command reads, loaded and checked before any work."""
+
+    field: Field | None = None
+    algebra: AlgebraSpec | None = None     # the algebra the report is about
+    report: ValidationReport | None = None  # its validation, for a file algebra
+    parts: tuple = ()                      # glue: the two algebras glued
+    idempotent: Idempotent | None = None
+    bivector: Bivector | None = None
+    window: DegreeWindow | None = None
+    N: int | None = None
+    terms: dict  # parsed --f, --g and --form
 
 
 def _algebra_params(args) -> dict:
@@ -633,143 +589,183 @@ def _algebra_params(args) -> dict:
     return params
 
 
-def _window(args) -> DegreeWindow:
-    try:
-        return DegreeWindow(args.n_max, getattr(args, "w_min", None),
-                            getattr(args, "w_max", None))
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_STRUCTURAL)
+def _algebra(args, ref: str, field: Field, params: dict):
+    """load_algebra, refusing an invalid file algebra unless the command is
+    validate, which reports its violations."""
+    A, report = load_algebra(ref, field, params)
+    if report is not None and not report.ok and args.command != "validate":
+        first = report.violations[0]
+        raise CliError(f"{ref}: not a valid algebra, {len(report.violations)} "
+                       f"violation(s); the first: {first.kind} at "
+                       f"{list(first.witness)}", EXIT_VALIDATION)
+    return A, report
 
 
-def _meta(args, algebra=None, window=None, N=None) -> dict:
-    meta: dict = {"field": getattr(args, "field", None)}
-    if algebra is not None:
-        meta["algebra"] = algebra.name
-        meta["field"] = str(algebra.field)
-    if window is not None:
-        meta["window"] = {"n_max": window.n_max, "w_min": window.w_min,
-                          "w_max": window.w_max}
-    if N is not None:
-        meta["truncation"] = N
-    return meta
+def _load(args) -> _Inputs:
+    """Parse, load and check every input the command names."""
+    x = _Inputs()
+    if hasattr(args, "field"):
+        try:
+            x.field = parse_field(args.field)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_VALIDATION)
+    params = _algebra_params(args)
+    if hasattr(args, "algebra"):
+        x.algebra, x.report = _algebra(args, args.algebra, x.field, params)
+    if hasattr(args, "algebra_a"):
+        A, _ = _algebra(args, args.algebra_a, x.field, params)
+        B, _ = _algebra(args, args.algebra_b, x.field, {})
+        bimodule = trivial_bimodule if args.bimodule == "trivial" else zero_bimodule
+        x.parts = (A, B)
+        x.algebra = glue(A, B, bimodule(B, A))
+    if hasattr(args, "idempotent"):
+        x.idempotent = load_idempotent(args.idempotent, x.algebra)
+    if hasattr(args, "bivector"):
+        x.bivector = load_bivector(args.bivector)
+    nvars = x.bivector.nvars if x.bivector is not None else getattr(args, "nvars", None)
+    x.terms = {name: _term_arg(f"--{name}", getattr(args, name), nvars)
+               for name in ("f", "g", "form") if getattr(args, name, None) is not None}
+    if hasattr(args, "n_max"):
+        # hh reports degrees up to --n-max; degree n needs the chain block
+        # at n + 1, so its window is one longer
+        n_max = args.n_max + 1 if args.command == "hh" else args.n_max
+        try:
+            x.window = DegreeWindow(n_max, args.w_min, args.w_max)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_STRUCTURAL)
+    x.N = getattr(args, "u_trunc", None)
+    return x
 
 
-def _algebra_inputs(A) -> dict:
-    return algebra_to_json(A)
+class _Command(NamedTuple):
+    compute: Callable  # (args, inputs) -> (result, (exit code, exit code under --strict))
+    inputs: Callable   # (args, inputs) -> what the cache key hashes besides the meta
+    meta: Callable     # args -> report fields beyond field, algebra, window, truncation
+
+
+# report command name -> _Command
+_COMMANDS: dict = {}
+
+_OK = (EXIT_OK, EXIT_OK)
+
+
+def _command(*names, inputs=lambda args, x: algebra_to_json(x.algebra),
+             meta=lambda args: {}):
+    def register(compute):
+        for name in names:
+            _COMMANDS[name] = _Command(compute, inputs, meta)
+        return compute
+    return register
+
+
+def run(args) -> int:
+    """Run one parsed command: load and check its inputs, replay its cached
+    report or compute and emit it, and return its exit code."""
+    name = args.command
+    if name == "poisson":
+        name += "-" + args.poisson_command
+    command = _COMMANDS[name]
+    x = _load(args)
+    meta: dict = {"field": None if x.field is None else str(x.field)}
+    if x.algebra is not None:
+        meta.update(algebra=x.algebra.name, field=str(x.algebra.field))
+    if x.window is not None:
+        meta["window"] = {"n_max": x.window.n_max, "w_min": x.window.w_min,
+                          "w_max": x.window.w_max}
+    if x.N is not None:
+        meta["truncation"] = x.N
+    meta.update(command.meta(args))
+    cache_dir = _cache_dir(args)
+    key = None
+    if cache_dir is not None:
+        key = _cache_key(args, name, meta, command.inputs(args, x))
+        codes = _cache_replay(args, cache_dir, key)
+        if codes is not None:
+            return codes[args.strict]
+    result, codes = command.compute(args, x)
+    emit(args, name, meta, result, codes, key)
+    return codes[args.strict]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# commands: each computes its result and exit codes from loaded inputs
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
-    report = validate(A)
-    meta = _meta(args, A)
-    code = emit(args, "validate", meta, report.to_dict(), _algebra_inputs(A))
-    if not report.ok:
-        return EXIT_VALIDATION
-    return code
+def _verdict(ok: bool) -> tuple:
+    """Exit codes of a check that exits 2 when it fails, --strict or not."""
+    return _OK if ok else (EXIT_VALIDATION, EXIT_VALIDATION)
 
 
-def cmd_hh(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
-    # For hh, --n-max is the largest reported degree; computing degree n
-    # needs the chain block at n + 1, so widen the window by one.
-    try:
-        window = DegreeWindow(args.n_max + 1, args.w_min, args.w_max)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_STRUCTURAL)
-    meta = _meta(args, A, window)
-
-    def compute():
-        ranks = hh_ranks(A, window)
-        result = {"per_n": {str(n): r for n, r in ranks["per_n"].items()},
-                  "hh0_direct": hh0_direct(A)["rank"]}
-        if "per_n_weight" in ranks:
-            result["per_n_weight"] = {f"{n},{w}": r for (n, w), r
-                                      in sorted(ranks["per_n_weight"].items())}
-            result["guard_safe"] = {str(w): ok for w, ok
-                                    in ranks["guard_safe"].items()}
-        return result
-
-    return _cached_or_compute(args, "hh", meta, _algebra_inputs(A), compute)
-
-
-def cmd_hc(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
-    window = _window(args)
-    meta = _meta(args, A, window, args.u_trunc)
-    return _cached_or_compute(
-        args, "hc", meta, _algebra_inputs(A),
-        lambda: negative_cyclic(A, window, args.u_trunc).to_dict())
-
-
-def cmd_hp(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
-    window = _window(args)
-    meta = _meta(args, A, window, args.u_trunc)
-    rep = hp_ranks(A, window, args.u_trunc)
-    emit(args, "hp", meta, rep.to_dict(), _algebra_inputs(A))
-    if args.strict and not rep.conclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
-def cmd_filtration(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
-    window = _window(args)
-    meta = _meta(args, A, window, args.u_trunc)
-    filtration = hodge_filtration(A, window, args.u_trunc)
-    return emit(args, "filtration", meta, {"filtration": filtration},
-                _algebra_inputs(A))
-
-
-def cmd_degeneration(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
-    window = _window(args)
-    meta = _meta(args, A, window, args.u_trunc)
-    rep = degeneration_check(A, window, args.u_trunc)
-    emit(args, "degeneration", meta, rep, _algebra_inputs(A))
-    if args.strict and rep["verdict"] == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
-def cmd_chern(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
-    pi = load_idempotent(args.idempotent, A)
-    N = args.u_trunc
-    chain = chern_idempotent(pi, N)
-    result = {
-        "truncation": N,
-        "components": [
-            {"u_power": t,
+def _chain_json(A, chain, N: int) -> list:
+    return [{"u_power": t,
              "terms": [{"word": [A.label(i) for i in w],
                         "coeff": format_scalar(c, A.field)}
                        for w, c in sorted(chain.components[t].items())]}
-            for t in range(N)],
-        "is_cycle": True,
-        "u0_class_nonzero": u0_class_nonzero(chain),
-    }
-    meta = _meta(args, A, None, N)
-    return emit(args, "chern", meta, result,
-                {"algebra": _algebra_inputs(A),
-                 "idempotent": {str(k): format_scalar(v, A.field)
-                                for k, v in sorted(pi.vector.items())}})
+            for t in range(N)]
 
 
-def cmd_ppower(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
+@_command("validate")
+def _validate(args, x):
+    report = x.report if x.report is not None else validate(x.algebra)
+    return report.to_dict(), _verdict(report.ok)
+
+
+@_command("hh")
+def _hh(args, x):
+    ranks = hh_ranks(x.algebra, x.window)
+    result = {"per_n": {str(n): r for n, r in ranks["per_n"].items()},
+              "hh0_direct": hh0_direct(x.algebra)["rank"]}
+    if "per_n_weight" in ranks:
+        result["per_n_weight"] = {f"{n},{w}": r for (n, w), r
+                                  in sorted(ranks["per_n_weight"].items())}
+        result["guard_safe"] = {str(w): ok for w, ok in ranks["guard_safe"].items()}
+    return result, _OK
+
+
+@_command("hc")
+def _hc(args, x):
+    return negative_cyclic(x.algebra, x.window, x.N).to_dict(), _OK
+
+
+@_command("hp")
+def _hp(args, x):
+    rep = hp_ranks(x.algebra, x.window, x.N)
+    return rep.to_dict(), (EXIT_OK, EXIT_OK if rep.conclusive else EXIT_INCONCLUSIVE)
+
+
+@_command("filtration")
+def _filtration(args, x):
+    return {"filtration": hodge_filtration(x.algebra, x.window, x.N)}, _OK
+
+
+@_command("degeneration")
+def _degeneration(args, x):
+    rep = degeneration_check(x.algebra, x.window, x.N)
+    inconclusive = rep["verdict"] == "inconclusive"
+    return rep, (EXIT_OK, EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
+
+
+@_command("chern", inputs=lambda args, x: {
+    "algebra": algebra_to_json(x.algebra),
+    "idempotent": {str(k): format_scalar(v, x.algebra.field)
+                   for k, v in sorted(x.idempotent.vector.items())}})
+def _chern(args, x):
+    chain = chern_idempotent(x.idempotent, x.N)
+    return {"truncation": x.N, "components": _chain_json(x.algebra, chain, x.N),
+            "is_cycle": True, "u0_class_nonzero": u0_class_nonzero(chain)}, _OK
+
+
+def _ppower_inputs(args, x) -> dict:
+    inputs = algebra_to_json(x.algebra)
+    if args.lift is not None:
+        inputs = {**inputs, "lift": args.lift}  # without --lift, keys stay as they were
+    return inputs
+
+
+@_command("ppower", inputs=_ppower_inputs)
+def _ppower(args, x):
+    A = x.algebra
     rep = ppower_on_hh0(A)
     result = {
         "p": rep["p"],
@@ -786,95 +782,73 @@ def cmd_ppower(args) -> int:
         if args.lift not in labels:
             raise CliError(f"unknown basis label {args.lift!r}", EXIT_VALIDATION)
         chain = ppower_lift_p2(A, {labels[args.lift]: A.field.one()})
-        result["lift"] = [
-            {"u_power": t,
-             "terms": [{"word": [A.label(i) for i in w],
-                        "coeff": format_scalar(c, A.field)}
-                       for w, c in sorted(chain.components[t].items())]}
-            for t in range(chain.N)]
-    meta = _meta(args, A)
-    code = emit(args, "ppower", meta, result, _algebra_inputs(A))
-    if not (rep["well_defined"] and rep["additive"]):
-        return EXIT_VALIDATION
-    return code
+        result["lift"] = _chain_json(A, chain, chain.N)
+    return result, _verdict(rep["well_defined"] and rep["additive"])
 
 
-def cmd_graded_pieces(args) -> int:
-    F = _field(args)
-    meta = {"field": str(F), "dim_v": args.dim_v, "n": args.n}
-    return _cached_or_compute(
-        args, "graded-pieces", meta,
-        {"dimV": args.dim_v, "n": args.n, "field": str(F)},
-        lambda: graded_piece_analysis(args.dim_v, args.n, F))
+@_command("graded-pieces",
+          inputs=lambda args, x: {"dimV": args.dim_v, "n": args.n, "field": str(x.field)},
+          meta=lambda args: {"dim_v": args.dim_v, "n": args.n})
+def _graded_pieces(args, x):
+    return graded_piece_analysis(args.dim_v, args.n, x.field), _OK
 
 
-def cmd_charp_compare(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra, F, _algebra_params(args))
-    window = _window(args)
-    meta = _meta(args, A, window, args.u_trunc)
-    rep = char_p_compare(A, window, args.u_trunc)
-    emit(args, "charp-compare", meta, rep, _algebra_inputs(A))
-    if not rep["agree"]:
-        return EXIT_VALIDATION
-    return EXIT_OK
+@_command("charp-compare")
+def _charp_compare(args, x):
+    rep = char_p_compare(x.algebra, x.window, x.N)
+    return rep, _verdict(rep["agree"])
 
 
-def cmd_glue(args) -> int:
-    F = _field(args)
-    A = load_algebra(args.algebra_a, F, _algebra_params(args))
-    B = load_algebra(args.algebra_b, F, {})
-    if args.bimodule == "trivial":
-        M = trivial_bimodule(B, A)
-    elif args.bimodule == "zero":
-        M = zero_bimodule(B, A)
-    else:
-        raise CliError(f"unknown bimodule {args.bimodule!r}", EXIT_VALIDATION)
-    glued = glue(A, B, M)
-    report = validate(glued)
-    result = {"algebra": algebra_to_json(glued),
-              "validation": report.to_dict()}
-    meta = _meta(args, glued)
-    code = emit(args, "glue", meta, result,
-                {"a": _algebra_inputs(A), "b": _algebra_inputs(B),
-                 "bimodule": args.bimodule})
-    if not report.ok:
-        return EXIT_VALIDATION
-    return code
+@_command("glue", inputs=lambda args, x: {"a": algebra_to_json(x.parts[0]),
+                                          "b": algebra_to_json(x.parts[1]),
+                                          "bimodule": args.bimodule})
+def _glue(args, x):
+    report = validate(x.algebra)
+    return ({"algebra": algebra_to_json(x.algebra), "validation": report.to_dict()},
+            _verdict(report.ok))
 
 
-def cmd_catalogue(args) -> int:
-    result = {"algebras": list(CATALOGUE),
-              "bivectors": list(BIVECTOR_CATALOGUE)}
-    return emit(args, "catalogue", {"field": None}, result, {"catalogue": 1})
+@_command("catalogue", inputs=lambda args, x: {"catalogue": 1})
+def _catalogue(args, x):
+    return {"algebras": list(CATALOGUE), "bivectors": list(BIVECTOR_CATALOGUE)}, _OK
 
 
-def _bivector_inputs(alpha: Bivector) -> dict:
-    """The bivector's content, canonically ordered, for the cache key: the
-    same bivector keys alike whatever file or catalogue name it came from."""
-    return {"nvars": alpha.nvars, "hbar": format_scalar(alpha.hbar, QQ),
+def _poisson_inputs(args, x) -> dict:
+    inputs = {"sub": args.poisson_command}
+    for name in ("degree", "nvars", "f", "g", "form"):
+        if hasattr(args, name):
+            inputs[name] = getattr(args, name)
+    alpha = x.bivector
+    if alpha is not None:
+        # the bivector's content, canonically ordered: the same bivector
+        # keys alike whatever file or catalogue name it came from
+        inputs["bivector"] = {
+            "nvars": alpha.nvars, "hbar": format_scalar(alpha.hbar, QQ),
             "components": [[i, j, sorted([list(e), format_scalar(c, QQ)]
                                          for e, c in poly.items())]
                            for (i, j), poly in sorted(alpha.components.items())]}
+    return inputs
 
 
-def cmd_poisson(args) -> int:
-    sub = args.poisson_command
-    alpha = None
+def _poisson_meta(args) -> dict:
+    meta = {"field": "Q", "degree": getattr(args, "degree", None)}
+    if hasattr(args, "bivector"):
+        meta["bivector"] = args.bivector
+    return meta
+
+
+@_command(*(f"poisson-{sub}" for sub in ("bracket", "jacobi", "lie", "conjugation",
+                                         "star", "homology")),
+          inputs=_poisson_inputs, meta=_poisson_meta)
+def _poisson(args, x):
+    sub, alpha = args.poisson_command, x.bivector
     if sub == "bracket":
-        alpha = load_bivector(args.bivector)
-        f = _poly_arg(args.f, alpha.nvars, "--f")
-        g = _poly_arg(args.g, alpha.nvars, "--g")
-        result = {"bracket": _poly_json(poisson_bracket(f, g, alpha))}
+        result = {"bracket": _poly_json(poisson_bracket(x.terms["f"], x.terms["g"], alpha))}
     elif sub == "jacobi":
-        alpha = load_bivector(args.bivector)
         result = jacobi_check(alpha, args.degree)
     elif sub == "lie":
-        alpha = load_bivector(args.bivector)
-        form = _form_arg(args.form, alpha.nvars, "--form")
-        result = {"lie_derivative": _form_json(lie_derivative(alpha, form))}
+        result = {"lie_derivative": _form_json(lie_derivative(alpha, x.terms["form"]))}
     elif sub == "conjugation":
-        alpha = load_bivector(args.bivector)
         result = conjugation_check(alpha, args.degree)
     elif sub == "star":
         try:
@@ -882,33 +856,17 @@ def cmd_poisson(args) -> int:
         except PoissonError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
         result = {"identity": star_identity_check(args.nvars, args.degree)}
-        if args.form is not None:
-            form = _form_arg(args.form, args.nvars, "--form")
-            result["star"] = _form_json(hodge_star(form, omega))
-    elif sub == "homology":
-        alpha = load_bivector(args.bivector)
+        if "form" in x.terms:
+            result["star"] = _form_json(hodge_star(x.terms["form"], omega))
+    else:
         jac = jacobi_check(alpha, min(args.degree, 2))
         if not jac["pass"]:
             raise CliError("poisson homology requires a Poisson bivector "
                            f"(Jacobiator witness: {jac['witness']})",
                            EXIT_VALIDATION)
         result = poisson_homology_ranks(alpha, args.degree)
-    else:  # pragma: no cover - argparse enforces choices
-        raise CliError(f"unknown poisson subcommand {sub!r}", EXIT_STRUCTURAL)
-    meta = {"field": "Q", "degree": getattr(args, "degree", None)}
-    if hasattr(args, "bivector"):
-        meta["bivector"] = args.bivector
-    failed = isinstance(result, dict) and result.get("pass") is False
-    inputs = {"sub": sub}
-    for name in ("degree", "nvars", "f", "g", "form"):
-        if hasattr(args, name):
-            inputs[name] = getattr(args, name)
-    if alpha is not None:
-        inputs["bivector"] = _bivector_inputs(alpha)
-    code = emit(args, f"poisson-{sub}", meta, result, inputs)
-    if failed and args.strict:
-        return EXIT_VALIDATION
-    return code
+    # a failed identity check exits 2 under --strict
+    return result, (EXIT_OK, EXIT_VALIDATION if result.get("pass") is False else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -954,37 +912,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="u-truncation order N")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common, alg]).set_defaults(fn=cmd_validate)
-    sub.add_parser("hh", parents=[common, alg, win]).set_defaults(fn=cmd_hh)
-    sub.add_parser("hc", parents=[common, alg, win, trunc]).set_defaults(fn=cmd_hc)
-    sub.add_parser("hp", parents=[common, alg, win, trunc]).set_defaults(fn=cmd_hp)
-    sub.add_parser("filtration", parents=[common, alg, win, trunc]
-                   ).set_defaults(fn=cmd_filtration)
-    sub.add_parser("degeneration", parents=[common, alg, win, trunc]
-                   ).set_defaults(fn=cmd_degeneration)
+    sub.add_parser("validate", parents=[common, alg])
+    sub.add_parser("hh", parents=[common, alg, win])
+    for name in ("hc", "hp", "filtration", "degeneration", "charp-compare"):
+        sub.add_parser(name, parents=[common, alg, win, trunc])
     chern = sub.add_parser("chern", parents=[common, alg, trunc])
     chern.add_argument("--idempotent", required=True,
                        help="path to an ncg-idempotent/1 file")
-    chern.set_defaults(fn=cmd_chern)
     ppower = sub.add_parser("ppower", parents=[common, alg])
     ppower.add_argument("--lift", default=None,
                         help="basis label to lift at p = 2")
-    ppower.set_defaults(fn=cmd_ppower)
     gp = sub.add_parser("graded-pieces", parents=[common])
     gp.add_argument("--dim-v", type=int, required=True)
     gp.add_argument("--n", type=int, required=True)
     gp.add_argument("--field", required=True)
-    gp.set_defaults(fn=cmd_graded_pieces)
-    sub.add_parser("charp-compare", parents=[common, alg, win, trunc]
-                   ).set_defaults(fn=cmd_charp_compare)
     gl = sub.add_parser("glue", parents=[common])
     gl.add_argument("--algebra-a", required=True)
     gl.add_argument("--algebra-b", required=True)
     gl.add_argument("--field", default="Q")
     gl.add_argument("--param", action="append")
     gl.add_argument("--bimodule", choices=("trivial", "zero"), default="trivial")
-    gl.set_defaults(fn=cmd_glue)
-    sub.add_parser("catalogue", parents=[common]).set_defaults(fn=cmd_catalogue)
+    sub.add_parser("catalogue", parents=[common])
 
     poisson = sub.add_parser("poisson", parents=[common])
     psub = poisson.add_subparsers(dest="poisson_command", required=True)
@@ -1006,34 +954,25 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--form", default=None)
     ph = psub.add_parser("homology", parents=[common, bv])
     ph.add_argument("--degree", type=int, required=True)
-    poisson.set_defaults(fn=cmd_poisson)
-    for p in (pb, pj, pl, pc, ps, ph):
-        p.set_defaults(fn=cmd_poisson)
     return parser
 
 
+# Exit codes of the errors a command may raise, most specific first: every
+# class except NotImplementedError is a ValueError subclass.
+_ERROR_CODES = (((SchemaError, ContractError), EXIT_VALIDATION),
+                (UnsupportedError, EXIT_INCONCLUSIVE),
+                ((ValueError, NotImplementedError), EXIT_STRUCTURAL))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except CliError as exc:
+        return run(args)
+    except (CliError, ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    # Most specific first: every class below except NotImplementedError is
-    # a ValueError subclass.
-    except (SchemaError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except UnsupportedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (WindowError, StructuralError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except NotImplementedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
+        if isinstance(exc, CliError):
+            return exc.code
+        return next(code for kinds, code in _ERROR_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

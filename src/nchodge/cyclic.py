@@ -28,7 +28,8 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import AlgebraSpec
 from .fields import Field
 from .hochschild import ChainComplex, DegreeWindow, word_parity
-from .sparse import SparseMatrix, homology_rank, kernel_basis, rank, rank_of_columns
+from .sparse import (SparseMatrix, homology_from_ranks, homology_rank, kernel_basis, rank,
+                     rank_of_columns)
 from .umodule import (UTruncation, UComplex, UModuleReport,
                       blocks_from_filtration_dims, u_module_decompose)
 
@@ -268,7 +269,8 @@ class _Staircase:
         return self._bdry[key]
 
     def homology_dim(self, m: int, p: int) -> int:
-        return len(self.basis(m, p)) - self.diff_rank(m, p) - self.boundary_rank(m, p)
+        return homology_from_ranks(len(self.basis(m, p)), self.diff_rank(m, p),
+                                   self.boundary_rank(m, p))
 
     def shift(self, vectors: list, m: int, p: int, t: int) -> list:
         """Apply u^t to vectors on T^m_p, landing in T^{m+2t}_p."""
@@ -472,7 +474,8 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
             uc = _folded_weight_complex(cx, w, 1, window.n_max)
             d_even, d_odd = uc.diffs[0][0], uc.diffs[1][0]
             r_even, r_odd = rank(d_even, A.field), rank(d_odd, A.field)
-            return [d_even.cols - r_even - r_odd, d_odd.cols - r_odd - r_even]
+            return [homology_from_ranks(d_even.cols, r_even, r_odd),
+                    homology_from_ranks(d_odd.cols, r_odd, r_even)]
 
         def free_pair(w):
             if w not in with_b.per_weight:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError
-from .sparse import SparseMatrix, rank, rank_of_columns
+from .sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
 
 
 @dataclass
@@ -35,10 +35,6 @@ class DegreeWindow:
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-
-
-def word_weight(A: AlgebraSpec, word: tuple) -> int:
-    return sum(A.weight[i] for i in word)
 
 
 def word_parity(A: AlgebraSpec, word: tuple) -> int:
@@ -57,9 +53,11 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None) -> list[tuple
         raise AlgebraError("weight filter requested on an ungraded algebra")
     d = A.dim
     out: list[tuple] = []
+    # a prefix heavier than the weight stays so only if no weight is negative
+    prune = weight is not None and min(A.weight) >= 0
 
     def rec(prefix: list, remaining: int, wsum: int):
-        if weight is not None and wsum > weight:
+        if prune and wsum > weight:
             return
         if remaining == 0:
             if weight is None or wsum == weight:
@@ -229,8 +227,8 @@ class ChainComplex:
     def hh_rank(self, n: int, weight: int | None = None) -> int:
         """Rank of ker(boundary_n) / im(boundary_{n+1}) at one block:
         dim - rank(boundary_n) - rank(boundary_{n+1})."""
-        return (len(self.basis(n, weight)) - self.boundary_rank(n, weight)
-                - self.boundary_rank(n + 1, weight))
+        return homology_from_ranks(len(self.basis(n, weight)), self.boundary_rank(n, weight),
+                                   self.boundary_rank(n + 1, weight))
 
 
 def guard_safe_weights(A: AlgebraSpec, weights) -> dict:
@@ -257,7 +255,9 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
         per_n = {n: cx.hh_rank(n) for n in range(n_top + 1)}
         result["per_n"] = per_n
         return result
-    w_lo = window.w_min if window.w_min is not None else 0
+    w_lo = window.w_min
+    if w_lo is None:
+        w_lo = min(0, min(A.weight) * (window.n_max + 1))
     w_hi = window.w_max
     if w_hi is None:
         # Truncated quotients are only meaningful up to the cutoff (the guard

@@ -116,10 +116,6 @@ class PolyForm:
             and self.terms == other.terms
 
 
-def form_from_poly(nvars: int, p: Poly) -> PolyForm:
-    return PolyForm(nvars, {(e, ()): c for e, c in p.items() if c != 0})
-
-
 def monomial_form(nvars: int, exps, dxs) -> PolyForm:
     if isinstance(exps, dict):
         e = [0] * nvars

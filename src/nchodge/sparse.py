@@ -23,7 +23,8 @@ take the shortest row, then its least-populated column.
   and the pivot columns chosen (hence the kernel bases) depend on that.
 
 On top of the core: `homology_rank` gives dim ker(d_out) / im(d_in) as
-cols - rank(d_out) - rank(d_in), with no kernel basis; `span_quotient`
+cols - rank(d_out) - rank(d_in), with no kernel basis, through
+`homology_from_ranks`, the one place that formula is written; `span_quotient`
 eliminates a set of columns once and then reduces any number of vectors
 modulo their span; `solve_in_span` expresses a vector in the span of
 columns.
@@ -248,13 +249,21 @@ def rank_of_columns(columns: list[dict], field: Field) -> int:
     return r
 
 
-def homology_rank(d_out: SparseMatrix, d_in: SparseMatrix | None, field: Field) -> int:
-    """dim ker(d_out) / im(d_in) = d_out.cols - rank(d_out) - rank(d_in).
+def homology_from_ranks(dim: int, rank_out: int, rank_in: int) -> int:
+    """dim ker(d_out) / im(d_in) = dim - rank(d_out) - rank(d_in) at a block
+    of dimension `dim`.  The formula holds only when d_out . d_in = 0; a
+    negative value proves that it does not, and raises StructuralError."""
+    h = dim - rank_out - rank_in
+    if h < 0:
+        raise StructuralError(f"homology dimension {dim} - {rank_out} - {rank_in} "
+                              f"< 0: the differentials do not compose to zero")
+    return h
 
-    Requires d_out . d_in = 0; d_in None stands for the zero map.
-    """
+
+def homology_rank(d_out: SparseMatrix, d_in: SparseMatrix | None, field: Field) -> int:
+    """dim ker(d_out) / im(d_in); d_in None stands for the zero map."""
     r_in = rank(d_in, field) if d_in is not None else 0
-    return d_out.cols - rank(d_out, field) - r_in
+    return homology_from_ranks(d_out.cols, rank(d_out, field), r_in)
 
 
 def span_quotient(columns: list[dict], dim: int, field: Field):

@@ -70,6 +70,15 @@ def test_invalid_structure_rejected():
     assert report.violations[0].witness is not None
 
 
+def test_validate_reports_out_of_range_indices_of_a_graded_spec():
+    # the weight and parity checks skip what index-bounds already reports
+    from dataclasses import replace
+    A = builtin("truncated_poly", m=3)
+    structure = {**A.structure, (1, 1): {7: A.field.one()}}
+    report = validate(replace(A, structure=structure, parity=(0, 0, 0)))
+    assert [v.kind for v in report.violations if v.kind != "associativity"] == ["index-bounds"]
+
+
 def test_glue_and_bimodules():
     P = builtin("point")
     for mk in (trivial_bimodule, zero_bimodule):

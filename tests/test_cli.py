@@ -447,13 +447,13 @@ def test_output_cache_and_stdout_agree(tmp_path, capsys, fmt):
     assert run(capsys, *argv, "--cache-dir", str(cache))[1] == stdout
     [entry] = cache.iterdir()
     key = entry.name.removesuffix(".report")
-    # chern stores its report but never looks it up: replay the entry directly
+    # the entry replays directly, to stdout and to --output
     assert cli._cache_replay(argparse.Namespace(output=None), str(cache), key)
     assert capsys.readouterr().out == stdout
     replayed = tmp_path / "replayed.txt"
     assert cli._cache_replay(argparse.Namespace(output=str(replayed)), str(cache), key)
     assert replayed.read_text(encoding="utf-8") == stdout
-    # hh looks its report up: the second run replays it into --output
+    # a second run replays it into --output
     hh = ("hh", "--algebra", "dual_numbers", "--n-max", "3", "--format", fmt,
           "--cache-dir", str(cache))
     _, hh_out, _ = run(capsys, *hh)
@@ -472,3 +472,282 @@ def test_failed_render_leaves_no_cache_entry(tmp_path, capsys, monkeypatch):
         main(list(argv))
     assert len(capsys.readouterr().out) >= cli._CHUNK
     assert list(cache.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# file algebras are validated once, on load; every field is type-checked
+# ---------------------------------------------------------------------------
+
+
+def _algebra_file(tmp_path, name, edit, **params):
+    from nchodge.algebra import algebra_to_json, builtin
+    obj = algebra_to_json(builtin(name, **params))
+    edit(obj)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _double_e11_e12(obj):
+    del obj["weight"]
+    entry = next(e for e in obj["structure"] if e[:2] == [1, 2])
+    entry[3] = "2/1"
+
+
+def _assert_refused(code, out, err, *words):
+    assert code == 2 and not out, (code, err)
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(w in err for w in words), err
+
+
+@pytest.mark.parametrize("name, params, edit, violation", [
+    # hh used to report negative ranks and exit 0
+    ("mat", {"m": 2}, _double_e11_e12, "associativity"),
+    # x * x^2 = x breaks associativity and the weights; hh died with a KeyError
+    ("truncated_poly", {"m": 3}, lambda o: o["structure"].append([1, 2, 1, "1/1"]),
+     "associativity"),
+], ids=["doubled-constant", "weight-breaking-product"])
+def test_invalid_file_algebra_is_refused(tmp_path, capsys, name, params, edit, violation):
+    path = _algebra_file(tmp_path, name, edit, **params)
+    for command in (("hh", "--n-max", "4"), ("hc", "--n-max", "4", "--u-trunc", "2"),
+                    ("hp", "--n-max", "4", "--u-trunc", "2"), ("ppower", "--field", "F2")):
+        _assert_refused(*run(capsys, command[0], "--algebra", path, *command[1:]),
+                        path, "not a valid algebra", violation)
+    for side in ("--algebra-a", "--algebra-b"):
+        other = "--algebra-b" if side == "--algebra-a" else "--algebra-a"
+        _assert_refused(*run(capsys, "glue", side, path, other, "point"), violation)
+    # validate still reports every violation
+    code, rep, _ = run_json(capsys, "validate", "--algebra", path)
+    assert code == 2 and not rep["result"]["ok"]
+    assert rep["result"]["violations"][0]["kind"] == violation
+
+
+def test_validate_calls_validate_once_on_a_file(tmp_path, capsys, monkeypatch):
+    path = _algebra_file(tmp_path, "mat", _double_e11_e12, m=2)
+    calls = []
+    original = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda A: calls.append(A) or original(A))
+    assert run(capsys, "validate", "--algebra", path)[0] == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o: o["structure"].append([7, 1, 2, "1/1"]),  # validate died with IndexError
+    lambda o: o.update(dim=[3]),
+    lambda o: o.update(dim="x"),
+    lambda o: o.update(dim=True),
+    lambda o: o.update(structure=5),
+    lambda o: o.update(weight=5),
+    lambda o: o.update(weight=[0, 1]),
+    lambda o: o.update(parity=[0]),
+    lambda o: o.update(unit_index=None),
+    lambda o: o.update(unit_index=True),
+    lambda o: o.update(max_weight="4"),
+    lambda o: o.update(name=3),
+    lambda o: o["structure"][0].__setitem__(0, True),
+    lambda o: o["structure"][0].__setitem__(3, 1.5),
+    lambda o: o["structure"][0].__setitem__(3, "1/0"),
+    lambda o: o.update(field={"kind": "prime-field", "p": True}),
+    lambda o: o.update(field={"kind": "prime-field", "p": 4}),
+], ids=["index-out-of-range", "dim-list", "dim-string", "dim-true", "structure-int",
+        "weight-int", "weight-short", "parity-short", "unit-null", "unit-true",
+        "max-weight-string", "name-int", "index-true", "value-float", "value-1/0",
+        "p-true", "p-not-prime"])
+def test_schema_field_types_exit_2(tmp_path, capsys, edit):
+    def with_parity(obj):
+        obj["parity"] = [0, 0, 0]
+        edit(obj)
+    path = _algebra_file(tmp_path, "truncated_poly", with_parity, m=3)
+    for command in (("validate",), ("hh", "--n-max", "2")):
+        _assert_refused(*run(capsys, command[0], "--algebra", path, *command[1:]))
+
+
+@pytest.mark.parametrize("obj", [
+    {"format": "ncg-bivector/1", "nvars": 2, "components": 5},
+    {"format": "ncg-bivector/1", "nvars": True, "components": []},
+    {"format": "ncg-bivector/1", "nvars": 2, "hbar": 0.5},
+    {"format": "ncg-bivector/1", "nvars": 2, "name": ["x"]},
+    {"format": "ncg-bivector/1", "nvars": 2, "components": [
+        {"i": 0, "j": 1, "poly": [{"exponents": [0, True], "coeff": "1"}]}]},
+    {"format": "ncg-bivector/1", "nvars": 2, "components": [
+        {"i": 0, "j": 1, "poly": [{"exponents": [0, 0], "coeff": None}]}]},
+    {"format": "ncg-bivector/1", "nvars": 2, "components": [{"i": 0, "j": 1, "poly": 3}]},
+    [1, 2],
+], ids=["components-int", "nvars-true", "hbar-float", "name-list", "exponent-true",
+        "coeff-null", "poly-int", "not-an-object"])
+def test_bivector_schema_exit_2(tmp_path, capsys, obj):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(obj))
+    _assert_refused(*run(capsys, "poisson", "jacobi", "--bivector", str(path)))
+
+
+@pytest.mark.parametrize("vector", [{"E11*1": True}, {"E11*1": ["1"]}, {"9": "1"}, []],
+                         ids=["true", "list", "index-out-of-range", "not-a-map"])
+def test_idempotent_schema_exit_2(tmp_path, capsys, vector):
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps({"format": "ncg-idempotent/1", "vector": vector}))
+    _assert_refused(*run(capsys, "chern", "--algebra", "mat", "--param", "m=2",
+                         "--u-trunc", "2", "--idempotent", str(path)))
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--f", '[{"exponents": [0, 0], "coeff": "1", "extra": 1}]'),
+    ("--f", '[{"exponents": [0], "coeff": "1"}]'),
+    ("--g", '{"exponents": [0, 0]}'),
+    ("--g", '[{"exponents": [0, 0], "coeff": "x"}]'),
+])
+def test_poisson_term_arguments_exit_2(capsys, option, value):
+    argv = {"--f": '[{"exponents": [1, 0], "coeff": "1"}]',
+            "--g": '[{"exponents": [0, 1], "coeff": "1"}]', option: value}
+    _assert_refused(*run(capsys, "poisson", "bracket", "--bivector", "standard",
+                         "--f", argv["--f"], "--g", argv["--g"]))
+
+
+# ---------------------------------------------------------------------------
+# every command replays its cached report with its exit codes
+# ---------------------------------------------------------------------------
+
+
+def _leaf_commands(parser, prefix=()):
+    """Every runnable command the parser defines, as its argv prefix."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [c for name, p in subs[0].choices.items() for c in _leaf_commands(p, prefix + (name,))]
+
+
+_BROKEN = {"format": "ncg-algebra/1", "name": "x*x=x+1", "field": {"kind": "rationals"},
+           "dim": 2, "unit_index": 0,
+           "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 1, "1"],
+                         [1, 1, 0, "1"], [1, 0, 0, "1"]]}
+
+# argv after the command, and the exit codes without and with --strict
+_REPLAY = {
+    ("validate",): (("--algebra", "{broken}"), (2, 2)),
+    ("hh",): (("--algebra", "dual_numbers", "--n-max", "3"), (0, 0)),
+    ("hc",): (("--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2"), (0, 0)),
+    ("hp",): (("--algebra", "truncated_poly", "--param", "m=3", "--n-max", "4",
+               "--u-trunc", "2"), (0, 3)),
+    ("filtration",): (("--algebra", "dual_numbers", "--n-max", "6", "--u-trunc", "3"), (0, 0)),
+    ("degeneration",): (("--algebra", "mat", "--param", "m=2", "--n-max", "4",
+                         "--u-trunc", "2"), (0, 0)),
+    ("chern",): (("--algebra", "mat", "--param", "m=2", "--u-trunc", "2",
+                  "--idempotent", "{idempotent}"), (0, 0)),
+    ("ppower",): (("--algebra", "dual_numbers", "--field", "F2", "--lift", "eps"), (0, 0)),
+    ("graded-pieces",): (("--dim-v", "2", "--n", "3", "--field", "F3"), (0, 0)),
+    ("charp-compare",): (("--algebra", "truncated_poly", "--param", "m=3", "--field", "F3",
+                          "--n-max", "4", "--u-trunc", "2"), (0, 0)),
+    ("glue",): (("--algebra-a", "point", "--algebra-b", "dual_numbers"), (0, 0)),
+    ("catalogue",): ((), (0, 0)),
+    ("poisson", "bracket"): (("--bivector", "standard", "--f",
+                              '[{"exponents": [1, 0], "coeff": "1"}]', "--g",
+                              '[{"exponents": [0, 1], "coeff": "2/3"}]'), (0, 0)),
+    ("poisson", "jacobi"): (("--bivector", "nonjacobi4", "--degree", "2"), (0, 2)),
+    ("poisson", "lie"): (("--bivector", "xy", "--form",
+                          '[{"exponents": [1, 0], "dxs": [1], "coeff": "1"}]'), (0, 0)),
+    ("poisson", "conjugation"): (("--bivector", "so3", "--degree", "2"), (0, 0)),
+    ("poisson", "star"): (("--nvars", "2", "--degree", "2"), (0, 0)),
+    ("poisson", "homology"): (("--bivector", "standard", "--degree", "3"), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("command", _leaf_commands(cli.build_parser()), ids="-".join)
+def test_every_command_replays_with_its_exit_codes(tmp_path, capsys, monkeypatch, command):
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(_BROKEN))
+    idem = tmp_path / "pi.json"
+    idem.write_text(json.dumps({"format": "ncg-idempotent/1", "vector": {"E11*1": "1"}}))
+    tail, codes = _REPLAY[command]
+    files = {"{broken}": str(broken), "{idempotent}": str(idem)}
+    argv = command + tuple(files.get(a, a) for a in tail)
+    cache, fresh = str(tmp_path / "cache"), str(tmp_path / "fresh")
+    computed = [run(capsys, *argv, "--cache-dir", cache)[:2],
+                run(capsys, *argv, "--strict", "--cache-dir", fresh)[:2]]
+    assert [code for code, _ in computed] == list(codes)
+    assert len(list((tmp_path / "cache").glob("*.report"))) == 1
+
+    def not_called(args, inputs):
+        raise AssertionError("a cached report was computed again")
+
+    name = "-".join(command)
+    monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(compute=not_called))
+    for strict, (code, out) in zip(((), ("--strict",)), computed):
+        for cache_dir in (cache, fresh):
+            assert run(capsys, *argv, *strict, "--cache-dir", cache_dir) == (code, out, "")
+
+
+def test_entry_without_exit_codes_is_recomputed(tmp_path, capsys):
+    # an entry whose first line is "ncg-cache/1 <key>" carries no exit codes:
+    # like any other malformed entry it is computed again and rewritten
+    cache = tmp_path / "cache"
+    argv = ("hp", "--algebra", "truncated_poly", "--param", "m=3", "--n-max", "4",
+            "--u-trunc", "2", "--strict", "--cache-dir", str(cache))
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    [entry] = cache.glob("*.report")
+    key = entry.name.removesuffix(".report")
+    head, body = entry.read_text().split("\n", 1)
+    assert head == f"ncg-cache/2 {key} 0 3"
+    entry.write_text(f"ncg-cache/1 {key}\n{body}")
+    code2, out2, err = run(capsys, *argv)
+    assert (code2, out2) == (3, out)
+    assert "corrupted cache entry" in err
+    assert entry.read_text().split("\n", 1)[0] == head
+
+
+_PPOWER = ("ppower", "--algebra", "dual_numbers", "--field", "F2")
+
+# pairs of commands that differ in one option that changes the report
+_KEY_PAIRS = [
+    (_PPOWER, _PPOWER + ("--lift", "eps")),
+    (_PPOWER + ("--lift", "eps"), _PPOWER),
+    (("hh", "--algebra", "dual_numbers", "--n-max", "3"),
+     ("hh", "--algebra", "dual_numbers", "--n-max", "3", "--w-max", "1")),
+    (("hh", "--algebra", "dual_numbers", "--n-max", "3"),
+     ("hh", "--algebra", "dual_numbers", "--n-max", "3", "--field", "F2")),
+    (("hh", "--algebra", "truncated_poly", "--param", "m=3", "--n-max", "3"),
+     ("hh", "--algebra", "truncated_poly", "--param", "m=4", "--n-max", "3")),
+    (("hc", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2"),
+     ("hc", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "3")),
+    (("graded-pieces", "--dim-v", "2", "--n", "3", "--field", "F3"),
+     ("graded-pieces", "--dim-v", "2", "--n", "3", "--field", "F3", "--format", "csv")),
+    (("glue", "--algebra-a", "point", "--algebra-b", "dual_numbers"),
+     ("glue", "--algebra-a", "point", "--algebra-b", "dual_numbers", "--bimodule", "zero")),
+    (("poisson", "jacobi", "--bivector", "nonjacobi4", "--degree", "2"),
+     ("poisson", "jacobi", "--bivector", "nonjacobi4", "--degree", "3")),
+    (("poisson", "star", "--nvars", "2", "--degree", "2"),
+     ("poisson", "star", "--nvars", "2", "--degree", "2", "--form",
+      '[{"exponents": [1, 0], "dxs": [1], "coeff": "1"}]')),
+]
+
+
+@pytest.mark.parametrize("first,second", _KEY_PAIRS, ids=lambda argv: " ".join(argv))
+def test_options_that_change_the_report_change_the_key(tmp_path, capsys, first, second):
+    # a cached report is never replayed for a command whose options differ
+    cache = str(tmp_path / "cache")
+    assert run(capsys, *first, "--cache-dir", cache)[0] == 0
+    assert run(capsys, *second, "--cache-dir", cache) == run(capsys, *second)
+
+
+def test_bad_lift_label_after_a_cached_run_is_refused(tmp_path, capsys):
+    argv = _PPOWER + ("--cache-dir", str(tmp_path / "cache"))
+    code, rep, _ = run_json(capsys, *argv)
+    assert code == 0 and "lift" not in rep["result"]
+    code, rep, _ = run_json(capsys, *argv, "--lift", "eps")
+    assert code == 0 and "lift" in rep["result"]
+    code, out, err = run(capsys, *argv, "--lift", "bogus")
+    assert (code, out) == (2, "") and "unknown basis label" in err
+
+
+def test_validate_reports_a_graded_unit_away_from_index_0(tmp_path, capsys):
+    # the unit is basis vector 1, of weight 1 and odd: the file is rebased
+    # by relabelling and validate reports both violations
+    path = tmp_path / "unit1.json"
+    path.write_text(json.dumps({
+        "format": "ncg-algebra/1", "name": "shifted", "field": {"kind": "rationals"},
+        "dim": 2, "unit_index": 1, "weight": [0, 1], "parity": [0, 1],
+        "structure": [[1, 1, 1, "1"], [1, 0, 0, "1"], [0, 1, 0, "1"]]}))
+    code, rep, err = run_json(capsys, "validate", "--algebra", str(path))
+    assert (code, err) == (2, "")
+    kinds = {v["kind"] for v in rep["result"]["violations"]}
+    assert {"weight-unit", "parity-unit"} <= kinds

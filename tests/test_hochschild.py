@@ -1,11 +1,15 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from nchodge.algebra import builtin
 from nchodge.fields import GF, QQ
 from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis,
                                 guard_safe_weights, hh0_direct, hh_ranks,
                                 hkr_reference)
+from nchodge.sparse import StructuralError
 
 
 def _compose_is_zero(A, first, second, n_top):
@@ -140,3 +144,28 @@ def test_raw_image_kernel_accumulates_scaled_images():
                                             F.mul(F.from_fraction(Fraction(c)), v))
                 expected = {t: v for t, v in expected.items() if not F.is_zero(v)}
                 assert cx.normalized(acc) == expected
+
+
+def test_hh_rank_refuses_a_non_associative_structure():
+    # mat(2) with E11*E12 doubled is not associative, so its "boundary" does
+    # not square to zero and dim - rank - rank goes negative at n = 1
+    A = builtin("mat", QQ, m=2)
+    structure = dict(A.structure)
+    structure[(1, 2)] = {k: 2 * c for k, c in structure[(1, 2)].items()}
+    cx = ChainComplex(replace(A, structure=structure, weight=None))
+    with pytest.raises(StructuralError):
+        [cx.hh_rank(n) for n in range(4)]
+
+
+def test_hh_ranks_with_negative_weights():
+    # regrading eps to weight -2 moves every class to a negative weight but
+    # keeps the ranks per n, and a grading of mat(2) by -1/+1 on E12/E21
+    # keeps them too
+    window = DegreeWindow(5)
+    dual = builtin("dual_numbers", QQ)
+    negative = hh_ranks(replace(dual, weight=(0, -2)), window)
+    assert negative["per_n"] == hh_ranks(dual, window)["per_n"]
+    assert all(w <= 0 for _, w in negative["per_n_weight"])
+    mat = builtin("mat", QQ, m=2)
+    assert (hh_ranks(replace(mat, weight=(0, 0, -1, 1)), window)["per_n"]
+            == hh_ranks(replace(mat, weight=None), window)["per_n"])

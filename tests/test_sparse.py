@@ -5,8 +5,9 @@ import pytest
 
 from nchodge import oracle
 from nchodge.fields import GF, QQ
-from nchodge.sparse import (SparseMatrix, StructuralError, homology_rank, kernel_basis,
-                            matrix_from_columns, rank, rank_of_columns, solve_in_span)
+from nchodge.sparse import (SparseMatrix, StructuralError, homology_from_ranks, homology_rank,
+                            kernel_basis, matrix_from_columns, rank, rank_of_columns,
+                            solve_in_span)
 from nchodge.umodule import UComplex, UTruncation, u_module_decompose
 
 
@@ -188,6 +189,17 @@ def test_homology_rank_matches_dense_oracle(F):
         assert homology_rank(d_out, d_in, F) == expected
         assert homology_rank(d_out, None, F) == n - (oracle.dense_rank(d_out_rows, F)
                                                      if b else 0)
+
+
+def test_homology_rank_refuses_a_non_complex():
+    # d_out . d_in = id != 0 on a 1-dimensional block: dim - ranks = 1 - 1 - 1
+    one = M(1, 1, {(0, 0): 1})
+    assert not one.mul(one, QQ).is_zero()
+    with pytest.raises(StructuralError, match="do not compose to zero"):
+        homology_rank(one, one, QQ)
+    with pytest.raises(StructuralError):
+        homology_from_ranks(3, 2, 2)
+    assert homology_from_ranks(3, 2, 1) == 0
 
 
 def test_solve_in_span():
