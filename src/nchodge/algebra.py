@@ -488,6 +488,9 @@ def _truncated_poly(field: Field, m: int) -> AlgebraSpec:
 
 
 def _poly_truncated(field: Field, nvars: int, max_weight: int) -> AlgebraSpec:
+    if nvars < 1 or max_weight < 0:
+        raise AlgebraError(f"poly_truncated needs vars >= 1 and max_weight >= 0, "
+                           f"got vars={nvars}, max_weight={max_weight}")
     mons = _monomials(nvars, max_weight)
     index = {mon: i for i, mon in enumerate(mons)}
     one = field.one()
@@ -508,6 +511,8 @@ def _quantum_plane(field: Field, q, max_weight: int) -> AlgebraSpec:
     """k<x,y>/(yx = q xy), truncated above total weight max_weight."""
     if field.is_zero(q):
         raise AlgebraError("q must be nonzero")
+    if max_weight < 0:
+        raise AlgebraError(f"quantum_plane needs max_weight >= 0, got {max_weight}")
     mons = _monomials(2, max_weight)
     index = {mon: i for i, mon in enumerate(mons)}
     structure = {}

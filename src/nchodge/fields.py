@@ -13,18 +13,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every n below
+# this bound (Sorenson and Webster, 2015); above it no answer is given.
+PRIME_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_LIMIT; ValueError above it."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"cannot certify {n} as prime: the deterministic test "
+                         f"is exact only below PRIME_LIMIT = {PRIME_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -126,6 +126,8 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     ch(pi) = pi + sum_{1<=k<N} (-1)^k (2k)!/k! (pi - 1/2) (x) pi^{(x)2k} u^k,
     reduced into the chain basis; the (d + uB)-cycle certificate is checked
     and a failure raises rather than renormalizing."""
+    if N < 1:
+        raise ContractError(f"chern_idempotent needs u-truncation N >= 1, got {N}")
     A = pi.algebra
     F = A.field
     p = F.characteristic

@@ -8,15 +8,32 @@ fixed by <dx ^ dy, del_x ^ del_y> via iota_alpha = sum_{i<j} alpha^{ij}
 iota_{del_j} iota_{del_i} (so iota_{del_x ^ del_y}(dx ^ dy) = 1); the star
 sign is pinned by the identity e^{w ^ .} = e^{iota} * e^{-iota}, which the
 test suite verifies exactly.
+
+Every operator is linear and is applied as a linear map over term tables.
+A form is its dict of terms, (exponent tuple, increasing dx index tuple)
+-> nonzero coefficient, and a polynomial its dict exponent tuple ->
+coefficient.  `_apply` adds scale * L(terms) into an output dict, reading
+the image of each basis term from a table; a `_Table` computes the image of
+a term on first use and keeps it.  Each check makes its tables (d, iota,
+exp(+-iota), wedge with w, the star, the bracket of each ordered monomial
+pair) once per call, so no image is computed twice within a call and
+nothing is kept between calls.
+
+Validation happens where outside input enters: the public `PolyForm(...)`
+constructor (used by `monomial_form` and by the command line's --form)
+checks every term.  Results of the operators keep the invariants by
+construction (sorted distinct dx indices in range, non-negative exponents
+of length nvars, no zero coefficient) and are wrapped unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import factorial
+from operator import add
 
 from .fields import QQ
 from .sparse import SparseMatrix, homology_rank
@@ -28,37 +45,85 @@ class PoissonError(ValueError):
     pass
 
 
-def poly_add(p: Poly, q: Poly, scale=1) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, 0) + scale * c
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
+# ---------------------------------------------------------------------------
+# linear maps over term tables
+# ---------------------------------------------------------------------------
+
+
+class _Table(dict):
+    """The images of basis terms under one linear map: term -> image dict,
+    each computed by `image_of` on first use and kept.  Images are shared,
+    so they are read, never written."""
+
+    __slots__ = ("image_of",)
+
+    def __init__(self, image_of):
+        super().__init__()
+        self.image_of = image_of
+
+    def __missing__(self, term):
+        image = self[term] = self.image_of(term)
+        return image
+
+
+def _apply(image_of_term, terms: dict, scale, out: dict) -> dict:
+    """out += scale * L(terms), where image_of_term maps each basis term to
+    its image under L (None: L is the identity); zero sums are dropped.
+    Returns out."""
+    if not scale:
+        return out
+    for k, c in terms.items():
+        c = c * scale
+        for k2, c2 in ((k, 1),) if image_of_term is None else image_of_term[k].items():
+            s = out.get(k2, 0) + c * c2
+            if s:
+                out[k2] = s
+            else:
+                out.pop(k2, None)
     return out
+
+
+def _exp_term(image_of_term, sign: int, term) -> dict:
+    """exp(sign * L) of one basis term, for a nilpotent L given by its
+    table: the series stops at the first zero power."""
+    out = {term: 1}
+    power = {term: 1}
+    k = 1
+    while True:
+        power = _apply(image_of_term, power, 1, {})
+        if not power:
+            return out
+        _apply(None, power, QQ.from_fraction(Fraction(sign ** k, factorial(k))), out)
+        k += 1
+
+
+def _times(S: tuple, b: dict) -> dict:
+    """dx_S ^ b for b a dict of increasing index tuples -> coefficients,
+    with the Koszul sign of sorting each concatenation."""
+    out = {}
+    for W, c in b.items():
+        if set(S).isdisjoint(W):
+            swaps = sum(1 for s in S for t in W if s > t)
+            out[tuple(sorted(S + W))] = -c if swaps % 2 else c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# polynomials and forms
+# ---------------------------------------------------------------------------
+
+
+def poly_add(p: Poly, q: Poly, scale=1) -> Poly:
+    return _apply(None, q, scale, dict(p))
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
+    return _apply({e1: {tuple(map(add, e1, e2)): c2 for e2, c2 in q.items()} for e1 in p},
+                  p, 1, {})
 
 
 def poly_diff(p: Poly, i: int) -> Poly:
-    out: Poly = {}
-    for e, c in p.items():
-        if e[i]:
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[e2] = out.get(e2, 0) + c * e[i]
-    return {e: c for e, c in out.items() if c != 0}
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
 
 
 def monomial(nvars: int, exps: dict | tuple) -> Poly:
@@ -75,7 +140,8 @@ class PolyForm:
     """Polynomial differential form sum c . x^e dx_S on affine nvars-space.
 
     terms maps (exponent tuple, strictly increasing dx index tuple) to a
-    nonzero rational.
+    nonzero rational.  The constructor checks every term and drops zero
+    coefficients; operator results are built by `_of`, unchecked.
     """
 
     nvars: int
@@ -90,23 +156,21 @@ class PolyForm:
             if c == 0:
                 del self.terms[(e, S)]
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "PolyForm":
+        """A form from terms that keep the invariants, without checking."""
+        form = cls.__new__(cls)
+        form.nvars, form.terms = nvars, terms
+        return form
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def add(self, other: "PolyForm", scale=1) -> "PolyForm":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + scale * c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return PolyForm(self.nvars, out)
+        return PolyForm._of(self.nvars, _apply(None, other.terms, scale, dict(self.terms)))
 
     def scale(self, a) -> "PolyForm":
-        if a == 0:
-            return PolyForm(self.nvars, {})
-        return PolyForm(self.nvars, {k: a * c for k, c in self.terms.items()})
+        return PolyForm._of(self.nvars, _apply(None, self.terms, a, {}))
 
     def coefficient_degree(self) -> int:
         return max((sum(e) for (e, _) in self.terms), default=0)
@@ -125,41 +189,42 @@ def monomial_form(nvars: int, exps, dxs) -> PolyForm:
     return PolyForm(nvars, {(tuple(exps), tuple(dxs)): 1})
 
 
+def _d_term(term) -> dict:
+    """d(x^e dx_S) = sum_i e_i x^{e - 1_i} dx_i ^ dx_S."""
+    e, S = term
+    out = {}
+    for i, k in enumerate(e):
+        if k and i not in S:
+            pos = sum(1 for j in S if j < i)
+            out[(e[:i] + (k - 1,) + e[i + 1:], tuple(sorted(S + (i,))))] = -k if pos % 2 else k
+    return out
+
+
+def _iota_term(alpha: "Bivector", term) -> dict:
+    """iota_alpha(x^e dx_S) = sum_{i<j} alpha^{ij} x^e iota_{del_j} iota_{del_i} dx_S."""
+    e, S = term
+    out: dict = {}
+    for (i, j), p in alpha.components.items():
+        if i not in S or j not in S:
+            continue
+        pi = S.index(i)
+        rest = S[:pi] + S[pi + 1:]
+        pj = rest.index(j)
+        rest = rest[:pj] + rest[pj + 1:]
+        _apply(None, {(tuple(map(add, e, e2)), rest): c2 for e2, c2 in p.items()},
+               (-1) ** (pi + pj), out)
+    return out
+
+
+def _lie(d_of: _Table, iota_of: _Table, terms: dict, scale, out: dict) -> dict:
+    """out += scale * L_alpha(terms), L_alpha = iota_alpha d - d iota_alpha."""
+    _apply(iota_of, _apply(d_of, terms, 1, {}), scale, out)
+    return _apply(d_of, _apply(iota_of, terms, 1, {}), -scale, out)
+
+
 def d(form: PolyForm) -> PolyForm:
     """Exterior derivative."""
-    out: dict = {}
-    for (e, S), c in form.terms.items():
-        for i in range(form.nvars):
-            if e[i] == 0 or i in S:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            pos = sum(1 for j in S if j < i)
-            sign = (-1) ** pos
-            S2 = tuple(sorted(S + (i,)))
-            key = (e2, S2)
-            s = out.get(key, 0) + sign * c * e[i]
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return PolyForm(form.nvars, out)
-
-
-def _interior(form: PolyForm, i: int) -> PolyForm:
-    """Contraction with del_i: removes dx_i with the positional sign."""
-    out: dict = {}
-    for (e, S), c in form.terms.items():
-        if i not in S:
-            continue
-        pos = S.index(i)
-        sign = (-1) ** pos
-        key = (e, S[:pos] + S[pos + 1:])
-        s = out.get(key, 0) + sign * c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return PolyForm(form.nvars, out)
+    return PolyForm._of(form.nvars, _apply(_Table(_d_term), form.terms, 1, {}))
 
 
 @dataclass
@@ -186,27 +251,14 @@ class Bivector:
 def iota(alpha: Bivector, form: PolyForm) -> PolyForm:
     """iota_alpha = sum_{i<j} alpha^{ij} iota_{del_j} iota_{del_i};
     lowers form degree by 2 and fixes <dx^dy, del_x^del_y> = 1."""
-    out = PolyForm(form.nvars, {})
-    for (i, j), p in alpha.components.items():
-        contracted = _interior(_interior(form, i), j)
-        if contracted.is_zero():
-            continue
-        terms: dict = {}
-        for (e, S), c in contracted.terms.items():
-            for e2, c2 in p.items():
-                key = (tuple(a + b for a, b in zip(e, e2)), S)
-                s = terms.get(key, 0) + c * c2
-                if s == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        out = out.add(PolyForm(form.nvars, terms))
-    return out
+    return PolyForm._of(form.nvars, _apply(_Table(partial(_iota_term, alpha)),
+                                           form.terms, 1, {}))
 
 
 def lie_derivative(alpha: Bivector, form: PolyForm) -> PolyForm:
     """The Brylinski differential L_alpha = iota_alpha d - d iota_alpha."""
-    return iota(alpha, d(form)).add(d(iota(alpha, form)), -1)
+    return PolyForm._of(form.nvars, _lie(_Table(_d_term), _Table(partial(_iota_term, alpha)),
+                                         form.terms, 1, {}))
 
 
 def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
@@ -215,40 +267,41 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
     for (i, j), p in alpha.components.items():
         term = poly_add(poly_mul(poly_diff(f, i), poly_diff(g, j)),
                         poly_mul(poly_diff(f, j), poly_diff(g, i)), -1)
-        out = poly_add(out, poly_mul(p, term))
+        _apply(None, poly_mul(p, term), 1, out)
     return out
 
 
-def _monomials_upto(nvars: int, deg: int):
-    out = []
-
-    def rec(prefix, left, slots):
-        if slots == 1:
-            for e in range(left + 1):
-                out.append(tuple(prefix + [e]))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], left - e, slots - 1)
-
-    rec([], deg, nvars)
-    return sorted(set(out), key=lambda e: (sum(e), e))
+def _monomials_upto(nvars: int, deg: int) -> list:
+    """Exponent tuples of total degree <= deg, ordered by (degree, tuple)."""
+    if deg < 0:
+        return []
+    out = [()]
+    for _ in range(nvars):
+        out = [e + (k,) for e in out for k in range(deg - sum(e) + 1)]
+    return sorted(out, key=lambda e: (sum(e), e))
 
 
 def jacobi_check(alpha: Bivector, D: int) -> dict:
     """Evaluate the Jacobiator {f,{g,h}} + cyclic on all coordinate triples
-    and all monomial triples of degree <= D; pass iff identically zero."""
+    and all monomial triples of degree <= D; pass iff identically zero.
+
+    The bracket of each ordered pair of monomials is computed once, by
+    `poisson_bracket`; {f, {g, h}} follows bilinearly from those."""
     v = alpha.nvars
-    coords = [monomial(v, {i: 1}) for i in range(v)]
-    mons = [monomial(v, e) for e in _monomials_upto(v, D) if sum(e) > 0]
+    coords = [tuple(int(k == i) for k in range(v)) for i in range(v)]
+    mons = [e for e in _monomials_upto(v, D) if sum(e) > 0]
+    # brackets[f][g] = {x^f, x^g}, for monomials f and g
+    brackets = _Table(lambda f: _Table(
+        lambda g: poisson_bracket({f: 1}, {g: 1}, alpha)))
 
     def jacobiator(f, g, h):
-        out = poisson_bracket(f, poisson_bracket(g, h, alpha), alpha)
-        out = poly_add(out, poisson_bracket(g, poisson_bracket(h, f, alpha), alpha))
-        out = poly_add(out, poisson_bracket(h, poisson_bracket(f, g, alpha), alpha))
+        out: Poly = {}
+        for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
+            _apply(brackets[a], brackets[b][c], 1, out)
         return out
 
     for trip in combinations(range(len(coords)), 3):
-        r = jacobiator(coords[trip[0]], coords[trip[1]], coords[trip[2]])
+        r = jacobiator(*(coords[i] for i in trip))
         if r:
             return {"pass": False, "witness": ["coords", list(trip)], "value": _poly_str(r)}
     for a in range(len(mons)):
@@ -269,33 +322,29 @@ def _poly_str(p: Poly) -> str:
     return " + ".join(bits) or "0"
 
 
-def _exp_iota(alpha: Bivector, form: PolyForm, sign: int = 1) -> PolyForm:
-    """exp(sign * iota_alpha) applied to a form (finite: degree drops by 2)."""
-    out = form
-    term = form
-    k = 1
-    while True:
-        term = iota(alpha, term)
-        if term.is_zero():
-            return out
-        out = out.add(term, QQ.from_fraction(Fraction(sign ** k, factorial(k))))
-        k += 1
+def _monomial_terms(nvars: int, D: int):
+    """Every basis term (e, S) of coefficient degree <= D, by exponent
+    first, then by the size and order of S."""
+    for e in _monomials_upto(nvars, D):
+        for r in range(nvars + 1):
+            for S in combinations(range(nvars), r):
+                yield e, S
 
 
 def conjugation_check(alpha: Bivector, D: int) -> dict:
     """Verify exp(iota) d exp(-iota) = d + L_alpha on every monomial form of
     coefficient degree <= D (exactly; no truncation is needed since the
     exponentials are finite)."""
-    v = alpha.nvars
-    for e in _monomials_upto(v, D):
-        for r in range(v + 1):
-            for S in combinations(range(v), r):
-                mu = monomial_form(v, e, S)
-                lhs = _exp_iota(alpha, d(_exp_iota(alpha, mu, -1)))
-                rhs = d(mu).add(lie_derivative(alpha, mu))
-                if lhs != rhs:
-                    return {"pass": False,
-                            "witness": {"exponents": list(e), "dxs": list(S)}}
+    d_of = _Table(_d_term)
+    iota_of = _Table(partial(_iota_term, alpha))
+    exp_plus = _Table(partial(_exp_term, iota_of, 1))
+    exp_minus = _Table(partial(_exp_term, iota_of, -1))
+    for mu in _monomial_terms(alpha.nvars, D):
+        lhs = _apply(exp_plus, _apply(d_of, exp_minus[mu], 1, {}), 1, {})
+        rhs = _lie(d_of, iota_of, {mu: 1}, 1, dict(d_of[mu]))
+        if lhs != rhs:
+            return {"pass": False,
+                    "witness": {"exponents": list(mu[0]), "dxs": list(mu[1])}}
     return {"pass": True, "witness": None}
 
 
@@ -311,44 +360,21 @@ class ConstantSymplectic:
     nvars: int
 
     def __post_init__(self):
-        if self.nvars % 2 != 0:
-            raise PoissonError("symplectic dimension must be even")
+        if self.nvars < 2 or self.nvars % 2 != 0:
+            raise PoissonError(f"symplectic dimension must be positive and even, "
+                               f"got {self.nvars}")
 
     def pairs(self):
         return [(2 * a, 2 * a + 1) for a in range(self.nvars // 2)]
 
     def form(self) -> PolyForm:
         zero = tuple([0] * self.nvars)
-        return PolyForm(self.nvars, {(zero, (i, j)): 1
-                                     for i, j in self.pairs()})
+        return PolyForm._of(self.nvars, {(zero, (i, j)): 1 for i, j in self.pairs()})
 
     def inverse_bivector(self) -> Bivector:
         zero = tuple([0] * self.nvars)
         return Bivector(self.nvars, {(i, j): {zero: 1}
                                      for i, j in self.pairs()}, name="standard")
-
-
-def _grassmann_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ga, ca in a.items():
-        for gb, cb in b.items():
-            if set(ga) & set(gb):
-                continue
-            merged = ga + gb
-            # Koszul sign of sorting the concatenation
-            sign = 1
-            lst = list(merged)
-            for i in range(len(lst)):
-                for j in range(i + 1, len(lst)):
-                    if lst[i] > lst[j]:
-                        sign = -sign
-            key = tuple(sorted(merged))
-            s = out.get(key, 0) + sign * ca * cb
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -358,28 +384,24 @@ def _star_of_dx(v: int, S: tuple) -> tuple:
     # generators: 0..v-1 are xi_i, v..2v-1 are eta_i
     kernel_b: dict = {}
     for i, j in ConstantSymplectic(v).pairs():
-        kernel_b = poly_add(kernel_b, {(i, v + j): 1})
-        kernel_b = poly_add(kernel_b, {(j, v + i): -1})
-    exp_b = {(): 1}
-    term = {(): 1}
-    for k in range(1, v + 1):
-        term = _grassmann_mul(term, kernel_b)
-        if not term:
-            break
-        for g, c in term.items():
-            s = exp_b.get(g, 0) + Fraction(c, factorial(k))
-            if s == 0:
-                exp_b.pop(g, None)
-            else:
-                exp_b[g] = s
+        kernel_b[(i, v + j)] = 1
+        kernel_b[(j, v + i)] = -1
+    # exp(B) = exp(. ^ B) applied to the empty product 1
+    exp_b = _exp_term(_Table(partial(_times, b=kernel_b)), 1, ())
     full = tuple(range(v))
     global_sign = (-1) ** (v // 2)
     out = []
-    for g, cg in _grassmann_mul({S: 1}, exp_b).items():
+    for g, cg in _times(S, exp_b).items():
         if tuple(i for i in g if i < v) == full:
             out.append((tuple(i - v for i in g if i >= v),
                         QQ.from_fraction(Fraction(global_sign * cg))))
     return tuple(out)
+
+
+def _star_term(v: int, term) -> dict:
+    """star(x^e dx_S) = x^e * star(dx_S)."""
+    e, S = term
+    return {(e, eta): c for eta, c in _star_of_dx(v, S)}
 
 
 def hodge_star(form: PolyForm, omega: ConstantSymplectic) -> PolyForm:
@@ -398,16 +420,7 @@ def hodge_star(form: PolyForm, omega: ConstantSymplectic) -> PolyForm:
     v = omega.nvars
     if form.nvars != v:
         raise PoissonError("variable count mismatch")
-    out: dict = {}
-    for (e, S), c in form.terms.items():
-        for eta_part, cg in _star_of_dx(v, S):
-            key = (e, eta_part)
-            s = out.get(key, 0) + c * cg
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return PolyForm(v, out)
+    return PolyForm._of(v, _apply(_Table(partial(_star_term, v)), form.terms, 1, {}))
 
 
 def star_identity_check(nvars: int, D: int) -> dict:
@@ -421,46 +434,19 @@ def star_identity_check(nvars: int, D: int) -> dict:
     variant with opposite exponents forces +1 = -1.
     """
     omega = ConstantSymplectic(nvars)
-    alpha = omega.inverse_bivector()
-    w = omega.form()
-
-    def wedge_exp_omega(mu: PolyForm) -> PolyForm:
-        out = mu
-        term = mu
-        k = 1
-        while True:
-            nxt: dict = {}
-            for (e, S), c in term.terms.items():
-                for (_, W), cw in w.terms.items():
-                    if set(W) & set(S):
-                        continue
-                    lst = list(S) + list(W)
-                    sign = 1
-                    for ii in range(len(lst)):
-                        for jj in range(ii + 1, len(lst)):
-                            if lst[ii] > lst[jj]:
-                                sign = -sign
-                    key = (e, tuple(sorted(lst)))
-                    s = nxt.get(key, 0) + sign * c * cw
-                    if s == 0:
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = s
-            term = PolyForm(mu.nvars, nxt)
-            if term.is_zero():
-                return out
-            out = out.add(term, QQ.from_fraction(Fraction(1, factorial(k))))
-            k += 1
-
-    for e in _monomials_upto(nvars, D):
-        for r in range(nvars + 1):
-            for S in combinations(range(nvars), r):
-                mu = monomial_form(nvars, e, S)
-                lhs = wedge_exp_omega(mu)
-                rhs = _exp_iota(alpha, hodge_star(_exp_iota(alpha, mu), omega))
-                if lhs != rhs:
-                    return {"pass": False,
-                            "witness": {"exponents": list(e), "dxs": list(S)}}
+    w = {S: c for (_, S), c in omega.form().terms.items()}
+    iota_of = _Table(partial(_iota_term, omega.inverse_bivector()))
+    exp_iota = _Table(partial(_exp_term, iota_of, 1))
+    star_of = _Table(partial(_star_term, nvars))
+    # mu -> mu ^ w
+    wedge_w = _Table(lambda term: {(term[0], S): c for S, c in _times(term[1], w).items()})
+    exp_wedge = _Table(partial(_exp_term, wedge_w, 1))
+    for mu in _monomial_terms(nvars, D):
+        lhs = exp_wedge[mu]
+        rhs = _apply(exp_iota, _apply(star_of, exp_iota[mu], 1, {}), 1, {})
+        if lhs != rhs:
+            return {"pass": False,
+                    "witness": {"exponents": list(mu[0]), "dxs": list(mu[1])}}
     return {"pass": True, "witness": None}
 
 
@@ -484,11 +470,11 @@ def _form_basis(nvars: int, D: int):
     return out
 
 
-def _folded_ranks(alpha: Bivector, D: int):
+def _folded_ranks(alpha: Bivector, D: int, diff: _Table):
     """Ranks of the folded (d + hbar L_alpha)-complex on forms of total
-    degree <= D (overflowing terms dropped)."""
-    v = alpha.nvars
-    basis = _form_basis(v, D)
+    degree <= D (overflowing terms dropped); diff is the table of
+    d + hbar L_alpha."""
+    basis = _form_basis(alpha.nvars, D)
     evens = [b for b in basis if len(b[1]) % 2 == 0]
     odds = [b for b in basis if len(b[1]) % 2 == 1]
     idx_e = {b: i for i, b in enumerate(evens)}
@@ -496,10 +482,8 @@ def _folded_ranks(alpha: Bivector, D: int):
 
     def diff_matrix(src, dst_idx):
         entries = {}
-        for c, (e, S) in enumerate(src):
-            mu = monomial_form(v, e, S)
-            img = d(mu).add(lie_derivative(alpha, mu).scale(alpha.hbar))
-            for (e2, S2), coeff in img.terms.items():
+        for c, mu in enumerate(src):
+            for (e2, S2), coeff in diff[mu].items():
                 if sum(e2) + len(S2) > D:
                     continue  # truncation overflow, flagged by guard logic
                 entries[(dst_idx[(e2, S2)], c)] = coeff
@@ -531,8 +515,11 @@ def poisson_homology_ranks(alpha: Bivector, D: int) -> dict:
     guard = max(2, alpha.coefficient_degree())
     if D - guard < 0:
         raise PoissonError(f"degree bound {D} too small for guard band {guard}")
-    full = _folded_ranks(alpha, D)
-    guarded = _folded_ranks(alpha, D - guard)
+    d_of = _Table(_d_term)
+    iota_of = _Table(partial(_iota_term, alpha))
+    diff = _Table(lambda mu: _lie(d_of, iota_of, {mu: 1}, alpha.hbar, dict(d_of[mu])))
+    full = _folded_ranks(alpha, D, diff)
+    guarded = _folded_ranks(alpha, D - guard, diff)
     stable = full == guarded
     return {
         "even": guarded["even"],

@@ -96,21 +96,23 @@ class SparseMatrix:
 
     def mul(self, other: "SparseMatrix", field: Field) -> "SparseMatrix":
         """Matrix product self @ other."""
+        return SparseMatrix(self.rows, other.cols,
+                            reduced_entries(self.mul_into(other, {}), field))
+
+    def mul_into(self, other: "SparseMatrix", out: dict) -> dict:
+        """out += self @ other in plain arithmetic: entries are neither
+        reduced mod p nor cleared of zeros; `reduced_entries` does both once
+        per entry.  Returns out."""
         if self.cols != other.rows:
             raise StructuralError("shape mismatch in mul")
+        if not (self.entries and other.entries):
+            return out
         left_cols = self.columns()
-        out = {}
-        zero = field.zero()
         for (r, c), v in other.entries.items():
-            col = left_cols[r]
-            for rr, w in col.items():
+            for rr, w in left_cols[r].items():
                 k = (rr, c)
-                s = field.add(out.get(k, zero), field.mul(w, v))
-                if field.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return SparseMatrix(self.rows, other.cols, out)
+                out[k] = out.get(k, 0) + w * v
+        return out
 
     def apply(self, vec: dict, field: Field) -> dict:
         """Apply to a sparse column vector {index: value}."""
@@ -129,6 +131,14 @@ class SparseMatrix:
                 else:
                     out[r] = s
         return out
+
+
+def reduced_entries(entries: dict, field: Field) -> dict:
+    """Raw sums as field elements: reduced mod p over F_p, zeros dropped."""
+    p = field.p
+    if p is None:
+        return {k: v for k, v in entries.items() if v}
+    return {k: r for k, v in entries.items() if (r := v % p)}
 
 
 def _row_echelon(data, field: Field, want_basis: bool):

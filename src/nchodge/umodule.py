@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
 from .sparse import (SparseMatrix, StructuralError, kernel_basis, rank_of_columns,
-                     span_quotient)
+                     reduced_entries, span_quotient)
 
 
 @dataclass(frozen=True)
@@ -149,15 +149,12 @@ def _check_square_zero(c: UComplex, field: Field):
         if d1 is None or d2 is None:
             continue
         for t in range(N):
-            acc = None
-            for a in range(t + 1):
-                b = t - a
-                if a >= len(d1) or b >= len(d2) or d1[a].is_zero() or d2[b].is_zero():
-                    continue
-                term = d1[a].mul(d2[b], field)
-                acc = term if acc is None else acc.add(term, field)
-            if acc is not None and not acc.is_zero():
-                (r, cidx), v = sorted(acc.entries.items())[0]
+            acc: dict = {}
+            for a in range(max(0, t + 1 - len(d2)), min(t + 1, len(d1))):
+                d1[a].mul_into(d2[t - a], acc)
+            acc = reduced_entries(acc, field)
+            if acc:
+                (r, cidx), v = min(acc.items())
                 raise ContractViolation(
                     f"d^2 != 0 at position {pos + 1}, u^{t} coefficient, "
                     f"entry ({r},{cidx}) = {v}"

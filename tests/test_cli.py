@@ -751,3 +751,36 @@ def test_validate_reports_a_graded_unit_away_from_index_0(tmp_path, capsys):
     assert (code, err) == (2, "")
     kinds = {v["kind"] for v in rep["result"]["violations"]}
     assert {"weight-unit", "parity-unit"} <= kinds
+
+
+@pytest.mark.parametrize("u_trunc", ["0", "-1"])
+def test_chern_refuses_a_non_positive_truncation(tmp_path, capsys, u_trunc):
+    # it used to exit 0 and certify the empty chain as a nonzero cycle
+    idem = tmp_path / "e11.json"
+    idem.write_text(json.dumps({"format": "ncg-idempotent/1", "vector": {"E11*1": "1/1"}}))
+    _assert_refused(*run(capsys, "chern", "--algebra", "mat", "--param", "m=2",
+                         "--u-trunc", u_trunc, "--idempotent", str(idem)), "N >= 1")
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("poisson", "star", "--nvars", "0", "--degree", "2"), ("positive and even",)),
+    (("poisson", "star", "--nvars", "-2", "--degree", "2"), ("positive and even",)),
+    (("hh", "--algebra", "poly_truncated", "--param", "vars=0", "--n-max", "2"),
+     ("vars >= 1",)),
+    (("hh", "--algebra", "poly_truncated", "--param", "max_weight=-1", "--n-max", "2"),
+     ("max_weight >= 0",)),
+    (("hh", "--algebra", "quantum_plane", "--param", "max_weight=-2", "--n-max", "2"),
+     ("max_weight >= 0",)),
+])
+def test_non_positive_sizes_exit_2(capsys, argv, words):
+    # these ended in a RecursionError or IndexError traceback
+    _assert_refused(*run(capsys, *argv), *words)
+
+
+def test_large_prime_field_is_decided_at_once(capsys):
+    code, rep, _ = run_json(capsys, "hh", "--algebra", "point",
+                            "--field", "F1000000000000000003", "--n-max", "1")
+    assert code == 0 and rep["field"] == "F1000000000000000003"
+    # 2^89 - 1 is prime, but above the bound where the test is exact
+    _assert_refused(*run(capsys, "hh", "--algebra", "point", "--field",
+                         f"F{2 ** 89 - 1}", "--n-max", "1"), "PRIME_LIMIT")

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from nchodge.fields import GF, QQ, Field, format_scalar, parse_field, parse_scalar
+from nchodge.fields import (GF, PRIME_LIMIT, QQ, Field, _is_prime, format_scalar,
+                            parse_field, parse_scalar)
 
 
 def test_rationals_descriptor():
@@ -52,3 +53,48 @@ def test_from_fraction_mod_p():
     assert F.from_fraction(Fraction(1, 2)) == 2  # 1/2 = 2 mod 3
     with pytest.raises(ZeroDivisionError):
         F.from_fraction(Fraction(1, 3))
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert all(_is_prime(n) == _trial_division(n) for n in range(100_000))
+
+
+@pytest.mark.parametrize("n", [2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 9 + 7,
+                               998244353, 2 ** 64 - 59, 10 ** 24 + 7])
+def test_is_prime_known_primes(n):
+    assert _is_prime(n)
+
+
+@pytest.mark.parametrize("n", [
+    # Carmichael numbers
+    561, 1105, 1729, 2465, 41041, 825265, 321197185, 5394826801, 232250619601,
+    9746347772161,
+    # the least strong pseudoprimes to the first k prime bases, k = 1 .. 12
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    # products of two large primes
+    (2 ** 31 - 1) * (10 ** 9 + 7), (10 ** 9 + 7) * (10 ** 9 + 9), (2 ** 61 - 1) * 65537,
+])
+def test_is_prime_rejects_composites(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_refuses_above_its_limit():
+    # PRIME_LIMIT is itself the least strong pseudoprime to all 13 bases
+    for n in (PRIME_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="PRIME_LIMIT"):
+            _is_prime(n)
+    with pytest.raises(ValueError, match="PRIME_LIMIT"):
+        parse_field(f"F{2 ** 89 - 1}")
+    assert not _is_prime(PRIME_LIMIT + 1)  # even: decided without the test

@@ -1,4 +1,4 @@
-"""Seeded fuzz of the input loaders, in process through `main()`.
+"""Seeded fuzz of the inputs, in process through `main()`.
 
 Valid ncg-algebra/1, ncg-idempotent/1 and ncg-bivector/1 objects are
 mutated by type, by length and by index, written to a file and run.  Every
@@ -6,6 +6,10 @@ case must exit 0, or exit 1 or 2 with an `error:` line (or, from validate,
 exit 2 with the report of a well-formed algebra's violations); no exception
 may escape `main`.  An algebra file that `hh` accepts must also pass
 `validate`.
+
+The integer options (--u-trunc, --n-max, --degree, --nvars and the
+catalogue sizes vars=, m=, max_weight=) are set to small values, -3 to 3:
+every case must exit 0 to 3, with an `error:` line when it exits non-zero.
 """
 
 import copy
@@ -140,3 +144,49 @@ def test_fuzz_bivector_files(tmp_path, capsys):
     for mutant in _mutants(_BIVECTOR, rng, 200):
         path.write_text(json.dumps(mutant))
         _run(capsys, ("poisson", "jacobi", "--bivector", str(path), "--degree", "2"), mutant)
+
+
+# Commands whose integer slots the fuzz sets; {idempotent} is a file path.
+# At the values -3..3 every one of them finishes in well under a second.
+_INT_COMMANDS = [
+    ("chern --algebra mat --param m={m} --u-trunc {u_trunc} --idempotent {idempotent}",
+     {"m": 2, "u_trunc": 2}),
+    ("hc --algebra truncated_poly --param m={m} --n-max {n_max} --u-trunc {u_trunc}",
+     {"m": 2, "n_max": 3, "u_trunc": 1}),
+    ("hp --algebra quantum_plane --param max_weight={max_weight} --n-max {n_max} "
+     "--u-trunc {u_trunc}", {"max_weight": 2, "n_max": 3, "u_trunc": 2}),
+    ("hh --algebra poly_truncated --param vars={vars} --param max_weight={max_weight} "
+     "--n-max {n_max}", {"vars": 1, "max_weight": 2, "n_max": 2}),
+    ("poisson star --nvars {nvars} --degree {degree}", {"nvars": 2, "degree": 1}),
+    ("poisson jacobi --bivector so3 --degree {degree}", {"degree": 2}),
+    ("poisson conjugation --bivector so3 --degree {degree}", {"degree": 2}),
+    ("poisson homology --bivector standard --degree {degree}", {"degree": 3}),
+]
+
+
+def _int_cases(rng):
+    """Each slot alone at every value in -3..3, then seeded draws that set
+    every slot of a command at once."""
+    for template, base in _INT_COMMANDS:
+        for slot in base:
+            for value in range(-3, 4):
+                yield template, {**base, slot: value}
+        for _ in range(8):
+            yield template, {slot: rng.randint(-3, 3) for slot in base}
+
+
+def test_fuzz_integer_options(tmp_path, capsys):
+    rng = random.Random(SEED + 3)
+    idempotent = tmp_path / "e11.json"
+    idempotent.write_text(json.dumps({"format": "ncg-idempotent/1",
+                                      "vector": {"E11*1": "1/1"}}))
+    for template, values in _int_cases(rng):
+        argv = template.format(idempotent=idempotent, **values).split()
+        try:
+            code = main(argv)
+        except BaseException as exc:  # noqa: BLE001 - any escape is the failure
+            pytest.fail(f"{argv} raised {exc!r}")
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: "), (argv, code, err)

@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial
 
 import pytest
 
+from nchodge.oracle import jacobiator_components
 from nchodge.poisson import (BIVECTOR_CATALOGUE, Bivector, ConstantSymplectic,
-                             PoissonError, builtin_bivector, conjugation_check,
-                             d, hodge_star, iota, jacobi_check, lie_derivative,
-                             monomial, monomial_form, poisson_bracket,
+                             PoissonError, PolyForm, _monomials_upto, _poly_str,
+                             builtin_bivector, conjugation_check, d, hodge_star,
+                             iota, jacobi_check, lie_derivative, monomial,
+                             monomial_form, poisson_bracket,
                              poisson_homology_ranks, star_identity_check)
 
 
@@ -126,3 +131,214 @@ def test_homology_refuses_truncation_that_breaks_the_complex():
     assert jacobi_check(alpha, 2)["pass"]
     with pytest.raises(PoissonError, match="breaks"):
         poisson_homology_ranks(alpha, 4)
+
+
+# ---------------------------------------------------------------------------
+# the term-table operators against a plain per-term reference
+# ---------------------------------------------------------------------------
+
+SEED = 20261018
+
+
+def _acc(out, key, c):
+    s = out.get(key, 0) + c
+    if s == 0:
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _ref_bracket(f, g, alpha):
+    """{f, g} expanded term by term, with no tables."""
+    out = {}
+    for (i, j), p in alpha.components.items():
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                for a, b, sign in ((i, j, 1), (j, i, -1)):
+                    if not (e1[a] and e2[b]):
+                        continue
+                    c = sign * c1 * c2 * e1[a] * e2[b]
+                    e = [x + y for x, y in zip(e1, e2)]
+                    e[a] -= 1
+                    e[b] -= 1
+                    for e3, c3 in p.items():
+                        _acc(out, tuple(x + y for x, y in zip(e, e3)), c * c3)
+    return out
+
+
+def _ref_d(terms, v):
+    out = {}
+    for (e, S), c in terms.items():
+        for i in range(v):
+            if e[i] and i not in S:
+                sign = (-1) ** sum(1 for j in S if j < i)
+                _acc(out, (e[:i] + (e[i] - 1,) + e[i + 1:], tuple(sorted(S + (i,)))),
+                     sign * c * e[i])
+    return out
+
+
+def _ref_iota(terms, alpha):
+    out = {}
+    for (e, S), c in terms.items():
+        for (i, j), p in alpha.components.items():
+            if i in S and j in S:
+                pi = S.index(i)
+                rest = S[:pi] + S[pi + 1:]
+                pj = rest.index(j)
+                rest = rest[:pj] + rest[pj + 1:]
+                for e2, c2 in p.items():
+                    _acc(out, (tuple(x + y for x, y in zip(e, e2)), rest),
+                         (-1) ** (pi + pj) * c * c2)
+    return out
+
+
+def _ref_add(p, q, scale=1):
+    out = dict(p)
+    for k, c in q.items():
+        _acc(out, k, scale * c)
+    return out
+
+
+def _ref_exp_iota(terms, alpha, sign):
+    out, power, k = dict(terms), terms, 1
+    while power:
+        power = _ref_iota(power, alpha)
+        out = _ref_add(out, power, Fraction(sign ** k, factorial(k)))
+        k += 1
+    return out
+
+
+def _ref_jacobi_check(alpha, D):
+    v = alpha.nvars
+    mons = [e for e in sorted(product(range(D + 1), repeat=v), key=lambda e: (sum(e), e))
+            if 0 < sum(e) <= D]
+
+    def jac(f, g, h):
+        f, g, h = {f: 1}, {g: 1}, {h: 1}
+        out = {}
+        for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
+            out = _ref_add(out, _ref_bracket(a, _ref_bracket(b, c, alpha), alpha))
+        return out
+
+    coords = [tuple(int(k == i) for k in range(v)) for i in range(v)]
+    for trip in combinations(range(v), 3):
+        r = jac(*(coords[i] for i in trip))
+        if r:
+            return {"pass": False, "witness": ["coords", list(trip)], "value": _poly_str(r)}
+    for a, b, c in combinations_with_replacement(range(len(mons)), 3):
+        r = jac(mons[a], mons[b], mons[c])
+        if r:
+            return {"pass": False, "witness": ["monomials", [a, b, c]], "value": _poly_str(r)}
+    return {"pass": True, "witness": None}
+
+
+def _ref_conjugation_check(alpha, D):
+    v = alpha.nvars
+    for e in sorted(product(range(D + 1), repeat=v), key=lambda e: (sum(e), e)):
+        if sum(e) > D:
+            continue
+        for r in range(v + 1):
+            for S in combinations(range(v), r):
+                mu = {(e, S): 1}
+                lhs = _ref_exp_iota(_ref_d(_ref_exp_iota(mu, alpha, -1), v), alpha, 1)
+                dmu = _ref_d(mu, v)
+                rhs = _ref_add(_ref_add(dmu, _ref_iota(dmu, alpha)),
+                               _ref_d(_ref_iota(mu, alpha), v), -1)
+                if lhs != rhs:
+                    return {"pass": False, "witness": {"exponents": list(e), "dxs": list(S)}}
+    return {"pass": True, "witness": None}
+
+
+def _random_bivector(rng, v):
+    comps = {}
+    for i in range(v):
+        for j in range(i + 1, v):
+            if rng.random() < 0.6:
+                e = [0] * v
+                for _ in range(rng.randrange(3)):
+                    e[rng.randrange(v)] += 1
+                comps[(i, j)] = {tuple(e): Fraction(rng.choice([-3, -1, 1, 2]),
+                                                    rng.choice([1, 2, 3]))}
+    return Bivector(v, comps, name="random")
+
+
+def _random_bivectors(count):
+    rng = random.Random(SEED)
+    return [_random_bivector(rng, rng.randint(2, 4)) for _ in range(count)]
+
+
+def test_checks_agree_with_the_per_term_reference():
+    failing = 0
+    for alpha in _random_bivectors(30) + [builtin_bivector(n) for n in ("so3", "nonjacobi4")]:
+        jac = jacobi_check(alpha, 2)
+        assert jac == _ref_jacobi_check(alpha, 2), alpha
+        assert jac["pass"] == (jacobiator_components(alpha) == {}), alpha
+        conj = conjugation_check(alpha, 2)
+        assert conj == _ref_conjugation_check(alpha, 2), alpha
+        failing += (not jac["pass"]) + (not conj["pass"])
+    assert failing >= 10  # the sample reaches failing witnesses, not only passes
+
+
+def test_bracket_agrees_with_the_per_term_reference():
+    rng = random.Random(SEED + 1)
+    for alpha in _random_bivectors(10):
+        v = alpha.nvars
+        f = {tuple(rng.randrange(3) for _ in range(v)): Fraction(rng.randint(-3, 3) or 1, 2)
+             for _ in range(3)}
+        g = {tuple(rng.randrange(3) for _ in range(v)): rng.randint(1, 4) for _ in range(2)}
+        assert poisson_bracket(f, g, alpha) == _ref_bracket(f, g, alpha)
+
+
+def _assert_invariants(form, nvars):
+    assert form.nvars == nvars
+    for (e, S), c in form.terms.items():
+        assert type(e) is tuple and len(e) == nvars and all(x >= 0 for x in e)
+        assert type(S) is tuple and list(S) == sorted(set(S))
+        assert all(0 <= i < nvars for i in S)
+        assert c != 0
+
+
+def _random_form(rng, v):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randrange(3) for _ in range(v))
+        S = tuple(sorted(rng.sample(range(v), rng.randint(0, v))))
+        terms[(e, S)] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    return PolyForm(v, terms)
+
+
+def test_operator_results_keep_the_form_invariants():
+    rng = random.Random(SEED + 2)
+    for alpha in _random_bivectors(20):
+        v = alpha.nvars
+        form = _random_form(rng, v)
+        _assert_invariants(form, v)  # the constructor drops zero coefficients
+        for result in (d(form), iota(alpha, form), lie_derivative(alpha, form),
+                       form.add(d(form), -1), form.scale(Fraction(1, 3)), form.add(form, -1)):
+            _assert_invariants(result, v)
+        assert d(form).terms == _ref_d(form.terms, v)
+        assert iota(alpha, form).terms == _ref_iota(form.terms, alpha)
+        if v % 2 == 0:
+            _assert_invariants(hodge_star(form, ConstantSymplectic(v)), v)
+
+
+def test_constructor_validates_outside_input():
+    with pytest.raises(PoissonError):
+        PolyForm(2, {((1, -1), ()): 1})
+    with pytest.raises(PoissonError):
+        PolyForm(2, {((1, 0), (1, 0)): 1})
+    with pytest.raises(PoissonError):
+        monomial_form(2, (0, 0), (0, 2))
+
+
+@pytest.mark.parametrize("nvars", [0, -2, 3])
+def test_symplectic_needs_a_positive_even_dimension(nvars):
+    with pytest.raises(PoissonError, match="positive and even"):
+        ConstantSymplectic(nvars)
+
+
+def test_monomials_of_no_variables():
+    assert _monomials_upto(0, 3) == [()]
+    assert _monomials_upto(0, -1) == []
+    assert _monomials_upto(2, -1) == []
+    assert _monomials_upto(2, 1) == [(0, 0), (0, 1), (1, 0)]

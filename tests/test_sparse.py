@@ -63,6 +63,28 @@ def test_mul_and_identity():
     assert a.mul(a, QQ).entries == ident.entries
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_mul_matches_the_dense_product(field):
+    # raw sums, reduced mod p once per entry and cleared of zeros once
+    rng = random.Random(7)
+    p = field.p or 0
+    for _ in range(30):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        scalars = [Fraction(1, 2), -1, 2, 3] if p == 0 else list(range(1, p))
+        a = {(i, j): rng.choice(scalars) for i in range(n) for j in range(k) if rng.random() < 0.6}
+        b = {(i, j): rng.choice(scalars) for i in range(k) for j in range(m) if rng.random() < 0.6}
+        dense = {}
+        for i in range(n):
+            for j in range(m):
+                s = sum(a.get((i, t), 0) * b.get((t, j), 0) for t in range(k))
+                s = s % p if p else s
+                if s:
+                    dense[(i, j)] = s
+        assert M(n, k, a).mul(M(k, m, b), field).entries == dense
+    # 1*2 + 2*2 = 6: the raw sum vanishes mod 3, so the entry is dropped
+    assert M(1, 2, {(0, 0): 1, (0, 1): 2}).mul(M(2, 1, {(0, 0): 2, (1, 0): 2}), GF(3)).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # property tests: the elimination core against the dense oracle
 # ---------------------------------------------------------------------------

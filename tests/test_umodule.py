@@ -45,6 +45,20 @@ def test_square_zero_enforced():
         u_module_decompose(c, QQ)
 
 
+def test_square_zero_reports_the_reduced_entry():
+    # d^2 has no u^0 part (A0 B0 = 0); its u^1 part A0 B1 + A1 B0 has the
+    # raw entry 1 * 2 + 2 * 1 = 4 at (0, 0), which the message names reduced
+    # mod 3
+    F = GF(3)
+    A0 = SparseMatrix(2, 2, {(0, 0): 1})
+    A1 = SparseMatrix(2, 2, {(0, 1): 2, (1, 1): 2})
+    B0 = SparseMatrix(2, 2, {(1, 0): 1, (1, 1): 1})
+    B1 = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 2})
+    c = UComplex(UTruncation(2), {0: 2, 1: 2, 2: 2}, {1: [A0, A1], 2: [B0, B1]})
+    with pytest.raises(ContractViolation, match=r"u\^1 coefficient, entry \(0,0\) = 1$"):
+        u_module_decompose(c, F)
+
+
 def test_blocks_from_filtration_dims():
     # dims[j] = dim_k u^j M: one free generator contributes N - j, one
     # torsion block of size 2 contributes max(2 - j, 0)
