@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .fields import Field, QQ, format_scalar, parse_scalar
+from .fields import Field, QQ, format_scalar, parse_scalar, reduced_entries
 
 
 class AlgebraError(ValueError):
@@ -41,6 +41,22 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
+def bilinear(table: dict, v: dict, w: dict, field: Field) -> dict:
+    """sum over i, j of v[i] w[j] table[(i, j)], for a table (i, j) -> {k: c}
+    of structure or action constants: summed raw and reduced once.  v and w
+    may themselves be raw sums."""
+    out: dict = {}
+    get = out.get
+    for i, a in v.items():
+        for j, b in w.items():
+            prod = table.get((i, j))
+            if prod:
+                ab = a * b
+                for k, c in prod.items():
+                    out[k] = get(k, 0) + ab * c
+    return reduced_entries(out, field)
+
+
 @dataclass
 class AlgebraSpec:
     """Unital associative algebra by structure constants; basis 0 is the unit.
@@ -67,20 +83,7 @@ class AlgebraSpec:
 
     def mul_vec(self, v: dict, w: dict) -> dict:
         """Product of two coefficient vectors {basis_index: scalar}."""
-        F = self.field
-        out: dict = {}
-        for i, a in v.items():
-            for j, b in w.items():
-                ab = F.mul(a, b)
-                if F.is_zero(ab):
-                    continue
-                for k, c in self.mul_basis(i, j).items():
-                    s = F.add(out.get(k, F.zero()), F.mul(ab, c))
-                    if F.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
+        return bilinear(self.structure, v, w, self.field)
 
     def power(self, v: dict, n: int) -> dict:
         out = {0: self.field.one()}
@@ -184,40 +187,23 @@ def _with_unit_first(name, field, dim, structure, unit_vec, weight=None, parity=
     new_index = {old: pos + 1 for pos, old in enumerate(keep)}
 
     def to_new(vec: dict) -> dict:
-        alpha = vec.get(drop, F.zero())
-        out = {}
-        if not F.is_zero(alpha):
-            out[0] = alpha
-        for i in set(vec) | set(unit_vec):
-            if i == drop:
-                continue
-            s = F.sub(vec.get(i, F.zero()),
-                      F.mul(alpha, unit_vec.get(i, F.zero())))
-            if not F.is_zero(s):
-                out[new_index[i]] = s
-        return out
+        # vec = alpha * unit + sum over kept i of (vec[i] - alpha unit[i]) e_i
+        alpha = vec.get(drop, 0)
+        out = {0: alpha}
+        get = out.get
+        for i, c in vec.items():
+            if i != drop:
+                out[new_index[i]] = get(new_index[i], 0) + c
+        for i, c in unit_vec.items():
+            if i != drop:
+                out[new_index[i]] = get(new_index[i], 0) - alpha * c
+        return reduced_entries(out, F)
 
     old_basis = [unit_vec] + [{i: F.one()} for i in keep]
     structure_new = {}
-
-    def old_mul(v, w):
-        out = {}
-        for i, a in v.items():
-            for j, b in w.items():
-                ab = F.mul(a, b)
-                if F.is_zero(ab):
-                    continue
-                for k, c in structure.get((i, j), {}).items():
-                    s = F.add(out.get(k, F.zero()), F.mul(ab, c))
-                    if F.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
-
     for a, va in enumerate(old_basis):
         for b, vb in enumerate(old_basis):
-            prod = to_new(old_mul(va, vb))
+            prod = to_new(bilinear(structure, va, vb, F))
             if prod:
                 structure_new[(a, b)] = prod
     new_weight = None
@@ -300,36 +286,10 @@ class BimoduleSpec:
     right_action: dict = dc_field(default_factory=dict)
 
     def act_left(self, vec_b: dict, vec_m: dict) -> dict:
-        F = self.left.field
-        out = {}
-        for j, b in vec_b.items():
-            for t, m in vec_m.items():
-                bm = F.mul(b, m)
-                if F.is_zero(bm):
-                    continue
-                for t2, c in self.left_action.get((j, t), {}).items():
-                    s = F.add(out.get(t2, F.zero()), F.mul(bm, c))
-                    if F.is_zero(s):
-                        out.pop(t2, None)
-                    else:
-                        out[t2] = s
-        return out
+        return bilinear(self.left_action, vec_b, vec_m, self.left.field)
 
     def act_right(self, vec_m: dict, vec_a: dict) -> dict:
-        F = self.right.field
-        out = {}
-        for t, m in vec_m.items():
-            for i, a in vec_a.items():
-                ma = F.mul(m, a)
-                if F.is_zero(ma):
-                    continue
-                for t2, c in self.right_action.get((t, i), {}).items():
-                    s = F.add(out.get(t2, F.zero()), F.mul(ma, c))
-                    if F.is_zero(s):
-                        out.pop(t2, None)
-                    else:
-                        out[t2] = s
-        return out
+        return bilinear(self.right_action, vec_m, vec_a, self.right.field)
 
 
 def validate_bimodule(M: BimoduleSpec) -> ValidationReport:

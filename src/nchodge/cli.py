@@ -21,8 +21,9 @@ the last piece.  No report is held as one string; the bytes and the cache
 keys are those of the whole-string json.dumps rendering it replaced.
 
 Exit codes: 0 success, 1 structural error, 2 validation failure (including
-a failed certificate or an invalid input), 3 inconclusive verdict under
---strict or an operation the field or parameters do not support.
+a failed certificate, an invalid input or a size out of range), 3
+inconclusive verdict under --strict or an operation the field or
+parameters do not support.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .algebra import (AlgebraError, AlgebraSpec, CATALOGUE, SchemaError, Validat
 from .cyclic import (UnsupportedError, char_p_compare,
                      degeneration_check, graded_piece_analysis, hodge_filtration,
                      hp_ranks, negative_cyclic)
-from .fields import QQ, Field, format_scalar, parse_field
+from .fields import QQ, Field, SizeError, format_scalar, parse_field
 from .hochschild import DegreeWindow, hh0_direct, hh_ranks
 from .kchern import (ContractError, Idempotent, chern_idempotent,
                      ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
@@ -629,10 +630,7 @@ def _load(args) -> _Inputs:
         # hh reports degrees up to --n-max; degree n needs the chain block
         # at n + 1, so its window is one longer
         n_max = args.n_max + 1 if args.command == "hh" else args.n_max
-        try:
-            x.window = DegreeWindow(n_max, args.w_min, args.w_max)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_STRUCTURAL)
+        x.window = DegreeWindow(n_max, args.w_min, args.w_max)
     x.N = getattr(args, "u_trunc", None)
     return x
 
@@ -958,17 +956,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Exit codes of the errors a command may raise, most specific first: every
-# class except NotImplementedError is a ValueError subclass.
-_ERROR_CODES = (((SchemaError, ContractError), EXIT_VALIDATION),
+# class is a ValueError subclass.
+_ERROR_CODES = (((SchemaError, ContractError, SizeError), EXIT_VALIDATION),
                 (UnsupportedError, EXIT_INCONCLUSIVE),
-                ((ValueError, NotImplementedError), EXIT_STRUCTURAL))
+                (ValueError, EXIT_STRUCTURAL))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (CliError, ValueError, NotImplementedError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CliError):
             return exc.code

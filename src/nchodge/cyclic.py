@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import AlgebraSpec
-from .fields import Field
+from .fields import Field, SizeError, reduced_entries
 from .hochschild import ChainComplex, DegreeWindow, word_parity
 from .sparse import (SparseMatrix, homology_from_ranks, homology_rank, kernel_basis, rank,
                      rank_of_columns)
@@ -38,7 +38,7 @@ class UnsupportedError(ValueError):
     """Operation not available for the given field or parameters."""
 
 
-class WindowError(ValueError):
+class WindowError(SizeError):
     """Window too small for the requested truncation."""
 
 
@@ -84,6 +84,8 @@ class CyclicReport:
 
 
 def _require_window(window: DegreeWindow, N: int):
+    if N < 1:
+        raise SizeError(f"truncation N={N} must be >= 1")
     if window.n_max < 2 * N:
         raise WindowError(
             f"window n_max={window.n_max} too small for truncation N={N}: "
@@ -105,7 +107,6 @@ def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
     connected-graded algebras when w <= n_max.
     """
     A = cx.A
-    F = A.field
     bases = {}   # parity -> list of (n, word)
     index = {}   # parity -> {(n, word): i}
     for q in (0, 1):
@@ -180,12 +181,11 @@ class _Staircase:
     """The total-degree complex T^m = sum_{j<N} u^j C_{2j-m} for one parity
     class, with D = d + uB of degree +1 and the u-shift maps."""
 
-    def __init__(self, A: AlgebraSpec, n_max: int, N: int, zero_b: bool = False):
+    def __init__(self, A: AlgebraSpec, n_max: int, N: int):
         self.A = A
         self.F = A.field
         self.N = N
         self.n_max = n_max
-        self.zero_b = zero_b
         self.cx = ChainComplex(A)
         self.m_hi = 2 * (N - 1)
         self.m_floor = 2 * (N - 1) - n_max
@@ -224,7 +224,7 @@ class _Staircase:
             if n >= 1:
                 for target, v in self.cx.boundary_word(word).items():
                     entries[(dst[(j, target)], c)] = v
-            if not self.zero_b and j + 1 < self.N:
+            if j + 1 < self.N:
                 for target, v in self.cx.connes_word(word).items():
                     entries[(dst[(j + 1, target)], c)] = v
         mat = SparseMatrix(len(self._index[(m + 1, p)]), len(src), entries)
@@ -300,10 +300,8 @@ class _Staircase:
         return rank_of_columns(shifted + bd, self.F) - self.boundary_rank(target, p)
 
 
-def _staircase_negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int,
-                               zero_b: bool = False) -> CyclicReport:
-    F = A.field
-    st = _Staircase(A, window.n_max, N, zero_b=zero_b)
+def _staircase_negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicReport:
+    st = _Staircase(A, window.n_max, N)
     parities = (0, 1) if A.is_super else (0,)
     flags: dict = {"degree_range": [st.m_floor, st.m_hi]}
     # dims[par][t] accumulates dim u^t . H over stable degrees of total parity par
@@ -383,7 +381,7 @@ def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> HodgeReport:
     is a result, not an error.
     """
     if N < 2:
-        raise ValueError("hp_ranks needs N >= 2 for the stabilization check")
+        raise SizeError("hp_ranks needs N >= 2 for the stabilization check")
     _require_window(window, N)
     rep = negative_cyclic(A, window, N)
     prev = negative_cyclic(A, window, N - 1)
@@ -513,7 +511,11 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
         return {"per_slot": slots, "off_frobenius": off_frobenius,
                 "agree": agree_all, "truncation": N, "n_max": window.n_max}
     with_b = _staircase_negative_cyclic(A, window, N)
-    no_b_rep = _staircase_negative_cyclic(A, window, N, zero_b=True)
+    # The d-only complex C (x) k[u]/u^N is u-free of rank dim H(C, d), so its
+    # free ranks are those of (C, d) alone, counted in the degrees whose
+    # u^{N-1} multiple stays inside the window: the staircase at N = 1 on a
+    # window 2(N - 1) shorter.
+    no_b_rep = _staircase_negative_cyclic(A, DegreeWindow(window.n_max - 2 * (N - 1)), 1)
     agree = ((with_b.even.free_rank, with_b.odd.free_rank)
              == (no_b_rep.even.free_rank, no_b_rep.odd.free_rank))
     return {"per_slot": [{"weight": None,
@@ -528,33 +530,46 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def graded_piece_analysis(dimV: int, n: int, F: Field) -> dict:
-    """Homology ranks of the 2-periodic complex (1 - sigma, norm) on V^{(x)n}.
+def _rotation_matrices(dimV: int, n: int, F: Field) -> tuple:
+    """(1 - sigma, norm) on V^{(x)n}, the norm being sum_{k<n} sigma^k.
 
     sigma is the cyclic rotation with the shifted-sign rule: rotating a word
-    of length n carries the sign (-1)^{n-1}.  Returns the ranks of
-    ker(1-sigma)/im(norm) and ker(norm)/im(1-sigma); both vanish exactly
-    when gcd(n, char) = 1.
+    of length n carries the sign (-1)^{n-1}.  A word (v_1..v_n) is its
+    base-dimV index; sigma moves the last letter to the front, so sigma^k
+    sends a word to its k-th rotation with the sign (-1)^{k(n-1)}.  Entries
+    are summed raw (a word fixed by sigma gets both terms of 1 - sigma) and
+    reduced once.
+    """
+    dim = dimV ** n
+    sign = 1 if (n - 1) % 2 == 0 else -1
+    top = dimV ** (n - 1)
+
+    def rotate(i: int) -> int:
+        return i // dimV + (i % dimV) * top
+
+    one_minus: dict = {}
+    norm: dict = {}
+    for i in range(dim):
+        one_minus[(i, i)] = 1
+        one_minus[(rotate(i), i)] = one_minus.get((rotate(i), i), 0) - sign
+        j, s = i, 1
+        for _ in range(n):
+            norm[(j, i)] = norm.get((j, i), 0) + s
+            j, s = rotate(j), s * sign
+    return (SparseMatrix(dim, dim, reduced_entries(one_minus, F)),
+            SparseMatrix(dim, dim, reduced_entries(norm, F)))
+
+
+def graded_piece_analysis(dimV: int, n: int, F: Field) -> dict:
+    """Homology ranks of the 2-periodic complex (1 - sigma, norm) on V^{(x)n}
+    (see `_rotation_matrices`).
+
+    Returns the ranks of ker(1-sigma)/im(norm) and ker(norm)/im(1-sigma);
+    both vanish exactly when gcd(n, char) = 1.
     """
     if dimV < 1 or n < 1:
-        raise ValueError("need dimV >= 1 and n >= 1")
-    dim = dimV ** n
-    one = F.one()
-    sign = one if (n - 1) % 2 == 0 else F.neg(one)
-
-    def rotate_index(i: int) -> int:
-        # word (v_1..v_n) base-dimV, last letter to the front
-        last = i % dimV
-        return (i // dimV) + last * dimV ** (n - 1)
-
-    sigma = SparseMatrix(dim, dim, {(rotate_index(i), i): sign for i in range(dim)})
-    ident = SparseMatrix.identity(dim, F)
-    one_minus = ident.add(sigma.scale(F.neg(one), F), F)
-    norm = SparseMatrix.zero(dim, dim)
-    power = ident
-    for _ in range(n):
-        norm = norm.add(power, F)
-        power = sigma.mul(power, F)
+        raise SizeError("need dimV >= 1 and n >= 1")
+    one_minus, norm = _rotation_matrices(dimV, n, F)
     # Both homologies are dim - rank(1 - sigma) - rank(norm).
     h = homology_rank(one_minus, norm, F)
     return {

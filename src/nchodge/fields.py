@@ -5,6 +5,15 @@ plain ints, and mixed int/Fraction arithmetic is exact.  A division over Q
 happens only in `Field.inv` or in an explicit `Fraction(a, b)`, never as
 `a / b` between ints, which would give a float.  A scalar over F_p is an
 int reduced mod p.  No floating point anywhere.
+
+One rule turns a linear combination into a vector of field elements: sum
+with plain `+` and `*`, then reduce once.  Since a scalar of either field is
+an int or a Fraction, raw sums are exact, and `reduced_entries` drops their
+zeros and, over F_p, reduces them mod p; `linear_combination` does both
+steps for a list of scaled vectors.  The one exception is the elimination
+core of `sparse` (`_row_echelon`, `kernel_basis`, `solve_in_span`), which
+reduces at every step so that pivots and fill-in are tested against zero in
+the field.
 """
 
 from __future__ import annotations
@@ -17,6 +26,12 @@ from fractions import Fraction
 # this bound (Sorenson and Webster, 2015); above it no answer is given.
 PRIME_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+class SizeError(ValueError):
+    """A size, degree, window or truncation outside its range: the one
+    error of every such check in a computation, on which the command line
+    exits 2."""
 
 
 def _is_prime(n: int) -> bool:
@@ -112,6 +127,25 @@ class Field:
 
 
 QQ = Field()
+
+
+def reduced_entries(entries: dict, field: Field) -> dict:
+    """Raw sums as field elements: reduced mod p over F_p, zeros dropped."""
+    p = field.p
+    if p is None:
+        return {k: v for k, v in entries.items() if v}
+    return {k: r for k, v in entries.items() if (r := v % p)}
+
+
+def linear_combination(terms, field: Field) -> dict:
+    """sum c * vec over the (c, vec) pairs of terms, each vec a mapping
+    key -> scalar: summed raw and reduced once by `reduced_entries`."""
+    out: dict = {}
+    get = out.get
+    for c, vec in terms:
+        for k, v in vec.items():
+            out[k] = get(k, 0) + c * v
+    return reduced_entries(out, field)
 
 
 def GF(p: int) -> Field:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError
+from .fields import SizeError, linear_combination, reduced_entries
 from .sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
 
 
@@ -34,7 +35,7 @@ class DegreeWindow:
 
     def __post_init__(self):
         if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
+            raise SizeError("n_max must be >= 0")
 
 
 def word_parity(A: AlgebraSpec, word: tuple) -> int:
@@ -109,8 +110,8 @@ class ChainComplex:
         coefficient}), with plain + and *.
 
         The sums are left raw: entries may be zero and, over F_p, unreduced
-        ints; `normalized` drops the zeros and reduces once, when the caller
-        has added every image.  c is an int or a Fraction.
+        ints; `fields.reduced_entries` drops the zeros and reduces once, when
+        the caller has added every image.  c is an int or a Fraction.
         """
         A = self.A
         n = len(word) - 1
@@ -160,25 +161,17 @@ class ChainComplex:
             acc[target] = get(target, 0) + (-c if exponent % 2 else c)
             front = (front + shifted[i]) % 2
 
-    def normalized(self, acc: dict) -> dict:
-        """acc with its zero entries dropped and, over F_p, reduced mod p."""
-        p = self.A.field.p
-        if p is None:
-            return {t: v for t, v in acc.items() if v}
-        return {t: r for t, v in acc.items() if (r := v % p)}
-
     def boundary_word(self, word: tuple) -> dict:
         """Image of a basis word under the boundary, as {word: coefficient}."""
         acc: dict = {}
         self.add_boundary(word, 1, acc)
-        return self.normalized(acc)
+        return reduced_entries(acc, self.A.field)
 
     def boundary(self, n: int, weight: int | None = None) -> SparseMatrix:
         """Matrix of the boundary block(n) -> block(n-1)."""
         key = (n, weight)
         if key in self._boundaries:
             return self._boundaries[key]
-        F = self.A.field
         src = self.basis(n, weight)
         if n == 0:
             mat = SparseMatrix.zero(0, len(src))
@@ -198,7 +191,7 @@ class ChainComplex:
         """Image of a basis word under B, as {word: coefficient}."""
         acc: dict = {}
         self.add_connes(word, 1, acc)
-        return self.normalized(acc)
+        return reduced_entries(acc, self.A.field)
 
     def connes(self, n: int, weight: int | None = None) -> SparseMatrix:
         """Matrix of B: block(n) -> block(n+1)."""
@@ -249,7 +242,7 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
     cx = ChainComplex(A)
     n_top = window.n_max - 1
     if n_top < 0:
-        raise ValueError("window too small: n_max must be >= 1")
+        raise SizeError("window too small: n_max must be >= 1")
     result: dict = {"n_max": window.n_max, "algebra": A.name}
     if A.weight is None:
         per_n = {n: cx.hh_rank(n) for n in range(n_top + 1)}
@@ -289,20 +282,14 @@ def commutator_columns(A: AlgebraSpec) -> list[dict]:
 
     The diagonal matters in the super case: [e_i, e_i] = 2 e_i^2 for odd e_i.
     """
-    F = A.field
     cols = []
     for i in range(A.dim):
         for j in range(i, A.dim):
-            v = dict(A.mul_basis(i, j))
-            sign = F.one()
+            sign = 1
             if A.parity is not None and A.parity[i] % 2 and A.parity[j] % 2:
-                sign = F.neg(F.one())
-            for k, c in A.mul_basis(j, i).items():
-                s = F.sub(v.get(k, F.zero()), F.mul(sign, c))
-                if F.is_zero(s):
-                    v.pop(k, None)
-                else:
-                    v[k] = s
+                sign = -1
+            v = linear_combination(((1, A.mul_basis(i, j)), (-sign, A.mul_basis(j, i))),
+                                   A.field)
             if v:
                 cols.append(v)
     return cols

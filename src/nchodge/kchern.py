@@ -17,7 +17,7 @@ from math import factorial, lcm
 
 from .algebra import AlgebraSpec
 from .cyclic import UnsupportedError
-from .fields import Field
+from .fields import Field, SizeError, linear_combination, reduced_entries
 from .hochschild import ChainComplex, commutator_columns, hh0_direct
 from .sparse import rank_of_columns, solve_in_span
 
@@ -33,8 +33,7 @@ class Idempotent:
 
     def __post_init__(self):
         sq = self.algebra.mul_vec(self.vector, self.vector)
-        if sq != {k: v for k, v in self.vector.items()
-                  if not self.algebra.field.is_zero(v)}:
+        if sq != reduced_entries(self.vector, self.algebra.field):
             raise ContractError("element is not idempotent")
 
 
@@ -79,17 +78,6 @@ def _tensor_words(F: Field, factors: list, scale: int = 1) -> dict:
     return {word: F.from_fraction(Fraction(c, den)) for word, c in words.items()}
 
 
-def _add_into(F: Field, acc: dict, inc: dict, scale=None):
-    for k, v in inc.items():
-        if scale is not None:
-            v = F.mul(scale, v)
-        s = F.add(acc.get(k, F.zero()), v)
-        if F.is_zero(s):
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-
-
 def cycle_certificate(chain: UChain) -> dict:
     """Apply (d + uB) mod u^N to the chain; empty components mean a cycle.
 
@@ -114,7 +102,7 @@ def cycle_certificate(chain: UChain) -> dict:
         if t >= 1:
             for word, c in chain.components[t - 1].items():
                 cx.add_connes(word, c.numerator * (scale // c.denominator), acc)
-        out.append(cx.normalized(acc))
+        out.append(reduced_entries(acc, F))
     if scale != 1:
         unscale = F.inv(scale)
         out = [{w: F.mul(v, unscale) for w, v in acc.items()} for acc in out]
@@ -127,7 +115,7 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     reduced into the chain basis; the (d + uB)-cycle certificate is checked
     and a failure raises rather than renormalizing."""
     if N < 1:
-        raise ContractError(f"chern_idempotent needs u-truncation N >= 1, got {N}")
+        raise SizeError(f"chern_idempotent needs u-truncation N >= 1, got {N}")
     A = pi.algebra
     F = A.field
     p = F.characteristic
@@ -135,8 +123,7 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
         raise UnsupportedError(
             f"chern_idempotent needs char 0 or p > 2N (p={p}, N={N})")
     half = F.from_fraction(Fraction(1, 2))
-    shifted = dict(pi.vector)
-    _add_into(F, shifted, {0: F.neg(half)})
+    shifted = linear_combination(((1, pi.vector), (-half, {0: 1})), F)
     tail = _reduce_tail(F, pi.vector)
     components = [{(k,): v for k, v in pi.vector.items() if not F.is_zero(v)}]
     for k in range(1, N):
@@ -180,7 +167,6 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
     comm_rank = rank_of_columns(comm, F)
 
     def in_commutators(v: dict) -> bool:
-        v = {k: c for k, c in v.items() if not F.is_zero(c)}
         if not v:
             return True
         return rank_of_columns(comm + [v], F) == comm_rank
@@ -204,22 +190,17 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
             raise ContractError("projection to A/[A,A] failed")
         return {t: sol.get(len(comm) + t, F.zero()) for t in range(len(reps))}
 
-    matrix = {}
-    for t, i in enumerate(reps):
-        img = A.power({i: F.one()}, p)
-        matrix[t] = project(img)
+    powers = [A.power({i: F.one()}, p) for i in range(A.dim)]  # e_i^p
+    matrix = {t: project(powers[i]) for t, i in enumerate(reps)}
 
     # certificate (i): independence of the choice of lift — perturbing any
     # representative by any spanning commutator does not change the class
     well_defined = True
     witnesses = []
     for i in reps:
-        base = A.power({i: F.one()}, p)
         for c in comm:
-            perturbed = dict(c)
-            _add_into(F, perturbed, {i: F.one()})
-            diff = A.power(perturbed, p)
-            _add_into(F, diff, base, F.neg(F.one()))
+            perturbed = linear_combination(((1, c), (1, {i: 1})), F)
+            diff = linear_combination(((1, A.power(perturbed, p)), (-1, powers[i])), F)
             if not in_commutators(diff):
                 well_defined = False
                 witnesses.append(("lift", i))
@@ -227,11 +208,9 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
     additive = True
     for i in range(A.dim):
         for j in range(A.dim):
-            ab = {i: F.one()}
-            _add_into(F, ab, {j: F.one()})
-            diff = A.power(ab, p)
-            _add_into(F, diff, A.power({i: F.one()}, p), F.neg(F.one()))
-            _add_into(F, diff, A.power({j: F.one()}, p), F.neg(F.one()))
+            ab = linear_combination(((1, {i: 1}), (1, {j: 1})), F)
+            diff = linear_combination(((1, A.power(ab, p)), (-1, powers[i]), (-1, powers[j])),
+                                      F)
             if not in_commutators(diff):
                 additive = False
                 witnesses.append(("additivity", i, j))
@@ -249,7 +228,14 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
 
 def ppower_lift_p2(A: AlgebraSpec, a: dict) -> UChain:
     """The p = 2 lift a -> a^2 + 1 (x) a (x) a . u to negative cyclic
-    homology mod u^2, with the cycle certificate checked on emission."""
+    homology mod u^2, with the cycle certificate checked on emission.
+
+    Only p = 2 is implemented.  For p >= 3 the lift has the shape
+    a^p + sum_{n even, 2 <= n <= p-3, sum i_t = p} c_{i_0..i_n}
+    a^{i_0} (x) ... (x) a^{i_n} u^{(n-1)/2} + ((p-1)/2)! a^{(x)p} u^{(p-1)/2}
+    with the top coefficient nonzero, but the intermediate coefficients are
+    not determined here.
+    """
     F = A.field
     if F.characteristic != 2:
         raise UnsupportedError("ppower_lift_p2 requires characteristic 2")
@@ -267,68 +253,26 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     """Whether lift(a+b) - lift(a) - lift(b) is a (d + uB)-boundary mod u^2.
 
     The difference lives in C_0 (+) C_2 u; a preimage is sought in
-    C_1 (+) C_3 u under the block map [[d, 0], [B, d]].
+    C_1 (+) C_3 u under the block map [[d, 0], [B, d]].  Words of C_0 and
+    C_2 differ in length, so one index numbers both.
     """
     F = A.field
-    ab = dict(a)
-    _add_into(F, ab, b)
-    la, lb, lab = ppower_lift_p2(A, a), ppower_lift_p2(A, b), ppower_lift_p2(A, ab)
-    diff0: dict = {}
-    diff1: dict = {}
-    _add_into(F, diff0, lab.components[0])
-    _add_into(F, diff0, la.components[0], F.neg(F.one()))
-    _add_into(F, diff0, lb.components[0], F.neg(F.one()))
-    _add_into(F, diff1, lab.components[1])
-    _add_into(F, diff1, la.components[1], F.neg(F.one()))
-    _add_into(F, diff1, lb.components[1], F.neg(F.one()))
-    cx = ChainComplex(A)
-    b0 = cx.basis(0)
-    b2 = cx.basis(2)
-    idx0 = {w: i for i, w in enumerate(b0)}
-    idx2 = {w: len(b0) + i for i, w in enumerate(b2)}
-    cols = []
-    for word in cx.basis(1):
-        col = {}
-        for tgt, v in cx.boundary_word(word).items():
-            col[idx0[tgt]] = v
-        for tgt, v in cx.connes_word(word).items():
-            key = idx2[tgt]
-            s = F.add(col.get(key, F.zero()), v)
-            if F.is_zero(s):
-                col.pop(key, None)
-            else:
-                col[key] = s
-        if col:
-            cols.append(col)
-    for word in cx.basis(3):
-        col = {idx2[tgt]: v for tgt, v in cx.boundary_word(word).items()}
-        if col:
-            cols.append(col)
-    target = {}
-    for w, v in diff0.items():
-        target[idx0[w]] = v
-    for w, v in diff1.items():
-        target[idx2[w]] = v
-    target = {k: v for k, v in target.items() if not F.is_zero(v)}
-    if not target:
+    la, lb = ppower_lift_p2(A, a), ppower_lift_p2(A, b)
+    lab = ppower_lift_p2(A, linear_combination(((1, a), (1, b)), F))
+    diff = linear_combination([(1, c) for c in lab.components]
+                              + [(-1, c) for c in la.components + lb.components], F)
+    if not diff:
         return True
+    cx = ChainComplex(A)
+    index = {w: i for i, w in enumerate(cx.basis(0) + cx.basis(2))}
+    cols = []
+    for n in (1, 3):
+        for word in cx.basis(n):
+            acc: dict = {}
+            cx.add_boundary(word, 1, acc)
+            if n == 1:
+                cx.add_connes(word, 1, acc)
+            cols.append({index[w]: v for w, v in reduced_entries(acc, F).items()})
+    target = {index[w]: v for w, v in diff.items()}
     base = rank_of_columns(cols, F)
     return rank_of_columns(cols + [target], F) == base
-
-
-def ppower_lift(A: AlgebraSpec, a: dict, p: int):
-    """General u-lift of the p-power operation.
-
-    Only p = 2 is implemented.  For p >= 3 the lift has the shape
-    a^p + sum_{n even, 2 <= n <= p-3, sum i_t = p} c_{i_0..i_n}
-    a^{i_0} (x) ... (x) a^{i_n} u^{(n-1)/2} + ((p-1)/2)! a^{(x)p} u^{(p-1)/2}
-    with the top coefficient nonzero, but the intermediate coefficients are
-    not determined here.
-    """
-    if p == 2:
-        return ppower_lift_p2(A, a)
-    raise NotImplementedError(
-        "the p >= 3 lift is not implemented: its terms are "
-        "a^{i_0} (x) ... (x) a^{i_n} u^{(n-1)/2} over even n <= p-3 with "
-        "sum i_t = p, plus ((p-1)/2)! a^{(x)p} u^{(p-1)/2}; the intermediate "
-        "coefficients are undetermined in this engine")

@@ -35,7 +35,7 @@ from itertools import combinations
 from math import factorial
 from operator import add
 
-from .fields import QQ
+from .fields import QQ, SizeError
 from .sparse import SparseMatrix, homology_rank
 
 Poly = dict  # exponent tuple -> rational (int or Fraction)
@@ -281,12 +281,20 @@ def _monomials_upto(nvars: int, deg: int) -> list:
     return sorted(out, key=lambda e: (sum(e), e))
 
 
+def _require_degree(D: int):
+    """The identity checks refuse a negative degree bound: no monomial has
+    one, so the check would pass vacuously."""
+    if D < 0:
+        raise SizeError(f"degree bound {D} must be >= 0")
+
+
 def jacobi_check(alpha: Bivector, D: int) -> dict:
     """Evaluate the Jacobiator {f,{g,h}} + cyclic on all coordinate triples
     and all monomial triples of degree <= D; pass iff identically zero.
 
     The bracket of each ordered pair of monomials is computed once, by
     `poisson_bracket`; {f, {g, h}} follows bilinearly from those."""
+    _require_degree(D)
     v = alpha.nvars
     coords = [tuple(int(k == i) for k in range(v)) for i in range(v)]
     mons = [e for e in _monomials_upto(v, D) if sum(e) > 0]
@@ -335,6 +343,7 @@ def conjugation_check(alpha: Bivector, D: int) -> dict:
     """Verify exp(iota) d exp(-iota) = d + L_alpha on every monomial form of
     coefficient degree <= D (exactly; no truncation is needed since the
     exponentials are finite)."""
+    _require_degree(D)
     d_of = _Table(_d_term)
     iota_of = _Table(partial(_iota_term, alpha))
     exp_plus = _Table(partial(_exp_term, iota_of, 1))
@@ -433,6 +442,7 @@ def star_identity_check(nvars: int, D: int) -> dict:
     comparing the degree-0 and top-degree diagonal components shows the
     variant with opposite exponents forces +1 = -1.
     """
+    _require_degree(D)
     omega = ConstantSymplectic(nvars)
     w = {S: c for (_, S), c in omega.form().terms.items()}
     iota_of = _Table(partial(_iota_term, omega.inverse_bivector()))
@@ -514,7 +524,7 @@ def poisson_homology_ranks(alpha: Bivector, D: int) -> dict:
     """
     guard = max(2, alpha.coefficient_degree())
     if D - guard < 0:
-        raise PoissonError(f"degree bound {D} too small for guard band {guard}")
+        raise SizeError(f"degree bound {D} too small for guard band {guard}")
     d_of = _Table(_d_term)
     iota_of = _Table(partial(_iota_term, alpha))
     diff = _Table(lambda mu: _lie(d_of, iota_of, {mu: 1}, alpha.hbar, dict(d_of[mu])))

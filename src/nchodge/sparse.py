@@ -28,6 +28,13 @@ cols - rank(d_out) - rank(d_in), with no kernel basis, through
 eliminates a set of columns once and then reduces any number of vectors
 modulo their span; `solve_in_span` expresses a vector in the span of
 columns.
+
+Arithmetic.  The elimination core (`_row_echelon`, with `kernel_basis` and
+`solve_in_span` on top of it) reduces at every step: a pivot or a fill-in
+entry must be tested against zero in the field as soon as it is formed.
+Every other product here (`mul`, `mul_into`, `apply`, the `reduce` of
+`span_quotient`) follows the rule of `fields`: sum in plain arithmetic,
+then reduce once with `reduced_entries`.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field
+from .fields import Field, reduced_entries
 
 
 class StructuralError(ValueError):
@@ -77,23 +84,6 @@ class SparseMatrix:
             cols[c][r] = v
         return cols
 
-    def scale(self, a, field: Field) -> "SparseMatrix":
-        if field.is_zero(a):
-            return SparseMatrix.zero(self.rows, self.cols)
-        return SparseMatrix(self.rows, self.cols, {k: field.mul(a, v) for k, v in self.entries.items()})
-
-    def add(self, other: "SparseMatrix", field: Field) -> "SparseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise StructuralError("shape mismatch in add")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = field.add(out.get(k, field.zero()), v)
-            if field.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SparseMatrix(self.rows, self.cols, out)
-
     def mul(self, other: "SparseMatrix", field: Field) -> "SparseMatrix":
         """Matrix product self @ other."""
         return SparseMatrix(self.rows, other.cols,
@@ -116,29 +106,17 @@ class SparseMatrix:
 
     def apply(self, vec: dict, field: Field) -> dict:
         """Apply to a sparse column vector {index: value}."""
-        out = {}
-        zero = field.zero()
-        cols = None
+        if any(not 0 <= c < self.cols for c in vec):
+            raise StructuralError("vector index out of bounds")
+        if not vec:
+            return {}
+        cols = self.columns()
+        out: dict = {}
+        get = out.get
         for c, v in vec.items():
-            if not (0 <= c < self.cols):
-                raise StructuralError("vector index out of bounds")
-            if cols is None:
-                cols = self.columns()
             for r, w in cols[c].items():
-                s = field.add(out.get(r, zero), field.mul(w, v))
-                if field.is_zero(s):
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
-
-
-def reduced_entries(entries: dict, field: Field) -> dict:
-    """Raw sums as field elements: reduced mod p over F_p, zeros dropped."""
-    p = field.p
-    if p is None:
-        return {k: v for k, v in entries.items() if v}
-    return {k: r for k, v in entries.items() if (r := v % p)}
+                out[r] = get(r, 0) + w * v
+        return reduced_entries(out, field)
 
 
 def _row_echelon(data, field: Field, want_basis: bool):
@@ -293,14 +271,14 @@ def span_quotient(columns: list[dict], dim: int, field: Field):
     for k, y in enumerate(annihilator):
         for r, v in y.items():
             pairing.setdefault(r, []).append((k, v))
-    add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero()
 
     def reduce(vec: dict) -> dict:
         out: dict = {}
+        get = out.get
         for r, a in vec.items():
             for k, v in pairing.get(r, ()):
-                out[k] = add(out.get(k, zero), mul(a, v))
-        return {k: v for k, v in out.items() if not is_zero(v)}
+                out[k] = get(k, 0) + a * v
+        return reduced_entries(out, field)
 
     return dim - len(annihilator), reduce
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field
-from .sparse import (SparseMatrix, StructuralError, kernel_basis, rank_of_columns,
-                     reduced_entries, span_quotient)
+from .fields import Field, SizeError, reduced_entries
+from .sparse import SparseMatrix, StructuralError, kernel_basis, rank_of_columns, span_quotient
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class UTruncation:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("truncation order must be >= 1")
+            raise SizeError("truncation order must be >= 1")
 
 
 class ContractViolation(ValueError):

@@ -72,12 +72,6 @@ def test_strict_inconclusive_exits_3(capsys):
     assert code == 3
 
 
-def test_window_precondition_exits_1(capsys):
-    code, out, err = run(capsys, "hp", "--algebra", "dual_numbers",
-                         "--field", "Q", "--n-max", "3", "--u-trunc", "3")
-    assert code == 1
-
-
 def test_chern_cli(tmp_path, capsys):
     idem = tmp_path / "e11.json"
     idem.write_text(json.dumps({"format": "ncg-idempotent/1",
@@ -426,8 +420,20 @@ def _chern_argv(tmp_path, m, N, vector, *extra):
      "479acee44ecdaf91a9b0e55979ec7043231fd344abfe45b246294728bbe3ea3a"),
     (("catalogue",),
      "71928e67e10d810380658fba54aa2641776fd7472f6bb15ab0e2b5c1f01bbf94"),
+    (("glue", "--algebra-a", "dual_numbers", "--algebra-b", "a2_path", "--field", "F3"),
+     "8165afd7294d6e3f626f51fa1e5dd59b57a8da6e4b2bf30310f90b2fa93f41cf"),
+    (("ppower", "--algebra", "mat", "--param", "m=2", "--field", "F2", "--lift", "E12*1"),
+     "34c8ed0906e25d72987fa6204019b91b8ffa65029a0646e2d0ff9f205e03918b"),
+    (("graded-pieces", "--dim-v", "3", "--n", "6", "--field", "F3"),
+     "403981e68afadbbb65f6de2d1d12070f2955f2ea361fa56eea8ce646dbdcb970"),
+    (("charp-compare", "--algebra", "clifford1", "--field", "F3", "--n-max", "6",
+      "--u-trunc", "2"),
+     "461dfe26935fbe63c0e1e3530d485bdb48e986d617f1cee455c82bad6ededee0"),
+    (("validate", "--algebra", "mat", "--param", "m=3"),
+     "4d8e24c1b2aeb8470f4b2fc716916472ad333b2b2be6f2ba222e177e0438cadf"),
 ], ids=["chern-mat3-u5-json", "chern-mat2-u7-csv", "hp-clifford1-markdown",
-        "catalogue"])
+        "catalogue", "glue-dual-a2-F3", "ppower-mat2-F2-lift", "graded-pieces-v3-n6-F3",
+        "charp-compare-clifford1-F3", "validate-mat3"])
 def test_golden_reports(tmp_path, capsys, argv, digest):
     if isinstance(argv[0], int):
         argv = _chern_argv(tmp_path, *argv)
@@ -774,6 +780,40 @@ def test_chern_refuses_a_non_positive_truncation(tmp_path, capsys, u_trunc):
 ])
 def test_non_positive_sizes_exit_2(capsys, argv, words):
     # these ended in a RecursionError or IndexError traceback
+    _assert_refused(*run(capsys, *argv), *words)
+
+
+# Every size out of range exits 2 with an error line.  The ungraded cyclic
+# commands with --u-trunc 0 exited 0 with a "truncation 0" report, a
+# negative --u-trunc on an ungraded algebra was an IndexError traceback, the
+# identity checks passed vacuously on a negative degree, and the rest exited 1.
+@pytest.mark.parametrize("argv, words", [
+    (("hc", "--algebra", "a2_path", "--n-max", "4", "--u-trunc", "0"), ("N=0",)),
+    (("degeneration", "--algebra", "a2_path", "--n-max", "4", "--u-trunc", "0"), ("N=0",)),
+    (("charp-compare", "--algebra", "a2_path", "--field", "F3", "--n-max", "4",
+      "--u-trunc", "0"), ("N=0",)),
+    (("hc", "--algebra", "a2_path", "--n-max", "4", "--u-trunc", "-2"), ("N=-2",)),
+    (("hc", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "0"), ("N=0",)),
+    (("hp", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "1"), ("N >= 2",)),
+    (("filtration", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "1"),
+     ("N >= 2",)),
+    (("hp", "--algebra", "dual_numbers", "--field", "Q", "--n-max", "3", "--u-trunc", "3"),
+     ("n_max >= 2N",)),
+    (("hh", "--algebra", "dual_numbers", "--n-max", "-2"), ("n_max",)),
+    (("hh", "--algebra", "dual_numbers", "--n-max", "-1"), ("n_max",)),
+    (("graded-pieces", "--dim-v", "0", "--n", "2", "--field", "F3"), ("dimV >= 1",)),
+    (("graded-pieces", "--dim-v", "2", "--n", "0", "--field", "F3"), ("n >= 1",)),
+    (("poisson", "jacobi", "--bivector", "so3", "--degree", "-3"), ("degree bound -3",)),
+    (("poisson", "conjugation", "--bivector", "so3", "--degree", "-3"),
+     ("degree bound -3",)),
+    (("poisson", "star", "--nvars", "2", "--degree", "-3"), ("degree bound -3",)),
+    (("poisson", "homology", "--bivector", "standard", "--degree", "1"), ("guard band",)),
+], ids=["hc-ungraded-N0", "degeneration-ungraded-N0", "charp-compare-ungraded-N0",
+        "hc-ungraded-N-2", "hc-graded-N0", "hp-N1", "filtration-N1", "hp-window-below-2N",
+        "hh-n_max-2", "hh-n_max-1", "graded-pieces-dimV0", "graded-pieces-n0",
+        "poisson-jacobi-degree-3", "poisson-conjugation-degree-3", "poisson-star-degree-3",
+        "poisson-homology-below-guard"])
+def test_out_of_range_sizes_exit_2(capsys, argv, words):
     _assert_refused(*run(capsys, *argv), *words)
 
 

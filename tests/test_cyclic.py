@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from nchodge import cyclic, hochschild, sparse, umodule
+from nchodge import cyclic, hochschild, oracle, sparse, umodule
 from nchodge.algebra import builtin
 from nchodge.cyclic import (UnsupportedError, WindowError, char_p_compare,
                             degeneration_check, graded_piece_analysis,
@@ -89,6 +89,55 @@ def test_char_p_compare_truncated_poly_f3():
     A = builtin("truncated_poly", GF(3), m=3)
     rep = char_p_compare(A, DegreeWindow(8), 3)
     assert rep["agree"]
+
+
+def _d_only_free_ranks(A, n_top, N):
+    """(even, odd) free ranks of the d-only complex (C (x) k[u]/u^N, d) in
+    lengths n <= n_top, by u_module_decompose on one complex per word
+    parity (d keeps the word parity); a class of length n and word parity p
+    has total parity n + p."""
+    cx = hochschild.ChainComplex(A)
+    out = [0, 0]
+    for p in (0, 1):
+        bases = {n: [w for w in cx.basis(n) if hochschild.word_parity(A, w) == p]
+                 for n in range(n_top + 2)}
+        ranks = {n: len(b) for n, b in bases.items()}
+        diffs = {}
+        for n in range(1, n_top + 2):
+            index = {w: i for i, w in enumerate(bases[n - 1])}
+            d = sparse.SparseMatrix(ranks[n - 1], ranks[n], {
+                (index[t], c): v for c, w in enumerate(bases[n])
+                for t, v in cx.boundary_word(w).items()})
+            diffs[n] = [d] + [sparse.SparseMatrix.zero(ranks[n - 1], ranks[n])] * (N - 1)
+        complex_ = umodule.UComplex(umodule.UTruncation(N), ranks, diffs)
+        for n, rep in umodule.u_module_decompose(complex_, A.field,
+                                                 positions=range(n_top + 1)).items():
+            assert not rep.torsion_blocks
+            out[(n + p) % 2] += rep.free_rank
+    return out
+
+
+@pytest.mark.parametrize("name, params, n_max_top", [
+    ("mat", {"m": 2}, 6), ("a2_path", {}, 8), ("group_z2", {}, 8), ("clifford1", {}, 8)])
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=str)
+def test_ungraded_d_only_side_is_the_hochschild_homology(name, params, n_max_top, field):
+    # The d-only side of char_p_compare on an ungraded algebra is the
+    # staircase at N = 1 on a window 2(N - 1) shorter: C (x) k[u]/u^N is u-free
+    # of rank dim H(C, d), counted in the lengths n < n_max - 2(N - 1).
+    A = builtin(name, field, **params)
+    if A.is_super:
+        expected = {n_top: {N: _d_only_free_ranks(A, n_top, N) for N in (1, 2, 3)}
+                    for n_top in range(n_max_top)}
+    else:
+        hh = oracle.reduced_hh_ranks(A, n_max_top - 1)
+        sums = {n_top: [sum(hh[n] for n in range(par, n_top + 1, 2)) for par in (0, 1)]
+                for n_top in range(n_max_top)}
+        expected = {n_top: {N: sums[n_top] for N in (1, 2, 3)} for n_top in sums}
+    for N in (1, 2, 3):
+        for n_max in range(2 * N, n_max_top + 1):
+            rep = char_p_compare(A, DegreeWindow(n_max), N)
+            assert rep["per_slot"][0]["without_b"] == expected[n_max - 2 * N + 1][N], \
+                (N, n_max)
 
 
 def test_graded_pieces_acyclicity():

@@ -9,8 +9,7 @@ from nchodge.fields import GF, QQ
 from nchodge.hochschild import ChainComplex
 from nchodge.kchern import (ContractError, Idempotent, UChain, _tensor_words,
                             chern_idempotent, cycle_certificate,
-                            lift_difference_is_boundary, ppower_lift,
-                            ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
+                            lift_difference_is_boundary, ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
 
 
 def _mat2_e11():
@@ -93,12 +92,6 @@ def test_lift_additivity_is_boundary():
     A = builtin("mat", GF(2), m=2)
     one = A.field.one()
     assert lift_difference_is_boundary(A, {1: one}, {2: one})
-
-
-def test_ppower_lift_p3_not_implemented():
-    A = builtin("truncated_poly", GF(3), m=3)
-    with pytest.raises(NotImplementedError):
-        ppower_lift(A, {1: A.field.one()}, 3)
 
 
 def test_clifford1_unit_is_a_commutator():
