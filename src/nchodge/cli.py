@@ -627,6 +627,8 @@ def _load(args) -> _Inputs:
     x.terms = {name: _term_arg(f"--{name}", getattr(args, name), nvars)
                for name in ("f", "g", "form") if getattr(args, name, None) is not None}
     if hasattr(args, "n_max"):
+        if args.command == "hh" and args.n_max < 0:
+            raise CliError(f"--n-max {args.n_max} must be >= 0", EXIT_VALIDATION)
         # hh reports degrees up to --n-max; degree n needs the chain block
         # at n + 1, so its window is one longer
         n_max = args.n_max + 1 if args.command == "hh" else args.n_max

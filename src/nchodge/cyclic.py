@@ -19,15 +19,22 @@ Two realizations of the truncated negative cyclic complex
 Homology class parity is (tensor length + internal word parity) mod 2, so
 super algebras contribute odd classes from even chain degrees and vice
 versa.
+
+Neither realization numbers chain words: each lays `ChainComplex` blocks
+(length, weight, word parity) side by side and places their d and B images
+by offset.  Position q of the folded complex holds the weight-w blocks of
+lengths n = 0, 1, ... and word parity (q - n) mod 2; T^m of the staircase
+holds the blocks of lengths 2j - m, j < N.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import AlgebraSpec
 from .fields import Field, SizeError, reduced_entries
-from .hochschild import ChainComplex, DegreeWindow, word_parity
+from .hochschild import ChainComplex, DegreeWindow, guard_safe_weights
 from .sparse import (SparseMatrix, homology_from_ranks, homology_rank, kernel_basis, rank,
                      rank_of_columns)
 from .umodule import (UTruncation, UComplex, UModuleReport,
@@ -106,46 +113,30 @@ def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
     weight-w subcomplex to fit in the window (n <= n_max), which holds for
     connected-graded algebras when w <= n_max.
     """
-    A = cx.A
-    bases = {}   # parity -> list of (n, word)
-    index = {}   # parity -> {(n, word): i}
+    lengths = range(min(w, n_max) + 1)
+    layouts = [cx.layout((n, w, (q - n) % 2) for n in lengths) for q in (0, 1)]
+    diffs = {}
     for q in (0, 1):
-        bases[q] = []
-        index[q] = {}
-    for n in range(0, min(w, n_max) + 1):
-        for word in cx.basis(n, w):
-            q = (n + word_parity(A, word)) % 2
-            index[q][(n, word)] = len(bases[q])
-            bases[q].append((n, word))
-    diffs_by_parity = {}
-    for q in (0, 1):
-        dst = index[1 - q]
+        (src, cols), (dst, rows) = layouts[q], layouts[1 - q]
         d_entries: dict = {}
         b_entries: dict = {}
-        for c, (n, word) in enumerate(bases[q]):
-            if n >= 1:
-                for target, v in cx.boundary_word(word).items():
-                    d_entries[(dst[(n - 1, target)], c)] = v
-            if N > 1:
-                for target, v in cx.connes_word(word).items():
-                    key = (n + 1, target)
-                    if key in dst:
-                        b_entries[(dst[key], c)] = v
-        rows = len(bases[1 - q])
-        cols = len(bases[q])
-        coeffs = [SparseMatrix(rows, cols, d_entries)]
+        for n, col0 in src.items():
+            p = (q - n) % 2
+            if n - 1 in dst:
+                cx.place("boundary", n, n - 1, w, p, d_entries, dst[n - 1], col0)
+            if N > 1 and n + 1 in dst:
+                cx.place("connes", n, n + 1, w, p, b_entries, dst[n + 1], col0)
+        diffs[q] = [SparseMatrix(rows, cols, d_entries)]
         if N > 1:
-            coeffs.append(SparseMatrix(rows, cols, b_entries))
-            coeffs.extend(SparseMatrix.zero(rows, cols) for _ in range(N - 2))
-        diffs_by_parity[q] = coeffs
-    ranks = {-1: len(bases[1]), 0: len(bases[0]), 1: len(bases[1]), 2: len(bases[0])}
-    diffs = {0: diffs_by_parity[0], 1: diffs_by_parity[1], 2: diffs_by_parity[0]}
-    return UComplex(UTruncation(N), ranks, diffs)
+            diffs[q].append(SparseMatrix(rows, cols, b_entries))
+            diffs[q].extend(SparseMatrix.zero(rows, cols) for _ in range(N - 2))
+    diffs[2] = diffs[0]
+    dims = [layouts[0][1], layouts[1][1]]
+    return UComplex(UTruncation(N), {-1: dims[1], 0: dims[0], 1: dims[1], 2: dims[0]}, diffs)
 
 
-def _graded_negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicReport:
-    cx = ChainComplex(A)
-    F = A.field
+def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
+    A = cx.A
     w_hi = window.w_max
     if w_hi is None:
         w_hi = A.max_weight if A.max_weight is not None else window.n_max
@@ -155,20 +146,18 @@ def _graded_negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> Cyc
     odd = UModuleReport(0, {}, N)
     per_weight = {}
     flags: dict = {"weights_covered": [w_lo, w_hi]}
-    guard_unsafe = []
     for w in range(w_lo, w_hi + 1):
         if not any(cx.basis(n, w) for n in range(0, min(w, window.n_max) + 1)):
             continue
         uc = _folded_weight_complex(cx, w, N, window.n_max)
-        reports = u_module_decompose(uc, F, positions=(0, 1))
+        reports = u_module_decompose(uc, A.field, positions=(0, 1))
         e, o = reports[0], reports[1]
         per_weight[w] = (e, o)
         even = even.merge(e)
         odd = odd.merge(o)
-        if A.max_weight is not None and w > A.max_weight - 2:
-            guard_unsafe.append(w)
-    if guard_unsafe:
-        flags["guard_unsafe_weights"] = guard_unsafe
+    unsafe = [w for w, safe in guard_safe_weights(A, per_weight).items() if not safe]
+    if unsafe:
+        flags["guard_unsafe_weights"] = unsafe
     return CyclicReport(even, odd, N, window.n_max, per_weight, flags)
 
 
@@ -179,55 +168,46 @@ def _graded_negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> Cyc
 
 class _Staircase:
     """The total-degree complex T^m = sum_{j<N} u^j C_{2j-m} for one parity
-    class, with D = d + uB of degree +1 and the u-shift maps."""
+    class, with D = d + uB of degree +1 and the u-shift maps.
 
-    def __init__(self, A: AlgebraSpec, n_max: int, N: int):
-        self.A = A
-        self.F = A.field
+    T^m_p lays out the blocks of word parity p and lengths 2j - m, j < N, in
+    the window; d and B send the length-n block to the blocks of length
+    n - 1 and n + 1 of T^{m+1}, and u^t sends it to the length-n block of
+    T^{m+2t} where that is still below u^N."""
+
+    def __init__(self, cx: ChainComplex, n_max: int, N: int):
+        self.cx = cx
+        self.F = cx.A.field
         self.N = N
         self.n_max = n_max
-        self.cx = ChainComplex(A)
         self.m_hi = 2 * (N - 1)
         self.m_floor = 2 * (N - 1) - n_max
-        self._bases: dict = {}
-        self._index: dict = {}
+        self._layouts: dict = {}
         self._diff: dict = {}
         self._ranks: dict = {}
         self._cycles: dict = {}
         self._bdry: dict = {}
 
-    def basis(self, m: int, p: int) -> list:
+    def layout(self, m: int, p: int) -> tuple:
+        """({n: offset}, dim) of T^m_p."""
         key = (m, p)
-        if key not in self._bases:
-            out = []
-            for j in range(self.N):
-                n = 2 * j - m
-                if 0 <= n <= self.n_max:
-                    for word in self.cx.basis(n):
-                        if word_parity(self.A, word) == p:
-                            out.append((j, word))
-            self._bases[key] = out
-            self._index[key] = {elt: i for i, elt in enumerate(out)}
-        return self._bases[key]
+        if key not in self._layouts:
+            self._layouts[key] = self.cx.layout(
+                (n, None, p) for n in range(-m, 2 * self.N - m, 2) if 0 <= n <= self.n_max)
+        return self._layouts[key]
 
     def diff(self, m: int, p: int) -> SparseMatrix:
         """D: T^m_p -> T^{m+1}_p."""
         key = (m, p)
         if key in self._diff:
             return self._diff[key]
-        src = self.basis(m, p)
-        self.basis(m + 1, p)
-        dst = self._index[(m + 1, p)]
-        entries = {}
-        for c, (j, word) in enumerate(src):
-            n = len(word) - 1
-            if n >= 1:
-                for target, v in self.cx.boundary_word(word).items():
-                    entries[(dst[(j, target)], c)] = v
-            if j + 1 < self.N:
-                for target, v in self.cx.connes_word(word).items():
-                    entries[(dst[(j + 1, target)], c)] = v
-        mat = SparseMatrix(len(self._index[(m + 1, p)]), len(src), entries)
+        (src, cols), (dst, rows) = self.layout(m, p), self.layout(m + 1, p)
+        entries: dict = {}
+        for n, col0 in src.items():
+            for image, target in (("boundary", n - 1), ("connes", n + 1)):
+                if target in dst:
+                    self.cx.place(image, n, target, None, p, entries, dst[target], col0)
+        mat = SparseMatrix(rows, cols, entries)
         self._diff[key] = mat
         return mat
 
@@ -269,23 +249,23 @@ class _Staircase:
         return self._bdry[key]
 
     def homology_dim(self, m: int, p: int) -> int:
-        return homology_from_ranks(len(self.basis(m, p)), self.diff_rank(m, p),
+        return homology_from_ranks(self.layout(m, p)[1], self.diff_rank(m, p),
                                    self.boundary_rank(m, p))
 
     def shift(self, vectors: list, m: int, p: int, t: int) -> list:
         """Apply u^t to vectors on T^m_p, landing in T^{m+2t}_p."""
         if t == 0:
             return [dict(v) for v in vectors]
-        src = self.basis(m, p)
-        self.basis(m + 2 * t, p)
-        dst = self._index[(m + 2 * t, p)]
+        src = self.layout(m, p)[0]
+        dst = self.layout(m + 2 * t, p)[0]
+        lengths, starts = list(src), list(src.values())
         out = []
         for v in vectors:
             sh = {}
             for i, c in v.items():
-                j, word = src[i]
-                if j + t < self.N:
-                    sh[dst[(j + t, word)]] = c
+                n = lengths[bisect_right(starts, i) - 1]
+                if n in dst:
+                    sh[i - src[n] + dst[n]] = c
             out.append(sh)
         return out
 
@@ -300,9 +280,9 @@ class _Staircase:
         return rank_of_columns(shifted + bd, self.F) - self.boundary_rank(target, p)
 
 
-def _staircase_negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicReport:
-    st = _Staircase(A, window.n_max, N)
-    parities = (0, 1) if A.is_super else (0,)
+def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
+    st = _Staircase(cx, window.n_max, N)
+    parities = (0, 1) if cx.A.is_super else (0,)
     flags: dict = {"degree_range": [st.m_floor, st.m_hi]}
     # dims[par][t] accumulates dim u^t . H over stable degrees of total parity par
     dims = {0: [0] * N, 1: [0] * N}
@@ -340,8 +320,8 @@ def negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicRepor
     """u-module decomposition of H(C^red[u]/u^N, d + uB), folded to Z/2."""
     _require_window(window, N)
     if A.connected_graded:
-        return _graded_negative_cyclic(A, window, N)
-    return _staircase_negative_cyclic(A, window, N)
+        return _graded_negative_cyclic(ChainComplex(A), window, N)
+    return _staircase_negative_cyclic(ChainComplex(A), window, N)
 
 
 @dataclass
@@ -459,44 +439,29 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
         raise UnsupportedError("char_p_compare requires a prime field")
     _require_window(window, N)
     p = A.field.characteristic
+    cx = ChainComplex(A)
     if A.connected_graded:
-        with_b = _graded_negative_cyclic(A, window, N)
-        cx = ChainComplex(A)
+        with_b = _graded_negative_cyclic(cx, window, N)
         w_hi = max(with_b.per_weight, default=0)
-
-        def without_b_pair(w):
-            # The d-only complex of weight w is C (x) k[u]/u^N, whose
-            # homology is u-free of rank dim H(C, d): its free ranks come from
-            # the ranks of the folded d blocks.  d^2 = 0 was certified as the
-            # u^0 part of (d + uB)^2 = 0 on the same blocks.
-            uc = _folded_weight_complex(cx, w, 1, window.n_max)
-            d_even, d_odd = uc.diffs[0][0], uc.diffs[1][0]
-            r_even, r_odd = rank(d_even, A.field), rank(d_odd, A.field)
-            return [homology_from_ranks(d_even.cols, r_even, r_odd),
-                    homology_from_ranks(d_odd.cols, r_odd, r_even)]
+        safe = guard_safe_weights(A, range(w_hi + 1))
 
         def free_pair(w):
-            if w not in with_b.per_weight:
-                return [0, 0]
-            e, o = with_b.per_weight[w]
-            return [e.free_rank, o.free_rank]
-
-        def guard_safe_w(w):
-            return A.max_weight is None or w <= A.max_weight - 2
+            return [r.free_rank for r in with_b.per_weight.get(w, ())] or [0, 0]
 
         slots = []
         agree_all = True
         for w in sorted(with_b.per_weight):
             if p * w > w_hi:
                 continue  # partner slot outside the computed window
-            lhs = without_b_pair(w)
+            # weight-w chains have length n <= w, and w <= n_max here
+            lhs = _d_only_free_ranks(cx, w, w)
             rhs = free_pair(p * w)
             agree = lhs == rhs
-            guard_safe = guard_safe_w(w) and guard_safe_w(p * w)
+            guard = safe[w] and safe[p * w]
             slots.append({"weight": w, "partner_weight": p * w,
                           "without_b": lhs, "with_b": rhs,
-                          "agree": agree, "guard_safe": guard_safe})
-            if guard_safe and not agree:
+                          "agree": agree, "guard_safe": guard})
+            if guard and not agree:
                 agree_all = False
         off_frobenius = []
         for s in sorted(with_b.per_weight):
@@ -505,24 +470,31 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
             pair = free_pair(s)
             ok = pair == [0, 0]
             off_frobenius.append({"weight": s, "with_b": pair, "vanishes": ok,
-                                  "guard_safe": guard_safe_w(s)})
-            if guard_safe_w(s) and not ok:
+                                  "guard_safe": safe[s]})
+            if safe[s] and not ok:
                 agree_all = False
         return {"per_slot": slots, "off_frobenius": off_frobenius,
                 "agree": agree_all, "truncation": N, "n_max": window.n_max}
-    with_b = _staircase_negative_cyclic(A, window, N)
-    # The d-only complex C (x) k[u]/u^N is u-free of rank dim H(C, d), so its
-    # free ranks are those of (C, d) alone, counted in the degrees whose
-    # u^{N-1} multiple stays inside the window: the staircase at N = 1 on a
-    # window 2(N - 1) shorter.
-    no_b_rep = _staircase_negative_cyclic(A, DegreeWindow(window.n_max - 2 * (N - 1)), 1)
-    agree = ((with_b.even.free_rank, with_b.odd.free_rank)
-             == (no_b_rep.even.free_rank, no_b_rep.odd.free_rank))
+    with_b = _staircase_negative_cyclic(cx, window, N)
+    # Counted in the lengths whose u^{N-1} multiple stays inside the window.
+    without_b = _d_only_free_ranks(cx, window.n_max - 2 * N + 1, None)
+    agree = [with_b.even.free_rank, with_b.odd.free_rank] == without_b
     return {"per_slot": [{"weight": None,
                           "with_b": [with_b.even.free_rank, with_b.odd.free_rank],
-                          "without_b": [no_b_rep.even.free_rank, no_b_rep.odd.free_rank],
+                          "without_b": without_b,
                           "agree": agree, "guard_safe": True}],
             "agree": agree, "truncation": N, "n_max": window.n_max}
+
+
+def _d_only_free_ranks(cx: ChainComplex, n_top: int, weight: int | None) -> list:
+    """(even, odd) free ranks of the d-only complex C (x) k[u]/u^N in lengths
+    n <= n_top.  It is u-free of rank dim H(C, d), so they are the Hochschild
+    ranks, a class of length n and word parity p having total parity n + p."""
+    out = [0, 0]
+    for p in ((0, 1) if cx.A.is_super else (0,)):
+        for n in range(n_top + 1):
+            out[(n + p) % 2] += cx.hh_rank(n, weight, p)
+    return out
 
 
 # ---------------------------------------------------------------------------

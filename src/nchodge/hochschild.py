@@ -6,12 +6,18 @@ element 0 is the unit, and the span of the rest is the chosen complement
 of k.1).  The boundary is the alternating sum of slot multiplications with
 the cyclic wrap term; B sums signed cyclic rotations prefixed by the unit.
 
+`ChainComplex` alone numbers chain words, in blocks keyed by (length,
+weight, word parity).  The cyclic complexes and the p = 2 lift test lay
+blocks side by side (`ChainComplex.layout`) and write each block's boundary
+or B images at its offset (`ChainComplex.place`).
+
 Sign conventions (pinned by the exact identities d^2 = B^2 = dB + Bd = 0,
 verified in the test suite on commutative, non-commutative and super
-samples): the i-th inner face carries (-1)^i; the wrap face carries
-(-1)^n times the Koszul sign for moving a_n past a_0..a_{n-1} (plain
-parities); the i-th cyclic rotation in B carries the Koszul sign computed
-with degrees shifted by one, which reduces to (-1)^{n i} in the even case.
+samples, the latter with one and with several odd basis elements): the
+i-th inner face carries (-1)^i; the wrap face carries (-1)^n times the
+Koszul sign for moving a_n past a_0..a_{n-1}; the i-th cyclic rotation in
+B carries (-1)^{n i} times the Koszul sign for moving a_i..a_n past
+a_0..a_{i-1}.  Koszul signs use the plain parities.
 """
 
 from __future__ import annotations
@@ -76,32 +82,67 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None) -> list[tuple
 
 
 class ChainComplex:
-    """Cached reduced Hochschild chain data for one algebra.
+    """Reduced Hochschild chain data for one algebra, and the one place
+    where chain words are numbered.
 
-    Bases, matrices and boundary ranks are memoized per (n, weight), so each
-    boundary block is eliminated once; all outputs are deterministic for a
-    fixed algebra.
+    A block is keyed by (length n, weight, word parity), None meaning
+    unfiltered; the boundary and B keep weight and word parity.  Bases,
+    word indexes and boundary ranks are memoized per block, so each boundary
+    block is eliminated once; matrices are built on demand and not kept.
     """
 
     def __init__(self, A: AlgebraSpec):
         self.A = A
         self._bases: dict = {}
-        self._boundaries: dict = {}
-        self._connes: dict = {}
+        self._indexes: dict = {}
         self._ranks: dict = {}
 
-    def basis(self, n: int, weight: int | None = None) -> list[tuple]:
-        key = (n, weight)
+    def _key(self, n: int, weight: int | None, parity: int | None) -> tuple:
+        # without odd basis elements every word is even: parity 0 is no filter
+        if parity == 0 and not self.A.is_super:
+            parity = None
+        return n, weight, parity
+
+    def basis(self, n: int, weight: int | None = None, parity: int | None = None) -> list:
+        key = self._key(n, weight, parity)
         if key not in self._bases:
-            self._bases[key] = chain_basis(self.A, n, weight)
+            if key[2] is None:
+                self._bases[key] = chain_basis(self.A, n, weight)
+            else:
+                self._bases[key] = [w for w in self.basis(n, weight)
+                                    if word_parity(self.A, w) == parity]
         return self._bases[key]
 
-    def index(self, n: int, weight: int | None = None) -> dict:
-        basis = self.basis(n, weight)
-        key = ("idx", n, weight)
-        if key not in self._bases:
-            self._bases[key] = {w: i for i, w in enumerate(basis)}
-        return self._bases[key]
+    def index(self, n: int, weight: int | None = None, parity: int | None = None) -> dict:
+        """Position of each word of the block in `basis`."""
+        key = self._key(n, weight, parity)
+        if key not in self._indexes:
+            self._indexes[key] = {w: i for i, w in enumerate(self.basis(*key))}
+        return self._indexes[key]
+
+    def layout(self, blocks) -> tuple:
+        """({n: offset}, dim) of blocks (n, weight, parity) laid side by side
+        in turn; their lengths n are distinct."""
+        offsets, dim = {}, 0
+        for n, weight, parity in blocks:
+            offsets[n] = dim
+            dim += len(self.basis(n, weight, parity))
+        return offsets, dim
+
+    def place(self, image: str, n: int, target: int, weight: int | None,
+              parity: int | None, entries: dict, row0: int = 0, col0: int = 0):
+        """Write the images of block (n, weight, parity) under `image`
+        ("boundary" or "connes") into entries as {(row, col): value}: the
+        block's words are the columns from col0 on, and the words of block
+        (target, weight, parity), target = n - 1 or n + 1, the rows from row0."""
+        word_image = {"boundary": self.boundary_word, "connes": self.connes_word}[image]
+        dst = self.index(target, weight, parity)
+        if row0:
+            # shifted once per block, so that the entries of a row share one int
+            dst = {w: i + row0 for w, i in dst.items()}
+        for c, word in enumerate(self.basis(n, weight, parity), col0):
+            for t, v in word_image(word).items():
+                entries[(dst[t], c)] = v
 
     # -- boundary -----------------------------------------------------------
 
@@ -149,17 +190,16 @@ class ChainComplex:
         if word[0] == 0:
             return  # unit head: every rotation puts the unit in a tail slot
         get = acc.get
-        shifted = [(A.parity[i] + 1) % 2 if A.parity is not None else 1 for i in word]
-        total_shift = sum(shifted) % 2
         n = len(word) - 1
-        front = 0
+        total = word_parity(A, word)
+        front = 0  # parity of a_0 .. a_{i-1}
         for i in range(n + 1):
             # rotation: (a_i, ..., a_n, a_0, ..., a_{i-1}) prefixed by 1
-            back = (total_shift - front) % 2
-            exponent = (front * back) if A.parity is not None else (n * i)
+            negate = (n * i + front * (total ^ front)) % 2
             target = (0,) + word[i:] + word[:i]
-            acc[target] = get(target, 0) + (-c if exponent % 2 else c)
-            front = (front + shifted[i]) % 2
+            acc[target] = get(target, 0) + (-c if negate else c)
+            if A.parity is not None:
+                front ^= A.parity[word[i]] % 2
 
     def boundary_word(self, word: tuple) -> dict:
         """Image of a basis word under the boundary, as {word: coefficient}."""
@@ -167,23 +207,15 @@ class ChainComplex:
         self.add_boundary(word, 1, acc)
         return reduced_entries(acc, self.A.field)
 
-    def boundary(self, n: int, weight: int | None = None) -> SparseMatrix:
+    def boundary(self, n: int, weight: int | None = None,
+                 parity: int | None = None) -> SparseMatrix:
         """Matrix of the boundary block(n) -> block(n-1)."""
-        key = (n, weight)
-        if key in self._boundaries:
-            return self._boundaries[key]
-        src = self.basis(n, weight)
+        cols = len(self.basis(n, weight, parity))
         if n == 0:
-            mat = SparseMatrix.zero(0, len(src))
-        else:
-            dst_index = self.index(n - 1, weight)
-            entries = {}
-            for c, word in enumerate(src):
-                for target, v in self.boundary_word(word).items():
-                    entries[(dst_index[target], c)] = v
-            mat = SparseMatrix(len(dst_index), len(src), entries)
-        self._boundaries[key] = mat
-        return mat
+            return SparseMatrix.zero(0, cols)
+        entries: dict = {}
+        self.place("boundary", n, n - 1, weight, parity, entries)
+        return SparseMatrix(len(self.basis(n - 1, weight, parity)), cols, entries)
 
     # -- Connes' B ----------------------------------------------------------
 
@@ -193,42 +225,36 @@ class ChainComplex:
         self.add_connes(word, 1, acc)
         return reduced_entries(acc, self.A.field)
 
-    def connes(self, n: int, weight: int | None = None) -> SparseMatrix:
+    def connes(self, n: int, weight: int | None = None,
+               parity: int | None = None) -> SparseMatrix:
         """Matrix of B: block(n) -> block(n+1)."""
-        key = (n, weight)
-        if key in self._connes:
-            return self._connes[key]
-        src = self.basis(n, weight)
-        dst_index = self.index(n + 1, weight)
-        entries = {}
-        for c, word in enumerate(src):
-            for target, v in self.connes_word(word).items():
-                entries[(dst_index[target], c)] = v
-        mat = SparseMatrix(len(dst_index), len(src), entries)
-        self._connes[key] = mat
-        return mat
+        entries: dict = {}
+        self.place("connes", n, n + 1, weight, parity, entries)
+        return SparseMatrix(len(self.basis(n + 1, weight, parity)),
+                            len(self.basis(n, weight, parity)), entries)
 
     # -- homology -----------------------------------------------------------
 
-    def boundary_rank(self, n: int, weight: int | None = None) -> int:
+    def boundary_rank(self, n: int, weight: int | None = None,
+                      parity: int | None = None) -> int:
         """Rank of the boundary block(n) -> block(n-1)."""
-        key = (n, weight)
+        key = self._key(n, weight, parity)
         if key not in self._ranks:
-            self._ranks[key] = rank(self.boundary(n, weight), self.A.field)
+            self._ranks[key] = rank(self.boundary(*key), self.A.field)
         return self._ranks[key]
 
-    def hh_rank(self, n: int, weight: int | None = None) -> int:
+    def hh_rank(self, n: int, weight: int | None = None, parity: int | None = None) -> int:
         """Rank of ker(boundary_n) / im(boundary_{n+1}) at one block:
         dim - rank(boundary_n) - rank(boundary_{n+1})."""
-        return homology_from_ranks(len(self.basis(n, weight)), self.boundary_rank(n, weight),
-                                   self.boundary_rank(n + 1, weight))
+        return homology_from_ranks(len(self.basis(n, weight, parity)),
+                                   self.boundary_rank(n, weight, parity),
+                                   self.boundary_rank(n + 1, weight, parity))
 
 
 def guard_safe_weights(A: AlgebraSpec, weights) -> dict:
-    """Split weights into guard-safe and flagged for truncated algebras."""
-    if A.max_weight is None:
-        return {w: True for w in weights}
-    return {w: w <= A.max_weight - 2 for w in weights}
+    """Split weights into guard-safe and flagged for truncated algebras: the
+    top two weights of a weight-truncated algebra feel the truncation."""
+    return {w: A.max_weight is None or w <= A.max_weight - 2 for w in weights}
 
 
 def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:

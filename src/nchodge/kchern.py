@@ -19,7 +19,7 @@ from .algebra import AlgebraSpec
 from .cyclic import UnsupportedError
 from .fields import Field, SizeError, linear_combination, reduced_entries
 from .hochschild import ChainComplex, commutator_columns, hh0_direct
-from .sparse import rank_of_columns, solve_in_span
+from .sparse import SparseMatrix, rank_of_columns, solve_in_span
 
 
 class ContractError(ValueError):
@@ -232,9 +232,11 @@ def ppower_lift_p2(A: AlgebraSpec, a: dict) -> UChain:
 
     Only p = 2 is implemented.  For p >= 3 the lift has the shape
     a^p + sum_{n even, 2 <= n <= p-3, sum i_t = p} c_{i_0..i_n}
-    a^{i_0} (x) ... (x) a^{i_n} u^{(n-1)/2} + ((p-1)/2)! a^{(x)p} u^{(p-1)/2}
+    a^{i_0} (x) ... (x) a^{i_n} u^{n/2} + ((p-1)/2)! a^{(x)p} u^{(p-1)/2}
     with the top coefficient nonzero, but the intermediate coefficients are
-    not determined here.
+    not determined here.  A word a^{i_0} (x) ... (x) a^{i_n} has tensor
+    length n and sits in the component of u^{n/2}; the top word a^{(x)p}
+    has length p - 1.
     """
     F = A.field
     if F.characteristic != 2:
@@ -253,8 +255,7 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     """Whether lift(a+b) - lift(a) - lift(b) is a (d + uB)-boundary mod u^2.
 
     The difference lives in C_0 (+) C_2 u; a preimage is sought in
-    C_1 (+) C_3 u under the block map [[d, 0], [B, d]].  Words of C_0 and
-    C_2 differ in length, so one index numbers both.
+    C_1 (+) C_3 u under the block map [[d, 0], [B, d]].
     """
     F = A.field
     la, lb = ppower_lift_p2(A, a), ppower_lift_p2(A, b)
@@ -264,15 +265,12 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     if not diff:
         return True
     cx = ChainComplex(A)
-    index = {w: i for i, w in enumerate(cx.basis(0) + cx.basis(2))}
-    cols = []
-    for n in (1, 3):
-        for word in cx.basis(n):
-            acc: dict = {}
-            cx.add_boundary(word, 1, acc)
-            if n == 1:
-                cx.add_connes(word, 1, acc)
-            cols.append({index[w]: v for w, v in reduced_entries(acc, F).items()})
-    target = {index[w]: v for w, v in diff.items()}
-    base = rank_of_columns(cols, F)
-    return rank_of_columns(cols + [target], F) == base
+    rows, n_rows = cx.layout([(0, None, None), (2, None, None)])
+    cols, n_cols = cx.layout([(1, None, None), (3, None, None)])
+    entries: dict = {}
+    for image, n, target in (("boundary", 1, 0), ("connes", 1, 2), ("boundary", 3, 2)):
+        cx.place(image, n, target, None, None, entries, rows[target], cols[n])
+    columns = SparseMatrix(n_rows, n_cols, entries).columns()
+    rhs = {rows[len(w) - 1] + cx.index(len(w) - 1)[w]: v for w, v in diff.items()}
+    base = rank_of_columns(columns, F)
+    return rank_of_columns(columns + [rhs], F) == base

@@ -799,8 +799,8 @@ def test_non_positive_sizes_exit_2(capsys, argv, words):
      ("N >= 2",)),
     (("hp", "--algebra", "dual_numbers", "--field", "Q", "--n-max", "3", "--u-trunc", "3"),
      ("n_max >= 2N",)),
-    (("hh", "--algebra", "dual_numbers", "--n-max", "-2"), ("n_max",)),
-    (("hh", "--algebra", "dual_numbers", "--n-max", "-1"), ("n_max",)),
+    (("hh", "--algebra", "dual_numbers", "--n-max", "-2"), ("--n-max -2", ">= 0")),
+    (("hh", "--algebra", "dual_numbers", "--n-max", "-1"), ("--n-max -1", ">= 0")),
     (("graded-pieces", "--dim-v", "0", "--n", "2", "--field", "F3"), ("dimV >= 1",)),
     (("graded-pieces", "--dim-v", "2", "--n", "0", "--field", "F3"), ("n >= 1",)),
     (("poisson", "jacobi", "--bivector", "so3", "--degree", "-3"), ("degree bound -3",)),
