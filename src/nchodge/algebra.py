@@ -292,42 +292,6 @@ class BimoduleSpec:
         return bilinear(self.right_action, vec_m, vec_a, self.right.field)
 
 
-def validate_bimodule(M: BimoduleSpec) -> ValidationReport:
-    F = M.left.field
-    v = []
-    for t in range(M.dim):
-        m = {t: F.one()}
-        if M.act_left({0: F.one()}, m) != m:
-            v.append(Violation("bimodule-unit-left", (t,)))
-        if M.act_right(m, {0: F.one()}) != m:
-            v.append(Violation("bimodule-unit-right", (t,)))
-    for j in range(M.left.dim):
-        for t in range(M.dim):
-            for i in range(M.right.dim):
-                m = {t: F.one()}
-                lhs = M.act_right(M.act_left({j: F.one()}, m), {i: F.one()})
-                rhs = M.act_left({j: F.one()}, M.act_right(m, {i: F.one()}))
-                if lhs != rhs:
-                    v.append(Violation("bimodule-commuting-actions", (j, t, i)))
-    for j1 in range(M.left.dim):
-        for j2 in range(M.left.dim):
-            for t in range(M.dim):
-                m = {t: F.one()}
-                lhs = M.act_left({j1: F.one()}, M.act_left({j2: F.one()}, m))
-                rhs = M.act_left(M.left.mul_basis(j1, j2), m)
-                if lhs != rhs:
-                    v.append(Violation("bimodule-left-action", (j1, j2, t)))
-    for i1 in range(M.right.dim):
-        for i2 in range(M.right.dim):
-            for t in range(M.dim):
-                m = {t: F.one()}
-                lhs = M.act_right(M.act_right(m, {i1: F.one()}), {i2: F.one()})
-                rhs = M.act_right(m, M.right.mul_basis(i1, i2))
-                if lhs != rhs:
-                    v.append(Violation("bimodule-right-action", (t, i1, i2)))
-    return ValidationReport(v)
-
-
 def glue(A: AlgebraSpec, B: AlgebraSpec, M: BimoduleSpec) -> AlgebraSpec:
     """Triangular gluing of A and B along a B-A-bimodule in the corner.
 

@@ -14,7 +14,12 @@ Two realizations of the truncated negative cyclic complex
   T^m = sum_{j<N} u^j C_{2j-m}, on which D = d + uB raises m by one and
   squares to zero exactly; homology per degree plus the ranks of the
   u-shift maps give the k[u]/u^N-module filtration dims, from which block
-  sizes are recovered by second differences.
+  sizes are recovered by second differences.  Everything degree m reads
+  (D_m, D_{m-1}, the cycles of T^{m-2t}) is made at degree m or below, so
+  one ascending pass over m computes it.  The window's lowest degree
+  m_floor = 2(N - 1) - n_max receives no D from inside the window: its
+  homology is a window-edge artefact, reported as `unstable_floor_dims`
+  and kept out of the profile.
 
 Homology class parity is (tensor length + internal word parity) mod 2, so
 super algebras contribute odd classes from even chain degrees and vice
@@ -90,13 +95,16 @@ class CyclicReport:
         return d
 
 
-def _require_window(window: DegreeWindow, N: int):
+def _require_window(A: AlgebraSpec, window: DegreeWindow, N: int):
     if N < 1:
         raise SizeError(f"truncation N={N} must be >= 1")
     if window.n_max < 2 * N:
         raise WindowError(
             f"window n_max={window.n_max} too small for truncation N={N}: "
             f"need n_max >= 2N")
+    if not A.connected_graded:
+        window.refuse_weight_bounds(
+            f"{A.name} is not connected-graded, so its cyclic complex is not split by weight")
 
 
 # ---------------------------------------------------------------------------
@@ -166,141 +174,94 @@ def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> C
 # ---------------------------------------------------------------------------
 
 
-class _Staircase:
-    """The total-degree complex T^m = sum_{j<N} u^j C_{2j-m} for one parity
-    class, with D = d + uB of degree +1 and the u-shift maps.
+def _staircase_layout(cx: ChainComplex, m: int, p: int, n_max: int, N: int) -> tuple:
+    """({n: offset}, dim) of T^m_p: the blocks of word parity p and lengths
+    2j - m, j < N, that lie in the window."""
+    return cx.layout((n, None, p) for n in range(-m, 2 * N - m, 2) if 0 <= n <= n_max)
 
-    T^m_p lays out the blocks of word parity p and lengths 2j - m, j < N, in
-    the window; d and B send the length-n block to the blocks of length
-    n - 1 and n + 1 of T^{m+1}, and u^t sends it to the length-n block of
-    T^{m+2t} where that is still below u^N."""
 
-    def __init__(self, cx: ChainComplex, n_max: int, N: int):
-        self.cx = cx
-        self.F = cx.A.field
-        self.N = N
-        self.n_max = n_max
-        self.m_hi = 2 * (N - 1)
-        self.m_floor = 2 * (N - 1) - n_max
-        self._layouts: dict = {}
-        self._diff: dict = {}
-        self._ranks: dict = {}
-        self._cycles: dict = {}
-        self._bdry: dict = {}
+def _staircase_diff(cx: ChainComplex, src: tuple, dst: tuple, p: int) -> SparseMatrix:
+    """D = d + uB from T^m_p to T^{m+1}_p, laid out as `src` and `dst`: d and
+    B send the length-n block to the blocks of length n - 1 and n + 1."""
+    (src, cols), (dst, rows) = src, dst
+    entries: dict = {}
+    for n, col0 in src.items():
+        for image, target in (("boundary", n - 1), ("connes", n + 1)):
+            if target in dst:
+                cx.place(image, n, target, None, p, entries, dst[target], col0)
+    return SparseMatrix(rows, cols, entries)
 
-    def layout(self, m: int, p: int) -> tuple:
-        """({n: offset}, dim) of T^m_p."""
-        key = (m, p)
-        if key not in self._layouts:
-            self._layouts[key] = self.cx.layout(
-                (n, None, p) for n in range(-m, 2 * self.N - m, 2) if 0 <= n <= self.n_max)
-        return self._layouts[key]
 
-    def diff(self, m: int, p: int) -> SparseMatrix:
-        """D: T^m_p -> T^{m+1}_p."""
-        key = (m, p)
-        if key in self._diff:
-            return self._diff[key]
-        (src, cols), (dst, rows) = self.layout(m, p), self.layout(m + 1, p)
-        entries: dict = {}
-        for n, col0 in src.items():
-            for image, target in (("boundary", n - 1), ("connes", n + 1)):
-                if target in dst:
-                    self.cx.place(image, n, target, None, p, entries, dst[target], col0)
-        mat = SparseMatrix(rows, cols, entries)
-        self._diff[key] = mat
-        return mat
-
-    def diff_rank(self, m: int, p: int) -> int:
-        """Rank of D: T^m_p -> T^{m+1}_p, eliminated once per block.  Where
-        u_image_rank may need the cycles of the block, they are built
-        instead and the rank follows from them."""
-        key = (m, p)
-        if key not in self._ranks:
-            if self.N > 1 and self.m_floor < m <= self.m_hi - 2:
-                self.cycles(m, p)
-            else:
-                self._ranks[key] = rank(self.diff(m, p), self.F)
-        return self._ranks[key]
-
-    def boundary_rank(self, m: int, p: int) -> int:
-        """Rank of D into T^m_p; 0 below the window floor, where no
-        incoming map is built."""
-        return self.diff_rank(m - 1, p) if m - 1 >= self.m_floor else 0
-
-    def cycles(self, m: int, p: int) -> list:
-        """Kernel basis of D: T^m_p -> T^{m+1}_p; records the block's rank
-        as cols - len(kernel)."""
-        key = (m, p)
-        if key not in self._cycles:
-            D = self.diff(m, p)
-            self._cycles[key] = kernel_basis(D, self.F)
-            self._ranks[key] = D.cols - len(self._cycles[key])
-        return self._cycles[key]
-
-    def boundaries(self, m: int, p: int) -> list:
-        """Nonzero image columns of D: T^{m-1}_p -> T^m_p."""
-        key = (m, p)
-        if key not in self._bdry:
-            if m - 1 < self.m_floor:
-                self._bdry[key] = None  # incomplete below the window floor
-            else:
-                self._bdry[key] = [col for col in self.diff(m - 1, p).columns() if col]
-        return self._bdry[key]
-
-    def homology_dim(self, m: int, p: int) -> int:
-        return homology_from_ranks(self.layout(m, p)[1], self.diff_rank(m, p),
-                                   self.boundary_rank(m, p))
-
-    def shift(self, vectors: list, m: int, p: int, t: int) -> list:
-        """Apply u^t to vectors on T^m_p, landing in T^{m+2t}_p."""
-        if t == 0:
-            return [dict(v) for v in vectors]
-        src = self.layout(m, p)[0]
-        dst = self.layout(m + 2 * t, p)[0]
-        lengths, starts = list(src), list(src.values())
-        out = []
-        for v in vectors:
-            sh = {}
-            for i, c in v.items():
-                n = lengths[bisect_right(starts, i) - 1]
-                if n in dst:
-                    sh[i - src[n] + dst[n]] = c
-            out.append(sh)
-        return out
-
-    def u_image_rank(self, m: int, p: int, t: int) -> int:
-        """dim of u^t . H^m_p inside H^{m+2t}_p."""
-        target = m + 2 * t
-        if target > self.m_hi:
-            return 0
-        shifted = [v for v in self.shift(self.cycles(m, p), m, p, t) if v]
-        bd = self.boundaries(target, p) or []
-        # the rank of the boundary columns is the rank of the map they span
-        return rank_of_columns(shifted + bd, self.F) - self.boundary_rank(target, p)
+def _staircase_shift(vectors: list, src: dict, dst: dict) -> list:
+    """u^t on vectors of T^m_p, landing in T^{m+2t}_p (block offsets `src`
+    and `dst`): the length-n block moves to the length-n block of T^{m+2t},
+    and is dropped where that would reach u^N."""
+    lengths, starts = list(src), list(src.values())
+    out = []
+    for v in vectors:
+        sh = {}
+        for i, c in v.items():
+            n = lengths[bisect_right(starts, i) - 1]
+            if n in dst:
+                sh[i - src[n] + dst[n]] = c
+        out.append(sh)
+    return out
 
 
 def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
-    st = _Staircase(cx, window.n_max, N)
-    parities = (0, 1) if cx.A.is_super else (0,)
-    flags: dict = {"degree_range": [st.m_floor, st.m_hi]}
+    """k[u]/u^N profile from the staircase T^m, m_floor <= m <= m_hi =
+    2(N - 1), in one ascending pass over m per word parity p.
+
+    H^m needs D_m and D_{m-1}; the image of u^t . H^{m-2t} in H^m needs
+    the cycles of T^{m-2t} and D_{m-1}.  So the pass holds only D_{m-1},
+    its rank, and the cycles of the degrees m - 2t (0 < t < N) that have
+    homology, and builds and eliminates each D_m once: as a kernel where
+    its cycles may be shifted later (N > 1 and m_floor < m <= m_hi - 2),
+    else as a rank.  The floor degree m_floor is the one exception: no D
+    into it is built, and its homology goes to `unstable_floor_dims`
+    instead of the profile, unshifted.
+    """
+    F = cx.A.field
+    n_max = window.n_max
+    m_hi = 2 * (N - 1)
+    m_floor = m_hi - n_max
+    flags: dict = {"degree_range": [m_floor, m_hi]}
     # dims[par][t] accumulates dim u^t . H over stable degrees of total parity par
     dims = {0: [0] * N, 1: [0] * N}
-    floor_dims = {0: 0, 1: 0}
-    for p in parities:
-        for m in range(st.m_floor, st.m_hi + 1):
+    floor_dims = [0, 0]
+    for p in ((0, 1) if cx.A.is_super else (0,)):
+        layout = _staircase_layout(cx, m_floor, p, n_max, N)
+        d_in, rank_in = None, 0  # D_{m-1}; no map into the floor
+        cycles: dict = {}  # degree -> (block offsets, cycles)
+        for m in range(m_floor, m_hi + 1):
             par = (m + p) % 2
-            if m == st.m_floor:
-                floor_dims[par] += st.homology_dim(m, p)
-                continue
-            h = st.homology_dim(m, p)
-            if h == 0:
-                continue
-            dims[par][0] += h
-            for t in range(1, N):
-                dims[par][t] += st.u_image_rank(m, p, t)
+            sources = [t for t in range(1, N) if m - 2 * t in cycles]
+            if sources:
+                # the rank of the boundary columns is the rank of the map they span
+                bd = [col for col in d_in.columns() if col]
+                for t in sources:
+                    offsets, z = cycles[m - 2 * t]
+                    shifted = [v for v in _staircase_shift(z, offsets, layout[0]) if v]
+                    dims[par][t] += rank_of_columns(shifted + bd, F) - rank_in
+            cycles.pop(m - 2 * (N - 1), None)
+            nxt = _staircase_layout(cx, m + 1, p, n_max, N)
+            D = _staircase_diff(cx, layout, nxt, p)
+            z = None
+            if N > 1 and m_floor < m <= m_hi - 2:
+                z = kernel_basis(D, F)
+                rank_out = D.cols - len(z)
+            else:
+                rank_out = rank(D, F)
+            h = homology_from_ranks(layout[1], rank_out, rank_in)
+            if m == m_floor:
+                floor_dims[par] += h
+            elif h:
+                dims[par][0] += h
+                if z is not None:
+                    cycles[m] = (layout[0], z)
+            layout, d_in, rank_in = nxt, D, rank_out
     if floor_dims[0] or floor_dims[1]:
-        flags["unstable_floor_dims"] = [floor_dims[0], floor_dims[1]]
+        flags["unstable_floor_dims"] = floor_dims
     reports = {}
     for par in (0, 1):
         try:
@@ -318,7 +279,7 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
 
 def negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicReport:
     """u-module decomposition of H(C^red[u]/u^N, d + uB), folded to Z/2."""
-    _require_window(window, N)
+    _require_window(A, window, N)
     if A.connected_graded:
         return _graded_negative_cyclic(ChainComplex(A), window, N)
     return _staircase_negative_cyclic(ChainComplex(A), window, N)
@@ -362,7 +323,7 @@ def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> HodgeReport:
     """
     if N < 2:
         raise SizeError("hp_ranks needs N >= 2 for the stabilization check")
-    _require_window(window, N)
+    _require_window(A, window, N)
     rep = negative_cyclic(A, window, N)
     prev = negative_cyclic(A, window, N - 1)
     stable = (rep.even.free_rank == prev.even.free_rank
@@ -407,7 +368,7 @@ def degeneration_check(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     Jordan blocks) in every computed slot; otherwise the torsion inventory
     is returned.
     """
-    _require_window(window, N)
+    _require_window(A, window, N)
     rep = negative_cyclic(A, window, N)
     inventory = rep.torsion_inventory()
     if not rep.consistent:
@@ -437,7 +398,7 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     """
     if A.field.characteristic == 0:
         raise UnsupportedError("char_p_compare requires a prime field")
-    _require_window(window, N)
+    _require_window(A, window, N)
     p = A.field.characteristic
     cx = ChainComplex(A)
     if A.connected_graded:

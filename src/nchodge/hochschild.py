@@ -42,6 +42,16 @@ class DegreeWindow:
     def __post_init__(self):
         if self.n_max < 0:
             raise SizeError("n_max must be >= 0")
+        if self.w_min is not None and self.w_max is not None and self.w_min > self.w_max:
+            raise SizeError(f"weight window w_min={self.w_min} > w_max={self.w_max} is empty")
+
+    def refuse_weight_bounds(self, why: str):
+        """Raise SizeError if a weight bound is set on a computation that
+        does not split by weight, where it would be silently ignored."""
+        bounds = [f"{name}={v}" for name, v in (("w_min", self.w_min), ("w_max", self.w_max))
+                  if v is not None]
+        if bounds:
+            raise SizeError(f"weight bound {', '.join(bounds)} does not apply: {why}")
 
 
 def word_parity(A: AlgebraSpec, word: tuple) -> int:
@@ -271,6 +281,7 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
         raise SizeError("window too small: n_max must be >= 1")
     result: dict = {"n_max": window.n_max, "algebra": A.name}
     if A.weight is None:
+        window.refuse_weight_bounds(f"{A.name} has no weights")
         per_n = {n: cx.hh_rank(n) for n in range(n_top + 1)}
         result["per_n"] = per_n
         return result

@@ -19,7 +19,7 @@ from .algebra import AlgebraSpec
 from .cyclic import UnsupportedError
 from .fields import Field, SizeError, linear_combination, reduced_entries
 from .hochschild import ChainComplex, commutator_columns, hh0_direct
-from .sparse import SparseMatrix, rank_of_columns, solve_in_span
+from .sparse import SparseMatrix, rank_of_columns, solve_in_span, span_quotient
 
 
 class ContractError(ValueError):
@@ -140,15 +140,8 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
 def u0_class_nonzero(chain: UChain) -> bool:
     """Whether the u^0 component represents a nonzero class in HH_0."""
     A = chain.algebra
-    F = A.field
-    comp = chain.components[0]
-    v = {w[0]: c for w, c in comp.items()} if comp and isinstance(
-        next(iter(comp)), tuple) else dict(comp)
-    if not v:
-        return False
-    cols = commutator_columns(A)
-    base = rank_of_columns(cols, F)
-    return rank_of_columns(cols + [v], F) > base
+    _, reduce = span_quotient(commutator_columns(A), A.dim, A.field)
+    return bool(reduce({w[0]: c for w, c in chain.components[0].items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -164,31 +157,24 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
     if p == 0:
         raise UnsupportedError("ppower_on_hh0 requires a prime field")
     comm = commutator_columns(A)
-    comm_rank = rank_of_columns(comm, F)
-
-    def in_commutators(v: dict) -> bool:
-        if not v:
-            return True
-        return rank_of_columns(comm + [v], F) == comm_rank
+    # classes in A/[A,A], in the coordinates of one elimination of [A,A]:
+    # v lies in [A,A] exactly when its class is empty
+    _, reduce = span_quotient(comm, A.dim, F)
 
     # representative basis of A/[A,A]: greedy over basis vectors
-    reps = []
-    current = list(comm)
-    current_rank = comm_rank
+    reps, classes = [], []
     for i in range(A.dim):
-        cand = current + [{i: F.one()}]
-        r = rank_of_columns(cand, F)
-        if r > current_rank:
+        cls = reduce({i: F.one()})
+        if rank_of_columns(classes + [cls], F) > len(classes):
             reps.append(i)
-            current = cand
-            current_rank = r
+            classes.append(cls)
 
     def project(v: dict):
         """Coordinates of the class of v on the representative basis."""
-        sol = solve_in_span(comm + [{i: F.one()} for i in reps], v, F)
+        sol = solve_in_span(classes, reduce(v), F)
         if sol is None:
             raise ContractError("projection to A/[A,A] failed")
-        return {t: sol.get(len(comm) + t, F.zero()) for t in range(len(reps))}
+        return {t: sol.get(t, F.zero()) for t in range(len(reps))}
 
     powers = [A.power({i: F.one()}, p) for i in range(A.dim)]  # e_i^p
     matrix = {t: project(powers[i]) for t, i in enumerate(reps)}
@@ -201,7 +187,7 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
         for c in comm:
             perturbed = linear_combination(((1, c), (1, {i: 1})), F)
             diff = linear_combination(((1, A.power(perturbed, p)), (-1, powers[i])), F)
-            if not in_commutators(diff):
+            if reduce(diff):
                 well_defined = False
                 witnesses.append(("lift", i))
     # certificate (ii): additivity on all basis pairs
@@ -211,7 +197,7 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
             ab = linear_combination(((1, {i: 1}), (1, {j: 1})), F)
             diff = linear_combination(((1, A.power(ab, p)), (-1, powers[i]), (-1, powers[j])),
                                       F)
-            if not in_commutators(diff):
+            if reduce(diff):
                 additive = False
                 witnesses.append(("additivity", i, j))
     return {
@@ -272,5 +258,4 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
         cx.place(image, n, target, None, None, entries, rows[target], cols[n])
     columns = SparseMatrix(n_rows, n_cols, entries).columns()
     rhs = {rows[len(w) - 1] + cx.index(len(w) - 1)[w]: v for w, v in diff.items()}
-    base = rank_of_columns(columns, F)
-    return rank_of_columns(columns + [rhs], F) == base
+    return not span_quotient(columns, n_rows, F)[1](rhs)

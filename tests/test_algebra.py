@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from nchodge.algebra import (CATALOGUE, AlgebraError, SchemaError,
+from nchodge.algebra import (CATALOGUE, AlgebraError, BimoduleSpec, SchemaError,
                              algebra_from_json, algebra_to_json, builtin, glue,
                              matrix_algebra, opposite, trivial_bimodule,
-                             validate, validate_bimodule, zero_bimodule)
+                             validate, zero_bimodule)
 from nchodge.fields import GF, QQ
 
 
@@ -82,12 +82,27 @@ def test_validate_reports_out_of_range_indices_of_a_graded_spec():
 def test_glue_and_bimodules():
     P = builtin("point")
     for mk in (trivial_bimodule, zero_bimodule):
-        M = mk(P, P)
-        assert validate_bimodule(M).ok
-        G = glue(P, P, M)
+        G = glue(P, P, mk(P, P))
         assert validate(G).ok
     assert glue(P, P, trivial_bimodule(P, P)).dim == 3  # upper triangular 2x2
     assert glue(P, P, zero_bimodule(P, P)).dim == 2     # k x k
+
+
+def test_glue_of_a_bad_bimodule_fails_validation():
+    # the glued algebra's own axioms check the bimodule's: actions that do
+    # not commute break associativity, and a unit acting as 0 breaks the unit
+    D = builtin("dual_numbers")
+    one = D.field.one()
+    # x . m1 = m0 and m0 . x = m1: (x . m1) . x = m1, but x . (m1 . x) = 0
+    M = BimoduleSpec(D, D, 2, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 1): {0: one}},
+                     {(0, 0): {0: one}, (1, 0): {1: one}, (0, 1): {1: one}})
+    kinds = {v.kind for v in validate(glue(D, D, M)).violations}
+    assert "associativity" in kinds
+    P = builtin("point")
+    M = trivial_bimodule(P, P)
+    M.left_action = {}
+    kinds = {v.kind for v in validate(glue(P, P, M)).violations}
+    assert "unit" in kinds
 
 
 def test_json_round_trip():

@@ -18,6 +18,7 @@ from nchodge.algebra import AlgebraError, AlgebraSpec, algebra_to_json, builtin,
 from nchodge.fields import GF, QQ, linear_combination, reduced_entries
 from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis, hh_ranks,
                                 word_parity)
+from nchodge.oracle import dense_blocks_from_dims, dense_kernel, dense_rank
 from nchodge.sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
 from nchodge.umodule import UComplex, UTruncation, u_module_decompose
 
@@ -272,18 +273,101 @@ def _staircase_window(A):
 def test_staircase_diff_and_shift_match_reference(F):
     for A in _algebras(F):
         n_max = _staircase_window(A)
+        cx = ChainComplex(A)
         for N in range(1, n_max // 2 + 1):
-            st = cyclic._Staircase(ChainComplex(A), n_max, N)
             ref = _RefStaircase(A, n_max, N)
+            m_hi = 2 * (N - 1)
+
+            def layout(m, p):
+                return cyclic._staircase_layout(cx, m, p, n_max, N)
+
             for p in (0, 1):
-                for m in range(st.m_floor, st.m_hi + 1):
-                    assert _matrix(st.diff(m, p)) == ref.diff(m, p), (A.name, N, m, p)
-                    dim = st.layout(m, p)[1]
-                    assert dim == len(ref.basis(m, p))
-                    units = [{i: 1} for i in range(dim)]
+                for m in range(m_hi - n_max, m_hi + 1):
+                    src = layout(m, p)
+                    D = cyclic._staircase_diff(cx, src, layout(m + 1, p), p)
+                    assert _matrix(D) == ref.diff(m, p), (A.name, N, m, p)
+                    assert src[1] == len(ref.basis(m, p))
+                    units = [{i: 1} for i in range(src[1])]
                     for t in range(1, N):
-                        if m + 2 * t <= st.m_hi:
-                            assert st.shift(units, m, p, t) == ref.shift(units, m, p, t)
+                        if m + 2 * t <= m_hi:
+                            shifted = cyclic._staircase_shift(units, src[0],
+                                                              layout(m + 2 * t, p)[0])
+                            assert shifted == ref.shift(units, m, p, t)
+
+
+def _dense_staircase(A, n_max, N):
+    """({total parity: [dim u^t . H, t < N]}, floor dims) of the staircase,
+    from the word-indexed reference and the oracle's dense elimination:
+    H^m = ker D_m / im D_{m-1} over stable degrees m_floor < m <= m_hi, and
+    u^t . H^m is the rank of the shifted cycles of D_m beside the columns of
+    D_{m+2t-1}, less the rank of those columns."""
+    F = A.field
+    ref = _RefStaircase(A, n_max, N)
+    m_hi = 2 * (N - 1)
+    m_floor = m_hi - n_max
+
+    def rows(m, p):
+        n_rows, n_cols, entries = ref.diff(m, p)
+        out = [[0] * n_cols for _ in range(n_rows)]
+        for (r, c), v in entries.items():
+            out[r][c] = v
+        return out
+
+    def columns(m, p):
+        return [list(col) for col in zip(*rows(m, p))]
+
+    dims = {0: [0] * N, 1: [0] * N}
+    floor_dims = [0, 0]
+    for p in ((0, 1) if A.is_super else (0,)):
+        for m in range(m_floor, m_hi + 1):
+            par = (m + p) % 2
+            dim = len(ref.basis(m, p))
+            rank_in = dense_rank(columns(m - 1, p), F) if m > m_floor else 0
+            h = dim - dense_rank(rows(m, p), F) - rank_in
+            if m == m_floor:
+                floor_dims[par] += h
+                continue
+            dims[par][0] += h
+            if not h:
+                continue
+            cycles = [{i: c for i, c in enumerate(v) if c}
+                      for v in dense_kernel(rows(m, p), dim, F)]
+            for t in range(1, N):
+                target = m + 2 * t
+                if target > m_hi:
+                    break
+                size = len(ref.basis(target, p))
+                shifted = [[v.get(i, 0) for i in range(size)]
+                           for v in ref.shift(cycles, m, p, t)]
+                bd = columns(target - 1, p)
+                dims[par][t] += dense_rank(shifted + bd, F) - dense_rank(bd, F)
+    return dims, floor_dims
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_staircase_profile_matches_dense_reference(F):
+    # the ascending pass keeps only D_{m-1} and the cycles still to be
+    # shifted; the reference recomputes every block densely, in any order
+    checked = 0
+    for A in _algebras(F):
+        if A.connected_graded:
+            continue
+        # windows whose largest block stays small enough for dense elimination
+        top = 2
+        while top < 6 and A.dim * max(A.dim - 1, 1) ** (top + 1) <= 400:
+            top += 1
+        for N in (1, 2, 3):
+            for n_max in range(2 * N, top + 1):
+                rep = cyclic.negative_cyclic(A, DegreeWindow(n_max), N)
+                dims, floor_dims = _dense_staircase(A, n_max, N)
+                for par, got in ((0, rep.even), (1, rep.odd)):
+                    free, blocks = dense_blocks_from_dims(dims[par])
+                    assert (got.free_rank, got.torsion_blocks) == (free, blocks), \
+                        (A.name, N, n_max, par)
+                assert rep.flags.get("unstable_floor_dims", [0, 0]) == floor_dims
+                assert "profile_inconsistent" not in rep.flags
+                checked += 1
+    assert checked >= 20
 
 
 @pytest.mark.parametrize("F", [GF(2), GF(3)], ids=str)

@@ -431,9 +431,15 @@ def _chern_argv(tmp_path, m, N, vector, *extra):
      "461dfe26935fbe63c0e1e3530d485bdb48e986d617f1cee455c82bad6ededee0"),
     (("validate", "--algebra", "mat", "--param", "m=3"),
      "4d8e24c1b2aeb8470f4b2fc716916472ad333b2b2be6f2ba222e177e0438cadf"),
+    (("hc", "--algebra", "mat", "--param", "m=2", "--field", "F3", "--n-max", "7",
+      "--u-trunc", "3"),
+     "88b2b04c43f24bbcdbd76a26f397517b2721afc517d2299e9e9c2afd2b70c217"),
+    (("hp", "--algebra", "a2_path", "--n-max", "8", "--u-trunc", "2"),
+     "2b94c6c54027c2634ab8f41db2c62da83d836d9c809f2a2aa75b1eebd188795f"),
 ], ids=["chern-mat3-u5-json", "chern-mat2-u7-csv", "hp-clifford1-markdown",
         "catalogue", "glue-dual-a2-F3", "ppower-mat2-F2-lift", "graded-pieces-v3-n6-F3",
-        "charp-compare-clifford1-F3", "validate-mat3"])
+        "charp-compare-clifford1-F3", "validate-mat3", "hc-mat2-F3-u3",
+        "hp-a2_path-u2"])
 def test_golden_reports(tmp_path, capsys, argv, digest):
     if isinstance(argv[0], int):
         argv = _chern_argv(tmp_path, *argv)
@@ -787,6 +793,9 @@ def test_non_positive_sizes_exit_2(capsys, argv, words):
 # commands with --u-trunc 0 exited 0 with a "truncation 0" report, a
 # negative --u-trunc on an ungraded algebra was an IndexError traceback, the
 # identity checks passed vacuously on a negative degree, and the rest exited 1.
+# A weight bound where nothing splits by weight was silently ignored, and an
+# empty weight window was computed as if it held the data (hp reported a
+# conclusive HP = (0, 0) for the dual numbers).
 @pytest.mark.parametrize("argv, words", [
     (("hc", "--algebra", "a2_path", "--n-max", "4", "--u-trunc", "0"), ("N=0",)),
     (("degeneration", "--algebra", "a2_path", "--n-max", "4", "--u-trunc", "0"), ("N=0",)),
@@ -808,11 +817,18 @@ def test_non_positive_sizes_exit_2(capsys, argv, words):
      ("degree bound -3",)),
     (("poisson", "star", "--nvars", "2", "--degree", "-3"), ("degree bound -3",)),
     (("poisson", "homology", "--bivector", "standard", "--degree", "1"), ("guard band",)),
+    (("hh", "--algebra", "group_z2", "--n-max", "2", "--w-min", "1", "--w-max", "1"),
+     ("w_min=1, w_max=1", "no weights")),
+    (("hc", "--algebra", "mat", "--n-max", "4", "--u-trunc", "2", "--w-min", "1",
+      "--w-max", "1"), ("w_min=1, w_max=1", "not connected-graded")),
+    (("hp", "--algebra", "dual_numbers", "--n-max", "6", "--u-trunc", "2", "--w-min", "3",
+      "--w-max", "1", "--strict"), ("w_min=3 > w_max=1",)),
 ], ids=["hc-ungraded-N0", "degeneration-ungraded-N0", "charp-compare-ungraded-N0",
         "hc-ungraded-N-2", "hc-graded-N0", "hp-N1", "filtration-N1", "hp-window-below-2N",
         "hh-n_max-2", "hh-n_max-1", "graded-pieces-dimV0", "graded-pieces-n0",
         "poisson-jacobi-degree-3", "poisson-conjugation-degree-3", "poisson-star-degree-3",
-        "poisson-homology-below-guard"])
+        "poisson-homology-below-guard", "hh-weight-bound-without-weights",
+        "hc-weight-bound-not-connected-graded", "hp-empty-weight-window"])
 def test_out_of_range_sizes_exit_2(capsys, argv, words):
     _assert_refused(*run(capsys, *argv), *words)
 
