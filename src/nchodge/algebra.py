@@ -366,23 +366,14 @@ def zero_bimodule(B: AlgebraSpec, A: AlgebraSpec) -> BimoduleSpec:
 # ---------------------------------------------------------------------------
 
 
-def _monomials(nvars: int, max_weight: int):
-    """All exponent tuples with total degree <= max_weight, ordered by
-    (total degree, lexicographic)."""
-    out = []
-    for total in range(max_weight + 1):
-        pool = []
-
-        def rec_total(prefix, left, slots):
-            if slots == 1:
-                pool.append(tuple(prefix + [left]))
-                return
-            for e in range(left + 1):
-                rec_total(prefix + [e], left - e, slots - 1)
-
-        rec_total([], total, nvars)
-        out.extend(sorted(pool))
-    return out
+def _monomials_upto(nvars: int, deg: int) -> list:
+    """Exponent tuples of total degree <= deg, ordered by (degree, tuple)."""
+    if deg < 0:
+        return []
+    out = [()]
+    for _ in range(nvars):
+        out = [e + (k,) for e in out for k in range(deg - sum(e) + 1)]
+    return sorted(out, key=lambda e: (sum(e), e))
 
 
 def _point(field: Field) -> AlgebraSpec:
@@ -415,7 +406,7 @@ def _poly_truncated(field: Field, nvars: int, max_weight: int) -> AlgebraSpec:
     if nvars < 1 or max_weight < 0:
         raise AlgebraError(f"poly_truncated needs vars >= 1 and max_weight >= 0, "
                            f"got vars={nvars}, max_weight={max_weight}")
-    mons = _monomials(nvars, max_weight)
+    mons = _monomials_upto(nvars, max_weight)
     index = {mon: i for i, mon in enumerate(mons)}
     one = field.one()
     structure = {}
@@ -437,7 +428,7 @@ def _quantum_plane(field: Field, q, max_weight: int) -> AlgebraSpec:
         raise AlgebraError("q must be nonzero")
     if max_weight < 0:
         raise AlgebraError(f"quantum_plane needs max_weight >= 0, got {max_weight}")
-    mons = _monomials(2, max_weight)
+    mons = _monomials_upto(2, max_weight)
     index = {mon: i for i, mon in enumerate(mons)}
     structure = {}
     for i1, (a, b) in enumerate(mons):

@@ -107,6 +107,22 @@ def _require_window(A: AlgebraSpec, window: DegreeWindow, N: int):
             f"{A.name} is not connected-graded, so its cyclic complex is not split by weight")
 
 
+def _profile(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
+    """The setup of every cyclic command: check the window once, then run
+    the realization that fits the algebra."""
+    _require_window(cx.A, window, N)
+    if cx.A.connected_graded:
+        return _graded_negative_cyclic(cx, window, N)
+    return _staircase_negative_cyclic(cx, window, N)
+
+
+def _verdict(rep: CyclicReport, conclusive: bool) -> str:
+    """The verdict of `hp_ranks` and `degeneration_check` on the profile rep."""
+    if not conclusive:
+        return "inconclusive"
+    return "finite-torsion-found" if rep.torsion_inventory() else "collapses-in-window"
+
+
 # ---------------------------------------------------------------------------
 # connected-graded path: honest folded complex per weight
 # ---------------------------------------------------------------------------
@@ -150,6 +166,10 @@ def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> C
         w_hi = A.max_weight if A.max_weight is not None else window.n_max
     w_hi = min(w_hi, window.n_max)
     w_lo = window.w_min if window.w_min is not None else 0
+    if w_lo > w_hi:
+        # the weights above w_hi are not computed, so zeros there are no result
+        raise SizeError(f"weight bound w_min={w_lo} is above the top weight {w_hi} "
+                        f"that this window reaches (weights 0..{w_hi})")
     even = UModuleReport(0, {}, N)
     odd = UModuleReport(0, {}, N)
     per_weight = {}
@@ -279,10 +299,7 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
 
 def negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicReport:
     """u-module decomposition of H(C^red[u]/u^N, d + uB), folded to Z/2."""
-    _require_window(A, window, N)
-    if A.connected_graded:
-        return _graded_negative_cyclic(ChainComplex(A), window, N)
-    return _staircase_negative_cyclic(ChainComplex(A), window, N)
+    return _profile(ChainComplex(A), window, N)
 
 
 @dataclass
@@ -295,9 +312,7 @@ class HodgeReport:
     verdict: str          # collapses-in-window | finite-torsion-found | inconclusive
     filtration: dict      # index (as string, half-integers allowed) -> rank
     report_N: CyclicReport
-    report_Nm1: CyclicReport | None
-    window_n_max: int
-    N: int
+    report_Nm1: CyclicReport
 
     def to_dict(self) -> dict:
         return {
@@ -306,10 +321,10 @@ class HodgeReport:
             "conclusive": self.conclusive,
             "verdict": self.verdict,
             "filtration": dict(self.filtration),
-            "truncation": self.N,
-            "n_max": self.window_n_max,
+            "truncation": self.report_N.N,
+            "n_max": self.report_N.n_max,
             "profile": self.report_N.to_dict(),
-            "profile_previous": self.report_Nm1.to_dict() if self.report_Nm1 else None,
+            "profile_previous": self.report_Nm1.to_dict(),
         }
 
 
@@ -323,19 +338,14 @@ def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> HodgeReport:
     """
     if N < 2:
         raise SizeError("hp_ranks needs N >= 2 for the stabilization check")
-    _require_window(A, window, N)
-    rep = negative_cyclic(A, window, N)
-    prev = negative_cyclic(A, window, N - 1)
+    # both truncations read the same bases and word indexes
+    cx = ChainComplex(A)
+    rep = _profile(cx, window, N)
+    prev = _profile(cx, window, N - 1)
     stable = (rep.even.free_rank == prev.even.free_rank
               and rep.odd.free_rank == prev.odd.free_rank)
     saturated = rep.even.saturated_at_N and rep.odd.saturated_at_N
     conclusive = stable and saturated and rep.consistent and prev.consistent
-    if not conclusive:
-        verdict = "inconclusive"
-    elif rep.torsion_inventory():
-        verdict = "finite-torsion-found"
-    else:
-        verdict = "collapses-in-window"
     filtration = {}
     for i in range(N):
         filtration[str(i)] = rep.even.free_rank if conclusive else 0
@@ -343,7 +353,7 @@ def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> HodgeReport:
     filtration[str(N)] = 0
     filtration[f"{2 * N + 1}/2"] = 0
     return HodgeReport(rep.even.free_rank, rep.odd.free_rank, conclusive,
-                       verdict, filtration, rep, prev, window.n_max, N)
+                       _verdict(rep, conclusive), filtration, rep, prev)
 
 
 def hodge_filtration(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
@@ -368,18 +378,10 @@ def degeneration_check(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     Jordan blocks) in every computed slot; otherwise the torsion inventory
     is returned.
     """
-    _require_window(A, window, N)
-    rep = negative_cyclic(A, window, N)
-    inventory = rep.torsion_inventory()
-    if not rep.consistent:
-        verdict = "inconclusive"
-    elif inventory:
-        verdict = "finite-torsion-found"
-    else:
-        verdict = "collapses-in-window"
+    rep = _profile(ChainComplex(A), window, N)
     return {
-        "verdict": verdict,
-        "torsion_inventory": [[par, a] for par, a in inventory],
+        "verdict": _verdict(rep, rep.consistent),
+        "torsion_inventory": [[par, a] for par, a in rep.torsion_inventory()],
         "profile": rep.to_dict(),
     }
 
@@ -398,11 +400,10 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     """
     if A.field.characteristic == 0:
         raise UnsupportedError("char_p_compare requires a prime field")
-    _require_window(A, window, N)
     p = A.field.characteristic
     cx = ChainComplex(A)
+    with_b = _profile(cx, window, N)
     if A.connected_graded:
-        with_b = _graded_negative_cyclic(cx, window, N)
         w_hi = max(with_b.per_weight, default=0)
         safe = guard_safe_weights(A, range(w_hi + 1))
 
@@ -436,7 +437,6 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
                 agree_all = False
         return {"per_slot": slots, "off_frobenius": off_frobenius,
                 "agree": agree_all, "truncation": N, "n_max": window.n_max}
-    with_b = _staircase_negative_cyclic(cx, window, N)
     # Counted in the lengths whose u^{N-1} multiple stays inside the window.
     without_b = _d_only_free_ranks(cx, window.n_max - 2 * N + 1, None)
     agree = [with_b.even.free_rank, with_b.odd.free_rank] == without_b

@@ -16,10 +16,10 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .algebra import AlgebraSpec
-from .cyclic import UnsupportedError
+from .cyclic import UnsupportedError, _staircase_diff, _staircase_layout
 from .fields import Field, SizeError, linear_combination, reduced_entries
 from .hochschild import ChainComplex, commutator_columns, hh0_direct
-from .sparse import SparseMatrix, rank_of_columns, solve_in_span, span_quotient
+from .sparse import rank_of_columns, solve_in_span, span_quotient
 
 
 class ContractError(ValueError):
@@ -240,8 +240,8 @@ def ppower_lift_p2(A: AlgebraSpec, a: dict) -> UChain:
 def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     """Whether lift(a+b) - lift(a) - lift(b) is a (d + uB)-boundary mod u^2.
 
-    The difference lives in C_0 (+) C_2 u; a preimage is sought in
-    C_1 (+) C_3 u under the block map [[d, 0], [B, d]].
+    The difference lives in T^0 = C_0 (+) C_2 u of the N = 2 staircase; a
+    preimage is sought in T^{-1} = C_1 (+) C_3 u under its D = d + uB.
     """
     F = A.field
     la, lb = ppower_lift_p2(A, a), ppower_lift_p2(A, b)
@@ -251,11 +251,8 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     if not diff:
         return True
     cx = ChainComplex(A)
-    rows, n_rows = cx.layout([(0, None, None), (2, None, None)])
-    cols, n_cols = cx.layout([(1, None, None), (3, None, None)])
-    entries: dict = {}
-    for image, n, target in (("boundary", 1, 0), ("connes", 1, 2), ("boundary", 3, 2)):
-        cx.place(image, n, target, None, None, entries, rows[target], cols[n])
-    columns = SparseMatrix(n_rows, n_cols, entries).columns()
+    src, dst = (_staircase_layout(cx, m, None, 3, 2) for m in (-1, 0))
+    columns = _staircase_diff(cx, src, dst, None).columns()
+    rows, n_rows = dst
     rhs = {rows[len(w) - 1] + cx.index(len(w) - 1)[w]: v for w, v in diff.items()}
     return not span_quotient(columns, n_rows, F)[1](rhs)

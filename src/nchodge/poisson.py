@@ -35,6 +35,7 @@ from itertools import combinations
 from math import factorial
 from operator import add
 
+from .algebra import _monomials_upto
 from .fields import QQ, SizeError
 from .sparse import SparseMatrix, homology_rank
 
@@ -269,16 +270,6 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
                         poly_mul(poly_diff(f, j), poly_diff(g, i)), -1)
         _apply(None, poly_mul(p, term), 1, out)
     return out
-
-
-def _monomials_upto(nvars: int, deg: int) -> list:
-    """Exponent tuples of total degree <= deg, ordered by (degree, tuple)."""
-    if deg < 0:
-        return []
-    out = [()]
-    for _ in range(nvars):
-        out = [e + (k,) for e in out for k in range(deg - sum(e) + 1)]
-    return sorted(out, key=lambda e: (sum(e), e))
 
 
 def _require_degree(D: int):

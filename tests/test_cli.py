@@ -436,10 +436,26 @@ def _chern_argv(tmp_path, m, N, vector, *extra):
      "88b2b04c43f24bbcdbd76a26f397517b2721afc517d2299e9e9c2afd2b70c217"),
     (("hp", "--algebra", "a2_path", "--n-max", "8", "--u-trunc", "2"),
      "2b94c6c54027c2634ab8f41db2c62da83d836d9c809f2a2aa75b1eebd188795f"),
+    (("hc", "--algebra", "poly_truncated", "--param", "vars=2", "--param", "max_weight=4",
+      "--n-max", "8", "--u-trunc", "4"),
+     "5a99846f1b06d1a9b2f80bf1f6a7a49009563eb063c27429e7942824959c1726"),
+    (("hp", "--algebra", "truncated_poly", "--param", "m=3", "--n-max", "10",
+      "--u-trunc", "4"),
+     "6dac00ef09a3badb5e29f6045b489849f753624a6cef1cfe84253738234cc7f9"),
+    (("charp-compare", "--algebra", "truncated_poly", "--param", "m=3", "--field", "F3",
+      "--n-max", "10", "--u-trunc", "4"),
+     "ed259020175945d1c23acc193bd557a5b0e7f96d3b145a713e3589602ddae3bb"),
+    (("degeneration", "--algebra", "mat", "--param", "m=2", "--field", "F3", "--n-max", "6",
+      "--u-trunc", "2"),
+     "22282780bc900ae967ea51182941b37aa7b77a63395c0187ce366b85b59d4abe"),
+    (("filtration", "--algebra", "dual_numbers", "--n-max", "8", "--u-trunc", "4"),
+     "6feeacf33dc48e7df28440df4ffc51f9207f3a6fbcadee371d127e8256913268"),
 ], ids=["chern-mat3-u5-json", "chern-mat2-u7-csv", "hp-clifford1-markdown",
         "catalogue", "glue-dual-a2-F3", "ppower-mat2-F2-lift", "graded-pieces-v3-n6-F3",
         "charp-compare-clifford1-F3", "validate-mat3", "hc-mat2-F3-u3",
-        "hp-a2_path-u2"])
+        "hp-a2_path-u2", "hc-poly_truncated-u4", "hp-truncated_poly-u4",
+        "charp-compare-truncated_poly-F3", "degeneration-mat2-F3",
+        "filtration-dual_numbers-u4"])
 def test_golden_reports(tmp_path, capsys, argv, digest):
     if isinstance(argv[0], int):
         argv = _chern_argv(tmp_path, *argv)
@@ -795,7 +811,9 @@ def test_non_positive_sizes_exit_2(capsys, argv, words):
 # identity checks passed vacuously on a negative degree, and the rest exited 1.
 # A weight bound where nothing splits by weight was silently ignored, and an
 # empty weight window was computed as if it held the data (hp reported a
-# conclusive HP = (0, 0) for the dual numbers).
+# conclusive HP = (0, 0) for the dual numbers).  So was a --w-min above the
+# weights a connected-graded cyclic command computes: hc reported zero free
+# ranks and hp a conclusive HP = (0, 0) for weights it never reached.
 @pytest.mark.parametrize("argv, words", [
     (("hc", "--algebra", "a2_path", "--n-max", "4", "--u-trunc", "0"), ("N=0",)),
     (("degeneration", "--algebra", "a2_path", "--n-max", "4", "--u-trunc", "0"), ("N=0",)),
@@ -823,12 +841,17 @@ def test_non_positive_sizes_exit_2(capsys, argv, words):
       "--w-max", "1"), ("w_min=1, w_max=1", "not connected-graded")),
     (("hp", "--algebra", "dual_numbers", "--n-max", "6", "--u-trunc", "2", "--w-min", "3",
       "--w-max", "1", "--strict"), ("w_min=3 > w_max=1",)),
+    (("hc", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2", "--w-min", "6"),
+     ("w_min=6", "0..4")),
+    (("hp", "--algebra", "dual_numbers", "--n-max", "6", "--u-trunc", "2", "--w-min", "9",
+      "--strict"), ("w_min=9", "0..6")),
 ], ids=["hc-ungraded-N0", "degeneration-ungraded-N0", "charp-compare-ungraded-N0",
         "hc-ungraded-N-2", "hc-graded-N0", "hp-N1", "filtration-N1", "hp-window-below-2N",
         "hh-n_max-2", "hh-n_max-1", "graded-pieces-dimV0", "graded-pieces-n0",
         "poisson-jacobi-degree-3", "poisson-conjugation-degree-3", "poisson-star-degree-3",
         "poisson-homology-below-guard", "hh-weight-bound-without-weights",
-        "hc-weight-bound-not-connected-graded", "hp-empty-weight-window"])
+        "hc-weight-bound-not-connected-graded", "hp-empty-weight-window",
+        "hc-w_min-above-computed-weights", "hp-w_min-above-computed-weights"])
 def test_out_of_range_sizes_exit_2(capsys, argv, words):
     _assert_refused(*run(capsys, *argv), *words)
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from nchodge import kchern
 from nchodge.algebra import builtin, glue, zero_bimodule
 from nchodge.cyclic import UnsupportedError
-from nchodge.fields import GF, QQ
+from nchodge.fields import GF, QQ, linear_combination
 from nchodge.hochschild import ChainComplex
 from nchodge.kchern import (ContractError, Idempotent, UChain, _tensor_words,
                             chern_idempotent, cycle_certificate,
@@ -92,6 +93,27 @@ def test_lift_additivity_is_boundary():
     A = builtin("mat", GF(2), m=2)
     one = A.field.one()
     assert lift_difference_is_boundary(A, {1: one}, {2: one})
+
+
+def test_lift_difference_that_is_not_a_boundary(monkeypatch):
+    # adding the unit word to the u^0 part of lift(a + b) changes the
+    # difference by a (d + uB)-cycle that no chain bounds: d(C_1) = 0 in a
+    # commutative algebra, and nothing else of D reaches u^0
+    A = builtin("dual_numbers", GF(2))
+    a, b = {1: 1}, {0: 1}
+    assert lift_difference_is_boundary(A, a, b)
+    original = kchern.ppower_lift_p2
+
+    def lift_with_unit(A, x):
+        chain = original(A, x)
+        if x == {0: 1, 1: 1}:
+            chain.components[0] = linear_combination(
+                ((1, chain.components[0]), (1, {(0,): 1})), A.field)
+        return chain
+
+    monkeypatch.setattr(kchern, "ppower_lift_p2", lift_with_unit)
+    assert cycle_certificate(kchern.ppower_lift_p2(A, {0: 1, 1: 1}))["is_cycle"]
+    assert not lift_difference_is_boundary(A, a, b)
 
 
 def test_clifford1_unit_is_a_commutator():
