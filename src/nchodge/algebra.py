@@ -342,8 +342,12 @@ def glue(A: AlgebraSpec, B: AlgebraSpec, M: BimoduleSpec) -> AlgebraSpec:
     labels = ([f"A.{A.label(i)}" for i in range(dA)] +
               [f"M.m{t}" for t in range(dM)] +
               [f"B.{B.label(j)}" for j in range(dB)])
+    parity = None
+    if A.parity is not None or B.parity is not None:
+        # the corner is even; weights are not carried over
+        parity = (A.parity or (0,) * dA) + (0,) * dM + (B.parity or (0,) * dB)
     return _with_unit_first(f"glue({A.name},{B.name})", F, dim, structure, unit_vec,
-                            labels=labels)
+                            parity=parity, labels=labels)
 
 
 def trivial_bimodule(B: AlgebraSpec, A: AlgebraSpec, dim: int = 1) -> BimoduleSpec:
@@ -473,36 +477,64 @@ def _a2_path(field: Field) -> AlgebraSpec:
     return AlgebraSpec("a2_path", field, 3, structure, basis_labels=("1", "e1", "a"))
 
 
+# The parameters of each catalogue entry, with their defaults; an entry not
+# listed takes none.  q is a field element, every other parameter an int.
+_CATALOGUE_PARAMS = {"truncated_poly": {"m": 3}, "mat": {"m": 2},
+                    "poly_truncated": {"vars": 2, "max_weight": 4},
+                    "quantum_plane": {"q": Fraction(2), "max_weight": 4}}
+
+
+def _catalogue_param(key: str, value, field: Field):
+    """One catalogue parameter as given (a string from the command line, or
+    an int, or for q a Fraction or field element) in the type it takes."""
+    if key == "q":
+        return (parse_scalar(value, field) if isinstance(value, str)
+                else field.from_fraction(Fraction(value)))
+    value = int(value) if isinstance(value, str) else value
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an int")
+    return value
+
+
 def builtin(name: str, field: Field = QQ, **params) -> AlgebraSpec:
-    """Construct a catalogue algebra by name; the result passes validate."""
+    """Construct a catalogue algebra by name; the result passes validate.
+
+    AlgebraError names a parameter that the entry does not take (see
+    `_CATALOGUE_PARAMS`) or whose value does not parse."""
+    if name not in CATALOGUE:
+        raise AlgebraError(f"unknown catalogue algebra {name!r}")
+    takes = _CATALOGUE_PARAMS.get(name, {})
+    for key in params:
+        if key not in takes:
+            raise AlgebraError(f"unknown parameter {key!r}: {name} takes "
+                               + (", ".join(takes) if takes else "no parameters"))
+    p = {}
+    for key, default in takes.items():
+        value = params.get(key, default)
+        try:
+            p[key] = _catalogue_param(key, value, field)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            kind = f"an element of {field} ({exc})" if key == "q" else "an integer"
+            raise AlgebraError(f"parameter {key}={value} is not {kind}")
     if name == "point":
         spec = _point(field)
     elif name == "dual_numbers":
         spec = _dual_numbers(field)
     elif name == "truncated_poly":
-        spec = _truncated_poly(field, int(params.get("m", 3)))
+        spec = _truncated_poly(field, p["m"])
     elif name == "poly_truncated":
-        spec = _poly_truncated(field, int(params.get("vars", 2)), int(params.get("max_weight", 4)))
+        spec = _poly_truncated(field, p["vars"], p["max_weight"])
     elif name == "quantum_plane":
-        q = params.get("q", Fraction(2))
-        if isinstance(q, str):
-            q = parse_scalar(q, field)
-        elif isinstance(q, int):
-            q = field.from_int(q)
-        elif isinstance(q, Fraction):
-            q = field.from_fraction(q)
-        spec = _quantum_plane(field, q, int(params.get("max_weight", 4)))
+        spec = _quantum_plane(field, p["q"], p["max_weight"])
     elif name == "mat":
-        spec = matrix_algebra(_point(field), int(params.get("m", 2)))
-        spec.name = f"mat({params.get('m', 2)})"
+        spec = matrix_algebra(_point(field), p["m"])
+        spec.name = f"mat({p['m']})"
     elif name == "group_z2":
         spec = _group_z2(field)
     elif name == "clifford1":
         spec = _clifford1(field)
-    elif name == "a2_path":
-        spec = _a2_path(field)
     else:
-        raise AlgebraError(f"unknown catalogue algebra {name!r}")
+        spec = _a2_path(field)
     report = validate(spec)
     if not report.ok:
         raise AlgebraError(f"catalogue algebra {name} failed validation: "

@@ -103,10 +103,10 @@ def load_algebra(ref: str, field: Field, params: dict):
     try:
         if not _is_path(ref):
             return builtin(ref, field, **params), None
+        if params:
+            raise AlgebraError(f"--param {', '.join(params)} does not apply to a file algebra")
         A = algebra_from_json(_load_json(ref))
-    except (SchemaError, AlgebraError, ZeroDivisionError) as exc:
-        # ZeroDivisionError: a catalogue parameter whose denominator
-        # vanishes in the field
+    except (SchemaError, AlgebraError) as exc:
         raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
     return A, validate(A)
 

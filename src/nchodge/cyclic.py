@@ -25,11 +25,12 @@ Homology class parity is (tensor length + internal word parity) mod 2, so
 super algebras contribute odd classes from even chain degrees and vice
 versa.
 
-Neither realization numbers chain words: each lays `ChainComplex` blocks
-(length, weight, word parity) side by side and places their d and B images
-by offset.  Position q of the folded complex holds the weight-w blocks of
-lengths n = 0, 1, ... and word parity (q - n) mod 2; T^m of the staircase
-holds the blocks of lengths 2j - m, j < N.
+Neither realization enumerates chain words or assembles a matrix: each
+names the `ChainComplex` blocks (length, weight, word parity) that a map
+runs between (`ChainComplex.layout`), and `ChainComplex.matrix` writes
+their d and B images.  Position q of the folded complex holds the weight-w
+blocks of lengths n = 0, 1, ... and word parity (q - n) mod 2; T^m of the
+staircase holds the blocks of lengths 2j - m, j < N.
 """
 
 from __future__ import annotations
@@ -141,19 +142,11 @@ def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
     layouts = [cx.layout((n, w, (q - n) % 2) for n in lengths) for q in (0, 1)]
     diffs = {}
     for q in (0, 1):
-        (src, cols), (dst, rows) = layouts[q], layouts[1 - q]
-        d_entries: dict = {}
-        b_entries: dict = {}
-        for n, col0 in src.items():
-            p = (q - n) % 2
-            if n - 1 in dst:
-                cx.place("boundary", n, n - 1, w, p, d_entries, dst[n - 1], col0)
-            if N > 1 and n + 1 in dst:
-                cx.place("connes", n, n + 1, w, p, b_entries, dst[n + 1], col0)
-        diffs[q] = [SparseMatrix(rows, cols, d_entries)]
+        src, dst = layouts[q], layouts[1 - q]
+        diffs[q] = [cx.matrix(src, dst, ("boundary",))]
         if N > 1:
-            diffs[q].append(SparseMatrix(rows, cols, b_entries))
-            diffs[q].extend(SparseMatrix.zero(rows, cols) for _ in range(N - 2))
+            diffs[q].append(cx.matrix(src, dst, ("connes",)))
+            diffs[q].extend(SparseMatrix.zero(dst[1], src[1]) for _ in range(N - 2))
     diffs[2] = diffs[0]
     dims = [layouts[0][1], layouts[1][1]]
     return UComplex(UTruncation(N), {-1: dims[1], 0: dims[0], 1: dims[1], 2: dims[0]}, diffs)
@@ -167,6 +160,9 @@ def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> C
     w_hi = min(w_hi, window.n_max)
     w_lo = window.w_min if window.w_min is not None else 0
     if w_lo > w_hi:
+        if window.w_min is None:  # only a w_max below 0 empties the range then
+            raise SizeError(f"weight bound w_max={window.w_max} is below 0, the lowest "
+                            f"weight of a connected-graded algebra")
         # the weights above w_hi are not computed, so zeros there are no result
         raise SizeError(f"weight bound w_min={w_lo} is above the top weight {w_hi} "
                         f"that this window reaches (weights 0..{w_hi})")
@@ -195,35 +191,23 @@ def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> C
 
 
 def _staircase_layout(cx: ChainComplex, m: int, p: int, n_max: int, N: int) -> tuple:
-    """({n: offset}, dim) of T^m_p: the blocks of word parity p and lengths
-    2j - m, j < N, that lie in the window."""
+    """`ChainComplex.layout` of T^m_p: the blocks of word parity p and
+    lengths 2j - m, j < N, that lie in the window."""
     return cx.layout((n, None, p) for n in range(-m, 2 * N - m, 2) if 0 <= n <= n_max)
 
 
-def _staircase_diff(cx: ChainComplex, src: tuple, dst: tuple, p: int) -> SparseMatrix:
-    """D = d + uB from T^m_p to T^{m+1}_p, laid out as `src` and `dst`: d and
-    B send the length-n block to the blocks of length n - 1 and n + 1."""
-    (src, cols), (dst, rows) = src, dst
-    entries: dict = {}
-    for n, col0 in src.items():
-        for image, target in (("boundary", n - 1), ("connes", n + 1)):
-            if target in dst:
-                cx.place(image, n, target, None, p, entries, dst[target], col0)
-    return SparseMatrix(rows, cols, entries)
-
-
 def _staircase_shift(vectors: list, src: dict, dst: dict) -> list:
-    """u^t on vectors of T^m_p, landing in T^{m+2t}_p (block offsets `src`
+    """u^t on vectors of T^m_p, landing in T^{m+2t}_p (block layouts `src`
     and `dst`): the length-n block moves to the length-n block of T^{m+2t},
     and is dropped where that would reach u^N."""
-    lengths, starts = list(src), list(src.values())
+    lengths, starts = list(src), [offset for offset, _, _ in src.values()]
     out = []
     for v in vectors:
         sh = {}
         for i, c in v.items():
             n = lengths[bisect_right(starts, i) - 1]
             if n in dst:
-                sh[i - src[n] + dst[n]] = c
+                sh[i - src[n][0] + dst[n][0]] = c
         out.append(sh)
     return out
 
@@ -265,7 +249,7 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
                     dims[par][t] += rank_of_columns(shifted + bd, F) - rank_in
             cycles.pop(m - 2 * (N - 1), None)
             nxt = _staircase_layout(cx, m + 1, p, n_max, N)
-            D = _staircase_diff(cx, layout, nxt, p)
+            D = cx.matrix(layout, nxt, ("boundary", "connes"))  # d + uB
             z = None
             if N > 1 and m_floor < m <= m_hi - 2:
                 z = kernel_basis(D, F)

@@ -6,10 +6,12 @@ element 0 is the unit, and the span of the rest is the chosen complement
 of k.1).  The boundary is the alternating sum of slot multiplications with
 the cyclic wrap term; B sums signed cyclic rotations prefixed by the unit.
 
-`ChainComplex` alone numbers chain words, in blocks keyed by (length,
-weight, word parity).  The cyclic complexes and the p = 2 lift test lay
-blocks side by side (`ChainComplex.layout`) and write each block's boundary
-or B images at its offset (`ChainComplex.place`).
+`ChainComplex` alone enumerates and numbers chain words, in blocks keyed
+by (length, weight, word parity), one walk per block (`chain_basis`), and
+alone assembles matrices from them: `ChainComplex.layout` lays blocks side
+by side, and `ChainComplex.matrix` writes each source block's boundary
+and/or B images into a target layout.  The cyclic complexes and the p = 2
+lift test only say which blocks a map runs between.
 
 Sign conventions (pinned by the exact identities d^2 = B^2 = dB + Bd = 0,
 verified in the test suite on commutative, non-commutative and super
@@ -60,45 +62,55 @@ def word_parity(A: AlgebraSpec, word: tuple) -> int:
     return sum(A.parity[i] for i in word) % 2
 
 
-def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None) -> list[tuple]:
-    """Ordered basis of A (x) (A/1)^{(x)n}, optionally filtered by total weight.
+def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
+                parity: int | None = None) -> list[tuple]:
+    """Ordered basis of the block of A (x) (A/1)^{(x)n} of total weight
+    `weight` and word parity `parity` (None: unfiltered).
 
     Words are tuples (i0, i1, ..., in); i0 ranges over the full basis and the
-    tail over non-unit indices; lexicographic order.
+    tail over non-unit indices; lexicographic order.  One walk builds the
+    block: a prefix with r tail letters still to place is dropped as soon as
+    its weight plus r times the least (greatest) non-unit weight is above
+    (below) `weight`, a bound that holds for weights of any sign.
     """
     if weight is not None and A.weight is None:
         raise AlgebraError("weight filter requested on an ungraded algebra")
+    if parity is not None and not A.is_super:
+        if parity:
+            return []  # every word is even
+        parity = None
     d = A.dim
+    wt = A.weight if weight is not None else (0,) * d
+    par = A.parity if parity is not None else (0,) * d
+    lo, hi = min(wt[1:], default=0), max(wt[1:], default=0)
     out: list[tuple] = []
-    # a prefix heavier than the weight stays so only if no weight is negative
-    prune = weight is not None and min(A.weight) >= 0
 
-    def rec(prefix: list, remaining: int, wsum: int):
-        if prune and wsum > weight:
+    def rec(prefix: list, remaining: int, wsum: int, psum: int):
+        if weight is not None and not wsum + remaining * lo <= weight <= wsum + remaining * hi:
             return
         if remaining == 0:
-            if weight is None or wsum == weight:
+            if parity is None or psum % 2 == parity:
                 out.append(tuple(prefix))
             return
         for i in range(1, d):
             prefix.append(i)
-            rec(prefix, remaining - 1,
-                wsum + (A.weight[i] if A.weight is not None else 0))
+            rec(prefix, remaining - 1, wsum + wt[i], psum + par[i])
             prefix.pop()
 
     for i0 in range(d):
-        rec([i0], n, A.weight[i0] if A.weight is not None else 0)
+        rec([i0], n, wt[i0], par[i0])
     return out
 
 
 class ChainComplex:
     """Reduced Hochschild chain data for one algebra, and the one place
-    where chain words are numbered.
+    where chain words are enumerated, numbered and assembled into matrices.
 
     A block is keyed by (length n, weight, word parity), None meaning
     unfiltered; the boundary and B keep weight and word parity.  Bases,
     word indexes and boundary ranks are memoized per block, so each boundary
-    block is eliminated once; matrices are built on demand and not kept.
+    block is eliminated once; matrices (`matrix`) are built on demand and
+    not kept.
     """
 
     def __init__(self, A: AlgebraSpec):
@@ -108,7 +120,8 @@ class ChainComplex:
         self._ranks: dict = {}
 
     def _key(self, n: int, weight: int | None, parity: int | None) -> tuple:
-        # without odd basis elements every word is even: parity 0 is no filter
+        # without odd basis elements every word is even: parity 0 is no
+        # filter, and parity 1 an empty block that `basis` does not walk
         if parity == 0 and not self.A.is_super:
             parity = None
         return n, weight, parity
@@ -116,11 +129,8 @@ class ChainComplex:
     def basis(self, n: int, weight: int | None = None, parity: int | None = None) -> list:
         key = self._key(n, weight, parity)
         if key not in self._bases:
-            if key[2] is None:
-                self._bases[key] = chain_basis(self.A, n, weight)
-            else:
-                self._bases[key] = [w for w in self.basis(n, weight)
-                                    if word_parity(self.A, w) == parity]
+            empty = key[2] == 1 and not self.A.is_super
+            self._bases[key] = [] if empty else chain_basis(self.A, *key)
         return self._bases[key]
 
     def index(self, n: int, weight: int | None = None, parity: int | None = None) -> dict:
@@ -131,28 +141,36 @@ class ChainComplex:
         return self._indexes[key]
 
     def layout(self, blocks) -> tuple:
-        """({n: offset}, dim) of blocks (n, weight, parity) laid side by side
-        in turn; their lengths n are distinct."""
-        offsets, dim = {}, 0
+        """({n: (offset, weight, parity)}, dim) of blocks (n, weight, parity)
+        laid side by side in turn; their lengths n are distinct."""
+        out, dim = {}, 0
         for n, weight, parity in blocks:
-            offsets[n] = dim
+            out[n] = (dim, weight, parity)
             dim += len(self.basis(n, weight, parity))
-        return offsets, dim
+        return out, dim
 
-    def place(self, image: str, n: int, target: int, weight: int | None,
-              parity: int | None, entries: dict, row0: int = 0, col0: int = 0):
-        """Write the images of block (n, weight, parity) under `image`
-        ("boundary" or "connes") into entries as {(row, col): value}: the
-        block's words are the columns from col0 on, and the words of block
-        (target, weight, parity), target = n - 1 or n + 1, the rows from row0."""
-        word_image = {"boundary": self.boundary_word, "connes": self.connes_word}[image]
-        dst = self.index(target, weight, parity)
-        if row0:
-            # shifted once per block, so that the entries of a row share one int
-            dst = {w: i + row0 for w, i in dst.items()}
-        for c, word in enumerate(self.basis(n, weight, parity), col0):
-            for t, v in word_image(word).items():
-                entries[(dst[t], c)] = v
+    def matrix(self, src: tuple, dst: tuple, images) -> SparseMatrix:
+        """The map from layout `src` to layout `dst` that sends each block's
+        words to their `images`: "boundary" into the block of length n - 1
+        and "connes" into the block of length n + 1, wherever `dst` holds
+        that length; both keep a block's weight and word parity."""
+        (src, cols), (dst, rows) = src, dst
+        word_images = {"boundary": (-1, self.boundary_word), "connes": (1, self.connes_word)}
+        entries: dict = {}
+        for n, (col0, weight, parity) in src.items():
+            for image in images:
+                step, word_image = word_images[image]
+                if n + step not in dst:
+                    continue
+                row0 = dst[n + step][0]
+                index = self.index(n + step, weight, parity)
+                if row0:
+                    # shifted once per block, so that the entries of a row share one int
+                    index = {w: i + row0 for w, i in index.items()}
+                for c, word in enumerate(self.basis(n, weight, parity), col0):
+                    for t, v in word_image(word).items():
+                        entries[(index[t], c)] = v
+        return SparseMatrix(rows, cols, entries)
 
     # -- boundary -----------------------------------------------------------
 
@@ -220,12 +238,8 @@ class ChainComplex:
     def boundary(self, n: int, weight: int | None = None,
                  parity: int | None = None) -> SparseMatrix:
         """Matrix of the boundary block(n) -> block(n-1)."""
-        cols = len(self.basis(n, weight, parity))
-        if n == 0:
-            return SparseMatrix.zero(0, cols)
-        entries: dict = {}
-        self.place("boundary", n, n - 1, weight, parity, entries)
-        return SparseMatrix(len(self.basis(n - 1, weight, parity)), cols, entries)
+        return self.matrix(self.layout([(n, weight, parity)]),
+                           self.layout([(n - 1, weight, parity)] if n else []), ("boundary",))
 
     # -- Connes' B ----------------------------------------------------------
 
@@ -238,10 +252,8 @@ class ChainComplex:
     def connes(self, n: int, weight: int | None = None,
                parity: int | None = None) -> SparseMatrix:
         """Matrix of B: block(n) -> block(n+1)."""
-        entries: dict = {}
-        self.place("connes", n, n + 1, weight, parity, entries)
-        return SparseMatrix(len(self.basis(n + 1, weight, parity)),
-                            len(self.basis(n, weight, parity)), entries)
+        return self.matrix(self.layout([(n, weight, parity)]),
+                           self.layout([(n + 1, weight, parity)]), ("connes",))
 
     # -- homology -----------------------------------------------------------
 

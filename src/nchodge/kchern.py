@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .algebra import AlgebraSpec
-from .cyclic import UnsupportedError, _staircase_diff, _staircase_layout
+from .cyclic import UnsupportedError
 from .fields import Field, SizeError, linear_combination, reduced_entries
 from .hochschild import ChainComplex, commutator_columns, hh0_direct
 from .sparse import rank_of_columns, solve_in_span, span_quotient
@@ -251,8 +251,8 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     if not diff:
         return True
     cx = ChainComplex(A)
-    src, dst = (_staircase_layout(cx, m, None, 3, 2) for m in (-1, 0))
-    columns = _staircase_diff(cx, src, dst, None).columns()
+    src, dst = (cx.layout((n, None, None) for n in lengths) for lengths in ((1, 3), (0, 2)))
+    columns = cx.matrix(src, dst, ("boundary", "connes")).columns()
     rows, n_rows = dst
-    rhs = {rows[len(w) - 1] + cx.index(len(w) - 1)[w]: v for w, v in diff.items()}
+    rhs = {rows[len(w) - 1][0] + cx.index(len(w) - 1)[w]: v for w, v in diff.items()}
     return not span_quotient(columns, n_rows, F)[1](rhs)

@@ -10,8 +10,8 @@ import sys
 import time
 
 from nchodge import oracle
-from nchodge.algebra import builtin, glue, matrix_algebra, trivial_bimodule, \
-    zero_bimodule
+from nchodge.algebra import AlgebraSpec, builtin, glue, matrix_algebra, \
+    trivial_bimodule, validate, zero_bimodule
 from nchodge.cyclic import char_p_compare, graded_piece_analysis, hp_ranks
 from nchodge.fields import GF, QQ
 from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis,
@@ -276,6 +276,17 @@ def test_criterion_12_gluing_additivity():
     point = hh_ranks(P1, DegreeWindow(5))["per_n"]
     assert per_n == {n: 2 * point[n] for n in point}
     assert per_n == {0: 2, 1: 0, 2: 0, 3: 0, 4: 0}
+    # a super input keeps its odd letters: with them dropped, Lambda(xi)
+    # became k[x]/x^2 and the sum read (4, 2, 2, 2, 2)
+    D = builtin("dual_numbers")
+    L = AlgebraSpec("exterior1", QQ, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                    weight=(0, 1), parity=(0, 1))
+    S = glue(D, L, trivial_bimodule(L, D))
+    assert validate(S).ok and S.is_super
+    per_n = hh_ranks(S, DegreeWindow(5))["per_n"]
+    parts = [hh_ranks(X, DegreeWindow(5))["per_n"] for X in (D, L)]
+    assert per_n == {n: parts[0][n] + parts[1][n] for n in per_n}
+    assert per_n == {0: 4, 1: 3, 2: 3, 3: 3, 4: 3}
 
 
 def test_criterion_13_char_p_comparison_evidence():

@@ -1,8 +1,11 @@
 """Block layout of the chain complexes against a word-indexed reference.
 
-`ChainComplex` is the one place where chain words are numbered: the folded
-per-weight complex, the ungraded staircase and the p = 2 lift test lay its
-(length, weight, word parity) blocks side by side by offset.  The reference
+`ChainComplex` is the one place where chain words are enumerated and
+numbered and ∂/B matrices assembled: the folded per-weight complex, the
+ungraded staircase and the p = 2 lift test lay its (length, weight, word
+parity) blocks side by side (`layout`) and assemble them with `matrix`.
+`chain_basis` builds each block in one walk, checked here against every
+word of the length filtered afterwards.  The reference
 assemblers below number words themselves, one {(length or u-power, word):
 position} index per complex, and build every matrix word by word from
 `boundary_word` / `connes_word`.  Both must give the same matrices, entry
@@ -10,10 +13,11 @@ for entry, and the same char_p_compare and lift results.
 """
 
 import json
+from itertools import product
 
 import pytest
 
-from nchodge import cli, cyclic, kchern
+from nchodge import cli, cyclic, hochschild, kchern
 from nchodge.algebra import AlgebraError, AlgebraSpec, algebra_to_json, builtin, validate
 from nchodge.fields import GF, QQ, linear_combination, reduced_entries
 from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis, hh_ranks,
@@ -284,7 +288,7 @@ def test_staircase_diff_and_shift_match_reference(F):
             for p in (0, 1):
                 for m in range(m_hi - n_max, m_hi + 1):
                     src = layout(m, p)
-                    D = cyclic._staircase_diff(cx, src, layout(m + 1, p), p)
+                    D = cx.matrix(src, layout(m + 1, p), ("boundary", "connes"))
                     assert _matrix(D) == ref.diff(m, p), (A.name, N, m, p)
                     assert src[1] == len(ref.basis(m, p))
                     units = [{i: 1} for i in range(src[1])]
@@ -411,14 +415,19 @@ def test_lift_difference_matches_reference():
     assert checked > 100
 
 
-def test_negative_weight_file_algebra_hh_ranks_match_reference(tmp_path):
-    # k[x]/x^3 with x of weight -1, read back from an ncg-algebra/1 file
+def _negative_weight_poly(tmp_path):
+    """k[x]/x^3 with x of weight -1, read back from an ncg-algebra/1 file."""
     obj = algebra_to_json(builtin("truncated_poly", QQ, m=3))
     obj["weight"] = [0, -1, -2]
     path = tmp_path / "truncated-poly-negative.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     A, report = cli.load_algebra(str(path), QQ, {})
     assert report.ok and min(A.weight) < 0
+    return A
+
+
+def test_negative_weight_file_algebra_hh_ranks_match_reference(tmp_path):
+    A = _negative_weight_poly(tmp_path)
     window = DegreeWindow(5)
     ranks = hh_ranks(A, window)
     cx = ChainComplex(A)
@@ -469,3 +478,54 @@ def test_parity_blocks_split_the_chain_blocks(F):
                         assert [{rows[r]: v for r, v in col.items()} for col in columns] \
                             == [image(word) for word in words]
                 assert sum(cx.hh_rank(n, w, p) for p in (0, 1)) == cx.hh_rank(n, w)
+
+
+def test_chain_basis_is_the_filtered_product(tmp_path):
+    # one walk per (length, weight, parity) block, pruned by the weights
+    # still reachable, against every word of the length filtered afterwards
+    algebras = (_algebras(QQ) + [_exterior(QQ, 3), _negative_weight_poly(tmp_path)])
+    blocks = 0
+    for A in algebras:
+        for n in range(6):
+            if A.dim * max(A.dim - 1, 1) ** n > 10000:
+                break
+            words = list(product(range(A.dim), *[range(1, A.dim)] * n))
+            weights = [None]
+            if A.weight is not None:
+                sums = {sum(A.weight[i] for i in word) for word in words} or {0}
+                weights += list(range(min(sums) - 1, max(sums) + 2))
+            for w in weights:
+                for p in (None, 0, 1):
+                    expected = [word for word in words
+                                if (w is None or sum(A.weight[i] for i in word) == w)
+                                and (p is None or word_parity(A, word) == p)]
+                    assert chain_basis(A, n, w, p) == expected, (A.name, n, w, p)
+                    blocks += 1
+    assert blocks > 500
+
+
+# the graded-cyclic jobs of perfbench/workloads.py
+_GRADED_CYCLIC = (
+    "hc --algebra poly_truncated --param vars=2 --param max_weight=4 --field Q --n-max 8 "
+    "--u-trunc 4",
+    "hp --algebra truncated_poly --param m=3 --field Q --n-max 10 --u-trunc 4",
+    "hc --algebra quantum_plane --param max_weight=4 --field F5 --n-max 8 --u-trunc 4",
+    "charp-compare --algebra truncated_poly --param m=3 --field F3 --n-max 10 --u-trunc 4",
+    "degeneration --algebra poly_truncated --param vars=2 --param max_weight=4 --field Q "
+    "--n-max 8 --u-trunc 4")
+
+
+def test_graded_cyclic_jobs_walk_each_block_once(monkeypatch, capsys):
+    # a parity-1 block of an algebra without odd letters is empty and not
+    # walked: counting those walks doubled the calls
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return chain_basis(*args)
+
+    monkeypatch.setattr(hochschild, "chain_basis", counted)
+    for command in _GRADED_CYCLIC:
+        assert cli.main(command.split()) == 0
+    capsys.readouterr()
+    assert len(calls) <= 181

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nchodge import cli
-from nchodge.algebra import CATALOGUE
+from nchodge.algebra import CATALOGUE, algebra_to_json, builtin
 from nchodge.cli import main
 
 
@@ -236,6 +236,36 @@ def test_parameter_denominator_vanishing_mod_p_exits_2(capsys, command):
     assert code == 2
     assert not out and "Traceback" not in err
     assert "vanishes mod 2" in err
+
+
+# A parameter the entry does not take was ignored (mat --param M=3 computed
+# Mat_2 and exited 0), and a malformed value exited 1 with a bare int() or
+# Fraction error that did not name the parameter.
+@pytest.mark.parametrize("argv, words", [
+    (("mat", "--param", "M=3"), ("'M'", "mat takes m")),
+    (("dual_numbers", "--param", "m=3"), ("'m'", "takes no parameters")),
+    (("poly_truncated", "--param", "m=3"), ("'m'", "takes vars, max_weight")),
+    (("mat", "--param", "m=abc"), ("m=abc", "not an integer")),
+    (("mat", "--param", "m=2.5"), ("m=2.5", "not an integer")),
+    (("truncated_poly", "--param", "m=x"), ("m=x", "not an integer")),
+    (("poly_truncated", "--param", "vars=x"), ("vars=x", "not an integer")),
+    (("quantum_plane", "--param", "max_weight=two"), ("max_weight=two", "not an integer")),
+    (("quantum_plane", "--param", "q=abc"), ("q=abc", "not an element of Q")),
+    (("quantum_plane", "--param", "q=1/0"), ("q=1/0", "not an element of Q")),
+], ids=["mat-M", "dual_numbers-m", "poly_truncated-m", "mat-m-abc", "mat-m-2.5",
+        "truncated_poly-m-x", "poly_truncated-vars-x", "quantum_plane-max_weight-two",
+        "quantum_plane-q-abc", "quantum_plane-q-1/0"])
+def test_catalogue_parameters_are_checked(capsys, argv, words):
+    _assert_refused(*run(capsys, "hh", "--algebra", *argv, "--n-max", "2"), *words)
+
+
+def test_param_on_a_file_algebra_exits_2(tmp_path, capsys):
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(algebra_to_json(builtin("dual_numbers"))))
+    _assert_refused(*run(capsys, "hh", "--algebra", str(path), "--param", "m=3",
+                         "--n-max", "2"), "--param m", "file algebra")
+    _assert_refused(*run(capsys, "glue", "--algebra-a", str(path), "--algebra-b", "point",
+                         "--param", "m=3"), "--param m", "file algebra")
 
 
 @pytest.mark.parametrize("field", ["Q", "F2", "F3"])
@@ -845,13 +875,17 @@ def test_non_positive_sizes_exit_2(capsys, argv, words):
      ("w_min=6", "0..4")),
     (("hp", "--algebra", "dual_numbers", "--n-max", "6", "--u-trunc", "2", "--w-min", "9",
       "--strict"), ("w_min=9", "0..6")),
+    # this one named w_min=0, a bound the command line did not set
+    (("hc", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2", "--w-max", "-1"),
+     ("w_max=-1", "below 0")),
 ], ids=["hc-ungraded-N0", "degeneration-ungraded-N0", "charp-compare-ungraded-N0",
         "hc-ungraded-N-2", "hc-graded-N0", "hp-N1", "filtration-N1", "hp-window-below-2N",
         "hh-n_max-2", "hh-n_max-1", "graded-pieces-dimV0", "graded-pieces-n0",
         "poisson-jacobi-degree-3", "poisson-conjugation-degree-3", "poisson-star-degree-3",
         "poisson-homology-below-guard", "hh-weight-bound-without-weights",
         "hc-weight-bound-not-connected-graded", "hp-empty-weight-window",
-        "hc-w_min-above-computed-weights", "hp-w_min-above-computed-weights"])
+        "hc-w_min-above-computed-weights", "hp-w_min-above-computed-weights",
+        "hc-w_max-below-0"])
 def test_out_of_range_sizes_exit_2(capsys, argv, words):
     _assert_refused(*run(capsys, *argv), *words)
 
