@@ -406,11 +406,11 @@ def _truncated_poly(field: Field, m: int) -> AlgebraSpec:
                        weight=tuple(range(m)), basis_labels=labels)
 
 
-def _poly_truncated(field: Field, nvars: int, max_weight: int) -> AlgebraSpec:
-    if nvars < 1 or max_weight < 0:
+def _poly_truncated(field: Field, vars: int, max_weight: int) -> AlgebraSpec:
+    if vars < 1 or max_weight < 0:
         raise AlgebraError(f"poly_truncated needs vars >= 1 and max_weight >= 0, "
-                           f"got vars={nvars}, max_weight={max_weight}")
-    mons = _monomials_upto(nvars, max_weight)
+                           f"got vars={vars}, max_weight={max_weight}")
+    mons = _monomials_upto(vars, max_weight)
     index = {mon: i for i, mon in enumerate(mons)}
     one = field.one()
     structure = {}
@@ -422,7 +422,7 @@ def _poly_truncated(field: Field, nvars: int, max_weight: int) -> AlgebraSpec:
     weight = tuple(sum(m) for m in mons)
     labels = tuple("1" if sum(m) == 0 else "*".join(f"x{i+1}^{e}" for i, e in enumerate(m) if e)
                    for m in mons)
-    return AlgebraSpec(f"poly_truncated({nvars},{max_weight})", field, len(mons),
+    return AlgebraSpec(f"poly_truncated({vars},{max_weight})", field, len(mons),
                        structure, weight=weight, max_weight=max_weight, basis_labels=labels)
 
 
@@ -477,11 +477,25 @@ def _a2_path(field: Field) -> AlgebraSpec:
     return AlgebraSpec("a2_path", field, 3, structure, basis_labels=("1", "e1", "a"))
 
 
-# The parameters of each catalogue entry, with their defaults; an entry not
-# listed takes none.  q is a field element, every other parameter an int.
-_CATALOGUE_PARAMS = {"truncated_poly": {"m": 3}, "mat": {"m": 2},
-                    "poly_truncated": {"vars": 2, "max_weight": 4},
-                    "quantum_plane": {"q": Fraction(2), "max_weight": 4}}
+def _mat(field: Field, m: int) -> AlgebraSpec:
+    spec = matrix_algebra(_point(field), m)
+    spec.name = f"mat({m})"
+    return spec
+
+
+# name -> (builder, {parameter: default}): builder(field, *parameters) makes
+# the entry.  q is a field element, every other parameter an int.
+CATALOGUE = {
+    "point": (_point, {}),
+    "dual_numbers": (_dual_numbers, {}),
+    "truncated_poly": (_truncated_poly, {"m": 3}),
+    "poly_truncated": (_poly_truncated, {"vars": 2, "max_weight": 4}),
+    "quantum_plane": (_quantum_plane, {"q": Fraction(2), "max_weight": 4}),
+    "mat": (_mat, {"m": 2}),
+    "group_z2": (_group_z2, {}),
+    "clifford1": (_clifford1, {}),
+    "a2_path": (_a2_path, {}),
+}
 
 
 def _catalogue_param(key: str, value, field: Field):
@@ -500,50 +514,28 @@ def builtin(name: str, field: Field = QQ, **params) -> AlgebraSpec:
     """Construct a catalogue algebra by name; the result passes validate.
 
     AlgebraError names a parameter that the entry does not take (see
-    `_CATALOGUE_PARAMS`) or whose value does not parse."""
+    `CATALOGUE`) or whose value does not parse."""
     if name not in CATALOGUE:
         raise AlgebraError(f"unknown catalogue algebra {name!r}")
-    takes = _CATALOGUE_PARAMS.get(name, {})
+    build, takes = CATALOGUE[name]
     for key in params:
         if key not in takes:
             raise AlgebraError(f"unknown parameter {key!r}: {name} takes "
                                + (", ".join(takes) if takes else "no parameters"))
-    p = {}
+    values = []
     for key, default in takes.items():
         value = params.get(key, default)
         try:
-            p[key] = _catalogue_param(key, value, field)
+            values.append(_catalogue_param(key, value, field))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             kind = f"an element of {field} ({exc})" if key == "q" else "an integer"
             raise AlgebraError(f"parameter {key}={value} is not {kind}")
-    if name == "point":
-        spec = _point(field)
-    elif name == "dual_numbers":
-        spec = _dual_numbers(field)
-    elif name == "truncated_poly":
-        spec = _truncated_poly(field, p["m"])
-    elif name == "poly_truncated":
-        spec = _poly_truncated(field, p["vars"], p["max_weight"])
-    elif name == "quantum_plane":
-        spec = _quantum_plane(field, p["q"], p["max_weight"])
-    elif name == "mat":
-        spec = matrix_algebra(_point(field), p["m"])
-        spec.name = f"mat({p['m']})"
-    elif name == "group_z2":
-        spec = _group_z2(field)
-    elif name == "clifford1":
-        spec = _clifford1(field)
-    else:
-        spec = _a2_path(field)
+    spec = build(field, *values)
     report = validate(spec)
     if not report.ok:
         raise AlgebraError(f"catalogue algebra {name} failed validation: "
                            f"{report.violations[0].kind} {report.violations[0].witness}")
     return spec
-
-
-CATALOGUE = ("point", "dual_numbers", "truncated_poly", "poly_truncated",
-             "quantum_plane", "mat", "group_z2", "clifford1", "a2_path")
 
 
 # ---------------------------------------------------------------------------

@@ -93,22 +93,35 @@ def _is_path(ref: str) -> bool:
     return ref.endswith(".json") or os.path.sep in ref
 
 
-def load_algebra(ref: str, field: Field, params: dict):
-    """Resolve --algebra: a catalogue name or a path to an ncg-algebra/1 file.
+def load_algebra(ref: str, field: Field | None, params: dict, allow_invalid: bool = False):
+    """Resolve an algebra reference (--algebra, --algebra-a, --algebra-b): a
+    catalogue name or a path to an ncg-algebra/1 file.
 
-    Returns (algebra, report).  A file algebra is validated here, once, and
-    `report` is its ValidationReport; a catalogue algebra is valid by
-    construction and its report is None.
+    Returns (algebra, report).  A catalogue algebra is built over `field`
+    (Q when None), is valid by construction and its report is None.  A file
+    algebra is validated here, once, and `report` is its ValidationReport;
+    an invalid one exits 2 unless `allow_invalid` (validate reports its
+    violations).  A file keeps its own field: a `field` that differs from
+    it exits 2.
     """
     try:
         if not _is_path(ref):
-            return builtin(ref, field, **params), None
+            return builtin(ref, QQ if field is None else field, **params), None
         if params:
             raise AlgebraError(f"--param {', '.join(params)} does not apply to a file algebra")
         A = algebra_from_json(_load_json(ref))
     except (SchemaError, AlgebraError) as exc:
         raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
-    return A, validate(A)
+    report = validate(A)
+    if not (report.ok or allow_invalid):
+        first = report.violations[0]
+        raise CliError(f"{ref}: not a valid algebra, {len(report.violations)} "
+                       f"violation(s); the first: {first.kind} at "
+                       f"{list(first.witness)}", EXIT_VALIDATION)
+    if field is not None and field != A.field:
+        raise CliError(f"{ref}: --field {field} differs from the file's field {A.field}",
+                       EXIT_VALIDATION)
+    return A, report
 
 
 def load_idempotent(path: str, algebra) -> Idempotent:
@@ -590,32 +603,49 @@ def _algebra_params(args) -> dict:
     return params
 
 
-def _algebra(args, ref: str, field: Field, params: dict):
-    """load_algebra, refusing an invalid file algebra unless the command is
-    validate, which reports its violations."""
-    A, report = load_algebra(ref, field, params)
-    if report is not None and not report.ok and args.command != "validate":
-        first = report.violations[0]
-        raise CliError(f"{ref}: not a valid algebra, {len(report.violations)} "
-                       f"violation(s); the first: {first.kind} at "
-                       f"{list(first.witness)}", EXIT_VALIDATION)
-    return A, report
+def _takes(ref: str) -> str:
+    """The --param keys an algebra reference takes, as an error line says it."""
+    if _is_path(ref):
+        return f"{ref} is a file algebra"
+    if ref not in CATALOGUE:
+        return f"{ref} is not a catalogue algebra"
+    return f"{ref} takes " + (", ".join(CATALOGUE[ref][1]) or "no parameters")
+
+
+def _glue_params(refs: tuple, params: dict) -> tuple:
+    """glue's --param split between its two parts: each key goes to the one
+    part whose catalogue entry takes it."""
+    parts = ({}, {})
+    for key, value in params.items():
+        takers = [i for i, ref in enumerate(refs)
+                  if not _is_path(ref) and key in CATALOGUE.get(ref, (None, {}))[1]]
+        if len(takers) != 1:
+            raise CliError(f"--param {key} must be a parameter of exactly one glued part: "
+                           f"--algebra-a {_takes(refs[0])}; --algebra-b {_takes(refs[1])}",
+                           EXIT_VALIDATION)
+        parts[takers[0]][key] = value
+    return parts
 
 
 def _load(args) -> _Inputs:
     """Parse, load and check every input the command names."""
     x = _Inputs()
-    if hasattr(args, "field"):
+    if getattr(args, "field", None) is not None:
         try:
             x.field = parse_field(args.field)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
     params = _algebra_params(args)
     if hasattr(args, "algebra"):
-        x.algebra, x.report = _algebra(args, args.algebra, x.field, params)
+        x.algebra, x.report = load_algebra(args.algebra, x.field, params,
+                                           allow_invalid=args.command == "validate")
     if hasattr(args, "algebra_a"):
-        A, _ = _algebra(args, args.algebra_a, x.field, params)
-        B, _ = _algebra(args, args.algebra_b, x.field, {})
+        refs = (args.algebra_a, args.algebra_b)
+        A, B = (load_algebra(ref, x.field, part)[0]
+                for ref, part in zip(refs, _glue_params(refs, params)))
+        if A.field != B.field:
+            raise CliError(f"glue: --algebra-a {refs[0]} is over {A.field} and "
+                           f"--algebra-b {refs[1]} over {B.field}", EXIT_VALIDATION)
         bimodule = trivial_bimodule if args.bimodule == "trivial" else zero_bimodule
         x.parts = (A, B)
         x.algebra = glue(A, B, bimodule(B, A))
@@ -874,6 +904,11 @@ def _poisson(args, x):
 # ---------------------------------------------------------------------------
 
 
+_FIELD_HELP = ("Q or Fp (e.g. F2): the field a catalogue algebra is built over "
+               "(default Q); a file algebra keeps its own field, and a --field "
+               "that differs from it exits 2")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nchodge",
@@ -897,9 +932,10 @@ def build_parser() -> argparse.ArgumentParser:
     alg = argparse.ArgumentParser(add_help=False)
     alg.add_argument("--algebra", required=True,
                      help="catalogue name or path to an ncg-algebra/1 file")
-    alg.add_argument("--field", default="Q", help="Q or Fp (e.g. F2)")
+    alg.add_argument("--field", help=_FIELD_HELP)
     alg.add_argument("--param", action="append",
-                     help="catalogue parameter key=value (repeatable)")
+                     help="catalogue parameter key=value (repeatable); "
+                          "a file algebra takes none")
 
     win = argparse.ArgumentParser(add_help=False)
     win.add_argument("--n-max", type=int, required=True,
@@ -929,8 +965,11 @@ def build_parser() -> argparse.ArgumentParser:
     gl = sub.add_parser("glue", parents=[common])
     gl.add_argument("--algebra-a", required=True)
     gl.add_argument("--algebra-b", required=True)
-    gl.add_argument("--field", default="Q")
-    gl.add_argument("--param", action="append")
+    gl.add_argument("--field", help=_FIELD_HELP)
+    gl.add_argument("--param", action="append",
+                    help="catalogue parameter key=value (repeatable), given to the "
+                         "part whose catalogue entry takes it; a key both parts "
+                         "take, or neither, exits 2")
     gl.add_argument("--bimodule", choices=("trivial", "zero"), default="trivial")
     sub.add_parser("catalogue", parents=[common])
 

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import json
 
 import pytest
@@ -127,3 +129,55 @@ def test_json_strict_schema():
 def test_unknown_catalogue_name():
     with pytest.raises(AlgebraError):
         builtin("nope")
+
+
+# sha256 of algebra_to_json (sort_keys) of every catalogue entry over Q, F2
+# and F3, with its defaults and the parameters the tests use, recorded
+# before the catalogue became one table (first 16 hex digits; None where
+# builtin refuses: q = 2 vanishes in F2)
+_CATALOGUE_DIGESTS = {
+    "point": ("d25ada3825fc5f7d", "40cddb7e0be46e71", "c4a9e88c56979b22"),
+    "dual_numbers": ("cfbaf991c69cc669", "5b5aede5a236b5a6", "3e1810ec1a521144"),
+    "truncated_poly": ("9be9b89ba8cf7d38", "5524cb93daabf9bd", "bc4963a503895a0b"),
+    "truncated_poly,m=3": ("9be9b89ba8cf7d38", "5524cb93daabf9bd", "bc4963a503895a0b"),
+    "poly_truncated": ("a9bec55a082ee87e", "b1bf64f923bce915", "4d1676c1d1839434"),
+    "poly_truncated,vars=2,max_weight=2": ("481b20edfb2c79b3", "320d2125ded4cf2c",
+                                           "f6a719496086c931"),
+    "poly_truncated,vars=1,max_weight=5": ("16b6e6c8f14f61e8", "46121b1088d19ce1",
+                                           "f125fefb5c75183e"),
+    "poly_truncated,vars=3,max_weight=5": ("c83620d203585eda", "51be1c257881e67b",
+                                           "4a9122e404586754"),
+    "quantum_plane": ("97f6007e858c4ab4", None, "eb282c833042dfc0"),
+    "quantum_plane,max_weight=2": ("e591e1bcd4b8d784", None, "f2bd7da50923ad66"),
+    "quantum_plane,q=1,max_weight=2": ("29c0be6a85bd6a78", "8ef84c8467ac6449",
+                                       "6c7142b8f54639bb"),
+    "quantum_plane,q=2,max_weight=2": ("e591e1bcd4b8d784", None, "f2bd7da50923ad66"),
+    "mat": ("eb0a16d4ff5223db", "6f690a4962ed8923", "2d278833ab168e4b"),
+    "mat,m=2": ("eb0a16d4ff5223db", "6f690a4962ed8923", "2d278833ab168e4b"),
+    "mat,m=3": ("f38a3e068fd84ef4", "3fae5cf7cdd00f3f", "573dcc1d7bf052bb"),
+    "group_z2": ("3f44332764c0bf02", "00a0054de24cd0df", "ef62609e9178ad33"),
+    "clifford1": ("5db43c1587608363", "5efd16d54c2f9de0", "d34ea623a294f378"),
+    "a2_path": ("efd42868cb293522", "8ab982e00aa02073", "c6294bc9bf2b3948"),
+}
+
+
+@pytest.mark.parametrize("spec", _CATALOGUE_DIGESTS)
+def test_catalogue_entries_keep_their_bytes(spec):
+    name, *pairs = spec.split(",")
+    params = {k: v if k == "q" else int(v) for k, v in (pair.split("=") for pair in pairs)}
+    for field, digest in zip((QQ, GF(2), GF(3)), _CATALOGUE_DIGESTS[spec]):
+        if digest is None:
+            with pytest.raises(AlgebraError, match="q must be nonzero"):
+                builtin(name, field, **params)
+            continue
+        text = json.dumps(algebra_to_json(builtin(name, field, **params)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (spec, str(field))
+
+
+def test_catalogue_builders_take_the_table_parameters():
+    # builtin calls builder(field, *values) in the table's parameter order
+    assert list(CATALOGUE) == ["point", "dual_numbers", "truncated_poly", "poly_truncated",
+                               "quantum_plane", "mat", "group_z2", "clifford1", "a2_path"]
+    for name, (build, takes) in CATALOGUE.items():
+        names = list(inspect.signature(build).parameters)
+        assert names == ["field", *takes], name

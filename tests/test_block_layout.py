@@ -374,6 +374,51 @@ def test_staircase_profile_matches_dense_reference(F):
     assert checked >= 20
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_smaller_staircase_is_a_sub_block(F):
+    # T^{m-2} at N - 1 holds the blocks of lengths 2j - m, 1 <= j < N: the
+    # u-power >= 1 blocks of T^m at N, which `_staircase_layout` lays last.
+    # So the D of the N - 1 staircase at degree m - 2 is the D of the N
+    # staircase at degree m on those trailing columns and rows, and those
+    # columns have no entries in the u^0 rows (d keeps the u-power, uB
+    # raises it).  mat(2) stops at n_max = 7: its length-8 block holds
+    # 26 244 words.
+    checked = 0
+    for name, top in (("a2_path", 8), ("mat", 7), ("group_z2", 8), ("clifford1", 8)):
+        A = builtin(name, F, **({"m": 2} if name == "mat" else {}))
+        cx = ChainComplex(A)
+        for p in ((0, 1) if A.is_super else (0,)):
+            for N in (2, 3, 4):
+                for n_max in sorted({2 * N, 2 * N + 1, 8}):
+                    if n_max > top:
+                        continue
+
+                    def layout(m, n):
+                        return cyclic._staircase_layout(cx, m, p, n_max, n)
+
+                    for m in range(2 * (N - 1) - n_max, 2 * N - 1):
+                        src, dst = layout(m, N), layout(m + 1, N)
+                        small_src, small_dst = layout(m - 2, N - 1), layout(m - 1, N - 1)
+                        col0, row0 = src[1] - small_src[1], dst[1] - small_dst[1]
+                        for degree, big, small, shift in ((m, src, small_src, col0),
+                                                          (m + 1, dst, small_dst, row0)):
+                            # the blocks of u-power j >= 1 have lengths n > -degree
+                            assert {n: offset + shift for n, (offset, _, _)
+                                    in small[0].items()} == \
+                                {n: offset for n, (offset, _, _) in big[0].items()
+                                 if n > -degree}
+                        D = cx.matrix(src, dst, ("boundary", "connes"))
+                        d = cx.matrix(small_src, small_dst, ("boundary", "connes"))
+                        tail = {(r, c): v for (r, c), v in D.entries.items() if c >= col0}
+                        assert all(r >= row0 for r, _ in tail), (name, N, n_max, m, p)
+                        assert (d.rows, d.cols) == (D.rows - row0, D.cols - col0)
+                        assert d.entries == {(r - row0, c - col0): v
+                                             for (r, c), v in tail.items()}, \
+                            (name, N, n_max, m, p)
+                        checked += 1
+    assert checked == 238
+
+
 @pytest.mark.parametrize("F", [GF(2), GF(3)], ids=str)
 def test_char_p_compare_matches_reference(F):
     for A in _algebras(F):

@@ -9,6 +9,7 @@ import pytest
 from nchodge import cli
 from nchodge.algebra import CATALOGUE, algebra_to_json, builtin
 from nchodge.cli import main
+from nchodge.fields import GF
 
 
 def run(capsys, *argv):
@@ -266,6 +267,62 @@ def test_param_on_a_file_algebra_exits_2(tmp_path, capsys):
                          "--n-max", "2"), "--param m", "file algebra")
     _assert_refused(*run(capsys, "glue", "--algebra-a", str(path), "--algebra-b", "point",
                          "--param", "m=3"), "--param m", "file algebra")
+
+
+def test_glue_routes_each_param_to_the_part_that_takes_it(tmp_path, capsys):
+    # every --param went to --algebra-a: this exited 2 naming point, and
+    # mat/mat glued Mat_3 with Mat_2
+    code, rep, _ = run_json(capsys, "glue", "--algebra-a", "point", "--algebra-b", "mat",
+                            "--param", "m=3", "--bimodule", "zero")
+    assert code == 0 and rep["algebra"] == "glue(point,mat(3))"
+    assert rep["result"]["algebra"]["dim"] == 1 + 9
+    code, rep, _ = run_json(capsys, "glue", "--algebra-a", "mat", "--algebra-b",
+                            "poly_truncated", "--param", "vars=1", "--param", "m=3",
+                            "--param", "max_weight=2", "--bimodule", "zero")
+    assert code == 0 and rep["algebra"] == "glue(mat(3),poly_truncated(1,2))"
+    _assert_refused(*run(capsys, "glue", "--algebra-a", "mat", "--algebra-b", "mat",
+                         "--param", "m=3", "--bimodule", "zero"),
+                    "--param m", "--algebra-a mat takes m", "--algebra-b mat takes m")
+    _assert_refused(*run(capsys, "glue", "--algebra-a", "point", "--algebra-b",
+                         "dual_numbers", "--param", "m=3"),
+                    "--param m", "point takes no parameters",
+                    "dual_numbers takes no parameters")
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(algebra_to_json(builtin("dual_numbers"))))
+    _assert_refused(*run(capsys, "glue", "--algebra-a", "point", "--algebra-b", str(path),
+                         "--param", "m=3"), "--param m", "file algebra", "point takes")
+
+
+def test_field_of_a_file_algebra(tmp_path, capsys):
+    # --field was ignored for a file: hh reported "Q" under --field F3 and
+    # charp-compare exited 3 asking for a prime field
+    q_file, f3_file = tmp_path / "dual.json", tmp_path / "tp3.json"
+    q_file.write_text(json.dumps(algebra_to_json(builtin("dual_numbers"))))
+    f3_file.write_text(json.dumps(algebra_to_json(builtin("truncated_poly", GF(3), m=3))))
+    for argv in (("hh", "--n-max", "1"), ("charp-compare", "--n-max", "4", "--u-trunc", "2")):
+        _assert_refused(*run(capsys, argv[0], "--algebra", str(q_file), "--field", "F3",
+                             *argv[1:]), str(q_file), "--field F3", "field Q")
+    # a file keeps its own field, with or without a --field that names it
+    for field in ((), ("--field", "F3")):
+        code, rep, _ = run_json(capsys, "hh", "--algebra", str(f3_file), *field,
+                                "--n-max", "1")
+        assert code == 0 and rep["field"] == "F3"
+
+
+def test_glue_parts_over_different_fields_exit_2(tmp_path, capsys):
+    # exited 1, a structural error, with "field mismatch in glue"
+    q_file, f3_file = tmp_path / "dual.json", tmp_path / "tp3.json"
+    q_file.write_text(json.dumps(algebra_to_json(builtin("dual_numbers"))))
+    f3_file.write_text(json.dumps(algebra_to_json(builtin("truncated_poly", GF(3), m=3))))
+    _assert_refused(*run(capsys, "glue", "--algebra-a", str(q_file), "--algebra-b", "point",
+                         "--field", "F3"), "F3", "field Q")
+    _assert_refused(*run(capsys, "glue", "--algebra-a", str(f3_file), "--algebra-b", "point"),
+                    f"--algebra-a {f3_file} is over F3", "--algebra-b point over Q")
+    _assert_refused(*run(capsys, "glue", "--algebra-a", str(q_file), "--algebra-b",
+                         str(f3_file)), "over Q", "over F3")
+    code, rep, _ = run_json(capsys, "glue", "--algebra-a", str(f3_file), "--algebra-b",
+                            "point", "--field", "F3")
+    assert code == 0 and rep["field"] == "F3"
 
 
 @pytest.mark.parametrize("field", ["Q", "F2", "F3"])
