@@ -155,10 +155,7 @@ def digest_line(argv) -> str:
     """Run one command and return its `stdout stderr exit argv` line."""
     out, err = _Sha(), _Sha()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # an argv the parser refuses
-            code = exc.code
+        code = cli.main(list(argv))
     return f"{out.h.hexdigest()} {err.h.hexdigest()} {code} {' '.join(argv)}"
 
 
