@@ -9,7 +9,6 @@ algebras along a bimodule, and the JSON file format used by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .fields import Field, QQ, format_scalar, parse_scalar, reduced_entries
@@ -19,19 +18,19 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass
 class Violation:
-    kind: str
-    witness: tuple
-    detail: str = ""
+    def __init__(self, kind: str, witness: tuple, detail: str = ""):
+        self.kind = kind
+        self.witness = witness
+        self.detail = detail
 
     def to_dict(self):
         return {"kind": self.kind, "witness": list(self.witness), "detail": self.detail}
 
 
-@dataclass
 class ValidationReport:
-    violations: list
+    def __init__(self, violations: list):
+        self.violations = violations
 
     @property
     def ok(self) -> bool:
@@ -57,7 +56,6 @@ def bilinear(table: dict, v: dict, w: dict, field: Field) -> dict:
     return reduced_entries(out, field)
 
 
-@dataclass
 class AlgebraSpec:
     """Unital associative algebra by structure constants; basis 0 is the unit.
 
@@ -67,16 +65,19 @@ class AlgebraSpec:
     zero), so downstream consumers can apply a guard band.
     """
 
-    name: str
-    field: Field
-    dim: int
-    structure: dict
-    weight: tuple | None = None
-    parity: tuple | None = None
-    max_weight: int | None = None
-    basis_labels: tuple | None = None
-
     unit_index = 0
+
+    def __init__(self, name: str, field: Field, dim: int, structure: dict,
+                 weight: tuple | None = None, parity: tuple | None = None,
+                 max_weight: int | None = None, basis_labels: tuple | None = None):
+        self.name = name
+        self.field = field
+        self.dim = dim
+        self.structure = structure
+        self.weight = weight
+        self.parity = parity
+        self.max_weight = max_weight
+        self.basis_labels = basis_labels
 
     def mul_basis(self, i: int, j: int) -> dict:
         return self.structure.get((i, j), {})
@@ -139,11 +140,14 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
             v.append(Violation("unit", (0, i), "1*e_i != e_i"))
         if right != e:
             v.append(Violation("unit", (i, 0), "e_i*1 != e_i"))
+    # (e_i e_j) e_k and e_i (e_j e_k) are both {} when neither e_i e_j nor
+    # e_j e_k is stored, so only the k with e_j e_k stored need a check then
+    stored_right = [[k for k in range(d) if spec.structure.get((j, k))] for j in range(d)]
     for i in range(d):
         ei = {i: F.one()}
         for j in range(d):
             ij = spec.mul_basis(i, j)
-            for k in range(d):
+            for k in (range(d) if ij else stored_right[j]):
                 lhs = spec.mul_vec(ij, {k: F.one()})
                 rhs = spec.mul_vec(ei, spec.mul_basis(j, k))
                 if lhs != rhs:
@@ -271,7 +275,6 @@ def opposite(A: AlgebraSpec) -> AlgebraSpec:
                        A.max_weight, A.basis_labels)
 
 
-@dataclass
 class BimoduleSpec:
     """A (left, right)-bimodule by action constants.
 
@@ -279,11 +282,13 @@ class BimoduleSpec:
     right_action maps (t, i) -> {t': c} for m_t . e_i over the right algebra.
     """
 
-    left: AlgebraSpec
-    right: AlgebraSpec
-    dim: int
-    left_action: dict = dc_field(default_factory=dict)
-    right_action: dict = dc_field(default_factory=dict)
+    def __init__(self, left: AlgebraSpec, right: AlgebraSpec, dim: int,
+                 left_action: dict, right_action: dict):
+        self.left = left
+        self.right = right
+        self.dim = dim
+        self.left_action = left_action
+        self.right_action = right_action
 
     def act_left(self, vec_b: dict, vec_m: dict) -> dict:
         return bilinear(self.left_action, vec_b, vec_m, self.left.field)
@@ -350,8 +355,20 @@ def glue(A: AlgebraSpec, B: AlgebraSpec, M: BimoduleSpec) -> AlgebraSpec:
                             parity=parity, labels=labels)
 
 
+def unit_coordinate_product(A: AlgebraSpec) -> tuple | None:
+    """The first (i, j) with i, j >= 1 whose product e_i e_j has a unit
+    coordinate, or None.  With None, the non-unit basis elements span an
+    ideal, so the unit coordinate A -> k is an algebra map and A acts
+    through it in `trivial_bimodule`; otherwise that action is not one."""
+    for (i, j), comps in sorted(A.structure.items()):
+        if i and j and comps.get(0):
+            return i, j
+    return None
+
+
 def trivial_bimodule(B: AlgebraSpec, A: AlgebraSpec, dim: int = 1) -> BimoduleSpec:
-    """Bimodule where both algebras act through the scalar part of the unit only."""
+    """Bimodule where both algebras act through the scalar part of the unit
+    only: a bimodule when `unit_coordinate_product` is None for both."""
     F = A.field
     left = {}
     right = {}

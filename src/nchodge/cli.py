@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -41,8 +40,8 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .algebra import (AlgebraError, AlgebraSpec, CATALOGUE, SchemaError, ValidationReport,
                       algebra_from_json, algebra_to_json, builtin, glue, json_int,
-                      json_list, json_object, json_scalar, trivial_bimodule, validate,
-                      zero_bimodule)
+                      json_list, json_object, json_scalar, trivial_bimodule,
+                      unit_coordinate_product, validate, zero_bimodule)
 from .cyclic import (UnsupportedError, char_p_compare,
                      degeneration_check, graded_piece_analysis, hodge_filtration,
                      hp_ranks, negative_cyclic)
@@ -97,16 +96,16 @@ def load_algebra(ref: str, field: Field | None, params: dict, allow_invalid: boo
     """Resolve an algebra reference (--algebra, --algebra-a, --algebra-b): a
     catalogue name or a path to an ncg-algebra/1 file.
 
-    Returns (algebra, report).  A catalogue algebra is built over `field`
-    (Q when None), is valid by construction and its report is None.  A file
-    algebra is validated here, once, and `report` is its ValidationReport;
-    an invalid one exits 2 unless `allow_invalid` (validate reports its
-    violations).  A file keeps its own field: a `field` that differs from
-    it exits 2.
+    Returns (algebra, report), the report of the one validation the
+    algebra gets.  A catalogue algebra is built over `field` (Q when None)
+    and validated by `builtin`, which refuses an invalid one, so its report
+    has no violations.  A file algebra is validated here; an invalid one
+    exits 2 unless `allow_invalid` (validate reports its violations).  A
+    file keeps its own field: a `field` that differs from it exits 2.
     """
     try:
         if not _is_path(ref):
-            return builtin(ref, QQ if field is None else field, **params), None
+            return builtin(ref, QQ if field is None else field, **params), ValidationReport([])
         if params:
             raise AlgebraError(f"--param {', '.join(params)} does not apply to a file algebra")
         A = algebra_from_json(_load_json(ref))
@@ -536,7 +535,11 @@ def _canonical(obj) -> str:
 
 def _cache_key(args, command: str, meta: dict, inputs) -> str:
     """Content address of a report: sha256 over the command, its inputs, the
-    report metadata, the output format and the tool version."""
+    report metadata, the output format and the tool version.  hashlib is
+    imported here, its one use, so that a run without a cache never loads
+    it."""
+    import hashlib
+
     return hashlib.sha256(_canonical(
         {"command": command, "inputs": inputs, "meta": meta,
          "format": args.format, "version": __version__}).encode()).hexdigest()
@@ -583,7 +586,7 @@ class _Inputs:
 
     field: Field | None = None
     algebra: AlgebraSpec | None = None     # the algebra the report is about
-    report: ValidationReport | None = None  # its validation, for a file algebra
+    report: ValidationReport | None = None  # its validation
     parts: tuple = ()                      # glue: the two algebras glued
     idempotent: Idempotent | None = None
     bivector: Bivector | None = None
@@ -646,6 +649,17 @@ def _load(args) -> _Inputs:
         if A.field != B.field:
             raise CliError(f"glue: --algebra-a {refs[0]} is over {A.field} and "
                            f"--algebra-b {refs[1]} over {B.field}", EXIT_VALIDATION)
+        if args.bimodule == "trivial":
+            for option, ref, part in zip(("--algebra-a", "--algebra-b"), refs, (A, B)):
+                witness = unit_coordinate_product(part)
+                if witness is not None:
+                    i, j = witness
+                    raise CliError(
+                        f"glue: --bimodule trivial is not a bimodule over {option} {ref}: "
+                        f"the product of {part.label(i)} and {part.label(j)} has a unit "
+                        f"coordinate, so the non-unit basis elements do not span an ideal; "
+                        f"use --bimodule zero",
+                        EXIT_VALIDATION)
         bimodule = trivial_bimodule if args.bimodule == "trivial" else zero_bimodule
         x.parts = (A, B)
         x.algebra = glue(A, B, bimodule(B, A))
@@ -737,8 +751,7 @@ def _chain_json(A, chain, N: int) -> list:
 
 @_command("validate")
 def _validate(args, x):
-    report = x.report if x.report is not None else validate(x.algebra)
-    return report.to_dict(), _verdict(report.ok)
+    return x.report.to_dict(), _verdict(x.report.ok)
 
 
 @_command("hh")
@@ -970,7 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="catalogue parameter key=value (repeatable), given to the "
                          "part whose catalogue entry takes it; a key both parts "
                          "take, or neither, exits 2")
-    gl.add_argument("--bimodule", choices=("trivial", "zero"), default="trivial")
+    gl.add_argument("--bimodule", choices=("trivial", "zero"), default="trivial",
+                    help="the corner bimodule; trivial needs parts whose non-unit "
+                         "basis elements span an ideal, and exits 2 otherwise")
     sub.add_parser("catalogue", parents=[common])
 
     poisson = sub.add_parser("poisson", parents=[common])

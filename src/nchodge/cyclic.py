@@ -36,7 +36,6 @@ staircase holds the blocks of lengths 2j - m, j < N.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
 
 from .algebra import AlgebraSpec
 from .fields import Field, SizeError, reduced_entries
@@ -55,7 +54,6 @@ class WindowError(SizeError):
     """Window too small for the requested truncation."""
 
 
-@dataclass
 class CyclicReport:
     """u-module profile of the truncated negative cyclic complex.
 
@@ -64,12 +62,14 @@ class CyclicReport:
     guard-band and consistency diagnostics.
     """
 
-    even: UModuleReport
-    odd: UModuleReport
-    N: int
-    n_max: int
-    per_weight: dict | None = None
-    flags: dict = dc_field(default_factory=dict)
+    def __init__(self, even: UModuleReport, odd: UModuleReport, N: int, n_max: int,
+                 per_weight: dict | None, flags: dict):
+        self.even = even
+        self.odd = odd
+        self.N = N
+        self.n_max = n_max
+        self.per_weight = per_weight
+        self.flags = flags
 
     @property
     def consistent(self) -> bool:
@@ -286,17 +286,18 @@ def negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicRepor
     return _profile(ChainComplex(A), window, N)
 
 
-@dataclass
 class HodgeReport:
     """HP rank estimate with stabilization diagnostics and the filtration."""
 
-    hp_even: int
-    hp_odd: int
-    conclusive: bool
-    verdict: str          # collapses-in-window | finite-torsion-found | inconclusive
-    filtration: dict      # index (as string, half-integers allowed) -> rank
-    report_N: CyclicReport
-    report_Nm1: CyclicReport
+    def __init__(self, hp_even: int, hp_odd: int, conclusive: bool, verdict: str,
+                 filtration: dict, report_N: CyclicReport, report_Nm1: CyclicReport):
+        self.hp_even = hp_even
+        self.hp_odd = hp_odd
+        self.conclusive = conclusive
+        self.verdict = verdict  # collapses-in-window | finite-torsion-found | inconclusive
+        self.filtration = filtration  # index (as string, half-integers allowed) -> rank
+        self.report_N = report_N
+        self.report_Nm1 = report_Nm1
 
     def to_dict(self) -> dict:
         return {

@@ -18,7 +18,6 @@ the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -60,15 +59,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Field:
-    """Descriptor for the ground field: Q when p is None, else F_p."""
+    """Descriptor for the ground field: Q when p is None, else F_p.
+    Immutable, and equal and hashed by p."""
 
-    p: int | None = None
+    def __init__(self, p: int | None = None):
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __setattr__(self, name, value):
+        raise AttributeError("a Field is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a Field is immutable")
+
+    def __eq__(self, other):
+        return self.p == other.p if other.__class__ is Field else NotImplemented
+
+    def __hash__(self):
+        return hash(self.p)
 
     @property
     def kind(self) -> str:

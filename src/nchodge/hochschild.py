@@ -24,7 +24,6 @@ a_0..a_{i-1}.  Koszul signs use the plain parities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError
@@ -32,20 +31,18 @@ from .fields import SizeError, linear_combination, reduced_entries
 from .sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
 
 
-@dataclass
 class DegreeWindow:
     """Truncation of the unbounded chain complex: lengths n <= n_max and an
     optional internal-weight range."""
 
-    n_max: int
-    w_min: int | None = None
-    w_max: int | None = None
-
-    def __post_init__(self):
-        if self.n_max < 0:
+    def __init__(self, n_max: int, w_min: int | None = None, w_max: int | None = None):
+        if n_max < 0:
             raise SizeError("n_max must be >= 0")
-        if self.w_min is not None and self.w_max is not None and self.w_min > self.w_max:
-            raise SizeError(f"weight window w_min={self.w_min} > w_max={self.w_max} is empty")
+        if w_min is not None and w_max is not None and w_min > w_max:
+            raise SizeError(f"weight window w_min={w_min} > w_max={w_max} is empty")
+        self.n_max = n_max
+        self.w_min = w_min
+        self.w_max = w_max
 
     def refuse_weight_bounds(self, why: str):
         """Raise SizeError if a weight bound is set on a computation that

@@ -11,7 +11,6 @@ conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -26,24 +25,23 @@ class ContractError(ValueError):
     pass
 
 
-@dataclass
 class Idempotent:
-    algebra: AlgebraSpec
-    vector: dict  # basis index -> field element
-
-    def __post_init__(self):
-        sq = self.algebra.mul_vec(self.vector, self.vector)
-        if sq != reduced_entries(self.vector, self.algebra.field):
+    def __init__(self, algebra: AlgebraSpec, vector: dict):
+        if algebra.mul_vec(vector, vector) != reduced_entries(vector, algebra.field):
             raise ContractError("element is not idempotent")
+        self.algebra = algebra
+        self.vector = vector  # basis index -> field element
 
 
-@dataclass
 class UChain:
-    """Chain over k[u]/u^N: components[t] lives in tensor length degree[t]."""
+    """Chain over k[u]/u^N: components[t], for t < N, is a {word:
+    coefficient} combination of words of 2t + 1 letters, i.e. of tensor
+    length 2t."""
 
-    algebra: AlgebraSpec
-    N: int
-    components: list  # t -> {word: coefficient}, word of length degree 2t + 1
+    def __init__(self, algebra: AlgebraSpec, N: int, components: list):
+        self.algebra = algebra
+        self.N = N
+        self.components = components
 
     def is_zero(self) -> bool:
         return all(not c for c in self.components)

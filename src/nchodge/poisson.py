@@ -28,7 +28,6 @@ of length nvars, no zero coefficient) and are wrapped unchecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
@@ -136,7 +135,6 @@ def monomial(nvars: int, exps: dict | tuple) -> Poly:
     return {tuple(exps): 1}
 
 
-@dataclass
 class PolyForm:
     """Polynomial differential form sum c . x^e dx_S on affine nvars-space.
 
@@ -145,17 +143,16 @@ class PolyForm:
     coefficients; operator results are built by `_of`, unchecked.
     """
 
-    nvars: int
-    terms: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        for (e, S), c in list(self.terms.items()):
-            if len(e) != self.nvars or any(x < 0 for x in e):
+    def __init__(self, nvars: int, terms: dict):
+        for (e, S), c in list(terms.items()):
+            if len(e) != nvars or any(x < 0 for x in e):
                 raise PoissonError(f"bad exponent vector {e}")
-            if list(S) != sorted(set(S)) or any(not 0 <= i < self.nvars for i in S):
+            if list(S) != sorted(set(S)) or any(not 0 <= i < nvars for i in S):
                 raise PoissonError(f"bad index set {S}")
             if c == 0:
-                del self.terms[(e, S)]
+                del terms[(e, S)]
+        self.nvars = nvars
+        self.terms = terms
 
     @classmethod
     def _of(cls, nvars: int, terms: dict) -> "PolyForm":
@@ -228,21 +225,20 @@ def d(form: PolyForm) -> PolyForm:
     return PolyForm._of(form.nvars, _apply(_Table(_d_term), form.terms, 1, {}))
 
 
-@dataclass
 class Bivector:
     """Antisymmetric bivector alpha = sum_{i<j} alpha^{ij} del_i ^ del_j,
     components stored for i < j only; hbar is an optional rational scale
     multiplying L_alpha in the semiclassical differential."""
 
-    nvars: int
-    components: dict  # (i, j) with i < j -> Poly
-    name: str = ""
-    hbar: int | Fraction = 1
-
-    def __post_init__(self):
-        for (i, j) in self.components:
-            if not (0 <= i < j < self.nvars):
+    def __init__(self, nvars: int, components: dict, name: str = "",
+                 hbar: int | Fraction = 1):
+        for (i, j) in components:
+            if not (0 <= i < j < nvars):
                 raise PoissonError(f"bivector component ({i},{j}) out of order")
+        self.nvars = nvars
+        self.components = components  # (i, j) with i < j -> Poly
+        self.name = name
+        self.hbar = hbar
 
     def coefficient_degree(self) -> int:
         return max((sum(e) for p in self.components.values() for e in p),
@@ -353,16 +349,14 @@ def conjugation_check(alpha: Bivector, D: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ConstantSymplectic:
     """The standard form w = dx1^dx2 + dx3^dx4 + ... on even dimension."""
 
-    nvars: int
-
-    def __post_init__(self):
-        if self.nvars < 2 or self.nvars % 2 != 0:
+    def __init__(self, nvars: int):
+        if nvars < 2 or nvars % 2 != 0:
             raise PoissonError(f"symplectic dimension must be positive and even, "
-                               f"got {self.nvars}")
+                               f"got {nvars}")
+        self.nvars = nvars
 
     def pairs(self):
         return [(2 * a, 2 * a + 1) for a in range(self.nvars // 2)]

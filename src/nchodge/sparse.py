@@ -40,7 +40,6 @@ then reduce once with `reduced_entries`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
 
 from .fields import Field, reduced_entries
 
@@ -49,18 +48,16 @@ class StructuralError(ValueError):
     """Raised on malformed matrix data (index out of bounds, shape mismatch)."""
 
 
-@dataclass
 class SparseMatrix:
-    rows: int
-    cols: int
-    entries: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise StructuralError(f"entry ({r},{c}) out of bounds for {self.rows}x{self.cols}")
+    def __init__(self, rows: int, cols: int, entries: dict):
+        for (r, c), v in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise StructuralError(f"entry ({r},{c}) out of bounds for {rows}x{cols}")
             if v == 0:
                 raise StructuralError(f"stored zero entry at ({r},{c})")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @classmethod
     def identity(cls, n: int, field: Field) -> "SparseMatrix":

@@ -20,26 +20,36 @@ eliminated in k^{dim Z} rather than in the whole expansion k^{N r}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .fields import Field, SizeError, reduced_entries
 from .sparse import SparseMatrix, StructuralError, kernel_basis, rank_of_columns, span_quotient
 
 
-@dataclass(frozen=True)
 class UTruncation:
-    N: int
+    """The truncation order N of k[u]/u^N.  Immutable, and equal and hashed
+    by N."""
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N: int):
+        if N < 1:
             raise SizeError("truncation order must be >= 1")
+        object.__setattr__(self, "N", N)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a UTruncation is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a UTruncation is immutable")
+
+    def __eq__(self, other):
+        return self.N == other.N if other.__class__ is UTruncation else NotImplemented
+
+    def __hash__(self):
+        return hash(self.N)
 
 
 class ContractViolation(ValueError):
     """A differential fails to square to zero over k[u]/u^N."""
 
 
-@dataclass
 class UModuleReport:
     """Homology at one position: free rank over k[u]/u^N plus u-torsion blocks.
 
@@ -48,9 +58,10 @@ class UModuleReport:
     there is headroom below the truncation and the profile can be trusted.
     """
 
-    free_rank: int = 0
-    torsion_blocks: dict = dc_field(default_factory=dict)
-    N: int = 1
+    def __init__(self, free_rank: int, torsion_blocks: dict, N: int):
+        self.free_rank = free_rank
+        self.torsion_blocks = torsion_blocks
+        self.N = N
 
     @property
     def saturated_at_N(self) -> bool:
@@ -99,7 +110,6 @@ def blocks_from_filtration_dims(dims: list[int], N: int) -> UModuleReport:
     return UModuleReport(free, blocks, N)
 
 
-@dataclass
 class UComplex:
     """Finite complex of free k[u]/u^N-modules.
 
@@ -108,9 +118,10 @@ class UComplex:
     matrices over k, the coefficients of u^0..u^{N-1}.
     """
 
-    truncation: UTruncation
-    ranks: dict
-    diffs: dict
+    def __init__(self, truncation: UTruncation, ranks: dict, diffs: dict):
+        self.truncation = truncation
+        self.ranks = ranks
+        self.diffs = diffs
 
     def positions(self) -> list[int]:
         return sorted(self.ranks)

@@ -1,10 +1,11 @@
 import hashlib
 import inspect
 import json
+import random
 
 import pytest
 
-from nchodge.algebra import (CATALOGUE, AlgebraError, BimoduleSpec, SchemaError,
+from nchodge.algebra import (CATALOGUE, AlgebraError, AlgebraSpec, BimoduleSpec, SchemaError,
                              algebra_from_json, algebra_to_json, builtin, glue,
                              matrix_algebra, opposite, trivial_bimodule,
                              validate, zero_bimodule)
@@ -65,8 +66,8 @@ def test_invalid_structure_rejected():
     # break associativity-relevant data: eps * eps = eps
     bad = dict(A.structure)
     bad[(1, 1)] = {1: A.field.one()}
-    from dataclasses import replace
-    B = replace(A, structure=bad)
+    B = AlgebraSpec(A.name, A.field, A.dim, bad, A.weight, A.parity, A.max_weight,
+                    A.basis_labels)
     report = validate(B)
     assert not report.ok
     assert report.violations[0].witness is not None
@@ -74,10 +75,10 @@ def test_invalid_structure_rejected():
 
 def test_validate_reports_out_of_range_indices_of_a_graded_spec():
     # the weight and parity checks skip what index-bounds already reports
-    from dataclasses import replace
     A = builtin("truncated_poly", m=3)
     structure = {**A.structure, (1, 1): {7: A.field.one()}}
-    report = validate(replace(A, structure=structure, parity=(0, 0, 0)))
+    report = validate(AlgebraSpec(A.name, A.field, A.dim, structure, A.weight, (0, 0, 0),
+                                  A.max_weight, A.basis_labels))
     assert [v.kind for v in report.violations if v.kind != "associativity"] == ["index-bounds"]
 
 
@@ -181,3 +182,89 @@ def test_catalogue_builders_take_the_table_parameters():
     for name, (build, takes) in CATALOGUE.items():
         names = list(inspect.signature(build).parameters)
         assert names == ["field", *takes], name
+
+
+def _full_associativity(spec):
+    """Associativity witnesses of the full d^3 loop: every triple (i, j, k),
+    in order, none skipped."""
+    one = spec.field.one()
+    out = []
+    for i in range(spec.dim):
+        for j in range(spec.dim):
+            for k in range(spec.dim):
+                lhs = spec.mul_vec(spec.mul_basis(i, j), {k: one})
+                rhs = spec.mul_vec({i: one}, spec.mul_basis(j, k))
+                if lhs != rhs:
+                    out.append((i, j, k))
+    return out
+
+
+def _associativity_witnesses(spec):
+    return [v.witness for v in validate(spec).violations if v.kind == "associativity"]
+
+
+def _catalogue_entries():
+    for spec in _CATALOGUE_DIGESTS:
+        name, *pairs = spec.split(",")
+        params = dict(pair.split("=") for pair in pairs)
+        for field, digest in zip((QQ, GF(2), GF(3)), _CATALOGUE_DIGESTS[spec]):
+            if digest is not None:
+                yield builtin(name, field, **params)
+
+
+def _broken_specs():
+    """The invalid structures of this file and of test_fuzz, and more."""
+    from test_fuzz import _ALGEBRAS, mutate
+
+    D, P, T = builtin("dual_numbers"), builtin("point"), builtin("truncated_poly", m=3)
+    one = D.field.one()
+    yield AlgebraSpec("eps^2=eps", D.field, 2, {**D.structure, (1, 1): {1: one}}, D.weight)
+    yield AlgebraSpec("target 7", T.field, 3, {**T.structure, (1, 1): {7: one}}, T.weight,
+                      (0, 0, 0))
+    yield AlgebraSpec("key (5, 0)", D.field, 2, {**D.structure, (5, 0): {1: one}})
+    yield AlgebraSpec("stored zero", D.field, 2, {**D.structure, (1, 1): {0: 0, 1: 0}})
+    M = BimoduleSpec(D, D, 2, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 1): {0: one}},
+                     {(0, 0): {0: one}, (1, 0): {1: one}, (0, 1): {1: one}})
+    yield glue(D, D, M)
+    M = trivial_bimodule(P, P)
+    M.left_action = {}
+    yield glue(P, P, M)
+    mat = builtin("mat", QQ, m=2)
+    doubled = {k: 2 * c for k, c in mat.structure[(1, 2)].items()}
+    yield AlgebraSpec("mat(2), E11*E12 doubled", QQ, 4, {**mat.structure, (1, 2): doubled})
+    yield from (builtin(name, GF(3)) for name in ("group_z2", "clifford1", "mat"))
+    yield matrix_algebra(D, 2)
+    yield opposite(mat)
+    rng = random.Random(20261018)
+    for obj in _ALGEBRAS:
+        yield algebra_from_json(obj)
+        for _ in range(40):
+            try:
+                yield algebra_from_json(mutate(obj, rng))
+            except (SchemaError, TypeError, ValueError, KeyError, IndexError):
+                pass
+    for F in (QQ, GF(2), GF(3)):
+        for d in (2, 3, 4):
+            # unit law by hand, random constants (mostly non-associative)
+            structure = {(0, i): {i: 1} for i in range(d)}
+            structure.update({(i, 0): {i: 1} for i in range(1, d)})
+            for i in range(1, d):
+                for j in range(1, d):
+                    comps = {k: F.from_int(rng.randint(-1, 2)) for k in range(d)
+                             if rng.random() < 0.4}
+                    comps = {k: c for k, c in comps.items() if c}
+                    if comps:
+                        structure[(i, j)] = comps
+            yield AlgebraSpec(f"random{d}", F, d, structure)
+
+
+def test_skipped_associativity_triples_change_no_violation():
+    # validate skips (i, j, k) when neither e_i e_j nor e_j e_k is stored:
+    # the witnesses, order included, are those of the full loop
+    specs = list(_catalogue_entries()) + list(_broken_specs())
+    broken = 0
+    for spec in specs:
+        expected = _full_associativity(spec)
+        assert _associativity_witnesses(spec) == expected, spec.name
+        broken += bool(expected)
+    assert broken >= 20

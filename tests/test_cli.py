@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nchodge import cli
+from nchodge import algebra, cli
 from nchodge.algebra import CATALOGUE, algebra_to_json, builtin
 from nchodge.cli import main
 from nchodge.fields import GF
@@ -644,6 +644,44 @@ def test_validate_calls_validate_once_on_a_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "validate", lambda A: calls.append(A) or original(A))
     assert run(capsys, "validate", "--algebra", path)[0] == 2
     assert len(calls) == 1
+
+
+def test_each_algebra_is_validated_once(capsys, monkeypatch):
+    # validate of a catalogue algebra ran the check twice: in builtin and again
+    # for the report
+    calls = []
+    original = algebra.validate
+
+    def counted(A):
+        calls.append(A.name)
+        return original(A)
+
+    monkeypatch.setattr(algebra, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    assert run(capsys, "validate", "--algebra", "poly_truncated")[0] == 0
+    assert calls == ["poly_truncated(2,4)"]
+    calls.clear()
+    assert run(capsys, "glue", "--algebra-a", "dual_numbers", "--algebra-b", "a2_path")[0] == 0
+    assert calls == ["dual_numbers", "a2_path", "glue(dual_numbers,a2_path)"]
+
+
+@pytest.mark.parametrize("argv, option, product", [
+    (("--algebra-a", "point", "--algebra-b", "group_z2"), "--algebra-b group_z2", "g and g"),
+    (("--algebra-a", "point", "--algebra-b", "clifford1"), "--algebra-b clifford1", "xi and xi"),
+    (("--algebra-a", "point", "--algebra-b", "mat"), "--algebra-b mat", "E21*1 and E12*1"),
+    (("--algebra-a", "mat", "--algebra-b", "dual_numbers", "--param", "m=3"),
+     "--algebra-a mat", "E31*1 and E13*1"),
+], ids=["group_z2", "clifford1", "mat", "mat-m3"])
+def test_trivial_bimodule_needs_an_augmentation(capsys, argv, option, product):
+    # the non-unit basis elements of these parts do not span an ideal, so the
+    # unit coordinate is no algebra map and the trivial action no bimodule:
+    # glue emitted a report with an associativity violation ([3, 3, 2] for
+    # group_z2) and exited 2
+    _assert_refused(*run(capsys, "glue", *argv), "--bimodule trivial is not a bimodule",
+                    option, f"the product of {product} has a unit coordinate",
+                    "use --bimodule zero")
+    code, rep, _ = run_json(capsys, "glue", *argv, "--bimodule", "zero")
+    assert code == 0 and rep["result"]["validation"]["ok"]
 
 
 @pytest.mark.parametrize("edit", [

@@ -98,3 +98,14 @@ def test_is_prime_refuses_above_its_limit():
     with pytest.raises(ValueError, match="PRIME_LIMIT"):
         parse_field(f"F{2 ** 89 - 1}")
     assert not _is_prime(PRIME_LIMIT + 1)  # even: decided without the test
+
+
+def test_fields_are_immutable_values():
+    # equal and hashed by p, as field descriptors are compared across inputs
+    assert Field() == QQ and GF(3) == Field(3) and GF(3) != GF(5) and GF(3) != QQ
+    assert len({QQ, Field(), GF(3), Field(3)}) == 2
+    with pytest.raises(AttributeError):
+        GF(3).p = 5
+    with pytest.raises(AttributeError):
+        del QQ.p
+    assert GF(3).p == 3 and QQ.p is None

@@ -88,3 +88,10 @@ def test_mod_p_decomposition():
 def test_truncation_validation():
     with pytest.raises(ValueError):
         UTruncation(0)
+
+
+def test_truncation_is_an_immutable_value():
+    assert UTruncation(3) == UTruncation(3) and UTruncation(3) != UTruncation(4)
+    assert len({UTruncation(3), UTruncation(3), UTruncation(4)}) == 2
+    with pytest.raises(AttributeError):
+        UTruncation(3).N = 4
