@@ -65,8 +65,6 @@ class AlgebraSpec:
     zero), so downstream consumers can apply a guard band.
     """
 
-    unit_index = 0
-
     def __init__(self, name: str, field: Field, dim: int, structure: dict,
                  weight: tuple | None = None, parity: tuple | None = None,
                  max_weight: int | None = None, basis_labels: tuple | None = None):
@@ -91,10 +89,6 @@ class AlgebraSpec:
         for _ in range(n):
             out = self.mul_vec(out, v)
         return out
-
-    @property
-    def graded(self) -> bool:
-        return self.weight is not None
 
     @property
     def is_super(self) -> bool:
@@ -366,16 +360,12 @@ def unit_coordinate_product(A: AlgebraSpec) -> tuple | None:
     return None
 
 
-def trivial_bimodule(B: AlgebraSpec, A: AlgebraSpec, dim: int = 1) -> BimoduleSpec:
-    """Bimodule where both algebras act through the scalar part of the unit
-    only: a bimodule when `unit_coordinate_product` is None for both."""
-    F = A.field
-    left = {}
-    right = {}
-    for t in range(dim):
-        left[(0, t)] = {t: F.one()}
-        right[(t, 0)] = {t: F.one()}
-    return BimoduleSpec(B, A, dim, left, right)
+def trivial_bimodule(B: AlgebraSpec, A: AlgebraSpec) -> BimoduleSpec:
+    """The one-dimensional bimodule where both algebras act through the
+    scalar part of the unit only: a bimodule when `unit_coordinate_product`
+    is None for both."""
+    one = A.field.one()
+    return BimoduleSpec(B, A, 1, {(0, 0): {0: one}}, {(0, 0): {0: one}})
 
 
 def zero_bimodule(B: AlgebraSpec, A: AlgebraSpec) -> BimoduleSpec:
@@ -687,7 +677,10 @@ def algebra_from_json(obj) -> AlgebraSpec:
         c = json_scalar(entry[3], field, what)
         if field.is_zero(c):
             raise SchemaError(f"algebra: zero structure constant at {(i, j, k)}")
-        structure.setdefault((inv[i], inv[j]), {})[inv[k]] = c
+        row = structure.setdefault((inv[i], inv[j]), {})
+        if inv[k] in row:
+            raise SchemaError(f"algebra: structure constant at {(i, j, k)} is given twice")
+        row[inv[k]] = c
 
     def table(key):
         if key not in obj:

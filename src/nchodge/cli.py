@@ -130,7 +130,7 @@ def load_idempotent(path: str, algebra) -> Idempotent:
         json_object(obj, IDEMPOTENT_FORMAT, ("format", "vector"), "idempotent")
         if not isinstance(obj.get("vector"), dict):
             raise SchemaError("'vector' must map basis labels or indices to scalars")
-        vec = {}
+        vec, names = {}, {}
         for key, val in obj["vector"].items():
             idx = labels.get(key)
             if idx is None:
@@ -140,6 +140,10 @@ def load_idempotent(path: str, algebra) -> Idempotent:
                     raise SchemaError(f"unknown basis label {key!r}")
                 if not 0 <= idx < algebra.dim:
                     raise SchemaError(f"basis index {idx} out of range")
+            if idx in names:
+                raise SchemaError(f"{names[idx]!r} and {key!r} both name basis element "
+                                  f"{algebra.label(idx)}")
+            names[idx] = key
             vec[idx] = json_scalar(val, algebra.field, f"coefficient of {key!r}")
         return Idempotent(algebra, vec)
     except (SchemaError, ContractError) as exc:
@@ -188,6 +192,8 @@ def load_bivector(ref: str) -> Bivector:
             if not (type(i) is int and type(j) is int and 0 <= i < j < nvars):
                 raise SchemaError(f"component indices ({i},{j}) must satisfy "
                                   f"0 <= i < j < nvars")
+            if (i, j) in comps:
+                raise SchemaError(f"component ({i},{j}) is given twice")
             comps[(i, j)] = _terms(entry["poly"], nvars, "'poly'")
         hbar = json_scalar(obj.get("hbar", "1"), QQ, "'hbar'")
         name = obj.get("name", ref)
@@ -405,10 +411,9 @@ def _render(report: dict, fmt: str, write) -> None:
     json is written as json.dumps(report, sort_keys=True, indent=2) plus a
     newline.  csv and markdown have one row per leaf of the report (a
     value that is not a dict), holding the leaf as compact JSON with '"'
-    doubled (csv) or '|' escaped (markdown).
+    doubled (csv) or '|' escaped (markdown).  A csv key is quoted, with
+    '"' doubled, when it holds a comma, a quote or a line break.
     """
-    if fmt not in ("json", "csv", "markdown"):
-        raise CliError(f"unknown output format {fmt!r}", EXIT_STRUCTURAL)
     pieces = _Pieces(write)
     add = pieces.parts.append
     if fmt == "json":
@@ -418,6 +423,8 @@ def _render(report: dict, fmt: str, write) -> None:
         encode = _encoder(pieces, None, lambda s: s.replace('"', '""'))
         add("key,value\n")
         for key, value in _leaves("", report):
+            if any(c in key for c in ',"\r\n'):
+                key = '"' + key.replace('"', '""') + '"'
             add(key + ',"')
             encode(value, 0)
             add('"\n')
@@ -436,13 +443,25 @@ def _render(report: dict, fmt: str, write) -> None:
 
 @contextlib.contextmanager
 def _report_output(args):
-    """write(text) for the report's destination: --output or stdout."""
+    """write(text) for the report's destination: --output or stdout.  A
+    destination that cannot be written, a closed pipe included, raises
+    CliError (exit 1)."""
     out = getattr(args, "output", None)
-    if not out:
-        yield sys.stdout.write
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        yield fh.write
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                yield fh.write
+        else:
+            yield sys.stdout.write
+            sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and not out:
+            # what stdout still buffers goes nowhere, so that the flush at
+            # exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise CliError(f"cannot write {out or 'stdout'}: {exc}", EXIT_STRUCTURAL)
 
 
 def _cache_dir(args) -> str | None:
@@ -545,8 +564,7 @@ def _cache_key(args, command: str, meta: dict, inputs) -> str:
          "format": args.format, "version": __version__}).encode()).hexdigest()
 
 
-def emit(args, command: str, meta: dict, result: dict, codes: tuple = (EXIT_OK, EXIT_OK),
-         key: str | None = None) -> None:
+def emit(args, command: str, meta: dict, result: dict, codes: tuple, key: str | None) -> None:
     """Stream the report to stdout or --output and, given a cache key, to
     its cache entry, which records the exit codes with the report.
 

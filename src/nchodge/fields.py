@@ -81,10 +81,6 @@ class Field:
         return hash(self.p)
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.p is None else "prime-field"
-
-    @property
     def characteristic(self) -> int:
         return 0 if self.p is None else self.p
 

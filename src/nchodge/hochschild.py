@@ -288,12 +288,9 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
     n_top = window.n_max - 1
     if n_top < 0:
         raise SizeError("window too small: n_max must be >= 1")
-    result: dict = {"n_max": window.n_max, "algebra": A.name}
     if A.weight is None:
         window.refuse_weight_bounds(f"{A.name} has no weights")
-        per_n = {n: cx.hh_rank(n) for n in range(n_top + 1)}
-        result["per_n"] = per_n
-        return result
+        return {"per_n": {n: cx.hh_rank(n) for n in range(n_top + 1)}}
     w_lo = window.w_min
     if w_lo is None:
         w_lo = min(0, min(A.weight) * (window.n_max + 1))
@@ -316,10 +313,9 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
     per_n = {}
     for (n, w), r in per_nw.items():
         per_n[n] = per_n.get(n, 0) + r
-    result["per_n_weight"] = per_nw
-    result["per_n"] = {n: per_n.get(n, 0) for n in range(n_top + 1)}
-    result["guard_safe"] = guard_safe_weights(A, sorted({w for (_, w) in per_nw}))
-    return result
+    return {"per_n_weight": per_nw,
+            "per_n": {n: per_n.get(n, 0) for n in range(n_top + 1)},
+            "guard_safe": guard_safe_weights(A, sorted({w for (_, w) in per_nw}))}
 
 
 def commutator_columns(A: AlgebraSpec) -> list[dict]:

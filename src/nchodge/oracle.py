@@ -564,7 +564,7 @@ def _fx_nonjacobi4_jacobi():
 
 def _fx_lie_values():
     from .poisson import builtin_bivector, lie_derivative, monomial_form
-    alpha = builtin_bivector("standard", 2)
+    alpha = builtin_bivector("standard")
     a = lie_derivative(alpha, monomial_form(2, (1, 0), (1,)))     # L(x dy)
     b = lie_derivative(alpha, monomial_form(2, (1, 0), (0, 1)))   # L(x dx^dy)
     return {"L_x_dy": {str(k): str(v) for k, v in a.terms.items()},
@@ -594,7 +594,7 @@ def _fx_star_4var():
 def _fx_ph(name):
     def run():
         from .poisson import builtin_bivector, poisson_homology_ranks
-        alpha = builtin_bivector(name, 2)
+        alpha = builtin_bivector(name)
         r = poisson_homology_ranks(alpha, 6)
         return {"even": r["even"], "odd": r["odd"], "stable": r["stable"]}
     return run

@@ -532,36 +532,31 @@ def poisson_homology_ranks(alpha: Bivector, D: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def builtin_bivector(name: str, nvars: int | None = None) -> Bivector:
-    """Named sample bivectors: standard (constant symplectic inverse),
-    xy (the comparison example xy del_x ^ del_y), so3 (the linear
-    3-dimensional Lie-Poisson structure), nonjacobi4 (a constant-plus-linear
-    bivector in 4 variables with nonzero Jacobiator), zero."""
-    one = 1
-    if name == "standard":
-        v = nvars or 2
-        return ConstantSymplectic(v).inverse_bivector()
-    if name == "xy":
-        return Bivector(2, {(0, 1): {(1, 1): one}}, name="xy")
-    if name == "so3":
-        return Bivector(3, {
-            (0, 1): {(0, 0, 1): one},      # x3 d1^d2
-            (1, 2): {(1, 0, 0): one},      # x1 d2^d3
-            (0, 2): {(0, 1, 0): -one},     # x2 d3^d1 = -x2 d1^d3
-        }, name="so3")
-    if name == "nonjacobi4":
-        # alpha = x2 d1^d2 + d2^d3 + d3^d4: the Jacobiator on (x1,x2,x3)
-        # evaluates to the constant -1.
-        z = (0, 0, 0, 0)
-        return Bivector(4, {
-            (0, 1): {(0, 1, 0, 0): one},
-            (1, 2): {z: one},
-            (2, 3): {z: one},
-        }, name="nonjacobi4")
-    if name == "zero":
-        v = nvars or 2
-        return Bivector(v, {}, name="zero")
-    raise PoissonError(f"unknown bivector {name!r}")
+# name -> builder of a named sample bivector: standard (the inverse of the
+# constant symplectic form on 2 variables), xy (the comparison example
+# xy del_x ^ del_y), so3 (the linear 3-dimensional Lie-Poisson structure),
+# nonjacobi4 (x2 d1^d2 + d2^d3 + d3^d4, whose Jacobiator on (x1,x2,x3) is
+# the constant -1) and zero (on 2 variables).
+BIVECTOR_CATALOGUE = {
+    "standard": lambda: ConstantSymplectic(2).inverse_bivector(),
+    "xy": lambda: Bivector(2, {(0, 1): {(1, 1): 1}}, name="xy"),
+    "so3": lambda: Bivector(3, {
+        (0, 1): {(0, 0, 1): 1},      # x3 d1^d2
+        (1, 2): {(1, 0, 0): 1},      # x1 d2^d3
+        (0, 2): {(0, 1, 0): -1},     # x2 d3^d1 = -x2 d1^d3
+    }, name="so3"),
+    "nonjacobi4": lambda: Bivector(4, {
+        (0, 1): {(0, 1, 0, 0): 1},
+        (1, 2): {(0, 0, 0, 0): 1},
+        (2, 3): {(0, 0, 0, 0): 1},
+    }, name="nonjacobi4"),
+    "zero": lambda: Bivector(2, {}, name="zero"),
+}
 
 
-BIVECTOR_CATALOGUE = ("standard", "xy", "so3", "nonjacobi4", "zero")
+def builtin_bivector(name: str) -> Bivector:
+    """The catalogue bivector `name`, built afresh."""
+    builder = BIVECTOR_CATALOGUE.get(name)
+    if builder is None:
+        raise PoissonError(f"unknown bivector {name!r}")
+    return builder()

@@ -260,7 +260,7 @@ def test_criterion_11_semiclassical_identities():
     assert oracle.certify("nonjacobi4_jacobi").value["nonzero"]
     assert not oracle.certify("nonjacobi4_conjugation").value["pass"]
     assert oracle.certify("star_identity_4var_D4").value is True
-    assert conjugation_check(builtin_bivector("standard", 2), 6)["pass"]
+    assert conjugation_check(builtin_bivector("standard"), 6)["pass"]
     assert conjugation_check(builtin_bivector("so3"), 4)["pass"]
     assert not conjugation_check(builtin_bivector("nonjacobi4"), 2)["pass"]
     assert star_identity_check(2, 6)["pass"]

@@ -1,8 +1,13 @@
 import argparse
+import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -415,6 +420,8 @@ def _reference_render(report, fmt):
     if fmt == "csv":
         lines = ["key,value"]
         for k, v in flat:
+            if any(c in k for c in ',"\r\n'):
+                k = '"' + k.replace('"', '""') + '"'
             v = v.replace('"', '""')
             lines.append(f'{k},"{v}"')
         return "\n".join(lines) + "\n"
@@ -992,3 +999,116 @@ def test_large_prime_field_is_decided_at_once(capsys):
     # 2^89 - 1 is prime, but above the bound where the test is exact
     _assert_refused(*run(capsys, "hh", "--algebra", "point", "--field",
                          f"F{2 ** 89 - 1}", "--n-max", "1"), "PRIME_LIMIT")
+
+
+# ---------------------------------------------------------------------------
+# an entry named twice is refused, not silently overwritten
+# ---------------------------------------------------------------------------
+
+
+# e1 * e1 given as 1 and as -1: the last value used to win (e1^2 = -1, ok: true)
+_TWICE_ALGEBRA = {"format": "ncg-algebra/1", "name": "twice", "field": {"kind": "rationals"},
+                  "dim": 2, "unit_index": 0,
+                  "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                                [1, 1, 0, "1"], [1, 1, 0, "-1"]]}
+
+
+def _poly(*terms):
+    return [{"exponents": list(e), "coeff": c} for e, c in terms]
+
+
+def _bivector(*polys):
+    return {"format": "ncg-bivector/1", "nvars": 2,
+            "components": [{"i": 0, "j": 1, "poly": p} for p in polys]}
+
+
+_X, _Y = json.dumps(_poly(((1, 0), "1"))), json.dumps(_poly(((0, 1), "1")))
+
+
+@pytest.mark.parametrize("name, obj, argv, words", [
+    ("twice.json", _TWICE_ALGEBRA, ("validate", "--algebra", "twice.json"),
+     ("(1, 1, 0)", "given twice")),
+    # the index 2 is E12*1: chern used the coefficient 3
+    ("pi.json", {"format": "ncg-idempotent/1",
+                 "vector": {"E11*1": "1", "E12*1": "1/2", "2": "3"}},
+     ("chern", "--algebra", "mat", "--u-trunc", "2", "--idempotent", "pi.json"),
+     ("'E12*1' and '2' both name basis element E12*1",)),
+    # xy, then 1: the bracket of x and y was 1
+    ("alpha.json", _bivector(_poly(((1, 1), "1")), _poly(((0, 0), "1"))),
+     ("poisson", "bracket", "--bivector", "alpha.json", "--f", _X, "--g", _Y),
+     ("component (0,1) is given twice",)),
+], ids=["algebra-structure-constant", "idempotent-label-and-index", "bivector-component"])
+def test_an_entry_named_twice_exits_2(tmp_path, capsys, monkeypatch, name, obj, argv, words):
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(json.dumps(obj))
+    _assert_refused(*run(capsys, *argv), name, *words)
+
+
+def test_like_terms_of_one_polynomial_are_still_summed(tmp_path, capsys):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(_bivector(_poly(((1, 1), "1"), ((1, 1), "1/2")))))
+    code, rep, _ = run_json(capsys, "poisson", "bracket", "--bivector", str(path),
+                            "--f", _X, "--g", _Y)
+    assert code == 0 and rep["result"]["bracket"] == _poly(((1, 1), "3/2"))
+
+
+# ---------------------------------------------------------------------------
+# a report that cannot be written exits 1 with one error line
+# ---------------------------------------------------------------------------
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    out = tmp_path / "missing" / "report.json"
+    code, stdout, err = run(capsys, "catalogue", "--cache-dir", str(cache), "--output", str(out))
+    assert code == 1 and not stdout
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not list(cache.iterdir())  # no entry and no .tmp file
+    # a replay of a cached report takes the same path
+    assert run(capsys, "catalogue", "--cache-dir", str(cache))[0] == 0
+    entries = sorted(cache.iterdir())
+    assert len(entries) == 1
+    assert run(capsys, "catalogue", "--cache-dir", str(cache), "--output", str(out)) \
+        == (1, "", err)
+    assert sorted(cache.iterdir()) == entries
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalogue",),
+    # about 290 KB: the pipe breaks while the report is rendered
+    ("chern", "--algebra", "mat", "--u-trunc", "5", "--idempotent", "pi.json"),
+], ids=["flush", "render"])
+def test_closed_stdout_exits_1(tmp_path, argv):
+    (tmp_path / "pi.json").write_text(json.dumps(
+        {"format": "ncg-idempotent/1", "vector": {"E11*1": "1", "E12*1": "-3/2"}}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nchodge.cli", *argv,
+                               "--cache-dir", "cache"], cwd=tmp_path, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+    assert not list((tmp_path / "cache").iterdir())
+
+
+# ---------------------------------------------------------------------------
+# every csv row is two fields
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "poly_truncated", "quantum_plane"])
+def test_csv_rows_are_two_fields(capsys, name):
+    code, out, _ = run(capsys, "hh", "--algebra", name, "--n-max", "2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    for key, value in rows[1:]:
+        json.loads(value)
+    assert "result.per_n_weight.0,0" in {key for key, _ in rows}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -5,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from nchodge.cli import main
 from nchodge.oracle import jacobiator_components
 from nchodge.poisson import (BIVECTOR_CATALOGUE, Bivector, ConstantSymplectic,
                              PoissonError, PolyForm, _monomials_upto, _poly_str,
@@ -21,13 +24,13 @@ def test_d_squared_zero():
 
 def test_iota_pairing_convention():
     # <d/dx ^ d/dy, dx ^ dy> = 1
-    alpha = builtin_bivector("standard", 2)
+    alpha = builtin_bivector("standard")
     dxdy = monomial_form(2, (0, 0), (0, 1))
     assert iota(alpha, dxdy).terms == {((0, 0), ()): Fraction(1)}
 
 
 def test_standard_bracket():
-    alpha = builtin_bivector("standard", 2)
+    alpha = builtin_bivector("standard")
     x, y = monomial(2, {0: 1}), monomial(2, {1: 1})
     assert poisson_bracket(x, y, alpha) == {(0, 0): Fraction(1)}
     assert poisson_bracket(monomial(2, {0: 2}), y, alpha) == {(1, 0): Fraction(2)}
@@ -42,7 +45,7 @@ def test_so3_bracket_cyclic():
 
 
 def test_jacobi_pass_and_fail():
-    assert jacobi_check(builtin_bivector("standard", 2), 2)["pass"]
+    assert jacobi_check(builtin_bivector("standard"), 2)["pass"]
     assert jacobi_check(builtin_bivector("so3"), 3)["pass"]
     assert jacobi_check(builtin_bivector("xy"), 2)["pass"]
     bad = jacobi_check(builtin_bivector("nonjacobi4"), 2)
@@ -51,7 +54,7 @@ def test_jacobi_pass_and_fail():
 
 
 def test_lie_derivative_values():
-    alpha = builtin_bivector("standard", 2)
+    alpha = builtin_bivector("standard")
     # L_alpha(x dy) = 1
     r = lie_derivative(alpha, monomial_form(2, (1, 0), (1,)))
     assert r.terms == {((0, 0), ()): Fraction(1)}
@@ -61,14 +64,14 @@ def test_lie_derivative_values():
 
 
 def test_lie_squared_zero_for_poisson():
-    alpha = builtin_bivector("standard", 2)
+    alpha = builtin_bivector("standard")
     for e, S in (((1, 2), (0,)), ((2, 0), (0, 1)), ((3, 1), ())):
         assert lie_derivative(alpha, lie_derivative(
             alpha, monomial_form(2, e, S))).is_zero()
 
 
 def test_conjugation_identity():
-    assert conjugation_check(builtin_bivector("standard", 2), 6)["pass"]
+    assert conjugation_check(builtin_bivector("standard"), 6)["pass"]
     assert conjugation_check(builtin_bivector("so3"), 4)["pass"]
     bad = conjugation_check(builtin_bivector("nonjacobi4"), 2)
     assert not bad["pass"]
@@ -94,10 +97,10 @@ def test_symplectic_needs_even_vars():
 
 
 def test_poisson_homology_standard_and_zero():
-    rep = poisson_homology_ranks(builtin_bivector("standard", 2), 6)
+    rep = poisson_homology_ranks(builtin_bivector("standard"), 6)
     assert (rep["even"], rep["odd"]) == (1, 0)
     assert rep["stable"]
-    rep0 = poisson_homology_ranks(builtin_bivector("zero", 2), 6)
+    rep0 = poisson_homology_ranks(builtin_bivector("zero"), 6)
     assert rep0["stable"]
     assert (rep0["even"], rep0["odd"]) == (1, 0)
 
@@ -110,16 +113,44 @@ def test_poisson_homology_so3():
 
 def test_hbar_scaling():
     # with hbar = 0 the deformation term drops and L contributes nothing
-    alpha = builtin_bivector("standard", 2)
+    alpha = builtin_bivector("standard")
     zero_h = Bivector(2, alpha.components, name="h0", hbar=Fraction(0))
     rep = poisson_homology_ranks(zero_h, 4)
-    rep_zero = poisson_homology_ranks(builtin_bivector("zero", 2), 4)
+    rep_zero = poisson_homology_ranks(builtin_bivector("zero"), 4)
     assert (rep["even"], rep["odd"]) == (rep_zero["even"], rep_zero["odd"])
 
 
 def test_catalogue_complete():
     assert set(BIVECTOR_CATALOGUE) == {"standard", "xy", "so3", "nonjacobi4",
                                        "zero"}
+
+
+# sha256 of each catalogue bivector's (nvars, name, hbar, sorted components),
+# recorded before the catalogue became one table
+_BIVECTOR_DIGESTS = {
+    "standard": "aaf1221fe4e1a4e94d639cfaa36778aeeea704affb4ee0d025b1913851e0f980",
+    "xy": "490859f70f92f476e2cf03c51e35f7e08ecf72fa843b07e3aba27dcdb15b4348",
+    "so3": "052bcc3b82efce641e3f7ad406e5786e4dfd407994a33d64b642e6a68575e9b7",
+    "nonjacobi4": "e30be651652d7a3f33e7c8d9a73b54727eddda73cc5349ba62c15414e42f5cc9",
+    "zero": "5ff46999bf0b7271bbcf13e0ec4ca763e033ad94f6c846693ab9f4b4c69e85ae",
+}
+
+
+@pytest.mark.parametrize("name", _BIVECTOR_DIGESTS)
+def test_catalogue_bivectors_keep_their_bytes(name):
+    b = builtin_bivector(name)
+    key = (b.nvars, b.name, b.hbar,
+           sorted((k, sorted(v.items())) for k, v in b.components.items()))
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == _BIVECTOR_DIGESTS[name]
+
+
+def test_catalogue_command_lists_the_table_in_order(capsys):
+    assert main(["catalogue"]) == 0
+    listed = json.loads(capsys.readouterr().out)["result"]["bivectors"]
+    assert listed == list(BIVECTOR_CATALOGUE) == list(_BIVECTOR_DIGESTS)
+    assert all(builtin_bivector(name).name == name for name in BIVECTOR_CATALOGUE)
+    with pytest.raises(PoissonError, match="unknown bivector 'sl2'"):
+        builtin_bivector("sl2")
 
 
 def test_homology_refuses_truncation_that_breaks_the_complex():

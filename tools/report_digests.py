@@ -16,11 +16,17 @@ The grid:
 - the cyclic sweep: `hc`, `hp`, `filtration`, `degeneration` and
   `charp-compare` over eight catalogue algebras, the fields Q, F2, F3 and
   F5, N = 1-4 and n_max in {2N, 8} (1120 commands);
-- `hh --n-max 2` of every catalogue entry over Q, F2 and F3;
+- `hh --n-max 2` of every catalogue entry over Q, F2 and F3, and over Q
+  in csv and markdown;
 - the benchmark's jobs (`perfbench/workloads.py`, idempotents of seed 1)
   and their setup commands;
 - `validate`, `hh` and `glue` of `ncg-algebra/1` files, an invalid one
-  included.
+  included;
+- `poisson jacobi`, `conjugation` and `homology` of every catalogue
+  bivector and of an `ncg-bivector/1` file;
+- `chern` with an idempotent file that names elements by label and by
+  index;
+- an algebra, an idempotent and a bivector file that name one entry twice.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -47,6 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from nchodge import cli  # noqa: E402
 from nchodge.algebra import CATALOGUE, algebra_to_json, builtin  # noqa: E402
 from nchodge.fields import GF, QQ  # noqa: E402
+from nchodge.poisson import BIVECTOR_CATALOGUE  # noqa: E402
 
 CYCLIC = ("hc", "hp", "filtration", "degeneration", "charp-compare")
 SWEEP_ALGEBRAS = (("dual_numbers",), ("truncated_poly", "--param", "m=3"),
@@ -61,6 +68,28 @@ _BROKEN = {"format": "ncg-algebra/1", "name": "x*x=x+1", "field": {"kind": "rati
            "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 1, "1"],
                          [1, 1, 0, "1"], [1, 0, 0, "1"]]}
 
+# e1 * e1 given twice, as 1 and as -1
+_TWICE = {"format": "ncg-algebra/1", "name": "twice", "field": {"kind": "rationals"},
+          "dim": 2, "unit_index": 0,
+          "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"],
+                        [1, 1, 0, "-1"]]}
+
+
+def _poly(*terms):
+    return [{"exponents": list(e), "coeff": c} for e, c in terms]
+
+
+def _bivector(*polys, **fields):
+    return {"format": "ncg-bivector/1", "nvars": 2, **fields,
+            "components": [{"i": 0, "j": 1, "poly": p} for p in polys]}
+
+
+def _idempotent(vector):
+    return {"format": "ncg-idempotent/1", "vector": vector}
+
+
+_X, _Y = json.dumps(_poly(((1, 0), "1"))), json.dumps(_poly(((0, 1), "1")))
+
 
 def _workloads():
     """perfbench/workloads.py, loaded by path once."""
@@ -72,15 +101,23 @@ def _workloads():
     return sys.modules[name]
 
 
-def _algebra_files() -> dict:
-    """File name -> ncg-algebra/1 object of every file the grid reads."""
+def _input_files() -> dict:
+    """File name -> JSON object of every input file the grid reads."""
     negative = algebra_to_json(builtin("truncated_poly", QQ, m=3))
     negative["weight"] = [0, -1, -2]
     return {"dual.json": algebra_to_json(builtin("dual_numbers", QQ)),
             "mat2.json": algebra_to_json(builtin("mat", QQ, m=2)),
             "tp3-F3.json": algebra_to_json(builtin("truncated_poly", GF(3), m=3)),
             "negative-weight.json": negative,
-            "broken.json": _BROKEN}
+            "broken.json": _BROKEN,
+            "twice.json": _TWICE,
+            # x^2 - 3y, scaled by 1/2
+            "alpha.json": _bivector(_poly(((2, 0), "1"), ((0, 1), "-3")), hbar="1/2"),
+            # xy, then 1
+            "alpha-twice.json": _bivector(_poly(((1, 1), "1")), _poly(((0, 0), "1"))),
+            # E11 + 2/3 E12 of Mat_2, E12 named by its index
+            "pi-mixed.json": _idempotent({"E11*1": "1", "2": "2/3"}),
+            "pi-twice.json": _idempotent({"E11*1": "1", "E12*1": "1/2", "2": "3"})}
 
 
 def grid() -> list:
@@ -96,6 +133,8 @@ def grid() -> list:
     for name in CATALOGUE:
         for field in HH_FIELDS:
             out.append(("hh", "--algebra", name, "--field", field, "--n-max", "2"))
+        for fmt in ("csv", "markdown"):
+            out.append(("hh", "--algebra", name, "--n-max", "2", "--format", fmt))
     workloads = _workloads()
     for workload in workloads.WORKLOADS:
         out += workloads.setup_commands(workload)
@@ -113,6 +152,16 @@ def grid() -> list:
                     "--bimodule", "zero"))
     out.append(("glue", "--algebra-a", "tp3-F3.json", "--algebra-b", "tp3-F3.json",
                 "--field", "F3"))
+    for bivector in (*BIVECTOR_CATALOGUE, "alpha.json"):
+        out.append(("poisson", "jacobi", "--bivector", bivector))
+        out.append(("poisson", "conjugation", "--bivector", bivector, "--degree", "4"))
+        out.append(("poisson", "homology", "--bivector", bivector, "--degree", "6"))
+    for idempotent in ("pi-mixed.json", "pi-twice.json"):
+        out.append(("chern", "--algebra", "mat", "--u-trunc", "3", "--idempotent", idempotent))
+    out.append(("validate", "--algebra", "twice.json"))
+    out.append(("hh", "--algebra", "twice.json", "--n-max", "3"))
+    for bivector in ("alpha.json", "alpha-twice.json"):
+        out.append(("poisson", "bracket", "--bivector", bivector, "--f", _X, "--g", _Y))
     return out
 
 
@@ -123,7 +172,7 @@ def inputs():
     cwd = os.getcwd()
     cache = os.environ.pop("NCHODGE_CACHE_DIR", None)
     with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
-        for name, obj in _algebra_files().items():
+        for name, obj in _input_files().items():
             Path(tmp, name).write_text(json.dumps(obj), encoding="utf-8")
         os.chdir(tmp)
         try:
