@@ -77,15 +77,32 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
+class _RepeatedKey(ValueError):
+    pass
+
+
+def _unique_keys(pairs) -> dict:
+    """The object_pairs_hook of every JSON input: a key named twice in one
+    object is refused, where `json` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _RepeatedKey(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_STRUCTURAL)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON at line {exc.lineno}, "
                        f"column {exc.colno}: {exc.msg}", EXIT_VALIDATION)
+    except _RepeatedKey as exc:
+        raise CliError(f"{path}: {exc}", EXIT_VALIDATION)
 
 
 def _is_path(ref: str) -> bool:
@@ -207,9 +224,11 @@ def load_bivector(ref: str) -> Bivector:
 def _term_arg(option: str, text: str, nvars: int):
     """--f and --g as polynomials, --form as a PolyForm."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CliError(f"{option}: invalid JSON: {exc.msg}", EXIT_VALIDATION)
+    except _RepeatedKey as exc:
+        raise CliError(f"{option}: {exc}", EXIT_VALIDATION)
     if option != "--form":
         return _terms(obj, nvars, option)
     return PolyForm(nvars, _terms(obj, nvars, option, forms=True))

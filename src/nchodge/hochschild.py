@@ -1,10 +1,40 @@
 """Reduced Hochschild chains: bases, the boundary, Connes' B, and HH ranks.
 
-Chains in length n are words (i0; i1..in) spanning A (x) (A/k.1)^{(x)n},
-with the tail indices running over the non-unit basis elements (basis
-element 0 is the unit, and the span of the rest is the chosen complement
-of k.1).  The boundary is the alternating sum of slot multiplications with
-the cyclic wrap term; B sums signed cyclic rotations prefixed by the unit.
+Chains in length n are words (i0; i1..in) of letters, a basis of A that the
+complex is relative to.  On the absolute complex the letters are the basis
+of A itself: words span A (x) (A/k.1)^{(x)n}, the tail indices run over the
+non-unit basis elements (basis element 0 is the unit, and the span of the
+rest is the chosen complement of k.1).  The boundary is the alternating sum
+of slot multiplications with the cyclic wrap term; B sums signed cyclic
+rotations prefixed by the unit.
+
+The relative complex.  Let S = k.e_0 + ... + k.e_{V-1} be spanned by
+orthogonal idempotents with sum 1: the basis elements e_i (i >= 1) with
+e_i^2 = e_i that are mutually orthogonal, taken greedily in basis order
+(`vertex_idempotents`), and their complement f = 1 - sum e_i.  S is
+separable, and the normalized complex relative to it,
+A (x)_{S^e} (A/S)^{(x)_S n}, has the same Hochschild homology as the
+absolute one (Loday, *Cyclic Homology*, 1.2, Hochschild homology relative
+to a separable subalgebra).  Its letters (`Letters`) are the vectors
+e_a x e_b of the Peirce decomposition, each with a source vertex a and a
+target vertex b; the vertex idempotents are letters 0..V-1, and weights
+and parities are those of the basis elements x, so every letter stays
+homogeneous.  A word is a cyclically composable path: each letter's target
+is the next letter's source, and the last letter's target is the head's
+source.  Inner faces drop the S components of a product where the absolute
+complex drops its unit coordinate; B prefixes each rotation with the
+vertex idempotent at the cut.  With no idempotent basis element, S = k
+(V = 1, the one vertex is the unit) and the relative complex is the
+absolute one, word for word and in the same order: connected-graded
+algebras, dual numbers, group_z2 and clifford1 have S = k.  Letters are
+internal: nothing is emitted in them.
+
+`hh_ranks` alone works relative to the vertex idempotents: it reports
+ranks only, and ranks are the same on both complexes.  The cyclic
+commands, `chern`, `ppower` and the p = 2 lift test keep the absolute
+complex: the window-edge artefacts of a truncated cyclic complex
+(`unstable_floor_dims`) depend on the complex, and the Chern chains and
+lifts are emitted word by word in the basis of A.
 
 `ChainComplex` alone enumerates and numbers chain words, in blocks keyed
 by (length, weight, word parity), one walk per block (`chain_basis`), and
@@ -15,20 +45,21 @@ lift test only say which blocks a map runs between.
 
 Sign conventions (pinned by the exact identities d^2 = B^2 = dB + Bd = 0,
 verified in the test suite on commutative, non-commutative and super
-samples, the latter with one and with several odd basis elements): the
-i-th inner face carries (-1)^i; the wrap face carries (-1)^n times the
-Koszul sign for moving a_n past a_0..a_{n-1}; the i-th cyclic rotation in
-B carries (-1)^{n i} times the Koszul sign for moving a_i..a_n past
-a_0..a_{i-1}.  Koszul signs use the plain parities.
+samples, the latter with one and with several odd basis elements, and on
+relative complexes): the i-th inner face carries (-1)^i; the wrap face
+carries (-1)^n times the Koszul sign for moving a_n past a_0..a_{n-1}; the
+i-th cyclic rotation in B carries (-1)^{n i} times the Koszul sign for
+moving a_i..a_n past a_0..a_{i-1}.  Koszul signs use the plain parities.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .algebra import AlgebraSpec, AlgebraError
+from .algebra import AlgebraSpec, AlgebraError, bilinear
 from .fields import SizeError, linear_combination, reduced_entries
-from .sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
+from .sparse import (SparseMatrix, homology_from_ranks, rank, rank_of_columns,
+                     solve_in_span)
 
 
 class DegreeWindow:
@@ -59,15 +90,96 @@ def word_parity(A: AlgebraSpec, word: tuple) -> int:
     return sum(A.parity[i] for i in word) % 2
 
 
-def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
-                parity: int | None = None) -> list[tuple]:
-    """Ordered basis of the block of A (x) (A/1)^{(x)n} of total weight
-    `weight` and word parity `parity` (None: unfiltered).
+def vertex_idempotents(A: AlgebraSpec) -> list[int]:
+    """The basis elements e_i (i >= 1) with e_i^2 = e_i that are mutually
+    orthogonal, chosen greedily in basis order.  With their complement
+    f = 1 - sum e_i they span the S of the relative complex."""
+    one, products = A.field.one(), A.structure.get
+    chosen: list[int] = []
+    for i in range(1, A.dim):
+        if products((i, i)) == {i: one} and not any(
+                products((i, j)) or products((j, i)) for j in chosen):
+            chosen.append(i)
+    return chosen
 
-    Words are tuples (i0, i1, ..., in); i0 ranges over the full basis and the
-    tail over non-unit indices; lexicographic order.  One walk builds the
+
+class Letters:
+    """The basis of A that chain words are spelled in, adapted to the
+    vertex idempotents of S (see the module docstring).
+
+    Letter v < `vertices` is the vertex idempotent e_v; each other letter
+    spans a piece of a Peirce component e_a A e_b (`source` a, `target` b).
+    `products` holds the structure constants in letters, {(i, j): {k: c}};
+    `inner` the same with the S components (k < `vertices`) dropped, the
+    products of the inner faces.  `successors[v]` lists the non-S letters
+    of source v in order, `closing[v][w]` those of source v and target w,
+    and `vertex_words[i]` is the one-letter word of the vertex idempotent
+    where letter i starts.  Without idempotents (S = k) the letters are the
+    basis of A, `products` is its structure table, and every letter runs
+    from the one vertex, the unit, to itself.
+    """
+
+    def __init__(self, A: AlgebraSpec, idempotents=()):
+        d = A.dim
+        if not idempotents:
+            self.vertices = 1
+            self.source = self.target = (0,) * d
+            self.products, self.weight, self.parity = A.structure, A.weight, A.parity
+        else:
+            self._peirce(A, idempotents)
+        V = self.vertices
+        self.inner = {ij: kept for ij, prod in self.products.items()
+                      if (kept := {k: c for k, c in prod.items() if k >= V})}
+        self.successors = [tuple(i for i in range(V, d) if self.source[i] == v)
+                           for v in range(V)]
+        self.closing = [[tuple(i for i in self.successors[v] if self.target[i] == w)
+                         for w in range(V)] for v in range(V)]
+        self.vertex_words = tuple((v,) for v in self.source)
+
+    def _peirce(self, A: AlgebraSpec, idempotents):
+        """Letters e_a x e_b for x in basis order and vertices a, b in turn,
+        each kept when independent of those before: the unit (x = 0) gives
+        the vertex idempotents first.  They span A, since x is the sum of
+        its e_a x e_b, so every product has coordinates in them."""
+        F = A.field
+        one = F.one()
+        vertices = [{i: one} for i in idempotents]
+        vertices.append(reduced_entries({0: 1, **{i: -1 for i in idempotents}}, F))
+        vectors, source, target, letter_of = [], [], [], []
+        for x in range(A.dim):
+            for a, ea in enumerate(vertices):
+                left = bilinear(A.structure, ea, {x: one}, F)
+                for b, eb in enumerate(vertices):
+                    vec = bilinear(A.structure, left, eb, F) if left else {}
+                    if vec and rank_of_columns(vectors + [vec], F) > len(vectors):
+                        vectors.append(vec)
+                        source.append(a)
+                        target.append(b)
+                        letter_of.append(x)
+        self.vertices = len(vertices)
+        self.source, self.target = tuple(source), tuple(target)
+        self.weight = None if A.weight is None else tuple(A.weight[x] for x in letter_of)
+        self.parity = None if A.parity is None else tuple(A.parity[x] for x in letter_of)
+        self.products = {}
+        for i, vi in enumerate(vectors):
+            for j, vj in enumerate(vectors):
+                if target[i] == source[j]:
+                    prod = bilinear(A.structure, vi, vj, F)
+                    if prod:
+                        self.products[(i, j)] = solve_in_span(vectors, prod, F)
+
+
+def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
+                parity: int | None = None, letters: Letters | None = None) -> list[tuple]:
+    """Ordered basis of the block of length n, total weight `weight` and
+    word parity `parity` (None: unfiltered), spelled in `letters` (the
+    basis of A when None, the absolute complex A (x) (A/1)^{(x)n}).
+
+    Words are tuples (i0, i1, ..., in): i0 ranges over every letter and the
+    tail over non-S letters, each starting where the one before ends, the
+    last ending where i0 starts; lexicographic order.  One walk builds the
     block: a prefix with r tail letters still to place is dropped as soon as
-    its weight plus r times the least (greatest) non-unit weight is above
+    its weight plus r times the least (greatest) non-S weight is above
     (below) `weight`, a bound that holds for weights of any sign.
     """
     if weight is not None and A.weight is None:
@@ -76,26 +188,36 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
         if parity:
             return []  # every word is even
         parity = None
-    d = A.dim
-    wt = A.weight if weight is not None else (0,) * d
-    par = A.parity if parity is not None else (0,) * d
-    lo, hi = min(wt[1:], default=0), max(wt[1:], default=0)
+    L = letters if letters is not None else Letters(A)
+    d, V = A.dim, L.vertices
+    wt = L.weight if weight is not None else (0,) * d
+    par = L.parity if parity is not None else (0,) * d
+    lo, hi = min(wt[V:], default=0), max(wt[V:], default=0)
+    successors, closing, target = L.successors, L.closing, L.target
     out: list[tuple] = []
+    close = 0  # the source of the head, where the last letter must end
 
-    def rec(prefix: list, remaining: int, wsum: int, psum: int):
+    def rec(prefix: list, remaining: int, wsum: int, psum: int, at: int):
         if weight is not None and not wsum + remaining * lo <= weight <= wsum + remaining * hi:
             return
-        if remaining == 0:
-            if parity is None or psum % 2 == parity:
-                out.append(tuple(prefix))
+        if remaining > 1:
+            for i in successors[at]:
+                prefix.append(i)
+                rec(prefix, remaining - 1, wsum + wt[i], psum + par[i], target[i])
+                prefix.pop()
             return
-        for i in range(1, d):
-            prefix.append(i)
-            rec(prefix, remaining - 1, wsum + wt[i], psum + par[i])
-            prefix.pop()
+        for i in closing[at][close]:
+            if ((weight is None or wsum + wt[i] == weight)
+                    and (parity is None or (psum + par[i]) % 2 == parity)):
+                out.append((*prefix, i))
 
     for i0 in range(d):
-        rec([i0], n, wt[i0], par[i0])
+        close = L.source[i0]
+        if n:
+            rec([i0], n, wt[i0], par[i0], target[i0])
+        elif (target[i0] == close and (weight is None or wt[i0] == weight)
+              and (parity is None or par[i0] % 2 == parity)):
+            out.append((i0,))
     return out
 
 
@@ -103,15 +225,18 @@ class ChainComplex:
     """Reduced Hochschild chain data for one algebra, and the one place
     where chain words are enumerated, numbered and assembled into matrices.
 
-    A block is keyed by (length n, weight, word parity), None meaning
-    unfiltered; the boundary and B keep weight and word parity.  Bases,
-    word indexes and boundary ranks are memoized per block, so each boundary
-    block is eliminated once; matrices (`matrix`) are built on demand and
-    not kept.
+    The complex is the absolute one, or with `relative` the one relative to
+    the vertex idempotents of A (`vertex_idempotents`); its words are
+    spelled in `letters`.  A block is keyed by (length n, weight, word
+    parity), None meaning unfiltered; the boundary and B keep weight and
+    word parity.  Bases, word indexes and boundary ranks are memoized per
+    block, so each boundary block is eliminated once; matrices (`matrix`)
+    are built on demand and not kept.
     """
 
-    def __init__(self, A: AlgebraSpec):
+    def __init__(self, A: AlgebraSpec, relative: bool = False):
         self.A = A
+        self.letters = Letters(A, vertex_idempotents(A) if relative else ())
         self._bases: dict = {}
         self._indexes: dict = {}
         self._ranks: dict = {}
@@ -127,7 +252,7 @@ class ChainComplex:
         key = self._key(n, weight, parity)
         if key not in self._bases:
             empty = key[2] == 1 and not self.A.is_super
-            self._bases[key] = [] if empty else chain_basis(self.A, *key)
+            self._bases[key] = [] if empty else chain_basis(self.A, *key, self.letters)
         return self._bases[key]
 
     def index(self, n: int, weight: int | None = None, parity: int | None = None) -> dict:
@@ -179,28 +304,32 @@ class ChainComplex:
         ints; `fields.reduced_entries` drops the zeros and reduces once, when
         the caller has added every image.  c is an int or a Fraction.
         """
-        A = self.A
+        L = self.letters
         n = len(word) - 1
         if n == 0:
             return
         get = acc.get
-        products = A.structure.get  # (i, j) -> {k: c}, as A.mul_basis reads it
-        for i in range(n):
-            prod = products(word[i:i + 2])
+        products = L.products.get  # (i, j) -> {k: c}
+        # face 0: a_0 a_1 lands in the head slot, S components and all
+        tail = word[2:]
+        for k, v in products(word[:2], {}).items():
+            target = (k,) + tail
+            acc[target] = get(target, 0) + c * v
+        # inner faces: a tail product's S components die in A/S
+        inner = L.inner.get
+        for i in range(1, n):
+            prod = inner(word[i:i + 2])
             if not prod:
                 continue
             ci = -c if i % 2 else c
             head, tail = word[:i], word[i + 2:]
-            skip_unit = i > 0
             for k, v in prod.items():
-                if skip_unit and k == 0:
-                    continue  # tail product landing on the unit dies in A/k.1
                 target = head + (k,) + tail
                 acc[target] = get(target, 0) + ci * v
         # wrap face: a_n a_0 (x) a_1 ... a_{n-1}
         negate = n % 2
-        if A.parity is not None and A.parity[word[n]] % 2:
-            others = sum(A.parity[j] for j in word[:n]) % 2
+        if L.parity is not None and L.parity[word[n]] % 2:
+            others = sum(L.parity[j] for j in word[:n]) % 2
             if others:
                 negate = 1 - negate
         ci = -c if negate else c
@@ -211,20 +340,22 @@ class ChainComplex:
 
     def add_connes(self, word: tuple, c, acc: dict):
         """Add c times B of a basis word into acc, raw as in `add_boundary`."""
-        A = self.A
-        if word[0] == 0:
-            return  # unit head: every rotation puts the unit in a tail slot
+        L = self.letters
+        if word[0] < L.vertices:
+            return  # S head: every rotation puts it in a tail slot
         get = acc.get
         n = len(word) - 1
-        total = word_parity(A, word)
+        parity, vertex_words = L.parity, L.vertex_words
+        total = 0 if parity is None else sum(parity[i] for i in word) % 2
         front = 0  # parity of a_0 .. a_{i-1}
         for i in range(n + 1):
-            # rotation: (a_i, ..., a_n, a_0, ..., a_{i-1}) prefixed by 1
+            # rotation: (a_i, ..., a_n, a_0, ..., a_{i-1}) prefixed by the
+            # vertex idempotent where a_i starts
             negate = (n * i + front * (total ^ front)) % 2
-            target = (0,) + word[i:] + word[:i]
+            target = vertex_words[word[i]] + word[i:] + word[:i]
             acc[target] = get(target, 0) + (-c if negate else c)
-            if A.parity is not None:
-                front ^= A.parity[word[i]] % 2
+            if parity is not None:
+                front ^= parity[word[i]] % 2
 
     def boundary_word(self, word: tuple) -> dict:
         """Image of a basis word under the boundary, as {word: coefficient}."""
@@ -282,9 +413,11 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
     Returns {"per_n": {n: rank}} for ungraded algebras and
     {"per_n_weight": {(n, w): rank}, "per_n": {n: total}} for graded ones,
     plus guard-band flags for weight-truncated algebras.  Computing degree n
-    needs the block at n+1, so ranks are reported for n <= n_max - 1.
+    needs the block at n+1, so ranks are reported for n <= n_max - 1.  The
+    ranks are those of the complex relative to the vertex idempotents,
+    which equal the absolute ones.
     """
-    cx = ChainComplex(A)
+    cx = ChainComplex(A, relative=True)
     n_top = window.n_max - 1
     if n_top < 0:
         raise SizeError("window too small: n_max must be >= 1")

@@ -437,6 +437,18 @@ def _fx_mat2_hh():
     return reduced_hh_ranks(builtin("mat", QQ, m=2), 4)
 
 
+def _fx_glue_dual_truncated_hh():
+    from .algebra import builtin, glue, zero_bimodule
+    from .fields import QQ
+    from .hochschild import DegreeWindow, hh_ranks
+    D, T = builtin("dual_numbers", QQ), builtin("truncated_poly", QQ, m=3)
+    A = glue(D, T, zero_bimodule(T, D))
+    # the main path works relative to the corner idempotents, the oracle
+    # on the dense absolute complex
+    main = hh_ranks(A, DegreeWindow(4))["per_n"]
+    return {"main": [main[n] for n in range(4)], "oracle": reduced_hh_ranks(A, 3)}
+
+
 def _fx_mat2_commutator_rank():
     from .algebra import builtin
     from .fields import QQ
@@ -613,6 +625,10 @@ FIXTURES = {
     "mat2_boundary_image_rank_n1": (
         "Mat2(Q): rank of the image of the n=1 boundary = commutator subspace rank 3",
         _fx_mat2_boundary_image_rank),
+    "glue_dual_truncated_hh_n3": (
+        "glue(dual_numbers, truncated_poly(3)) over Q, zero bimodule: HH ranks (5,3,3,3) "
+        "for n=0..3, relative main path vs dense absolute complex",
+        _fx_glue_dual_truncated_hh),
     "mat2_commutator_rank": (
         "Mat2(Q) commutator span rank 3 (trace-zero matrices)",
         _fx_mat2_commutator_rank),

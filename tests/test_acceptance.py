@@ -270,6 +270,8 @@ def test_criterion_11_semiclassical_identities():
 
 def test_criterion_12_gluing_additivity():
     """HH of glue(k, k, k) = HH(point) + HH(point) for n <= 4."""
+    assert oracle.certify("glue_dual_truncated_hh_n3").value == {
+        "main": [5, 3, 3, 3], "oracle": [5, 3, 3, 3]}
     P1, P2 = builtin("point"), builtin("point")
     T = glue(P1, P2, trivial_bimodule(P2, P1))
     per_n = hh_ranks(T, DegreeWindow(5))["per_n"]

@@ -1024,6 +1024,11 @@ def _bivector(*polys):
 
 _X, _Y = json.dumps(_poly(((1, 0), "1"))), json.dumps(_poly(((0, 1), "1")))
 
+# the dual numbers with weight (0, 1), then (0, 2)
+_DUAL_TWICE = ('{"format": "ncg-algebra/1", "name": "dual", "field": {"kind": "rationals"}, '
+               '"dim": 2, "unit_index": 0, "weight": [0, 1], "weight": [0, 2], '
+               '"structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]}')
+
 
 @pytest.mark.parametrize("name, obj, argv, words", [
     ("twice.json", _TWICE_ALGEBRA, ("validate", "--algebra", "twice.json"),
@@ -1037,11 +1042,34 @@ _X, _Y = json.dumps(_poly(((1, 0), "1"))), json.dumps(_poly(((0, 1), "1")))
     ("alpha.json", _bivector(_poly(((1, 1), "1")), _poly(((0, 0), "1"))),
      ("poisson", "bracket", "--bivector", "alpha.json", "--f", _X, "--g", _Y),
      ("component (0,1) is given twice",)),
-], ids=["algebra-structure-constant", "idempotent-label-and-index", "bivector-component"])
+    # a JSON key named twice in one object: json kept the last value
+    ("dual.json", _DUAL_TWICE,
+     ("hh", "--algebra", "dual.json", "--n-max", "2"), ("'weight' is given twice",)),
+    # chern used the coefficient 3/1 for E12*1
+    ("pi.json", '{"format": "ncg-idempotent/1", '
+                '"vector": {"E11*1": "1", "E12*1": "1/2", "E12*1": "3"}}',
+     ("chern", "--algebra", "mat", "--u-trunc", "1", "--idempotent", "pi.json"),
+     ("'E12*1' is given twice",)),
+    # the bracket was scaled by 1/2
+    ("alpha.json", '{"format": "ncg-bivector/1", "nvars": 2, "hbar": "1", "hbar": "1/2", '
+                   '"components": [{"i": 0, "j": 1, '
+                   '"poly": [{"exponents": [0, 0], "coeff": "1"}]}]}',
+     ("poisson", "bracket", "--bivector", "alpha.json", "--f", _X, "--g", _Y),
+     ("'hbar' is given twice",)),
+], ids=["algebra-structure-constant", "idempotent-label-and-index", "bivector-component",
+        "algebra-json-key", "idempotent-json-key", "bivector-json-key"])
 def test_an_entry_named_twice_exits_2(tmp_path, capsys, monkeypatch, name, obj, argv, words):
     monkeypatch.chdir(tmp_path)
-    Path(name).write_text(json.dumps(obj))
-    _assert_refused(*run(capsys, *argv), name, *words)
+    Path(name).write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    code, out, err = run(capsys, *argv)
+    _assert_refused(code, out, err, name, *words)
+    assert err.count("\n") == 1, err
+
+
+def test_a_key_named_twice_in_an_inline_polynomial_exits_2(capsys):
+    twice = '[{"exponents": [1, 0], "coeff": "1", "coeff": "2"}]'
+    _assert_refused(*run(capsys, "poisson", "bracket", "--bivector", "standard",
+                         "--f", twice, "--g", _Y), "--f", "'coeff' is given twice")
 
 
 def test_like_terms_of_one_polynomial_are_still_summed(tmp_path, capsys):

@@ -17,16 +17,18 @@ The grid:
   `charp-compare` over eight catalogue algebras, the fields Q, F2, F3 and
   F5, N = 1-4 and n_max in {2N, 8} (1120 commands);
 - `hh --n-max 2` of every catalogue entry over Q, F2 and F3, and over Q
-  in csv and markdown;
+  in csv and markdown; `hh` of `mat` with m = 3 at `--n-max 3` over Q and
+  F2;
 - the benchmark's jobs (`perfbench/workloads.py`, idempotents of seed 1)
   and their setup commands;
 - `validate`, `hh` and `glue` of `ncg-algebra/1` files, an invalid one
-  included;
+  included, and `hh --n-max 4` of two glued algebra files;
 - `poisson jacobi`, `conjugation` and `homology` of every catalogue
   bivector and of an `ncg-bivector/1` file;
 - `chern` with an idempotent file that names elements by label and by
   index;
-- an algebra, an idempotent and a bivector file that name one entry twice.
+- an algebra, an idempotent and a bivector file that name one entry twice,
+  and three such files that name one JSON key twice in one object.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -51,7 +53,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from nchodge import cli  # noqa: E402
-from nchodge.algebra import CATALOGUE, algebra_to_json, builtin  # noqa: E402
+from nchodge.algebra import (CATALOGUE, algebra_to_json, builtin, glue,  # noqa: E402
+                              trivial_bimodule, zero_bimodule)
 from nchodge.fields import GF, QQ  # noqa: E402
 from nchodge.poisson import BIVECTOR_CATALOGUE  # noqa: E402
 
@@ -101,11 +104,21 @@ def _workloads():
     return sys.modules[name]
 
 
+def _with_key_twice(obj: dict, key: str, first) -> str:
+    """obj as JSON text that names `key` twice, last: with `first`, then
+    with its value in obj."""
+    rest = json.dumps({k: v for k, v in obj.items() if k != key})
+    return (f"{rest[:-1]}, {json.dumps(key)}: {json.dumps(first)}, "
+            f"{json.dumps(key)}: {json.dumps(obj[key])}}}")
+
+
 def _input_files() -> dict:
-    """File name -> JSON object of every input file the grid reads."""
+    """File name -> JSON object, or JSON text, of every input file the grid
+    reads."""
     negative = algebra_to_json(builtin("truncated_poly", QQ, m=3))
     negative["weight"] = [0, -1, -2]
-    return {"dual.json": algebra_to_json(builtin("dual_numbers", QQ)),
+    dual, tp3 = builtin("dual_numbers", QQ), builtin("truncated_poly", QQ, m=3)
+    return {"dual.json": algebra_to_json(dual),
             "mat2.json": algebra_to_json(builtin("mat", QQ, m=2)),
             "tp3-F3.json": algebra_to_json(builtin("truncated_poly", GF(3), m=3)),
             "negative-weight.json": negative,
@@ -117,7 +130,15 @@ def _input_files() -> dict:
             "alpha-twice.json": _bivector(_poly(((1, 1), "1")), _poly(((0, 0), "1"))),
             # E11 + 2/3 E12 of Mat_2, E12 named by its index
             "pi-mixed.json": _idempotent({"E11*1": "1", "2": "2/3"}),
-            "pi-twice.json": _idempotent({"E11*1": "1", "E12*1": "1/2", "2": "3"})}
+            "pi-twice.json": _idempotent({"E11*1": "1", "E12*1": "1/2", "2": "3"}),
+            "glue-zero.json": algebra_to_json(glue(dual, tp3, zero_bimodule(tp3, dual))),
+            "glue-trivial.json": algebra_to_json(glue(dual, tp3, trivial_bimodule(tp3, dual))),
+            "dual-key-twice.json": _with_key_twice(
+                algebra_to_json(dual) | {"weight": [0, 2]}, "weight", [0, 1]),
+            "pi-key-twice.json": '{"format": "ncg-idempotent/1", '
+                                 '"vector": {"E11*1": "1", "E12*1": "1/2", "E12*1": "3"}}',
+            "alpha-key-twice.json": _with_key_twice(
+                _bivector(_poly(((0, 0), "1")), hbar="1/2"), "hbar", "1")}
 
 
 def grid() -> list:
@@ -135,6 +156,9 @@ def grid() -> list:
             out.append(("hh", "--algebra", name, "--field", field, "--n-max", "2"))
         for fmt in ("csv", "markdown"):
             out.append(("hh", "--algebra", name, "--n-max", "2", "--format", fmt))
+    for field in ("Q", "F2"):
+        out.append(("hh", "--algebra", "mat", "--param", "m=3", "--field", field,
+                    "--n-max", "3"))
     workloads = _workloads()
     for workload in workloads.WORKLOADS:
         out += workloads.setup_commands(workload)
@@ -152,6 +176,8 @@ def grid() -> list:
                     "--bimodule", "zero"))
     out.append(("glue", "--algebra-a", "tp3-F3.json", "--algebra-b", "tp3-F3.json",
                 "--field", "F3"))
+    for path in ("glue-zero.json", "glue-trivial.json"):
+        out.append(("hh", "--algebra", path, "--n-max", "4"))
     for bivector in (*BIVECTOR_CATALOGUE, "alpha.json"):
         out.append(("poisson", "jacobi", "--bivector", bivector))
         out.append(("poisson", "conjugation", "--bivector", bivector, "--degree", "4"))
@@ -162,6 +188,11 @@ def grid() -> list:
     out.append(("hh", "--algebra", "twice.json", "--n-max", "3"))
     for bivector in ("alpha.json", "alpha-twice.json"):
         out.append(("poisson", "bracket", "--bivector", bivector, "--f", _X, "--g", _Y))
+    out.append(("hh", "--algebra", "dual-key-twice.json", "--n-max", "2"))
+    out.append(("chern", "--algebra", "mat", "--u-trunc", "1", "--idempotent",
+                "pi-key-twice.json"))
+    out.append(("poisson", "bracket", "--bivector", "alpha-key-twice.json",
+                "--f", _X, "--g", _Y))
     return out
 
 
@@ -173,7 +204,8 @@ def inputs():
     cache = os.environ.pop("NCHODGE_CACHE_DIR", None)
     with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
         for name, obj in _input_files().items():
-            Path(tmp, name).write_text(json.dumps(obj), encoding="utf-8")
+            text = obj if isinstance(obj, str) else json.dumps(obj)
+            Path(tmp, name).write_text(text, encoding="utf-8")
         os.chdir(tmp)
         try:
             workloads = _workloads()
