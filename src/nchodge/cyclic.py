@@ -21,6 +21,24 @@ Two realizations of the truncated negative cyclic complex
   homology is a window-edge artefact, reported as `unstable_floor_dims`
   and kept out of the profile.
 
+Both realizations run on the Hochschild complex relative to the vertex
+idempotents (see the `hochschild` docstring).  The projection from the
+absolute normalized mixed complex onto the relative one commutes with b and
+B and is a quasi-isomorphism for b; the u-filtration of (C[u]/u^N, b + uB)
+is finite, so the projection is an isomorphism on the homology of every
+staircase degree m_floor < m <= m_hi, as k[u]/u^N-modules, and the profile
+is the absolute one.  The floor is not: there the window cuts the complex
+off, and its homology depends on the complex.  `unstable_floor_dims`
+reports the absolute complex's, exactly: the truncated staircase
+T^{m_floor} -> ... -> T^{m_hi} -> 0 is a finite complex, so per word parity
+its Euler characteristic gives
+
+  h^{m_floor} = sum_m (-1)^{m - m_floor} dim T^m - sum_{m > m_floor} (-1)^{m - m_floor} h^m
+
+with dim T^m the absolute block sizes (`hochschild.absolute_block_size`,
+counted, not enumerated) and h^m (m > m_floor) the relative homology.
+With S = k the two complexes are one and this is the floor homology itself.
+
 Homology class parity is (tensor length + internal word parity) mod 2, so
 super algebras contribute odd classes from even chain degrees and vice
 versa.
@@ -39,7 +57,7 @@ from bisect import bisect_right
 
 from .algebra import AlgebraSpec
 from .fields import Field, SizeError, reduced_entries
-from .hochschild import ChainComplex, DegreeWindow, guard_safe_weights
+from .hochschild import ChainComplex, DegreeWindow, absolute_block_size, guard_safe_weights
 from .sparse import (SparseMatrix, homology_from_ranks, homology_rank, kernel_basis, rank,
                      rank_of_columns)
 from .umodule import (UTruncation, UComplex, UModuleReport,
@@ -223,7 +241,9 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
     its cycles may be shifted later (N > 1 and m_floor < m <= m_hi - 2),
     else as a rank.  The floor degree m_floor is the one exception: no D
     into it is built, and its homology goes to `unstable_floor_dims`
-    instead of the profile, unshifted.
+    instead of the profile, unshifted: that of the absolute complex, from
+    the alternating sum of the block sizes and the stable homology (see
+    the module docstring).
     """
     F = cx.A.field
     n_max = window.n_max
@@ -237,6 +257,7 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
         layout = _staircase_layout(cx, m_floor, p, n_max, N)
         d_in, rank_in = None, 0  # D_{m-1}; no map into the floor
         cycles: dict = {}  # degree -> (block offsets, cycles)
+        floor = 0  # the alternating sum that leaves the absolute floor homology
         for m in range(m_floor, m_hi + 1):
             par = (m + p) % 2
             sources = [t for t in range(1, N) if m - 2 * t in cycles]
@@ -256,14 +277,16 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
                 rank_out = D.cols - len(z)
             else:
                 rank_out = rank(D, F)
-            h = homology_from_ranks(layout[1], rank_out, rank_in)
-            if m == m_floor:
-                floor_dims[par] += h
-            elif h:
+            h = homology_from_ranks(layout[1], rank_out, rank_in) if m > m_floor else 0
+            # dim T^m_p of the absolute complex, over the lengths of this layout
+            absolute = sum(absolute_block_size(cx.A, n, p) for n in layout[0])
+            floor += absolute - h if (m - m_floor) % 2 == 0 else h - absolute
+            if h:
                 dims[par][0] += h
                 if z is not None:
                     cycles[m] = (layout[0], z)
             layout, d_in, rank_in = nxt, D, rank_out
+        floor_dims[(m_floor + p) % 2] += floor
     if floor_dims[0] or floor_dims[1]:
         flags["unstable_floor_dims"] = floor_dims
     reports = {}
@@ -283,7 +306,7 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
 
 def negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicReport:
     """u-module decomposition of H(C^red[u]/u^N, d + uB), folded to Z/2."""
-    return _profile(ChainComplex(A), window, N)
+    return _profile(ChainComplex(A, relative=True), window, N)
 
 
 class HodgeReport:
@@ -324,7 +347,7 @@ def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> HodgeReport:
     if N < 2:
         raise SizeError("hp_ranks needs N >= 2 for the stabilization check")
     # both truncations read the same bases and word indexes
-    cx = ChainComplex(A)
+    cx = ChainComplex(A, relative=True)
     rep = _profile(cx, window, N)
     prev = _profile(cx, window, N - 1)
     stable = (rep.even.free_rank == prev.even.free_rank
@@ -363,7 +386,7 @@ def degeneration_check(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     Jordan blocks) in every computed slot; otherwise the torsion inventory
     is returned.
     """
-    rep = _profile(ChainComplex(A), window, N)
+    rep = _profile(ChainComplex(A, relative=True), window, N)
     return {
         "verdict": _verdict(rep, rep.consistent),
         "torsion_inventory": [[par, a] for par, a in rep.torsion_inventory()],
@@ -386,7 +409,7 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     if A.field.characteristic == 0:
         raise UnsupportedError("char_p_compare requires a prime field")
     p = A.field.characteristic
-    cx = ChainComplex(A)
+    cx = ChainComplex(A, relative=True)
     with_b = _profile(cx, window, N)
     if A.connected_graded:
         w_hi = max(with_b.per_weight, default=0)

@@ -29,12 +29,15 @@ absolute one, word for word and in the same order: connected-graded
 algebras, dual numbers, group_z2 and clifford1 have S = k.  Letters are
 internal: nothing is emitted in them.
 
-`hh_ranks` alone works relative to the vertex idempotents: it reports
-ranks only, and ranks are the same on both complexes.  The cyclic
-commands, `chern`, `ppower` and the p = 2 lift test keep the absolute
-complex: the window-edge artefacts of a truncated cyclic complex
-(`unstable_floor_dims`) depend on the complex, and the Chern chains and
-lifts are emitted word by word in the basis of A.
+`hh_ranks` and every cyclic command (`cyclic.negative_cyclic`, `hp_ranks`,
+`degeneration_check`, `char_p_compare`) work relative to the vertex
+idempotents.  Their ranks and u-module profiles are the same on both
+complexes; the one window-edge artefact that depends on the complex, the
+floor homology of a truncated staircase (`unstable_floor_dims`), is
+reported for the absolute complex, recomputed from the sizes of its blocks
+(`absolute_block_size`; see the `cyclic` docstring).  Only `chern`,
+`ppower` and the p = 2 lift test keep the absolute complex: the Chern
+chains and lifts are emitted word by word in the basis of A.
 
 `ChainComplex` alone enumerates and numbers chain words, in blocks keyed
 by (length, weight, word parity), one walk per block (`chain_basis`), and
@@ -221,13 +224,26 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
     return out
 
 
+def absolute_block_size(A: AlgebraSpec, n: int, parity: int) -> int:
+    """len(chain_basis(A, n, None, parity)), counted without a walk.
+
+    The head runs over the d basis elements and each tail letter over the
+    d - 1 non-unit ones, o of them odd (the unit is even): d (d - 1)^n words,
+    and (d - 2o)(d - 1 - 2o)^n more even than odd ones."""
+    d, odd = A.dim, sum(x % 2 for x in A.parity or ())
+    total = d * (d - 1) ** n
+    surplus = (d - 2 * odd) * (d - 1 - 2 * odd) ** n
+    return (total - surplus) // 2 if parity else (total + surplus) // 2
+
+
 class ChainComplex:
     """Reduced Hochschild chain data for one algebra, and the one place
     where chain words are enumerated, numbered and assembled into matrices.
 
     The complex is the absolute one, or with `relative` the one relative to
-    the vertex idempotents of A (`vertex_idempotents`); its words are
-    spelled in `letters`.  A block is keyed by (length n, weight, word
+    the vertex idempotents of A (`vertex_idempotents`), on which `hh` and
+    every cyclic command run; `chern`, `ppower` and the p = 2 lift test
+    build the absolute one.  Its words are spelled in `letters`.  A block is keyed by (length n, weight, word
     parity), None meaning unfiltered; the boundary and B keep weight and
     word parity.  Bases, word indexes and boundary ranks are memoized per
     block, so each boundary block is eliminated once; matrices (`matrix`)

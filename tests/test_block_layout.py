@@ -25,6 +25,7 @@ from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis, hh_rank
 from nchodge.oracle import dense_blocks_from_dims, dense_kernel, dense_rank
 from nchodge.sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
 from nchodge.umodule import UComplex, UTruncation, u_module_decompose
+from test_relative_complex import CASES as RELATIVE_CASES
 
 FIELDS = [QQ, GF(2), GF(3)]
 
@@ -351,15 +352,30 @@ def _dense_staircase(A, n_max, N):
 @pytest.mark.parametrize("F", FIELDS, ids=str)
 def test_staircase_profile_matches_dense_reference(F):
     # the ascending pass keeps only D_{m-1} and the cycles still to be
-    # shifted; the reference recomputes every block densely, in any order
+    # shifted; the reference recomputes every block densely, in any order.
+    # The pass runs on the complex relative to the vertex idempotents and the
+    # reference on the absolute one: the floor dims, a window-edge artefact
+    # of the absolute complex, are recomputed from its block sizes.
     checked = 0
+    relative_N = set()  # the truncations checked where S is not k
+    # windows whose largest block stays small enough for dense elimination
+    windows = []
     for A in _algebras(F):
-        if A.connected_graded:
-            continue
-        # windows whose largest block stays small enough for dense elimination
         top = 2
         while top < 6 and A.dim * max(A.dim - 1, 1) ** (top + 1) <= 400:
             top += 1
+        windows.append((A, top))
+    relative = [build(F) for name, (build, _) in RELATIVE_CASES.items()
+                if name not in ("mat2", "a2_path")]  # catalogue entries above
+    for A in relative:
+        # about half the words of a super algebra's block have each parity
+        top = 2
+        while A.dim * (A.dim - 1) ** (top + 1) // (2 if A.is_super else 1) <= 800:
+            top += 1
+        windows.append((A, top))
+    for A, top in windows:
+        if A.connected_graded:
+            continue
         for N in (1, 2, 3):
             for n_max in range(2 * N, top + 1):
                 rep = cyclic.negative_cyclic(A, DegreeWindow(n_max), N)
@@ -371,7 +387,9 @@ def test_staircase_profile_matches_dense_reference(F):
                 assert rep.flags.get("unstable_floor_dims", [0, 0]) == floor_dims
                 assert "profile_inconsistent" not in rep.flags
                 checked += 1
-    assert checked >= 20
+                if ChainComplex(A, relative=True).letters.vertices > 1:
+                    relative_N.add(N)
+    assert checked >= 20 + len(relative) and relative_N == {1, 2, 3}
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)

@@ -208,20 +208,24 @@ def test_each_staircase_block_is_eliminated_once(monkeypatch):
 @pytest.mark.parametrize("name, n_max, N", [("dual_numbers", 8, 4), ("a2_path", 8, 3)])
 def test_hp_and_filtration_build_one_chain_complex(monkeypatch, name, n_max, N):
     # the N - 1 pass reuses the bases and word indexes of the N pass, on the
-    # folded (dual_numbers) and the staircase (a2_path) realization
-    built = []
+    # folded (dual_numbers) and the staircase (a2_path) realization; the one
+    # complex is the one relative to the vertex idempotents
+    built, relatives = [], []
 
     class Counting(hochschild.ChainComplex):
-        def __init__(self, A):
+        def __init__(self, A, relative=False):
             built.append(A)
-            super().__init__(A)
+            relatives.append(relative)
+            super().__init__(A, relative)
 
     monkeypatch.setattr(cyclic, "ChainComplex", Counting)
     A = builtin(name, QQ)
     for operation in (hp_ranks, hodge_filtration):
         built.clear()
+        relatives.clear()
         operation(A, DegreeWindow(n_max), N)
         assert built == [A], operation.__name__
+        assert relatives == [True], operation.__name__
 
 
 def test_graded_path_decomposes_only_positions_0_and_1(monkeypatch):

@@ -16,8 +16,8 @@ from nchodge import oracle
 from nchodge.algebra import (CATALOGUE, AlgebraSpec, builtin, glue, matrix_algebra,
                              trivial_bimodule, zero_bimodule)
 from nchodge.fields import GF, QQ, linear_combination
-from nchodge.hochschild import (ChainComplex, DegreeWindow, hh_ranks, vertex_idempotents,
-                                word_parity)
+from nchodge.hochschild import (ChainComplex, DegreeWindow, absolute_block_size, chain_basis,
+                                hh_ranks, vertex_idempotents, word_parity)
 
 FIELDS = (QQ, GF(2), GF(3), GF(101))
 
@@ -119,6 +119,20 @@ def test_single_vertex_bases_are_the_absolute_words(name):
                             if (w is None or sum(A.weight[i] for i in word) == w)
                             and (p is None or word_parity(A, word) == p)]
                 assert cx.basis(n, w, p) == expected, (name, n, w, p)
+
+
+def test_absolute_block_size_counts_the_absolute_words():
+    # the staircase's floor reads the sizes of the absolute blocks, counted
+    # per word parity without a walk
+    algebras = [builtin(name, QQ) for name in CATALOGUE]
+    algebras += [build(QQ) for build, _ in CASES.values()]
+    for A in algebras:
+        for n in range(7):
+            if A.dim * max(A.dim - 1, 1) ** n > 50000:
+                break
+            for p in (0, 1):
+                assert absolute_block_size(A, n, p) == len(chain_basis(A, n, None, p)), \
+                    (A.name, n, p)
 
 
 def _apply(image, chain: dict, field) -> dict:

@@ -28,7 +28,11 @@ The grid:
 - `chern` with an idempotent file that names elements by label and by
   index;
 - an algebra, an idempotent and a bivector file that name one entry twice,
-  and three such files that name one JSON key twice in one object.
+  and three such files that name one JSON key twice in one object;
+- `hc`, `hp`, `filtration` and `degeneration` of three glued algebra files
+  over Q, the dual numbers glued to k[x]/x^3 with the zero and the trivial
+  bimodule and to the exterior algebra on one odd generator with the
+  trivial one, and `charp-compare` of the same three over F2 and F3.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -53,8 +57,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from nchodge import cli  # noqa: E402
-from nchodge.algebra import (CATALOGUE, algebra_to_json, builtin, glue,  # noqa: E402
-                              trivial_bimodule, zero_bimodule)
+from nchodge.algebra import (CATALOGUE, AlgebraSpec, algebra_to_json, builtin,  # noqa: E402
+                              glue, trivial_bimodule, zero_bimodule)
 from nchodge.fields import GF, QQ  # noqa: E402
 from nchodge.poisson import BIVECTOR_CATALOGUE  # noqa: E402
 
@@ -64,6 +68,10 @@ SWEEP_ALGEBRAS = (("dual_numbers",), ("truncated_poly", "--param", "m=3"),
                   ("a2_path",), ("group_z2",), ("clifford1",))
 SWEEP_FIELDS = ("Q", "F2", "F3", "F5")
 HH_FIELDS = ("Q", "F2", "F3")
+# the cyclic window of each glued file, about 2 s a command on the absolute complex
+GLUED_WINDOWS = {"zero": ("--n-max", "7", "--u-trunc", "3"),
+                 "trivial": ("--n-max", "6", "--u-trunc", "3"),
+                 "super": ("--n-max", "7", "--u-trunc", "3")}
 
 # x * x = x + 1 with x * 1 = x + 1: unit and associativity fail
 _BROKEN = {"format": "ncg-algebra/1", "name": "x*x=x+1", "field": {"kind": "rationals"},
@@ -112,13 +120,29 @@ def _with_key_twice(obj: dict, key: str, first) -> str:
             f"{json.dumps(key)}: {json.dumps(obj[key])}}}")
 
 
+def _gluings(F) -> dict:
+    """The dual numbers glued to k[x]/x^3 with the zero and the trivial
+    bimodule, and to the exterior algebra on one odd generator with the
+    trivial one, over F."""
+    dual, tp3 = builtin("dual_numbers", F), builtin("truncated_poly", F, m=3)
+    exterior = AlgebraSpec("exterior1", F, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                           weight=(0, 1), parity=(0, 1))
+    return {"zero": glue(dual, tp3, zero_bimodule(tp3, dual)),
+            "trivial": glue(dual, tp3, trivial_bimodule(tp3, dual)),
+            "super": glue(dual, exterior, trivial_bimodule(exterior, dual))}
+
+
 def _input_files() -> dict:
     """File name -> JSON object, or JSON text, of every input file the grid
     reads."""
     negative = algebra_to_json(builtin("truncated_poly", QQ, m=3))
     negative["weight"] = [0, -1, -2]
-    dual, tp3 = builtin("dual_numbers", QQ), builtin("truncated_poly", QQ, m=3)
-    return {"dual.json": algebra_to_json(dual),
+    dual = builtin("dual_numbers", QQ)
+    glued = {f"glue-{kind}{suffix}.json": algebra_to_json(A)
+             for field, suffix in ((QQ, ""), (GF(2), "-F2"), (GF(3), "-F3"))
+             for kind, A in _gluings(field).items()}
+    return {**glued,
+            "dual.json": algebra_to_json(dual),
             "mat2.json": algebra_to_json(builtin("mat", QQ, m=2)),
             "tp3-F3.json": algebra_to_json(builtin("truncated_poly", GF(3), m=3)),
             "negative-weight.json": negative,
@@ -131,8 +155,6 @@ def _input_files() -> dict:
             # E11 + 2/3 E12 of Mat_2, E12 named by its index
             "pi-mixed.json": _idempotent({"E11*1": "1", "2": "2/3"}),
             "pi-twice.json": _idempotent({"E11*1": "1", "E12*1": "1/2", "2": "3"}),
-            "glue-zero.json": algebra_to_json(glue(dual, tp3, zero_bimodule(tp3, dual))),
-            "glue-trivial.json": algebra_to_json(glue(dual, tp3, trivial_bimodule(tp3, dual))),
             "dual-key-twice.json": _with_key_twice(
                 algebra_to_json(dual) | {"weight": [0, 2]}, "weight", [0, 1]),
             "pi-key-twice.json": '{"format": "ncg-idempotent/1", '
@@ -193,6 +215,11 @@ def grid() -> list:
                 "pi-key-twice.json"))
     out.append(("poisson", "bracket", "--bivector", "alpha-key-twice.json",
                 "--f", _X, "--g", _Y))
+    for kind, window in GLUED_WINDOWS.items():
+        for command in CYCLIC[:-1]:
+            out.append((command, "--algebra", f"glue-{kind}.json", *window))
+        for suffix in ("-F2", "-F3"):
+            out.append(("charp-compare", "--algebra", f"glue-{kind}{suffix}.json", *window))
     return out
 
 
