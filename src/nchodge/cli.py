@@ -299,12 +299,12 @@ class _Encoded(dict):
         return text
 
 
-def _sorted_items(d: dict) -> list:
-    """A mapping's items in key order, every key a string (str(k) for the
-    others; a later key with the same string wins)."""
-    if not all(isinstance(k, str) for k in d):
-        d = {k if isinstance(k, str) else str(k): v for k, v in d.items()}
-    return sorted(d.items())
+def _key_order(keys) -> list:
+    """(string, key) for the keys of a mapping, in key order: a key's
+    string is str(k) for a key that is not a string, and a later key with
+    the same string wins."""
+    last = {k if isinstance(k, str) else str(k): k for k in keys}
+    return [(text, last[text]) for text in sorted(last)]
 
 
 def _encoder(pieces: _Pieces, indent: int | None, escape=None):
@@ -322,6 +322,9 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
     strings = _Encoded(escape)
     keys: dict = {}
     frames: dict = {}
+    # key tuple -> `_key_order` of it, kept for tuples of strings only: a
+    # tuple with another key can equal one whose strings differ ((1,) == (True,))
+    orders: dict = {}
 
     def delimiters(level, open_, close):
         """(opening, separator, closing) of a container at this level."""
@@ -394,14 +397,20 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
         add(open_)
         level += 1
         first = True
-        for k, v in _sorted_items(d):
+        order = orders.get(ks := tuple(d))
+        if order is None:
+            order = _key_order(ks)
+            if all(isinstance(k, str) for k in ks):
+                orders[ks] = order
+        for text, k in order:
+            v = d[k]
             if first:
                 first = False
             else:
                 add(sep)
-            key = keys.get(k)
+            key = keys.get(text)
             if key is None:
-                key = keys[k] = strings[k] + ": "
+                key = keys[text] = strings[text] + ": "
             add(key)
             if isinstance(v, str):
                 add(strings[v])
@@ -416,7 +425,8 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
 def _leaves(prefix: str, d: dict):
     """(dotted key, value) for every value of a report that is not a dict,
     in key order: the rows of the csv and markdown formats."""
-    for k, v in _sorted_items(d):
+    for k, original in _key_order(d):
+        v = d[original]
         key = f"{prefix}.{k}" if prefix else k
         if isinstance(v, dict):
             yield from _leaves(key, v)
@@ -779,8 +789,9 @@ def _verdict(ok: bool) -> tuple:
 
 
 def _chain_json(A, chain, N: int) -> list:
+    label = [A.label(i) for i in range(A.dim)].__getitem__
     return [{"u_power": t,
-             "terms": [{"word": [A.label(i) for i in w],
+             "terms": [{"word": list(map(label, w)),
                         "coeff": format_scalar(c, A.field)}
                        for w, c in sorted(chain.components[t].items())]}
             for t in range(N)]

@@ -46,6 +46,19 @@ by side, and `ChainComplex.matrix` writes each source block's boundary
 and/or B images into a target layout.  The cyclic complexes and the p = 2
 lift test only say which blocks a map runs between.
 
+Word images come in two forms, one rule for each face and rotation.
+`boundary_word` and `connes_word` give the image of one word as a {word
+tuple: coefficient} dict: matrix assembly looks each image word up in a
+block index, and the differential identities compose images word by word.
+`add_images` applies the boundary or B to a whole combination, as the
+Chern cycle certificate needs, and holds each image word as its code, the
+int whose digits in radix dim A are the word's letters (`decode` turns it
+back).  A code is built from the word's code with a few int operations
+and hashes at once, where a tuple is built slot by slot and rehashed on
+every lookup; a decode in every `boundary_word` call would slow the
+assembly instead.  The two forms are checked against each other word by
+word in the test suite.
+
 Sign conventions (pinned by the exact identities d^2 = B^2 = dB + Bd = 0,
 verified in the test suite on commutative, non-commutative and super
 samples, the latter with one and with several odd basis elements, and on
@@ -61,8 +74,7 @@ from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError, bilinear
 from .fields import SizeError, linear_combination, reduced_entries
-from .sparse import (SparseMatrix, homology_from_ranks, rank, rank_of_columns,
-                     solve_in_span)
+from .sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
 
 
 class DegreeWindow:
@@ -143,9 +155,35 @@ class Letters:
         """Letters e_a x e_b for x in basis order and vertices a, b in turn,
         each kept when independent of those before: the unit (x = 0) gives
         the vertex idempotents first.  They span A, since x is the sum of
-        its e_a x e_b, so every product has coordinates in them."""
+        its e_a x e_b, so every product has coordinates in them.
+
+        One echelon form of the kept vectors, grown a row per letter,
+        decides independence and gives the coordinates of the products."""
         F = A.field
-        one = F.one()
+        one, zero = F.one(), F.zero()
+        add, sub, mul, neg = F.add, F.sub, F.mul, F.neg
+        # rows (pivot, row, coords): row has a 1 at its pivot and a 0 at every
+        # earlier pivot, and equals the sum of coords[j] times letter j
+        rows: list = []
+
+        def reduce(vec: dict) -> tuple:
+            """(rest, coords): vec less a combination of the rows, with no
+            entry at any pivot, and that combination in letters."""
+            rest, coords = dict(vec), {}
+            for pivot, row, row_coords in rows:
+                f = rest.get(pivot)
+                if f is None:
+                    continue
+                for c, v in row.items():
+                    r = sub(rest.get(c, zero), mul(f, v))
+                    if F.is_zero(r):
+                        rest.pop(c, None)
+                    else:
+                        rest[c] = r
+                for j, v in row_coords.items():
+                    coords[j] = add(coords.get(j, zero), mul(f, v))
+            return rest, coords
+
         vertices = [{i: one} for i in idempotents]
         vertices.append(reduced_entries({0: 1, **{i: -1 for i in idempotents}}, F))
         vectors, source, target, letter_of = [], [], [], []
@@ -154,11 +192,22 @@ class Letters:
                 left = bilinear(A.structure, ea, {x: one}, F)
                 for b, eb in enumerate(vertices):
                     vec = bilinear(A.structure, left, eb, F) if left else {}
-                    if vec and rank_of_columns(vectors + [vec], F) > len(vectors):
-                        vectors.append(vec)
-                        source.append(a)
-                        target.append(b)
-                        letter_of.append(x)
+                    if not vec:
+                        continue
+                    rest, coords = reduce(vec)
+                    if not rest:
+                        continue
+                    pivot = min(rest)
+                    inv = F.inv(rest[pivot])
+                    row_coords = {j: neg(mul(inv, v)) for j, v in coords.items()
+                                  if not F.is_zero(v)}
+                    row_coords[len(vectors)] = inv
+                    rows.append((pivot, {c: mul(inv, v) for c, v in rest.items()},
+                                 row_coords))
+                    vectors.append(vec)
+                    source.append(a)
+                    target.append(b)
+                    letter_of.append(x)
         self.vertices = len(vertices)
         self.source, self.target = tuple(source), tuple(target)
         self.weight = None if A.weight is None else tuple(A.weight[x] for x in letter_of)
@@ -169,7 +218,9 @@ class Letters:
                 if target[i] == source[j]:
                     prod = bilinear(A.structure, vi, vj, F)
                     if prod:
-                        self.products[(i, j)] = solve_in_span(vectors, prod, F)
+                        coords = reduce(prod)[1]
+                        self.products[(i, j)] = {k: coords[k] for k in sorted(coords)
+                                                 if not F.is_zero(coords[k])}
 
 
 def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
@@ -312,71 +363,39 @@ class ChainComplex:
 
     # -- boundary -----------------------------------------------------------
 
-    def add_boundary(self, word: tuple, c, acc: dict):
-        """Add c times the boundary of a basis word into acc ({word:
-        coefficient}), with plain + and *.
-
-        The sums are left raw: entries may be zero and, over F_p, unreduced
-        ints; `fields.reduced_entries` drops the zeros and reduces once, when
-        the caller has added every image.  c is an int or a Fraction.
-        """
+    def boundary_word(self, word: tuple) -> dict:
+        """Image of a basis word under the boundary, as {word: coefficient}."""
         L = self.letters
         n = len(word) - 1
         if n == 0:
-            return
+            return {}
+        acc: dict = {}
         get = acc.get
         products = L.products.get  # (i, j) -> {k: c}
         # face 0: a_0 a_1 lands in the head slot, S components and all
         tail = word[2:]
         for k, v in products(word[:2], {}).items():
             target = (k,) + tail
-            acc[target] = get(target, 0) + c * v
+            acc[target] = get(target, 0) + v
         # inner faces: a tail product's S components die in A/S
         inner = L.inner.get
         for i in range(1, n):
             prod = inner(word[i:i + 2])
             if not prod:
                 continue
-            ci = -c if i % 2 else c
             head, tail = word[:i], word[i + 2:]
             for k, v in prod.items():
                 target = head + (k,) + tail
-                acc[target] = get(target, 0) + ci * v
+                acc[target] = get(target, 0) + (-v if i % 2 else v)
         # wrap face: a_n a_0 (x) a_1 ... a_{n-1}
         negate = n % 2
         if L.parity is not None and L.parity[word[n]] % 2:
-            others = sum(L.parity[j] for j in word[:n]) % 2
-            if others:
+            if sum(L.parity[j] for j in word[:n]) % 2:
                 negate = 1 - negate
-        ci = -c if negate else c
         tail = word[1:n]
         for k, v in products((word[n], word[0]), {}).items():
             target = (k,) + tail
-            acc[target] = get(target, 0) + ci * v
-
-    def add_connes(self, word: tuple, c, acc: dict):
-        """Add c times B of a basis word into acc, raw as in `add_boundary`."""
-        L = self.letters
-        if word[0] < L.vertices:
-            return  # S head: every rotation puts it in a tail slot
-        get = acc.get
-        n = len(word) - 1
-        parity, vertex_words = L.parity, L.vertex_words
-        total = 0 if parity is None else sum(parity[i] for i in word) % 2
-        front = 0  # parity of a_0 .. a_{i-1}
-        for i in range(n + 1):
-            # rotation: (a_i, ..., a_n, a_0, ..., a_{i-1}) prefixed by the
-            # vertex idempotent where a_i starts
-            negate = (n * i + front * (total ^ front)) % 2
-            target = vertex_words[word[i]] + word[i:] + word[:i]
-            acc[target] = get(target, 0) + (-c if negate else c)
-            if parity is not None:
-                front ^= parity[word[i]] % 2
-
-    def boundary_word(self, word: tuple) -> dict:
-        """Image of a basis word under the boundary, as {word: coefficient}."""
-        acc: dict = {}
-        self.add_boundary(word, 1, acc)
+            acc[target] = get(target, 0) + (-v if negate else v)
         return reduced_entries(acc, self.A.field)
 
     def boundary(self, n: int, weight: int | None = None,
@@ -389,8 +408,23 @@ class ChainComplex:
 
     def connes_word(self, word: tuple) -> dict:
         """Image of a basis word under B, as {word: coefficient}."""
+        L = self.letters
+        if word[0] < L.vertices:
+            return {}  # S head: every rotation puts it in a tail slot
         acc: dict = {}
-        self.add_connes(word, 1, acc)
+        get = acc.get
+        n = len(word) - 1
+        parity, vertex_words = L.parity, L.vertex_words
+        total = 0 if parity is None else sum(parity[i] for i in word) % 2
+        front = 0  # parity of a_0 .. a_{i-1}
+        for i in range(n + 1):
+            # rotation: (a_i, ..., a_n, a_0, ..., a_{i-1}) prefixed by the
+            # vertex idempotent where a_i starts
+            negate = (n * i + front * (total ^ front)) % 2
+            target = vertex_words[word[i]] + word[i:] + word[:i]
+            acc[target] = get(target, 0) + (-1 if negate else 1)
+            if parity is not None:
+                front ^= parity[word[i]] % 2
         return reduced_entries(acc, self.A.field)
 
     def connes(self, n: int, weight: int | None = None,
@@ -398,6 +432,141 @@ class ChainComplex:
         """Matrix of B: block(n) -> block(n+1)."""
         return self.matrix(self.layout([(n, weight, parity)]),
                            self.layout([(n + 1, weight, parity)]), ("connes",))
+
+    # -- images of combinations, in word codes ------------------------------
+
+    def add_images(self, combination: dict, image: str, acc: dict):
+        """Add the "boundary" or "connes" (B) image of a combination {word:
+        c} into acc, {code: coefficient}, with plain + and *.
+
+        Every word of the combination has the same length; an image word of
+        m letters is held as its code, the m-digit number whose digits in
+        radix `A.dim` are its letters, most significant first (`decode`
+        inverts it).  Codes of one length sort as their words do; one
+        accumulator holds codes of one length.  The sums are left raw:
+        entries may be zero and, over F_p, unreduced ints;
+        `fields.reduced_entries` drops the zeros and reduces once, when the
+        caller has added every image.  The faces and signs are those of
+        `boundary_word` and `connes_word`.
+        """
+        if image == "boundary":
+            self._add_boundaries(combination, acc)
+        elif image == "connes":
+            self._add_connes(combination, acc)
+        else:
+            raise ValueError(f"unknown image {image!r}")
+
+    def decode(self, code: int, length: int) -> tuple:
+        """The word of `length` letters whose code is `code`."""
+        R = self.A.dim
+        word = [0] * length
+        for j in range(length - 1, -1, -1):
+            code, word[j] = divmod(code, R)
+        return tuple(word)
+
+    @staticmethod
+    def _length(combination: dict) -> int:
+        lengths = set(map(len, combination))
+        if len(lengths) > 1:
+            raise ValueError("the words of a combination differ in length")
+        return lengths.pop() if lengths else 0
+
+    def _add_boundaries(self, combination: dict, acc: dict):
+        n = self._length(combination) - 1
+        if n <= 0:
+            return
+        R = self.A.dim
+        L = self.letters
+        parity = L.parity
+        power = [R ** j for j in range(n + 2)]
+        lead = power[n - 1]
+
+        def shifted(table: dict, s: int) -> list:
+            # table[(a, b)] as rows[a][b], each product as (k R^s, c): k at
+            # the digit of weight R^s
+            rows = [[()] * R for _ in range(R)]
+            for (a, b), prod in table.items():
+                rows[a][b] = tuple((k * power[s], v) for k, v in prod.items())
+            return rows
+
+        # face i of (a_0 .. a_n) multiplies a_i a_{i+1} into the digit of
+        # weight R^{n-1-i}; face 0 keeps S components, the inner faces drop
+        # them, and the wrap face is face 0 of a_n a_0 a_1 .. a_{n-1}
+        faces = [shifted(L.inner if i else L.products, n - 1 - i) for i in range(n)]
+        wrap, last = faces[0], faces[n - 1]
+        # words that share a_0 .. a_{n-1} share faces 0 .. n-2 up to their
+        # last digit a_n: those images are found once per head
+        heads: dict = {}
+        for word, c in combination.items():
+            tails = heads.get(head := word[:-1])
+            if tails is None:
+                heads[head] = [(word[-1], c)]
+            else:
+                tails.append((word[-1], c))
+        get = acc.get
+        last_sign, wrap_sign = (-1 if (n - 1) % 2 else 1), (-1 if n % 2 else 1)
+        for head, tails in heads.items():
+            code = 0  # of a_0 .. a_{n-1}
+            for x in head:
+                code = code * R + x
+            images = []  # (target less a_n, signed coefficient) of faces 0 .. n-2
+            a = head[0]
+            i = 0
+            for b in head[1:]:
+                prod = faces[i][a][b]
+                if prod:
+                    s = n - 2 - i
+                    # a_0 .. a_{i-1} moved one digit down, a_{i+2} .. a_{n-1} kept
+                    base = (code // power[s + 2] * power[s + 1] + code % power[s]) * R
+                    for k, v in prod:
+                        images.append((base + k, -v if i % 2 else v))
+                a = b
+                i += 1
+            a0 = head[0]
+            front = code // R * R  # face n-1: a_0 .. a_{n-2} (a_{n-1} a_n)
+            rest = code - a0 * lead  # wrap face: (a_n a_0) a_1 .. a_{n-1}
+            odd_head = parity is not None and sum(parity[j] for j in head) % 2
+            for z, c in tails:
+                for target, v in images:
+                    target += z
+                    acc[target] = get(target, 0) + c * v
+                ci = c * last_sign
+                for k, v in last[a][z]:
+                    target = front + k
+                    acc[target] = get(target, 0) + ci * v
+                prod = wrap[z][a0]
+                if prod:
+                    ci = -c * wrap_sign if odd_head and parity[z] % 2 else c * wrap_sign
+                    for k, v in prod:
+                        target = rest + k
+                        acc[target] = get(target, 0) + ci * v
+
+    def _add_connes(self, combination: dict, acc: dict):
+        n = self._length(combination) - 1
+        if n < 0:
+            return
+        R = self.A.dim
+        L = self.letters
+        V, source, parity = L.vertices, L.source, L.parity
+        lead, top = R ** n, R ** (n + 1)
+        get = acc.get
+        for word, c in combination.items():
+            if word[0] < V:
+                continue  # S head: every rotation puts it in a tail slot
+            code = 0
+            for x in word:
+                code = code * R + x
+            total = 0 if parity is None else sum(parity[j] for j in word) % 2
+            front = 0  # parity of a_0 .. a_{i-1}
+            for i, x in enumerate(word):
+                # rotation i: e_v a_i .. a_n a_0 .. a_{i-1}, v where a_i
+                # starts; the next one moves a_i from the front to the end
+                negate = (n * i + front * (total ^ front)) % 2
+                target = source[x] * top + code
+                acc[target] = get(target, 0) + (-c if negate else c)
+                code = (code - x * lead) * R + x
+                if parity is not None:
+                    front ^= parity[x] % 2
 
     # -- homology -----------------------------------------------------------
 

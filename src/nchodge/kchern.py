@@ -6,7 +6,9 @@ components, component t being a {word: coefficient} combination of reduced
 chain words of tensor length 2t.  The cycle condition (d + uB) ch = 0
 mod u^N amounts to d(c_t) + B(c_{t-1}) = 0 for every t < N, and is checked
 on emission: the certificate is the sole arbiter of the coefficient
-conventions.
+conventions.  It applies d and B to each component as a whole, with image
+words held as int codes (`ChainComplex.add_images`), and turns back into
+words only what does not cancel.
 """
 
 from __future__ import annotations
@@ -82,25 +84,34 @@ def cycle_certificate(chain: UChain) -> dict:
     Over Q every coefficient is scaled by L, the lcm of the chain's
     coefficient denominators, so the images accumulate in ints; (d + uB) is
     linear and L is nonzero, so the scaled chain is a cycle exactly when the
-    chain is, and the residue is divided by L on the way out.  The images
-    of every coefficient go straight into one accumulator per component
-    (`ChainComplex.add_boundary` / `add_connes`, plain + and *), which drops
-    its zeros (over F_p, after reducing mod p) once, when it is complete.
+    chain is, and the residue is divided by L on the way out.  Component t
+    of the image, words of 2t letters, gathers d of component t and B of
+    component t - 1 in one accumulator keyed by word codes
+    (`ChainComplex.add_images`, plain + and *), which drops its zeros (over
+    F_p, after reducing mod p) once, when it is complete; only the nonzero
+    residue is decoded back into words.
     """
     A = chain.algebra
     F = A.field
     cx = ChainComplex(A)
-    # F_p scalars are ints, so L = 1 there
-    scale = lcm(*(c.denominator for comp in chain.components for c in comp.values()))
+    for t, comp in enumerate(chain.components):
+        if set(map(len, comp)) - {2 * t + 1}:
+            raise ContractError(f"component {t} of a chain holds a word that does not "
+                                f"have {2 * t + 1} letters")
+    comps, scale = chain.components, 1  # F_p scalars are ints, so L = 1 there
+    if F.p is None:
+        ratios = [[c.as_integer_ratio() for c in comp.values()] for comp in comps]
+        scale = lcm(*{den for pairs in ratios for _, den in pairs})
+        if scale != 1:
+            comps = [dict(zip(comp, [num * (scale // den) for num, den in pairs]))
+                     for comp, pairs in zip(comps, ratios)]
     out = []
     for t in range(chain.N):
         acc: dict = {}
-        for word, c in chain.components[t].items():
-            cx.add_boundary(word, c.numerator * (scale // c.denominator), acc)
+        cx.add_images(comps[t], "boundary", acc)
         if t >= 1:
-            for word, c in chain.components[t - 1].items():
-                cx.add_connes(word, c.numerator * (scale // c.denominator), acc)
-        out.append(reduced_entries(acc, F))
+            cx.add_images(comps[t - 1], "connes", acc)
+        out.append({cx.decode(code, 2 * t): v for code, v in reduced_entries(acc, F).items()})
     if scale != 1:
         unscale = F.inv(scale)
         out = [{w: F.mul(v, unscale) for w, v in acc.items()} for acc in out]

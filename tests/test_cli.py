@@ -484,6 +484,18 @@ def test_render_matches_whole_string_reference(fmt):
         assert "".join(pieces) == expected, report
 
 
+def test_render_key_order_keeps_the_string_rule_across_equal_key_tuples():
+    # the encoder reuses the key order of a key tuple it has seen; tuples
+    # that compare equal but spell differently ((1,) == (1.0,)), and str(k)
+    # collisions where a later key wins, must still render as json.dumps
+    report = {"a": {1: "int"}, "b": {1.0: "float"}, "c": {1: "x", "1": "later"},
+              "d": {"1": "x", 1: "later"}, "e": [{"word": ["E11*1"], "coeff": "1/1"}] * 3}
+    for fmt in ("json", "csv", "markdown"):
+        pieces = []
+        cli._render(report, fmt, pieces.append)
+        assert "".join(pieces) == _reference_render(_reference_jsonable(report), fmt)
+
+
 def test_render_streams_in_chunks():
     # a 1 MB report reaches write() in several pieces of about 64 KB
     report = {"command": "x", "result": [{"word": ["E11*1", "E12*1"], "coeff": "-3/2"}

@@ -118,31 +118,57 @@ def test_super_wrap_sign():
     assert set(img) <= {(0,)}
 
 
-def test_raw_image_kernel_accumulates_scaled_images():
-    # add_boundary / add_connes add c times an image with plain + and *;
-    # reduced_entries then equals the field-method sum of the scaled images, for
-    # unreduced int scales over F_p and Fraction scales over Q
+def test_add_images_accumulates_scaled_images():
+    # add_images adds c times the image of each word of a combination, keyed
+    # by word code, with plain + and *; decoded after reduced_entries it
+    # equals the field-method sum of the scaled images, for unreduced int
+    # scales over F_p and Fraction scales over Q, on both complexes
     rng = random.Random(5)
     for name, F in (("mat", QQ), ("clifford1", QQ), ("clifford1", GF(3)),
                     ("a2_path", GF(5)), ("quantum_plane", GF(7))):
         A = builtin(name, F)
-        cx = ChainComplex(A)
-        words = [w for n in (1, 2, 3) for w in chain_basis(A, n)]
-        for _ in range(40):
-            picked = [(rng.choice(words), rng.randint(-20, 20)) for _ in range(3)]
-            if F.p is None:
-                picked = [(w, Fraction(c, rng.choice((1, 2, 3)))) for w, c in picked]
-            for add, image in ((cx.add_boundary, cx.boundary_word),
-                               (cx.add_connes, cx.connes_word)):
-                acc = {}
-                expected = {}
-                for w, c in picked:
-                    add(w, c, acc)
-                    for t, v in image(w).items():
-                        expected[t] = F.add(expected.get(t, F.zero()),
-                                            F.mul(F.from_fraction(Fraction(c)), v))
-                expected = {t: v for t, v in expected.items() if not F.is_zero(v)}
-                assert reduced_entries(acc, F) == expected
+        for relative in (False, True):
+            cx = ChainComplex(A, relative)
+            for n in (1, 2, 3):
+                words = cx.basis(n)
+                for _ in range(15 if words else 0):
+                    picked = {rng.choice(words): rng.randint(-20, 20) for _ in range(3)}
+                    if F.p is None:
+                        picked = {w: Fraction(c, rng.choice((1, 2, 3)))
+                                  for w, c in picked.items()}
+                    for image, word_image, length in (("boundary", cx.boundary_word, n),
+                                                      ("connes", cx.connes_word, n + 2)):
+                        acc = {}
+                        cx.add_images(picked, image, acc)
+                        expected = {}
+                        for w, c in picked.items():
+                            for t, v in word_image(w).items():
+                                expected[t] = F.add(expected.get(t, F.zero()),
+                                                    F.mul(F.from_fraction(Fraction(c)), v))
+                        expected = {t: v for t, v in expected.items() if not F.is_zero(v)}
+                        assert {cx.decode(code, length): v for code, v
+                                in reduced_entries(acc, F).items()} == expected
+
+
+def test_add_images_refuses_mixed_lengths_and_unknown_images():
+    cx = ChainComplex(builtin("mat", QQ))
+    with pytest.raises(ValueError):
+        cx.add_images({(1, 2): 1, (1, 2, 3): 1}, "boundary", {})
+    with pytest.raises(ValueError):
+        cx.add_images({(1, 2): 1}, "differential", {})
+    acc = {}
+    cx.add_images({}, "boundary", acc)
+    cx.add_images({}, "connes", acc)
+    assert acc == {}
+
+
+def test_codes_sort_as_their_words():
+    # radix dim, most significant letter first: one length sorts as words do
+    cx = ChainComplex(builtin("mat", QQ, m=3))
+    words = chain_basis(cx.A, 2)
+    codes = [(w[0] * 9 + w[1]) * 9 + w[2] for w in words]
+    assert [cx.decode(c, 3) for c in codes] == words
+    assert sorted(codes) == codes
 
 
 def test_hh_rank_refuses_a_non_associative_structure():

@@ -291,33 +291,34 @@ def test_ppower_lift_p2_of_a_sum_certifies():
     assert chain.components[1] and all(v == 1 for v in chain.components[1].values())
 
 
-def test_certificate_applies_d_and_b_to_every_coefficient(monkeypatch):
-    # every coefficient of component t goes through d, and through B into
-    # component t + 1 below N, straight into the accumulator: no per-word
-    # image dict is built
-    from nchodge import hochschild
-    calls = {"add_boundary": [], "add_connes": []}
-    for name in calls:
-        original = getattr(hochschild.ChainComplex, name)
-
-        def recording(self, word, c, acc, _name=name, _original=original):
-            calls[_name].append(word)
-            return _original(self, word, c, acc)
-
-        monkeypatch.setattr(hochschild.ChainComplex, name, recording)
-
-    def forbidden(self, word):
-        raise AssertionError("per-word image built")
-
-    monkeypatch.setattr(hochschild.ChainComplex, "boundary_word", forbidden)
-    monkeypatch.setattr(hochschild.ChainComplex, "connes_word", forbidden)
+def test_certificate_rejects_every_perturbed_coefficient():
+    # one coefficient at a time, in every component, moved by a seeded
+    # nonzero amount: the certificate must fail, with the residue that
+    # Fraction arithmetic on the tuple images gives.  A perturbation of a
+    # word whose (d + uB) image vanishes mod u^N (a last-component word with
+    # no boundary) leaves a cycle, and the certificate must pass it.
     A = builtin("mat", QQ, m=2)
     labels = {A.label(i): i for i in range(A.dim)}
     pi = Idempotent(A, {labels["E11*1"]: 1, labels["E12*1"]: Fraction(2, 3)})
     chain = chern_idempotent(pi, 4)
-    for words in calls.values():
-        words.clear()  # drop the certificate run inside chern_idempotent
-    assert cycle_certificate(chain)["is_cycle"]
-    assert sorted(calls["add_boundary"]) == sorted(w for comp in chain.components for w in comp)
-    assert sorted(calls["add_connes"]) == sorted(w for comp in chain.components[:-1]
-                                                 for w in comp)
+    cx = ChainComplex(A)
+    rng = random.Random(18)
+    failed = {t: 0 for t in range(chain.N)}
+    for t, comp in enumerate(chain.components):
+        for word in comp:
+            broken = [dict(c) for c in chain.components]
+            broken[t][word] += Fraction(rng.choice((1, -1)) * rng.randint(1, 9),
+                                        rng.randint(1, 5))
+            bad = UChain(A, chain.N, broken)
+            cert = cycle_certificate(bad)
+            assert cert["residue"] == _fraction_residue(bad), (t, word)
+            moves = cx.boundary_word(word) or (t < chain.N - 1 and cx.connes_word(word))
+            assert cert["is_cycle"] == (not moves), (t, word)
+            failed[t] += not cert["is_cycle"]
+    assert all(failed.values()) and sum(failed.values()) >= 200, failed
+
+
+def test_certificate_refuses_a_word_of_the_wrong_length():
+    A = builtin("mat", QQ, m=2)
+    with pytest.raises(ContractError):
+        cycle_certificate(UChain(A, 2, [{(1,): 1}, {(1, 2): 1}]))

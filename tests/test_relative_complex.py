@@ -13,11 +13,12 @@ from itertools import product
 import pytest
 
 from nchodge import oracle
-from nchodge.algebra import (CATALOGUE, AlgebraSpec, builtin, glue, matrix_algebra,
-                             trivial_bimodule, zero_bimodule)
+from nchodge.algebra import (CATALOGUE, AlgebraError, AlgebraSpec, bilinear, builtin, glue,
+                             matrix_algebra, trivial_bimodule, zero_bimodule)
 from nchodge.fields import GF, QQ, linear_combination
 from nchodge.hochschild import (ChainComplex, DegreeWindow, absolute_block_size, chain_basis,
                                 hh_ranks, vertex_idempotents, word_parity)
+from nchodge.sparse import rank_of_columns, solve_in_span
 
 FIELDS = (QQ, GF(2), GF(3), GF(101))
 
@@ -98,6 +99,77 @@ def test_letters_are_homogeneous_peirce_vectors():
     assert L.inner == {ij: {k: c for k, c in prod.items() if k >= 2}
                        for ij, prod in L.products.items()
                        if any(k >= 2 for k in prod)}
+
+
+def _reference_letters(A, idempotents):
+    """The Peirce letters by one rank computation per candidate: the vectors
+    e_a x e_b for x in basis order and vertices a, b in turn, each kept when
+    it raises the rank of those kept before."""
+    F = A.field
+    vertices = [{i: 1} for i in idempotents]
+    vertices.append(linear_combination([(1, {0: 1})] + [(-1, {i: 1}) for i in idempotents], F))
+    vectors, source, target, letter_of = [], [], [], []
+    for x in range(A.dim):
+        for a, ea in enumerate(vertices):
+            for b, eb in enumerate(vertices):
+                vec = bilinear(A.structure, bilinear(A.structure, ea, {x: 1}, F), eb, F)
+                if vec and rank_of_columns(vectors + [vec], F) > len(vectors):
+                    vectors.append(vec)
+                    source.append(a)
+                    target.append(b)
+                    letter_of.append(x)
+    return vectors, source, target, letter_of
+
+
+def _skewed_mat2(F):
+    """Mat_2 in the basis 1, E11, x = 2 E12 + E21, E12: the Peirce vector
+    E11 x E22 = 2 E12 is the first with a pivot at E12, where it is 2."""
+    A = builtin("mat", F, m=2)  # basis 1, E11, E12, E21
+    basis = [{0: 1}, {1: 1}, {2: 2, 3: 1}, {2: 1}]
+    structure = {}
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            prod = bilinear(A.structure, u, v, F)
+            if prod:
+                structure[(i, j)] = solve_in_span(basis, prod, F)
+    return AlgebraSpec("mat2-skewed", F, 4, structure)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_peirce_letters_and_their_products(field):
+    # the letters of the one incremental echelon form are those of a rank
+    # test per candidate, and products[(i, j)] spells the product of letter
+    # vectors i and j in letters
+    algebras = [A for name in CATALOGUE if (A := _catalogue_entry(name, field))]
+    algebras += [build(field) for build, _ in CASES.values()] + [builtin("mat", field, m=4)]
+    if field.p != 2:
+        algebras.append(_skewed_mat2(field))
+    for A in algebras:
+        idempotents = vertex_idempotents(A)
+        if not idempotents:
+            continue
+        L = ChainComplex(A, relative=True).letters
+        vectors, source, target, letter_of = _reference_letters(A, idempotents)
+        assert (L.vertices, L.source, L.target) == \
+            (len(idempotents) + 1, tuple(source), tuple(target)), A.name
+        assert L.weight == (None if A.weight is None else tuple(A.weight[x] for x in letter_of))
+        assert L.parity == (None if A.parity is None else tuple(A.parity[x] for x in letter_of))
+        F = A.field
+        for i, vi in enumerate(vectors):
+            for j, vj in enumerate(vectors):
+                prod = bilinear(A.structure, vi, vj, F) if target[i] == source[j] else {}
+                assert (i, j) in L.products or not prod, (A.name, i, j)
+                if prod:
+                    rebuilt = linear_combination(
+                        [(c, vectors[k]) for k, c in L.products[(i, j)].items()], F)
+                    assert rebuilt == prod and all(L.products[(i, j)].values()), (A.name, i, j)
+
+
+def _catalogue_entry(name, field):
+    try:
+        return builtin(name, field)
+    except AlgebraError:
+        return None  # a default parameter that vanishes over the field
 
 
 @pytest.mark.parametrize("name", [name for name in CATALOGUE

@@ -26,7 +26,8 @@ The grid:
 - `poisson jacobi`, `conjugation` and `homology` of every catalogue
   bivector and of an `ncg-bivector/1` file;
 - `chern` with an idempotent file that names elements by label and by
-  index;
+  index, over Q, over F7 and in markdown; `chern` of the corner
+  idempotent of a glued super algebra file; `ppower --lift` over F2;
 - an algebra, an idempotent and a bivector file that name one entry twice,
   and three such files that name one JSON key twice in one object;
 - `hc`, `hp`, `filtration` and `degeneration` of three glued algebra files
@@ -155,6 +156,9 @@ def _input_files() -> dict:
             # E11 + 2/3 E12 of Mat_2, E12 named by its index
             "pi-mixed.json": _idempotent({"E11*1": "1", "2": "2/3"}),
             "pi-twice.json": _idempotent({"E11*1": "1", "E12*1": "1/2", "2": "3"}),
+            # the corner idempotent 1_A of a gluing, basis element 1 (files
+            # carry no labels)
+            "pi-corner.json": _idempotent({"1": "1"}),
             "dual-key-twice.json": _with_key_twice(
                 algebra_to_json(dual) | {"weight": [0, 2]}, "weight", [0, 1]),
             "pi-key-twice.json": '{"format": "ncg-idempotent/1", '
@@ -215,6 +219,13 @@ def grid() -> list:
                 "pi-key-twice.json"))
     out.append(("poisson", "bracket", "--bivector", "alpha-key-twice.json",
                 "--f", _X, "--g", _Y))
+    out.append(("chern", "--algebra", "mat", "--field", "F7", "--u-trunc", "3",
+                "--idempotent", "pi-mixed.json"))
+    out.append(("chern", "--algebra", "mat", "--u-trunc", "3", "--idempotent", "pi-mixed.json",
+                "--format", "markdown"))
+    out.append(("chern", "--algebra", "glue-super.json", "--u-trunc", "3",
+                "--idempotent", "pi-corner.json"))
+    out.append(("ppower", "--algebra", "mat", "--field", "F2", "--lift", "E12*1"))
     for kind, window in GLUED_WINDOWS.items():
         for command in CYCLIC[:-1]:
             out.append((command, "--algebra", f"glue-{kind}.json", *window))
