@@ -264,8 +264,9 @@ class _Pieces:
         self.parts: list = []
 
     def check(self):
-        """Pass the text on once it reaches `_CHUNK` characters.  Called
-        after every value; the text is measured every 1024 pieces."""
+        """Pass the text on once it reaches `_CHUNK` characters.  The text
+        is measured every 1024 pieces; the encoder tests that count itself
+        before it calls this."""
         if len(self.parts) < 1024:
             return
         text = "".join(self.parts)
@@ -318,7 +319,8 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
     given, is applied to every encoded string and key; no other piece can
     hold a '"' or a '|'.
     """
-    add, check = pieces.parts.append, pieces.check
+    parts, check = pieces.parts, pieces.check
+    add = parts.append
     strings = _Encoded(escape)
     keys: dict = {}
     frames: dict = {}
@@ -368,24 +370,23 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
             return
         open_, sep, close = delimiters(level, "[", "]")
         try:
-            # a list of strings is joined in one call; any other item
-            # (unhashable, or a miss that json cannot encode as a string)
-            # raises TypeError and the list is written item by item
-            text = sep.join(map(strings.__getitem__, lst))
+            # a list of strings is joined in one call, and is one piece; any
+            # other item (unhashable, or a miss that json cannot encode as a
+            # string) raises TypeError and the list is written item by item
+            add(open_ + sep.join(map(strings.__getitem__, lst)) + close)
+            return
         except TypeError:
-            text = None
+            pass
         add(open_)
-        if text is not None:
-            add(text)
-        else:
-            level += 1
-            first = True
-            for item in lst:
-                if first:
-                    first = False
-                else:
-                    add(sep)
-                encode(item, level)
+        level += 1
+        first = True
+        for item in lst:
+            if first:
+                first = False
+            else:
+                add(sep)
+            encode(item, level)
+            if len(parts) >= 1024:
                 check()
         add(close)
 
@@ -416,7 +417,8 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
                 add(strings[v])
             else:
                 encode(v, level)
-            check()
+            if len(parts) >= 1024:
+                check()
         add(close)
 
     return encode

@@ -7,7 +7,11 @@ Two realizations of the truncated negative cyclic complex
 
 * connected-graded algebras (every non-unit basis weight >= 1): the
   weight-w subcomplex only involves tensor lengths n <= w, so the honest
-  Z/2-folded complex over k[u]/u^N is finite and is decomposed directly;
+  Z/2-folded complex is a finite complex of free k[u]-modules, with
+  (d + uB)^2 = 0 over k[u], and is decomposed directly (`umodule`).  Its
+  profile modulo u^N then fixes the one modulo u^M for every M < N
+  (`UModuleReport.truncated`): `hp_ranks` derives its N - 1 profile
+  instead of computing it;
 
 * ungraded algebras: folding a length-truncated window breaks
   (d + uB)^2 = 0 at the edge, so we use the total-degree realization
@@ -184,8 +188,6 @@ def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> C
         # the weights above w_hi are not computed, so zeros there are no result
         raise SizeError(f"weight bound w_min={w_lo} is above the top weight {w_hi} "
                         f"that this window reaches (weights 0..{w_hi})")
-    even = UModuleReport(0, {}, N)
-    odd = UModuleReport(0, {}, N)
     per_weight = {}
     flags: dict = {"weights_covered": [w_lo, w_hi]}
     for w in range(w_lo, w_hi + 1):
@@ -193,14 +195,20 @@ def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> C
             continue
         uc = _folded_weight_complex(cx, w, N, window.n_max)
         reports = u_module_decompose(uc, A.field, positions=(0, 1))
-        e, o = reports[0], reports[1]
-        per_weight[w] = (e, o)
-        even = even.merge(e)
-        odd = odd.merge(o)
+        per_weight[w] = (reports[0], reports[1])
     unsafe = [w for w, safe in guard_safe_weights(A, per_weight).items() if not safe]
     if unsafe:
         flags["guard_unsafe_weights"] = unsafe
-    return CyclicReport(even, odd, N, window.n_max, per_weight, flags)
+    return _graded_report(per_weight, N, window.n_max, flags)
+
+
+def _graded_report(per_weight: dict, N: int, n_max: int, flags: dict) -> CyclicReport:
+    """The CyclicReport of per-weight (even, odd) profiles, summed in weight
+    order."""
+    even = odd = UModuleReport(0, {}, N)
+    for e, o in per_weight.values():
+        even, odd = even.merge(e), odd.merge(o)
+    return CyclicReport(even, odd, N, n_max, per_weight, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +351,24 @@ def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> HodgeReport:
     Conclusive only when the free ranks agree at truncations N and N-1 and
     the torsion profile is saturated (all block sizes <= N-2).  Inconclusive
     is a result, not an error.
+
+    On a connected-graded algebra the N - 1 profile (`profile_previous`) is
+    derived from the N one, weight by weight: blocks of size N - 1 become
+    free (see the module docstring).  So there stable follows from
+    saturated.  The staircase of an ungraded algebra is computed again at
+    N - 1, as its window floor moves with N.
     """
     if N < 2:
         raise SizeError("hp_ranks needs N >= 2 for the stabilization check")
     # both truncations read the same bases and word indexes
     cx = ChainComplex(A, relative=True)
     rep = _profile(cx, window, N)
-    prev = _profile(cx, window, N - 1)
+    if rep.per_weight is None:
+        prev = _profile(cx, window, N - 1)
+    else:
+        prev = _graded_report({w: (e.truncated(N - 1), o.truncated(N - 1))
+                               for w, (e, o) in rep.per_weight.items()},
+                              N - 1, rep.n_max, dict(rep.flags))
     stable = (rep.even.free_rank == prev.even.free_rank
               and rep.odd.free_rank == prev.odd.free_rank)
     saturated = rep.even.saturated_at_N and rep.odd.saturated_at_N

@@ -59,9 +59,10 @@ def _tensor_words(F: Field, factors: list, scale: int = 1) -> dict:
     vectors, into chain words.
 
     Each factor's denominators are cleared by their lcm, so the products
-    are int products (over F_p every denominator is 1).  Each word's int
+    are int products (over F_p every denominator is 1).  Each distinct int
     product c becomes a field element once, as c / D with D the product of
-    those lcms; integral values over Q come out as ints.
+    those lcms, and words with the same c share it; integral values over Q
+    come out as ints.
     """
     if F.is_zero(F.from_int(scale)):
         return {}
@@ -73,9 +74,9 @@ def _tensor_words(F: Field, factors: list, scale: int = 1) -> dict:
                 for i, v in vec.items() if not F.is_zero(v)]
         den *= d
         words = {word + (i,): c * n for word, c in words.items() for i, n in nums}
-    if den == 1:
-        return {word: F.from_int(c) for word, c in words.items()}
-    return {word: F.from_fraction(Fraction(c, den)) for word, c in words.items()}
+    values = {c: F.from_int(c) if den == 1 else F.from_fraction(Fraction(c, den))
+              for c in set(words.values())}
+    return {word: values[c] for word, c in words.items()}
 
 
 def cycle_certificate(chain: UChain) -> dict:

@@ -2,7 +2,8 @@
 
 Matrices are stored as mappings (row, col) -> nonzero entry.  All
 arithmetic is exact, and every elimination runs through one core,
-`_row_echelon`, reached from `rank`, `rank_of_columns` or `kernel_basis`.
+`_row_echelon`, reached from `rank`, `rank_of_columns`, `leading_ranks` or
+`kernel_basis`.
 
 The core is sparse Gaussian elimination with a Markowitz-style pivot rule:
 take the shortest row, then its least-populated column.
@@ -13,7 +14,9 @@ take the shortest row, then its least-populated column.
   matches their row are stale and are skipped when popped.  Because the
   original order breaks every tie, the queue picks exactly the pivot
   sequence of a linear scan for the smallest key, so kernel bases are the
-  same vectors run to run, not just the same span.
+  same vectors run to run, not just the same span.  `leading_ranks` puts
+  a row slot in front of the key, and so reads the ranks of all leading
+  row blocks off one elimination.
 * Column index.  Each column maps to the rows that have held it, so a
   pivot touches only the rows containing its column.  The lists are
   append-only (a row that loses the column is skipped when the list is
@@ -40,6 +43,7 @@ then reduce once with `reduced_entries`.
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 
 from .fields import Field, reduced_entries
 
@@ -116,13 +120,19 @@ class SparseMatrix:
         return reduced_entries(out, field)
 
 
-def _row_echelon(data, field: Field, want_basis: bool):
+def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None):
     """Shared elimination core on a SparseMatrix or a list of row dicts
     (which it consumes).
 
     Returns (rank, None), or with want_basis (rank, pivots): the reduced
     row echelon form as (pivot column, row) pairs sorted by pivot column,
     each row 1 at its own pivot and 0 at every other pivot column.
+
+    With a row stride, row i lies in slot i // stride, and the slot comes
+    first in the pivot queue's key: every row of a slot is used or emptied
+    before a row of a later slot is taken, so the pivots taken from slots
+    < j are an elimination of those rows alone.  Then the second value is
+    the list of pivots taken per slot (want_basis is not read).
     """
     if isinstance(data, SparseMatrix):
         rows = [dict() for _ in range(data.rows)]
@@ -139,10 +149,16 @@ def _row_echelon(data, field: Field, want_basis: bool):
             colcount[c] = colcount.get(c, 0) + 1
     width, height = 1 + max(colcount, default=0), len(rows)
 
-    def key(i, rd):
-        # (length, first column, row) packed into one int: fill-in never
-        # adds a column wider than width, and an int is smaller than a tuple
-        return (len(rd) * width + min(rd)) * height + i
+    if stride is None:
+        def key(i, rd):
+            # (length, first column, row) packed into one int: fill-in never
+            # adds a column wider than width, and an int is smaller than a tuple
+            return (len(rd) * width + min(rd)) * height + i
+    else:
+        def key(i, rd):
+            # (slot, length, first column, row): a length is at most width
+            return ((i // stride * (width + 1) + len(rd)) * width + min(rd)) * height + i
+        per_slot = [0] * (height // stride)
 
     queue = [key(i, rd) for i, rd in enumerate(rows) if rd]
     heapq.heapify(queue)
@@ -156,6 +172,8 @@ def _row_echelon(data, field: Field, want_basis: bool):
             continue  # stale key: the row was used or changed since
         rows[i] = None
         count += 1
+        if stride is not None:
+            per_slot[i // stride] += 1
         pc = min(row, key=lambda c: (colcount[c], c))
         del colcount[pc]
         inv = field.inv(row[pc])
@@ -182,6 +200,8 @@ def _row_echelon(data, field: Field, want_basis: bool):
                     rd[c] = s
             if rd:
                 heapq.heappush(queue, key(j, rd))
+    if stride is not None:
+        return count, per_slot
     if not want_basis:
         return count, None
     # Back-substitute to reduced echelon form.  A pivot row holds no earlier
@@ -207,6 +227,23 @@ def rank(M: SparseMatrix, field: Field) -> int:
     """Exact rank of M over the field."""
     r, _ = _row_echelon(M, field, want_basis=False)
     return r
+
+
+def leading_ranks(M: SparseMatrix, field: Field, stride: int, stages: int) -> list[int]:
+    """[rank of the first j * stride rows of M for j = 1..stages], from one
+    elimination; M has stages * stride rows.
+
+    On a block-lower-triangular M (row slot i // stride, a row of slot s
+    holding columns of slots <= s only, for the same column stride) the
+    first j * stride rows are the leading block of the first j slots, with
+    zeros beside it, so these are the ranks of the leading blocks.
+    """
+    if M.rows != stride * stages:
+        raise StructuralError(f"{M.rows} rows are not {stages} slots of {stride}")
+    if not M.entries:
+        return [0] * stages
+    _, per_slot = _row_echelon(M, field, False, stride)
+    return list(accumulate(per_slot))
 
 
 def kernel_basis(M: SparseMatrix, field: Field) -> list[dict]:

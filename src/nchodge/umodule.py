@@ -1,27 +1,35 @@
-"""Module decomposition of finite complexes over the truncated ring k[u]/u^N.
+"""Homology of finite complexes of free k[u]-modules, modulo u^N.
 
-A complex of free k[u]/u^N-modules is given per homological position, with
-each differential as a tuple of N matrices (the coefficients of u^0..u^{N-1}).
-Homology at each position is a finitely generated module over the local ring
-and therefore a direct sum (k[u]/u^N)^f + sum_i k[u]/u^{a_i}.  The block
-sizes are recovered from the k-dimensions of u^j * H, computed by exact
-elimination on the k-linear expansion (u acting as the shift on coefficient
-slots).
+Each differential D is a list of matrices over k, the coefficients of u^0,
+u^1, ...  D must square to zero over k[u] itself, not only modulo u^N;
+`u_module_decompose` checks that first (else ContractViolation).
 
-Only the positions a caller names are decomposed: the folded complexes of
-`cyclic` carry padding positions whose homology nobody reads.  At each
-position the quotient by the boundaries B is taken in cycle coordinates.
-Every `kernel_basis` vector is 1 at its own free column and 0 at every
-other free column, so reading a cycle at the free columns is an isomorphism
-Z -> k^{dim Z}.  B lies in Z (d^2 = 0 is checked first) and so does u^j Z,
-so B and the shifted cycles are restricted to the free columns and
-eliminated in k^{dim Z} rather than in the whole expansion k^{N r}.
+Over the PID k[u] such a complex is a direct sum of free pieces k[u] and
+pieces k[u] --u^a--> k[u].  Modulo u^N a piece with a < N leaves k[u]/u^a
+at both of its positions, and one with a >= N leaves k[u]/u^N at both, so
+homology is (k[u]/u^N)^f + sum_i k[u]/u^{a_i}.  A piece of size a adds
+max(j - a, 0) to rho_j = rank_k(D mod u^j), so L_j = rho_j - rho_{j-1}
+counts the pieces of size < j, and at a position of rank r
+
+    free = r - L_N(out) - L_N(in),  blocks[a] = dL_a(out) + dL_a(in),
+
+with dL_a = L_{a+1} - L_a.  All rho_j of D come from one elimination of
+its k-linear expansion (u shifting coefficient slots), in which a row of
+slot s holds columns of slots <= s only: `sparse.leading_ranks`.  Without
+D^2 = 0 over k[u] there are no pieces: D = u on a rank-1 Z/2-folded
+complex squares to zero mod u^2, has homology 0, and gives free rank -1.
+
+Only the positions a caller names are decomposed, and a differential read
+at two positions is eliminated once: `cyclic`'s folded complexes carry
+padding positions, and use one differential as the out-map of 0 and the
+in-map of 1.
 """
 
 from __future__ import annotations
 
 from .fields import Field, SizeError, reduced_entries
-from .sparse import SparseMatrix, StructuralError, kernel_basis, rank_of_columns, span_quotient
+# kernel_basis is unused here; perfbench's tracer test pins it in this namespace
+from .sparse import SparseMatrix, StructuralError, kernel_basis, leading_ranks  # noqa: F401
 
 
 class UTruncation:
@@ -47,7 +55,7 @@ class UTruncation:
 
 
 class ContractViolation(ValueError):
-    """A differential fails to square to zero over k[u]/u^N."""
+    """A differential fails to square to zero over k[u]."""
 
 
 class UModuleReport:
@@ -76,6 +84,13 @@ class UModuleReport:
 
     def total_k_dimension(self) -> int:
         return self.free_rank * self.N + sum(a * m for a, m in self.torsion_blocks.items())
+
+    def truncated(self, M: int) -> "UModuleReport":
+        """The profile modulo u^M, M <= N, of the same k[u]-complex: blocks
+        of size >= M become free rank."""
+        blocks = {a: m for a, m in self.torsion_blocks.items() if a < M}
+        free = self.free_rank + sum(m for a, m in self.torsion_blocks.items() if a >= M)
+        return UModuleReport(free, blocks, M)
 
     def merge(self, other: "UModuleReport") -> "UModuleReport":
         blocks = dict(self.torsion_blocks)
@@ -111,11 +126,11 @@ def blocks_from_filtration_dims(dims: list[int], N: int) -> UModuleReport:
 
 
 class UComplex:
-    """Finite complex of free k[u]/u^N-modules.
+    """Finite complex of free k[u]-modules, read modulo u^N.
 
     ranks[pos] is the free rank at homological position pos; diffs[pos] is the
-    differential out of position pos (into pos-1) as a list of N sparse
-    matrices over k, the coefficients of u^0..u^{N-1}.
+    differential out of position pos (into pos-1) as a list of sparse
+    matrices over k, the coefficients of u^0, u^1, ...
     """
 
     def __init__(self, truncation: UTruncation, ranks: dict, diffs: dict):
@@ -137,7 +152,8 @@ def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) ->
     """Expand an R-linear map to a k-matrix on coefficient slots.
 
     Basis element (j, v) = u^j e_v is column j*src_rank + v; u^t coefficient
-    matrices shift the slot index by t, truncating at N.
+    matrices shift the slot index by t, truncating at N (the coefficients of
+    u^t, t >= N, drop out).
     """
     entries = {}
     for t, mat in enumerate(diff):
@@ -152,72 +168,54 @@ def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) ->
 
 
 def _check_square_zero(c: UComplex, field: Field):
-    N = c.truncation.N
+    """D^2 = 0 over k[u]: every coefficient of the product, not only those
+    below u^N."""
     for pos in c.positions():
-        d1 = c.diff_at(pos)
-        d2 = c.diff_at(pos + 1)
+        d1, d2 = c.diff_at(pos), c.diff_at(pos + 1)
         if d1 is None or d2 is None:
             continue
-        for t in range(N):
+        for t in range(len(d1) + len(d2) - 1):
             acc: dict = {}
             for a in range(max(0, t + 1 - len(d2)), min(t + 1, len(d1))):
                 d1[a].mul_into(d2[t - a], acc)
             acc = reduced_entries(acc, field)
             if acc:
                 (r, cidx), v = min(acc.items())
-                raise ContractViolation(
-                    f"d^2 != 0 at position {pos + 1}, u^{t} coefficient, "
-                    f"entry ({r},{cidx}) = {v}"
-                )
-
-
-def _in_cycle_coordinates(vec: dict, coord: dict, shift: int = 0) -> dict:
-    """A vector of Z, moved by shift slots (u^j moves index i to i + j * rank),
-    in cycle coordinates: coord maps each free column to its cycle's index.
-    An index moved past u^{N-1} is no free column, so truncation at N is
-    automatic."""
-    return {coord[k]: v for i, v in vec.items() if (k := i + shift) in coord}
+                raise ContractViolation(f"d^2 != 0 at position {pos + 1}, u^{t} coefficient, "
+                                        f"entry ({r},{cidx}) = {v}")
 
 
 def u_module_decompose(c: UComplex, field: Field, positions=None) -> dict:
-    """Decompose the homology of the complex at the given positions (default:
-    every position).
+    """Decompose the homology modulo u^N at the given positions (default:
+    every position), from the leading ranks of the differentials there.
 
     Returns {position: UModuleReport}.  The differentials are checked to
-    square to zero over k[u]/u^N first.
+    square to zero over k[u] first (see the module docstring).
     """
     N = c.truncation.N
     _check_square_zero(c, field)
+    counts: dict = {}  # id(diff) -> [L_0..L_N], L_j the pieces of size < j
+
+    def pieces(diff, src, dst):
+        if diff is None or not (src and dst):
+            return [0] * (N + 1)
+        key = id(diff)
+        if key not in counts:
+            rho = leading_ranks(_k_expand(diff, N, src, dst), field, dst, N)
+            counts[key] = [0] + [b - a for a, b in zip([0] + rho, rho)]
+        return counts[key]
+
     reports = {}
     for pos in c.positions() if positions is None else positions:
         r = c.rank_at(pos)
-        if r == 0:
-            reports[pos] = UModuleReport(0, {}, N)
-            continue
         d_out = c.diff_at(pos)
-        if d_out is not None:
-            dst = d_out[0].rows if d_out else 0
-            cycles = kernel_basis(_k_expand(d_out, N, r, dst), field)
-        else:
-            cycles = [{i: field.one()} for i in range(N * r)]
-        # each cycle's first key is its free column
-        coord = {next(iter(z)): i for i, z in enumerate(cycles)}
-        d_in = c.diff_at(pos + 1)
-        boundary_cols = [] if d_in is None else [
-            _in_cycle_coordinates(col, coord)
-            for col in _k_expand(d_in, N, c.rank_at(pos + 1), r).columns()]
-        # dim u^j H = dim (u^j Z + B) / B; B lies in Z, so dims[0] needs no
-        # elimination, and the others reduce u^j Z modulo B.  u^j H = 0
-        # forces u^{j+1} H = 0.
-        b_rank, reduce = span_quotient(boundary_cols, len(cycles), field)
-        dims = [len(cycles) - b_rank]
-        for j in range(1, N):
-            if not dims[-1]:
-                dims.append(0)
-                continue
-            dims.append(rank_of_columns(
-                [reduce(_in_cycle_coordinates(z, coord, j * r)) for z in cycles], field))
-        reports[pos] = blocks_from_filtration_dims(dims, N)
+        out = pieces(d_out, r, d_out[0].rows if d_out else 0)
+        in_ = pieces(c.diff_at(pos + 1), c.rank_at(pos + 1), r)
+        blocks = {}
+        for a in range(1, N):
+            if m := out[a + 1] - out[a] + in_[a + 1] - in_[a]:
+                blocks[a] = m
+        reports[pos] = UModuleReport(r - out[N] - in_[N], blocks, N)
     return reports
 
 

@@ -3,12 +3,13 @@ from collections import Counter
 import pytest
 
 from nchodge import cyclic, hochschild, oracle, sparse, umodule
-from nchodge.algebra import builtin
+from nchodge.algebra import CATALOGUE, AlgebraError, builtin
 from nchodge.cyclic import (UnsupportedError, WindowError, char_p_compare,
                             degeneration_check, graded_piece_analysis,
                             hodge_filtration, hp_ranks, negative_cyclic)
 from nchodge.fields import GF, QQ
 from nchodge.hochschild import DegreeWindow, hh_ranks
+from test_block_layout import _exterior
 
 
 def test_window_precondition():
@@ -230,13 +231,15 @@ def test_hp_and_filtration_build_one_chain_complex(monkeypatch, name, n_max, N):
 
 def test_graded_path_decomposes_only_positions_0_and_1(monkeypatch):
     # the folded complex pads positions 0/1 with -1 and 2; only 0 and 1 are
-    # read, so only they get a decomposition (and one cycle basis per
-    # position that has chains)
+    # read, so only they get a decomposition.  Their two differentials (the
+    # one out of 0, which is also the one into 1 from 2, and the one out of
+    # 1) are eliminated once each, by one leading_ranks call, where both
+    # positions have chains; with one occupied position both maps are empty
     decomposed = []
     occupied = []
-    kernels = Counter()
+    eliminations = Counter()
     original = cyclic.u_module_decompose
-    original_kernel = umodule.kernel_basis
+    original_ranks = umodule.leading_ranks
 
     def recording(c, field, *args, **kwargs):
         reports = original(c, field, *args, **kwargs)
@@ -244,17 +247,19 @@ def test_graded_path_decomposes_only_positions_0_and_1(monkeypatch):
         occupied.append(sum(1 for pos in (0, 1) if c.rank_at(pos)))
         return reports
 
-    def counting_kernel(M, field):
-        kernels[len(decomposed)] += 1
-        return original_kernel(M, field)
+    def counting_ranks(M, field, stride, stages):
+        eliminations[len(decomposed)] += 1
+        return original_ranks(M, field, stride, stages)
 
     monkeypatch.setattr(cyclic, "u_module_decompose", recording)
-    monkeypatch.setattr(umodule, "kernel_basis", counting_kernel)
+    monkeypatch.setattr(umodule, "leading_ranks", counting_ranks)
     A = builtin("truncated_poly", QQ, m=3)
     rep = negative_cyclic(A, DegreeWindow(8), 3)
     assert len(decomposed) == len(rep.per_weight) > 1
     assert all(positions == [0, 1] for positions in decomposed)
-    assert [kernels[i] for i in range(len(decomposed))] == occupied
+    assert 1 in occupied and 2 in occupied
+    assert [eliminations[i] for i in range(len(decomposed))] == \
+        [2 if n == 2 else 0 for n in occupied]
 
 
 @pytest.mark.parametrize("name,params,p", [
@@ -277,3 +282,35 @@ def test_char_p_compare_d_only_side_matches_decomposition(name, params, p):
         reports = umodule.u_module_decompose(uc, A.field)
         assert not reports[0].torsion_blocks and not reports[1].torsion_blocks
         assert slot["without_b"] == [reports[0].free_rank, reports[1].free_rank], slot
+
+
+def _graded_cases(F):
+    """(algebra, window, truncations) for every catalogue algebra that is
+    connected-graded over F, and for the exterior algebra on two odd
+    generators (super, which none of them is) at a shorter window."""
+    for name in CATALOGUE:
+        try:
+            A = builtin(name, F)
+        except AlgebraError:  # q = 2 is zero over F2
+            continue
+        if A.connected_graded:
+            yield A, DegreeWindow(8), (2, 3, 4)
+    yield _exterior(F, 2), DegreeWindow(6), (2, 3)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_graded_profile_truncates_to_the_smaller_truncation(F):
+    # on a connected-graded algebra the profile mod u^N fixes the one mod
+    # u^{N-1}: blocks of size N - 1 become free, weight by weight, which is
+    # how hp_ranks derives its profile_previous
+    cases = list(_graded_cases(F))
+    assert len(cases) >= 5
+    for A, window, truncations in cases:
+        for N in truncations:
+            big, small = negative_cyclic(A, window, N), negative_cyclic(A, window, N - 1)
+            assert sorted(big.per_weight) == sorted(small.per_weight), (A.name, N)
+            for w, pair in big.per_weight.items():
+                assert [r.truncated(N - 1).to_dict() for r in pair] == \
+                    [r.to_dict() for r in small.per_weight[w]], (A.name, N, w)
+            assert hp_ranks(A, window, N).to_dict()["profile_previous"] == small.to_dict(), \
+                (A.name, N)

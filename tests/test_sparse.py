@@ -6,8 +6,8 @@ import pytest
 from nchodge import oracle
 from nchodge.fields import GF, QQ
 from nchodge.sparse import (SparseMatrix, StructuralError, homology_from_ranks, homology_rank,
-                            kernel_basis, matrix_from_columns, rank, rank_of_columns,
-                            solve_in_span)
+                            kernel_basis, leading_ranks, matrix_from_columns, rank,
+                            rank_of_columns, solve_in_span)
 from nchodge.umodule import UComplex, UTruncation, u_module_decompose
 
 
@@ -241,44 +241,70 @@ def test_solve_in_span():
         assert solve_in_span([], {0: one}, F) is None
 
 
-# random complexes over k[u]/u^N ------------------------------------------------
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_leading_ranks_are_the_ranks_of_the_leading_blocks(F):
+    # block-lower-triangular: rows of slot s (height `rstride`) hold columns
+    # of slots <= s (width `cstride`) only; each leading block is its own
+    # rank computation
+    rng = random.Random(53 + F.characteristic)
+    for _ in range(80):
+        stages, rstride, cstride = rng.randint(1, 5), rng.randint(1, 4), rng.randint(0, 4)
+        density = rng.choice((0.2, 0.5, 0.9))
+        entries = {(r, c): v for r in range(stages * rstride)
+                   for c in range((r // rstride + 1) * cstride)
+                   if rng.random() < density and not F.is_zero(v := _scalar(rng, F))}
+        Mx = SparseMatrix(stages * rstride, stages * cstride, entries)
+        expected = [rank(SparseMatrix(j * rstride, j * cstride, {
+            k: v for k, v in entries.items() if k[0] < j * rstride}), F)
+            for j in range(1, stages + 1)]
+        assert leading_ranks(Mx, F, rstride, stages) == expected
+    with pytest.raises(StructuralError):
+        leading_ranks(SparseMatrix(3, 2, {}), F, 2, 2)
 
 
-def _rmat_mul(A, B, F, N):
-    """Product of R-matrices given as N coefficient matrices (dense)."""
-    out = []
-    for t in range(N):
-        acc = None
-        for a in range(t + 1):
-            term = _matmul(A[a], B[t - a], F, len(B[0]))
-            acc = term if acc is None else [[F.add(x, y) for x, y in zip(r1, r2)]
-                                            for r1, r2 in zip(acc, term)]
-        out.append(acc)
+# random complexes of free k[u]-modules ---------------------------------------
+
+
+def _rmat_mul(A, B, F):
+    """Product of matrices over k[u], given as lists of dense coefficient
+    matrices (u^0 first), untruncated: the degrees add."""
+    rows, inner, cols = len(A[0]), len(B[0]), len(B[0][0]) if B[0] else 0
+    out = [[[F.zero()] * cols for _ in range(rows)] for _ in range(len(A) + len(B) - 1)]
+    for a, X in enumerate(A):
+        if all(F.is_zero(x) for row in X for x in row):
+            continue
+        for b, Y in enumerate(B):
+            term = _matmul(X, Y, F, inner)
+            out[a + b] = [[F.add(x, y) for x, y in zip(r1, r2)]
+                          for r1, r2 in zip(out[a + b], term)]
     return out
 
 
 def _random_r_invertible(rng, F, n, N):
-    """(G, G^-1) over k[u]/u^N from unipotent elementary operations."""
+    """(G, G^-1) over k[u] from unipotent elementary operations with
+    entries c u^t, t < N."""
     def ident():
-        return [[[F.one() if (i == j and t == 0) else F.zero() for j in range(n)]
-                 for i in range(n)] for t in range(N)]
+        return [[[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]]
     G, Ginv = ident(), ident()
     for _ in range(2 * n if n >= 2 else 0):
         i, j = rng.sample(range(n), 2)
         t, c = rng.randrange(N), _scalar(rng, F)
-        E, Einv = ident(), ident()
-        E[t][i][j] = c
-        Einv[t][i][j] = F.neg(c)
-        G = _rmat_mul(G, E, F, N)
-        Ginv = _rmat_mul(Einv, Ginv, F, N)
+        E = ident() + [[[F.zero()] * n for _ in range(n)] for _ in range(t)]
+        Einv = [[row[:] for row in m] for m in E]
+        E[t][i][j] = F.add(E[t][i][j], c)
+        Einv[t][i][j] = F.sub(Einv[t][i][j], c)
+        G = _rmat_mul(G, E, F)
+        Ginv = _rmat_mul(Einv, Ginv, F)
     return G, Ginv
 
 
 def _random_u_complex(rng, F, N):
-    """A random complex at positions 0..2: a direct sum of free summands and
-    two-term pieces R --u^a--> R, conjugated by random invertible maps.
+    """A random complex of free k[u]-modules at positions 0..2: a direct sum
+    of free summands and two-term pieces R --u^a--> R, 0 <= a <= N,
+    conjugated by random maps invertible over k[u], so that it squares to
+    zero over k[u] and not only mod u^N.
 
-    Returns the complex and its expected {pos: (free, {block: mult})}.
+    Returns the complex and its expected {pos: (free, {block: mult})} mod u^N.
     """
     ranks = {0: 0, 1: 0, 2: 0}
     pieces = []
@@ -304,11 +330,11 @@ def _random_u_complex(rng, F, N):
         rows, cols = ranks[top - 1], ranks[top]
         if not rows or not cols:
             continue
-        d = [[[F.zero()] * cols for _ in range(rows)] for _ in range(N)]
+        d = [[[F.zero()] * cols for _ in range(rows)] for _ in range(N + 1)]
         for ptop, dst, src, a in pieces:
-            if ptop == top and a < N:
+            if ptop == top:
                 d[a][dst][src] = F.one()
-        d = _rmat_mul(_rmat_mul(conj[top - 1][0], d, F, N), conj[top][1], F, N)
+        d = _rmat_mul(_rmat_mul(conj[top - 1][0], d, F), conj[top][1], F)
         diffs[top] = [_to_sparse(m, rows, cols, F) for m in d]
     return UComplex(UTruncation(N), ranks, diffs), expected
 

@@ -45,6 +45,26 @@ def test_square_zero_enforced():
         u_module_decompose(c, QQ)
 
 
+def test_square_zero_enforced_over_k_u_not_only_mod_u_n():
+    # D = u at both parities of a rank-1 Z/2-folded complex: D^2 = u^2 is 0
+    # mod u^2, and the homology mod u^2 is 0, but leading ranks would give
+    # free rank 1 - 1 - 1 = -1; the complex is refused instead
+    N = 2
+    u = [SparseMatrix.zero(1, 1), SparseMatrix.identity(1, QQ)]
+    for field in (QQ, GF(2)):
+        c = UComplex(UTruncation(N), {-1: 1, 0: 1, 1: 1, 2: 1}, {0: u, 1: u, 2: u})
+        with pytest.raises(ContractViolation, match=r"u\^2 coefficient"):
+            u_module_decompose(c, field, positions=(0, 1))
+
+
+def test_truncated_report_frees_the_blocks_at_or_above_the_new_truncation():
+    rep = UModuleReport(1, {1: 2, 2: 1, 3: 4}, 5)
+    assert rep.truncated(5).to_dict() == rep.to_dict()
+    low = rep.truncated(3)
+    assert (low.free_rank, low.torsion_blocks, low.N) == (5, {1: 2, 2: 1}, 3)
+    assert rep.truncated(1).to_dict() == UModuleReport(8, {}, 1).to_dict()
+
+
 def test_square_zero_reports_the_reduced_entry():
     # d^2 has no u^0 part (A0 B0 = 0); its u^1 part A0 B1 + A1 B0 has the
     # raw entry 1 * 2 + 2 * 1 = 4 at (0, 0), which the message names reduced

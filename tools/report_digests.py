@@ -33,7 +33,10 @@ The grid:
 - `hc`, `hp`, `filtration` and `degeneration` of three glued algebra files
   over Q, the dual numbers glued to k[x]/x^3 with the zero and the trivial
   bimodule and to the exterior algebra on one odd generator with the
-  trivial one, and `charp-compare` of the same three over F2 and F3.
+  trivial one, and `charp-compare` of the same three over F2 and F3;
+- the cyclic commands of the exterior algebra on two odd generators of
+  weight 1, a connected-graded super algebra file, over Q and F3 at
+  N = 2 and 3 and n_max in {2N, 8}.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -133,6 +136,16 @@ def _gluings(F) -> dict:
             "super": glue(dual, exterior, trivial_bimodule(exterior, dual))}
 
 
+def _exterior2(F) -> AlgebraSpec:
+    """The exterior algebra on two odd generators of weight 1, over F: the
+    one connected-graded super input of the grid."""
+    one, minus = F.one(), F.neg(F.one())
+    structure = {(0, b): {b: one} for b in range(4)}
+    structure |= {(a, 0): {a: one} for a in range(1, 4)}
+    structure |= {(1, 2): {3: one}, (2, 1): {3: minus}}
+    return AlgebraSpec("exterior2", F, 4, structure, weight=(0, 1, 1, 2), parity=(0, 1, 1, 0))
+
+
 def _input_files() -> dict:
     """File name -> JSON object, or JSON text, of every input file the grid
     reads."""
@@ -144,6 +157,8 @@ def _input_files() -> dict:
              for kind, A in _gluings(field).items()}
     return {**glued,
             "dual.json": algebra_to_json(dual),
+            "exterior2.json": algebra_to_json(_exterior2(QQ)),
+            "exterior2-F3.json": algebra_to_json(_exterior2(GF(3))),
             "mat2.json": algebra_to_json(builtin("mat", QQ, m=2)),
             "tp3-F3.json": algebra_to_json(builtin("truncated_poly", GF(3), m=3)),
             "negative-weight.json": negative,
@@ -231,6 +246,12 @@ def grid() -> list:
             out.append((command, "--algebra", f"glue-{kind}.json", *window))
         for suffix in ("-F2", "-F3"):
             out.append(("charp-compare", "--algebra", f"glue-{kind}{suffix}.json", *window))
+    for path in ("exterior2.json", "exterior2-F3.json"):
+        for command in CYCLIC:
+            for N in (2, 3):
+                for n_max in (2 * N, 8):
+                    out.append((command, "--algebra", path, "--n-max", str(n_max),
+                                "--u-trunc", str(N)))
     return out
 
 
