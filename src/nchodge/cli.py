@@ -651,6 +651,8 @@ def _algebra_params(args) -> dict:
             raise CliError(f"--param needs key=value, got {item!r}",
                            EXIT_VALIDATION)
         k, v = item.split("=", 1)
+        if k in params:
+            raise CliError(f"--param key {k!r} is given twice", EXIT_VALIDATION)
         params[k] = v
     return params
 

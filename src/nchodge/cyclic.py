@@ -156,9 +156,10 @@ def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
 
     Positions 0/1 carry the even/odd total parity; positions -1 and 2
     only give them an in-map and an out-map, and need no decomposition of
-    their own.  With N = 1 the complex is (C, d) alone.  Requires the
-    weight-w subcomplex to fit in the window (n <= n_max), which holds for
-    connected-graded algebras when w <= n_max.
+    their own.  Each differential is [d, B], its coefficients of u^0 and
+    u^1, and [d] alone with N = 1.  Requires the weight-w subcomplex to fit
+    in the window (n <= n_max), which holds for connected-graded algebras
+    when w <= n_max.
     """
     lengths = range(min(w, n_max) + 1)
     layouts = [cx.layout((n, w, (q - n) % 2) for n in lengths) for q in (0, 1)]
@@ -168,7 +169,6 @@ def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
         diffs[q] = [cx.matrix(src, dst, ("boundary",))]
         if N > 1:
             diffs[q].append(cx.matrix(src, dst, ("connes",)))
-            diffs[q].extend(SparseMatrix.zero(dst[1], src[1]) for _ in range(N - 2))
     diffs[2] = diffs[0]
     dims = [layouts[0][1], layouts[1][1]]
     return UComplex(UTruncation(N), {-1: dims[1], 0: dims[0], 1: dims[1], 2: dims[0]}, diffs)

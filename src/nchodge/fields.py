@@ -10,10 +10,10 @@ One rule turns a linear combination into a vector of field elements: sum
 with plain `+` and `*`, then reduce once.  Since a scalar of either field is
 an int or a Fraction, raw sums are exact, and `reduced_entries` drops their
 zeros and, over F_p, reduces them mod p; `linear_combination` does both
-steps for a list of scaled vectors.  The one exception is the elimination
-core of `sparse` (`_row_echelon`, `kernel_basis`, `solve_in_span`), which
-reduces at every step so that pivots and fill-in are tested against zero in
-the field.
+steps for a list of scaled vectors.  The one exception is elimination in
+`sparse` (`_row_echelon` under `rank` and `kernel_basis`, and the
+`Echelon` of span questions), which reduces at every step so that pivots
+and fill-in are tested against zero in the field.
 """
 
 from __future__ import annotations

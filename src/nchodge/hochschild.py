@@ -74,7 +74,7 @@ from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError, bilinear
 from .fields import SizeError, linear_combination, reduced_entries
-from .sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
+from .sparse import Echelon, SparseMatrix, homology_from_ranks, rank, rank_of_columns
 
 
 class DegreeWindow:
@@ -157,33 +157,11 @@ class Letters:
         the vertex idempotents first.  They span A, since x is the sum of
         its e_a x e_b, so every product has coordinates in them.
 
-        One echelon form of the kept vectors, grown a row per letter,
-        decides independence and gives the coordinates of the products."""
+        One `sparse.Echelon` of the kept vectors decides independence, and
+        its `reduce` gives the coordinates of the products in letters."""
         F = A.field
-        one, zero = F.one(), F.zero()
-        add, sub, mul, neg = F.add, F.sub, F.mul, F.neg
-        # rows (pivot, row, coords): row has a 1 at its pivot and a 0 at every
-        # earlier pivot, and equals the sum of coords[j] times letter j
-        rows: list = []
-
-        def reduce(vec: dict) -> tuple:
-            """(rest, coords): vec less a combination of the rows, with no
-            entry at any pivot, and that combination in letters."""
-            rest, coords = dict(vec), {}
-            for pivot, row, row_coords in rows:
-                f = rest.get(pivot)
-                if f is None:
-                    continue
-                for c, v in row.items():
-                    r = sub(rest.get(c, zero), mul(f, v))
-                    if F.is_zero(r):
-                        rest.pop(c, None)
-                    else:
-                        rest[c] = r
-                for j, v in row_coords.items():
-                    coords[j] = add(coords.get(j, zero), mul(f, v))
-            return rest, coords
-
+        one = F.one()
+        echelon = Echelon(F)
         vertices = [{i: one} for i in idempotents]
         vertices.append(reduced_entries({0: 1, **{i: -1 for i in idempotents}}, F))
         vectors, source, target, letter_of = [], [], [], []
@@ -192,22 +170,11 @@ class Letters:
                 left = bilinear(A.structure, ea, {x: one}, F)
                 for b, eb in enumerate(vertices):
                     vec = bilinear(A.structure, left, eb, F) if left else {}
-                    if not vec:
-                        continue
-                    rest, coords = reduce(vec)
-                    if not rest:
-                        continue
-                    pivot = min(rest)
-                    inv = F.inv(rest[pivot])
-                    row_coords = {j: neg(mul(inv, v)) for j, v in coords.items()
-                                  if not F.is_zero(v)}
-                    row_coords[len(vectors)] = inv
-                    rows.append((pivot, {c: mul(inv, v) for c, v in rest.items()},
-                                 row_coords))
-                    vectors.append(vec)
-                    source.append(a)
-                    target.append(b)
-                    letter_of.append(x)
+                    if vec and echelon.add(vec):
+                        vectors.append(vec)
+                        source.append(a)
+                        target.append(b)
+                        letter_of.append(x)
         self.vertices = len(vertices)
         self.source, self.target = tuple(source), tuple(target)
         self.weight = None if A.weight is None else tuple(A.weight[x] for x in letter_of)
@@ -218,9 +185,8 @@ class Letters:
                 if target[i] == source[j]:
                     prod = bilinear(A.structure, vi, vj, F)
                     if prod:
-                        coords = reduce(prod)[1]
-                        self.products[(i, j)] = {k: coords[k] for k in sorted(coords)
-                                                 if not F.is_zero(coords[k])}
+                        coords = echelon.reduce(prod)[1]
+                        self.products[(i, j)] = {k: coords[k] for k in sorted(coords)}
 
 
 def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,

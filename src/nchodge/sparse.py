@@ -1,12 +1,25 @@
 """Exact sparse linear algebra over Q and F_p.
 
 Matrices are stored as mappings (row, col) -> nonzero entry.  All
-arithmetic is exact, and every elimination runs through one core,
-`_row_echelon`, reached from `rank`, `rank_of_columns`, `leading_ranks` or
-`kernel_basis`.
+arithmetic is exact, and elimination takes one of two forms, each suited
+to one shape of question.
 
-The core is sparse Gaussian elimination with a Markowitz-style pivot rule:
-take the shortest row, then its least-populated column.
+* `_row_echelon`, for batch ranks and kernels: `rank`, `rank_of_columns`,
+  `leading_ranks` and `kernel_basis` hand it a whole matrix, and it picks
+  its pivots across all the rows at once (below), which keeps fill-in low
+  on the large boundary and B matrices.
+* `Echelon`, for span questions asked in order: vectors are added one at a
+  time, and each is reduced against those kept before it.  `add` says
+  whether a vector was independent of them; `reduce` gives its remainder,
+  which names its class modulo their span, and its coordinates in them.
+  It suits a greedy choice in a fixed order (letters, representatives of
+  A/[A,A]), where each answer depends on the vectors before, and many
+  questions against one small span, each of which costs one pass over the
+  kept rows rather than a fresh elimination.  Its pivots follow the order
+  of arrival, not Markowitz, so a large batch goes to `_row_echelon`.
+
+The batch core is sparse Gaussian elimination with a Markowitz-style pivot
+rule: take the shortest row, then its least-populated column.
 
 * Pivot queue.  Rows wait in a heap keyed by (length, first column,
   original row order), packed into one integer.  A row that elimination
@@ -25,21 +38,16 @@ take the shortest row, then its least-populated column.
   are counted beside the lists; rows used as pivots stay in the counts,
   and the pivot columns chosen (hence the kernel bases) depend on that.
 
-On top of the core: `homology_rank` gives dim ker(d_out) / im(d_in) as
+On top of the core, `homology_rank` gives dim ker(d_out) / im(d_in) as
 cols - rank(d_out) - rank(d_in), with no kernel basis, through
-`homology_from_ranks`, the one place that formula is written; `span_quotient`
-eliminates a set of columns once and then reduces any number of vectors
-modulo their span; `solve_in_span` expresses a vector in the span of
-columns.
+`homology_from_ranks`, the one place that formula is written.
 
-Arithmetic.  The elimination core (`_row_echelon`, with `kernel_basis` and
-`solve_in_span` on top of it) reduces at every step: a pivot or a fill-in
-entry must be tested against zero in the field as soon as it is formed.
-Every other product here (`mul`, `mul_into`, `apply`, the `reduce` of
-`span_quotient`) follows the rule of `fields`: sum in plain arithmetic,
-then reduce once with `reduced_entries`.
+Arithmetic.  Both forms of elimination reduce at every step: a pivot or a
+fill-in entry must be tested against zero in the field as soon as it is
+formed.  Every other product here (`mul`, `mul_into`, `apply`) follows the
+rule of `fields`: sum in plain arithmetic, then reduce once with
+`reduced_entries`, as `Echelon.reduce` does to its input.
 """
-
 from __future__ import annotations
 
 import heapq
@@ -288,54 +296,54 @@ def homology_rank(d_out: SparseMatrix, d_in: SparseMatrix | None, field: Field) 
     return homology_from_ranks(d_out.cols, rank(d_out, field), r_in)
 
 
-def span_quotient(columns: list[dict], dim: int, field: Field):
-    """(rank of span(columns), reduce), where reduce(v) is the class of v in
-    k^dim / span(columns) as a sparse vector: reduce(v) == reduce(w) exactly
-    when v - w lies in the span.
+class Echelon:
+    """An echelon form grown one vector at a time (see the module
+    docstring).
 
-    One `kernel_basis` call eliminates the columns once: the null space of
-    the matrix whose rows are the columns is the annihilator of their span,
-    and pairing v with that basis reduces v against the reduced echelon
-    form of the span.
+    The vectors that `add` keeps are numbered 0, 1, ... in the order it
+    kept them.  Each row is (pivot, row, coords): row has a 1 at its pivot
+    and a 0 at every earlier pivot, and equals the sum of coords[j] times
+    kept vector j.
     """
-    rows = SparseMatrix(len(columns), dim, {(i, r): v for i, col in enumerate(columns)
-                                            for r, v in col.items()})
-    annihilator = kernel_basis(rows, field)
-    pairing: dict[int, list] = {}
-    for k, y in enumerate(annihilator):
-        for r, v in y.items():
-            pairing.setdefault(r, []).append((k, v))
 
-    def reduce(vec: dict) -> dict:
-        out: dict = {}
-        get = out.get
-        for r, a in vec.items():
-            for k, v in pairing.get(r, ()):
-                out[k] = get(k, 0) + a * v
-        return reduced_entries(out, field)
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows: list = []
 
-    return dim - len(annihilator), reduce
+    def reduce(self, vec: dict) -> tuple[dict, dict]:
+        """(rest, coords): vec, reduced once by `reduced_entries`, less the
+        combination of the kept vectors with coefficients coords (zeros
+        left out).  Rows are cleared in the order they were kept, and none
+        refills an earlier pivot, so rest has no entry at any pivot: it is
+        linear in vec, empty exactly when vec lies in the span, and names
+        the class of vec modulo the span."""
+        F = self.field
+        add, sub, mul, is_zero, zero = F.add, F.sub, F.mul, F.is_zero, F.zero()
+        rest, coords = reduced_entries(vec, F), {}
+        for pivot, row, row_coords in self.rows:
+            f = rest.get(pivot)
+            if f is None:
+                continue
+            for c, v in row.items():
+                r = sub(rest.get(c, zero), mul(f, v))
+                if is_zero(r):
+                    rest.pop(c, None)
+                else:
+                    rest[c] = r
+            for j, v in row_coords.items():
+                coords[j] = add(coords.get(j, zero), mul(f, v))
+        return rest, {j: v for j, v in coords.items() if not is_zero(v)}
 
-
-def solve_in_span(columns: list[dict], target: dict, field: Field) -> dict | None:
-    """Coefficients x with sum_i x[i] * columns[i] = target, or None when
-    target is not in the span.  Zero coefficients are left out; when the
-    columns are dependent, the solution is one of many."""
-    m = len(columns)
-    aug = columns + [{r: v for r, v in target.items() if not field.is_zero(v)}]
-    dim = 1 + max((r for col in aug for r in col), default=-1)
-    for vec in kernel_basis(matrix_from_columns(aug, dim), field):
-        t = vec.get(m)
-        if t is not None:
-            scale = field.neg(field.inv(t))
-            return {i: field.mul(scale, v) for i, v in vec.items() if i != m}
-    return None
-
-
-def matrix_from_columns(columns: list[dict], rows: int) -> SparseMatrix:
-    entries = {}
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            if v != 0:
-                entries[(r, c)] = v
-    return SparseMatrix(rows, len(columns), entries)
+    def add(self, vec: dict) -> bool:
+        """Keep vec, as the next kept vector, when it is independent of the
+        vectors kept before; return whether it was."""
+        rest, coords = self.reduce(vec)
+        if not rest:
+            return False
+        F = self.field
+        pivot = min(rest)
+        inv = F.inv(rest[pivot])
+        row_coords = {j: F.neg(F.mul(inv, v)) for j, v in coords.items()}
+        row_coords[len(self.rows)] = inv
+        self.rows.append((pivot, {c: F.mul(inv, v) for c, v in rest.items()}, row_coords))
+        return True

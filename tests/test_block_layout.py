@@ -122,7 +122,7 @@ def _ref_folded(cx, w, N, n_max):
         shape = (len(bases[1 - q]), len(bases[q]))
         coeffs = [(*shape, d_entries)]
         if N > 1:
-            coeffs += [(*shape, b_entries)] + [(*shape, {})] * (N - 2)
+            coeffs.append((*shape, b_entries))
         out[q] = coeffs
     ranks = {-1: len(bases[1]), 0: len(bases[0]), 1: len(bases[1]), 2: len(bases[0])}
     return ranks, {0: out[0], 1: out[1], 2: out[0]}

@@ -1084,6 +1084,19 @@ def test_a_key_named_twice_in_an_inline_polynomial_exits_2(capsys):
                          "--f", twice, "--g", _Y), "--f", "'coeff' is given twice")
 
 
+@pytest.mark.parametrize("argv", [
+    # hh reported mat(3): the last value won
+    ("hh", "--algebra", "mat", "--param", "m=2", "--param", "m=3", "--n-max", "1"),
+    ("hh", "--algebra", "mat", "--param", "m=2", "--param", "m=2", "--n-max", "1"),
+    ("glue", "--algebra-a", "mat", "--algebra-b", "point", "--param", "m=2",
+     "--param", "m=3"),
+], ids=["hh-two-values", "hh-one-value-twice", "glue"])
+def test_a_param_key_named_twice_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    _assert_refused(code, out, err, "--param key 'm' is given twice")
+    assert err.count("\n") == 1, err
+
+
 def test_like_terms_of_one_polynomial_are_still_summed(tmp_path, capsys):
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps(_bivector(_poly(((1, 1), "1"), ((1, 1), "1/2")))))

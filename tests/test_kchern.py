@@ -148,12 +148,14 @@ def test_solve_in_span_through_commutators():
     # Mat2 over F3: A/[A,A] is the trace, and trace(1) = 2, so
     # E11 = 2 . 1 mod [A, A]
     from nchodge.hochschild import commutator_columns
-    from nchodge.sparse import solve_in_span
+    from nchodge.sparse import Echelon
     A = builtin("mat", GF(3), m=2)
-    comm = commutator_columns(A)
-    sol = solve_in_span(comm + [{0: 1}], {1: 1}, A.field)
-    assert sol[len(comm)] == 2
-    assert solve_in_span(comm, {0: 1}, A.field) is None
+    echelon = Echelon(A.field)
+    rank = sum(echelon.add(c) for c in commutator_columns(A))
+    assert rank == 3
+    assert echelon.add({0: 1})  # 1 is not in [A, A]
+    rest, coords = echelon.reduce({1: 1})
+    assert not rest and coords[rank] == 2
 
 
 def _fraction_residue(chain):

@@ -18,7 +18,7 @@ from nchodge.algebra import (CATALOGUE, bilinear, builtin, glue, trivial_bimodul
 from nchodge.cyclic import _rotation_matrices
 from nchodge.fields import GF, QQ
 from nchodge.hochschild import commutator_columns
-from nchodge.sparse import SparseMatrix, kernel_basis, span_quotient
+from nchodge.sparse import Echelon, SparseMatrix, kernel_basis
 
 FIELDS = [QQ, GF(2), GF(3), GF(7)]
 SEED = 20261018
@@ -199,17 +199,38 @@ def test_apply_and_span_quotient_match_the_field_method_reference(F):
         columns = [_vector(rng, F, rows) for _ in range(rng.randint(0, 4))]
         annihilator = kernel_basis(SparseMatrix(len(columns), rows, {
             (i, r): x for i, col in enumerate(columns) for r, x in col.items()}), F)
-        _, reduce = span_quotient(columns, rows, F)
+        echelon = Echelon(F)
+        for col in columns:
+            echelon.add(col)
+        pairings, remainders = [], []
         for _ in range(5):
+            # w; w plus a combination of the columns, summed raw; and that
+            # combination alone
             w = _vector(rng, F, rows)
-            expected = {}
-            for k, y in enumerate(annihilator):
-                for r, x in w.items():
-                    if r in y:
-                        _accumulate(expected, k, F.mul(x, y[r]), F)
-            got = reduce(w)
-            assert got == expected
-            _assert_field_elements(got.values(), F)
+            shift = {}
+            for col in columns:
+                c = rng.randint(-3, 3)
+                for r, x in col.items():
+                    shift[r] = shift.get(r, 0) + c * x
+            shifted = dict(w)
+            for r, x in shift.items():
+                shifted[r] = shifted.get(r, 0) + x
+            for vec in (w, shifted, shift):
+                expected = {}
+                for k, y in enumerate(annihilator):
+                    for r, x in vec.items():
+                        if r in y:
+                            _accumulate(expected, k, F.mul(x, y[r]), F)
+                got = echelon.reduce(vec)[0]
+                assert (not got) == (not expected)
+                _assert_field_elements(got.values(), F)
+                pairings.append(expected)
+                remainders.append(got)
+        # two remainders agree exactly when their pairings with the
+        # annihilator of the span do
+        for a, b in zip(pairings, remainders):
+            for c, d in zip(pairings, remainders):
+                assert (b == d) == (a == c)
 
 
 def _sigma_power_reference(dimV, n, F):

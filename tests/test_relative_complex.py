@@ -18,7 +18,7 @@ from nchodge.algebra import (CATALOGUE, AlgebraError, AlgebraSpec, bilinear, bui
 from nchodge.fields import GF, QQ, linear_combination
 from nchodge.hochschild import (ChainComplex, DegreeWindow, absolute_block_size, chain_basis,
                                 hh_ranks, vertex_idempotents, word_parity)
-from nchodge.sparse import rank_of_columns, solve_in_span
+from nchodge.sparse import Echelon, rank_of_columns
 
 FIELDS = (QQ, GF(2), GF(3), GF(101))
 
@@ -126,12 +126,14 @@ def _skewed_mat2(F):
     E11 x E22 = 2 E12 is the first with a pivot at E12, where it is 2."""
     A = builtin("mat", F, m=2)  # basis 1, E11, E12, E21
     basis = [{0: 1}, {1: 1}, {2: 2, 3: 1}, {2: 1}]
+    echelon = Echelon(F)
+    assert all(echelon.add(u) for u in basis)
     structure = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             prod = bilinear(A.structure, u, v, F)
             if prod:
-                structure[(i, j)] = solve_in_span(basis, prod, F)
+                structure[(i, j)] = echelon.reduce(prod)[1]
     return AlgebraSpec("mat2-skewed", F, 4, structure)
 
 

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from nchodge import oracle
-from nchodge.fields import GF, QQ
-from nchodge.sparse import (SparseMatrix, StructuralError, homology_from_ranks, homology_rank,
-                            kernel_basis, leading_ranks, matrix_from_columns, rank,
-                            rank_of_columns, solve_in_span)
+from nchodge.fields import GF, QQ, linear_combination, reduced_entries
+from nchodge.sparse import (Echelon, SparseMatrix, StructuralError, homology_from_ranks,
+                            homology_rank, kernel_basis, leading_ranks, rank, rank_of_columns)
 from nchodge.umodule import UComplex, UTruncation, u_module_decompose
 
 
@@ -43,11 +42,9 @@ def test_kernel_basis_is_exact_kernel():
         assert not img
 
 
-def test_rank_of_columns_and_matrix_from_columns():
+def test_rank_of_columns():
     cols = [{0: Fraction(1)}, {0: Fraction(2)}, {1: Fraction(1)}]
     assert rank_of_columns(cols, QQ) == 2
-    m = matrix_from_columns(cols, 2)
-    assert m.rows == 2 and m.cols == 3
 
 
 def test_structural_errors():
@@ -224,21 +221,84 @@ def test_homology_rank_refuses_a_non_complex():
     assert homology_from_ranks(3, 2, 1) == 0
 
 
+def _solve_in_span(columns, target, F):
+    """Coefficients x with sum_i x[i] * columns[i] = target, from an Echelon
+    of the columns, or None when target is not in their span."""
+    echelon, kept = Echelon(F), []
+    for i, col in enumerate(columns):
+        if echelon.add(col):
+            kept.append(i)
+    rest, coords = echelon.reduce(target)
+    return None if rest else {kept[j]: x for j, x in coords.items()}
+
+
 def test_solve_in_span():
     for F in FIELDS:
         one = F.one()
         target = {r: v for r, v in {0: F.from_int(2), 1: one}.items() if not F.is_zero(v)}
         cols = [{0: one, 1: one}, {1: one}, {0: one}]  # dependent
-        sol = solve_in_span(cols, target, F)
+        sol = _solve_in_span(cols, target, F)
         assert sol is not None
         total = {}
         for i, x in sol.items():
             for r, v in cols[i].items():
                 total[r] = F.add(total.get(r, F.zero()), F.mul(x, v))
         assert {r: v for r, v in total.items() if not F.is_zero(v)} == target
-        assert solve_in_span(cols, {2: one}, F) is None
-        assert solve_in_span(cols, {}, F) == {}
-        assert solve_in_span([], {0: one}, F) is None
+        assert _solve_in_span(cols, {2: one}, F) is None
+        assert _solve_in_span(cols, {}, F) == {}
+        assert _solve_in_span([], {0: one}, F) is None
+
+
+def _raw_vector(rng, F, dim, density):
+    """A random vector of unreduced scalars: ints (and Fractions over Q)
+    that may be zero or, over F_p, outside 0..p-1."""
+    vec = {}
+    for r in range(dim):
+        if rng.random() < density:
+            x = rng.randint(-7, 7)
+            vec[r] = Fraction(x, rng.randint(2, 5)) if F.p is None and rng.random() < 0.4 else x
+    return vec
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(3)], ids=str)
+def test_echelon_answers_span_questions(F):
+    # add is true exactly when the rank grows; the remainder of reduce is
+    # empty exactly on the span, has no entry at a pivot, is linear, and
+    # with the coordinates rebuilds the vector
+    rng = random.Random(20 + F.characteristic)
+    for _ in range(80):
+        dim, density = rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8))
+        echelon, kept = Echelon(F), []
+        for _ in range(rng.randint(0, 10)):
+            if kept and rng.random() < 0.3:  # a combination of the kept vectors
+                vec = linear_combination([(rng.randint(-3, 3), v) for v in kept], F)
+            else:
+                vec = _raw_vector(rng, F, dim, density)
+            clean = reduced_entries(vec, F)
+            grows = rank_of_columns(kept + [clean], F) > len(kept)
+            assert echelon.add(vec) == grows
+            if grows:
+                kept.append(clean)
+        pivots = {pivot for pivot, _, _ in echelon.rows}
+        assert len(pivots) == len(echelon.rows) == len(kept)
+        for _ in range(6):
+            vecs = [_raw_vector(rng, F, dim, density) for _ in range(2)]
+            if kept and rng.random() < 0.5:
+                vecs[0] = linear_combination([(rng.randint(-3, 3), v) for v in kept], F)
+            rests = []
+            for vec in vecs:
+                clean = reduced_entries(vec, F)
+                rest, coords = echelon.reduce(vec)
+                assert (not rest) == (rank_of_columns(kept + [clean], F) == len(kept))
+                assert not pivots & set(rest)
+                assert all(coords.values()) and set(coords) <= set(range(len(kept)))
+                assert linear_combination([(c, kept[j]) for j, c in coords.items()], F) == \
+                    linear_combination([(1, clean), (-1, rest)], F)
+                rests.append(rest)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            combined = linear_combination([(a, vecs[0]), (b, vecs[1])], F)
+            assert echelon.reduce(combined)[0] == \
+                linear_combination([(a, rests[0]), (b, rests[1])], F)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -455,11 +515,11 @@ def test_mixed_int_fraction_entries_match_dense_oracle():
             for r, v in columns[i].items():
                 target[r] = target.get(r, 0) + x * v
         target = {r: v for r, v in target.items() if v != 0}
-        sol = solve_in_span(columns, target, QQ)
+        sol = _solve_in_span(columns, target, QQ)
         assert sol is not None and _no_float(sol)
         total = {}
         for i, x in sol.items():
             for r, v in columns[i].items():
                 total[r] = total.get(r, 0) + x * v
         assert {r: v for r, v in total.items() if v != 0} == target
-        assert solve_in_span(columns, {rows: Fraction(1, 3)}, QQ) is None
+        assert _solve_in_span(columns, {rows: Fraction(1, 3)}, QQ) is None

@@ -27,7 +27,11 @@ The grid:
   bivector and of an `ncg-bivector/1` file;
 - `chern` with an idempotent file that names elements by label and by
   index, over Q, over F7 and in markdown; `chern` of the corner
-  idempotent of a glued super algebra file; `ppower --lift` over F2;
+  idempotent of a glued super algebra file;
+- `ppower` of every catalogue entry over F2, F3, F5 and F7 (the entries
+  a field refuses exit 2), `ppower --lift E12*1` of `mat` over F2, and
+  `--lift eps` of `dual_numbers` and `--lift E11*1` of `mat` over F2, F3
+  and F5 (only p = 2 has a lift; F3 and F5 exit 3);
 - an algebra, an idempotent and a bivector file that name one entry twice,
   and three such files that name one JSON key twice in one object;
 - `hc`, `hp`, `filtration` and `degeneration` of three glued algebra files
@@ -72,6 +76,7 @@ SWEEP_ALGEBRAS = (("dual_numbers",), ("truncated_poly", "--param", "m=3"),
                   ("a2_path",), ("group_z2",), ("clifford1",))
 SWEEP_FIELDS = ("Q", "F2", "F3", "F5")
 HH_FIELDS = ("Q", "F2", "F3")
+PPOWER_FIELDS = ("F2", "F3", "F5", "F7")
 # the cyclic window of each glued file, about 2 s a command on the absolute complex
 GLUED_WINDOWS = {"zero": ("--n-max", "7", "--u-trunc", "3"),
                  "trivial": ("--n-max", "6", "--u-trunc", "3"),
@@ -241,6 +246,12 @@ def grid() -> list:
     out.append(("chern", "--algebra", "glue-super.json", "--u-trunc", "3",
                 "--idempotent", "pi-corner.json"))
     out.append(("ppower", "--algebra", "mat", "--field", "F2", "--lift", "E12*1"))
+    for name in CATALOGUE:
+        for field in PPOWER_FIELDS:
+            out.append(("ppower", "--algebra", name, "--field", field))
+    for algebra, label in (("dual_numbers", "eps"), ("mat", "E11*1")):
+        for field in PPOWER_FIELDS[:3]:
+            out.append(("ppower", "--algebra", algebra, "--field", field, "--lift", label))
     for kind, window in GLUED_WINDOWS.items():
         for command in CYCLIC[:-1]:
             out.append((command, "--algebra", f"glue-{kind}.json", *window))
