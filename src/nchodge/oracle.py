@@ -1,14 +1,28 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here recomputes fixture values by naive dense elimination with
-first-nonzero pivoting and no heuristics; no linear-algebra routine is
-shared with the sparse main path.  Slowness is a feature: the point of this
-module is to be obviously correct, and the test suite asserts that the
-main path agrees with it.
+Everything here recomputes fixture values by naive dense linear algebra and
+its own enumeration; nothing is shared with the engine's sparse elimination.
+The arithmetic is the oracle's own too: it reads `field.p` and calls no
+`Field` method.  Over Q a scalar is an exact int or Fraction (a division only
+as `Fraction(1, x)`); over F_p it is an int reduced mod p.  Matrices are
+built as raw sums of structure constants and reduced when they are
+eliminated.  Slowness is a feature: the point of this module is to be
+obviously correct, and the test suite asserts that the main path agrees
+with it.  Importing this module loads `algebra` and `fields` only; a
+fixture that runs the engine imports it itself.
 
-The fixture registry is the module-level FIXTURES table; ``certify`` runs
-one entry and returns an OracleResult carrying the computed value and a
-hash of the fixture inputs.
+There is one elimination, `_echelon`: first-nonzero pivots, each pivot row
+normalized to a leading 1 and subtracted, along its nonzero entries, from
+the rows below it.  `dense_rank` is the number of its pivots, and
+`dense_kernel` back-substitutes through it.  It stays forward-only: a rank
+needs nothing more and a kernel is read off by back-substitution, so
+clearing above each pivot as well (a reduced echelon form) would add
+elimination steps and no answer.
+
+The fixture registry is the module-level FIXTURES table, fixture id ->
+(description, function, registered value); ``certify`` runs one entry,
+raises FixtureMismatch unless it gives the registered value, and returns an
+OracleResult carrying the value and a hash of the fixture inputs.
 """
 
 from __future__ import annotations
@@ -18,9 +32,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import builtin, glue, zero_bimodule
+from .fields import GF, QQ
+
 
 class FixtureError(KeyError):
     pass
+
+
+class FixtureMismatch(AssertionError):
+    """A fixture computed a value other than its registered one."""
 
 
 @dataclass
@@ -36,242 +57,147 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def dense_rank_q(rows: list[list[Fraction]]) -> int:
-    """Row reduction over Q, first nonzero pivot, no heuristics."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        piv = rows[pivot_row][col]
-        for r in range(pivot_row + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / piv
-                row = rows[r]
-                prow = rows[pivot_row]
-                for c in range(col, ncols):
-                    row[c] -= f * prow[c]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(rows):
-            break
-    return rank
+def _arith(field):
+    """(reduce, inverse) of the oracle's arithmetic over field."""
+    p = field.p
+    if p is None:
+        return (lambda x: x), (lambda x: Fraction(1, x))
+    return (lambda x: x % p), (lambda x: pow(x, p - 2, p))
 
 
-def dense_rank_p(rows: list[list[int]], p: int) -> int:
-    """Row reduction over F_p."""
-    rows = [[x % p for x in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    pivot_row = 0
+def _echelon(rows, ncols: int, field) -> list[tuple[int, list]]:
+    """Row echelon form of a dense matrix as (pivot column, row) pairs in
+    column order, each row normalized to 1 at its pivot and 0 before it.
+
+    The pivot of a column is the first remaining row that is nonzero there;
+    it is eliminated from the rows below and never from those above.
+    """
+    red, inv = _arith(field)
+    pending = [[red(x) for x in row] for row in rows]
+    pivots = []
     for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                sel = r
-                break
+        sel = next((i for i, row in enumerate(pending) if row[col]), None)
         if sel is None:
             continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = pow(rows[pivot_row][col], p - 2, p)
-        for r in range(pivot_row + 1, len(rows)):
-            if rows[r][col]:
-                f = (rows[r][col] * inv) % p
-                row = rows[r]
-                prow = rows[pivot_row]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - f * prow[c]) % p
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(rows):
+        prow = pending.pop(sel)
+        s = inv(prow[col])
+        prow = [red(x * s) for x in prow]
+        nonzero = [(c, prow[c]) for c in range(col, ncols) if prow[c]]
+        for row in pending:
+            if f := row[col]:
+                for c, v in nonzero:
+                    row[c] = red(row[c] - f * v)
+        pivots.append((col, prow))
+        if not pending:
             break
-    return rank
+    return pivots
 
 
 def dense_rank(rows, field) -> int:
-    if field.p is None:
-        return dense_rank_q([[Fraction(x) for x in r] for r in rows])
-    return dense_rank_p([[int(x) for x in r] for r in rows], field.p)
+    return len(_echelon(rows, len(rows[0]) if rows else 0, field))
 
 
 def dense_kernel(rows, ncols: int, field) -> list[list]:
-    """Basis of {x : rows . x = 0}, one vector per free column, by naive
-    reduced row echelon form with first-nonzero pivots."""
-    p = field.p
-    red = (lambda x: Fraction(x)) if p is None else (lambda x: int(x) % p)
-    inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, p - 2, p))
-    m = [[red(x) for x in r] for r in rows]
-    pivots = []
-    for col in range(ncols):
-        top = len(pivots)
-        sel = next((r for r in range(top, len(m)) if m[r][col]), None)
-        if sel is None:
-            continue
-        m[top], m[sel] = m[sel], m[top]
-        s = inv(m[top][col])
-        m[top] = [red(x * s) for x in m[top]]
-        for r in range(len(m)):
-            if r != top and m[r][col]:
-                f = m[r][col]
-                m[r] = [red(a - f * b) for a, b in zip(m[r], m[top])]
-        pivots.append(col)
+    """Basis of {x : rows . x = 0}, one vector per free column f: x_f = 1,
+    the other free entries 0, and the pivot entries back-substituted
+    through `_echelon`, last pivot first."""
+    red, _ = _arith(field)
+    echelon = _echelon(rows, ncols, field)
+    tails = [(col, [(c, x) for c, x in enumerate(row) if c > col and x])
+             for col, row in reversed(echelon)]
+    pivot_cols = {col for col, _ in echelon}
     basis = []
     for free in range(ncols):
-        if free in pivots:
+        if free in pivot_cols:
             continue
-        v = [red(0)] * ncols
-        v[free] = red(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = red(-m[r][free])
+        v = [0] * ncols
+        v[free] = 1
+        for col, tail in tails:
+            v[col] = red(-sum(x * v[c] for c, x in tail))
         basis.append(v)
     return basis
 
 
-def dense_homology_rank(d_out_rows, d_in_rows, ncols_here, field) -> int:
-    """dim ker(d_out) - rank(d_in) from dense matrices given as row lists.
-
-    d_out has ncols_here columns; d_in has ncols_here rows.
-    """
-    r_out = dense_rank(d_out_rows, field) if d_out_rows else 0
-    r_in = dense_rank(_transpose_rows(d_in_rows), field) if d_in_rows else 0
-    return ncols_here - r_out - r_in
-
-
-def _transpose_rows(rows):
-    if not rows:
-        return []
-    return [[rows[r][c] for r in range(len(rows))] for c in range(len(rows[0]))]
-
-
-def _sparse_to_rows(M, field):
-    zero = field.zero()
-    rows = [[zero] * M.cols for _ in range(M.rows)]
+def _sparse_to_rows(M):
+    rows = [[0] * M.cols for _ in range(M.rows)]
     for (r, c), v in M.entries.items():
         rows[r][c] = v
     return rows
 
 
 # ---------------------------------------------------------------------------
-# dense Hochschild complexes (own word enumeration; no plain-parity algebras
-# beyond what the registered fixtures need)
+# dense Hochschild complexes (own word enumeration)
 # ---------------------------------------------------------------------------
 
 
-def _unreduced_words(dim: int, n: int):
-    words = [()]
-    for _ in range(n + 1):
-        words = [w + (i,) for w in words for i in range(dim)]
+def _words(dim: int, n: int, reduced: bool):
+    """Words (a_0, ..., a_n) of basis indices; in the reduced complex no
+    a_i with i > 0 is the unit, basis element 0."""
+    words = [(i,) for i in range(dim)]
+    for _ in range(n):
+        words = [w + (i,) for w in words for i in range(1 if reduced else 0, dim)]
     return words
 
 
-def _unreduced_boundary_rows(A, n: int):
-    """Dense matrix of the unreduced b: A^{(x)(n+1)} -> A^{(x)n}, row list."""
-    F = A.field
-    src = _unreduced_words(A.dim, n)
-    dst = _unreduced_words(A.dim, n - 1)
-    dst_index = {w: i for i, w in enumerate(dst)}
-    rows = [[F.zero()] * len(src) for _ in dst]
-    for c, w in enumerate(src):
+def _boundary_images(A, n: int, reduced: bool):
+    """b(w) for each word w of C_n, a dense vector of raw sums over the
+    words of C_{n-1}: the rows of the transpose of b, recomputed from
+    scratch.  In the reduced complex a face that puts the unit into a_i,
+    i > 0, is zero.  The last face moves a_n past a_0 ... a_{n-1}, with the
+    Koszul sign of that move."""
+    dst_index = {w: i for i, w in enumerate(_words(A.dim, n - 1, reduced))}
+    par = A.parity
+    images = []
+    for w in _words(A.dim, n, reduced):
+        image = [0] * len(dst_index)
         for i in range(n):
-            sign = F.one() if i % 2 == 0 else F.neg(F.one())
             for k, v in A.mul_basis(w[i], w[i + 1]).items():
-                t = w[:i] + (k,) + w[i + 2:]
-                r = dst_index[t]
-                rows[r][c] = F.add(rows[r][c], F.mul(sign, v))
-        sign = F.one() if n % 2 == 0 else F.neg(F.one())
+                if not (reduced and i and k == 0):
+                    image[dst_index[w[:i] + (k,) + w[i + 2:]]] += (-1) ** i * v
+        sign = (-1) ** n
+        if par is not None and par[w[n]] % 2 and sum(par[j] for j in w[:n]) % 2:
+            sign = -sign
         for k, v in A.mul_basis(w[n], w[0]).items():
-            t = (k,) + w[1:n]
-            r = dst_index[t]
-            rows[r][c] = F.add(rows[r][c], F.mul(sign, v))
-    return rows, len(src)
+            image[dst_index[(k,) + w[1:n]]] += sign * v
+        images.append(image)
+    return images
+
+
+def _hh_ranks(A, n_top: int, reduced: bool) -> list[int]:
+    """dim HH_n = dim C_n - rank b_n - rank b_{n+1} for n = 0..n_top, each
+    boundary's rank taken once."""
+    ranks = [0] + [dense_rank(_boundary_images(A, n, reduced), A.field)
+                   for n in range(1, n_top + 2)]
+    return [len(_words(A.dim, n, reduced)) - ranks[n] - ranks[n + 1]
+            for n in range(n_top + 1)]
 
 
 def unreduced_hh_ranks(A, n_top: int) -> list[int]:
     """Unreduced Hochschild homology ranks for n = 0..n_top (dense)."""
     if A.dim > 3 or n_top > 3:
         raise FixtureError("fixture too large for the unreduced dense oracle")
-    out = []
-    for n in range(n_top + 1):
-        d_out, here = _unreduced_boundary_rows(A, n) if n > 0 else ([], A.dim ** 1)
-        if n == 0:
-            here = A.dim
-        d_in, _ = _unreduced_boundary_rows(A, n + 1)
-        out.append(dense_homology_rank(d_out, d_in, here, A.field))
-    return out
-
-
-def _reduced_words(dim: int, n: int):
-    words = [(i,) for i in range(dim)]
-    for _ in range(n):
-        words = [w + (i,) for w in words for i in range(1, dim)]
-    return words
-
-
-def _reduced_boundary_rows(A, n: int):
-    """Dense matrix of the reduced boundary, recomputed from scratch."""
-    F = A.field
-    src = _reduced_words(A.dim, n)
-    dst = _reduced_words(A.dim, n - 1)
-    dst_index = {w: i for i, w in enumerate(dst)}
-    rows = [[F.zero()] * len(src) for _ in dst]
-    par = A.parity
-
-    def put(r, c, v):
-        rows[r][c] = F.add(rows[r][c], v)
-
-    for c, w in enumerate(src):
-        for i in range(n):
-            sign = F.one() if i % 2 == 0 else F.neg(F.one())
-            for k, v in A.mul_basis(w[i], w[i + 1]).items():
-                if i > 0 and k == 0:
-                    continue
-                put(dst_index[w[:i] + (k,) + w[i + 2:]], c, F.mul(sign, v))
-        sign = F.one() if n % 2 == 0 else F.neg(F.one())
-        if par is not None and par[w[n]] % 2 and sum(par[j] for j in w[:n]) % 2:
-            sign = F.neg(sign)
-        for k, v in A.mul_basis(w[n], w[0]).items():
-            put(dst_index[(k,) + w[1:n]], c, F.mul(sign, v))
-    return rows, len(src)
+    return _hh_ranks(A, n_top, reduced=False)
 
 
 def reduced_hh_ranks(A, n_top: int) -> list[int]:
     """Reduced Hochschild homology ranks for n = 0..n_top (dense)."""
-    out = []
-    for n in range(n_top + 1):
-        if n > 0:
-            d_out, here = _reduced_boundary_rows(A, n)
-        else:
-            d_out, here = [], A.dim
-        d_in, _ = _reduced_boundary_rows(A, n + 1)
-        out.append(dense_homology_rank(d_out, d_in, here, A.field))
-    return out
+    return _hh_ranks(A, n_top, reduced=True)
 
 
 def commutator_span_rank(A) -> int:
     """Rank of span{e_i e_j - (-1)^{|i||j|} e_j e_i} by dense elimination."""
-    F = A.field
+    par = A.parity
     rows = []
     for i in range(A.dim):
         for j in range(A.dim):
-            v = [F.zero()] * A.dim
+            sign = -1 if par is not None and par[i] % 2 and par[j] % 2 else 1
+            v = [0] * A.dim
             for k, c in A.mul_basis(i, j).items():
-                v[k] = F.add(v[k], c)
-            sign = F.one()
-            if A.parity is not None and A.parity[i] % 2 and A.parity[j] % 2:
-                sign = F.neg(F.one())
+                v[k] += c
             for k, c in A.mul_basis(j, i).items():
-                v[k] = F.sub(v[k], F.mul(sign, c))
-            if any(not F.is_zero(x) for x in v):
-                rows.append(v)
-    return dense_rank(rows, F)
+                v[k] -= sign * c
+            rows.append(v)
+    return dense_rank(rows, A.field)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +205,39 @@ def commutator_span_rank(A) -> int:
 # ---------------------------------------------------------------------------
 
 
-def dense_u_module_dims(apply_u, vectors: list[list[Fraction]], N: int, field):
-    """dims d_t = dim u^t M for a module M given by spanning vectors and a
-    dense u-action callable; naive elimination throughout."""
+def _u_expand(coeffs, N: int):
+    """Dense k-matrix of a matrix over k[u]/u^N given by its u-coefficients
+    (dense row lists): slot j of generator v of a free module of rank r is
+    coordinate j * r + v, and u^t moves slot j to slot j + t."""
+    rows = len(coeffs[0])
+    cols = len(coeffs[0][0]) if rows else 0
+    out = [[0] * (N * cols) for _ in range(N * rows)]
+    for t, M in enumerate(coeffs[:N]):
+        for r, row in enumerate(M):
+            for c, v in enumerate(row):
+                if v:
+                    for j in range(N - t):
+                        out[(j + t) * rows + r][j * cols + c] = v
+    return out
+
+
+def dense_u_homology_dims(d_out, d_in, r: int, N: int, field) -> list[int]:
+    """dims d_t = dim u^t H for t < N, H the homology at one position of a
+    complex of free k[u]/u^N-modules, the one there of rank r.
+
+    d_out (out of the position, r columns) and d_in (into it, r rows) are
+    given by their u-coefficients, as for `_u_expand`; [] for none.  d_t is
+    the rank of u^t times the cycles beside the boundaries, less the rank of
+    the boundaries.
+    """
+    n = N * r
+    cycles = dense_kernel(_u_expand(d_out, N) if d_out else [], n, field)
+    boundaries = [list(col) for col in zip(*_u_expand(d_in, N))] if d_in else []
+    b_rank = dense_rank(boundaries, field)
     dims = []
-    current = [list(v) for v in vectors]
     for _ in range(N):
-        dims.append(dense_rank(current, field) if current else 0)
-        current = [apply_u(v) for v in current]
+        dims.append(dense_rank(cycles + boundaries, field) - b_rank)
+        cycles = [[0] * r + v[:n - r] for v in cycles]
     return dims
 
 
@@ -380,20 +331,18 @@ def jacobiator_components(alpha) -> dict:
 
 
 def _fx_two_term_u_complex():
-    from .fields import QQ
-    from .umodule import two_term_u_complex, u_module_decompose
-    N = 3
-    cx = two_term_u_complex(N, QQ)
-    reports = u_module_decompose(cx, QQ)
-    # independent hand value: coker(u) = k[u]/u, ker(u) = u^{N-1}k[u]/u^N = k
-    return {pos: {"free": r.free_rank, "torsion": dict(r.torsion_blocks)}
-            for pos, r in reports.items()}
+    # k[u]/u^3 --u--> k[u]/u^3 at positions 1 -> 0, its one differential
+    # written by u-coefficients: 0, 1, 0
+    u = [[[0]], [[1]], [[0]]]
+    out = {}
+    for pos, d_out, d_in in ((0, [], u), (1, u, [])):
+        free, blocks = dense_blocks_from_dims(dense_u_homology_dims(d_out, d_in, 1, 3, QQ))
+        out[pos] = {"free": free, "torsion": blocks}
+    return out
 
 
 def _fx_dual_numbers_nc_even():
-    from .algebra import builtin
     from .cyclic import negative_cyclic
-    from .fields import QQ
     from .hochschild import DegreeWindow
     A = builtin("dual_numbers", QQ)
     rep = negative_cyclic(A, DegreeWindow(6), 3)
@@ -402,8 +351,6 @@ def _fx_dual_numbers_nc_even():
 
 
 def _fx_quantum_plane_count():
-    from .algebra import builtin
-    from .fields import QQ
     from .hochschild import chain_basis
     A = builtin("quantum_plane", QQ, q="2", max_weight=3)
     words = chain_basis(A, 1, weight=2)
@@ -416,30 +363,12 @@ def _fx_quantum_plane_count():
 
 
 def _fx_mat2_boundary_image_rank():
-    from .algebra import builtin
-    from .fields import QQ
     from .hochschild import ChainComplex
     A = builtin("mat", QQ, m=2)
-    M = ChainComplex(A).boundary(1)
-    rows = _sparse_to_rows(M, A.field)
-    return dense_rank(rows, A.field)
-
-
-def _fx_dual_numbers_hh():
-    from .algebra import builtin
-    from .fields import QQ
-    return reduced_hh_ranks(builtin("dual_numbers", QQ), 4)
-
-
-def _fx_mat2_hh():
-    from .algebra import builtin
-    from .fields import QQ
-    return reduced_hh_ranks(builtin("mat", QQ, m=2), 4)
+    return dense_rank(_sparse_to_rows(ChainComplex(A).boundary(1)), A.field)
 
 
 def _fx_glue_dual_truncated_hh():
-    from .algebra import builtin, glue, zero_bimodule
-    from .fields import QQ
     from .hochschild import DegreeWindow, hh_ranks
     D, T = builtin("dual_numbers", QQ), builtin("truncated_poly", QQ, m=3)
     A = glue(D, T, zero_bimodule(T, D))
@@ -449,30 +378,18 @@ def _fx_glue_dual_truncated_hh():
     return {"main": [main[n] for n in range(4)], "oracle": reduced_hh_ranks(A, 3)}
 
 
-def _fx_mat2_commutator_rank():
-    from .algebra import builtin
-    from .fields import QQ
-    return commutator_span_rank(builtin("mat", QQ, m=2))
-
-
 def _fx_a2_path_hh0():
-    from .algebra import builtin
-    from .fields import QQ
     A = builtin("a2_path", QQ)
     return A.dim - commutator_span_rank(A)
 
 
 def _fx_unreduced_vs_reduced_dual():
-    from .algebra import builtin
-    from .fields import QQ
     A = builtin("dual_numbers", QQ)
     return {"unreduced": unreduced_hh_ranks(A, 3), "reduced": reduced_hh_ranks(A, 3)}
 
 
 def _fx_dual_numbers_hp():
-    from .algebra import builtin
     from .cyclic import hp_ranks
-    from .fields import QQ
     from .hochschild import DegreeWindow
     rep = hp_ranks(builtin("dual_numbers", QQ), DegreeWindow(8), 3)
     return {"hp": [rep.hp_even, rep.hp_odd], "conclusive": rep.conclusive,
@@ -480,31 +397,22 @@ def _fx_dual_numbers_hp():
 
 
 def _fx_dual_numbers_filtration():
-    from .algebra import builtin
     from .cyclic import hodge_filtration
-    from .fields import QQ
     from .hochschild import DegreeWindow
     return hodge_filtration(builtin("dual_numbers", QQ), DegreeWindow(8), 3)
 
 
-def _fx_degeneration(name):
+def _fx_degeneration(name, n_max, N, **params):
     def run():
-        from .algebra import builtin
         from .cyclic import degeneration_check
-        from .fields import QQ
         from .hochschild import DegreeWindow
-        if name == "mat2":
-            rep = degeneration_check(builtin("mat", QQ, m=2), DegreeWindow(6), 2)
-        else:
-            rep = degeneration_check(builtin("dual_numbers", QQ), DegreeWindow(8), 3)
-        return rep["verdict"]
+        A = builtin(name, QQ, **params)
+        return degeneration_check(A, DegreeWindow(n_max), N)["verdict"]
     return run
 
 
 def _fx_charp_compare_dual_f2():
-    from .algebra import builtin
     from .cyclic import char_p_compare
-    from .fields import GF
     from .hochschild import DegreeWindow
     rep = char_p_compare(builtin("dual_numbers", GF(2)), DegreeWindow(8), 3)
     return {"agree": rep["agree"]}
@@ -512,26 +420,21 @@ def _fx_charp_compare_dual_f2():
 
 def _fx_graded_piece_v1_n2_p2():
     from .cyclic import graded_piece_analysis
-    from .fields import GF
     r = graded_piece_analysis(1, 2, GF(2))
     return [r["ker_one_minus_sigma_mod_norm"], r["ker_norm_mod_one_minus_sigma"]]
 
 
 def _fx_chern_e11_mat2():
-    from .algebra import builtin
-    from .fields import QQ
     from .kchern import Idempotent, chern_idempotent, cycle_certificate, u0_class_nonzero
     A = builtin("mat", QQ, m=2)
     lbl = {A.label(i): i for i in range(A.dim)}
-    pi = Idempotent(A, {lbl["E11*1"]: A.field.one()})
+    pi = Idempotent(A, {lbl["E11*1"]: 1})
     ch = chern_idempotent(pi, 3)
     cert = cycle_certificate(ch)
     return {"cycle": cert["is_cycle"], "u0_nonzero": u0_class_nonzero(ch)}
 
 
 def _fx_mat2_f2_ppower_e12():
-    from .algebra import builtin
-    from .fields import GF
     A = builtin("mat", GF(2), m=2)
     # independent arithmetic: HH0 rank from the dense commutator span, and
     # e12^2 straight from the structure constants
@@ -542,23 +445,18 @@ def _fx_mat2_f2_ppower_e12():
 
 
 def _fx_dual_f2_lift_eps():
-    from .algebra import builtin
-    from .fields import GF
     from .kchern import ppower_lift_p2
     A = builtin("dual_numbers", GF(2))
-    lift = ppower_lift_p2(A, {1: A.field.one()})  # the class of eps
+    lift = ppower_lift_p2(A, {1: 1})  # the class of eps
     return {"components": [sorted((list(k), int(v)) for k, v in comp.items())
                            for comp in lift.components],
             "cycle": True}  # emission raises if the certificate fails
 
 
 def _fx_mat2_f2_lift_additivity():
-    from .algebra import builtin
-    from .fields import GF
     from .kchern import lift_difference_is_boundary
     A = builtin("mat", GF(2), m=2)
-    one = A.field.one()
-    return all(lift_difference_is_boundary(A, {a: one}, {b: one})
+    return all(lift_difference_is_boundary(A, {a: 1}, {b: 1})
                for a in range(A.dim) for b in range(A.dim))
 
 
@@ -612,100 +510,133 @@ def _fx_ph(name):
     return run
 
 
+# fixture id -> (description, function, registered value)
 FIXTURES = {
     "two_term_u_complex_N3": (
         "k[u]/u^3 --u--> k[u]/u^3: one torsion block of size 1 at each position",
-        _fx_two_term_u_complex),
+        _fx_two_term_u_complex,
+        {0: {"free": 0, "torsion": {1: 1}}, 1: {"free": 0, "torsion": {1: 1}}}),
     "dual_numbers_nc_N3_even_free": (
         "truncated negative cyclic of dual numbers over Q, n<=6, N=3: even free rank 1",
-        _fx_dual_numbers_nc_even),
+        _fx_dual_numbers_nc_even,
+        {"even_free": 1, "odd_free": 0, "even_torsion": {1: 3}}),
     "quantum_plane_n1_w2_count": (
         "quantum_plane(q=2, mw=3) chain words at n=1, weight 2: main vs independent enumeration",
-        _fx_quantum_plane_count),
+        _fx_quantum_plane_count,
+        {"main": 7, "independent": 7}),
     "mat2_boundary_image_rank_n1": (
         "Mat2(Q): rank of the image of the n=1 boundary = commutator subspace rank 3",
-        _fx_mat2_boundary_image_rank),
+        _fx_mat2_boundary_image_rank,
+        3),
     "glue_dual_truncated_hh_n3": (
         "glue(dual_numbers, truncated_poly(3)) over Q, zero bimodule: HH ranks (5,3,3,3) "
         "for n=0..3, relative main path vs dense absolute complex",
-        _fx_glue_dual_truncated_hh),
+        _fx_glue_dual_truncated_hh,
+        {"main": [5, 3, 3, 3], "oracle": [5, 3, 3, 3]}),
     "mat2_commutator_rank": (
         "Mat2(Q) commutator span rank 3 (trace-zero matrices)",
-        _fx_mat2_commutator_rank),
+        lambda: commutator_span_rank(builtin("mat", QQ, m=2)),
+        3),
     "dual_numbers_hh_n4": (
         "dual numbers over Q: dense reduced HH ranks (2,1,1,1,1) for n=0..4",
-        _fx_dual_numbers_hh),
+        lambda: reduced_hh_ranks(builtin("dual_numbers", QQ), 4),
+        [2, 1, 1, 1, 1]),
     "mat2_hh_n4": (
         "Mat2(Q): dense reduced HH ranks (1,0,0,0,0) for n=0..4 (Morita-trivial)",
-        _fx_mat2_hh),
+        lambda: reduced_hh_ranks(builtin("mat", QQ, m=2), 4),
+        [1, 0, 0, 0, 0]),
     "a2_path_hh0": (
         "A2 path algebra over Q: HH0 rank 2 by dense commutator span",
-        _fx_a2_path_hh0),
+        _fx_a2_path_hh0,
+        2),
     "unreduced_vs_reduced_dual_n3": (
         "dual numbers: unreduced and reduced dense HH ranks agree for n<=3",
-        _fx_unreduced_vs_reduced_dual),
+        _fx_unreduced_vs_reduced_dual,
+        {"unreduced": [2, 1, 1, 1], "reduced": [2, 1, 1, 1]}),
     "dual_numbers_hp_N3": (
         "hp_ranks(dual_numbers, n<=8, N=3) = (1,0) conclusive",
-        _fx_dual_numbers_hp),
+        _fx_dual_numbers_hp,
+        {"hp": [1, 0], "conclusive": True, "verdict": "finite-torsion-found"}),
     "dual_numbers_filtration_profile": (
         "full Hodge filtration profile of dual numbers (regression value)",
-        _fx_dual_numbers_filtration),
+        _fx_dual_numbers_filtration,
+        {"0": 1, "1/2": 0, "1": 1, "3/2": 0, "2": 1, "5/2": 0, "3": 0, "7/2": 0}),
     "dual_numbers_degeneration": (
         "degeneration_check(dual_numbers) = finite-torsion-found",
-        _fx_degeneration("dual")),
+        _fx_degeneration("dual_numbers", 8, 3),
+        "finite-torsion-found"),
     "mat2_degeneration": (
         "degeneration_check(mat2) = collapses-in-window",
-        _fx_degeneration("mat2")),
+        _fx_degeneration("mat", 6, 2, m=2),
+        "collapses-in-window"),
     "charp_compare_dual_F2": (
         "char_p_compare(F2[x]/x^2, n<=8, N=3): free ranks agree per guard-safe weight",
-        _fx_charp_compare_dual_f2),
+        _fx_charp_compare_dual_f2,
+        {"agree": True}),
     "graded_piece_v1_n2_p2": (
         "graded pieces dimV=1, n=2, p=2: ranks (1,1) = the (1-sigma) two-term complex",
-        _fx_graded_piece_v1_n2_p2),
+        _fx_graded_piece_v1_n2_p2,
+        [1, 1]),
     "chern_e11_mat2": (
         "chern_idempotent(e11 in Mat2(Q), N=3): exact cycle, nonzero u^0 class",
-        _fx_chern_e11_mat2),
+        _fx_chern_e11_mat2,
+        {"cycle": True, "u0_nonzero": True}),
     "mat2_f2_ppower_e12": (
         "Mat2(F2): HH0 rank 1; class of e12 squares to 0",
-        _fx_mat2_f2_ppower_e12),
+        _fx_mat2_f2_ppower_e12,
+        {"hh0_rank": 1, "e12_square_zero": True}),
     "dual_f2_lift_eps": (
         "p=2 lift of eps in dual numbers over F2 = 1(x)eps(x)eps . u, cycle certified",
-        _fx_dual_f2_lift_eps),
+        _fx_dual_f2_lift_eps,
+        {"components": [[], [([0, 1, 1], 1)]], "cycle": True}),
     "mat2_f2_lift_additivity": (
         "Mat2(F2): lift(a+b) - lift(a) - lift(b) is a boundary for all basis pairs",
-        _fx_mat2_f2_lift_additivity),
+        _fx_mat2_f2_lift_additivity,
+        True),
     "so3_jacobi": (
         "so(3) linear bivector has identically zero Jacobiator (independent trivector formula)",
-        _fx_so3_jacobi),
+        _fx_so3_jacobi,
+        True),
     "nonjacobi4_jacobi": (
         "registered non-Jacobi 4-variable bivector has a nonzero Jacobiator component",
-        _fx_nonjacobi4_jacobi),
+        _fx_nonjacobi4_jacobi,
+        {"nonzero": True, "witness": ["(0, 1, 2)"]}),
     "lie_derivative_values": (
         "L_alpha(x dy) = 1 and L_alpha(x dx^dy) = -dx for alpha = dx-dy inverse",
-        _fx_lie_values),
+        _fx_lie_values,
+        {"L_x_dy": {"((0, 0), ())": "1"}, "L_x_dxdy": {"((0, 0), (0,))": "-1"}}),
     "nonjacobi4_conjugation": (
         "conjugation identity fails for the non-Jacobi bivector with a witness form",
-        _fx_nonjacobi4_conjugation),
+        _fx_nonjacobi4_conjugation,
+        {"pass": False, "has_witness": True}),
     "star_2var_signs": (
         "*(1) = dx^dy and *(dx^dy) = -1 under the pinned convention",
-        _fx_star_2var_signs),
+        _fx_star_2var_signs,
+        {"star_1": {"((0, 0), (0, 1))": "1"}, "star_dxdy": {"((0, 0), ())": "-1"}}),
     "star_identity_4var_D4": (
         "star identity holds in 4 variables at D=4",
-        _fx_star_4var),
+        _fx_star_4var,
+        True),
     "ph_standard_D6": (
         "Poisson homology of alpha = dx^dy inverse at D=6: stable ranks (1,0)",
-        _fx_ph("standard")),
+        _fx_ph("standard"),
+        {"even": 1, "odd": 0, "stable": True}),
     "ph_zero_D6": (
         "Poisson homology of alpha = 0 at D=6: 2-periodic de Rham, stable ranks (1,0)",
-        _fx_ph("zero")),
+        _fx_ph("zero"),
+        {"even": 1, "odd": 0, "stable": True}),
 }
 
 
 def certify(fixture_id: str) -> OracleResult:
+    """Run one fixture; FixtureMismatch unless it gives its registered value."""
     if fixture_id not in FIXTURES:
         raise FixtureError(f"unknown fixture {fixture_id!r}")
-    description, fn = FIXTURES[fixture_id]
+    description, fn, expected = FIXTURES[fixture_id]
     value = fn()
+    if value != expected:
+        raise FixtureMismatch(f"fixture {fixture_id!r} computed {value!r}, "
+                              f"registered {expected!r}")
     digest = hashlib.sha256(
         json.dumps({"id": fixture_id, "description": description},
                    sort_keys=True).encode()).hexdigest()

@@ -218,11 +218,3 @@ def u_module_decompose(c: UComplex, field: Field, positions=None) -> dict:
         reports[pos] = UModuleReport(r - out[N] - in_[N], blocks, N)
     return reports
 
-
-def two_term_u_complex(N: int, field: Field) -> UComplex:
-    """The complex k[u]/u^N --(mult by u)--> k[u]/u^N at positions 1, 0."""
-    one = field.one()
-    diff = [SparseMatrix.zero(1, 1) for _ in range(N)]
-    if N > 1:
-        diff[1] = SparseMatrix(1, 1, {(0, 0): one})
-    return UComplex(UTruncation(N), {0: 1, 1: 1}, {1: diff})

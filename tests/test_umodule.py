@@ -3,8 +3,15 @@ import pytest
 from nchodge.fields import GF, QQ
 from nchodge.sparse import SparseMatrix
 from nchodge.umodule import (ContractViolation, UComplex, UModuleReport,
-                             UTruncation, blocks_from_filtration_dims,
-                             two_term_u_complex, u_module_decompose)
+                             UTruncation, blocks_from_filtration_dims, u_module_decompose)
+
+
+def two_term_u_complex(N, field):
+    """The complex k[u]/u^N --(mult by u)--> k[u]/u^N at positions 1, 0."""
+    diff = [SparseMatrix.zero(1, 1) for _ in range(N)]
+    if N > 1:
+        diff[1] = SparseMatrix(1, 1, {(0, 0): field.one()})
+    return UComplex(UTruncation(N), {0: 1, 1: 1}, {1: diff})
 
 
 def test_two_term_complex_torsion():

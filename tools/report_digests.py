@@ -40,11 +40,20 @@ The grid:
   trivial one, and `charp-compare` of the same three over F2 and F3;
 - the cyclic commands of the exterior algebra on two odd generators of
   weight 1, a connected-graded super algebra file, over Q and F3 at
-  N = 2 and 3 and n_max in {2N, 8}.
+  N = 2 and 3 and n_max in {2N, 8};
+- `--strict` runs that exit non-zero: `hp` of `dual_numbers` whose verdict
+  is inconclusive (exit 3), and `poisson conjugation` and `poisson jacobi`
+  of the non-Jacobi bivector (exit 2);
+- `poisson lie` of every catalogue bivector and of a file with one form
+  (a bivector in other than two variables exits 2), and `poisson star`
+  with that form, as json and as csv;
+- `hh` of `dual_numbers` twice with `--cache-dir cache`: the first run
+  writes the cache entry, the second replays it.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
-no line depends on where it is.  The report cache is off.  The `nchodge`
+no line depends on where it is.  The report cache is off except for the
+two runs that name `--cache-dir`, whose cache lies in that directory too.  The `nchodge`
 run is the one in this checkout's `src`.  Stdlib only; the total runtime
 goes to stderr.
 """
@@ -109,6 +118,9 @@ def _idempotent(vector):
 
 
 _X, _Y = json.dumps(_poly(((1, 0), "1"))), json.dumps(_poly(((0, 1), "1")))
+# x dy + 1/2 y dx^dy
+_FORM = json.dumps([{"exponents": [1, 0], "dxs": [1], "coeff": "1"},
+                    {"exponents": [0, 1], "dxs": [0, 1], "coeff": "1/2"}])
 
 
 def _workloads():
@@ -263,6 +275,18 @@ def grid() -> list:
                 for n_max in (2 * N, 8):
                     out.append((command, "--algebra", path, "--n-max", str(n_max),
                                 "--u-trunc", str(N)))
+    out.append(("hp", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2",
+                "--strict"))
+    for command in ("conjugation", "jacobi"):
+        out.append(("poisson", command, "--bivector", "nonjacobi4", "--degree", "2",
+                    "--strict"))
+    for bivector in (*BIVECTOR_CATALOGUE, "alpha.json"):
+        out.append(("poisson", "lie", "--bivector", bivector, "--form", _FORM))
+    for fmt in ("json", "csv"):
+        out.append(("poisson", "star", "--nvars", "2", "--degree", "2", "--form", _FORM,
+                    "--format", fmt))
+    # the same command twice: a report written to the cache, then replayed
+    out += [("hh", "--algebra", "dual_numbers", "--n-max", "3", "--cache-dir", "cache")] * 2
     return out
 
 
