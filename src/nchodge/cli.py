@@ -11,8 +11,10 @@ without and with --strict; a cache entry's first line, "ncg-cache/2 <key>
 
 Reports follow the "ncg-report/1" shape: every report embeds the tool
 version, field, window, truncation and guard/diagnostic flags alongside the
-result payload, and is emitted deterministically (sorted keys, fixed
-separators) so that identical runs are byte-identical.
+result payload.  Commands build it from JSON values (strings, ints, bools,
+None, lists, dicts with string keys in any order); the renderer alone sorts
+and escapes them, with fixed separators, so that identical runs are
+byte-identical, and refuses anything else with TypeError in every format.
 
 Reports are streamed: one renderer writes the text in pieces of about
 64 KB to stdout or, progressively, to the --output file, and the same
@@ -33,7 +35,6 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -300,33 +301,22 @@ class _Encoded(dict):
         return text
 
 
-def _key_order(keys) -> list:
-    """(string, key) for the keys of a mapping, in key order: a key's
-    string is str(k) for a key that is not a string, and a later key with
-    the same string wins."""
-    last = {k if isinstance(k, str) else str(k): k for k in keys}
-    return [(text, last[text]) for text in sorted(last)]
-
-
 def _encoder(pieces: _Pieces, indent: int | None, escape=None):
     """encode(value, level): append the JSON text of a report value to the
     pieces, as json.dumps(value, sort_keys=True) writes it, with
     indent=indent and the default ensure_ascii.
 
-    Report values pass through as they are built: a Fraction is written as
-    its "num/den" string, a tuple as a list and a non-string key as str(k).
-    Any other type json cannot write raises TypeError.  `escape`, if
+    A report value is a string, an int, a bool, None, or a list or a dict
+    with string keys of report values; anything else (a tuple, a float, an
+    unformatted scalar, a non-string key) raises TypeError.  `escape`, if
     given, is applied to every encoded string and key; no other piece can
     hold a '"' or a '|'.
     """
     parts, check = pieces.parts, pieces.check
     add = parts.append
     strings = _Encoded(escape)
-    keys: dict = {}
+    keys: dict = {}  # string key -> its encoded text and ": "
     frames: dict = {}
-    # key tuple -> `_key_order` of it, kept for tuples of strings only: a
-    # tuple with another key can equal one whose strings differ ((1,) == (True,))
-    orders: dict = {}
 
     def delimiters(level, open_, close):
         """(opening, separator, closing) of a container at this level."""
@@ -346,7 +336,7 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
             add(strings[obj])
         elif isinstance(obj, dict):
             encode_dict(obj, level)
-        elif isinstance(obj, (list, tuple)):
+        elif isinstance(obj, list):
             encode_list(obj, level)
         elif obj is None:
             add("null")
@@ -356,10 +346,6 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
             add("false")
         elif isinstance(obj, int):
             add(int.__repr__(obj))
-        elif isinstance(obj, Fraction):
-            add(strings[format_scalar(obj, QQ)])
-        elif isinstance(obj, float):
-            add(json.dumps(obj))
         else:
             raise TypeError(f"Object of type {type(obj).__name__} "
                             f"is not JSON serializable")
@@ -398,20 +384,17 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
         add(open_)
         level += 1
         first = True
-        order = orders.get(ks := tuple(d))
-        if order is None:
-            order = _key_order(ks)
-            if all(isinstance(k, str) for k in ks):
-                orders[ks] = order
-        for text, k in order:
+        for k in sorted(d):
             v = d[k]
             if first:
                 first = False
             else:
                 add(sep)
-            key = keys.get(text)
+            key = keys.get(k)
             if key is None:
-                key = keys[text] = strings[text] + ": "
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                key = keys[k] = strings[k] + ": "
             add(key)
             if isinstance(v, str):
                 add(strings[v])
@@ -427,8 +410,10 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
 def _leaves(prefix: str, d: dict):
     """(dotted key, value) for every value of a report that is not a dict,
     in key order: the rows of the csv and markdown formats."""
-    for k, original in _key_order(d):
-        v = d[original]
+    for k in sorted(d):
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+        v = d[k]
         key = f"{prefix}.{k}" if prefix else k
         if isinstance(v, dict):
             yield from _leaves(key, v)
@@ -439,11 +424,13 @@ def _leaves(prefix: str, d: dict):
 def _render(report: dict, fmt: str, write) -> None:
     """Stream a report to `write` in pieces of about `_CHUNK` characters.
 
-    json is written as json.dumps(report, sort_keys=True, indent=2) plus a
-    newline.  csv and markdown have one row per leaf of the report (a
-    value that is not a dict), holding the leaf as compact JSON with '"'
-    doubled (csv) or '|' escaped (markdown).  A csv key is quoted, with
-    '"' doubled, when it holds a comma, a quote or a line break.
+    The report is a report value (`_encoder`), refused with TypeError in
+    every format otherwise.  json is written as json.dumps(report,
+    sort_keys=True, indent=2) plus a newline.  csv and markdown have one
+    row per leaf of the report (a value that is not a dict), holding the
+    leaf as compact JSON with '"' doubled (csv) or '|' escaped (markdown).
+    A csv key is quoted, with '"' doubled, when it holds a comma, a quote
+    or a line break.
     """
     pieces = _Pieces(write)
     add = pieces.parts.append
@@ -599,9 +586,10 @@ def emit(args, command: str, meta: dict, result: dict, codes: tuple, key: str | 
     """Stream the report to stdout or --output and, given a cache key, to
     its cache entry, which records the exit codes with the report.
 
-    Field scalars are formatted by the commands, with their field, before
-    they get here: an integral Q scalar is a plain int and would otherwise
-    be written as a JSON number.
+    `meta` and `result` are JSON values with string keys in any order, and
+    their field scalars are formatted by the commands with their field (an
+    integral Q scalar is a plain int, and would be a JSON number); the
+    renderer sorts and escapes them and refuses anything else (TypeError).
     """
     report = {
         "format": REPORT_FORMAT,
@@ -810,10 +798,10 @@ def _validate(args, x):
 def _hh(args, x):
     ranks = hh_ranks(x.algebra, x.window)
     result = {"per_n": {str(n): r for n, r in ranks["per_n"].items()},
-              "hh0_direct": hh0_direct(x.algebra)["rank"]}
+              "hh0_direct": hh0_direct(x.algebra)}
     if "per_n_weight" in ranks:
         result["per_n_weight"] = {f"{n},{w}": r for (n, w), r
-                                  in sorted(ranks["per_n_weight"].items())}
+                                  in ranks["per_n_weight"].items()}
         result["guard_safe"] = {str(w): ok for w, ok in ranks["guard_safe"].items()}
     return result, _OK
 

@@ -98,11 +98,9 @@ class CyclicReport:
         return not self.flags.get("profile_inconsistent", False)
 
     def torsion_inventory(self) -> list:
-        out = []
-        for par, rep in (("even", self.even), ("odd", self.odd)):
-            for a in rep.torsion_list:
-                out.append((par, a))
-        return out
+        """[parity, block size] of every torsion block, as the report lists it."""
+        return [[par, a] for par, rep in (("even", self.even), ("odd", self.odd))
+                for a in rep.torsion_list]
 
     def to_dict(self) -> dict:
         d = {
@@ -110,11 +108,11 @@ class CyclicReport:
             "odd": self.odd.to_dict(),
             "truncation": self.N,
             "n_max": self.n_max,
-            "flags": dict(sorted(self.flags.items())),
+            "flags": dict(self.flags),
         }
         if self.per_weight is not None:
             d["per_weight"] = {str(w): {"even": e.to_dict(), "odd": o.to_dict()}
-                               for w, (e, o) in sorted(self.per_weight.items())}
+                               for w, (e, o) in self.per_weight.items()}
         return d
 
 
@@ -408,7 +406,7 @@ def degeneration_check(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     rep = _profile(ChainComplex(A, relative=True), window, N)
     return {
         "verdict": _verdict(rep, rep.consistent),
-        "torsion_inventory": [[par, a] for par, a in rep.torsion_inventory()],
+        "torsion_inventory": rep.torsion_inventory(),
         "profile": rep.to_dict(),
     }
 
@@ -442,8 +440,8 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
         for w in sorted(with_b.per_weight):
             if p * w > w_hi:
                 continue  # partner slot outside the computed window
-            # weight-w chains have length n <= w, and w <= n_max here
-            lhs = _d_only_free_ranks(cx, w, w)
+            # the d-only complex is the folded one modulo u
+            lhs = [r.truncated(1).free_rank for r in with_b.per_weight[w]]
             rhs = free_pair(p * w)
             agree = lhs == rhs
             guard = safe[w] and safe[p * w]
@@ -465,7 +463,7 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
         return {"per_slot": slots, "off_frobenius": off_frobenius,
                 "agree": agree_all, "truncation": N, "n_max": window.n_max}
     # Counted in the lengths whose u^{N-1} multiple stays inside the window.
-    without_b = _d_only_free_ranks(cx, window.n_max - 2 * N + 1, None)
+    without_b = _d_only_free_ranks(cx, window.n_max - 2 * N + 1)
     agree = [with_b.even.free_rank, with_b.odd.free_rank] == without_b
     return {"per_slot": [{"weight": None,
                           "with_b": [with_b.even.free_rank, with_b.odd.free_rank],
@@ -474,14 +472,15 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
             "agree": agree, "truncation": N, "n_max": window.n_max}
 
 
-def _d_only_free_ranks(cx: ChainComplex, n_top: int, weight: int | None) -> list:
+def _d_only_free_ranks(cx: ChainComplex, n_top: int) -> list:
     """(even, odd) free ranks of the d-only complex C (x) k[u]/u^N in lengths
-    n <= n_top.  It is u-free of rank dim H(C, d), so they are the Hochschild
-    ranks, a class of length n and word parity p having total parity n + p."""
+    n <= n_top, for the ungraded window (graded `char_p_compare` reads them
+    per weight off the folded profile modulo u).  It is u-free of rank
+    dim H(C, d): a class of length n and word parity p has parity n + p."""
     out = [0, 0]
     for p in ((0, 1) if cx.A.is_super else (0,)):
         for n in range(n_top + 1):
-            out[(n + p) % 2] += cx.hh_rank(n, weight, p)
+            out[(n + p) % 2] += cx.hh_rank(n, None, p)
     return out
 
 

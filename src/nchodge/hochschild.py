@@ -621,10 +621,9 @@ def commutator_columns(A: AlgebraSpec) -> list[dict]:
     return cols
 
 
-def hh0_direct(A: AlgebraSpec) -> dict:
-    """Rank and commutator data of A/[A,A], computed without chain machinery."""
-    commutator_rank = rank_of_columns(commutator_columns(A), A.field)
-    return {"rank": A.dim - commutator_rank, "commutator_rank": commutator_rank}
+def hh0_direct(A: AlgebraSpec) -> int:
+    """The rank of A/[A,A], computed without chain machinery."""
+    return A.dim - rank_of_columns(commutator_columns(A), A.field)
 
 
 def hkr_reference(v: int, i: int, w: int) -> int:

@@ -21,15 +21,12 @@ elimination steps and no answer.
 
 The fixture registry is the module-level FIXTURES table, fixture id ->
 (description, function, registered value); ``certify`` runs one entry,
-raises FixtureMismatch unless it gives the registered value, and returns an
-OracleResult carrying the value and a hash of the fixture inputs.
+raises FixtureMismatch unless it gives the registered value, and returns
+the value.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import builtin, glue, zero_bimodule
@@ -42,14 +39,6 @@ class FixtureError(KeyError):
 
 class FixtureMismatch(AssertionError):
     """A fixture computed a value other than its registered one."""
-
-
-@dataclass
-class OracleResult:
-    fixture_id: str
-    value: object
-    inputs_hash: str
-    description: str
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +617,14 @@ FIXTURES = {
 }
 
 
-def certify(fixture_id: str) -> OracleResult:
-    """Run one fixture; FixtureMismatch unless it gives its registered value."""
+def certify(fixture_id: str):
+    """Run one fixture and return its value; FixtureMismatch unless it is
+    the registered value."""
     if fixture_id not in FIXTURES:
         raise FixtureError(f"unknown fixture {fixture_id!r}")
-    description, fn, expected = FIXTURES[fixture_id]
+    _description, fn, expected = FIXTURES[fixture_id]
     value = fn()
     if value != expected:
         raise FixtureMismatch(f"fixture {fixture_id!r} computed {value!r}, "
                               f"registered {expected!r}")
-    digest = hashlib.sha256(
-        json.dumps({"id": fixture_id, "description": description},
-                   sort_keys=True).encode()).hexdigest()
-    return OracleResult(fixture_id, value, digest, description)
+    return value

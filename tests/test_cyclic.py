@@ -1,9 +1,11 @@
+import json
 from collections import Counter
 
 import pytest
 
 from nchodge import cyclic, hochschild, oracle, sparse, umodule
 from nchodge.algebra import CATALOGUE, AlgebraError, builtin
+from nchodge.cli import main
 from nchodge.cyclic import (UnsupportedError, WindowError, char_p_compare,
                             degeneration_check, graded_piece_analysis,
                             hodge_filtration, hp_ranks, negative_cyclic)
@@ -282,6 +284,65 @@ def test_char_p_compare_d_only_side_matches_decomposition(name, params, p):
         reports = umodule.u_module_decompose(uc, A.field)
         assert not reports[0].torsion_blocks and not reports[1].torsion_blocks
         assert slot["without_b"] == [reports[0].free_rank, reports[1].free_rank], slot
+
+
+def _charp_graded_algebras(F):
+    """Every catalogue algebra that is connected-graded over F, and the
+    exterior algebra on two odd generators (super, which none of them is)."""
+    for name in CATALOGUE:
+        try:
+            A = builtin(name, F)
+        except AlgebraError:  # q = 2 is zero over F2
+            continue
+        if A.connected_graded:
+            yield A
+    yield _exterior(F, 2)
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(5)], ids=str)
+def test_graded_charp_without_b_is_the_hochschild_homology_per_weight(F):
+    # graded char_p_compare reads its d-only side off the folded profile
+    # modulo u; here it is counted from Hochschild ranks instead: a class of
+    # length n <= w and word parity p has total parity (n + p) mod 2
+    checked = set()  # the algebras with a slot above weight 0
+    algebras = list(_charp_graded_algebras(F))
+    for A in algebras:
+        cx = hochschild.ChainComplex(A)
+        parities = (0, 1) if A.is_super else (0,)
+        for N in (2, 3, 4):
+            for n_max in sorted({2 * N, 8}):
+                rep = char_p_compare(A, DegreeWindow(n_max), N)
+                for slot in rep["per_slot"]:
+                    w = slot["weight"]
+                    expected = [0, 0]
+                    for n in range(w + 1):
+                        for p in parities:
+                            expected[(n + p) % 2] += cx.hh_rank(n, w, p)
+                    assert slot["without_b"] == expected, (A.name, N, n_max, slot)
+                    if w:
+                        checked.add(A.name)
+    # a slot's partner weight p * w lies in the window only when the
+    # algebra's weights reach p (and point has weight 0 only)
+    assert checked == {A.name for A in algebras if A.name != "point"
+                       and (A.max_weight is None or A.max_weight >= F.p)}
+
+
+def test_graded_charp_compare_runs_no_hochschild_pass(monkeypatch, capsys):
+    calls = []
+    hh_rank = hochschild.ChainComplex.hh_rank
+
+    def counting(self, *args):
+        calls.append(args)
+        return hh_rank(self, *args)
+
+    monkeypatch.setattr(hochschild.ChainComplex, "hh_rank", counting)
+    window = ["--field", "F3", "--n-max", "6", "--u-trunc", "3"]
+    assert main(["charp-compare", "--algebra", "poly_truncated", *window]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["per_slot"]
+    assert calls == []
+    assert main(["charp-compare", "--algebra", "a2_path", *window]) == 0
+    capsys.readouterr()
+    assert calls
 
 
 def _graded_cases(F):

@@ -29,19 +29,16 @@ def test_registry_is_populated_and_described():
 
 
 def test_certify_known_values():
-    r = oracle.certify("dual_numbers_hh_n4")
-    assert r.value == [2, 1, 1, 1, 1]
+    assert oracle.certify("dual_numbers_hh_n4") == [2, 1, 1, 1, 1]
     r2 = oracle.certify("quantum_plane_n1_w2_count")
-    assert r2.value["main"] == r2.value["independent"] == 7
-    r3 = oracle.certify("mat2_commutator_rank")
-    assert r3.value == 3
+    assert r2["main"] == r2["independent"] == 7
+    assert oracle.certify("mat2_commutator_rank") == 3
 
 
 def test_certify_hash_is_deterministic():
     a = oracle.certify("two_term_u_complex_N3")
     b = oracle.certify("two_term_u_complex_N3")
-    assert a.inputs_hash == b.inputs_hash
-    assert a.value == b.value
+    assert a == b == oracle.FIXTURES["two_term_u_complex_N3"][2]
 
 
 def test_certify_refuses_a_value_other_than_the_registered_one(monkeypatch):

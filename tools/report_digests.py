@@ -47,6 +47,11 @@ The grid:
 - `poisson lie` of every catalogue bivector and of a file with one form
   (a bivector in other than two variables exits 2), and `poisson star`
   with that form, as json and as csv;
+- csv and markdown of one command of every other report shape
+  (`FORMAT_SHAPES`): `hc`, `hp`, `degeneration` and `charp-compare` of
+  `poly_truncated` (graded) and `a2_path` (ungraded) over F3, `ppower
+  --lift`, `glue`, `validate` of the invalid file, `graded-pieces`,
+  `poisson homology` and `poisson jacobi`;
 - `hh` of `dual_numbers` twice with `--cache-dir cache`: the first run
   writes the cache entry, the second replays it.
 
@@ -90,6 +95,19 @@ PPOWER_FIELDS = ("F2", "F3", "F5", "F7")
 GLUED_WINDOWS = {"zero": ("--n-max", "7", "--u-trunc", "3"),
                  "trivial": ("--n-max", "6", "--u-trunc", "3"),
                  "super": ("--n-max", "7", "--u-trunc", "3")}
+
+# one command of each report shape that `hh`, `chern` and `poisson star`
+# do not cover, rendered as csv and markdown
+FORMAT_SHAPES = (
+    *((command, "--algebra", algebra, "--field", "F3", "--n-max", "6", "--u-trunc", "3")
+      for algebra in ("poly_truncated", "a2_path")
+      for command in ("hc", "hp", "degeneration", "charp-compare")),
+    ("ppower", "--algebra", "mat", "--field", "F2", "--lift", "E12*1"),
+    ("glue", "--algebra-a", "dual_numbers", "--algebra-b", "dual.json", "--bimodule", "zero"),
+    ("validate", "--algebra", "broken.json"),
+    ("graded-pieces", "--dim-v", "2", "--n", "4", "--field", "F2"),
+    ("poisson", "homology", "--bivector", "so3", "--degree", "6"),
+    ("poisson", "jacobi", "--bivector", "nonjacobi4"))
 
 # x * x = x + 1 with x * 1 = x + 1: unit and associativity fail
 _BROKEN = {"format": "ncg-algebra/1", "name": "x*x=x+1", "field": {"kind": "rationals"},
@@ -285,6 +303,9 @@ def grid() -> list:
     for fmt in ("json", "csv"):
         out.append(("poisson", "star", "--nvars", "2", "--degree", "2", "--form", _FORM,
                     "--format", fmt))
+    for fmt in ("csv", "markdown"):
+        for argv in FORMAT_SHAPES:
+            out.append((*argv, "--format", fmt))
     # the same command twice: a report written to the cache, then replayed
     out += [("hh", "--algebra", "dual_numbers", "--n-max", "3", "--cache-dir", "cache")] * 2
     return out
