@@ -36,7 +36,6 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .algebra import (AlgebraError, AlgebraSpec, CATALOGUE, SchemaError, ValidationReport,
@@ -720,13 +719,10 @@ def _load(args) -> _Inputs:
     return x
 
 
-class _Command(NamedTuple):
-    compute: Callable  # (args, inputs) -> (result, (exit code, exit code under --strict))
-    inputs: Callable   # (args, inputs) -> what the cache key hashes besides the meta
-    meta: Callable     # args -> report fields beyond field, algebra, window, truncation
-
-
-# report command name -> _Command
+# report command name -> (compute, inputs, meta):
+#   compute: (args, inputs) -> (result, (exit code, exit code under --strict))
+#   inputs:  (args, inputs) -> what the cache key hashes besides the meta
+#   meta:    args -> report fields beyond field, algebra, window, truncation
 _COMMANDS: dict = {}
 
 _OK = (EXIT_OK, EXIT_OK)
@@ -736,7 +732,7 @@ def _command(*names, inputs=lambda args, x: algebra_to_json(x.algebra),
              meta=lambda args: {}):
     def register(compute):
         for name in names:
-            _COMMANDS[name] = _Command(compute, inputs, meta)
+            _COMMANDS[name] = compute, inputs, meta
         return compute
     return register
 
@@ -747,7 +743,7 @@ def run(args) -> int:
     name = args.command
     if name == "poisson":
         name += "-" + args.poisson_command
-    command = _COMMANDS[name]
+    compute, inputs, command_meta = _COMMANDS[name]
     x = _load(args)
     meta: dict = {"field": None if x.field is None else str(x.field)}
     if x.algebra is not None:
@@ -757,15 +753,15 @@ def run(args) -> int:
                           "w_max": x.window.w_max}
     if x.N is not None:
         meta["truncation"] = x.N
-    meta.update(command.meta(args))
+    meta.update(command_meta(args))
     cache_dir = _cache_dir(args)
     key = None
     if cache_dir is not None:
-        key = _cache_key(args, name, meta, command.inputs(args, x))
+        key = _cache_key(args, name, meta, inputs(args, x))
         codes = _cache_replay(args, cache_dir, key)
         if codes is not None:
             return codes[args.strict]
-    result, codes = command.compute(args, x)
+    result, codes = compute(args, x)
     emit(args, name, meta, result, codes, key)
     return codes[args.strict]
 

@@ -24,10 +24,11 @@ is the next letter's source, and the last letter's target is the head's
 source.  Inner faces drop the S components of a product where the absolute
 complex drops its unit coordinate; B prefixes each rotation with the
 vertex idempotent at the cut.  With no idempotent basis element, S = k
-(V = 1, the one vertex is the unit) and the relative complex is the
-absolute one, word for word and in the same order: connected-graded
-algebras, dual numbers, group_z2 and clifford1 have S = k.  Letters are
-internal: nothing is emitted in them.
+(V = 1, the one vertex is the unit): the same Peirce construction gives
+back the basis of A as letters, and the relative complex is the absolute
+one, word for word and in the same order.  Connected-graded algebras, dual
+numbers, group_z2 and clifford1 have S = k.  Letters are internal: nothing
+is emitted in them.
 
 `hh_ranks` and every cyclic command (`cyclic.negative_cyclic`, `hp_ranks`,
 `degeneration_check`, `char_p_compare`) work relative to the vertex
@@ -37,7 +38,8 @@ floor homology of a truncated staircase (`unstable_floor_dims`), is
 reported for the absolute complex, recomputed from the sizes of its blocks
 (`absolute_block_size`; see the `cyclic` docstring).  Only `chern`,
 `ppower` and the p = 2 lift test keep the absolute complex: the Chern
-chains and lifts are emitted word by word in the basis of A.
+chains and lifts are emitted word by word in the basis of A.  HH_0 has
+one chain-free form, the commutators' `Echelon` (`commutator_classes`).
 
 `ChainComplex` alone enumerates and numbers chain words, in blocks keyed
 by (length, weight, word parity), one walk per block (`chain_basis`), and
@@ -74,7 +76,7 @@ from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError, bilinear
 from .fields import SizeError, linear_combination, reduced_entries
-from .sparse import Echelon, SparseMatrix, homology_from_ranks, rank, rank_of_columns
+from .sparse import Echelon, SparseMatrix, homology_from_ranks, rank
 
 
 class DegreeWindow:
@@ -129,19 +131,14 @@ class Letters:
     products of the inner faces.  `successors[v]` lists the non-S letters
     of source v in order, `closing[v][w]` those of source v and target w,
     and `vertex_words[i]` is the one-letter word of the vertex idempotent
-    where letter i starts.  Without idempotents (S = k) the letters are the
-    basis of A, `products` is its structure table, and every letter runs
-    from the one vertex, the unit, to itself.
+    where letter i starts.  `_peirce` builds every letter set: with S = k
+    its one vertex is the unit, and the letters, `products`, weights and
+    parities are the basis of A, its structure table, weights and parities.
     """
 
     def __init__(self, A: AlgebraSpec, idempotents=()):
         d = A.dim
-        if not idempotents:
-            self.vertices = 1
-            self.source = self.target = (0,) * d
-            self.products, self.weight, self.parity = A.structure, A.weight, A.parity
-        else:
-            self._peirce(A, idempotents)
+        self._peirce(A, idempotents)
         V = self.vertices
         self.inner = {ij: kept for ij, prod in self.products.items()
                       if (kept := {k: c for k, c in prod.items() if k >= V})}
@@ -200,7 +197,8 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
     last ending where i0 starts; lexicographic order.  One walk builds the
     block: a prefix with r tail letters still to place is dropped as soon as
     its weight plus r times the least (greatest) non-S weight is above
-    (below) `weight`, a bound that holds for weights of any sign.
+    (below) `weight`, a bound that holds for weights of any sign.  The walk
+    keeps its own stack, not Python's, so a block of any length is walked.
     """
     if weight is not None and A.weight is None:
         raise AlgebraError("weight filter requested on an ungraded algebra")
@@ -215,29 +213,34 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
     lo, hi = min(wt[V:], default=0), max(wt[V:], default=0)
     successors, closing, target = L.successors, L.closing, L.target
     out: list[tuple] = []
-    close = 0  # the source of the head, where the last letter must end
-
-    def rec(prefix: list, remaining: int, wsum: int, psum: int, at: int):
-        if weight is not None and not wsum + remaining * lo <= weight <= wsum + remaining * hi:
-            return
-        if remaining > 1:
-            for i in successors[at]:
-                prefix.append(i)
-                rec(prefix, remaining - 1, wsum + wt[i], psum + par[i], target[i])
-                prefix.pop()
-            return
-        for i in closing[at][close]:
-            if ((weight is None or wsum + wt[i] == weight)
-                    and (parity is None or (psum + par[i]) % 2 == parity)):
-                out.append((*prefix, i))
-
     for i0 in range(d):
-        close = L.source[i0]
-        if n:
-            rec([i0], n, wt[i0], par[i0], target[i0])
-        elif (target[i0] == close and (weight is None or wt[i0] == weight)
-              and (parity is None or par[i0] % 2 == parity)):
-            out.append((i0,))
+        close = L.source[i0]  # where the last letter must end
+        if not n:
+            if (target[i0] == close and (weight is None or wt[i0] == weight)
+                    and (parity is None or par[i0] % 2 == parity)):
+                out.append((i0,))
+            continue
+        # a frame: the letters still to try after the prefix, the prefix's
+        # weight and parity sums, and the tail letters left after the next one
+        prefix, stack = [], [(iter((i0,)), 0, 0, n)]
+        while stack:
+            letters_left, wsum, psum, r = stack[-1]
+            for i in letters_left:
+                w = wsum + wt[i]
+                if weight is not None and not w + r * lo <= weight <= w + r * hi:
+                    continue
+                p = psum + par[i]
+                if r > 1:  # descend: resume this frame once i's is done
+                    prefix.append(i)
+                    stack.append((iter(successors[target[i]]), w, p, r - 1))
+                    break
+                for j in closing[target[i]][close]:
+                    if ((weight is None or w + wt[j] == weight)
+                            and (parity is None or (p + par[j]) % 2 == parity)):
+                        out.append((*prefix, i, j))
+            else:
+                stack.pop()
+                del prefix[-1:]  # the first frame, i0's, has no letter to drop
     return out
 
 
@@ -621,9 +624,19 @@ def commutator_columns(A: AlgebraSpec) -> list[dict]:
     return cols
 
 
+def commutator_classes(A: AlgebraSpec, columns: list) -> Echelon:
+    """An `Echelon` of the commutator columns of A (`commutator_columns`):
+    its rows span [A, A], and the remainder of its `reduce` is a vector's
+    class in A/[A,A]."""
+    echelon = Echelon(A.field)
+    for c in columns:
+        echelon.add(c)
+    return echelon
+
+
 def hh0_direct(A: AlgebraSpec) -> int:
     """The rank of A/[A,A], computed without chain machinery."""
-    return A.dim - rank_of_columns(commutator_columns(A), A.field)
+    return A.dim - len(commutator_classes(A, commutator_columns(A)).rows)
 
 
 def hkr_reference(v: int, i: int, w: int) -> int:

@@ -10,11 +10,12 @@ conventions.  It applies d and B to each component as a whole, with image
 words held as int codes (`ChainComplex.add_images`), and turns back into
 words only what does not cancel.
 
-Classes in HH_0 = A/[A,A] come from one `sparse.Echelon` of the
-commutators: the remainder of its `reduce` names a vector's class.  The
-power operation keeps a second `Echelon` of those classes, whose `add`
-picks representatives greedily in basis order and whose `reduce` gives a
-class's coordinates on them, so no elimination runs per element.
+Classes in HH_0 = A/[A,A] come from `hochschild.commutator_classes`, the
+`sparse.Echelon` of the commutators whose rows `hh0_direct` counts: the
+remainder of its `reduce` names a vector's class.  The power operation
+keeps a second `Echelon` of those classes, whose `add` picks
+representatives greedily in basis order and whose `reduce` gives a class's
+coordinates on them, so no elimination runs per element.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .algebra import AlgebraSpec
-from .cyclic import UnsupportedError
+from .cyclic import UnsupportedError, _staircase_layout
 from .fields import Field, SizeError, linear_combination, reduced_entries
-from .hochschild import ChainComplex, commutator_columns, hh0_direct
+from .hochschild import ChainComplex, commutator_classes, commutator_columns
 from .sparse import Echelon, rank_of_columns
 
 
@@ -153,19 +154,10 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     return chain
 
 
-def _commutator_classes(A: AlgebraSpec, comm: list) -> Echelon:
-    """An `Echelon` of the commutator columns `comm` of A: the remainder of
-    its `reduce` is a vector's class in A/[A,A]."""
-    echelon = Echelon(A.field)
-    for c in comm:
-        echelon.add(c)
-    return echelon
-
-
 def u0_class_nonzero(chain: UChain) -> bool:
     """Whether the u^0 component represents a nonzero class in HH_0."""
     A = chain.algebra
-    rest, _ = _commutator_classes(A, commutator_columns(A)).reduce(
+    rest, _ = commutator_classes(A, commutator_columns(A)).reduce(
         {w[0]: c for w, c in chain.components[0].items()})
     return bool(rest)
 
@@ -183,7 +175,7 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
     if p == 0:
         raise UnsupportedError("ppower_on_hh0 requires a prime field")
     comm = commutator_columns(A)
-    commutators = _commutator_classes(A, comm)
+    commutators = commutator_classes(A, comm)
 
     def reduce(v: dict) -> dict:
         """The class of v in A/[A,A]: empty exactly when v lies in [A,A]."""
@@ -230,7 +222,7 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
         "matrix": matrix,
         "well_defined": well_defined,
         "additive": additive,
-        "hh0_rank_direct": hh0_direct(A),
+        "hh0_rank_direct": A.dim - len(commutators.rows),
     }
 
 
@@ -263,7 +255,8 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     """Whether lift(a+b) - lift(a) - lift(b) is a (d + uB)-boundary mod u^2.
 
     The difference lives in T^0 = C_0 (+) C_2 u of the N = 2 staircase; a
-    preimage is sought in T^{-1} = C_1 (+) C_3 u under its D = d + uB.
+    preimage is sought in T^{-1} = C_1 (+) C_3 u under its D = d + uB, both
+    laid out by `cyclic._staircase_layout` (n_max = 3, no parity filter).
     """
     F = A.field
     la, lb = ppower_lift_p2(A, a), ppower_lift_p2(A, b)
@@ -273,7 +266,7 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     if not diff:
         return True
     cx = ChainComplex(A)
-    src, dst = (cx.layout((n, None, None) for n in lengths) for lengths in ((1, 3), (0, 2)))
+    src, dst = (_staircase_layout(cx, m, None, 3, 2) for m in (-1, 0))
     columns = cx.matrix(src, dst, ("boundary", "connes")).columns()
     rows, _ = dst
     rhs = {rows[len(w) - 1][0] + cx.index(len(w) - 1)[w]: v for w, v in diff.items()}

@@ -16,8 +16,11 @@ coefficient.  `_apply` adds scale * L(terms) into an output dict, reading
 the image of each basis term from a table; a `_Table` computes the image of
 a term on first use and keeps it.  Each check makes its tables (d, iota,
 exp(+-iota), wedge with w, the star, the bracket of each ordered monomial
-pair) once per call, so no image is computed twice within a call and
-nothing is kept between calls.
+pair) once per call, so no image is computed twice within a call.  One
+thing is kept for the whole process: `_star_of_dx`, a module-level
+`lru_cache` of the star of each dx_S in v variables.  Sharing it across
+calls is safe because its value depends only on (v, S), not on any
+bivector, form or field of a call.
 
 Validation happens where outside input enters: the public `PolyForm(...)`
 constructor (used by `monomial_form` and by the command line's --form)

@@ -21,15 +21,15 @@ to one shape of question.
 The batch core is sparse Gaussian elimination with a Markowitz-style pivot
 rule: take the shortest row, then its least-populated column.
 
-* Pivot queue.  Rows wait in a heap keyed by (length, first column,
-  original row order), packed into one integer.  A row that elimination
-  changes is pushed again under its new key; entries whose key no longer
-  matches their row are stale and are skipped when popped.  Because the
-  original order breaks every tie, the queue picks exactly the pivot
-  sequence of a linear scan for the smallest key, so kernel bases are the
-  same vectors run to run, not just the same span.  `leading_ranks` puts
-  a row slot in front of the key, and so reads the ranks of all leading
-  row blocks off one elimination.
+* Pivot queue.  Rows wait in a heap keyed by (row slot, length, first
+  column, original row order), packed into one integer.  A row that
+  elimination changes is pushed again under its new key; entries whose key
+  no longer matches their row are stale and are skipped when popped.
+  Because the original order breaks every tie, the queue picks exactly the
+  pivot sequence of a linear scan for the smallest key, so kernel bases
+  are the same vectors run to run, not just the same span.  A rank is the
+  one slot's pivot count; `leading_ranks` gives each row block a slot, and
+  so reads the ranks of all leading row blocks off one elimination.
 * Column index.  Each column maps to the rows that have held it, so a
   pivot touches only the rows containing its column.  The lists are
   append-only (a row that loses the column is skipped when the list is
@@ -132,15 +132,16 @@ def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None
     """Shared elimination core on a SparseMatrix or a list of row dicts
     (which it consumes).
 
-    Returns (rank, None), or with want_basis (rank, pivots): the reduced
-    row echelon form as (pivot column, row) pairs sorted by pivot column,
-    each row 1 at its own pivot and 0 at every other pivot column.
+    Row i lies in slot i // stride (one slot without a stride), and the
+    slot comes first in the pivot queue's key: every row of a slot is used
+    or emptied before a row of a later slot is taken, so the pivots taken
+    from slots < j are an elimination of those rows alone.
 
-    With a row stride, row i lies in slot i // stride, and the slot comes
-    first in the pivot queue's key: every row of a slot is used or emptied
-    before a row of a later slot is taken, so the pivots taken from slots
-    < j are an elimination of those rows alone.  Then the second value is
-    the list of pivots taken per slot (want_basis is not read).
+    Returns (per_slot, None), or with want_basis (per_slot, pivots):
+    per_slot counts the pivots taken per slot, which sum to the rank, and
+    pivots is the reduced row echelon form as (pivot column, row) pairs
+    sorted by pivot column, each row 1 at its own pivot and 0 at every
+    other pivot column.
     """
     if isinstance(data, SparseMatrix):
         rows = [dict() for _ in range(data.rows)]
@@ -156,22 +157,17 @@ def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None
             holders.setdefault(c, []).append(i)
             colcount[c] = colcount.get(c, 0) + 1
     width, height = 1 + max(colcount, default=0), len(rows)
+    stride = stride or max(height, 1)
+    per_slot = [0] * (height // stride)
 
-    if stride is None:
-        def key(i, rd):
-            # (length, first column, row) packed into one int: fill-in never
-            # adds a column wider than width, and an int is smaller than a tuple
-            return (len(rd) * width + min(rd)) * height + i
-    else:
-        def key(i, rd):
-            # (slot, length, first column, row): a length is at most width
-            return ((i // stride * (width + 1) + len(rd)) * width + min(rd)) * height + i
-        per_slot = [0] * (height // stride)
+    def key(i, rd):
+        # (slot, length, first column, row) packed into one int, smaller than
+        # a tuple: a length is at most width, and fill-in adds no wider column
+        return ((i // stride * (width + 1) + len(rd)) * width + min(rd)) * height + i
 
     queue = [key(i, rd) for i, rd in enumerate(rows) if rd]
     heapq.heapify(queue)
     pivots = []
-    count = 0
     while queue:
         k = heapq.heappop(queue)
         i = k % height
@@ -179,9 +175,7 @@ def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None
         if not row or key(i, row) != k:
             continue  # stale key: the row was used or changed since
         rows[i] = None
-        count += 1
-        if stride is not None:
-            per_slot[i // stride] += 1
+        per_slot[i // stride] += 1
         pc = min(row, key=lambda c: (colcount[c], c))
         del colcount[pc]
         inv = field.inv(row[pc])
@@ -208,10 +202,8 @@ def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None
                     rd[c] = s
             if rd:
                 heapq.heappush(queue, key(j, rd))
-    if stride is not None:
-        return count, per_slot
     if not want_basis:
-        return count, None
+        return per_slot, None
     # Back-substitute to reduced echelon form.  A pivot row holds no earlier
     # pivot column, so clearing rows from the last pivot back to the first
     # reduces each row against rows that are already fully reduced.
@@ -228,13 +220,12 @@ def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None
                 else:
                     row[c] = s
     pivots.sort(key=lambda t: t[0])
-    return count, pivots
+    return per_slot, pivots
 
 
 def rank(M: SparseMatrix, field: Field) -> int:
     """Exact rank of M over the field."""
-    r, _ = _row_echelon(M, field, want_basis=False)
-    return r
+    return sum(_row_echelon(M, field, want_basis=False)[0])
 
 
 def leading_ranks(M: SparseMatrix, field: Field, stride: int, stages: int) -> list[int]:
@@ -250,8 +241,7 @@ def leading_ranks(M: SparseMatrix, field: Field, stride: int, stages: int) -> li
         raise StructuralError(f"{M.rows} rows are not {stages} slots of {stride}")
     if not M.entries:
         return [0] * stages
-    _, per_slot = _row_echelon(M, field, False, stride)
-    return list(accumulate(per_slot))
+    return list(accumulate(_row_echelon(M, field, False, stride)[0]))
 
 
 def kernel_basis(M: SparseMatrix, field: Field) -> list[dict]:
@@ -275,8 +265,7 @@ def kernel_basis(M: SparseMatrix, field: Field) -> list[dict]:
 def rank_of_columns(columns: list[dict], field: Field) -> int:
     """Rank of the span of sparse column vectors {row: value}."""
     rows = [dict(c) for c in columns if c]
-    r, _ = _row_echelon(rows, field, want_basis=False)
-    return r
+    return sum(_row_echelon(rows, field, want_basis=False)[0])
 
 
 def homology_from_ranks(dim: int, rank_out: int, rank_in: int) -> int:

@@ -128,24 +128,15 @@ def blocks_from_filtration_dims(dims: list[int], N: int) -> UModuleReport:
 class UComplex:
     """Finite complex of free k[u]-modules, read modulo u^N.
 
-    ranks[pos] is the free rank at homological position pos; diffs[pos] is the
-    differential out of position pos (into pos-1) as a list of sparse
-    matrices over k, the coefficients of u^0, u^1, ...
+    ranks[pos] is the free rank at homological position pos (0 if absent);
+    diffs[pos], the differential out of pos into pos-1 (zero if absent), is
+    a list of sparse matrices over k, the coefficients of u^0, u^1, ...
     """
 
     def __init__(self, truncation: UTruncation, ranks: dict, diffs: dict):
         self.truncation = truncation
         self.ranks = ranks
         self.diffs = diffs
-
-    def positions(self) -> list[int]:
-        return sorted(self.ranks)
-
-    def rank_at(self, pos: int) -> int:
-        return self.ranks.get(pos, 0)
-
-    def diff_at(self, pos: int) -> list[SparseMatrix] | None:
-        return self.diffs.get(pos)
 
 
 def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) -> SparseMatrix:
@@ -170,8 +161,8 @@ def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) ->
 def _check_square_zero(c: UComplex, field: Field):
     """D^2 = 0 over k[u]: every coefficient of the product, not only those
     below u^N."""
-    for pos in c.positions():
-        d1, d2 = c.diff_at(pos), c.diff_at(pos + 1)
+    for pos in sorted(c.ranks):
+        d1, d2 = c.diffs.get(pos), c.diffs.get(pos + 1)
         if d1 is None or d2 is None:
             continue
         for t in range(len(d1) + len(d2) - 1):
@@ -206,11 +197,11 @@ def u_module_decompose(c: UComplex, field: Field, positions=None) -> dict:
         return counts[key]
 
     reports = {}
-    for pos in c.positions() if positions is None else positions:
-        r = c.rank_at(pos)
-        d_out = c.diff_at(pos)
+    for pos in sorted(c.ranks) if positions is None else positions:
+        r = c.ranks.get(pos, 0)
+        d_out = c.diffs.get(pos)
         out = pieces(d_out, r, d_out[0].rows if d_out else 0)
-        in_ = pieces(c.diff_at(pos + 1), c.rank_at(pos + 1), r)
+        in_ = pieces(c.diffs.get(pos + 1), c.ranks.get(pos + 1, 0), r)
         blocks = {}
         for a in range(1, N):
             if m := out[a + 1] - out[a] + in_[a + 1] - in_[a]:

@@ -17,15 +17,17 @@ from itertools import product
 
 import pytest
 
-from nchodge import cli, cyclic, hochschild, kchern
+from nchodge import cli, cyclic, hochschild, kchern, umodule
+from nchodge.algebra import CATALOGUE as CATALOGUE_NAMES
 from nchodge.algebra import AlgebraError, AlgebraSpec, algebra_to_json, builtin, validate
 from nchodge.fields import GF, QQ, linear_combination, reduced_entries
-from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis, hh_ranks,
-                                word_parity)
+from nchodge.hochschild import (ChainComplex, DegreeWindow, Letters, chain_basis, hh_ranks,
+                                vertex_idempotents, word_parity)
 from nchodge.oracle import dense_blocks_from_dims, dense_kernel, dense_rank
-from nchodge.sparse import SparseMatrix, homology_from_ranks, rank, rank_of_columns
+from nchodge.sparse import (SparseMatrix, homology_from_ranks, leading_ranks, rank,
+                            rank_of_columns)
 from nchodge.umodule import UComplex, UTruncation, u_module_decompose
-from test_relative_complex import CASES as RELATIVE_CASES
+from test_relative_complex import CASES as RELATIVE_CASES, _catalogue_entry
 
 FIELDS = [QQ, GF(2), GF(3)]
 
@@ -263,6 +265,61 @@ def test_folded_weight_complex_matches_reference(F):
                     == diffs, (A.name, w, N)
                 checked += 1
     assert checked >= 6 * 3 * 6
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_single_vertex_letters_are_the_tables_of_the_algebra(F):
+    # S = k is the one-vertex case of the Peirce letters: the unit is the
+    # vertex, and the letters come out as the basis of A, their products as
+    # its structure table, with its weights and parities
+    algebras = [A for name in CATALOGUE_NAMES
+                if (A := _catalogue_entry(name, F)) and not vertex_idempotents(A)]
+    assert len(algebras) >= 6
+    for A in algebras + [_exterior(F, 2)]:
+        L = Letters(A)
+        assert (L.vertices, L.source, L.target) == (1, (0,) * A.dim, (0,) * A.dim), A.name
+        assert L.products == A.structure, A.name
+        assert (L.weight, L.parity) == (A.weight, A.parity), A.name
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_folded_expansion_is_the_weight_staircase_by_degree(F):
+    # u^t e with e in a block of length n has total degree m = 2t - n, so the
+    # k-expansion of the folded weight-w complex mod u^j splits by m (and
+    # word parity): each summand is the D_m of the weight-w staircase
+    # T^m = sum_{t<j} u^t C_{2t-m} at truncation j, up to the order of rows
+    # and columns.  So both paths eliminate the same matrices, grouped
+    # differently: the leading ranks of the two folded differentials add up
+    # to the ranks of the staircase's D_m over every degree and word parity
+    n_max = 8
+    algebras = [A for name in CATALOGUE_NAMES
+                if (A := _catalogue_entry(name, F)) and A.connected_graded]
+    checked = 0
+    for A in algebras + [_exterior(F, 2)]:
+        cx = ChainComplex(A)
+        top = n_max if A.max_weight is None else min(n_max, A.max_weight)
+        for w in range(top + 1):
+
+            def layout(m, p, j):
+                return cx.layout((n, w, p) for n in range(-m, 2 * j - m, 2) if 0 <= n <= n_max)
+
+            # truncation j -> the sum of the ranks of the staircase's D_m
+            staircase = {j: sum(rank(cx.matrix(layout(m, p, j), layout(m + 1, p, j),
+                                               ("boundary", "connes")), F)
+                                for m in range(-n_max, 2 * j - 1) for p in (0, 1))
+                         for j in range(1, 5)}
+            for N in (2, 3, 4):
+                uc = cyclic._folded_weight_complex(cx, w, N, n_max)
+                folded = [0] * N
+                for q in (0, 1):
+                    src, dst = uc.ranks[q], uc.ranks[1 - q]
+                    if src and dst:
+                        expanded = umodule._k_expand(uc.diffs[q], N, src, dst)
+                        for j, r in enumerate(leading_ranks(expanded, F, dst, N)):
+                            folded[j] += r
+                assert folded == [staircase[j] for j in range(1, N + 1)], (A.name, N, w)
+                checked += 1
+    assert checked >= 100
 
 
 def _staircase_window(A):

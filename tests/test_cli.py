@@ -832,7 +832,8 @@ def test_every_command_replays_with_its_exit_codes(tmp_path, capsys, monkeypatch
         raise AssertionError("a cached report was computed again")
 
     name = "-".join(command)
-    monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(compute=not_called))
+    _, inputs, meta = cli._COMMANDS[name]
+    monkeypatch.setitem(cli._COMMANDS, name, (not_called, inputs, meta))
     for strict, (code, out) in zip(((), ("--strict",)), computed):
         for cache_dir in (cache, fresh):
             assert run(capsys, *argv, *strict, "--cache-dir", cache_dir) == (code, out, "")

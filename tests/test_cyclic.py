@@ -246,7 +246,7 @@ def test_graded_path_decomposes_only_positions_0_and_1(monkeypatch):
     def recording(c, field, *args, **kwargs):
         reports = original(c, field, *args, **kwargs)
         decomposed.append(sorted(reports))
-        occupied.append(sum(1 for pos in (0, 1) if c.rank_at(pos)))
+        occupied.append(sum(1 for pos in (0, 1) if c.ranks.get(pos, 0)))
         return reports
 
     def counting_ranks(M, field, stride, stages):

@@ -1,9 +1,12 @@
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from nchodge.algebra import AlgebraSpec, builtin
+from nchodge.cli import main
 from nchodge.fields import GF, QQ, reduced_entries
 from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis,
                                 guard_safe_weights, hh0_direct, hh_ranks,
@@ -200,3 +203,23 @@ def test_hh_ranks_with_negative_weights():
                            mat.parity, mat.max_weight, mat.basis_labels)
     assert (hh_ranks(regraded, window)["per_n"]
             == hh_ranks(ungraded, window)["per_n"])
+
+
+def test_chain_basis_walks_blocks_longer_than_the_recursion_limit():
+    # a walk with one Python frame per letter raised RecursionError on any
+    # block longer than about 990 letters
+    dual = builtin("dual_numbers", QQ)
+    mat2 = ChainComplex(builtin("mat", QQ, m=2), relative=True)  # E11, E22, E12, E21
+    for n in (sys.getrecursionlimit() + 100, sys.getrecursionlimit() + 101):
+        assert chain_basis(dual, n) == [(0,) + (1,) * n, (1,) * (n + 1)]
+        assert chain_basis(dual, n, n) == [(0,) + (1,) * n]
+        half = (n + 1) // 2
+        expected = ([(0,) + (2, 3) * half, (1,) + (3, 2) * half] if n % 2 == 0
+                    else [(2, 3) * half, (3, 2) * half])
+        assert chain_basis(mat2.A, n, letters=mat2.letters) == expected, n
+
+
+def test_hh_of_a_long_window_exits_0(capsys):
+    assert main(["hh", "--algebra", "mat", "--n-max", "1000"]) == 0
+    per_n = json.loads(capsys.readouterr().out)["result"]["per_n"]
+    assert per_n == {str(n): int(n == 0) for n in range(1001)}

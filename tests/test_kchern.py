@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from nchodge import kchern
-from nchodge.algebra import builtin, glue, zero_bimodule
+from nchodge import kchern, oracle
+from nchodge.algebra import CATALOGUE, builtin, glue, zero_bimodule
 from nchodge.cyclic import UnsupportedError
 from nchodge.fields import GF, QQ, linear_combination
-from nchodge.hochschild import ChainComplex
+from nchodge.hochschild import ChainComplex, hh0_direct
 from nchodge.kchern import (ContractError, Idempotent, UChain, _tensor_words,
                             chern_idempotent, cycle_certificate,
                             lift_difference_is_boundary, ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
+from test_block_layout import _exterior, _super_mat11
+from test_relative_complex import CASES, _catalogue_entry
 
 
 def _mat2_e11():
@@ -324,3 +326,19 @@ def test_certificate_refuses_a_word_of_the_wrong_length():
     A = builtin("mat", QQ, m=2)
     with pytest.raises(ContractError):
         cycle_certificate(UChain(A, 2, [{(1,): 1}, {(1, 2): 1}]))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5)), ids=str)
+def test_hh0_forms_agree_with_the_dense_commutator_rank(field):
+    # one Echelon of the commutators (`commutator_classes`) gives hh0_direct
+    # and both HH_0 ranks of ppower; the oracle's dense rank of every
+    # commutator e_i e_j - (-1)^{|i||j|} e_j e_i shares no code with it
+    algebras = [A for name in CATALOGUE if (A := _catalogue_entry(name, field))]
+    algebras += [_exterior(field, 1), _exterior(field, 2), _super_mat11(field)]
+    algebras += [build(field) for build, _ in CASES.values()]
+    for A in algebras:
+        direct = hh0_direct(A)
+        assert direct == A.dim - oracle.commutator_span_rank(A), A.name
+        if field.p is not None:
+            rep = ppower_on_hh0(A)
+            assert rep["hh0_rank"] == rep["hh0_rank_direct"] == direct, A.name

@@ -5,6 +5,9 @@ one line per command is printed:
 
     sha256(stdout) sha256(stderr) exit argv
 
+where exit is the exit code, or the name of an exception that escaped
+`nchodge.cli.main` (the sweep goes on past it).
+
 Two checkouts print the same lines exactly when their reports, error lines
 and exit codes agree byte for byte, so a change is checked against its
 parent with `diff`:
@@ -18,7 +21,8 @@ The grid:
   F5, N = 1-4 and n_max in {2N, 8} (1120 commands);
 - `hh --n-max 2` of every catalogue entry over Q, F2 and F3, and over Q
   in csv and markdown; `hh` of `mat` with m = 3 at `--n-max 3` over Q and
-  F2;
+  F2, and of `mat` at `--n-max 1000`, a window longer than Python's
+  recursion limit;
 - the benchmark's jobs (`perfbench/workloads.py`, idempotents of seed 1)
   and their setup commands;
 - `validate`, `hh` and `glue` of `ncg-algebra/1` files, an invalid one
@@ -235,6 +239,8 @@ def grid() -> list:
     for field in ("Q", "F2"):
         out.append(("hh", "--algebra", "mat", "--param", "m=3", "--field", field,
                     "--n-max", "3"))
+    # a long window: its blocks hold words of about 1000 letters
+    out.append(("hh", "--algebra", "mat", "--n-max", "1000"))
     workloads = _workloads()
     for workload in workloads.WORKLOADS:
         out += workloads.setup_commands(workload)
@@ -348,10 +354,15 @@ class _Sha:
 
 
 def digest_line(argv) -> str:
-    """Run one command and return its `stdout stderr exit argv` line."""
+    """Run one command and return its `stdout stderr exit argv` line.  An
+    exception that escapes `cli.main` is recorded by its type's name in
+    place of the exit code, and the sweep goes on."""
     out, err = _Sha(), _Sha()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except Exception as exc:
+            code = type(exc).__name__
     return f"{out.h.hexdigest()} {err.h.hexdigest()} {code} {' '.join(argv)}"
 
 
