@@ -51,13 +51,12 @@ Neither realization enumerates chain words or assembles a matrix: each
 names the `ChainComplex` blocks (length, weight, word parity) that a map
 runs between (`ChainComplex.layout`), and `ChainComplex.matrix` writes
 their d and B images.  Position q of the folded complex holds the weight-w
-blocks of lengths n = 0, 1, ... and word parity (q - n) mod 2; T^m of the
-staircase holds the blocks of lengths 2j - m, j < N.
+blocks of word parity (q - n) mod 2 and of the lengths n with w in
+`ChainComplex.weights(n)`; T^m of the staircase, those of lengths 2j - m,
+j < N.  Both lay their blocks out by ascending length.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 from .algebra import AlgebraSpec
 from .fields import Field, SizeError, reduced_entries
@@ -155,11 +154,11 @@ def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
     Positions 0/1 carry the even/odd total parity; positions -1 and 2
     only give them an in-map and an out-map, and need no decomposition of
     their own.  Each differential is [d, B], its coefficients of u^0 and
-    u^1, and [d] alone with N = 1.  Requires the weight-w subcomplex to fit
-    in the window (n <= n_max), which holds for connected-graded algebras
-    when w <= n_max.
+    u^1, and [d] alone with N = 1.  It holds the lengths n whose
+    `cx.weights(n)` holds w: on a connected-graded algebra n <= w, so the
+    complex fits in the window (n <= n_max) when w <= n_max.
     """
-    lengths = range(min(w, n_max) + 1)
+    lengths = [n for n in range(min(w, n_max) + 1) if w in cx.weights(n)]
     layouts = [cx.layout((n, w, (q - n) % 2) for n in lengths) for q in (0, 1)]
     diffs = {}
     for q in (0, 1):
@@ -189,9 +188,9 @@ def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> C
     per_weight = {}
     flags: dict = {"weights_covered": [w_lo, w_hi]}
     for w in range(w_lo, w_hi + 1):
-        if not any(cx.basis(n, w) for n in range(0, min(w, window.n_max) + 1)):
-            continue
         uc = _folded_weight_complex(cx, w, N, window.n_max)
+        if not (uc.ranks[0] or uc.ranks[1]):
+            continue  # no word of weight w
         reports = u_module_decompose(uc, A.field, positions=(0, 1))
         per_weight[w] = (reports[0], reports[1])
     unsafe = [w for w, safe in guard_safe_weights(A, per_weight).items() if not safe]
@@ -220,20 +219,18 @@ def _staircase_layout(cx: ChainComplex, m: int, p: int, n_max: int, N: int) -> t
     return cx.layout((n, None, p) for n in range(-m, 2 * N - m, 2) if 0 <= n <= n_max)
 
 
-def _staircase_shift(vectors: list, src: dict, dst: dict) -> list:
-    """u^t on vectors of T^m_p, landing in T^{m+2t}_p (block layouts `src`
-    and `dst`): the length-n block moves to the length-n block of T^{m+2t},
-    and is dropped where that would reach u^N."""
-    lengths, starts = list(src), [offset for offset, _, _ in src.values()]
-    out = []
-    for v in vectors:
-        sh = {}
-        for i, c in v.items():
-            n = lengths[bisect_right(starts, i) - 1]
-            if n in dst:
-                sh[i - src[n][0] + dst[n][0]] = c
-        out.append(sh)
-    return out
+def _staircase_shift(vectors: list, src: tuple, dst: tuple) -> list:
+    """u^t on vectors of T^m_p, landing in T^{m+2t}_p (layouts `src` and
+    `dst`): the length-n block moves to the length-n block of T^{m+2t},
+    and is dropped where that would reach u^N.
+
+    The shared lengths are the shortest of `src` and the longest of `dst`,
+    so its first `size` indices move by one offset to the last of `dst`."""
+    (blocks, _), (dst_blocks, dst_dim) = src, dst
+    first = next(iter(blocks))
+    offset = dst_blocks[first][0] if first in dst_blocks else dst_dim
+    size = dst_dim - offset
+    return [{i + offset: c for i, c in v.items() if i < size} for v in vectors]
 
 
 def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
@@ -262,7 +259,7 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
     for p in ((0, 1) if cx.A.is_super else (0,)):
         layout = _staircase_layout(cx, m_floor, p, n_max, N)
         d_in, rank_in = None, 0  # D_{m-1}; no map into the floor
-        cycles: dict = {}  # degree -> (block offsets, cycles)
+        cycles: dict = {}  # degree -> (layout, cycles)
         floor = 0  # the alternating sum that leaves the absolute floor homology
         for m in range(m_floor, m_hi + 1):
             par = (m + p) % 2
@@ -271,8 +268,8 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
                 # the rank of the boundary columns is the rank of the map they span
                 bd = [col for col in d_in.columns() if col]
                 for t in sources:
-                    offsets, z = cycles[m - 2 * t]
-                    shifted = [v for v in _staircase_shift(z, offsets, layout[0]) if v]
+                    src, z = cycles[m - 2 * t]
+                    shifted = [v for v in _staircase_shift(z, src, layout) if v]
                     dims[par][t] += rank_of_columns(shifted + bd, F) - rank_in
             cycles.pop(m - 2 * (N - 1), None)
             nxt = _staircase_layout(cx, m + 1, p, n_max, N)
@@ -290,7 +287,7 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
             if h:
                 dims[par][0] += h
                 if z is not None:
-                    cycles[m] = (layout[0], z)
+                    cycles[m] = (layout, z)
             layout, d_in, rank_in = nxt, D, rank_out
         floor_dims[(m_floor + p) % 2] += floor
     if floor_dims[0] or floor_dims[1]:

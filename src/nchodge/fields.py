@@ -159,11 +159,11 @@ def GF(p: int) -> Field:
 
 
 def parse_field(text: str) -> Field:
-    """Parse a field label such as "Q", "F2" or "F101"."""
+    """Parse a field label: "Q" ("QQ", "rationals"), or "F" and ASCII digits, as "F101"."""
     t = text.strip()
     if t in ("Q", "QQ", "rationals"):
         return QQ
-    if t.startswith("F"):
+    if t[:1] == "F" and t[1:].isascii() and t[1:].isdigit():
         return Field(int(t[1:]))
     raise ValueError(f"unknown field {text!r}")
 

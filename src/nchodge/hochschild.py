@@ -134,6 +134,9 @@ class Letters:
     where letter i starts.  `_peirce` builds every letter set: with S = k
     its one vertex is the unit, and the letters, `products`, weights and
     parities are the basis of A, its structure table, weights and parities.
+    `head_weights` and `tail_weights` are the (least, greatest) weight of a
+    letter and of a non-S one (None if ungraded): a word of length n weighs
+    from head least + n x tail least to head greatest + n x tail greatest.
     """
 
     def __init__(self, A: AlgebraSpec, idempotents=()):
@@ -147,6 +150,9 @@ class Letters:
         self.closing = [[tuple(i for i in self.successors[v] if self.target[i] == w)
                          for w in range(V)] for v in range(V)]
         self.vertex_words = tuple((v,) for v in self.source)
+        wt = self.weight
+        self.head_weights = wt and (min(wt), max(wt))
+        self.tail_weights = wt and (min(wt[V:], default=0), max(wt[V:], default=0))
 
     def _peirce(self, A: AlgebraSpec, idempotents):
         """Letters e_a x e_b for x in basis order and vertices a, b in turn,
@@ -197,8 +203,9 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
     last ending where i0 starts; lexicographic order.  One walk builds the
     block: a prefix with r tail letters still to place is dropped as soon as
     its weight plus r times the least (greatest) non-S weight is above
-    (below) `weight`, a bound that holds for weights of any sign.  The walk
-    keeps its own stack, not Python's, so a block of any length is walked.
+    (below) `weight`, a bound that holds for weights of any sign (at the
+    head, `ChainComplex.weights`).  The walk keeps its own stack, not
+    Python's, so a block of any length is walked.
     """
     if weight is not None and A.weight is None:
         raise AlgebraError("weight filter requested on an ungraded algebra")
@@ -207,10 +214,10 @@ def chain_basis(A: AlgebraSpec, n: int, weight: int | None = None,
             return []  # every word is even
         parity = None
     L = letters if letters is not None else Letters(A)
-    d, V = A.dim, L.vertices
+    d = A.dim
     wt = L.weight if weight is not None else (0,) * d
     par = L.parity if parity is not None else (0,) * d
-    lo, hi = min(wt[V:], default=0), max(wt[V:], default=0)
+    lo, hi = L.tail_weights if weight is not None else (0, 0)
     successors, closing, target = L.successors, L.closing, L.target
     out: list[tuple] = []
     for i0 in range(d):
@@ -263,11 +270,13 @@ class ChainComplex:
     The complex is the absolute one, or with `relative` the one relative to
     the vertex idempotents of A (`vertex_idempotents`), on which `hh` and
     every cyclic command run; `chern`, `ppower` and the p = 2 lift test
-    build the absolute one.  Its words are spelled in `letters`.  A block is keyed by (length n, weight, word
-    parity), None meaning unfiltered; the boundary and B keep weight and
-    word parity.  Bases, word indexes and boundary ranks are memoized per
-    block, so each boundary block is eliminated once; matrices (`matrix`)
-    are built on demand and not kept.
+    build the absolute one.  Its words are spelled in `letters`.  A block
+    is keyed by (length n, weight, word parity), None meaning unfiltered;
+    the boundary and B keep weight and word parity.  A length-n block of a
+    weight outside `weights(n)` is empty: `hh_ranks` and the folded cyclic
+    complex compute only at weights inside it.  Bases, word indexes and
+    boundary ranks are memoized per block, so each boundary block is
+    eliminated once; matrices (`matrix`) are built on demand and not kept.
     """
 
     def __init__(self, A: AlgebraSpec, relative: bool = False):
@@ -283,6 +292,11 @@ class ChainComplex:
         if parity == 0 and not self.A.is_super:
             parity = None
         return n, weight, parity
+
+    def weights(self, n: int) -> range:
+        """The weights a word of length n can carry (graded A; see `Letters`)."""
+        (head_lo, head_hi), (lo, hi) = self.letters.head_weights, self.letters.tail_weights
+        return range(head_lo + n * lo, head_hi + n * hi + 1)
 
     def basis(self, n: int, weight: int | None = None, parity: int | None = None) -> list:
         key = self._key(n, weight, parity)
@@ -567,8 +581,11 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
     Returns {"per_n": {n: rank}} for ungraded algebras and
     {"per_n_weight": {(n, w): rank}, "per_n": {n: total}} for graded ones,
     plus guard-band flags for weight-truncated algebras.  Computing degree n
-    needs the block at n+1, so ranks are reported for n <= n_max - 1.  The
-    ranks are those of the complex relative to the vertex idempotents,
+    needs the block at n+1, so ranks are reported for n <= n_max - 1.  A
+    graded degree n is computed at the weights `cx.weights(n)`, where alone
+    its block holds words, within w_min..w_max (by default up to the
+    max_weight of a truncated algebra); per_n_weight lists them by weight.
+    The ranks are those of the complex relative to the vertex idempotents,
     which equal the absolute ones.
     """
     cx = ChainComplex(A, relative=True)
@@ -578,30 +595,15 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
     if A.weight is None:
         window.refuse_weight_bounds(f"{A.name} has no weights")
         return {"per_n": {n: cx.hh_rank(n) for n in range(n_top + 1)}}
-    w_lo = window.w_min
-    if w_lo is None:
-        w_lo = min(0, min(A.weight) * (window.n_max + 1))
-    w_hi = window.w_max
-    if w_hi is None:
-        # Truncated quotients are only meaningful up to the cutoff (the guard
-        # band flags the top two weights); genuine graded algebras get the
-        # full weight range a window of this length can reach.
-        if A.max_weight is not None:
-            w_hi = A.max_weight
-        else:
-            w_hi = max(A.weight) * (window.n_max + 1)
-    per_nw = {}
-    for w in range(w_lo, w_hi + 1):
-        for n in range(n_top + 1):
-            if cx.basis(n, w) or cx.basis(n + 1, w):
-                r = cx.hh_rank(n, w)
-                if r:
-                    per_nw[(n, w)] = r
-    per_n = {}
-    for (n, w), r in per_nw.items():
-        per_n[n] = per_n.get(n, 0) + r
-    return {"per_n_weight": per_nw,
-            "per_n": {n: per_n.get(n, 0) for n in range(n_top + 1)},
+    w_lo, w_hi = window.w_min, window.w_max if window.w_max is not None else A.max_weight
+    per_nw, per_n = {}, {}
+    for n in range(n_top + 1):
+        ranks = [((n, w), cx.hh_rank(n, w)) for w in cx.weights(n)
+                 if (w_lo is None or w_lo <= w) and (w_hi is None or w <= w_hi)]
+        per_n[n] = sum(r for _, r in ranks)
+        per_nw.update((nw, r) for nw, r in ranks if r)
+    per_nw = dict(sorted(per_nw.items(), key=lambda item: item[0][::-1]))  # by weight
+    return {"per_n_weight": per_nw, "per_n": per_n,
             "guard_safe": guard_safe_weights(A, sorted({w for (_, w) in per_nw}))}
 
 

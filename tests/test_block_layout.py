@@ -352,8 +352,8 @@ def test_staircase_diff_and_shift_match_reference(F):
                     units = [{i: 1} for i in range(src[1])]
                     for t in range(1, N):
                         if m + 2 * t <= m_hi:
-                            shifted = cyclic._staircase_shift(units, src[0],
-                                                              layout(m + 2 * t, p)[0])
+                            shifted = cyclic._staircase_shift(units, src,
+                                                              layout(m + 2 * t, p))
                             assert shifted == ref.shift(units, m, p, t)
 
 
@@ -535,13 +535,13 @@ def test_lift_difference_matches_reference():
     assert checked > 100
 
 
-def _negative_weight_poly(tmp_path):
+def _negative_weight_poly(tmp_path, F=QQ):
     """k[x]/x^3 with x of weight -1, read back from an ncg-algebra/1 file."""
-    obj = algebra_to_json(builtin("truncated_poly", QQ, m=3))
+    obj = algebra_to_json(builtin("truncated_poly", F, m=3))
     obj["weight"] = [0, -1, -2]
-    path = tmp_path / "truncated-poly-negative.json"
+    path = tmp_path / f"truncated-poly-negative-{F}.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    A, report = cli.load_algebra(str(path), QQ, {})
+    A, report = cli.load_algebra(str(path), F, {})
     assert report.ok and min(A.weight) < 0
     return A
 
@@ -624,6 +624,52 @@ def test_chain_basis_is_the_filtered_product(tmp_path):
     assert blocks > 500
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_every_word_weighs_within_the_weight_bound(F, tmp_path):
+    # cx.weights(n) is the one bound on the weight of a length-n word: hh
+    # and the folded cyclic complex compute only inside it, chain_basis
+    # prunes by it.  With S = k every head and tail letter combine, so both
+    # ends of the range are weights of words.
+    algebras = [A for A in _algebras(F) if A.weight is not None]
+    algebras += [_negative_weight_poly(tmp_path, F)]
+    assert {"exterior2", "mat(2)", "poly_truncated(2,2)"} <= {A.name for A in algebras}
+    for A in algebras:
+        for relative in (False, True):
+            cx = ChainComplex(A, relative)
+            weight = cx.letters.weight
+            for n in range(6):
+                weights = cx.weights(n)
+                words = cx.basis(n)
+                seen = {sum(weight[i] for i in word) for word in words}
+                assert seen <= set(weights), (A.name, relative, n)
+                if cx.letters.vertices == 1 and words:
+                    assert {weights[0], weights[-1]} <= seen, (A.name, relative, n)
+
+
+def _chain_basis_calls(monkeypatch, capsys, commands) -> int:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return chain_basis(*args)
+
+    monkeypatch.setattr(hochschild, "chain_basis", counted)
+    for command in commands:
+        assert cli.main(command.split()) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_long_windows_walk_only_blocks_that_hold_words(monkeypatch, capsys):
+    # two words per length: hh walked every weight up to (n_max + 1) at
+    # every length (162 006 walks at n_max 400), the folded path every
+    # length up to each weight (20 301 walks)
+    assert _chain_basis_calls(monkeypatch, capsys,
+                              ["hh --algebra dual_numbers --n-max 400"]) <= 1700
+    assert _chain_basis_calls(monkeypatch, capsys,
+                              ["hc --algebra dual_numbers --n-max 200 --u-trunc 2"]) <= 450
+
+
 # the graded-cyclic jobs of perfbench/workloads.py
 _GRADED_CYCLIC = (
     "hc --algebra poly_truncated --param vars=2 --param max_weight=4 --field Q --n-max 8 "
@@ -637,15 +683,6 @@ _GRADED_CYCLIC = (
 
 def test_graded_cyclic_jobs_walk_each_block_once(monkeypatch, capsys):
     # a parity-1 block of an algebra without odd letters is empty and not
-    # walked: counting those walks doubled the calls
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return chain_basis(*args)
-
-    monkeypatch.setattr(hochschild, "chain_basis", counted)
-    for command in _GRADED_CYCLIC:
-        assert cli.main(command.split()) == 0
-    capsys.readouterr()
-    assert len(calls) <= 181
+    # walked: counting those walks doubled the calls; nor is a block whose
+    # length cannot carry its weight
+    assert _chain_basis_calls(monkeypatch, capsys, _GRADED_CYCLIC) <= 137

@@ -1004,6 +1004,23 @@ def test_large_prime_field_is_decided_at_once(capsys):
                          f"F{2 ** 89 - 1}", "--n-max", "1"), "PRIME_LIMIT")
 
 
+@pytest.mark.parametrize("label", ["F", "Fx", "F2.5", "F+3", "F 3", "F1_01", "F\u0663"])
+def test_malformed_field_labels_exit_2(capsys, label):
+    # int() of the text after "F" exited 2 with its own message on the
+    # first three and read the others as F3, F101 and F3
+    code, out, err = run(capsys, "hh", "--algebra", "dual_numbers", "--n-max", "1",
+                         "--field", label)
+    _assert_refused(code, out, err, f"unknown field {label!r}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("label, field", [("Q", "Q"), ("F2", "F2"), ("F101", "F101")])
+def test_well_formed_field_labels(capsys, label, field):
+    code, rep, _ = run_json(capsys, "hh", "--algebra", "dual_numbers", "--n-max", "1",
+                            "--field", label)
+    assert code == 0 and rep["field"] == field
+
+
 # ---------------------------------------------------------------------------
 # an entry named twice is refused, not silently overwritten
 # ---------------------------------------------------------------------------

@@ -57,7 +57,11 @@ The grid:
   --lift`, `glue`, `validate` of the invalid file, `graded-pieces`,
   `poisson homology` and `poisson jacobi`;
 - `hh` of `dual_numbers` twice with `--cache-dir cache`: the first run
-  writes the cache entry, the second replays it.
+  writes the cache entry, the second replays it;
+- `hh --n-max 400` and `hc --n-max 200 --u-trunc 2` of `dual_numbers`,
+  long windows whose blocks hold two words each;
+- `hh` of `dual_numbers` with the malformed field labels `F` and `F+3`
+  (exit 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -314,6 +318,12 @@ def grid() -> list:
             out.append((*argv, "--format", fmt))
     # the same command twice: a report written to the cache, then replayed
     out += [("hh", "--algebra", "dual_numbers", "--n-max", "3", "--cache-dir", "cache")] * 2
+    # long windows of an algebra with two words per length and weight
+    out.append(("hh", "--algebra", "dual_numbers", "--n-max", "400"))
+    out.append(("hc", "--algebra", "dual_numbers", "--n-max", "200", "--u-trunc", "2"))
+    # malformed field labels (exit 2)
+    for label in ("F", "F+3"):
+        out.append(("hh", "--algebra", "dual_numbers", "--n-max", "1", "--field", label))
     return out
 
 
