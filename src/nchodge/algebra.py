@@ -284,12 +284,6 @@ class BimoduleSpec:
         self.left_action = left_action
         self.right_action = right_action
 
-    def act_left(self, vec_b: dict, vec_m: dict) -> dict:
-        return bilinear(self.left_action, vec_b, vec_m, self.left.field)
-
-    def act_right(self, vec_m: dict, vec_a: dict) -> dict:
-        return bilinear(self.right_action, vec_m, vec_a, self.right.field)
-
 
 def glue(A: AlgebraSpec, B: AlgebraSpec, M: BimoduleSpec) -> AlgebraSpec:
     """Triangular gluing of A and B along a B-A-bimodule in the corner.
@@ -329,12 +323,14 @@ def glue(A: AlgebraSpec, B: AlgebraSpec, M: BimoduleSpec) -> AlgebraSpec:
                 structure[(ib(j1), ib(j2))] = comps
     for t in range(dM):
         for i in range(dA):
-            comps = {im(t2): c for t2, c in M.act_right({t: F.one()}, {i: F.one()}).items()}
+            comps = bilinear(M.right_action, {t: F.one()}, {i: F.one()}, F)
+            comps = {im(t2): c for t2, c in comps.items()}
             if comps:
                 structure[(im(t), ia(i))] = comps
     for j in range(dB):
         for t in range(dM):
-            comps = {im(t2): c for t2, c in M.act_left({j: F.one()}, {t: F.one()}).items()}
+            comps = bilinear(M.left_action, {j: F.one()}, {t: F.one()}, F)
+            comps = {im(t2): c for t2, c in comps.items()}
             if comps:
                 structure[(ib(j), im(t))] = comps
     unit_vec = {ia(0): F.one(), ib(0): F.one()}

@@ -629,6 +629,7 @@ class _Inputs:
     window: DegreeWindow | None = None
     N: int | None = None
     terms: dict  # parsed --f, --g and --form
+    lift: int | None = None                # ppower --lift: the basis index it names
 
 
 def _algebra_params(args) -> dict:
@@ -703,6 +704,11 @@ def _load(args) -> _Inputs:
         x.algebra = glue(A, B, bimodule(B, A))
     if hasattr(args, "idempotent"):
         x.idempotent = load_idempotent(args.idempotent, x.algebra)
+    if getattr(args, "lift", None) is not None:
+        labels = {x.algebra.label(i): i for i in range(x.algebra.dim)}
+        if args.lift not in labels:
+            raise CliError(f"unknown basis label {args.lift!r}", EXIT_VALIDATION)
+        x.lift = labels[args.lift]
     if hasattr(args, "bivector"):
         x.bivector = load_bivector(args.bivector)
     nvars = x.bivector.nvars if x.bivector is not None else getattr(args, "nvars", None)
@@ -856,11 +862,8 @@ def _ppower(args, x):
         "additive": rep["additive"],
         "hh0_rank_direct": rep["hh0_rank_direct"],
     }
-    if args.lift is not None:
-        labels = {A.label(i): i for i in range(A.dim)}
-        if args.lift not in labels:
-            raise CliError(f"unknown basis label {args.lift!r}", EXIT_VALIDATION)
-        chain = ppower_lift_p2(A, {labels[args.lift]: A.field.one()})
+    if x.lift is not None:
+        chain = ppower_lift_p2(A, {x.lift: A.field.one()})
         result["lift"] = _chain_json(A, chain, chain.N)
     return result, _verdict(rep["well_defined"] and rep["additive"])
 
@@ -1056,6 +1059,10 @@ _ERROR_CODES = (((SchemaError, ContractError, SizeError), EXIT_VALIDATION),
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact integers of any length are read and printed: the interpreter's
+    # cap on int/str conversion (4300 digits) is lifted while a command runs.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return run(args)
     except (CliError, ValueError) as exc:
@@ -1063,6 +1070,8 @@ def main(argv=None) -> int:
         if isinstance(exc, CliError):
             return exc.code
         return next(code for kinds, code in _ERROR_CODES if isinstance(exc, kinds))
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -151,12 +151,12 @@ def _verdict(rep: CyclicReport, conclusive: bool) -> str:
 def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
     """Z/2-folded (d + uB)-complex of the weight-w subchains as a UComplex.
 
-    Positions 0/1 carry the even/odd total parity; positions -1 and 2
-    only give them an in-map and an out-map, and need no decomposition of
-    their own.  Each differential is [d, B], its coefficients of u^0 and
-    u^1, and [d] alone with N = 1.  It holds the lengths n whose
-    `cx.weights(n)` holds w: on a connected-graded algebra n <= w, so the
-    complex fits in the window (n <= n_max) when w <= n_max.
+    Positions 0/1 carry the even/odd total parity, and are the only ones
+    listed; the map out of 0 is also the map into 1, at key 2.  Each
+    differential is [d, B], its coefficients of u^0 and u^1, and [d] alone
+    with N = 1.  It holds the lengths n whose `cx.weights(n)` holds w: on a
+    connected-graded algebra n <= w, so the complex fits in the window
+    (n <= n_max) when w <= n_max.
     """
     lengths = [n for n in range(min(w, n_max) + 1) if w in cx.weights(n)]
     layouts = [cx.layout((n, w, (q - n) % 2) for n in lengths) for q in (0, 1)]
@@ -167,8 +167,7 @@ def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
         if N > 1:
             diffs[q].append(cx.matrix(src, dst, ("connes",)))
     diffs[2] = diffs[0]
-    dims = [layouts[0][1], layouts[1][1]]
-    return UComplex(UTruncation(N), {-1: dims[1], 0: dims[0], 1: dims[1], 2: dims[0]}, diffs)
+    return UComplex(UTruncation(N), {0: layouts[0][1], 1: layouts[1][1]}, diffs)
 
 
 def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
@@ -191,7 +190,7 @@ def _graded_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -> C
         uc = _folded_weight_complex(cx, w, N, window.n_max)
         if not (uc.ranks[0] or uc.ranks[1]):
             continue  # no word of weight w
-        reports = u_module_decompose(uc, A.field, positions=(0, 1))
+        reports = u_module_decompose(uc, A.field)
         per_weight[w] = (reports[0], reports[1])
     unsafe = [w for w, safe in guard_safe_weights(A, per_weight).items() if not safe]
     if unsafe:
@@ -459,26 +458,18 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
                 agree_all = False
         return {"per_slot": slots, "off_frobenius": off_frobenius,
                 "agree": agree_all, "truncation": N, "n_max": window.n_max}
-    # Counted in the lengths whose u^{N-1} multiple stays inside the window.
-    without_b = _d_only_free_ranks(cx, window.n_max - 2 * N + 1)
+    # The d-only complex C (x) k[u]/u^N is u-free of rank dim H(C, d), counted
+    # in the lengths n <= n_max - 2N + 1, whose u^{N-1} multiple stays inside
+    # the window: the staircase at N = 1 on a window one longer, whose floor
+    # length it leaves out.
+    d_only = _staircase_negative_cyclic(cx, DegreeWindow(window.n_max - 2 * N + 2), 1)
+    without_b = [d_only.even.free_rank, d_only.odd.free_rank]
     agree = [with_b.even.free_rank, with_b.odd.free_rank] == without_b
     return {"per_slot": [{"weight": None,
                           "with_b": [with_b.even.free_rank, with_b.odd.free_rank],
                           "without_b": without_b,
                           "agree": agree, "guard_safe": True}],
             "agree": agree, "truncation": N, "n_max": window.n_max}
-
-
-def _d_only_free_ranks(cx: ChainComplex, n_top: int) -> list:
-    """(even, odd) free ranks of the d-only complex C (x) k[u]/u^N in lengths
-    n <= n_top, for the ungraded window (graded `char_p_compare` reads them
-    per weight off the folded profile modulo u).  It is u-free of rank
-    dim H(C, d): a class of length n and word parity p has parity n + p."""
-    out = [0, 0]
-    for p in ((0, 1) if cx.A.is_super else (0,)):
-        for n in range(n_top + 1):
-            out[(n + p) % 2] += cx.hh_rank(n, None, p)
-    return out
 
 
 # ---------------------------------------------------------------------------

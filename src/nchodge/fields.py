@@ -159,12 +159,19 @@ def GF(p: int) -> Field:
 
 
 def parse_field(text: str) -> Field:
-    """Parse a field label: "Q" ("QQ", "rationals"), or "F" and ASCII digits, as "F101"."""
+    """Parse a field label: "Q" ("QQ", "rationals"), or "F" and ASCII digits, as "F101".
+
+    A label whose number has more digits than PRIME_LIMIT is refused by
+    its length, without reading or echoing the digits."""
     t = text.strip()
     if t in ("Q", "QQ", "rationals"):
         return QQ
-    if t[:1] == "F" and t[1:].isascii() and t[1:].isdigit():
-        return Field(int(t[1:]))
+    digits = t[1:]
+    if t[:1] == "F" and digits.isascii() and digits.isdigit():
+        if len(digits.lstrip("0")) > len(str(PRIME_LIMIT)):
+            raise ValueError(f"field label F followed by {len(digits)} digits: primes are "
+                             f"certified only below PRIME_LIMIT = {PRIME_LIMIT}")
+        return Field(int(digits))
     raise ValueError(f"unknown field {text!r}")
 
 

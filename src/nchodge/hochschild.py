@@ -52,10 +52,10 @@ Word images come in two forms, one rule for each face and rotation.
 `boundary_word` and `connes_word` give the image of one word as a {word
 tuple: coefficient} dict: matrix assembly looks each image word up in a
 block index, and the differential identities compose images word by word.
-`add_images` applies the boundary or B to a whole combination, as the
-Chern cycle certificate needs, and holds each image word as its code, the
-int whose digits in radix dim A are the word's letters (`decode` turns it
-back).  A code is built from the word's code with a few int operations
+`add_boundaries` and `add_connes` apply the boundary and B to a whole
+combination, as the Chern cycle certificate needs, and hold each image
+word as its code, the int whose digits in radix dim A are the word's
+letters (`decode` turns it back).  A code is built from the word's code with a few int operations
 and hashes at once, where a tuple is built slot by slot and rehashed on
 every lookup; a decode in every `boundary_word` call would slow the
 assembly instead.  The two forms are checked against each other word by
@@ -418,27 +418,6 @@ class ChainComplex:
 
     # -- images of combinations, in word codes ------------------------------
 
-    def add_images(self, combination: dict, image: str, acc: dict):
-        """Add the "boundary" or "connes" (B) image of a combination {word:
-        c} into acc, {code: coefficient}, with plain + and *.
-
-        Every word of the combination has the same length; an image word of
-        m letters is held as its code, the m-digit number whose digits in
-        radix `A.dim` are its letters, most significant first (`decode`
-        inverts it).  Codes of one length sort as their words do; one
-        accumulator holds codes of one length.  The sums are left raw:
-        entries may be zero and, over F_p, unreduced ints;
-        `fields.reduced_entries` drops the zeros and reduces once, when the
-        caller has added every image.  The faces and signs are those of
-        `boundary_word` and `connes_word`.
-        """
-        if image == "boundary":
-            self._add_boundaries(combination, acc)
-        elif image == "connes":
-            self._add_connes(combination, acc)
-        else:
-            raise ValueError(f"unknown image {image!r}")
-
     def decode(self, code: int, length: int) -> tuple:
         """The word of `length` letters whose code is `code`."""
         R = self.A.dim
@@ -454,7 +433,20 @@ class ChainComplex:
             raise ValueError("the words of a combination differ in length")
         return lengths.pop() if lengths else 0
 
-    def _add_boundaries(self, combination: dict, acc: dict):
+    def add_boundaries(self, combination: dict, acc: dict):
+        """Add the boundary of a combination {word: c} into acc, {code:
+        coefficient}, with plain + and *.
+
+        Every word of the combination has the same length; an image word of
+        m letters is held as its code, the m-digit number whose digits in
+        radix `A.dim` are its letters, most significant first (`decode`
+        inverts it).  Codes of one length sort as their words do; one
+        accumulator holds codes of one length.  The sums are left raw:
+        entries may be zero and, over F_p, unreduced ints;
+        `fields.reduced_entries` drops the zeros and reduces once, when the
+        caller has added every image.  The faces and signs are those of
+        `boundary_word`.
+        """
         n = self._length(combination) - 1
         if n <= 0:
             return
@@ -524,7 +516,10 @@ class ChainComplex:
                         target = rest + k
                         acc[target] = get(target, 0) + ci * v
 
-    def _add_connes(self, combination: dict, acc: dict):
+    def add_connes(self, combination: dict, acc: dict):
+        """Add B of a combination {word: c} into acc, {code: coefficient}, as
+        `add_boundaries` adds the boundary; the rotations and signs are
+        those of `connes_word`."""
         n = self._length(combination) - 1
         if n < 0:
             return

@@ -7,8 +7,8 @@ chain words of tensor length 2t.  The cycle condition (d + uB) ch = 0
 mod u^N amounts to d(c_t) + B(c_{t-1}) = 0 for every t < N, and is checked
 on emission: the certificate is the sole arbiter of the coefficient
 conventions.  It applies d and B to each component as a whole, with image
-words held as int codes (`ChainComplex.add_images`), and turns back into
-words only what does not cancel.
+words held as int codes (`ChainComplex.add_boundaries` and `add_connes`),
+and turns back into words only what does not cancel.
 
 Classes in HH_0 = A/[A,A] come from `hochschild.commutator_classes`, the
 `sparse.Echelon` of the commutators whose rows `hh0_direct` counts: the
@@ -52,9 +52,6 @@ class UChain:
         self.N = N
         self.components = components
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.components)
-
 
 def _reduce_tail(F: Field, vec: dict) -> dict:
     """Class of an algebra element in A/k.1: drop the unit coordinate."""
@@ -95,9 +92,9 @@ def cycle_certificate(chain: UChain) -> dict:
     chain is, and the residue is divided by L on the way out.  Component t
     of the image, words of 2t letters, gathers d of component t and B of
     component t - 1 in one accumulator keyed by word codes
-    (`ChainComplex.add_images`, plain + and *), which drops its zeros (over
-    F_p, after reducing mod p) once, when it is complete; only the nonzero
-    residue is decoded back into words.
+    (`ChainComplex.add_boundaries` and `add_connes`, plain + and *),
+    which drops its zeros (over F_p, after reducing mod p) once, when it is
+    complete; only the nonzero residue is decoded back into words.
     """
     A = chain.algebra
     F = A.field
@@ -116,9 +113,9 @@ def cycle_certificate(chain: UChain) -> dict:
     out = []
     for t in range(chain.N):
         acc: dict = {}
-        cx.add_images(comps[t], "boundary", acc)
+        cx.add_boundaries(comps[t], acc)
         if t >= 1:
-            cx.add_images(comps[t - 1], "connes", acc)
+            cx.add_connes(comps[t - 1], acc)
         out.append({cx.decode(code, 2 * t): v for code, v in reduced_entries(acc, F).items()})
     if scale != 1:
         unscale = F.inv(scale)

@@ -116,10 +116,6 @@ def _times(S: tuple, b: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def poly_add(p: Poly, q: Poly, scale=1) -> Poly:
-    return _apply(None, q, scale, dict(p))
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     return _apply({e1: {tuple(map(add, e1, e2)): c2 for e2, c2 in q.items()} for e1 in p},
                   p, 1, {})
@@ -173,20 +169,8 @@ class PolyForm:
     def scale(self, a) -> "PolyForm":
         return PolyForm._of(self.nvars, _apply(None, self.terms, a, {}))
 
-    def coefficient_degree(self) -> int:
-        return max((sum(e) for (e, _) in self.terms), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyForm) and self.nvars == other.nvars \
-            and self.terms == other.terms
-
 
 def monomial_form(nvars: int, exps, dxs) -> PolyForm:
-    if isinstance(exps, dict):
-        e = [0] * nvars
-        for i, v in exps.items():
-            e[i] = v
-        exps = tuple(e)
     return PolyForm(nvars, {(tuple(exps), tuple(dxs)): 1})
 
 
@@ -265,8 +249,8 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
     """{f, g} = sum_{i<j} alpha^{ij} (d_i f d_j g - d_j f d_i g)."""
     out: Poly = {}
     for (i, j), p in alpha.components.items():
-        term = poly_add(poly_mul(poly_diff(f, i), poly_diff(g, j)),
-                        poly_mul(poly_diff(f, j), poly_diff(g, i)), -1)
+        term = _apply(None, poly_mul(poly_diff(f, j), poly_diff(g, i)), -1,
+                      poly_mul(poly_diff(f, i), poly_diff(g, j)))
         _apply(None, poly_mul(p, term), 1, out)
     return out
 

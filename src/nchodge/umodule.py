@@ -19,10 +19,11 @@ slot s holds columns of slots <= s only: `sparse.leading_ranks`.  Without
 D^2 = 0 over k[u] there are no pieces: D = u on a rank-1 Z/2-folded
 complex squares to zero mod u^2, has homology 0, and gives free rank -1.
 
-Only the positions a caller names are decomposed, and a differential read
-at two positions is eliminated once: `cyclic`'s folded complexes carry
-padding positions, and use one differential as the out-map of 0 and the
-in-map of 1.
+Every position the complex lists is decomposed; a map's far end, which
+need not be listed, is read off the map's shape.  A differential read at
+two positions is eliminated once: `cyclic`'s folded complexes list
+positions 0 and 1 only, and use one differential as the out-map of 0 and
+the in-map of 1.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .sparse import SparseMatrix, StructuralError, kernel_basis, leading_ranks  
 
 
 class UTruncation:
-    """The truncation order N of k[u]/u^N.  Immutable, and equal and hashed
-    by N."""
+    """The truncation order N of k[u]/u^N.  Immutable."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -46,12 +46,6 @@ class UTruncation:
 
     def __delattr__(self, name):
         raise AttributeError("a UTruncation is immutable")
-
-    def __eq__(self, other):
-        return self.N == other.N if other.__class__ is UTruncation else NotImplemented
-
-    def __hash__(self):
-        return hash(self.N)
 
 
 class ContractViolation(ValueError):
@@ -128,9 +122,11 @@ def blocks_from_filtration_dims(dims: list[int], N: int) -> UModuleReport:
 class UComplex:
     """Finite complex of free k[u]-modules, read modulo u^N.
 
-    ranks[pos] is the free rank at homological position pos (0 if absent);
-    diffs[pos], the differential out of pos into pos-1 (zero if absent), is
-    a list of sparse matrices over k, the coefficients of u^0, u^1, ...
+    ranks[pos] is the free rank at each homological position pos that is
+    to be decomposed; diffs[pos], the differential out of pos into pos-1
+    (zero if absent), is a list of sparse matrices over k, the coefficients
+    of u^0, u^1, ...  A differential may run to or from a position that
+    ranks does not list.
     """
 
     def __init__(self, truncation: UTruncation, ranks: dict, diffs: dict):
@@ -176,9 +172,9 @@ def _check_square_zero(c: UComplex, field: Field):
                                         f"entry ({r},{cidx}) = {v}")
 
 
-def u_module_decompose(c: UComplex, field: Field, positions=None) -> dict:
-    """Decompose the homology modulo u^N at the given positions (default:
-    every position), from the leading ranks of the differentials there.
+def u_module_decompose(c: UComplex, field: Field) -> dict:
+    """Decompose the homology modulo u^N at every position the complex
+    lists, from the leading ranks of the differentials there.
 
     Returns {position: UModuleReport}.  The differentials are checked to
     square to zero over k[u] first (see the module docstring).
@@ -197,11 +193,11 @@ def u_module_decompose(c: UComplex, field: Field, positions=None) -> dict:
         return counts[key]
 
     reports = {}
-    for pos in sorted(c.ranks) if positions is None else positions:
-        r = c.ranks.get(pos, 0)
-        d_out = c.diffs.get(pos)
+    for pos in sorted(c.ranks):
+        r = c.ranks[pos]
+        d_out, d_in = c.diffs.get(pos), c.diffs.get(pos + 1)
         out = pieces(d_out, r, d_out[0].rows if d_out else 0)
-        in_ = pieces(c.diffs.get(pos + 1), c.ranks.get(pos + 1, 0), r)
+        in_ = pieces(d_in, d_in[0].cols if d_in else 0, r)
         blocks = {}
         for a in range(1, N):
             if m := out[a + 1] - out[a] + in_[a + 1] - in_[a]:

@@ -126,8 +126,7 @@ def _ref_folded(cx, w, N, n_max):
         if N > 1:
             coeffs.append((*shape, b_entries))
         out[q] = coeffs
-    ranks = {-1: len(bases[1]), 0: len(bases[0]), 1: len(bases[1]), 2: len(bases[0])}
-    return ranks, {0: out[0], 1: out[1], 2: out[0]}
+    return {0: len(bases[0]), 1: len(bases[1])}, {0: out[0], 1: out[1], 2: out[0]}
 
 
 class _RefStaircase:
@@ -513,7 +512,7 @@ def test_char_p_compare_matches_reference(F):
             uc = UComplex(UTruncation(N), ranks,
                           {q: [SparseMatrix(*m) for m in coeffs] for q, coeffs in diffs.items()})
             if ranks[0] or ranks[1]:
-                reports = u_module_decompose(uc, F, positions=(0, 1))
+                reports = u_module_decompose(uc, F)
                 with_b[w] = [reports[0].free_rank, reports[1].free_rank]
         for slot in rep["per_slot"]:
             assert slot["without_b"] == d_only[slot["weight"]], (A.name, slot)

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -1173,3 +1174,85 @@ def test_csv_rows_are_two_fields(capsys, name):
     for key, value in rows[1:]:
         json.loads(value)
     assert "result.per_n_weight.0,0" in {key for key, _ in rows}
+
+
+# ---------------------------------------------------------------------------
+# exact integers past the interpreter's 4300-digit int/str conversion cap
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _no_digit_cap():
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def test_chern_writes_coefficients_of_any_length(tmp_path, capsys):
+    # a 901-digit entry gives chain coefficients of about 4500 digits; the
+    # report could not be written (exit 1)
+    from nchodge.kchern import Idempotent, chern_idempotent
+    big = 10 ** 900
+    digits = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *_chern_argv(tmp_path, 2, 3,
+                                              {"E11*1": "1/1", "E12*1": f"{big}/1"}))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == digits
+    A = builtin("mat", m=2)
+    labels = {A.label(i): i for i in range(A.dim)}
+    chain = chern_idempotent(Idempotent(A, {labels["E11*1"]: 1, labels["E12*1"]: big}), 3)
+    with _no_digit_cap():
+        expected = cli._chain_json(A, chain, 3)
+    assert json.loads(out)["result"]["components"] == expected
+    assert max(len(t["coeff"]) for c in expected for t in c["terms"]) > 4300
+
+
+def test_a_json_integer_of_any_length_is_read_exactly(tmp_path, capsys):
+    from nchodge.poisson import builtin_bivector, poisson_bracket
+    big = (10 ** 5000 - 1) // 9  # 5000 ones
+    with _no_digit_cap():
+        coeff = str(big)
+        f = f'[{{"exponents": [1, 0, 0], "coeff": {coeff}}}]'
+        expected = cli._poly_json(poisson_bracket({(1, 0, 0): big}, {(0, 1, 0): 1},
+                                                  builtin_bivector("so3")))
+    code, out, err = run(capsys, "poisson", "bracket", "--bivector", "so3", "--f", f,
+                         "--g", '[{"exponents": [0, 1, 0], "coeff": 1}]')
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["bracket"] == expected
+    # an algebra file whose p has 5000 digits is read, and refused as no prime
+    obj = algebra_to_json(builtin("point", GF(2)))
+    path = tmp_path / "big-p.json"
+    path.write_text(json.dumps(obj).replace('"p": 2', f'"p": {coeff}'))
+    code, out, err = run(capsys, "hh", "--algebra", str(path), "--n-max", "1")
+    _assert_refused(code, out, err, str(path), "not prime")
+    assert err.count("\n") == 1 and "Exceeds the limit" not in err
+
+
+def test_a_field_label_longer_than_prime_limit_is_refused_by_its_length(capsys):
+    code, out, err = run(capsys, "hh", "--algebra", "dual_numbers", "--n-max", "1",
+                         "--field", "F" + "1" * 5000)
+    _assert_refused(code, out, err, "PRIME_LIMIT", "5000 digits")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("field", ["Q", "F2"])
+def test_an_unknown_lift_label_exits_2_on_every_field(capsys, field):
+    # over Q the label was looked up only after ppower_on_hh0 had refused
+    # the field (exit 3)
+    code, out, err = run(capsys, "ppower", "--algebra", "dual_numbers", "--field", field,
+                         "--lift", "nope")
+    _assert_refused(code, out, err, "unknown basis label 'nope'")
+
+
+@pytest.mark.parametrize("field, code", [("Q", 3), ("F2", 0)])
+def test_a_known_lift_label_runs_as_before(capsys, field, code):
+    got, out, err = run(capsys, "ppower", "--algebra", "dual_numbers", "--field", field,
+                        "--lift", "eps")
+    assert got == code
+    if code:
+        assert not out and err == "error: ppower_on_hh0 requires a prime field\n"
+    else:
+        assert json.loads(out)["result"]["lift"][1]["terms"]

@@ -1,4 +1,5 @@
-"""The coded word images of `ChainComplex.add_images` against the tuple
+"""The coded word images of `ChainComplex.add_boundaries` and
+`add_connes` against the tuple
 images of `boundary_word` and `connes_word`.
 
 The two are separate implementations of the same face and rotation rules:
@@ -52,9 +53,9 @@ def _random_words(cx, n, rng, tries=60) -> set:
     return out
 
 
-def _decoded(cx, word, image, length):
+def _decoded(cx, word, add_images, length):
     acc = {}
-    cx.add_images({word: 1}, image, acc)
+    add_images({word: 1}, acc)
     return {cx.decode(code, length): v for code, v in reduced_entries(acc, cx.A.field).items()}
 
 
@@ -67,9 +68,9 @@ def test_coded_images_decode_to_the_word_images(field, relative):
         cx = ChainComplex(A, relative)
         for n in range(7):
             for word in sorted(_random_words(cx, n, rng))[:12]:
-                assert _decoded(cx, word, "boundary", n) == cx.boundary_word(word), \
+                assert _decoded(cx, word, cx.add_boundaries, n) == cx.boundary_word(word), \
                     (A.name, word)
-                assert _decoded(cx, word, "connes", n + 2) == cx.connes_word(word), \
+                assert _decoded(cx, word, cx.add_connes, n + 2) == cx.connes_word(word), \
                     (A.name, word)
                 checked += 1
     assert checked > 500

@@ -97,7 +97,8 @@ def test_char_p_compare_truncated_poly_f3():
 def _d_only_free_ranks(A, n_top, N):
     """(even, odd) free ranks of the d-only complex (C (x) k[u]/u^N, d) in
     lengths n <= n_top, by u_module_decompose on one complex per word
-    parity (d keeps the word parity); a class of length n and word parity p
+    parity (d keeps the word parity), which lists the lengths n <= n_top
+    and holds the map into n_top; a class of length n and word parity p
     has total parity n + p."""
     cx = hochschild.ChainComplex(A)
     out = [0, 0]
@@ -112,9 +113,9 @@ def _d_only_free_ranks(A, n_top, N):
                 (index[t], c): v for c, w in enumerate(bases[n])
                 for t, v in cx.boundary_word(w).items()})
             diffs[n] = [d] + [sparse.SparseMatrix.zero(ranks[n - 1], ranks[n])] * (N - 1)
-        complex_ = umodule.UComplex(umodule.UTruncation(N), ranks, diffs)
-        for n, rep in umodule.u_module_decompose(complex_, A.field,
-                                                 positions=range(n_top + 1)).items():
+        listed = {n: ranks[n] for n in range(n_top + 1)}
+        complex_ = umodule.UComplex(umodule.UTruncation(N), listed, diffs)
+        for n, rep in umodule.u_module_decompose(complex_, A.field).items():
             assert not rep.torsion_blocks
             out[(n + p) % 2] += rep.free_rank
     return out
@@ -232,11 +233,11 @@ def test_hp_and_filtration_build_one_chain_complex(monkeypatch, name, n_max, N):
 
 
 def test_graded_path_decomposes_only_positions_0_and_1(monkeypatch):
-    # the folded complex pads positions 0/1 with -1 and 2; only 0 and 1 are
-    # read, so only they get a decomposition.  Their two differentials (the
-    # one out of 0, which is also the one into 1 from 2, and the one out of
-    # 1) are eliminated once each, by one leading_ranks call, where both
-    # positions have chains; with one occupied position both maps are empty
+    # the folded complex lists positions 0 and 1 only, so only they get a
+    # decomposition.  Their two differentials (the one out of 0, which is
+    # also the one into 1 from 2, and the one out of 1) are eliminated once
+    # each, by one leading_ranks call, where both positions have chains;
+    # with one occupied position both maps are empty
     decomposed = []
     occupied = []
     eliminations = Counter()
@@ -328,6 +329,8 @@ def test_graded_charp_without_b_is_the_hochschild_homology_per_weight(F):
 
 
 def test_graded_charp_compare_runs_no_hochschild_pass(monkeypatch, capsys):
+    # neither path runs hh_rank: the graded one reads its d-only side off the
+    # folded profile modulo u, the ungraded one off the staircase at N = 1
     calls = []
     hh_rank = hochschild.ChainComplex.hh_rank
 
@@ -341,8 +344,26 @@ def test_graded_charp_compare_runs_no_hochschild_pass(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["per_slot"]
     assert calls == []
     assert main(["charp-compare", "--algebra", "a2_path", *window]) == 0
-    capsys.readouterr()
-    assert calls
+    assert json.loads(capsys.readouterr().out)["result"]["per_slot"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
+@pytest.mark.parametrize("name, slot_disagrees", [("poly_truncated", True),
+                                                  ("dual_numbers", False)])
+def test_graded_charp_compare_that_disagrees_exits_2(capsys, name, slot_disagrees, strict):
+    # over F2 at N = 1, weight 1 is off Frobenius and guard-safe, and its
+    # with_b pair does not vanish; for poly_truncated the guard-safe weight-1
+    # slot disagrees as well.  No catalogue algebra disagrees on a slot alone.
+    argv = ["charp-compare", "--algebra", name, "--field", "F2", "--n-max", "4",
+            "--u-trunc", "1", *strict]
+    assert main(argv) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["agree"] is False
+    off = {s["weight"]: s for s in result["off_frobenius"]}
+    assert off[1]["guard_safe"] and not off[1]["vanishes"]
+    (slot,) = [s for s in result["per_slot"] if s["weight"] == 1]
+    assert slot["guard_safe"] and slot["agree"] is not slot_disagrees
 
 
 def _graded_cases(F):

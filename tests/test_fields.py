@@ -97,6 +97,10 @@ def test_is_prime_refuses_above_its_limit():
             _is_prime(n)
     with pytest.raises(ValueError, match="PRIME_LIMIT"):
         parse_field(f"F{2 ** 89 - 1}")
+    # a label past the interpreter's int/str cap is refused by its length
+    with pytest.raises(ValueError, match="5000 digits: .*PRIME_LIMIT"):
+        parse_field("F" + "1" * 5000)
+    assert parse_field("F" + "0" * 30 + "3") == GF(3)
     assert not _is_prime(PRIME_LIMIT + 1)  # even: decided without the test
 
 

@@ -122,7 +122,8 @@ def test_super_wrap_sign():
 
 
 def test_add_images_accumulates_scaled_images():
-    # add_images adds c times the image of each word of a combination, keyed
+    # add_boundaries and add_connes add c times the image of each word of a
+    # combination, keyed
     # by word code, with plain + and *; decoded after reduced_entries it
     # equals the field-method sum of the scaled images, for unreduced int
     # scales over F_p and Fraction scales over Q, on both complexes
@@ -139,10 +140,11 @@ def test_add_images_accumulates_scaled_images():
                     if F.p is None:
                         picked = {w: Fraction(c, rng.choice((1, 2, 3)))
                                   for w, c in picked.items()}
-                    for image, word_image, length in (("boundary", cx.boundary_word, n),
-                                                      ("connes", cx.connes_word, n + 2)):
+                    for add_images, word_image, length in (
+                            (cx.add_boundaries, cx.boundary_word, n),
+                            (cx.add_connes, cx.connes_word, n + 2)):
                         acc = {}
-                        cx.add_images(picked, image, acc)
+                        add_images(picked, acc)
                         expected = {}
                         for w, c in picked.items():
                             for t, v in word_image(w).items():
@@ -153,15 +155,14 @@ def test_add_images_accumulates_scaled_images():
                                 in reduced_entries(acc, F).items()} == expected
 
 
-def test_add_images_refuses_mixed_lengths_and_unknown_images():
+def test_add_images_refuses_mixed_lengths():
     cx = ChainComplex(builtin("mat", QQ))
-    with pytest.raises(ValueError):
-        cx.add_images({(1, 2): 1, (1, 2, 3): 1}, "boundary", {})
-    with pytest.raises(ValueError):
-        cx.add_images({(1, 2): 1}, "differential", {})
+    for add_images in (cx.add_boundaries, cx.add_connes):
+        with pytest.raises(ValueError):
+            add_images({(1, 2): 1, (1, 2, 3): 1}, {})
     acc = {}
-    cx.add_images({}, "boundary", acc)
-    cx.add_images({}, "connes", acc)
+    cx.add_boundaries({}, acc)
+    cx.add_connes({}, acc)
     assert acc == {}
 
 

@@ -425,27 +425,6 @@ def test_u_module_decompose_matches_dense_oracle(F):
                 assert (o_free, o_blocks) == (free, blocks), (pos, N)
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=str)
-def test_u_module_decompose_named_positions(F):
-    # decomposing a subset of positions gives exactly those positions, each
-    # as in the full decomposition and as the dense oracle has it
-    rng = random.Random(31 + F.characteristic)
-    for _ in range(25):
-        N = rng.randint(1, 4)
-        cx, _ = _random_u_complex(rng, F, N)
-        full = u_module_decompose(cx, F)
-        subset = sorted(rng.sample(sorted(cx.ranks), rng.randint(1, len(cx.ranks))))
-        part = u_module_decompose(cx, F, positions=subset)
-        assert sorted(part) == subset
-        for pos in subset:
-            got = (part[pos].free_rank, part[pos].torsion_blocks)
-            assert got == (full[pos].free_rank, full[pos].torsion_blocks), (pos, N)
-            if cx.ranks[pos]:
-                assert got == oracle.dense_blocks_from_dims(_oracle_dims(cx, pos, F)), (pos, N)
-            else:
-                assert got == (0, {}), (pos, N)
-
-
 # Q scalars are ints or Fractions: mixed entries, no floats -------------------
 
 

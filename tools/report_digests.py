@@ -61,7 +61,13 @@ The grid:
 - `hh --n-max 400` and `hc --n-max 200 --u-trunc 2` of `dual_numbers`,
   long windows whose blocks hold two words each;
 - `hh` of `dual_numbers` with the malformed field labels `F` and `F+3`
-  (exit 2).
+  (exit 2);
+- integers longer than the interpreter's 4300-digit int/str cap: `chern`
+  of an idempotent with a 901-digit entry (coefficients of about 4500
+  digits), an algebra file whose `field.p` is 5000 digits long (exit 2),
+  `poisson bracket` with a 5000-digit `--f` coefficient, and `hh` with
+  `--field` F followed by 5000 digits (exit 2);
+- `ppower --lift nope` of `dual_numbers` over Q and F2 (exit 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -144,6 +150,8 @@ def _idempotent(vector):
 
 
 _X, _Y = json.dumps(_poly(((1, 0), "1"))), json.dumps(_poly(((0, 1), "1")))
+# 5000 digits, longer than the interpreter's int/str conversion cap
+_ONES = "1" * 5000
 # x dy + 1/2 y dx^dy
 _FORM = json.dumps([{"exponents": [1, 0], "dxs": [1], "coeff": "1"},
                     {"exponents": [0, 1], "dxs": [0, 1], "coeff": "1/2"}])
@@ -222,7 +230,10 @@ def _input_files() -> dict:
             "pi-key-twice.json": '{"format": "ncg-idempotent/1", '
                                  '"vector": {"E11*1": "1", "E12*1": "1/2", "E12*1": "3"}}',
             "alpha-key-twice.json": _with_key_twice(
-                _bivector(_poly(((0, 0), "1")), hbar="1/2"), "hbar", "1")}
+                _bivector(_poly(((0, 0), "1")), hbar="1/2"), "hbar", "1"),
+            "pi-901-digits.json": _idempotent({"E11*1": "1/1", "E12*1": f"{10 ** 900}/1"}),
+            "p-5000-digits.json": json.dumps(algebra_to_json(builtin("point", GF(2))))
+                                  .replace('"p": 2', f'"p": {_ONES}')}
 
 
 def grid() -> list:
@@ -324,6 +335,16 @@ def grid() -> list:
     # malformed field labels (exit 2)
     for label in ("F", "F+3"):
         out.append(("hh", "--algebra", "dual_numbers", "--n-max", "1", "--field", label))
+    # integers past the int/str conversion cap
+    out.append(("chern", "--algebra", "mat", "--param", "m=2", "--u-trunc", "3",
+                "--idempotent", "pi-901-digits.json"))
+    out.append(("hh", "--algebra", "p-5000-digits.json", "--n-max", "1"))
+    out.append(("poisson", "bracket", "--bivector", "so3",
+                "--f", f'[{{"exponents": [1, 0, 0], "coeff": {_ONES}}}]',
+                "--g", json.dumps(_poly(((0, 1, 0), 1)))))
+    out.append(("hh", "--algebra", "dual_numbers", "--n-max", "1", "--field", "F" + _ONES))
+    for field in ("Q", "F2"):
+        out.append(("ppower", "--algebra", "dual_numbers", "--field", field, "--lift", "nope"))
     return out
 
 
