@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import Field, QQ, format_scalar, parse_scalar, reduced_entries
+from .fields import Field, QQ, format_scalar, parse_scalar, prime_field, reduced_entries
 
 
 class AlgebraError(ValueError):
@@ -167,37 +167,31 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     return ValidationReport(v)
 
 
-def _with_unit_first(name, field, dim, structure, unit_vec, weight=None, parity=None,
+def _with_unit_first(name, field, dim, structure, unit, weight=None, parity=None,
                      max_weight=None, labels=None):
-    """Rebase so that basis element 0 is the given unit vector.
+    """Rebase so that basis element 0 is the unit, the sum of the old basis
+    elements listed in `unit` (ascending, at least one).
 
-    The unit replaces one old basis element in its support (the last one,
-    which must carry coefficient 1); all other old elements are kept.
+    The unit replaces the last of them; all other old elements are kept.
     """
     F = field
-    support = sorted(i for i, c in unit_vec.items() if not F.is_zero(c))
-    if not support:
-        raise AlgebraError("zero unit vector")
-    drop = support[-1]
-    if unit_vec[drop] != F.one():
-        raise AlgebraError("unit coefficient at rebased slot must be 1")
+    drop = unit[-1]
     keep = [i for i in range(dim) if i != drop]
     new_index = {old: pos + 1 for pos, old in enumerate(keep)}
 
     def to_new(vec: dict) -> dict:
-        # vec = alpha * unit + sum over kept i of (vec[i] - alpha unit[i]) e_i
+        # vec = alpha * unit + sum over kept i of (vec[i] - alpha [i in unit]) e_i
         alpha = vec.get(drop, 0)
         out = {0: alpha}
         get = out.get
         for i, c in vec.items():
             if i != drop:
                 out[new_index[i]] = get(new_index[i], 0) + c
-        for i, c in unit_vec.items():
-            if i != drop:
-                out[new_index[i]] = get(new_index[i], 0) - alpha * c
+        for i in unit[:-1]:
+            out[new_index[i]] = get(new_index[i], 0) - alpha
         return reduced_entries(out, F)
 
-    old_basis = [unit_vec] + [{i: F.one()} for i in keep]
+    old_basis = [dict.fromkeys(unit, F.one())] + [{i: F.one()} for i in keep]
     structure_new = {}
     for a, va in enumerate(old_basis):
         for b, vb in enumerate(old_basis):
@@ -206,12 +200,12 @@ def _with_unit_first(name, field, dim, structure, unit_vec, weight=None, parity=
                 structure_new[(a, b)] = prod
     new_weight = None
     if weight is not None:
-        if any(weight[i] != 0 for i in support):
+        if any(weight[i] != 0 for i in unit):
             raise AlgebraError("unit support must sit in weight 0")
         new_weight = tuple([0] + [weight[i] for i in keep])
     new_parity = None
     if parity is not None:
-        if any(parity[i] % 2 for i in support):
+        if any(parity[i] % 2 for i in unit):
             raise AlgebraError("unit support must be even")
         new_parity = tuple([0] + [parity[i] % 2 for i in keep])
     new_labels = None
@@ -244,14 +238,14 @@ def matrix_algebra(A: AlgebraSpec, m: int) -> AlgebraSpec:
                 comps[idx[(r, u, k)]] = c
             if comps:
                 structure[(i, j)] = comps
-    unit_vec = {idx[(r, r, 0)]: F.one() for r in range(m)}
+    unit = [idx[(r, r, 0)] for r in range(m)]
     weight = None
     if A.weight is not None:
         weight = [A.weight[a] for (r, s, a) in idx]
     parity = None
     if A.parity is not None:
         parity = [A.parity[a] for (r, s, a) in idx]
-    return _with_unit_first(f"mat{m}({A.name})", F, m * m * d, structure, unit_vec,
+    return _with_unit_first(f"mat{m}({A.name})", F, m * m * d, structure, unit,
                             weight, parity, A.max_weight, labels)
 
 
@@ -333,7 +327,7 @@ def glue(A: AlgebraSpec, B: AlgebraSpec, M: BimoduleSpec) -> AlgebraSpec:
             comps = {im(t2): c for t2, c in comps.items()}
             if comps:
                 structure[(ib(j), im(t))] = comps
-    unit_vec = {ia(0): F.one(), ib(0): F.one()}
+    unit = [ia(0), ib(0)]
     labels = ([f"A.{A.label(i)}" for i in range(dA)] +
               [f"M.m{t}" for t in range(dM)] +
               [f"B.{B.label(j)}" for j in range(dB)])
@@ -341,7 +335,7 @@ def glue(A: AlgebraSpec, B: AlgebraSpec, M: BimoduleSpec) -> AlgebraSpec:
     if A.parity is not None or B.parity is not None:
         # the corner is even; weights are not carried over
         parity = (A.parity or (0,) * dA) + (0,) * dM + (B.parity or (0,) * dB)
-    return _with_unit_first(f"glue({A.name},{B.name})", F, dim, structure, unit_vec,
+    return _with_unit_first(f"glue({A.name},{B.name})", F, dim, structure, unit,
                             parity=parity, labels=labels)
 
 
@@ -612,7 +606,7 @@ def field_from_json(obj) -> Field:
             raise SchemaError("field: prime-field needs exactly 'kind' and 'p'")
         p = json_int(obj["p"], "field: p", 2)
         try:
-            return Field(p)
+            return prime_field(str(p), "p has")
         except ValueError as exc:
             raise SchemaError(f"field: {exc}")
     raise SchemaError(f"field: unknown kind {obj['kind']!r}")
@@ -658,12 +652,18 @@ def algebra_from_json(obj) -> AlgebraSpec:
     unit_index = json_int(obj["unit_index"], "algebra: unit_index", 0)
     if unit_index >= dim:
         raise SchemaError("algebra: unit_index out of range")
+    entries = json_list(obj["structure"], "algebra: structure")
+    # a unit needs its d products 1 * e_i = e_i listed, so a larger dim is
+    # refused before anything of that size is built
+    if dim > len(entries):
+        raise SchemaError(f"algebra: dim {dim} but only {len(entries)} structure entries; "
+                          f"a unit needs the {dim} entries 1 * e_i = e_i")
     # the unit becomes basis vector 0 by a plain relabelling, so that
     # validate still reports a unit of nonzero weight or odd parity
     perm = [unit_index] + [i for i in range(dim) if i != unit_index]
     inv = {old: new for new, old in enumerate(perm)}
     structure = {}
-    for entry in json_list(obj["structure"], "algebra: structure"):
+    for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise SchemaError(f"algebra: structure entry {entry!r} is not [i,j,k,value]")
         what = f"algebra: structure entry {entry!r}"

@@ -22,10 +22,14 @@ pieces to a cache entry's .tmp file, which replaces the entry only after
 the last piece.  No report is held as one string; the bytes and the cache
 keys are those of the whole-string json.dumps rendering it replaced.
 
-Exit codes: 0 success, 1 structural error, 2 validation failure (including
-a failed certificate, an invalid input or a size out of range), 3
-inconclusive verdict under --strict or an operation the field or
-parameters do not support.
+Exit codes: 0 success, 1 structural error (an unreadable input, an
+unwritable report, or a fault inside a computation, such as cyclic
+filtration dims that belong to no k[u]/u^N-module), 2 validation failure
+(a failed certificate or check, an invalid input or a size out of range),
+3 an operation the field or parameters do not support.  The one
+inconclusive result is `hp`'s, which exits 3 under --strict; `filtration`
+refuses it with exit 3, and `degeneration`, whose verdict is read off the
+torsion inventory alone, never exits 3.
 """
 
 from __future__ import annotations
@@ -816,7 +820,7 @@ def _hc(args, x):
 @_command("hp")
 def _hp(args, x):
     rep = hp_ranks(x.algebra, x.window, x.N)
-    return rep.to_dict(), (EXIT_OK, EXIT_OK if rep.conclusive else EXIT_INCONCLUSIVE)
+    return rep, (EXIT_OK, EXIT_OK if rep["conclusive"] else EXIT_INCONCLUSIVE)
 
 
 @_command("filtration")
@@ -826,9 +830,7 @@ def _filtration(args, x):
 
 @_command("degeneration")
 def _degeneration(args, x):
-    rep = degeneration_check(x.algebra, x.window, x.N)
-    inconclusive = rep["verdict"] == "inconclusive"
-    return rep, (EXIT_OK, EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
+    return degeneration_check(x.algebra, x.window, x.N), _OK
 
 
 @_command("chern", inputs=lambda args, x: {

@@ -18,7 +18,10 @@ Two realizations of the truncated negative cyclic complex
   T^m = sum_{j<N} u^j C_{2j-m}, on which D = d + uB raises m by one and
   squares to zero exactly; homology per degree plus the ranks of the
   u-shift maps give the k[u]/u^N-module filtration dims, from which block
-  sizes are recovered by second differences.  Everything degree m reads
+  sizes are recovered by second differences.  Above the floor these are
+  the dims of a k[u]-module, so a negative second difference is a fault
+  of the computation and raises, as (d + uB)^2 != 0 does on the folded
+  path: neither realization has a second outcome.  Everything degree m reads
   (D_m, D_{m-1}, the cycles of T^{m-2t}) is made at degree m or below, so
   one ascending pass over m computes it.  The window's lowest degree
   m_floor = 2(N - 1) - n_max receives no D from inside the window: its
@@ -80,7 +83,7 @@ class CyclicReport:
 
     even/odd are UModuleReports for the two total parities; per_weight
     holds the weight-resolved profiles for graded algebras; flags carries
-    guard-band and consistency diagnostics.
+    guard-band and window diagnostics.
     """
 
     def __init__(self, even: UModuleReport, odd: UModuleReport, N: int, n_max: int,
@@ -91,10 +94,6 @@ class CyclicReport:
         self.n_max = n_max
         self.per_weight = per_weight
         self.flags = flags
-
-    @property
-    def consistent(self) -> bool:
-        return not self.flags.get("profile_inconsistent", False)
 
     def torsion_inventory(self) -> list:
         """[parity, block size] of every torsion block, as the report lists it."""
@@ -115,32 +114,20 @@ class CyclicReport:
         return d
 
 
-def _require_window(A: AlgebraSpec, window: DegreeWindow, N: int):
+def _profile(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
+    """The setup of every cyclic command: check the window once, then run
+    the realization that fits the algebra."""
     if N < 1:
         raise SizeError(f"truncation N={N} must be >= 1")
     if window.n_max < 2 * N:
         raise WindowError(
             f"window n_max={window.n_max} too small for truncation N={N}: "
             f"need n_max >= 2N")
-    if not A.connected_graded:
-        window.refuse_weight_bounds(
-            f"{A.name} is not connected-graded, so its cyclic complex is not split by weight")
-
-
-def _profile(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
-    """The setup of every cyclic command: check the window once, then run
-    the realization that fits the algebra."""
-    _require_window(cx.A, window, N)
     if cx.A.connected_graded:
         return _graded_negative_cyclic(cx, window, N)
+    window.refuse_weight_bounds(
+        f"{cx.A.name} is not connected-graded, so its cyclic complex is not split by weight")
     return _staircase_negative_cyclic(cx, window, N)
-
-
-def _verdict(rep: CyclicReport, conclusive: bool) -> str:
-    """The verdict of `hp_ranks` and `degeneration_check` on the profile rep."""
-    if not conclusive:
-        return "inconclusive"
-    return "finite-torsion-found" if rep.torsion_inventory() else "collapses-in-window"
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +233,15 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
     instead of the profile, unshifted: that of the absolute complex, from
     the alternating sum of the block sizes and the stable homology (see
     the module docstring).
+
+    Every length 2j - m of a degree m > m_floor is below n_max, so T^m and
+    the D into it are those of C[u]/u^N itself, and H^m is its homology in
+    total degree m.  u raises m by 2 and H^m = 0 above m_hi, so the stable
+    degrees of one total parity span a k[u]-submodule M of that homology,
+    killed by u^N: a sum of blocks k[u]/u^a, a <= N.  The pass counts
+    dims[t] = dim u^t M, whose second differences are the block counts and
+    never negative; `blocks_from_filtration_dims` raises on a negative one,
+    which only a wrong elimination can give, and the command exits 1.
     """
     F = cx.A.field
     n_max = window.n_max
@@ -291,14 +287,8 @@ def _staircase_negative_cyclic(cx: ChainComplex, window: DegreeWindow, N: int) -
         floor_dims[(m_floor + p) % 2] += floor
     if floor_dims[0] or floor_dims[1]:
         flags["unstable_floor_dims"] = floor_dims
-    reports = {}
-    for par in (0, 1):
-        try:
-            reports[par] = blocks_from_filtration_dims(dims[par], N)
-        except ValueError:
-            flags["profile_inconsistent"] = True
-            reports[par] = UModuleReport(dims[par][N - 1], {}, N)
-    return CyclicReport(reports[0], reports[1], N, window.n_max, None, flags)
+    even, odd = (blocks_from_filtration_dims(dims[par], N) for par in (0, 1))
+    return CyclicReport(even, odd, N, window.n_max, None, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -311,40 +301,16 @@ def negative_cyclic(A: AlgebraSpec, window: DegreeWindow, N: int) -> CyclicRepor
     return _profile(ChainComplex(A, relative=True), window, N)
 
 
-class HodgeReport:
-    """HP rank estimate with stabilization diagnostics and the filtration."""
-
-    def __init__(self, hp_even: int, hp_odd: int, conclusive: bool, verdict: str,
-                 filtration: dict, report_N: CyclicReport, report_Nm1: CyclicReport):
-        self.hp_even = hp_even
-        self.hp_odd = hp_odd
-        self.conclusive = conclusive
-        self.verdict = verdict  # collapses-in-window | finite-torsion-found | inconclusive
-        self.filtration = filtration  # index (as string, half-integers allowed) -> rank
-        self.report_N = report_N
-        self.report_Nm1 = report_Nm1
-
-    def to_dict(self) -> dict:
-        return {
-            "hp_even": self.hp_even,
-            "hp_odd": self.hp_odd,
-            "conclusive": self.conclusive,
-            "verdict": self.verdict,
-            "filtration": dict(self.filtration),
-            "truncation": self.report_N.N,
-            "n_max": self.report_N.n_max,
-            "profile": self.report_N.to_dict(),
-            "profile_previous": self.report_Nm1.to_dict(),
-        }
-
-
-def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> HodgeReport:
+def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     """Periodic cyclic rank estimate: stabilized free ranks of the truncated
     negative cyclic homology.
 
     Conclusive only when the free ranks agree at truncations N and N-1 and
     the torsion profile is saturated (all block sizes <= N-2).  Inconclusive
-    is a result, not an error.
+    is a result, not an error: its verdict is `inconclusive` and its
+    filtration all zero.  The result holds the ranks (`hp_even`, `hp_odd`),
+    `conclusive`, the `verdict`, the `filtration` (index as a string,
+    half-integers for the odd part -> rank) and both profiles.
 
     On a connected-graded algebra the N - 1 profile (`profile_previous`) is
     derived from the N one, weight by weight: blocks of size N - 1 become
@@ -366,15 +332,19 @@ def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> HodgeReport:
     stable = (rep.even.free_rank == prev.even.free_rank
               and rep.odd.free_rank == prev.odd.free_rank)
     saturated = rep.even.saturated_at_N and rep.odd.saturated_at_N
-    conclusive = stable and saturated and rep.consistent and prev.consistent
+    conclusive = stable and saturated
     filtration = {}
     for i in range(N):
         filtration[str(i)] = rep.even.free_rank if conclusive else 0
         filtration[f"{2 * i + 1}/2"] = rep.odd.free_rank if conclusive else 0
     filtration[str(N)] = 0
     filtration[f"{2 * N + 1}/2"] = 0
-    return HodgeReport(rep.even.free_rank, rep.odd.free_rank, conclusive,
-                       _verdict(rep, conclusive), filtration, rep, prev)
+    verdict = ("inconclusive" if not conclusive else
+               "finite-torsion-found" if rep.torsion_inventory() else "collapses-in-window")
+    return {"hp_even": rep.even.free_rank, "hp_odd": rep.odd.free_rank,
+            "conclusive": conclusive, "verdict": verdict, "filtration": filtration,
+            "truncation": N, "n_max": rep.n_max,
+            "profile": rep.to_dict(), "profile_previous": prev.to_dict()}
 
 
 def hodge_filtration(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
@@ -386,23 +356,24 @@ def hodge_filtration(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     Refuses on inconclusive HP.
     """
     rep = hp_ranks(A, window, N)
-    if not rep.conclusive:
+    if not rep["conclusive"]:
         raise UnsupportedError("hodge_filtration: HP estimate is inconclusive "
                                "at this window/truncation")
-    return rep.filtration
+    return rep["filtration"]
 
 
 def degeneration_check(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     """Hodge-to-de-Rham degeneration verdict in the window.
 
     collapses-in-window iff the truncated homology is u-free (no finite
-    Jordan blocks) in every computed slot; otherwise the torsion inventory
-    is returned.
+    Jordan blocks) in every computed slot, else finite-torsion-found; the
+    torsion inventory is returned with it.
     """
     rep = _profile(ChainComplex(A, relative=True), window, N)
+    inventory = rep.torsion_inventory()
     return {
-        "verdict": _verdict(rep, rep.consistent),
-        "torsion_inventory": rep.torsion_inventory(),
+        "verdict": "finite-torsion-found" if inventory else "collapses-in-window",
+        "torsion_inventory": inventory,
         "profile": rep.to_dict(),
     }
 

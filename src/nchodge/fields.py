@@ -158,20 +158,28 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
+def prime_field(digits: str, what: str) -> Field:
+    """F_p for the p spelled by the ASCII decimal `digits`, refusing a p at
+    or above PRIME_LIMIT by its size: a spelling longer than PRIME_LIMIT's
+    is never converted, and the message gives `what`, the digit count and
+    PRIME_LIMIT, never the digits."""
+    if len(digits.lstrip("0")) > len(str(PRIME_LIMIT)) or int(digits) >= PRIME_LIMIT:
+        raise ValueError(f"{what} {len(digits)} digits: primes are certified only "
+                         f"below PRIME_LIMIT = {PRIME_LIMIT}")
+    return Field(int(digits))
+
+
 def parse_field(text: str) -> Field:
     """Parse a field label: "Q" ("QQ", "rationals"), or "F" and ASCII digits, as "F101".
 
-    A label whose number has more digits than PRIME_LIMIT is refused by
-    its length, without reading or echoing the digits."""
+    A label whose number is at or above PRIME_LIMIT is refused by
+    `prime_field`, without echoing the digits."""
     t = text.strip()
     if t in ("Q", "QQ", "rationals"):
         return QQ
     digits = t[1:]
     if t[:1] == "F" and digits.isascii() and digits.isdigit():
-        if len(digits.lstrip("0")) > len(str(PRIME_LIMIT)):
-            raise ValueError(f"field label F followed by {len(digits)} digits: primes are "
-                             f"certified only below PRIME_LIMIT = {PRIME_LIMIT}")
-        return Field(int(digits))
+        return prime_field(digits, "field label F followed by")
     raise ValueError(f"unknown field {text!r}")
 
 

@@ -381,8 +381,8 @@ def _fx_dual_numbers_hp():
     from .cyclic import hp_ranks
     from .hochschild import DegreeWindow
     rep = hp_ranks(builtin("dual_numbers", QQ), DegreeWindow(8), 3)
-    return {"hp": [rep.hp_even, rep.hp_odd], "conclusive": rep.conclusive,
-            "verdict": rep.verdict}
+    return {"hp": [rep["hp_even"], rep["hp_odd"]], "conclusive": rep["conclusive"],
+            "verdict": rep["verdict"]}
 
 
 def _fx_dual_numbers_filtration():

@@ -105,7 +105,9 @@ def blocks_from_filtration_dims(dims: list[int], N: int) -> UModuleReport:
     """Recover block multiplicities from dims[j] = dim_k u^j * M, j = 0..N-1.
 
     A block k[u]/u^a contributes max(a - j, 0) to dims[j]; the multiplicities
-    are the second differences of the dims sequence.
+    are the second differences of the dims sequence.  The dims of a
+    k[u]/u^N-module have none negative, so the ValueError on a negative one
+    is raised only on a fault: dims that belong to no module.
     """
     d = list(dims) + [0, 0]
     free = d[N - 1]

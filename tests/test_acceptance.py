@@ -120,8 +120,8 @@ def test_criterion_04_morita_invariance():
     assert hh_p == hh_m == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
     hp_p = hp_ranks(P, DegreeWindow(6), 2)
     hp_m = hp_ranks(M2, DegreeWindow(6), 2)
-    assert hp_p.conclusive and hp_m.conclusive
-    assert (hp_p.hp_even, hp_p.hp_odd) == (hp_m.hp_even, hp_m.hp_odd)
+    assert hp_p["conclusive"] and hp_m["conclusive"]
+    assert (hp_p["hp_even"], hp_p["hp_odd"]) == (hp_m["hp_even"], hp_m["hp_odd"])
     D = builtin("dual_numbers")
     M2D = matrix_algebra(D, 2)
     assert (hh_ranks(D, DegreeWindow(4))["per_n"]
@@ -134,15 +134,15 @@ def test_criterion_05_feigin_tsygan_fat_points():
         "hp": [1, 0], "conclusive": True, "verdict": "finite-torsion-found"}
     for A in (builtin("dual_numbers"), builtin("truncated_poly", QQ, m=3)):
         rep = hp_ranks(A, DegreeWindow(8), 3)
-        assert (rep.hp_even, rep.hp_odd) == (1, 0), A.name
-        assert rep.conclusive, A.name
+        assert (rep["hp_even"], rep["hp_odd"]) == (1, 0), A.name
+        assert rep["conclusive"], A.name
 
 
 def test_criterion_06_super_example():
     """hp(clifford1) = (0, 1) over Q, conclusive."""
     rep = hp_ranks(builtin("clifford1"), DegreeWindow(8), 3)
-    assert (rep.hp_even, rep.hp_odd) == (0, 1)
-    assert rep.conclusive
+    assert (rep["hp_even"], rep["hp_odd"]) == (0, 1)
+    assert rep["conclusive"]
 
 
 def test_criterion_07_rank_inequality():
@@ -157,10 +157,10 @@ def test_criterion_07_rank_inequality():
     checked = 0
     for A, n_max, N in matrix:
         rep = hp_ranks(A, DegreeWindow(n_max), N)
-        if not rep.conclusive:
+        if not rep["conclusive"]:
             continue
         total_hh = sum(hh_ranks(A, DegreeWindow(n_max))["per_n"].values())
-        assert rep.hp_even + rep.hp_odd <= total_hh, A.name
+        assert rep["hp_even"] + rep["hp_odd"] <= total_hh, A.name
         checked += 1
     assert checked == len(matrix)
 

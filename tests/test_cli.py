@@ -1210,7 +1210,7 @@ def test_chern_writes_coefficients_of_any_length(tmp_path, capsys):
     assert max(len(t["coeff"]) for c in expected for t in c["terms"]) > 4300
 
 
-def test_a_json_integer_of_any_length_is_read_exactly(tmp_path, capsys):
+def test_a_json_integer_of_any_length_is_read_exactly(tmp_path, capsys, monkeypatch):
     from nchodge.poisson import builtin_bivector, poisson_bracket
     big = (10 ** 5000 - 1) // 9  # 5000 ones
     with _no_digit_cap():
@@ -1222,13 +1222,14 @@ def test_a_json_integer_of_any_length_is_read_exactly(tmp_path, capsys):
                          "--g", '[{"exponents": [0, 1, 0], "coeff": 1}]')
     assert (code, err) == (0, "")
     assert json.loads(out)["result"]["bracket"] == expected
-    # an algebra file whose p has 5000 digits is read, and refused as no prime
+    # an algebra file whose p has 5000 digits is read, and refused by its
+    # size in one short line that does not spell p
     obj = algebra_to_json(builtin("point", GF(2)))
-    path = tmp_path / "big-p.json"
-    path.write_text(json.dumps(obj).replace('"p": 2', f'"p": {coeff}'))
-    code, out, err = run(capsys, "hh", "--algebra", str(path), "--n-max", "1")
-    _assert_refused(code, out, err, str(path), "not prime")
-    assert err.count("\n") == 1 and "Exceeds the limit" not in err
+    monkeypatch.chdir(tmp_path)
+    Path("big-p.json").write_text(json.dumps(obj).replace('"p": 2', f'"p": {coeff}'))
+    code, out, err = run(capsys, "hh", "--algebra", "big-p.json", "--n-max", "1")
+    _assert_refused(code, out, err, "big-p.json: field: p has 5000 digits", "PRIME_LIMIT")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
 def test_a_field_label_longer_than_prime_limit_is_refused_by_its_length(capsys):
@@ -1256,3 +1257,145 @@ def test_a_known_lift_label_runs_as_before(capsys, field, code):
         assert not out and err == "error: ppower_on_hh0 requires a prime field\n"
     else:
         assert json.loads(out)["result"]["lift"][1]["terms"]
+
+
+# ---------------------------------------------------------------------------
+# every exit code the README documents for a command is reached
+# ---------------------------------------------------------------------------
+
+# a report that cannot be written
+_NO_DIR = ("--output", "missing/report.json")
+_DUAL_HC = ("--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2")
+_FORM_XY = '[{"exponents": [1, 0], "dxs": [1], "coeff": "1"}]'
+
+# command -> {exit code: argv after the command that exits with it}; the
+# files are written by the test, and absent.json is not
+_EXIT_CODES = {
+    ("validate",): {0: ("--algebra", "dual_numbers"), 1: ("--algebra", "absent.json"),
+                    2: ("--algebra", "broken.json")},
+    ("hh",): {0: ("--algebra", "dual_numbers", "--n-max", "2"),
+              1: ("--algebra", "dual_numbers", "--n-max", "2", *_NO_DIR),
+              2: ("--algebra", "dual_numbers", "--n-max", "-1")},
+    ("hc",): {0: _DUAL_HC, 1: (*_DUAL_HC, *_NO_DIR),
+              2: ("--algebra", "dual_numbers", "--n-max", "3", "--u-trunc", "2")},
+    # the verdict of truncated_poly m=3 at n_max 4, N 2 is inconclusive
+    ("hp",): {0: ("--algebra", "truncated_poly", "--param", "m=3", "--n-max", "4",
+                  "--u-trunc", "2"),
+              1: (*_DUAL_HC, *_NO_DIR), 2: ("--algebra", "dual_numbers", "--n-max", "4",
+                                            "--u-trunc", "1"),
+              3: ("--algebra", "truncated_poly", "--param", "m=3", "--n-max", "4",
+                  "--u-trunc", "2", "--strict")},
+    ("filtration",): {0: ("--algebra", "dual_numbers", "--n-max", "6", "--u-trunc", "3"),
+                      1: ("--algebra", "dual_numbers", "--n-max", "6", "--u-trunc", "3",
+                          *_NO_DIR),
+                      2: ("--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "1"),
+                      3: ("--algebra", "truncated_poly", "--param", "m=3", "--n-max", "4",
+                          "--u-trunc", "2")},
+    # finite torsion under --strict still exits 0: degeneration never exits 3
+    ("degeneration",): {0: ("--algebra", "dual_numbers", "--n-max", "8", "--u-trunc", "3",
+                            "--strict"),
+                        1: (*_DUAL_HC, *_NO_DIR),
+                        2: ("--algebra", "dual_numbers", "--n-max", "3", "--u-trunc", "2")},
+    ("chern",): {0: ("--algebra", "mat", "--u-trunc", "2", "--idempotent", "pi.json"),
+                 1: ("--algebra", "mat", "--u-trunc", "2", "--idempotent", "absent.json"),
+                 2: ("--algebra", "mat", "--u-trunc", "2", "--idempotent", "not-pi.json"),
+                 3: ("--algebra", "mat", "--field", "F3", "--u-trunc", "2",
+                     "--idempotent", "pi.json")},
+    ("ppower",): {0: ("--algebra", "dual_numbers", "--field", "F2"),
+                  1: ("--algebra", "dual_numbers", "--field", "F2", *_NO_DIR),
+                  2: ("--algebra", "dual_numbers", "--field", "F2", "--lift", "nope"),
+                  3: ("--algebra", "dual_numbers", "--field", "Q")},
+    ("graded-pieces",): {0: ("--dim-v", "2", "--n", "3", "--field", "F3"),
+                         1: ("--dim-v", "2", "--n", "3", "--field", "F3", *_NO_DIR),
+                         2: ("--dim-v", "0", "--n", "3", "--field", "F3")},
+    # the d-only and (d + uB) free ranks of the dual numbers disagree at N = 1
+    ("charp-compare",): {0: ("--algebra", "truncated_poly", "--param", "m=3", "--field", "F3",
+                             "--n-max", "4", "--u-trunc", "2"),
+                         1: ("--field", "F2", *_DUAL_HC, *_NO_DIR),
+                         2: ("--algebra", "dual_numbers", "--field", "F2", "--n-max", "2",
+                             "--u-trunc", "1"),
+                         3: _DUAL_HC},
+    ("glue",): {0: ("--algebra-a", "point", "--algebra-b", "dual_numbers"),
+                1: ("--algebra-a", "absent.json", "--algebra-b", "dual_numbers"),
+                2: ("--algebra-a", "group_z2", "--algebra-b", "point")},
+    ("catalogue",): {0: (), 1: _NO_DIR},
+    ("poisson", "bracket"): {0: ("--bivector", "standard",
+                                 "--f", '[{"exponents": [1, 0], "coeff": "1"}]',
+                                 "--g", '[{"exponents": [0, 1], "coeff": "1"}]'),
+                             1: ("--bivector", "absent.json", "--f", "[]", "--g", "[]"),
+                             2: ("--bivector", "standard", "--f", "[", "--g", "[]")},
+    ("poisson", "jacobi"): {0: ("--bivector", "nonjacobi4", "--degree", "2"),
+                            1: ("--bivector", "so3", *_NO_DIR),
+                            2: ("--bivector", "nonjacobi4", "--degree", "2", "--strict")},
+    ("poisson", "lie"): {0: ("--bivector", "xy", "--form", _FORM_XY),
+                         1: ("--bivector", "xy", "--form", _FORM_XY, *_NO_DIR),
+                         2: ("--bivector", "so3", "--form", _FORM_XY)},
+    ("poisson", "conjugation"): {0: ("--bivector", "so3", "--degree", "2"),
+                                 1: ("--bivector", "so3", "--degree", "2", *_NO_DIR),
+                                 2: ("--bivector", "nonjacobi4", "--degree", "2", "--strict")},
+    ("poisson", "star"): {0: ("--nvars", "2", "--degree", "2"),
+                          1: ("--nvars", "2", "--degree", "2", *_NO_DIR),
+                          2: ("--nvars", "3", "--degree", "2")},
+    ("poisson", "homology"): {0: ("--bivector", "standard", "--degree", "3"),
+                              1: ("--bivector", "standard", "--degree", "3", *_NO_DIR),
+                              2: ("--bivector", "nonjacobi4", "--degree", "3")},
+}
+
+
+def test_the_exit_code_table_names_every_command():
+    assert sorted(_EXIT_CODES) == sorted(_leaf_commands(cli.build_parser()))
+    assert all(0 in codes and 1 in codes for codes in _EXIT_CODES.values())
+    assert 3 not in _EXIT_CODES[("degeneration",)]
+
+
+@pytest.mark.parametrize("command, code", [(command, code) for command, codes
+                                           in _EXIT_CODES.items() for code in codes],
+                         ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+def test_every_documented_exit_code_is_reached(tmp_path, capsys, monkeypatch, command, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text(json.dumps(_BROKEN))
+    (tmp_path / "pi.json").write_text(json.dumps(
+        {"format": "ncg-idempotent/1", "vector": {"E11*1": "1"}}))
+    (tmp_path / "not-pi.json").write_text(json.dumps(
+        {"format": "ncg-idempotent/1", "vector": {"E12*1": "1"}}))
+    argv = _EXIT_CODES[command][code]
+    got, out, err = run(capsys, *command, *argv)
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 1 or (code == 3 and "--strict" not in argv):
+        # a refusal: nothing is written, and one error line says why
+        assert not out and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_broken_staircase_profile_exits_1(tmp_path, capsys, monkeypatch):
+    # every u-shift rank 10 too large: the filtration dims of an ungraded
+    # algebra then belong to no k[u]/u^N-module, which is a fault, not a verdict
+    from nchodge import cyclic
+    true_rank = cyclic.rank_of_columns
+    monkeypatch.setattr(cyclic, "rank_of_columns",
+                        lambda columns, field: true_rank(columns, field) + 10)
+    report, cache = tmp_path / "report.json", tmp_path / "cache"
+    code, out, err = run(capsys, "hc", "--algebra", "a2_path", "--n-max", "6", "--u-trunc", "3",
+                         "--output", str(report), "--cache-dir", str(cache))
+    assert code == 1 and not out
+    assert err.startswith("error: inconsistent filtration dims") and err.count("\n") == 1
+    assert not report.exists() and not list(cache.glob("*"))
+
+
+def test_a_dim_beyond_the_structure_entries_is_refused_before_any_allocation(tmp_path):
+    # a unit needs d entries 1 * e_i = e_i; this file declares 10^8 basis
+    # elements and lists one entry.  It is run only in a child whose address
+    # space is capped, as building anything of size dim would exhaust memory.
+    obj = algebra_to_json(builtin("point")) | {"dim": 100_000_000}
+    (tmp_path / "huge.json").write_text(json.dumps(obj))
+    src = Path(__file__).resolve().parent.parent / "src"
+    cap = 1 << 30
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from nchodge.cli import main; "
+            "sys.exit(main(['hh', '--algebra', 'huge.json', '--n-max', '1']))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: huge.json: algebra: dim 100000000 but only 1 ")

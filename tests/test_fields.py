@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nchodge.fields import (GF, PRIME_LIMIT, QQ, Field, _is_prime, format_scalar,
-                            parse_field, parse_scalar)
+                            parse_field, parse_scalar, prime_field)
 
 
 def test_rationals_descriptor():
@@ -102,6 +102,18 @@ def test_is_prime_refuses_above_its_limit():
         parse_field("F" + "1" * 5000)
     assert parse_field("F" + "0" * 30 + "3") == GF(3)
     assert not _is_prime(PRIME_LIMIT + 1)  # even: decided without the test
+
+
+def test_prime_field_refuses_a_p_at_or_above_prime_limit_by_its_size():
+    # the 25-digit ones are as long as PRIME_LIMIT: their value decides,
+    # before any test of them, and no message spells p
+    for p in (PRIME_LIMIT, PRIME_LIMIT + 1, PRIME_LIMIT + 2, 10 ** 30 + 57):
+        with pytest.raises(ValueError, match=r"p has \d+ digits: .*PRIME_LIMIT") as err:
+            prime_field(str(p), "p has")
+        assert str(p) not in str(err.value).replace(str(PRIME_LIMIT), "")
+    assert prime_field("1000000000000000003", "p has") == GF(10 ** 18 + 3)
+    with pytest.raises(ValueError, match="is not prime"):
+        prime_field("0" * 40 + "9", "p has")
 
 
 def test_fields_are_immutable_values():

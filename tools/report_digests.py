@@ -67,7 +67,9 @@ The grid:
   digits), an algebra file whose `field.p` is 5000 digits long (exit 2),
   `poisson bracket` with a 5000-digit `--f` coefficient, and `hh` with
   `--field` F followed by 5000 digits (exit 2);
-- `ppower --lift nope` of `dual_numbers` over Q and F2 (exit 2).
+- `ppower --lift nope` of `dual_numbers` over Q and F2 (exit 2);
+- `validate` and `hh --n-max 2` of an algebra file that declares dim 3 but
+  lists two structure entries, too few for a unit (exit 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -134,6 +136,10 @@ _TWICE = {"format": "ncg-algebra/1", "name": "twice", "field": {"kind": "rationa
           "dim": 2, "unit_index": 0,
           "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"],
                         [1, 1, 0, "-1"]]}
+
+# dim 3 with two structure entries: a unit needs 1 * e_i = e_i for all three
+_SHORT = {"format": "ncg-algebra/1", "name": "short", "field": {"kind": "rationals"},
+          "dim": 3, "unit_index": 0, "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"]]}
 
 
 def _poly(*terms):
@@ -215,6 +221,7 @@ def _input_files() -> dict:
             "negative-weight.json": negative,
             "broken.json": _BROKEN,
             "twice.json": _TWICE,
+            "short.json": _SHORT,
             # x^2 - 3y, scaled by 1/2
             "alpha.json": _bivector(_poly(((2, 0), "1"), ((0, 1), "-3")), hbar="1/2"),
             # xy, then 1
@@ -345,6 +352,8 @@ def grid() -> list:
     out.append(("hh", "--algebra", "dual_numbers", "--n-max", "1", "--field", "F" + _ONES))
     for field in ("Q", "F2"):
         out.append(("ppower", "--algebra", "dual_numbers", "--field", field, "--lift", "nope"))
+    out.append(("validate", "--algebra", "short.json"))
+    out.append(("hh", "--algebra", "short.json", "--n-max", "2"))
     return out
 
 
