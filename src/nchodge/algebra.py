@@ -5,6 +5,13 @@ sparse multiplication tensor e_i e_j = sum_k c_{ij}^k e_k, and optional
 integer weights and Z/2 parities per basis element.  Includes the built-in
 sample catalogue, matrix algebras, the upper-triangular gluing of two
 algebras along a bimodule, and the JSON file format used by the CLI.
+
+One builder, `_monomial_algebra`, makes the catalogue's point, dual numbers,
+truncated polynomial rings and quantum plane: the monomials of bounded
+total degree, with a q-twist for the last.  `glue` copies each part's whole
+table (A's, B's and the two actions) at its index offset, and
+`_with_unit_first` then rebases the unit to slot 0, for gluings and matrix
+algebras alike.
 """
 
 from __future__ import annotations
@@ -172,9 +179,14 @@ def _with_unit_first(name, field, dim, structure, unit, weight=None, parity=None
     """Rebase so that basis element 0 is the unit, the sum of the old basis
     elements listed in `unit` (ascending, at least one).
 
-    The unit replaces the last of them; all other old elements are kept.
+    The unit replaces the last of them; all other old elements are kept,
+    and so are their entries of the weight, parity and label tables.
     """
     F = field
+    if weight is not None and any(weight[i] != 0 for i in unit):
+        raise AlgebraError("unit support must sit in weight 0")
+    if parity is not None and any(parity[i] % 2 for i in unit):
+        raise AlgebraError("unit support must be even")
     drop = unit[-1]
     keep = [i for i in range(dim) if i != drop]
     new_index = {old: pos + 1 for pos, old in enumerate(keep)}
@@ -198,21 +210,11 @@ def _with_unit_first(name, field, dim, structure, unit, weight=None, parity=None
             prod = to_new(bilinear(structure, va, vb, F))
             if prod:
                 structure_new[(a, b)] = prod
-    new_weight = None
-    if weight is not None:
-        if any(weight[i] != 0 for i in unit):
-            raise AlgebraError("unit support must sit in weight 0")
-        new_weight = tuple([0] + [weight[i] for i in keep])
-    new_parity = None
     if parity is not None:
-        if any(parity[i] % 2 for i in unit):
-            raise AlgebraError("unit support must be even")
-        new_parity = tuple([0] + [parity[i] % 2 for i in keep])
-    new_labels = None
-    if labels is not None:
-        new_labels = tuple(["1"] + [labels[i] for i in keep])
-    return AlgebraSpec(name, field, dim, structure_new, new_weight, new_parity,
-                       max_weight, new_labels)
+        parity = [p % 2 for p in parity]
+    weight, parity, labels = (None if table is None else (at_unit, *(table[i] for i in keep))
+                              for table, at_unit in ((weight, 0), (parity, 0), (labels, "1")))
+    return AlgebraSpec(name, field, dim, structure_new, weight, parity, max_weight, labels)
 
 
 def matrix_algebra(A: AlgebraSpec, m: int) -> AlgebraSpec:
@@ -239,12 +241,9 @@ def matrix_algebra(A: AlgebraSpec, m: int) -> AlgebraSpec:
             if comps:
                 structure[(i, j)] = comps
     unit = [idx[(r, r, 0)] for r in range(m)]
-    weight = None
-    if A.weight is not None:
-        weight = [A.weight[a] for (r, s, a) in idx]
-    parity = None
-    if A.parity is not None:
-        parity = [A.parity[a] for (r, s, a) in idx]
+    # E_rs * e_a carries the weight and parity of e_a
+    weight, parity = (None if table is None else [table[a] for (_, _, a) in idx]
+                      for table in (A.weight, A.parity))
     return _with_unit_first(f"mat{m}({A.name})", F, m * m * d, structure, unit,
                             weight, parity, A.max_weight, labels)
 
@@ -294,40 +293,20 @@ def glue(A: AlgebraSpec, B: AlgebraSpec, M: BimoduleSpec) -> AlgebraSpec:
     F = A.field
     dA, dM, dB = A.dim, M.dim, B.dim
     dim = dA + dM + dB
-
-    def ia(i):
-        return i
-
-    def im(t):
-        return dA + t
-
-    def ib(j):
-        return dA + dM + j
-
+    # each table (i, j) -> {k: c} is copied whole, every index shifted by
+    # the offset of the part it indexes (A at 0, M at dA, B at dA + dM); a
+    # key outside its table's rows and columns is no product and is dropped
     structure = {}
-    for i1 in range(dA):
-        for i2 in range(dA):
-            comps = {ia(k): c for k, c in A.mul_basis(i1, i2).items()}
-            if comps:
-                structure[(ia(i1), ia(i2))] = comps
-    for j1 in range(dB):
-        for j2 in range(dB):
-            comps = {ib(k): c for k, c in B.mul_basis(j1, j2).items()}
-            if comps:
-                structure[(ib(j1), ib(j2))] = comps
-    for t in range(dM):
-        for i in range(dA):
-            comps = bilinear(M.right_action, {t: F.one()}, {i: F.one()}, F)
-            comps = {im(t2): c for t2, c in comps.items()}
-            if comps:
-                structure[(im(t), ia(i))] = comps
-    for j in range(dB):
-        for t in range(dM):
-            comps = bilinear(M.left_action, {j: F.one()}, {t: F.one()}, F)
-            comps = {im(t2): c for t2, c in comps.items()}
-            if comps:
-                structure[(ib(j), im(t))] = comps
-    unit = [ia(0), ib(0)]
+    for table, rows, cols, (di, dj, dk) in (
+            (A.structure, dA, dA, (0, 0, 0)),
+            (M.right_action, dM, dA, (dA, 0, dA)),
+            (M.left_action, dB, dM, (dA + dM, dA, dA)),
+            (B.structure, dB, dB, (dA + dM,) * 3)):
+        for (i, j), comps in table.items():
+            if 0 <= i < rows and 0 <= j < cols:
+                structure[(di + i, dj + j)] = reduced_entries(
+                    {dk + k: c for k, c in comps.items()}, F)
+    unit = [0, dA + dM]
     labels = ([f"A.{A.label(i)}" for i in range(dA)] +
               [f"M.m{t}" for t in range(dM)] +
               [f"B.{B.label(j)}" for j in range(dB)])
@@ -377,50 +356,55 @@ def _monomials_upto(nvars: int, deg: int) -> list:
     return sorted(out, key=lambda e: (sum(e), e))
 
 
+def _monomial_algebra(name: str, field: Field, nvars: int, top: int, label,
+                      q=None, max_weight: int | None = None) -> AlgebraSpec:
+    """The monomials x^e of total degree <= top in nvars variables, ordered
+    by (degree, e); each weighs its degree.
+
+    x^a x^b = c(a, b) x^{a+b} while a + b stays within top, and 0 above it.
+    c is 1, or, given q, q^{a2 b1}: in the quantum plane y x = q x y, so
+    (x^a1 y^a2)(x^b1 y^b2) = q^{a2 b1} x^{a1+b1} y^{a2+b2}.  label names a
+    monomial of positive degree; the unit is "1"."""
+    mons = _monomials_upto(nvars, top)
+    index = {mon: i for i, mon in enumerate(mons)}
+    one = field.one()
+    structure = {}
+    for i, a in enumerate(mons):
+        for j, b in enumerate(mons):
+            ab = tuple(x + y for x, y in zip(a, b))
+            if sum(ab) <= top:
+                c = one if q is None else field.from_fraction(Fraction(q) ** (a[1] * b[0]))
+                structure[(i, j)] = {index[ab]: c}
+    return AlgebraSpec(name, field, len(mons), structure,
+                       weight=tuple(sum(e) for e in mons), max_weight=max_weight,
+                       basis_labels=tuple(label(e) if sum(e) else "1" for e in mons))
+
+
+def _power_label(e: tuple) -> str:
+    return f"x^{e[0]}"
+
+
 def _point(field: Field) -> AlgebraSpec:
-    return AlgebraSpec("point", field, 1, {(0, 0): {0: field.one()}},
-                       weight=(0,), basis_labels=("1",))
+    return _monomial_algebra("point", field, 1, 0, _power_label)
 
 
 def _dual_numbers(field: Field) -> AlgebraSpec:
-    one = field.one()
-    structure = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
-    return AlgebraSpec("dual_numbers", field, 2, structure, weight=(0, 1),
-                       basis_labels=("1", "eps"))
+    return _monomial_algebra("dual_numbers", field, 1, 1, lambda e: "eps")
 
 
 def _truncated_poly(field: Field, m: int) -> AlgebraSpec:
     if m < 1:
         raise AlgebraError("truncated_poly needs m >= 1")
-    one = field.one()
-    structure = {}
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                structure[(i, j)] = {i + j: one}
-    labels = tuple("1" if i == 0 else f"x^{i}" for i in range(m))
-    return AlgebraSpec(f"truncated_poly({m})", field, m, structure,
-                       weight=tuple(range(m)), basis_labels=labels)
+    return _monomial_algebra(f"truncated_poly({m})", field, 1, m - 1, _power_label)
 
 
 def _poly_truncated(field: Field, vars: int, max_weight: int) -> AlgebraSpec:
     if vars < 1 or max_weight < 0:
         raise AlgebraError(f"poly_truncated needs vars >= 1 and max_weight >= 0, "
                            f"got vars={vars}, max_weight={max_weight}")
-    mons = _monomials_upto(vars, max_weight)
-    index = {mon: i for i, mon in enumerate(mons)}
-    one = field.one()
-    structure = {}
-    for a, ma in enumerate(mons):
-        for b, mb in enumerate(mons):
-            prod = tuple(x + y for x, y in zip(ma, mb))
-            if sum(prod) <= max_weight:
-                structure[(a, b)] = {index[prod]: one}
-    weight = tuple(sum(m) for m in mons)
-    labels = tuple("1" if sum(m) == 0 else "*".join(f"x{i+1}^{e}" for i, e in enumerate(m) if e)
-                   for m in mons)
-    return AlgebraSpec(f"poly_truncated({vars},{max_weight})", field, len(mons),
-                       structure, weight=weight, max_weight=max_weight, basis_labels=labels)
+    return _monomial_algebra(
+        f"poly_truncated({vars},{max_weight})", field, vars, max_weight,
+        lambda e: "*".join(f"x{i+1}^{k}" for i, k in enumerate(e) if k), max_weight=max_weight)
 
 
 def _quantum_plane(field: Field, q, max_weight: int) -> AlgebraSpec:
@@ -429,35 +413,23 @@ def _quantum_plane(field: Field, q, max_weight: int) -> AlgebraSpec:
         raise AlgebraError("q must be nonzero")
     if max_weight < 0:
         raise AlgebraError(f"quantum_plane needs max_weight >= 0, got {max_weight}")
-    mons = _monomials_upto(2, max_weight)
-    index = {mon: i for i, mon in enumerate(mons)}
-    structure = {}
-    for i1, (a, b) in enumerate(mons):
-        for i2, (c, d) in enumerate(mons):
-            if a + b + c + d > max_weight:
-                continue
-            # (x^a y^b)(x^c y^d) = q^{bc} x^{a+c} y^{b+d}
-            coeff = field.one()
-            for _ in range(b * c):
-                coeff = field.mul(coeff, q)
-            structure[(i1, i2)] = {index[(a + c, b + d)]: coeff}
-    weight = tuple(sum(m) for m in mons)
-    labels = tuple("1" if a + b == 0 else f"x^{a}y^{b}" for a, b in mons)
-    return AlgebraSpec(f"quantum_plane(q={q},{max_weight})", field, len(mons),
-                       structure, weight=weight, max_weight=max_weight, basis_labels=labels)
+    return _monomial_algebra(f"quantum_plane(q={q},{max_weight})", field, 2, max_weight,
+                             lambda e: f"x^{e[0]}y^{e[1]}", q, max_weight)
+
+
+def _z2_structure(field: Field) -> dict:
+    """The group algebra of Z/2: 1 and one g with g^2 = 1."""
+    one = field.one()
+    return {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: one}}
 
 
 def _group_z2(field: Field) -> AlgebraSpec:
-    one = field.one()
-    structure = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: one}}
-    return AlgebraSpec("group_z2", field, 2, structure, basis_labels=("1", "g"))
+    return AlgebraSpec("group_z2", field, 2, _z2_structure(field), basis_labels=("1", "g"))
 
 
 def _clifford1(field: Field) -> AlgebraSpec:
     """The super algebra k[xi]/(xi^2 = 1) with xi odd."""
-    one = field.one()
-    structure = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: one}}
-    return AlgebraSpec("clifford1", field, 2, structure, parity=(0, 1),
+    return AlgebraSpec("clifford1", field, 2, _z2_structure(field), parity=(0, 1),
                        basis_labels=("1", "xi"))
 
 
@@ -467,10 +439,8 @@ def _a2_path(field: Field) -> AlgebraSpec:
     structure = {
         (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one},
         (1, 0): {1: one}, (1, 1): {1: one},
-        (2, 0): {2: one}, (2, 2): {},
-        (2, 1): {2: one},
+        (2, 0): {2: one}, (2, 1): {2: one},
     }
-    structure = {k: v for k, v in structure.items() if v}
     return AlgebraSpec("a2_path", field, 3, structure, basis_labels=("1", "e1", "a"))
 
 

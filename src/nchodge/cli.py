@@ -949,8 +949,10 @@ def _poisson(args, x):
                            f"(Jacobiator witness: {jac['witness']})",
                            EXIT_VALIDATION)
         result = poisson_homology_ranks(alpha, args.degree)
-    # a failed identity check exits 2 under --strict
-    return result, (EXIT_OK, EXIT_VALIDATION if result.get("pass") is False else EXIT_OK)
+    # a failed identity check exits 2 under --strict; star's check is its
+    # "identity", jacobi's and conjugation's the result itself
+    check = result.get("identity", result)
+    return result, (EXIT_OK, EXIT_VALIDATION if check.get("pass") is False else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------

@@ -304,13 +304,16 @@ def _poly_str(p: Poly) -> str:
     return " + ".join(bits) or "0"
 
 
-def _monomial_terms(nvars: int, D: int):
-    """Every basis term (e, S) of coefficient degree <= D, by exponent
-    first, then by the size and order of S."""
+def _first_difference(nvars: int, D: int, lhs, rhs) -> dict:
+    """Compare lhs(mu) and rhs(mu) on every basis term mu = (e, S) of
+    coefficient degree <= D, by exponent first, then by the size and order
+    of S: pass, or fail with the first mu where the two differ."""
     for e in _monomials_upto(nvars, D):
         for r in range(nvars + 1):
             for S in combinations(range(nvars), r):
-                yield e, S
+                if lhs((e, S)) != rhs((e, S)):
+                    return {"pass": False, "witness": {"exponents": list(e), "dxs": list(S)}}
+    return {"pass": True, "witness": None}
 
 
 def conjugation_check(alpha: Bivector, D: int) -> dict:
@@ -322,13 +325,9 @@ def conjugation_check(alpha: Bivector, D: int) -> dict:
     iota_of = _Table(partial(_iota_term, alpha))
     exp_plus = _Table(partial(_exp_term, iota_of, 1))
     exp_minus = _Table(partial(_exp_term, iota_of, -1))
-    for mu in _monomial_terms(alpha.nvars, D):
-        lhs = _apply(exp_plus, _apply(d_of, exp_minus[mu], 1, {}), 1, {})
-        rhs = _lie(d_of, iota_of, {mu: 1}, 1, dict(d_of[mu]))
-        if lhs != rhs:
-            return {"pass": False,
-                    "witness": {"exponents": list(mu[0]), "dxs": list(mu[1])}}
-    return {"pass": True, "witness": None}
+    return _first_difference(
+        alpha.nvars, D, lambda mu: _apply(exp_plus, _apply(d_of, exp_minus[mu], 1, {}), 1, {}),
+        lambda mu: _lie(d_of, iota_of, {mu: 1}, 1, dict(d_of[mu])))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +346,6 @@ class ConstantSymplectic:
 
     def pairs(self):
         return [(2 * a, 2 * a + 1) for a in range(self.nvars // 2)]
-
-    def form(self) -> PolyForm:
-        zero = tuple([0] * self.nvars)
-        return PolyForm._of(self.nvars, {(zero, (i, j)): 1 for i, j in self.pairs()})
 
     def inverse_bivector(self) -> Bivector:
         zero = tuple([0] * self.nvars)
@@ -416,20 +411,16 @@ def star_identity_check(nvars: int, D: int) -> dict:
     """
     _require_degree(D)
     omega = ConstantSymplectic(nvars)
-    w = {S: c for (_, S), c in omega.form().terms.items()}
+    w = dict.fromkeys(omega.pairs(), 1)
     iota_of = _Table(partial(_iota_term, omega.inverse_bivector()))
     exp_iota = _Table(partial(_exp_term, iota_of, 1))
     star_of = _Table(partial(_star_term, nvars))
     # mu -> mu ^ w
     wedge_w = _Table(lambda term: {(term[0], S): c for S, c in _times(term[1], w).items()})
     exp_wedge = _Table(partial(_exp_term, wedge_w, 1))
-    for mu in _monomial_terms(nvars, D):
-        lhs = exp_wedge[mu]
-        rhs = _apply(exp_iota, _apply(star_of, exp_iota[mu], 1, {}), 1, {})
-        if lhs != rhs:
-            return {"pass": False,
-                    "witness": {"exponents": list(mu[0]), "dxs": list(mu[1])}}
-    return {"pass": True, "witness": None}
+    return _first_difference(
+        nvars, D, lambda mu: exp_wedge[mu],
+        lambda mu: _apply(exp_iota, _apply(star_of, exp_iota[mu], 1, {}), 1, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,11 @@ def test_unknown_catalogue_name():
 
 # sha256 of algebra_to_json (sort_keys) of every catalogue entry over Q, F2
 # and F3, with its defaults and the parameters the tests use, recorded
-# before the catalogue became one table (first 16 hex digits; None where
-# builtin refuses: q = 2 vanishes in F2)
+# before the catalogue became one table; the entries from
+# "truncated_poly,m=1" to "mat,m=1" were recorded before one builder made the
+# monomial entries (first 16 hex digits; None where q vanishes in the field,
+# as q = 2 does in F2, and the refusal's message where q is no element of it)
+_NOT_IN_F3 = "parameter q=1/3 is not an element of F3 (denominator of 1/3 vanishes mod 3)"
 _CATALOGUE_DIGESTS = {
     "point": ("d25ada3825fc5f7d", "40cddb7e0be46e71", "c4a9e88c56979b22"),
     "dual_numbers": ("cfbaf991c69cc669", "5b5aede5a236b5a6", "3e1810ec1a521144"),
@@ -153,6 +156,19 @@ _CATALOGUE_DIGESTS = {
     "quantum_plane,q=1,max_weight=2": ("29c0be6a85bd6a78", "8ef84c8467ac6449",
                                        "6c7142b8f54639bb"),
     "quantum_plane,q=2,max_weight=2": ("e591e1bcd4b8d784", None, "f2bd7da50923ad66"),
+    "truncated_poly,m=1": ("4d9ba60fa2ccbf5d", "5ff01359a390ae0a", "9f435046e836ef05"),
+    "truncated_poly,m=2": ("af7e54fb69cebbb4", "216292e26130f8e8", "6b40752b0c96822e"),
+    "poly_truncated,vars=2,max_weight=0": ("25e7e08d8e512a9b", "8b737e39c97f0fb3",
+                                           "8d0a7e80022ae7ac"),
+    "quantum_plane,q=-1,max_weight=0": ("c4d634eeb94a2e4e", "20cf1323d7e9a6b2",
+                                        "e04e39659f25838c"),
+    "quantum_plane,q=-1,max_weight=3": ("cd5f2080520a06c0", "0a5df429f586a3ba",
+                                        "0df43ae679e26454"),
+    "quantum_plane,q=1/3,max_weight=0": ("0d157db8ac1dd12d", "20cf1323d7e9a6b2",
+                                         _NOT_IN_F3),
+    "quantum_plane,q=1/3,max_weight=3": ("bcddc9b0e562a476", "0a5df429f586a3ba",
+                                         _NOT_IN_F3),
+    "mat,m=1": ("650a667a14d19ad1", "c4ed0c6bd47efb37", "d1b1476690fbb0ed"),
     "mat": ("eb0a16d4ff5223db", "6f690a4962ed8923", "2d278833ab168e4b"),
     "mat,m=2": ("eb0a16d4ff5223db", "6f690a4962ed8923", "2d278833ab168e4b"),
     "mat,m=3": ("f38a3e068fd84ef4", "3fae5cf7cdd00f3f", "573dcc1d7bf052bb"),
@@ -162,17 +178,66 @@ _CATALOGUE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("spec", _CATALOGUE_DIGESTS)
-def test_catalogue_entries_keep_their_bytes(spec):
+def _built(spec):
+    """(field, digest, algebra) of every field of _CATALOGUE_DIGESTS[spec]
+    whose build succeeds; a refused build must raise the recorded refusal."""
     name, *pairs = spec.split(",")
     params = {k: v if k == "q" else int(v) for k, v in (pair.split("=") for pair in pairs)}
     for field, digest in zip((QQ, GF(2), GF(3)), _CATALOGUE_DIGESTS[spec]):
-        if digest is None:
-            with pytest.raises(AlgebraError, match="q must be nonzero"):
+        if digest is None or " " in digest:
+            with pytest.raises(AlgebraError) as refusal:
                 builtin(name, field, **params)
+            assert str(refusal.value) == (digest or "q must be nonzero"), (spec, str(field))
             continue
-        text = json.dumps(algebra_to_json(builtin(name, field, **params)), sort_keys=True)
+        yield field, digest, builtin(name, field, **params)
+
+
+@pytest.mark.parametrize("spec", _CATALOGUE_DIGESTS)
+def test_catalogue_entries_keep_their_bytes(spec):
+    for field, digest, A in _built(spec):
+        text = json.dumps(algebra_to_json(A), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (spec, str(field))
+
+
+# sha256 of the JSON list of basis labels (first 16 hex digits), which
+# algebra_to_json does not hold but `chern` and `ppower` reports print;
+# recorded before one builder made the monomial entries
+_LABEL_DIGESTS = {
+    "point": "43de3a417d75f481",
+    "dual_numbers": "ef86e958d270cee4",
+    "truncated_poly": "b2effdba4e70329b",
+    "truncated_poly,m=3": "b2effdba4e70329b",
+    "poly_truncated": "e6aadbe2f877d285",
+    "poly_truncated,vars=2,max_weight=2": "37c5f289f3c0696a",
+    "poly_truncated,vars=1,max_weight=5": "a647d93bdc3344d1",
+    "poly_truncated,vars=3,max_weight=5": "24ce8b0a0547d7b0",
+    "quantum_plane": "3bf5957e49918a2b",
+    "quantum_plane,max_weight=2": "06ddfae7ecb61969",
+    "quantum_plane,q=1,max_weight=2": "06ddfae7ecb61969",
+    "quantum_plane,q=2,max_weight=2": "06ddfae7ecb61969",
+    "truncated_poly,m=1": "43de3a417d75f481",
+    "truncated_poly,m=2": "be442da178ea997b",
+    "poly_truncated,vars=2,max_weight=0": "43de3a417d75f481",
+    "quantum_plane,q=-1,max_weight=0": "43de3a417d75f481",
+    "quantum_plane,q=-1,max_weight=3": "2d98a314ff6c333a",
+    "quantum_plane,q=1/3,max_weight=0": "43de3a417d75f481",
+    "quantum_plane,q=1/3,max_weight=3": "2d98a314ff6c333a",
+    "mat,m=1": "43de3a417d75f481",
+    "mat": "b53479e78cde5df1",
+    "mat,m=2": "b53479e78cde5df1",
+    "mat,m=3": "d2e0cf38955c3f3d",
+    "group_z2": "c435c1146ab77e37",
+    "clifford1": "0880c022864f3911",
+    "a2_path": "9d9ee935a3b177b2",
+}
+
+
+@pytest.mark.parametrize("spec", _CATALOGUE_DIGESTS)
+def test_catalogue_entries_keep_their_labels(spec):
+    for field, _, A in _built(spec):
+        text = json.dumps(list(A.basis_labels))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == _LABEL_DIGESTS[spec], (
+            spec, str(field))
 
 
 def test_catalogue_builders_take_the_table_parameters():
@@ -205,11 +270,7 @@ def _associativity_witnesses(spec):
 
 def _catalogue_entries():
     for spec in _CATALOGUE_DIGESTS:
-        name, *pairs = spec.split(",")
-        params = dict(pair.split("=") for pair in pairs)
-        for field, digest in zip((QQ, GF(2), GF(3)), _CATALOGUE_DIGESTS[spec]):
-            if digest is not None:
-                yield builtin(name, field, **params)
+        yield from (A for _, _, A in _built(spec))
 
 
 def _broken_specs():
@@ -268,3 +329,41 @@ def test_skipped_associativity_triples_change_no_violation():
         assert _associativity_witnesses(spec) == expected, spec.name
         broken += bool(expected)
     assert broken >= 20
+
+
+def test_matrix_algebra_refuses_a_unit_of_nonzero_weight_or_odd_parity():
+    one = QQ.one()
+    for weight, parity, message in (((1,), None, "unit support must sit in weight 0"),
+                                    (None, (1,), "unit support must be even")):
+        A = AlgebraSpec("p", QQ, 1, {(0, 0): {0: one}}, weight, parity)
+        with pytest.raises(AlgebraError, match=message):
+            matrix_algebra(A, 2)
+
+
+def test_glue_refuses_parts_over_different_fields_and_a_wrong_bimodule():
+    D, D3, P = builtin("dual_numbers"), builtin("dual_numbers", GF(3)), builtin("point")
+    with pytest.raises(AlgebraError, match="field mismatch in glue"):
+        glue(D, D3, zero_bimodule(D3, D))
+    # a P-D-bimodule where glue(D, D) needs a D-D-bimodule
+    with pytest.raises(AlgebraError, match="bimodule must be a B-A-bimodule"):
+        glue(D, D, zero_bimodule(P, D))
+
+
+def test_validate_reports_a_weight_or_parity_table_of_the_wrong_length():
+    D = builtin("dual_numbers")
+    for weight, parity, kind in (((0, 1, 2), None, "weight-table"),
+                                 (None, (0,), "parity-table")):
+        report = validate(AlgebraSpec(D.name, D.field, D.dim, D.structure, weight, parity))
+        assert [(v.kind, v.detail) for v in report.violations] == [(kind, "wrong length")]
+
+
+def test_glue_drops_a_structure_key_outside_its_part():
+    # the dual numbers plus key (5, 0) of `_broken_specs`, glued to mat(2):
+    # the key is no product of the part, and the gluing is that of the
+    # dual numbers alone
+    D, mat = builtin("dual_numbers"), builtin("mat", m=2)
+    keyed = AlgebraSpec("key (5, 0)", D.field, 2, {**D.structure, (5, 0): {1: D.field.one()}})
+    plain = AlgebraSpec("key (5, 0)", D.field, 2, dict(D.structure))
+    got, expected = (glue(A, mat, zero_bimodule(mat, A)) for A in (keyed, plain))
+    assert list(got.structure.items()) == list(expected.structure.items())
+    assert validate(got).ok

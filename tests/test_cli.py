@@ -1399,3 +1399,14 @@ def test_a_dim_beyond_the_structure_entries_is_refused_before_any_allocation(tmp
     assert proc.returncode == 2 and not proc.stdout
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: huge.json: algebra: dim 100000000 but only 1 ")
+
+
+@pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])
+def test_a_failed_star_identity_exits_2_under_strict(capsys, monkeypatch, strict, code):
+    # star puts its check under "identity"; only a fault can fail it
+    failed = {"pass": False, "witness": None}
+    monkeypatch.setattr(cli, "star_identity_check", lambda nvars, D: failed)
+    argv = ("poisson", "star", "--nvars", "2", "--degree", "1", *(("--strict",) * strict))
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    assert json.loads(out)["result"]["identity"] == failed

@@ -69,7 +69,14 @@ The grid:
   `--field` F followed by 5000 digits (exit 2);
 - `ppower --lift nope` of `dual_numbers` over Q and F2 (exit 2);
 - `validate` and `hh --n-max 2` of an algebra file that declares dim 3 but
-  lists two structure entries, too few for a unit (exit 2).
+  lists two structure entries, too few for a unit (exit 2);
+- `glue` of four pairs of catalogue parts that take parameters, a super
+  part among them, with the zero and the trivial bimodule (the trivial one
+  exits 2 beside `clifford1` and `mat`), over Q and F3;
+- `hh --n-max 3` of parameter corners (`truncated_poly` with m = 1 and 2,
+  `poly_truncated` with vars = 2 and max_weight 0, `quantum_plane` with
+  q = -1 and 1/3 at max_weight 0 and 3, `mat` with m = 1) over Q and F3
+  (1/3 is no element of F3: exit 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -111,6 +118,22 @@ PPOWER_FIELDS = ("F2", "F3", "F5", "F7")
 GLUED_WINDOWS = {"zero": ("--n-max", "7", "--u-trunc", "3"),
                  "trivial": ("--n-max", "6", "--u-trunc", "3"),
                  "super": ("--n-max", "7", "--u-trunc", "3")}
+
+# glue of catalogue parts that take parameters, a super part among them
+GLUED_PARTS = (
+    ("--algebra-a", "truncated_poly", "--algebra-b", "quantum_plane",
+     "--param", "m=4", "--param", "q=-1", "--param", "max_weight=3"),
+    ("--algebra-a", "poly_truncated", "--algebra-b", "clifford1",
+     "--param", "vars=2", "--param", "max_weight=2"),
+    ("--algebra-a", "clifford1", "--algebra-b", "mat", "--param", "m=2"),
+    ("--algebra-a", "mat", "--algebra-b", "quantum_plane",
+     "--param", "m=1", "--param", "q=1/2", "--param", "max_weight=2"))
+# parameter corners of the monomial catalogue entries and of mat
+CORNERS = (("truncated_poly", "--param", "m=1"), ("truncated_poly", "--param", "m=2"),
+           ("poly_truncated", "--param", "vars=2", "--param", "max_weight=0"),
+           *(("quantum_plane", "--param", f"q={q}", "--param", f"max_weight={w}")
+             for q in ("-1", "1/3") for w in (0, 3)),
+           ("mat", "--param", "m=1"))
 
 # one command of each report shape that `hh`, `chern` and `poisson star`
 # do not cover, rendered as csv and markdown
@@ -354,6 +377,12 @@ def grid() -> list:
         out.append(("ppower", "--algebra", "dual_numbers", "--field", field, "--lift", "nope"))
     out.append(("validate", "--algebra", "short.json"))
     out.append(("hh", "--algebra", "short.json", "--n-max", "2"))
+    for field in ("Q", "F3"):
+        for parts in GLUED_PARTS:
+            for bimodule in ("zero", "trivial"):
+                out.append(("glue", *parts, "--field", field, "--bimodule", bimodule))
+        for params in CORNERS:
+            out.append(("hh", "--algebra", *params, "--field", field, "--n-max", "3"))
     return out
 
 
