@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import Field, QQ, format_scalar, parse_scalar, prime_field, reduced_entries
+from .fields import (Field, QQ, format_scalar, parse_int, parse_scalar, prime_field,
+                     reduced_entries)
 
 
 class AlgebraError(ValueError):
@@ -471,7 +472,7 @@ def _catalogue_param(key: str, value, field: Field):
     if key == "q":
         return (parse_scalar(value, field) if isinstance(value, str)
                 else field.from_fraction(Fraction(value)))
-    value = int(value) if isinstance(value, str) else value
+    value = parse_int(value) if isinstance(value, str) else value
     if type(value) is not int:
         raise TypeError(f"{value!r} is not an int")
     return value

@@ -12,9 +12,10 @@ without and with --strict; a cache entry's first line, "ncg-cache/2 <key>
 Reports follow the "ncg-report/1" shape: every report embeds the tool
 version, field, window, truncation and guard/diagnostic flags alongside the
 result payload.  Commands build it from JSON values (strings, ints, bools,
-None, lists, dicts with string keys in any order); the renderer alone sorts
-and escapes them, with fixed separators, so that identical runs are
-byte-identical, and refuses anything else with TypeError in every format.
+None, lists, dicts with string keys in any order) and a chain's terms, one
+value per component (`_Terms`); the renderer alone sorts and escapes them,
+with fixed separators, so that identical runs are byte-identical, and
+refuses anything else with TypeError in every format.
 
 Reports are streamed: one renderer writes the text in pieces of about
 64 KB to stdout or, progressively, to the --output file, and the same
@@ -49,7 +50,7 @@ from .algebra import (AlgebraError, AlgebraSpec, CATALOGUE, SchemaError, Validat
 from .cyclic import (UnsupportedError, char_p_compare,
                      degeneration_check, graded_piece_analysis, hodge_filtration,
                      hp_ranks, negative_cyclic)
-from .fields import QQ, Field, SizeError, format_scalar, parse_field
+from .fields import QQ, Field, SizeError, format_scalar, parse_field, parse_int
 from .hochschild import DegreeWindow, hh0_direct, hh_ranks
 from .kchern import (ContractError, Idempotent, chern_idempotent,
                      ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
@@ -156,7 +157,7 @@ def load_idempotent(path: str, algebra) -> Idempotent:
             idx = labels.get(key)
             if idx is None:
                 try:
-                    idx = int(key)
+                    idx = parse_int(key)
                 except ValueError:
                     raise SchemaError(f"unknown basis label {key!r}")
                 if not 0 <= idx < algebra.dim:
@@ -304,21 +305,34 @@ class _Encoded(dict):
         return text
 
 
+class _Terms:
+    """The terms of a chain component as one report value: the words
+    (tuples of basis indices) in sorted order, their coefficients as
+    formatted strings, and the basis labels.  The renderer writes it as the
+    list [{"coeff": coeffs[i], "word": [labels[j] for j in words[i]]}, ...]
+    without building that list."""
+
+    __slots__ = ("words", "coeffs", "labels")
+
+    def __init__(self, words: list, coeffs: list, labels: list):
+        self.words, self.coeffs, self.labels = words, coeffs, labels
+
+
 def _encoder(pieces: _Pieces, indent: int | None, escape=None):
     """encode(value, level): append the JSON text of a report value to the
     pieces, as json.dumps(value, sort_keys=True) writes it, with
     indent=indent and the default ensure_ascii.
 
-    A report value is a string, an int, a bool, None, or a list or a dict
-    with string keys of report values; anything else (a tuple, a float, an
-    unformatted scalar, a non-string key) raises TypeError.  `escape`, if
-    given, is applied to every encoded string and key; no other piece can
-    hold a '"' or a '|'.
+    A report value is a string, an int, a bool, None, chain terms
+    (`_Terms`, written as the list of term dicts they stand for), or a list
+    or a dict with string keys of report values; anything else (a tuple, a
+    float, an unformatted scalar, a non-string key) raises TypeError.
+    `escape`, if given, is applied to every encoded string and key; no
+    other piece can hold a '"' or a '|'.
     """
     parts, check = pieces.parts, pieces.check
     add = parts.append
     strings = _Encoded(escape)
-    keys: dict = {}  # string key -> its encoded text and ": "
     frames: dict = {}
 
     def delimiters(level, open_, close):
@@ -349,6 +363,8 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
             add("false")
         elif isinstance(obj, int):
             add(int.__repr__(obj))
+        elif type(obj) is _Terms:
+            encode_terms(obj, level)
         else:
             raise TypeError(f"Object of type {type(obj).__name__} "
                             f"is not JSON serializable")
@@ -358,14 +374,6 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
             add("[]")
             return
         open_, sep, close = delimiters(level, "[", "]")
-        try:
-            # a list of strings is joined in one call, and is one piece; any
-            # other item (unhashable, or a miss that json cannot encode as a
-            # string) raises TypeError and the list is written item by item
-            add(open_ + sep.join(map(strings.__getitem__, lst)) + close)
-            return
-        except TypeError:
-            pass
         add(open_)
         level += 1
         first = True
@@ -379,6 +387,27 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
                 check()
         add(close)
 
+    def encode_terms(terms, level):
+        """Each term is one piece, spelled from the delimiters of the three
+        levels it spans: the term list, the term dict and its word."""
+        if not terms.words:
+            add("[]")
+            return
+        open_, sep, close = delimiters(level, "[", "]")
+        term_open, term_sep, term_close = delimiters(level + 1, "{", "}")
+        word_open, word_sep, word_close = delimiters(level + 2, "[", "]")
+        coeff_key = term_open + strings["coeff"] + ": "
+        word_key = term_sep + strings["word"] + ": "
+        label = list(map(strings.__getitem__, terms.labels)).__getitem__
+        lead = open_ + coeff_key
+        for w, c in zip(terms.words, terms.coeffs):
+            word = (word_open + word_sep.join(map(label, w)) + word_close) if w else "[]"
+            add(lead + strings[c] + word_key + word + term_close)
+            lead = sep + coeff_key
+            if len(parts) >= 1024:
+                check()
+        add(close)
+
     def encode_dict(d, level):
         if not d:
             add("{}")
@@ -388,21 +417,14 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
         level += 1
         first = True
         for k in sorted(d):
-            v = d[k]
             if first:
                 first = False
             else:
                 add(sep)
-            key = keys.get(k)
-            if key is None:
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                key = keys[k] = strings[k] + ": "
-            add(key)
-            if isinstance(v, str):
-                add(strings[v])
-            else:
-                encode(v, level)
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            add(strings[k] + ": ")
+            encode(d[k], level)
             if len(parts) >= 1024:
                 check()
         add(close)
@@ -427,13 +449,14 @@ def _leaves(prefix: str, d: dict):
 def _render(report: dict, fmt: str, write) -> None:
     """Stream a report to `write` in pieces of about `_CHUNK` characters.
 
-    The report is a report value (`_encoder`), refused with TypeError in
-    every format otherwise.  json is written as json.dumps(report,
-    sort_keys=True, indent=2) plus a newline.  csv and markdown have one
-    row per leaf of the report (a value that is not a dict), holding the
-    leaf as compact JSON with '"' doubled (csv) or '|' escaped (markdown).
-    A csv key is quoted, with '"' doubled, when it holds a comma, a quote
-    or a line break.
+    The report is a report value (`_encoder`; chain terms, `_Terms`,
+    among them), refused with TypeError in every format otherwise.  json
+    is written as json.dumps(report, sort_keys=True, indent=2) plus a
+    newline, chain terms as the term dicts they stand for.  csv and
+    markdown have one row per leaf of the report (a value that is not a
+    dict), holding the leaf as compact JSON with '"' doubled (csv) or '|'
+    escaped (markdown).  A csv key is quoted, with '"' doubled, when it
+    holds a comma, a quote or a line break.
     """
     pieces = _Pieces(write)
     add = pieces.parts.append
@@ -787,12 +810,17 @@ def _verdict(ok: bool) -> tuple:
 
 
 def _chain_json(A, chain, N: int) -> list:
-    label = [A.label(i) for i in range(A.dim)].__getitem__
-    return [{"u_power": t,
-             "terms": [{"word": list(map(label, w)),
-                        "coeff": format_scalar(c, A.field)}
-                       for w, c in sorted(chain.components[t].items())]}
-            for t in range(N)]
+    """Components u^0 .. u^(N-1) of a chain as report values: each one's
+    u_power and its terms (`_Terms`), words sorted and coefficients
+    formatted over A's field."""
+    labels = [A.label(i) for i in range(A.dim)]
+    out = []
+    for t in range(N):
+        component = chain.components[t]
+        words = sorted(component)
+        coeffs = [format_scalar(component[w], A.field) for w in words]
+        out.append({"u_power": t, "terms": _Terms(words, coeffs, labels)})
+    return out
 
 
 @_command("validate")

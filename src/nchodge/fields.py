@@ -191,9 +191,22 @@ def format_scalar(x, field: Field) -> str:
     return str(x)
 
 
+def parse_int(text: str) -> int:
+    """An integer spelled with ASCII decimal digits after an optional sign,
+    with nothing around them.  A spelling that int() refuses raises int()'s
+    own ValueError; int() also reads '_' between digits, the digits of
+    other scripts and surrounding whitespace, and those raise ValueError
+    here."""
+    value = int(text)
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not spelled in ASCII digits")
+    return value
+
+
 def parse_scalar(text: str, field: Field):
-    """Parse a "num/den" or integer string into a field element."""
+    """Parse a "num/den" or integer string (`parse_int`) into a field element."""
     if "/" in text:
         num, den = text.split("/")
-        return field.from_fraction(Fraction(int(num), int(den)))
-    return field.from_int(int(text))
+        return field.from_fraction(Fraction(parse_int(num), parse_int(den)))
+    return field.from_int(parse_int(text))

@@ -388,21 +388,28 @@ def test_cache_key_is_pinned(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def _expand_terms(value):
+    """json.dumps default: chain terms as the list of term dicts they
+    stand for."""
+    if type(value) is not cli._Terms:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return [{"coeff": c, "word": [value.labels[i] for i in w]}
+            for w, c in zip(value.words, value.coeffs)]
+
+
 def _reference_render(report, fmt):
     """Whole-string rendering of a report: json.dumps for json, one
     compact-JSON row per leaf for csv and markdown."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, default=_expand_terms) + "\n"
     flat = []
 
     def walk(prefix, value):
         if isinstance(value, dict):
             for k in sorted(value):
                 walk(f"{prefix}.{k}" if prefix else k, value[k])
-        elif isinstance(value, list):
-            flat.append((prefix, json.dumps(value, sort_keys=True)))
         else:
-            flat.append((prefix, json.dumps(value)))
+            flat.append((prefix, json.dumps(value, sort_keys=True, default=_expand_terms)))
 
     walk("", report)
     if fmt == "csv":
@@ -434,10 +441,20 @@ def _random_key(rng):
                        rng.choice(["a", "b", "1"])])
 
 
+def _random_terms(rng):
+    """Chain terms over random labels, which may need escaping, with random
+    coefficient texts; one in four has no terms."""
+    labels = [_random_string(rng) for _ in range(rng.randrange(1, 5))]
+    words = [tuple(rng.randrange(len(labels)) for _ in range(rng.randrange(0, 4)))
+             for _ in range(rng.randrange(0, 5) if rng.random() < 0.75 else 0)]
+    coeffs = [rng.choice([_random_string(rng), "-3/2", "1/1", str(10 ** 30)]) for _ in words]
+    return cli._Terms(words, coeffs, labels)
+
+
 def _random_value(rng, depth):
-    """A report value: strings, ints, bools, None, lists and string-keyed
-    dicts, built in no particular key order."""
-    kind = rng.randrange(9 if depth < 4 else 6)
+    """A report value: strings, ints, bools, None, chain terms, lists and
+    string-keyed dicts, built in no particular key order."""
+    kind = rng.randrange(10 if depth < 4 else 7)
     if kind == 0:
         return _random_string(rng)
     if kind == 1:
@@ -450,7 +467,9 @@ def _random_value(rng, depth):
         return rng.choice(["E12*1", "1/1", "-3/2"])
     if kind == 5:
         return {} if rng.random() < 0.5 else []
-    if kind in (6, 7):
+    if kind == 6:
+        return _random_terms(rng)
+    if kind in (7, 8):
         items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(0, 5))]
         if rng.random() < 0.3:
             items = [_random_string(rng) for _ in items]  # all strings
@@ -764,6 +783,59 @@ def test_poisson_term_arguments_exit_2(capsys, option, value):
             "--g": '[{"exponents": [0, 1], "coeff": "1"}]', option: value}
     _assert_refused(*run(capsys, "poisson", "bracket", "--bivector", "standard",
                          "--f", argv["--f"], "--g", argv["--g"]))
+
+
+# Scalars and integer parameters were read by int(), which also takes '_'
+# between digits, non-ASCII digits and surrounding whitespace: "1_0/1_0",
+# "\uff11" and " 1/1" read 1, --param m=\uff12 built Mat_2 and q=1_0/3 read
+# 10/3, each exiting 0.  Signs are read as before.
+_NOT_ASCII = ["1_0/1_0", "\uff11", " 1/1", "1/1 ", "1\u0661"]
+
+
+@pytest.mark.parametrize("vector", [*({"E11*1": c} for c in _NOT_ASCII), {"\uff11": "1"}],
+                         ids=[*_NOT_ASCII, "index-key"])
+def test_idempotent_scalars_and_indices_are_read_in_ascii_only(tmp_path, capsys, vector):
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps({"format": "ncg-idempotent/1", "vector": vector}))
+    argv = ("chern", "--algebra", "mat", "--param", "m=2", "--u-trunc", "2",
+            "--idempotent", str(path))
+    _assert_refused(*run(capsys, *argv))
+    path.write_text(json.dumps({"format": "ncg-idempotent/1",
+                                "vector": {"E11*1": "+1", "1": "-0/-1"}}))
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("constant", _NOT_ASCII)
+def test_algebra_file_structure_constants_are_read_in_ascii_only(tmp_path, capsys, constant):
+    obj = algebra_to_json(builtin("dual_numbers"))
+    obj["structure"][0][3] = constant
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(obj))
+    _assert_refused(*run(capsys, "hh", "--algebra", str(path), "--n-max", "2"),
+                    "bad scalar", repr(constant))
+
+
+@pytest.mark.parametrize("q", ["1_0/3", "\uff12", " 2", "2/3 "])
+def test_param_q_is_read_in_ascii_only(capsys, q):
+    _assert_refused(*run(capsys, "hh", "--algebra", "quantum_plane", "--param", f"q={q}",
+                         "--n-max", "2"), f"q={q}", "not an element of Q")
+    assert run(capsys, "hh", "--algebra", "quantum_plane", "--param", "q=-2/+3",
+               "--n-max", "2")[0] == 0
+
+
+@pytest.mark.parametrize("m", ["\uff12", "1_0", " 2", "2 "])
+def test_param_m_is_read_in_ascii_only(capsys, m):
+    _assert_refused(*run(capsys, "hh", "--algebra", "mat", "--param", f"m={m}",
+                         "--n-max", "2"), f"m={m}", "not an integer")
+    assert run(capsys, "hh", "--algebra", "mat", "--param", "m=+2", "--n-max", "2")[0] == 0
+
+
+@pytest.mark.parametrize("coeff", _NOT_ASCII)
+def test_poisson_term_coefficients_are_read_in_ascii_only(capsys, coeff):
+    f = json.dumps([{"exponents": [1, 0], "coeff": coeff}])
+    _assert_refused(*run(capsys, "poisson", "bracket", "--bivector", "standard",
+                         "--f", f, "--g", '[{"exponents": [0, 1], "coeff": "1"}]'),
+                    "--f", "bad scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -1205,7 +1277,7 @@ def test_chern_writes_coefficients_of_any_length(tmp_path, capsys):
     labels = {A.label(i): i for i in range(A.dim)}
     chain = chern_idempotent(Idempotent(A, {labels["E11*1"]: 1, labels["E12*1"]: big}), 3)
     with _no_digit_cap():
-        expected = cli._chain_json(A, chain, 3)
+        expected = json.loads(json.dumps(cli._chain_json(A, chain, 3), default=_expand_terms))
     assert json.loads(out)["result"]["components"] == expected
     assert max(len(t["coeff"]) for c in expected for t in c["terms"]) > 4300
 

@@ -76,7 +76,11 @@ The grid:
 - `hh --n-max 3` of parameter corners (`truncated_poly` with m = 1 and 2,
   `poly_truncated` with vars = 2 and max_weight 0, `quantum_plane` with
   q = -1 and 1/3 at max_weight 0 and 3, `mat` with m = 1) over Q and F3
-  (1/3 is no element of F3: exit 2).
+  (1/3 is no element of F3: exit 2);
+- `chern` of the zero idempotent of `mat` (every component has no terms)
+  and of the unit of `dual_numbers` (every component after u^0 has none),
+  in json, csv and markdown, and of the corner idempotent of the glued
+  super algebra file in csv and markdown.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -255,6 +259,9 @@ def _input_files() -> dict:
             # the corner idempotent 1_A of a gluing, basis element 1 (files
             # carry no labels)
             "pi-corner.json": _idempotent({"1": "1"}),
+            "pi-zero.json": _idempotent({}),
+            # the unit of an algebra whose unit is labelled 1
+            "pi-unit.json": _idempotent({"1": "1/1"}),
             "dual-key-twice.json": _with_key_twice(
                 algebra_to_json(dual) | {"weight": [0, 2]}, "weight", [0, 1]),
             "pi-key-twice.json": '{"format": "ncg-idempotent/1", '
@@ -383,6 +390,15 @@ def grid() -> list:
                 out.append(("glue", *parts, "--field", field, "--bimodule", bimodule))
         for params in CORNERS:
             out.append(("hh", "--algebra", *params, "--field", field, "--n-max", "3"))
+    # chains with empty term lists, and the super chain, in every format
+    for fmt in ("json", "csv", "markdown"):
+        out.append(("chern", "--algebra", "mat", "--u-trunc", "3", "--idempotent",
+                    "pi-zero.json", "--format", fmt))
+        out.append(("chern", "--algebra", "dual_numbers", "--u-trunc", "3", "--idempotent",
+                    "pi-unit.json", "--format", fmt))
+    for fmt in ("csv", "markdown"):
+        out.append(("chern", "--algebra", "glue-super.json", "--u-trunc", "3",
+                    "--idempotent", "pi-corner.json", "--format", fmt))
     return out
 
 
