@@ -830,6 +830,37 @@ def test_param_m_is_read_in_ascii_only(capsys, m):
     assert run(capsys, "hh", "--algebra", "mat", "--param", "m=+2", "--n-max", "2")[0] == 0
 
 
+# The integer options were read with argparse's type=int: --n-max 1_0 ran a
+# window of 10, --n-max ２ one of 2 and --n-max " 3" one of 3, each
+# exiting 0.  Each argv holds {} where its option's value goes.
+_INT_OPTIONS = [
+    ("hh", "--algebra", "dual_numbers", "--n-max", "{}"),
+    ("hh", "--algebra", "dual_numbers", "--n-max", "2", "--w-min", "{}"),
+    ("hh", "--algebra", "dual_numbers", "--n-max", "2", "--w-max", "{}"),
+    ("hc", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "{}"),
+    ("graded-pieces", "--dim-v", "{}", "--n", "2", "--field", "F2"),
+    ("graded-pieces", "--dim-v", "2", "--n", "{}", "--field", "F2"),
+    ("poisson", "jacobi", "--bivector", "so3", "--degree", "{}"),
+    ("poisson", "conjugation", "--bivector", "so3", "--degree", "{}"),
+    ("poisson", "homology", "--bivector", "so3", "--degree", "{}"),
+    ("poisson", "star", "--nvars", "{}", "--degree", "2"),
+    ("poisson", "star", "--nvars", "2", "--degree", "{}"),
+]
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "２", " 3", "3 ", "1١"])
+@pytest.mark.parametrize("argv", _INT_OPTIONS, ids=lambda argv: " ".join(argv))
+def test_integer_options_are_read_in_ascii_only(capsys, argv, spelling):
+    option = argv[argv.index("{}") - 1]
+    with pytest.raises(SystemExit) as refused:
+        main([spelling if a == "{}" else a for a in argv])
+    assert refused.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {option}: invalid int value: {spelling!r}\n")
+    args = cli.build_parser().parse_args(["+2" if a == "{}" else a for a in argv])
+    assert getattr(args, option[2:].replace("-", "_")) == 2
+
+
 @pytest.mark.parametrize("coeff", _NOT_ASCII)
 def test_poisson_term_coefficients_are_read_in_ascii_only(capsys, coeff):
     f = json.dumps([{"exponents": [1, 0], "coeff": coeff}])
@@ -1229,6 +1260,60 @@ def test_closed_stdout_exits_1(tmp_path, argv):
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
     assert not list((tmp_path / "cache").iterdir())
+
+
+# ---------------------------------------------------------------------------
+# the command line, a fresh process, does what in-process `main` does
+# ---------------------------------------------------------------------------
+
+
+# every exit code, every format, --output, a cache write and its replay,
+# --version and argparse's refusals; run in this order in one directory
+_ENTRY_COMMANDS = [
+    ("hh", "--algebra", "dual_numbers", "--n-max", "3"),
+    ("hc", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2", "--format", "csv"),
+    ("poisson", "homology", "--bivector", "so3", "--degree", "4", "--format", "markdown"),
+    ("hh", "--algebra", "missing.json", "--n-max", "2"),
+    ("poisson", "jacobi", "--bivector", "nonjacobi4", "--degree", "2", "--strict"),
+    ("hp", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2", "--strict"),
+    ("hh", "--algebra", "mat", "--n-max", "2", "--output", "report.json"),
+    ("hh", "--algebra", "dual_numbers", "--n-max", "3", "--cache-dir", "cache"),
+    ("hh", "--algebra", "dual_numbers", "--n-max", "3", "--cache-dir", "cache"),
+    ("--version",),
+    ("hh", "--algebra", "dual_numbers"),
+    ("hh", "--algebra", "dual_numbers", "--n-max", "1_0"),
+]
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_command_line_matches_main_in_process(tmp_path, capsys, monkeypatch):
+    # argparse wraps its usage lines at the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("NCHODGE_CACHE_DIR", raising=False)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    fresh, in_process = tmp_path / "fresh", tmp_path / "in-process"
+    fresh.mkdir()
+    in_process.mkdir()
+    monkeypatch.chdir(in_process)
+    codes = set()
+    for argv in _ENTRY_COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "nchodge.cli", *argv], cwd=fresh, env=env,
+                              capture_output=True, timeout=120)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (proc.stdout, proc.stderr.decode(), proc.returncode) == (out.encode(), err, code)
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
+    files = _files(fresh)
+    assert files == _files(in_process)
+    assert "report.json" in files and len(files) == 2  # the report and one cache entry
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ one line per command is printed:
 
     sha256(stdout) sha256(stderr) exit argv
 
-where exit is the exit code, or the name of an exception that escaped
+where exit is the exit code (for an argument that argparse refuses, the
+code of its SystemExit), or the name of an exception that escaped
 `nchodge.cli.main` (the sweep goes on past it).
 
 Two checkouts print the same lines exactly when their reports, error lines
@@ -81,6 +82,10 @@ The grid:
   and of the unit of `dual_numbers` (every component after u^0 has none),
   in json, csv and markdown, and of the corner idempotent of the glued
   super algebra file in csv and markdown.
+- integer options spelled with `_` between digits, with a non-ASCII
+  digit and with a leading space (`1_0`, `\uff12`, `" 3"`): `--n-max` of
+  `hh`, `--u-trunc` of `hc`, `--degree` of `poisson homology` and
+  `--nvars` of `poisson star` (argparse refuses each: exit 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -399,6 +404,12 @@ def grid() -> list:
     for fmt in ("csv", "markdown"):
         out.append(("chern", "--algebra", "glue-super.json", "--u-trunc", "3",
                     "--idempotent", "pi-corner.json", "--format", fmt))
+    # integer options in spellings that int() reads and parse_int refuses
+    for spelling in ("1_0", "\uff12", " 3"):
+        out.append(("hh", "--algebra", "dual_numbers", "--n-max", spelling))
+        out.append(("hc", "--algebra", "dual_numbers", "--n-max", "20", "--u-trunc", spelling))
+        out.append(("poisson", "homology", "--bivector", "so3", "--degree", spelling))
+        out.append(("poisson", "star", "--nvars", spelling, "--degree", "2"))
     return out
 
 
@@ -440,12 +451,15 @@ class _Sha:
 
 def digest_line(argv) -> str:
     """Run one command and return its `stdout stderr exit argv` line.  An
-    exception that escapes `cli.main` is recorded by its type's name in
-    place of the exit code, and the sweep goes on."""
+    argument that argparse refuses exits with the code of its SystemExit;
+    any other exception that escapes `cli.main` is recorded by its type's
+    name in place of the exit code, and the sweep goes on."""
     out, err = _Sha(), _Sha()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
         except Exception as exc:
             code = type(exc).__name__
     return f"{out.h.hexdigest()} {err.h.hexdigest()} {code} {' '.join(argv)}"
