@@ -824,14 +824,17 @@ def _verdict(ok: bool) -> tuple:
 def _chain_json(A, chain, N: int) -> list:
     """Components u^0 .. u^(N-1) of a chain as report values: each one's
     u_power and its terms (`_Terms`), words sorted and coefficients
-    formatted over A's field."""
+    formatted over A's field.  A `kchern.UChain` holds each component as
+    integer numerators over one denominator, in sorted word order, and
+    each distinct numerator of a component is formatted once."""
     labels = [A.label(i) for i in range(A.dim)]
     out = []
     for t in range(N):
-        component = chain.components[t]
-        words = sorted(component)
-        coeffs = [format_scalar(component[w], A.field) for w in words]
-        out.append({"u_power": t, "terms": _Terms(words, coeffs, labels)})
+        numerators = chain.numerators[t]
+        text = {c: format_scalar(v, A.field) for c, v in chain.values(t).items()}
+        out.append({"u_power": t, "terms": _Terms(list(numerators),
+                                                  [text[c] for c in numerators.values()],
+                                                  labels)})
     return out
 
 

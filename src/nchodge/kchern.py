@@ -1,14 +1,18 @@
 """Chern characters of idempotents as explicit negative-cyclic cycles, and
 the characteristic-p power operation on HH_0 with its u-lift at p = 2.
 
-A negative-cyclic chain mod u^N is stored as a list of per-u-power
-components, component t being a {word: coefficient} combination of reduced
-chain words of tensor length 2t.  The cycle condition (d + uB) ch = 0
-mod u^N amounts to d(c_t) + B(c_{t-1}) = 0 for every t < N, and is checked
-on emission: the certificate is the sole arbiter of the coefficient
-conventions.  It applies d and B to each component as a whole, with image
-words held as int codes (`ChainComplex.add_boundaries` and `add_connes`),
-and turns back into words only what does not cancel.
+A negative-cyclic chain mod u^N (`UChain`) is a list of per-u-power
+components, component t being a combination of reduced chain words of
+tensor length 2t, held as {word: int numerator} over one chain-wide
+denominator (over F_p, residues over 1).  The builders expand their tensor
+products in ints (`_tensor_words`), in sorted word order and with no field
+element per word; the report formats each distinct numerator once.  The
+cycle condition (d + uB) ch = 0 mod u^N amounts to d(c_t) + B(c_{t-1}) = 0
+for every t < N, and is checked on emission: the certificate is the sole
+arbiter of the coefficient conventions.  It applies d and B to each
+component's numerators as a whole, with image words held as int codes
+(`ChainComplex.add_boundaries` and `add_connes`), and turns back into words
+and field elements only what does not cancel.
 
 Classes in HH_0 = A/[A,A] come from `hochschild.commutator_classes`, the
 `sparse.Echelon` of the commutators whose rows `hh0_direct` counts: the
@@ -21,6 +25,7 @@ coordinates on them, so no elimination runs per element.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm
 
 from .algebra import AlgebraSpec
@@ -43,14 +48,56 @@ class Idempotent:
 
 
 class UChain:
-    """Chain over k[u]/u^N: components[t], for t < N, is a {word:
-    coefficient} combination of words of 2t + 1 letters, i.e. of tensor
-    length 2t."""
+    """Chain over k[u]/u^N: component t, for t < N, is a {word: coefficient}
+    combination of words of 2t + 1 letters, i.e. of tensor length 2t.
+
+    The chain is held as integer numerators over one denominator:
+    `numerators[t]` is component t times `denominator`, a {word: int} dict
+    in sorted word order, and over F_p the denominator is 1 and the
+    numerators are the coefficients themselves.  `UChain(A, N, components)`
+    takes components of field elements, sorts their words and clears their
+    denominators once; `_of` takes (numerators, denominator) pairs, one
+    per component, as the builders below make them.
+    `component(t)` and `components` give the coefficients back as field
+    elements, built anew on each read: a changed chain is a new `UChain`.
+    """
 
     def __init__(self, algebra: AlgebraSpec, N: int, components: list):
+        self._put(algebra, N, [_numerators(dict(sorted(comp.items()))) for comp in components])
+
+    @classmethod
+    def _of(cls, algebra: AlgebraSpec, N: int, parts: list) -> UChain:
+        """The chain whose component t is parts[t] = (numerators, den), the
+        {word: int} dict numerators, in sorted word order, over the
+        positive int den."""
+        chain = cls.__new__(cls)
+        chain._put(algebra, N, parts)
+        return chain
+
+    def _put(self, algebra: AlgebraSpec, N: int, parts: list):
+        # every component goes over the lcm of their denominators
+        den = lcm(*(d for _, d in parts))
         self.algebra = algebra
         self.N = N
-        self.components = components
+        self.denominator = den
+        self.numerators = [nums if d == den else {w: c * (den // d) for w, c in nums.items()}
+                           for nums, d in parts]
+
+    def values(self, t: int) -> dict:
+        """{numerator: field element} for each distinct numerator of
+        component t."""
+        den, from_fraction = self.denominator, self.algebra.field.from_fraction
+        return {c: from_fraction(Fraction(c, den)) for c in set(self.numerators[t].values())}
+
+    def component(self, t: int) -> dict:
+        """Component t as {word: field element}."""
+        values = self.values(t)
+        return {w: values[c] for w, c in self.numerators[t].items()}
+
+    @property
+    def components(self) -> list:
+        """Every component as {word: field element}, one dict per u-power."""
+        return [self.component(t) for t in range(len(self.numerators))]
 
 
 def _reduce_tail(F: Field, vec: dict) -> dict:
@@ -58,68 +105,72 @@ def _reduce_tail(F: Field, vec: dict) -> dict:
     return {k: v for k, v in vec.items() if k != 0 and not F.is_zero(v)}
 
 
-def _tensor_words(F: Field, factors: list, scale: int = 1) -> dict:
-    """Expand scale * (x)_i factors[i], a tensor product of coefficient
-    vectors, into chain words.
+def _numerators(vec: dict) -> tuple:
+    """(numerators, den) of a vector of field elements: den is the lcm of
+    the coefficients' denominators, numerators[k] = vec[k] * den an int.
+    Over F_p every coefficient is an int, so den is 1 and the numerators
+    are the coefficients."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.items()}, den
 
-    Each factor's denominators are cleared by their lcm, so the products
-    are int products (over F_p every denominator is 1).  Each distinct int
-    product c becomes a field element once, as c / D with D the product of
-    those lcms, and words with the same c share it; integral values over Q
-    come out as ints.
+
+def _tensor_words(F: Field, factors: list, scale: int = 1) -> tuple:
+    """(numerators, den) of scale * (x)_i factors[i], a tensor product of
+    coefficient vectors, expanded into chain words: the product is
+    numerators[word] / den for each word.
+
+    Each factor's denominators are cleared by their lcm (`_numerators`),
+    den is the product of those lcms, and the expansion multiplies ints
+    only, with no field element per word; over F_p den is 1 and the
+    numerators are reduced mod p once, at the end.  The factors' zero
+    coefficients are dropped and their indices taken in increasing order:
+    the words are `itertools.product` of the index lists, in sorted order,
+    and the numerators the matching products, grown factor by factor.
     """
     if F.is_zero(F.from_int(scale)):
-        return {}
-    words = {(): scale}
-    den = 1
+        return {}, 1
+    indices, numerators, den = [], [scale], 1
     for vec in factors:
-        d = lcm(*(v.denominator for v in vec.values()))
-        nums = [(i, v.numerator * (d // v.denominator))
-                for i, v in vec.items() if not F.is_zero(v)]
+        nums, d = _numerators({i: v for i, v in sorted(vec.items()) if not F.is_zero(v)})
         den *= d
-        words = {word + (i,): c * n for word, c in words.items() for i, n in nums}
-    values = {c: F.from_int(c) if den == 1 else F.from_fraction(Fraction(c, den))
-              for c in set(words.values())}
-    return {word: values[c] for word, c in words.items()}
+        indices.append(list(nums))
+        values = list(nums.values())
+        numerators = [c * n for c in numerators for n in values]
+    if F.p is not None:
+        numerators = [c % F.p for c in numerators]
+    return dict(zip(product(*indices), numerators)), den
 
 
 def cycle_certificate(chain: UChain) -> dict:
     """Apply (d + uB) mod u^N to the chain; empty components mean a cycle.
 
-    Over Q every coefficient is scaled by L, the lcm of the chain's
-    coefficient denominators, so the images accumulate in ints; (d + uB) is
-    linear and L is nonzero, so the scaled chain is a cycle exactly when the
-    chain is, and the residue is divided by L on the way out.  Component t
-    of the image, words of 2t letters, gathers d of component t and B of
-    component t - 1 in one accumulator keyed by word codes
-    (`ChainComplex.add_boundaries` and `add_connes`, plain + and *),
-    which drops its zeros (over F_p, after reducing mod p) once, when it is
+    The images are taken of the chain's integer numerators, so they
+    accumulate in ints; (d + uB) is linear and the denominator D is
+    nonzero, so the numerators form a cycle exactly when the chain does,
+    and only the nonzero residue is divided by D on the way out.
+    Component t of the image, words of 2t letters, gathers d of component t
+    and B of component t - 1 in one accumulator keyed by word codes
+    (`ChainComplex.add_boundaries` and `add_connes`, plain + and *), which
+    drops its zeros (over F_p, after reducing mod p) once, when it is
     complete; only the nonzero residue is decoded back into words.
     """
     A = chain.algebra
     F = A.field
     cx = ChainComplex(A)
-    for t, comp in enumerate(chain.components):
+    comps = chain.numerators
+    for t, comp in enumerate(comps):
         if set(map(len, comp)) - {2 * t + 1}:
             raise ContractError(f"component {t} of a chain holds a word that does not "
                                 f"have {2 * t + 1} letters")
-    comps, scale = chain.components, 1  # F_p scalars are ints, so L = 1 there
-    if F.p is None:
-        ratios = [[c.as_integer_ratio() for c in comp.values()] for comp in comps]
-        scale = lcm(*{den for pairs in ratios for _, den in pairs})
-        if scale != 1:
-            comps = [dict(zip(comp, [num * (scale // den) for num, den in pairs]))
-                     for comp, pairs in zip(comps, ratios)]
+    den = chain.denominator
     out = []
     for t in range(chain.N):
         acc: dict = {}
         cx.add_boundaries(comps[t], acc)
         if t >= 1:
             cx.add_connes(comps[t - 1], acc)
-        out.append({cx.decode(code, 2 * t): v for code, v in reduced_entries(acc, F).items()})
-    if scale != 1:
-        unscale = F.inv(scale)
-        out = [{w: F.mul(v, unscale) for w, v in acc.items()} for acc in out]
+        out.append({cx.decode(code, 2 * t): v if den == 1 else F.from_fraction(Fraction(v, den))
+                    for code, v in reduced_entries(acc, F).items()})
     return {"is_cycle": all(not a for a in out), "residue": out}
 
 
@@ -139,11 +190,11 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     half = F.from_fraction(Fraction(1, 2))
     shifted = linear_combination(((1, pi.vector), (-half, {0: 1})), F)
     tail = _reduce_tail(F, pi.vector)
-    components = [{(k,): v for k, v in pi.vector.items() if not F.is_zero(v)}]
+    parts = [_numerators({(k,): v for k, v in sorted(pi.vector.items()) if not F.is_zero(v)})]
     for k in range(1, N):
         coeff = (-1) ** k * factorial(2 * k) // factorial(k)
-        components.append(_tensor_words(F, [shifted] + [tail] * (2 * k), coeff))
-    chain = UChain(A, N, components)
+        parts.append(_tensor_words(F, [shifted] + [tail] * (2 * k), coeff))
+    chain = UChain._of(A, N, parts)
     cert = cycle_certificate(chain)
     if not cert["is_cycle"]:
         raise ContractError("chern_idempotent: cycle certificate failed; "
@@ -155,7 +206,7 @@ def u0_class_nonzero(chain: UChain) -> bool:
     """Whether the u^0 component represents a nonzero class in HH_0."""
     A = chain.algebra
     rest, _ = commutator_classes(A, commutator_columns(A)).reduce(
-        {w[0]: c for w, c in chain.components[0].items()})
+        {w[0]: c for w, c in chain.component(0).items()})
     return bool(rest)
 
 
@@ -238,10 +289,9 @@ def ppower_lift_p2(A: AlgebraSpec, a: dict) -> UChain:
     F = A.field
     if F.characteristic != 2:
         raise UnsupportedError("ppower_lift_p2 requires characteristic 2")
-    c0 = {(k,): v for k, v in A.mul_vec(a, a).items()}
+    c0 = {(k,): v for k, v in sorted(A.mul_vec(a, a).items())}
     abar = _reduce_tail(F, a)
-    c1 = _tensor_words(F, [{0: F.one()}, abar, abar])
-    chain = UChain(A, 2, [c0, c1])
+    chain = UChain._of(A, 2, [(c0, 1), _tensor_words(F, [{0: F.one()}, abar, abar])])
     cert = cycle_certificate(chain)
     if not cert["is_cycle"]:
         raise ContractError("ppower_lift_p2: cycle certificate failed")

@@ -1490,9 +1490,11 @@ _EXIT_CODES = {
     ("poisson", "conjugation"): {0: ("--bivector", "so3", "--degree", "2"),
                                  1: ("--bivector", "so3", "--degree", "2", *_NO_DIR),
                                  2: ("--bivector", "nonjacobi4", "--degree", "2", "--strict")},
+    # an odd --nvars, and one above poisson.MAX_SYMPLECTIC_NVARS
     ("poisson", "star"): {0: ("--nvars", "2", "--degree", "2"),
                           1: ("--nvars", "2", "--degree", "2", *_NO_DIR),
-                          2: ("--nvars", "3", "--degree", "2")},
+                          2: [("--nvars", "3", "--degree", "2"),
+                              ("--nvars", "14", "--degree", "0")]},
     ("poisson", "homology"): {0: ("--bivector", "standard", "--degree", "3"),
                               1: ("--bivector", "standard", "--degree", "3", *_NO_DIR),
                               2: ("--bivector", "nonjacobi4", "--degree", "3")},
@@ -1515,13 +1517,15 @@ def test_every_documented_exit_code_is_reached(tmp_path, capsys, monkeypatch, co
         {"format": "ncg-idempotent/1", "vector": {"E11*1": "1"}}))
     (tmp_path / "not-pi.json").write_text(json.dumps(
         {"format": "ncg-idempotent/1", "vector": {"E12*1": "1"}}))
-    argv = _EXIT_CODES[command][code]
-    got, out, err = run(capsys, *command, *argv)
-    assert got == code, err
-    assert "Traceback" not in err
-    if code == 1 or (code == 3 and "--strict" not in argv):
-        # a refusal: nothing is written, and one error line says why
-        assert not out and err.startswith("error: ") and err.count("\n") == 1, err
+    argvs = _EXIT_CODES[command][code]
+    # a code reached by more than one documented refusal lists each argv
+    for argv in argvs if isinstance(argvs, list) else [argvs]:
+        got, out, err = run(capsys, *command, *argv)
+        assert got == code, err
+        assert "Traceback" not in err
+        if code == 1 or (code == 3 and "--strict" not in argv):
+            # a refusal: nothing is written, and one error line says why
+            assert not out and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_a_broken_staircase_profile_exits_1(tmp_path, capsys, monkeypatch):
@@ -1556,6 +1560,25 @@ def test_a_dim_beyond_the_structure_entries_is_refused_before_any_allocation(tmp
     assert proc.returncode == 2 and not proc.stdout
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: huge.json: algebra: dim 100000000 but only 1 ")
+
+
+def test_a_star_dimension_beyond_the_bound_is_refused_before_any_allocation(tmp_path):
+    # exp(B) has 2^nvars terms and ConstantSymplectic lists nvars/2 pairs:
+    # --nvars 10^9 is refused by its size first.  It is run only in a child
+    # whose address space is capped, as building anything of that size would
+    # exhaust memory.
+    src = Path(__file__).resolve().parent.parent / "src"
+    cap = 1 << 30
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from nchodge.cli import main; "
+            "sys.exit(main(['poisson', 'star', '--nvars', '1000000000', '--degree', '0']))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stderr == ("error: symplectic dimension 1000000000 exceeds "
+                           "MAX_SYMPLECTIC_NVARS = 12\n")
 
 
 @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])

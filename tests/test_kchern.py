@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -109,8 +110,8 @@ def test_lift_difference_that_is_not_a_boundary(monkeypatch):
     def lift_with_unit(A, x):
         chain = original(A, x)
         if x == {0: 1, 1: 1}:
-            chain.components[0] = linear_combination(
-                ((1, chain.components[0]), (1, {(0,): 1})), A.field)
+            u0, u1 = chain.components
+            chain = UChain(A, 2, [linear_combination(((1, u0), (1, {(0,): 1})), A.field), u1])
         return chain
 
     monkeypatch.setattr(kchern, "ppower_lift_p2", lift_with_unit)
@@ -218,19 +219,89 @@ def test_tensor_words_match_fraction_products():
         factors = [{i: rng.choice(values) for i in rng.sample(range(6), rng.randrange(1, 4))}
                    for _ in range(rng.randrange(0, 5))]
         scale = rng.choice([1, -2, 12, -120])
-        words = _tensor_words(QQ, factors, scale)
+        words, den = _tensor_words(QQ, factors, scale)
         expected = _fraction_tensor_words(factors, scale)
-        assert words == expected
-        assert list(words) == list(expected)  # same words in the same order
-        for c in words.values():
-            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert {w: Fraction(c, den) for w, c in words.items()} == expected
+        assert list(words) == sorted(expected)  # the words come out sorted
+        assert type(den) is int and den >= 1 and all(type(c) is int for c in words.values())
         for p in (5, 7):
             F = GF(p)
             reduced = [{i: F.from_fraction(Fraction(v)) for i, v in vec.items()}
                        for vec in factors if all(Fraction(v).denominator % p for v in vec.values())]
             expected_p = {w: c for w, c in ((w, F.from_fraction(c)) for w, c in
                                             _fraction_tensor_words(reduced, scale).items()) if c}
-            assert _tensor_words(F, reduced, scale) == expected_p
+            assert _tensor_words(F, reduced, scale) == (expected_p, 1)
+
+
+def _chern_formula(pi: dict, N: int) -> list:
+    """The components of ch(pi) = pi + sum_{1<=k<N} (-1)^k (2k)!/k!
+    (pi - 1/2) (x) pi^{(x)2k} u^k in Fraction arithmetic, from the rational
+    vector pi: the unit coordinate 0 is shifted by -1/2 in the first tensor
+    factor and dropped from the others."""
+    shifted = {i: v - (Fraction(1, 2) if i == 0 else 0) for i, v in pi.items()}
+    shifted.setdefault(0, Fraction(-1, 2))
+    tail = {i: v for i, v in pi.items() if i != 0}
+    out = [{(i,): Fraction(v) for i, v in pi.items() if v}]
+    for k in range(1, N):
+        scale = (-1) ** k * factorial(2 * k) // factorial(k)
+        out.append(_fraction_tensor_words([shifted] + [tail] * (2 * k), scale))
+    return out
+
+
+def _random_idempotents(rng):
+    """E11 + sum_j a_j E1j in mat(2) and mat(3) with random rational a_j,
+    whose denominators are prime to 5, 7 and 11, and (1 +- g)/2 in
+    group_z2; as (algebra name, params, rational vector)."""
+    coeffs = [Fraction(s * a, b) for s in (1, -1) for a in (1, 2, 3, 4, 9) for b in (1, 2, 3, 4, 6)]
+    out = []
+    for m in (2, 3):
+        # basis 1, E11, E12, .., E1m, ...
+        out.append(("mat", {"m": m}, {1: Fraction(1), **{j: rng.choice(coeffs)
+                                                          for j in range(2, m + 1)}}))
+    for sign in (1, -1):
+        out.append(("group_z2", {}, {0: Fraction(1, 2), 1: Fraction(sign, 2)}))
+    return out
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5), GF(7), GF(11)), ids=str)
+def test_chern_chain_numerators_match_the_formula(field):
+    # each component, read as field elements, is the Fraction expansion of
+    # the formula reduced into the field, term by term; the numerators are
+    # ints over one denominator, and the chain certifies
+    rng = random.Random(30 + field.characteristic)
+    for N in range(1, 5):
+        if field.p is not None and field.p <= 2 * N:
+            continue
+        for name, params, pi in _random_idempotents(rng):
+            A = builtin(name, field, **params)
+            vector = {i: field.from_fraction(v) for i, v in pi.items()}
+            chain = chern_idempotent(Idempotent(A, vector), N)
+            assert len(chain.numerators) == N
+            assert type(chain.denominator) is int and chain.denominator >= 1
+            assert all(type(c) is int for nums in chain.numerators for c in nums.values())
+            assert all(list(nums) == sorted(nums) for nums in chain.numerators)
+            for t, formula in enumerate(_chern_formula(pi, N)):
+                expected = {w: c for w, c in ((w, field.from_fraction(c))
+                                              for w, c in formula.items()) if c}
+                assert chain.component(t) == expected, (name, pi, N, t)
+            cert = cycle_certificate(chain)
+            assert cert["is_cycle"] and cert["residue"] == [{}] * N
+            # the same components given as field elements make the same chain
+            again = UChain(A, N, chain.components)
+            assert again.components == chain.components
+            assert cycle_certificate(again)["is_cycle"]
+
+
+def test_chain_of_field_elements_clears_denominators_once():
+    A = builtin("mat", QQ, m=2)
+    comps = [{(2,): 3, (1,): Fraction(1, 2)}, {(0, 2, 1): 0, (0, 1, 2): Fraction(-2, 3)}]
+    chain = UChain(A, 2, comps)
+    assert chain.denominator == 6
+    assert chain.numerators == [{(1,): 3, (2,): 18}, {(0, 1, 2): -4, (0, 2, 1): 0}]
+    # the words are held in sorted order
+    assert [list(nums) for nums in chain.numerators] == [[(1,), (2,)], [(0, 1, 2), (0, 2, 1)]]
+    assert chain.components == comps
+    assert [type(c) for c in chain.component(0).values()] == [Fraction, int]
 
 
 def _field_residue(chain):

@@ -7,9 +7,12 @@ from math import factorial
 
 import pytest
 
+from nchodge import poisson
 from nchodge.cli import main
+from nchodge.fields import SizeError
 from nchodge.oracle import jacobiator_components
-from nchodge.poisson import (BIVECTOR_CATALOGUE, Bivector, ConstantSymplectic,
+from nchodge.poisson import (BIVECTOR_CATALOGUE, MAX_SYMPLECTIC_NVARS, Bivector,
+                             ConstantSymplectic,
                              PoissonError, PolyForm, _monomials_upto, _poly_str,
                              builtin_bivector, conjugation_check, d, hodge_star,
                              iota, jacobi_check, lie_derivative, monomial,
@@ -366,6 +369,66 @@ def test_constructor_validates_outside_input():
 def test_symplectic_needs_a_positive_even_dimension(nvars):
     with pytest.raises(PoissonError, match="positive and even"):
         ConstantSymplectic(nvars)
+
+
+def _clear_process_caches():
+    for value in vars(poisson).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_star_reads_every_dx_from_one_exp_b_per_v(monkeypatch):
+    # exp(B) is the one exponential the star takes of the empty product ();
+    # the check's other exponentials are of forms (e, S).  One exp(B) per v
+    # serves every dx_S, where one per S made the check grow like 4^v.
+    calls = []
+    original = poisson._exp_term
+
+    def counting(image_of_term, sign, term):
+        calls.append(term)
+        return original(image_of_term, sign, term)
+
+    monkeypatch.setattr(poisson, "_exp_term", counting)
+    for v in (2, 4, 6):
+        _clear_process_caches()
+        calls.clear()
+        assert star_identity_check(v, 1)["pass"]
+        assert calls.count(()) == 1, v
+    _clear_process_caches()
+
+
+def _star_of_dx_by_subset(v: int, S: tuple) -> list:
+    """The star of dx_S from its own exp(B): dx_S ^ exp(B), Berezin
+    integrated over the xi's (the terms whose xi-part is full), times the
+    global sign (-1)^{v/2}; generators 0..v-1 are xi_i, v..2v-1 eta_i."""
+    kernel_b = {}
+    for i, j in ConstantSymplectic(v).pairs():
+        kernel_b[(i, v + j)] = 1
+        kernel_b[(j, v + i)] = -1
+    exp_b = poisson._exp_term(poisson._Table(lambda W: poisson._times(W, kernel_b)), 1, ())
+    return [(tuple(i - v for i in g if i >= v), (-1) ** (v // 2) * c)
+            for g, c in poisson._times(S, exp_b).items()
+            if tuple(i for i in g if i < v) == tuple(range(v))]
+
+
+def test_star_of_every_dx_matches_its_own_exp_b():
+    for v in (2, 4, 6):
+        omega = ConstantSymplectic(v)
+        zero = (0,) * v
+        for r in range(v + 1):
+            for S in combinations(range(v), r):
+                star = hodge_star(monomial_form(v, zero, S), omega).terms
+                assert list(star.items()) == [((zero, eta), c) for eta, c
+                                              in _star_of_dx_by_subset(v, S)], (v, S)
+
+
+def test_symplectic_dimension_is_bounded():
+    assert ConstantSymplectic(MAX_SYMPLECTIC_NVARS).nvars == MAX_SYMPLECTIC_NVARS
+    for nvars in (MAX_SYMPLECTIC_NVARS + 2, 10 ** 9):
+        with pytest.raises(SizeError, match="MAX_SYMPLECTIC_NVARS"):
+            ConstantSymplectic(nvars)
+        with pytest.raises(SizeError, match="MAX_SYMPLECTIC_NVARS"):
+            star_identity_check(nvars, 0)
 
 
 def test_monomials_of_no_variables():

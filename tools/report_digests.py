@@ -85,7 +85,13 @@ The grid:
 - integer options spelled with `_` between digits, with a non-ASCII
   digit and with a leading space (`1_0`, `\uff12`, `" 3"`): `--n-max` of
   `hh`, `--u-trunc` of `hc`, `--degree` of `poisson homology` and
-  `--nvars` of `poisson star` (argparse refuses each: exit 2).
+  `--nvars` of `poisson star` (argparse refuses each: exit 2);
+- `chern` chains whose components carry different denominators: `mat`
+  with m = 3 at `--u-trunc 5` of E11 + 4/9 E12 - 5/8 E13 over Q in json
+  and csv and over F11, and `mat` with m = 2 at `--u-trunc 7` of
+  E11 + 2/3 E12 over Q in markdown;
+- `poisson star --nvars 14`, above `poisson.MAX_SYMPLECTIC_NVARS` (exit
+  2; a checkout without that bound runs it for hours).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -274,6 +280,9 @@ def _input_files() -> dict:
             "alpha-key-twice.json": _with_key_twice(
                 _bivector(_poly(((0, 0), "1")), hbar="1/2"), "hbar", "1"),
             "pi-901-digits.json": _idempotent({"E11*1": "1/1", "E12*1": f"{10 ** 900}/1"}),
+            # E11 + 4/9 E12 - 5/8 E13 of Mat_3: coordinates of coprime
+            # denominators, so the chain's components carry different ones
+            "pi-coprime.json": _idempotent({"E11*1": "1", "E12*1": "4/9", "E13*1": "-5/8"}),
             "p-5000-digits.json": json.dumps(algebra_to_json(builtin("point", GF(2))))
                                   .replace('"p": 2', f'"p": {_ONES}')}
 
@@ -410,6 +419,16 @@ def grid() -> list:
         out.append(("hc", "--algebra", "dual_numbers", "--n-max", "20", "--u-trunc", spelling))
         out.append(("poisson", "homology", "--bivector", "so3", "--degree", spelling))
         out.append(("poisson", "star", "--nvars", spelling, "--degree", "2"))
+    # chains whose components carry different denominators
+    for fmt in ("json", "csv"):
+        out.append(("chern", "--algebra", "mat", "--param", "m=3", "--u-trunc", "5",
+                    "--idempotent", "pi-coprime.json", "--format", fmt))
+    out.append(("chern", "--algebra", "mat", "--param", "m=2", "--u-trunc", "7",
+                "--idempotent", "pi-mixed.json", "--format", "markdown"))
+    out.append(("chern", "--algebra", "mat", "--param", "m=3", "--field", "F11", "--u-trunc", "5",
+                "--idempotent", "pi-coprime.json"))
+    # a symplectic dimension above poisson.MAX_SYMPLECTIC_NVARS (exit 2)
+    out.append(("poisson", "star", "--nvars", "14", "--degree", "0"))
     return out
 
 
