@@ -969,24 +969,29 @@ def _poisson_meta(args) -> dict:
           inputs=_poisson_inputs, meta=_poisson_meta)
 def _poisson(args, x):
     sub, alpha = args.poisson_command, x.bivector
-    if sub == "bracket":
-        result = {"bracket": _poly_json(poisson_bracket(x.terms["f"], x.terms["g"], alpha))}
-    elif sub == "jacobi":
-        result = jacobi_check(alpha, args.degree)
-    elif sub == "lie":
-        result = {"lie_derivative": _form_json(lie_derivative(alpha, x.terms["form"]))}
-    elif sub == "conjugation":
-        result = conjugation_check(alpha, args.degree)
-    elif sub == "star":
+    if sub == "star":
         try:
             omega = ConstantSymplectic(args.nvars)
         except PoissonError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
-        result = {"identity": star_identity_check(args.nvars, args.degree)}
+    # --degree bounds nothing that jacobi, conjugation and star compute, but
+    # a negative one is refused as before
+    if getattr(args, "degree", 0) < 0:
+        raise SizeError(f"degree bound {args.degree} must be >= 0")
+    if sub == "bracket":
+        result = {"bracket": _poly_json(poisson_bracket(x.terms["f"], x.terms["g"], alpha))}
+    elif sub == "jacobi":
+        result = jacobi_check(alpha)
+    elif sub == "lie":
+        result = {"lie_derivative": _form_json(lie_derivative(alpha, x.terms["form"]))}
+    elif sub == "conjugation":
+        result = conjugation_check(alpha)
+    elif sub == "star":
+        result = {"identity": star_identity_check(args.nvars)}
         if "form" in x.terms:
             result["star"] = _form_json(hodge_star(x.terms["form"], omega))
     else:
-        jac = jacobi_check(alpha, min(args.degree, 2))
+        jac = jacobi_check(alpha)
         if not jac["pass"]:
             raise CliError("poisson homology requires a Poisson bivector "
                            f"(Jacobiator witness: {jac['witness']})",

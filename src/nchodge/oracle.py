@@ -472,7 +472,7 @@ def _fx_lie_values():
 
 def _fx_nonjacobi4_conjugation():
     from .poisson import builtin_bivector, conjugation_check
-    r = conjugation_check(builtin_bivector("nonjacobi4"), 2)
+    r = conjugation_check(builtin_bivector("nonjacobi4"))
     return {"pass": r["pass"], "has_witness": r["witness"] is not None}
 
 
@@ -487,7 +487,7 @@ def _fx_star_2var_signs():
 
 def _fx_star_4var():
     from .poisson import star_identity_check
-    return star_identity_check(4, 4)["pass"]
+    return star_identity_check(4)["pass"]
 
 
 def _fx_ph(name):

@@ -15,8 +15,15 @@ A form is its dict of terms, (exponent tuple, increasing dx index tuple)
 coefficient.  `_apply` adds scale * L(terms) into an output dict, reading
 the image of each basis term from a table; a `_Table` computes the image of
 a term on first use and keeps it.  Each check makes its tables (d, iota,
-exp(+-iota), wedge with w, the star, the bracket of each ordered monomial
-pair) once per call, so no image is computed twice within a call.  One
+exp(+-iota), wedge with w, the star) once per call, so no image is computed
+twice within a call.
+
+Each identity check evaluates the generators that decide it, and nothing
+else.  The Jacobiator of the bracket is an alternating triderivation, so
+the coordinate triples (x_i, x_j, x_k), i < j < k, decide the Jacobi
+identity.  Both sides of the conjugation identity and of the star identity
+commute with multiplication by every monomial x^e, so the 2^nvars forms
+dx_S decide each of them.  No check depends on a degree bound.  One
 thing is kept for the whole process: `_star_table`, a module-level
 `lru_cache` of the star of every dx_S in v variables, read off one exp(B)
 per v.  Sharing it across calls is safe because its value depends only on
@@ -255,44 +262,24 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
     return out
 
 
-def _require_degree(D: int):
-    """The identity checks refuse a negative degree bound: no monomial has
-    one, so the check would pass vacuously."""
-    if D < 0:
-        raise SizeError(f"degree bound {D} must be >= 0")
+def jacobi_check(alpha: Bivector) -> dict:
+    """Evaluate the Jacobiator {f,{g,h}} + cyclic on the coordinate triples
+    (x_i, x_j, x_k), i < j < k; pass iff it vanishes on each, else fail with
+    the first triple where it does not.
 
-
-def jacobi_check(alpha: Bivector, D: int) -> dict:
-    """Evaluate the Jacobiator {f,{g,h}} + cyclic on all coordinate triples
-    and all monomial triples of degree <= D; pass iff identically zero.
-
-    The bracket of each ordered pair of monomials is computed once, by
-    `poisson_bracket`; {f, {g, h}} follows bilinearly from those."""
-    _require_degree(D)
+    The coordinate triples decide the identity.  The bracket is an
+    antisymmetric biderivation, so its Jacobiator J is an alternating
+    triderivation: J(f, g, h) = sum_{i,j,k} d_i f d_j g d_k h J(x_i, x_j, x_k),
+    and J is zero on a triple that repeats a coordinate."""
     v = alpha.nvars
-    coords = [tuple(int(k == i) for k in range(v)) for i in range(v)]
-    mons = [e for e in _monomials_upto(v, D) if sum(e) > 0]
-    # brackets[f][g] = {x^f, x^g}, for monomials f and g
-    brackets = _Table(lambda f: _Table(
-        lambda g: poisson_bracket({f: 1}, {g: 1}, alpha)))
-
-    def jacobiator(f, g, h):
-        out: Poly = {}
+    coords = [{tuple(int(k == i) for k in range(v)): 1} for i in range(v)]
+    for trip in combinations(range(v), 3):
+        f, g, h = (coords[i] for i in trip)
+        r: Poly = {}
         for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-            _apply(brackets[a], brackets[b][c], 1, out)
-        return out
-
-    for trip in combinations(range(len(coords)), 3):
-        r = jacobiator(*(coords[i] for i in trip))
+            _apply(None, poisson_bracket(a, poisson_bracket(b, c, alpha), alpha), 1, r)
         if r:
             return {"pass": False, "witness": ["coords", list(trip)], "value": _poly_str(r)}
-    for a in range(len(mons)):
-        for b in range(a, len(mons)):
-            for c in range(b, len(mons)):
-                r = jacobiator(mons[a], mons[b], mons[c])
-                if r:
-                    return {"pass": False, "witness": ["monomials", [a, b, c]],
-                            "value": _poly_str(r)}
     return {"pass": True, "witness": None}
 
 
@@ -304,30 +291,42 @@ def _poly_str(p: Poly) -> str:
     return " + ".join(bits) or "0"
 
 
-def _first_difference(nvars: int, D: int, lhs, rhs) -> dict:
-    """Compare lhs(mu) and rhs(mu) on every basis term mu = (e, S) of
-    coefficient degree <= D, by exponent first, then by the size and order
-    of S: pass, or fail with the first mu where the two differ."""
-    for e in _monomials_upto(nvars, D):
-        for r in range(nvars + 1):
-            for S in combinations(range(nvars), r):
-                if lhs((e, S)) != rhs((e, S)):
-                    return {"pass": False, "witness": {"exponents": list(e), "dxs": list(S)}}
+def _first_difference(nvars: int, lhs, rhs) -> dict:
+    """Compare lhs(mu) and rhs(mu) on the forms mu = dx_S (exponent 0), by
+    the size and order of S: pass, or fail with the first dx_S where the
+    two differ.
+
+    The forms dx_S decide an identity whose two sides both commute with
+    multiplication by every monomial x^e: the difference then vanishes on
+    x^e dx_S exactly when it vanishes on dx_S.  Both callers' sides do."""
+    zero = (0,) * nvars
+    for r in range(nvars + 1):
+        for S in combinations(range(nvars), r):
+            if lhs((zero, S)) != rhs((zero, S)):
+                return {"pass": False, "witness": {"exponents": list(zero), "dxs": list(S)}}
     return {"pass": True, "witness": None}
 
 
-def conjugation_check(alpha: Bivector, D: int) -> dict:
-    """Verify exp(iota) d exp(-iota) = d + L_alpha on every monomial form of
-    coefficient degree <= D (exactly; no truncation is needed since the
-    exponentials are finite)."""
-    _require_degree(D)
+def _conjugation_sides(alpha: Bivector):
+    """The two sides of exp(iota) d exp(-iota) = d + L_alpha, each as a map
+    of one basis term to its image."""
     d_of = _Table(_d_term)
     iota_of = _Table(partial(_iota_term, alpha))
     exp_plus = _Table(partial(_exp_term, iota_of, 1))
     exp_minus = _Table(partial(_exp_term, iota_of, -1))
-    return _first_difference(
-        alpha.nvars, D, lambda mu: _apply(exp_plus, _apply(d_of, exp_minus[mu], 1, {}), 1, {}),
-        lambda mu: _lie(d_of, iota_of, {mu: 1}, 1, dict(d_of[mu])))
+    return (lambda mu: _apply(exp_plus, _apply(d_of, exp_minus[mu], 1, {}), 1, {}),
+            lambda mu: _lie(d_of, iota_of, {mu: 1}, 1, dict(d_of[mu])))
+
+
+def conjugation_check(alpha: Bivector) -> dict:
+    """Verify exp(iota) d exp(-iota) = d + L_alpha exactly (the exponentials
+    are finite) on the forms dx_S, which decide it for every bivector.
+
+    The defect E = exp(iota) d exp(-iota) - d - L_alpha is the sum of the
+    terms ad(iota)^k (d) / k!, k >= 2.  Multiplication m by x^e commutes
+    with iota, and [d, m] is the wedge with d(x^e), whose bracket with iota
+    is a contraction that commutes with iota again; so [E, m] = 0."""
+    return _first_difference(alpha.nvars, *_conjugation_sides(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +418,10 @@ def hodge_star(form: PolyForm, omega: ConstantSymplectic) -> PolyForm:
     return PolyForm._of(v, _apply(_Table(partial(_star_term, v)), form.terms, 1, {}))
 
 
-def star_identity_check(nvars: int, D: int) -> dict:
-    """Verify the star identity on all monomial forms of coefficient degree
-    <= D, for the standard constant symplectic structure.
-
-    The identity checked is e^{w ^ .} = e^{iota_alpha} o * o e^{iota_alpha}.
-    With the contraction normalized by <del_x ^ del_y, dx ^ dy> = 1 this is
-    the only sign placement admitting any degree-homogeneous star at all:
-    comparing the degree-0 and top-degree diagonal components shows the
-    variant with opposite exponents forces +1 = -1.
-    """
-    _require_degree(D)
+def _star_sides(nvars: int):
+    """The two sides of e^{w ^ .} = e^{iota_alpha} o * o e^{iota_alpha} for
+    the standard structure on nvars variables, each as a map of one basis
+    term to its image."""
     omega = ConstantSymplectic(nvars)
     w = dict.fromkeys(omega.pairs(), 1)
     iota_of = _Table(partial(_iota_term, omega.inverse_bivector()))
@@ -438,9 +430,23 @@ def star_identity_check(nvars: int, D: int) -> dict:
     # mu -> mu ^ w
     wedge_w = _Table(lambda term: {(term[0], S): c for S, c in _times(term[1], w).items()})
     exp_wedge = _Table(partial(_exp_term, wedge_w, 1))
-    return _first_difference(
-        nvars, D, lambda mu: exp_wedge[mu],
-        lambda mu: _apply(exp_iota, _apply(star_of, exp_iota[mu], 1, {}), 1, {}))
+    return (lambda mu: exp_wedge[mu],
+            lambda mu: _apply(exp_iota, _apply(star_of, exp_iota[mu], 1, {}), 1, {}))
+
+
+def star_identity_check(nvars: int) -> dict:
+    """Verify the star identity on the forms dx_S, for the standard constant
+    symplectic structure; they decide it, as every operator in it (wedge
+    with w, iota_alpha of a constant alpha, the star) commutes with
+    multiplication by x^e.
+
+    The identity checked is e^{w ^ .} = e^{iota_alpha} o * o e^{iota_alpha}.
+    With the contraction normalized by <del_x ^ del_y, dx ^ dy> = 1 this is
+    the only sign placement admitting any degree-homogeneous star at all:
+    comparing the degree-0 and top-degree diagonal components shows the
+    variant with opposite exponents forces +1 = -1.
+    """
+    return _first_difference(nvars, *_star_sides(nvars))
 
 
 # ---------------------------------------------------------------------------

@@ -1585,7 +1585,7 @@ def test_a_star_dimension_beyond_the_bound_is_refused_before_any_allocation(tmp_
 def test_a_failed_star_identity_exits_2_under_strict(capsys, monkeypatch, strict, code):
     # star puts its check under "identity"; only a fault can fail it
     failed = {"pass": False, "witness": None}
-    monkeypatch.setattr(cli, "star_identity_check", lambda nvars, D: failed)
+    monkeypatch.setattr(cli, "star_identity_check", lambda nvars: failed)
     argv = ("poisson", "star", "--nvars", "2", "--degree", "1", *(("--strict",) * strict))
     got, out, err = run(capsys, *argv)
     assert got == code, err
