@@ -974,8 +974,8 @@ def _poisson(args, x):
             omega = ConstantSymplectic(args.nvars)
         except PoissonError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
-    # --degree bounds nothing that jacobi, conjugation and star compute, but
-    # a negative one is refused as before
+    # every --degree is reported, and a negative one refused, also where the
+    # check computes nothing from it (jacobi, conjugation, star)
     if getattr(args, "degree", 0) < 0:
         raise SizeError(f"degree bound {args.degree} must be >= 0")
     if sub == "bracket":

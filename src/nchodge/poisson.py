@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from operator import add
 
 from .algebra import _monomials_upto
@@ -307,6 +307,14 @@ def _first_difference(nvars: int, lhs, rhs) -> dict:
     return {"pass": True, "witness": None}
 
 
+# The conjugation check visits every dx_S, and exp(iota) of dx_S multiplies
+# up to nvars/2 coefficients of alpha.  Its time grows about 4x per variable
+# for the quadratic bivector sum_{i<j} (i+j+1) x_i x_j d_i^d_j: 2.5 s and
+# 164 MB at 10 variables, 10.6 s and 560 MB at 11, 44 s and 2.0 GB at 12
+# (a constant one on all pairs: 0.15 s at 10 variables, 1.6 s at 12).
+MAX_CONJUGATION_NVARS = 10
+
+
 def _conjugation_sides(alpha: Bivector):
     """The two sides of exp(iota) d exp(-iota) = d + L_alpha, each as a map
     of one basis term to its image."""
@@ -325,7 +333,13 @@ def conjugation_check(alpha: Bivector) -> dict:
     The defect E = exp(iota) d exp(-iota) - d - L_alpha is the sum of the
     terms ad(iota)^k (d) / k!, k >= 2.  Multiplication m by x^e commutes
     with iota, and [d, m] is the wedge with d(x^e), whose bracket with iota
-    is a contraction that commutes with iota again; so [E, m] = 0."""
+    is a contraction that commutes with iota again; so [E, m] = 0.
+
+    Bivectors on more than MAX_CONJUGATION_NVARS variables are refused
+    before anything is built."""
+    if alpha.nvars > MAX_CONJUGATION_NVARS:
+        raise SizeError(f"conjugation check on {alpha.nvars} variables exceeds "
+                        f"MAX_CONJUGATION_NVARS = {MAX_CONJUGATION_NVARS}")
     return _first_difference(alpha.nvars, *_conjugation_sides(alpha))
 
 
@@ -502,6 +516,29 @@ def _folded_ranks(alpha: Bivector, D: int, diff: _Table):
     return {"even": even, "odd": even - len(evens) + len(odds)}
 
 
+# The folded complex has one basis form per monomial form of total degree
+# <= D.  At 20 000 forms the slowest bivector measured (constant on all
+# pairs of 6 variables, D = 7: 19 825 forms) took 1.05 s and 82 MB; so3 at
+# D = 24 (19 649 forms) 0.79 s.  40 081 forms (6 variables, D = 8) took
+# 2.8 s and 184 MB.
+MAX_HOMOLOGY_FORMS = 20_000
+
+
+def _require_form_count(nvars: int, D: int):
+    """Refuse a folded complex of more than MAX_HOMOLOGY_FORMS basis forms,
+    before any is built.  `_form_basis` lists sum_r C(nvars, r)
+    C(D - r + nvars, nvars) forms, more than nvars * D: 1 and each x_i^k,
+    0 < k <= D, are among them.  That bound is tried first, so the
+    binomials are taken of small numbers only."""
+    count = nvars * D
+    if count <= MAX_HOMOLOGY_FORMS:
+        count = sum(comb(nvars, r) * comb(D - r + nvars, nvars)
+                    for r in range(min(nvars, D) + 1))
+    if count > MAX_HOMOLOGY_FORMS:
+        raise SizeError(f"homology to total degree {D} in {nvars} variables needs more "
+                        f"than MAX_HOMOLOGY_FORMS = {MAX_HOMOLOGY_FORMS} basis forms")
+
+
 def poisson_homology_ranks(alpha: Bivector, D: int) -> dict:
     """Stable ranks per parity of the folded (d + L_alpha)-complex on
     polynomial forms of total degree <= D, with a cutoff-comparison guard
@@ -509,11 +546,13 @@ def poisson_homology_ranks(alpha: Bivector, D: int) -> dict:
 
     Ranks are computed at cutoff D and at the guarded cutoff
     D - max(2, top coefficient degree of alpha); they are reported stable
-    only when the two agree.
+    only when the two agree.  A complex of more than MAX_HOMOLOGY_FORMS
+    basis forms at cutoff D is refused before anything is built.
     """
     guard = max(2, alpha.coefficient_degree())
     if D - guard < 0:
         raise SizeError(f"degree bound {D} too small for guard band {guard}")
+    _require_form_count(alpha.nvars, D)
     d_of = _Table(_d_term)
     iota_of = _Table(partial(_iota_term, alpha))
     diff = _Table(lambda mu: _lie(d_of, iota_of, {mu: 1}, alpha.hbar, dict(d_of[mu])))

@@ -16,6 +16,7 @@ from nchodge import algebra, cli
 from nchodge.algebra import CATALOGUE, algebra_to_json, builtin
 from nchodge.cli import main
 from nchodge.fields import GF
+from nchodge.poisson import MAX_CONJUGATION_NVARS
 
 
 def run(capsys, *argv):
@@ -1487,17 +1488,23 @@ _EXIT_CODES = {
     ("poisson", "lie"): {0: ("--bivector", "xy", "--form", _FORM_XY),
                          1: ("--bivector", "xy", "--form", _FORM_XY, *_NO_DIR),
                          2: ("--bivector", "so3", "--form", _FORM_XY)},
+    # a failed identity under --strict, and a bivector on more variables
+    # than poisson.MAX_CONJUGATION_NVARS
     ("poisson", "conjugation"): {0: ("--bivector", "so3", "--degree", "2"),
                                  1: ("--bivector", "so3", "--degree", "2", *_NO_DIR),
-                                 2: ("--bivector", "nonjacobi4", "--degree", "2", "--strict")},
+                                 2: [("--bivector", "nonjacobi4", "--degree", "2", "--strict"),
+                                     ("--bivector", "wide.json", "--degree", "2")]},
     # an odd --nvars, and one above poisson.MAX_SYMPLECTIC_NVARS
     ("poisson", "star"): {0: ("--nvars", "2", "--degree", "2"),
                           1: ("--nvars", "2", "--degree", "2", *_NO_DIR),
                           2: [("--nvars", "3", "--degree", "2"),
                               ("--nvars", "14", "--degree", "0")]},
+    # a bivector that is not Poisson, and a complex of more basis forms than
+    # poisson.MAX_HOMOLOGY_FORMS
     ("poisson", "homology"): {0: ("--bivector", "standard", "--degree", "3"),
                               1: ("--bivector", "standard", "--degree", "3", *_NO_DIR),
-                              2: ("--bivector", "nonjacobi4", "--degree", "3")},
+                              2: [("--bivector", "nonjacobi4", "--degree", "3"),
+                                  ("--bivector", "so3", "--degree", "25")]},
 }
 
 
@@ -1517,6 +1524,8 @@ def test_every_documented_exit_code_is_reached(tmp_path, capsys, monkeypatch, co
         {"format": "ncg-idempotent/1", "vector": {"E11*1": "1"}}))
     (tmp_path / "not-pi.json").write_text(json.dumps(
         {"format": "ncg-idempotent/1", "vector": {"E12*1": "1"}}))
+    (tmp_path / "wide.json").write_text(json.dumps(
+        {"format": "ncg-bivector/1", "nvars": MAX_CONJUGATION_NVARS + 1, "components": []}))
     argvs = _EXIT_CODES[command][code]
     # a code reached by more than one documented refusal lists each argv
     for argv in argvs if isinstance(argvs, list) else [argvs]:
@@ -1579,6 +1588,70 @@ def test_a_star_dimension_beyond_the_bound_is_refused_before_any_allocation(tmp_
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
     assert proc.stderr == ("error: symplectic dimension 1000000000 exceeds "
                            "MAX_SYMPLECTIC_NVARS = 12\n")
+
+
+# refusals that reach no other test: argv, then the start of the error line
+_REFUSALS = {
+    "param-without-value": (("hh", "--algebra", "mat", "--param", "m", "--n-max", "2"),
+                            "error: --param needs key=value"),
+    "glue-unknown-part": (("glue", "--algebra-a", "foo", "--algebra-b", "point",
+                           "--param", "m=2"), "error: --param m must be a parameter of "
+                                              "exactly one glued part: --algebra-a foo is "
+                                              "not a catalogue algebra"),
+    "invalid-json": (("hh", "--algebra", "invalid.json", "--n-max", "1"),
+                     "error: invalid.json: invalid JSON at line 1, column 12"),
+    "prime-field-third-key": (("hh", "--algebra", "field-key.json", "--n-max", "1"),
+                              "error: field-key.json: field: prime-field needs exactly "
+                              "'kind' and 'p'"),
+    "form-dxs-out-of-order": (("poisson", "lie", "--bivector", "standard", "--form",
+                               '[{"exponents": [0, 0], "dxs": [1, 0], "coeff": "1"}]'),
+                              "error: --form: bad dx index set [1, 0]"),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSALS)
+def test_a_refusal_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "invalid.json").write_text('{"format": }')
+    field_key = algebra_to_json(builtin("point", GF(2)))
+    field_key["field"]["extra"] = 1
+    (tmp_path / "field-key.json").write_text(json.dumps(field_key))
+    argv, start = _REFUSALS[name]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith(start) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+# a bivector on 10^9 variables, and a homology cutoff of degree 10^9
+_HUGE = {"format": "ncg-bivector/1", "nvars": 1_000_000_000, "components": []}
+_POISSON_SIZES = {
+    "conjugation": (["poisson", "conjugation", "--bivector", "huge.json", "--degree", "0"],
+                    "error: conjugation check on 1000000000 variables exceeds "
+                    "MAX_CONJUGATION_NVARS = 10\n"),
+    "homology": (["poisson", "homology", "--bivector", "so3", "--degree", "1000000000"],
+                 "error: homology to total degree 1000000000 in 3 variables needs more "
+                 "than MAX_HOMOLOGY_FORMS = 20000 basis forms\n")}
+
+
+@pytest.mark.parametrize("sub", _POISSON_SIZES)
+def test_a_poisson_size_beyond_its_bound_is_refused_before_any_allocation(tmp_path, sub):
+    # the conjugation check visits all 2^nvars forms dx_S, and the homology
+    # complex holds every form of total degree <= D: each is refused by its
+    # size first.  It is run only in a child whose address space is capped,
+    # as building anything of that size would exhaust memory.
+    argv, message = _POISSON_SIZES[sub]
+    (tmp_path / "huge.json").write_text(json.dumps(_HUGE))
+    src = Path(__file__).resolve().parent.parent / "src"
+    cap = 1 << 30
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from nchodge.cli import main; "
+            f"sys.exit(main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == message
 
 
 @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])

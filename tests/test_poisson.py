@@ -11,8 +11,8 @@ from nchodge import poisson
 from nchodge.cli import main
 from nchodge.fields import SizeError
 from nchodge.oracle import jacobiator_components
-from nchodge.poisson import (BIVECTOR_CATALOGUE, MAX_SYMPLECTIC_NVARS, Bivector,
-                             ConstantSymplectic,
+from nchodge.poisson import (BIVECTOR_CATALOGUE, MAX_CONJUGATION_NVARS,
+                             MAX_SYMPLECTIC_NVARS, Bivector, ConstantSymplectic,
                              PoissonError, PolyForm, _monomials_upto, _poly_str,
                              builtin_bivector, conjugation_check, d, hodge_star,
                              iota, jacobi_check, lie_derivative, monomial,
@@ -438,3 +438,156 @@ def test_monomials_of_no_variables():
     assert _monomials_upto(0, -1) == []
     assert _monomials_upto(2, -1) == []
     assert _monomials_upto(2, 1) == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_conjugation_and_homology_sizes_are_bounded(monkeypatch):
+    assert conjugation_check(Bivector(MAX_CONJUGATION_NVARS, {}))["pass"]
+    for nvars in (MAX_CONJUGATION_NVARS + 1, 10 ** 9):
+        with pytest.raises(SizeError, match="MAX_CONJUGATION_NVARS"):
+            conjugation_check(Bivector(nvars, {}))
+    # the closed-form count is exact: a bound of len(_form_basis) admits the
+    # complex, and one less refuses it
+    for v in range(4):
+        for D in range(2, 7):
+            count = len(poisson._form_basis(v, D))
+            assert count > v * D  # the lower bound tried first
+            monkeypatch.setattr(poisson, "MAX_HOMOLOGY_FORMS", count)
+            poisson._require_form_count(v, D)
+            monkeypatch.setattr(poisson, "MAX_HOMOLOGY_FORMS", count - 1)
+            with pytest.raises(SizeError, match="MAX_HOMOLOGY_FORMS"):
+                poisson._require_form_count(v, D)
+    monkeypatch.undo()
+    # so3: 19 649 forms at D = 24, 21 ... at 25; the lower bound alone
+    # refuses sizes whose binomials would be huge
+    poisson._require_form_count(3, 24)
+    for v, D in ((3, 25), (3, 10 ** 9), (10 ** 9, 2), (10 ** 9, 10 ** 9)):
+        with pytest.raises(SizeError, match="MAX_HOMOLOGY_FORMS"):
+            poisson._require_form_count(v, D)
+    with pytest.raises(SizeError, match="MAX_HOMOLOGY_FORMS"):
+        poisson_homology_ranks(builtin_bivector("so3"), 25)
+
+
+# ---------------------------------------------------------------------------
+# the premises that let each check evaluate generators only
+# ---------------------------------------------------------------------------
+
+
+def _random_polynomial_bivector(rng, v):
+    """A bivector whose components are polynomials of one to three terms of
+    degree <= 2; most are not Poisson."""
+    comps = {}
+    for i in range(v):
+        for j in range(i + 1, v):
+            if rng.random() < 0.7:
+                comps[(i, j)] = {tuple(rng.randrange(2) for _ in range(v)):
+                                 Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+                                 for _ in range(rng.randint(1, 3))}
+    return Bivector(v, comps, name="random")
+
+
+def _jacobiator(f, g, h, alpha):
+    out = {}
+    for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
+        out = _ref_add(out, poisson_bracket(a, poisson_bracket(b, c, alpha), alpha))
+    return out
+
+
+def test_the_jacobiator_is_a_triderivation():
+    # J(f, g, h) = sum_{i,j,k} d_i f d_j g d_k h J(x_i, x_j, x_k) on monomial
+    # triples: so the coordinate triples decide the Jacobi identity
+    rng = random.Random(SEED + 3)
+    nonzero = 0
+    for v in (3, 3, 4, 4, 4):
+        alpha = _random_polynomial_bivector(rng, v)
+        x = [monomial(v, {i: 1}) for i in range(v)]
+        at_coords = {ijk: _jacobiator(*(x[i] for i in ijk), alpha)
+                     for ijk in product(range(v), repeat=3)}
+        nonzero += any(at_coords.values())
+        mons = [e for e in _monomials_upto(v, 2) if sum(e)]
+        for f, g, h in rng.sample(list(product(mons, repeat=3)), 12):
+            expected = {}
+            for (i, j, k), value in at_coords.items():
+                weight = poisson.poly_mul(poisson.poly_mul(poisson.poly_diff({f: 1}, i),
+                                                           poisson.poly_diff({g: 1}, j)),
+                                          poisson.poly_diff({h: 1}, k))
+                expected = _ref_add(expected, poisson.poly_mul(weight, value))
+            assert _jacobiator({f: 1}, {g: 1}, {h: 1}, alpha) == expected, (alpha, f, g, h)
+    assert nonzero >= 3  # the sample holds bivectors that are not Poisson
+
+
+def _shifted(image, e):
+    """x^e times a form given by its terms."""
+    return {(tuple(a + b for a, b in zip(e, e2)), S): c for (e2, S), c in image.items()}
+
+
+def _assert_commutes_with_monomials(maps, v, exponents):
+    """Each map sends x^e dx_S to x^e times its image of dx_S."""
+    zero = (0,) * v
+    for r in range(v + 1):
+        for S in combinations(range(v), r):
+            for f in maps:
+                at_zero = f((zero, S))
+                for e in exponents:
+                    assert f((e, S)) == _shifted(at_zero, e), (f, e, S)
+
+
+def _exponents(rng, v, count):
+    return rng.sample([e for e in _monomials_upto(v, 3) if sum(e)], count)
+
+
+def test_the_star_identity_operators_commute_with_monomials():
+    rng = random.Random(SEED + 4)
+    for v in (2, 4, 6):
+        omega = ConstantSymplectic(v)
+        alpha = omega.inverse_bivector()
+        maps = (*poisson._star_sides(v), lambda mu: iota(alpha, PolyForm(v, {mu: 1})).terms,
+                lambda mu: hodge_star(PolyForm(v, {mu: 1}), omega).terms)
+        _assert_commutes_with_monomials(maps, v, _exponents(rng, v, 6))
+
+
+def test_the_conjugation_defect_commutes_with_monomials():
+    # E = exp(iota) d exp(-iota) - d - L_alpha, on bivectors that are Poisson
+    # (E = 0) and that are not
+    rng = random.Random(SEED + 5)
+    alphas = [builtin_bivector(name) for name in ("so3", "xy", "nonjacobi4")]
+    alphas += [_random_polynomial_bivector(rng, v) for v in (3, 3, 4, 4)]
+    nonzero = 0
+    for alpha in alphas:
+        lhs, rhs = poisson._conjugation_sides(alpha)
+        defect = lambda mu: _ref_add(lhs(mu), rhs(mu), -1)  # noqa: E731
+        nonzero += any(defect(((0,) * alpha.nvars, S)) for r in range(alpha.nvars + 1)
+                       for S in combinations(range(alpha.nvars), r))
+        _assert_commutes_with_monomials([defect], alpha.nvars,
+                                        _exponents(rng, alpha.nvars, 6))
+    assert nonzero >= 3  # the sample reaches a nonzero defect
+
+
+@pytest.mark.parametrize("argv", [("jacobi", "--bivector", "so3"),
+                                  ("jacobi", "--bivector", "nonjacobi4"),
+                                  ("conjugation", "--bivector", "so3"),
+                                  ("conjugation", "--bivector", "nonjacobi4"),
+                                  ("star", "--nvars", "4")],
+                         ids=lambda argv: "-".join(argv[::2]))
+def test_the_checks_evaluate_the_same_terms_at_every_degree(monkeypatch, capsys, argv):
+    # every bracket jacobi takes and every term conjugation and star compare
+    # is recorded: --degree 0 and --degree 6 evaluate the same ones
+    monkeypatch.delenv("NCHODGE_CACHE_DIR", raising=False)
+    evaluated = []
+    bracket, first_difference = poisson.poisson_bracket, poisson._first_difference
+
+    def recording_bracket(f, g, alpha):
+        evaluated.append((sorted(f), sorted(g)))
+        return bracket(f, g, alpha)
+
+    def recording_difference(*args):
+        *head, lhs, rhs = args
+        return first_difference(*head, lambda mu: evaluated.append(mu) or lhs(mu), rhs)
+
+    monkeypatch.setattr(poisson, "poisson_bracket", recording_bracket)
+    monkeypatch.setattr(poisson, "_first_difference", recording_difference)
+    runs = []
+    for degree in ("0", "6"):
+        del evaluated[:]
+        main(["poisson", *argv, "--degree", degree])
+        runs.append((list(evaluated), json.loads(capsys.readouterr().out)["result"]))
+    assert runs[0][0] and runs[0] == runs[1]

@@ -92,6 +92,15 @@ The grid:
   E11 + 2/3 E12 over Q in markdown;
 - `poisson star --nvars 14`, above `poisson.MAX_SYMPLECTIC_NVARS` (exit
   2; a checkout without that bound runs it for hours).
+- `--degree` where it changes no check: `poisson star --nvars 8 --degree
+  4`, `poisson jacobi --bivector so3 --degree 6` and `poisson conjugation
+  --bivector so3 --degree 20`; `--degree -1` of `jacobi`, `conjugation`,
+  `star` and `homology` (exit 2), and of `star --nvars 3`, whose odd
+  dimension is refused first.
+- the Poisson size bounds, at and just above each: `poisson conjugation`
+  of a bivector file on 10 and on 11 variables (`poisson.
+  MAX_CONJUGATION_NVARS`; 11 exits 2), and `poisson homology` of so3 at
+  `--degree` 24 and 25 (`poisson.MAX_HOMOLOGY_FORMS`; 25 exits 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -189,6 +198,14 @@ def _bivector(*polys, **fields):
             "components": [{"i": 0, "j": 1, "poly": p} for p in polys]}
 
 
+def _wide_bivector(nvars):
+    """d1^d2 + x1 d2^d3 on nvars variables: a Poisson bivector."""
+    zero = [0] * nvars
+    return {"format": "ncg-bivector/1", "nvars": nvars,
+            "components": [{"i": 0, "j": 1, "poly": _poly((zero, "1"))},
+                           {"i": 1, "j": 2, "poly": _poly(([1] + zero[1:], "1"))}]}
+
+
 def _idempotent(vector):
     return {"format": "ncg-idempotent/1", "vector": vector}
 
@@ -264,6 +281,8 @@ def _input_files() -> dict:
             "alpha.json": _bivector(_poly(((2, 0), "1"), ((0, 1), "-3")), hbar="1/2"),
             # xy, then 1
             "alpha-twice.json": _bivector(_poly(((1, 1), "1")), _poly(((0, 0), "1"))),
+            "alpha-10.json": _wide_bivector(10),
+            "alpha-11.json": _wide_bivector(11),
             # E11 + 2/3 E12 of Mat_2, E12 named by its index
             "pi-mixed.json": _idempotent({"E11*1": "1", "2": "2/3"}),
             "pi-twice.json": _idempotent({"E11*1": "1", "E12*1": "1/2", "2": "3"}),
@@ -429,6 +448,19 @@ def grid() -> list:
                 "--idempotent", "pi-coprime.json"))
     # a symplectic dimension above poisson.MAX_SYMPLECTIC_NVARS (exit 2)
     out.append(("poisson", "star", "--nvars", "14", "--degree", "0"))
+    # --degree where it changes no check, and a negative one (exit 2)
+    out.append(("poisson", "star", "--nvars", "8", "--degree", "4"))
+    out.append(("poisson", "jacobi", "--bivector", "so3", "--degree", "6"))
+    out.append(("poisson", "conjugation", "--bivector", "so3", "--degree", "20"))
+    for command in ("jacobi", "conjugation", "homology"):
+        out.append(("poisson", command, "--bivector", "so3", "--degree", "-1"))
+    for nvars in ("2", "3"):
+        out.append(("poisson", "star", "--nvars", nvars, "--degree", "-1"))
+    # the Poisson size bounds, at and just above each (the second exits 2)
+    for path in ("alpha-10.json", "alpha-11.json"):
+        out.append(("poisson", "conjugation", "--bivector", path, "--degree", "2"))
+    for degree in ("24", "25"):
+        out.append(("poisson", "homology", "--bivector", "so3", "--degree", degree))
     return out
 
 
