@@ -349,8 +349,8 @@ def conjugation_check(alpha: Bivector) -> dict:
 
 
 # The star's kernel exp(B) has 2^nvars terms, and the star identity check
-# visits every dx_S; its time grows about 6x per two more variables (at
-# degree 0: 0.07 s at 10 variables, 0.45 s at 12, 3.0 s at 14).
+# visits every dx_S; its time grows about 6x per two more variables (0.07 s
+# at 10 variables, 0.45 s at 12, 3.0 s at 14).
 MAX_SYMPLECTIC_NVARS = 12
 
 
