@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # tokens that never make a line a code line
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-           tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+           tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def _statements(tokens):
