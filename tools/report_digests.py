@@ -98,9 +98,10 @@ The grid:
   `star` and `homology` (exit 2), and of `star --nvars 3`, whose odd
   dimension is refused first.
 - the Poisson size bounds, at and just above each: `poisson conjugation`
-  of a bivector file on 10 and on 11 variables (`poisson.
-  MAX_CONJUGATION_NVARS`; 11 exits 2), and `poisson homology` of so3 at
-  `--degree` 24 and 25 (`poisson.MAX_HOMOLOGY_FORMS`; 25 exits 2).
+  of a bivector file on 10 and on 11 variables
+  (`poisson.MAX_CONJUGATION_NVARS`; 11 exits 2), and `poisson homology`
+  of so3 at `--degree` 24 and 25 (`poisson.MAX_HOMOLOGY_FORMS`; 25 exits
+  2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
