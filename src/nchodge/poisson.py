@@ -21,10 +21,14 @@ twice within a call.
 Each identity check evaluates the generators that decide it, and nothing
 else.  The Jacobiator of the bracket is an alternating triderivation, so
 the coordinate triples (x_i, x_j, x_k), i < j < k, decide the Jacobi
-identity.  Both sides of the conjugation identity and of the star identity
-commute with multiplication by every monomial x^e, so the 2^nvars forms
-dx_S decide each of them.  No check depends on a degree bound.  One
-thing is kept for the whole process: `_star_table`, a module-level
+identity.  The conjugation defect exp(iota) d exp(-iota) - d - L_alpha is
+ad(iota)^2(d) / 2 = [iota, L_alpha] / 2, a contraction by a trivector with
+polynomial coefficients (ad(iota)^3(d) = 0, as contractions commute); so
+the forms dx_ijk, i < j < k, decide the conjugation identity.  Both sides
+of the star identity commute with multiplication by every monomial x^e,
+so the 2^nvars forms dx_S decide it.  The identity checks take no degree
+bound, and refuse more than MAX_NVARS variables before anything is built.
+One thing is kept for the whole process: `_star_table`, a module-level
 `lru_cache` of the star of every dx_S in v variables, read off one exp(B)
 per v.  Sharing it across calls is safe because its value depends only on
 v, not on any bivector, form or field of a call.
@@ -262,6 +266,22 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
     return out
 
 
+# One bound on the variable count of every identity check.  At 12
+# variables each stays under 1 s on the worst input measured: the star
+# identity 0.43 s; jacobi 0.36-0.71 s on the quadratic bivector
+# sum_{i<j} (i+j+1) x_i x_j d_i^d_j; conjugation on the dx_ijk 0.02-0.04 s.
+MAX_NVARS = 12
+
+
+def _triples(nvars: int) -> list:
+    """The coordinate triples i < j < k of nvars variables, in order: the
+    generators of the Jacobi and the conjugation identity.  More than
+    MAX_NVARS variables are refused before any is listed."""
+    if nvars > MAX_NVARS:
+        raise SizeError(f"bivector on {nvars} variables exceeds MAX_NVARS = {MAX_NVARS}")
+    return list(combinations(range(nvars), 3))
+
+
 def jacobi_check(alpha: Bivector) -> dict:
     """Evaluate the Jacobiator {f,{g,h}} + cyclic on the coordinate triples
     (x_i, x_j, x_k), i < j < k; pass iff it vanishes on each, else fail with
@@ -272,9 +292,8 @@ def jacobi_check(alpha: Bivector) -> dict:
     triderivation: J(f, g, h) = sum_{i,j,k} d_i f d_j g d_k h J(x_i, x_j, x_k),
     and J is zero on a triple that repeats a coordinate."""
     v = alpha.nvars
-    coords = [{tuple(int(k == i) for k in range(v)): 1} for i in range(v)]
-    for trip in combinations(range(v), 3):
-        f, g, h = (coords[i] for i in trip)
+    for trip in _triples(v):
+        f, g, h = ({tuple(int(k == i) for k in range(v)): 1} for i in trip)
         r: Poly = {}
         for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
             _apply(None, poisson_bracket(a, poisson_bracket(b, c, alpha), alpha), 1, r)
@@ -291,28 +310,15 @@ def _poly_str(p: Poly) -> str:
     return " + ".join(bits) or "0"
 
 
-def _first_difference(nvars: int, lhs, rhs) -> dict:
-    """Compare lhs(mu) and rhs(mu) on the forms mu = dx_S (exponent 0), by
-    the size and order of S: pass, or fail with the first dx_S where the
-    two differ.
-
-    The forms dx_S decide an identity whose two sides both commute with
-    multiplication by every monomial x^e: the difference then vanishes on
-    x^e dx_S exactly when it vanishes on dx_S.  Both callers' sides do."""
+def _first_difference(nvars: int, subsets, lhs, rhs) -> dict:
+    """Compare lhs(mu) and rhs(mu) on the forms mu = dx_S (exponent 0), S in
+    subsets, in order: pass, or fail with the first dx_S where the two
+    differ."""
     zero = (0,) * nvars
-    for r in range(nvars + 1):
-        for S in combinations(range(nvars), r):
-            if lhs((zero, S)) != rhs((zero, S)):
-                return {"pass": False, "witness": {"exponents": list(zero), "dxs": list(S)}}
+    for S in subsets:
+        if lhs((zero, S)) != rhs((zero, S)):
+            return {"pass": False, "witness": {"exponents": list(zero), "dxs": list(S)}}
     return {"pass": True, "witness": None}
-
-
-# The conjugation check visits every dx_S, and exp(iota) of dx_S multiplies
-# up to nvars/2 coefficients of alpha.  Its time grows about 4x per variable
-# for the quadratic bivector sum_{i<j} (i+j+1) x_i x_j d_i^d_j: 2.5 s and
-# 164 MB at 10 variables, 10.6 s and 560 MB at 11, 44 s and 2.0 GB at 12
-# (a constant one on all pairs: 0.15 s at 10 variables, 1.6 s at 12).
-MAX_CONJUGATION_NVARS = 10
 
 
 def _conjugation_sides(alpha: Bivector):
@@ -328,19 +334,18 @@ def _conjugation_sides(alpha: Bivector):
 
 def conjugation_check(alpha: Bivector) -> dict:
     """Verify exp(iota) d exp(-iota) = d + L_alpha exactly (the exponentials
-    are finite) on the forms dx_S, which decide it for every bivector.
+    are finite) on the forms dx_ijk, i < j < k, which decide it for every
+    bivector; fail with the first dx_ijk where the two sides differ.
 
     The defect E = exp(iota) d exp(-iota) - d - L_alpha is the sum of the
-    terms ad(iota)^k (d) / k!, k >= 2.  Multiplication m by x^e commutes
-    with iota, and [d, m] is the wedge with d(x^e), whose bracket with iota
-    is a contraction that commutes with iota again; so [E, m] = 0.
-
-    Bivectors on more than MAX_CONJUGATION_NVARS variables are refused
-    before anything is built."""
-    if alpha.nvars > MAX_CONJUGATION_NVARS:
-        raise SizeError(f"conjugation check on {alpha.nvars} variables exceeds "
-                        f"MAX_CONJUGATION_NVARS = {MAX_CONJUGATION_NVARS}")
-    return _first_difference(alpha.nvars, *_conjugation_sides(alpha))
+    terms ad(iota)^k (d) / k!, k >= 2.  ad(iota)^2(d) = [iota, L_alpha] is
+    a contraction by a trivector with polynomial coefficients, and
+    ad(iota)^3(d) = 0, as contractions commute.  So E is zero on forms of
+    degree below 3, E(x^e dx_S) = x^e E(dx_S), and E(dx_S) is the sum over
+    the 3-subsets T of S of E(dx_T) dx_{S - T}, signed as dx_S =
+    +-dx_T ^ dx_{S - T}.  The triples are those of `jacobi_check`, in its
+    order, and bounded as there."""
+    return _first_difference(alpha.nvars, _triples(alpha.nvars), *_conjugation_sides(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +353,16 @@ def conjugation_check(alpha: Bivector) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# The star's kernel exp(B) has 2^nvars terms, and the star identity check
-# visits every dx_S; its time grows about 6x per two more variables (0.07 s
-# at 10 variables, 0.45 s at 12, 3.0 s at 14).
-MAX_SYMPLECTIC_NVARS = 12
-
-
 class ConstantSymplectic:
     """The standard form w = dx1^dx2 + dx3^dx4 + ... on even dimension, at
-    most MAX_SYMPLECTIC_NVARS."""
+    most MAX_NVARS."""
 
     def __init__(self, nvars: int):
         if nvars < 2 or nvars % 2 != 0:
             raise PoissonError(f"symplectic dimension must be positive and even, "
                                f"got {nvars}")
-        if nvars > MAX_SYMPLECTIC_NVARS:
-            raise SizeError(f"symplectic dimension {nvars} exceeds "
-                            f"MAX_SYMPLECTIC_NVARS = {MAX_SYMPLECTIC_NVARS}")
+        if nvars > MAX_NVARS:
+            raise SizeError(f"symplectic dimension {nvars} exceeds MAX_NVARS = {MAX_NVARS}")
         self.nvars = nvars
 
     def pairs(self):
@@ -460,7 +458,8 @@ def star_identity_check(nvars: int) -> dict:
     comparing the degree-0 and top-degree diagonal components shows the
     variant with opposite exponents forces +1 = -1.
     """
-    return _first_difference(nvars, *_star_sides(nvars))
+    every_dx = (S for r in range(nvars + 1) for S in combinations(range(nvars), r))
+    return _first_difference(nvars, every_dx, *_star_sides(nvars))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from nchodge import algebra, cli
 from nchodge.algebra import CATALOGUE, algebra_to_json, builtin
 from nchodge.cli import main
 from nchodge.fields import GF
-from nchodge.poisson import MAX_CONJUGATION_NVARS
+from nchodge.poisson import MAX_NVARS
 
 
 def run(capsys, *argv):
@@ -1482,19 +1482,22 @@ _EXIT_CODES = {
                                  "--g", '[{"exponents": [0, 1], "coeff": "1"}]'),
                              1: ("--bivector", "absent.json", "--f", "[]", "--g", "[]"),
                              2: ("--bivector", "standard", "--f", "[", "--g", "[]")},
+    # a failed identity under --strict, and a bivector on more variables
+    # than poisson.MAX_NVARS
     ("poisson", "jacobi"): {0: ("--bivector", "nonjacobi4", "--degree", "2"),
                             1: ("--bivector", "so3", *_NO_DIR),
-                            2: ("--bivector", "nonjacobi4", "--degree", "2", "--strict")},
+                            2: [("--bivector", "nonjacobi4", "--degree", "2", "--strict"),
+                                ("--bivector", "wide.json", "--degree", "2")]},
     ("poisson", "lie"): {0: ("--bivector", "xy", "--form", _FORM_XY),
                          1: ("--bivector", "xy", "--form", _FORM_XY, *_NO_DIR),
                          2: ("--bivector", "so3", "--form", _FORM_XY)},
     # a failed identity under --strict, and a bivector on more variables
-    # than poisson.MAX_CONJUGATION_NVARS
+    # than poisson.MAX_NVARS
     ("poisson", "conjugation"): {0: ("--bivector", "so3", "--degree", "2"),
                                  1: ("--bivector", "so3", "--degree", "2", *_NO_DIR),
                                  2: [("--bivector", "nonjacobi4", "--degree", "2", "--strict"),
                                      ("--bivector", "wide.json", "--degree", "2")]},
-    # an odd --nvars, and one above poisson.MAX_SYMPLECTIC_NVARS
+    # an odd --nvars, and one above poisson.MAX_NVARS
     ("poisson", "star"): {0: ("--nvars", "2", "--degree", "2"),
                           1: ("--nvars", "2", "--degree", "2", *_NO_DIR),
                           2: [("--nvars", "3", "--degree", "2"),
@@ -1525,7 +1528,7 @@ def test_every_documented_exit_code_is_reached(tmp_path, capsys, monkeypatch, co
     (tmp_path / "not-pi.json").write_text(json.dumps(
         {"format": "ncg-idempotent/1", "vector": {"E12*1": "1"}}))
     (tmp_path / "wide.json").write_text(json.dumps(
-        {"format": "ncg-bivector/1", "nvars": MAX_CONJUGATION_NVARS + 1, "components": []}))
+        {"format": "ncg-bivector/1", "nvars": MAX_NVARS + 1, "components": []}))
     argvs = _EXIT_CODES[command][code]
     # a code reached by more than one documented refusal lists each argv
     for argv in argvs if isinstance(argvs, list) else [argvs]:
@@ -1607,12 +1610,17 @@ def test_a_refusal_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, na
 # a symplectic dimension and a bivector on 10^9 variables, and a homology
 # cutoff of degree 10^9
 _HUGE = {"format": "ncg-bivector/1", "nvars": 1_000_000_000, "components": []}
+_HUGE_BIVECTOR = "error: bivector on 1000000000 variables exceeds MAX_NVARS = 12\n"
 _POISSON_SIZES = {
     "star": (["poisson", "star", "--nvars", "1000000000", "--degree", "0"],
-             "error: symplectic dimension 1000000000 exceeds MAX_SYMPLECTIC_NVARS = 12\n"),
+             "error: symplectic dimension 1000000000 exceeds MAX_NVARS = 12\n"),
+    "jacobi": (["poisson", "jacobi", "--bivector", "huge.json", "--degree", "0"],
+               _HUGE_BIVECTOR),
     "conjugation": (["poisson", "conjugation", "--bivector", "huge.json", "--degree", "0"],
-                    "error: conjugation check on 1000000000 variables exceeds "
-                    "MAX_CONJUGATION_NVARS = 10\n"),
+                    _HUGE_BIVECTOR),
+    # the Jacobi precondition refuses the bivector before the complex is sized
+    "homology-nvars": (["poisson", "homology", "--bivector", "huge.json", "--degree", "2"],
+                       _HUGE_BIVECTOR),
     "homology": (["poisson", "homology", "--bivector", "so3", "--degree", "1000000000"],
                  "error: homology to total degree 1000000000 in 3 variables needs more "
                  "than MAX_HOMOLOGY_FORMS = 20000 basis forms\n")}
@@ -1621,9 +1629,9 @@ _POISSON_SIZES = {
 @pytest.mark.parametrize("sub", _POISSON_SIZES)
 def test_a_poisson_size_beyond_its_bound_is_refused_before_any_allocation(tmp_path, sub):
     # exp(B) has 2^nvars terms and ConstantSymplectic lists nvars/2 pairs,
-    # the conjugation check visits all 2^nvars forms dx_S, and the homology
-    # complex holds every form of total degree <= D: each is refused by its
-    # size first.  It is run only in a child whose address space is capped,
+    # the jacobi and conjugation checks walk C(nvars, 3) coordinate triples,
+    # and the homology complex holds every form of total degree <= D: each
+    # is refused by its size first.  It is run only in a child whose address space is capped,
     # as building anything of that size would exhaust memory.
     argv, message = _POISSON_SIZES[sub]
     (tmp_path / "huge.json").write_text(json.dumps(_HUGE))

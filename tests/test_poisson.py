@@ -11,9 +11,8 @@ from nchodge import poisson
 from nchodge.cli import main
 from nchodge.fields import SizeError
 from nchodge.oracle import jacobiator_components
-from nchodge.poisson import (BIVECTOR_CATALOGUE, MAX_CONJUGATION_NVARS,
-                             MAX_SYMPLECTIC_NVARS, Bivector, ConstantSymplectic,
-                             PoissonError, PolyForm, _monomials_upto, _poly_str,
+from nchodge.poisson import (BIVECTOR_CATALOGUE, MAX_NVARS, Bivector,
+                             ConstantSymplectic, PoissonError, PolyForm, _monomials_upto, _poly_str,
                              builtin_bivector, conjugation_check, d, hodge_star,
                              iota, jacobi_check, lie_derivative, monomial,
                              monomial_form, poisson_bracket,
@@ -425,11 +424,11 @@ def test_star_of_every_dx_matches_its_own_exp_b():
 
 
 def test_symplectic_dimension_is_bounded():
-    assert ConstantSymplectic(MAX_SYMPLECTIC_NVARS).nvars == MAX_SYMPLECTIC_NVARS
-    for nvars in (MAX_SYMPLECTIC_NVARS + 2, 10 ** 9):
-        with pytest.raises(SizeError, match="MAX_SYMPLECTIC_NVARS"):
+    assert ConstantSymplectic(MAX_NVARS).nvars == MAX_NVARS
+    for nvars in (MAX_NVARS + 2, 10 ** 9):
+        with pytest.raises(SizeError, match="MAX_NVARS"):
             ConstantSymplectic(nvars)
-        with pytest.raises(SizeError, match="MAX_SYMPLECTIC_NVARS"):
+        with pytest.raises(SizeError, match="MAX_NVARS"):
             star_identity_check(nvars)
 
 
@@ -441,10 +440,12 @@ def test_monomials_of_no_variables():
 
 
 def test_conjugation_and_homology_sizes_are_bounded(monkeypatch):
-    assert conjugation_check(Bivector(MAX_CONJUGATION_NVARS, {}))["pass"]
-    for nvars in (MAX_CONJUGATION_NVARS + 1, 10 ** 9):
-        with pytest.raises(SizeError, match="MAX_CONJUGATION_NVARS"):
-            conjugation_check(Bivector(nvars, {}))
+    assert MAX_NVARS == 12
+    for check in (jacobi_check, conjugation_check):
+        assert check(Bivector(MAX_NVARS, {}))["pass"]
+        for nvars in (MAX_NVARS + 1, 10 ** 9):
+            with pytest.raises(SizeError, match="MAX_NVARS"):
+                check(Bivector(nvars, {}))
     # the closed-form count is exact: a bound of len(_form_basis) admits the
     # complex, and one less refuses it
     for v in range(4):
@@ -545,6 +546,13 @@ def test_the_star_identity_operators_commute_with_monomials():
         _assert_commutes_with_monomials(maps, v, _exponents(rng, v, 6))
 
 
+def _conjugation_defect(alpha):
+    """E = exp(iota) d exp(-iota) - d - L_alpha, as a map of one basis term
+    to its image."""
+    lhs, rhs = poisson._conjugation_sides(alpha)
+    return lambda mu: _ref_add(lhs(mu), rhs(mu), -1)
+
+
 def test_the_conjugation_defect_commutes_with_monomials():
     # E = exp(iota) d exp(-iota) - d - L_alpha, on bivectors that are Poisson
     # (E = 0) and that are not
@@ -553,13 +561,43 @@ def test_the_conjugation_defect_commutes_with_monomials():
     alphas += [_random_polynomial_bivector(rng, v) for v in (3, 3, 4, 4)]
     nonzero = 0
     for alpha in alphas:
-        lhs, rhs = poisson._conjugation_sides(alpha)
-        defect = lambda mu: _ref_add(lhs(mu), rhs(mu), -1)  # noqa: E731
+        defect = _conjugation_defect(alpha)
         nonzero += any(defect(((0,) * alpha.nvars, S)) for r in range(alpha.nvars + 1)
                        for S in combinations(range(alpha.nvars), r))
         _assert_commutes_with_monomials([defect], alpha.nvars,
                                         _exponents(rng, alpha.nvars, 6))
     assert nonzero >= 3  # the sample reaches a nonzero defect
+
+
+def test_the_conjugation_defect_is_a_trivector_contraction():
+    # E(dx_S) = sum over the 3-subsets T of S of sgn(T, S - T) E(dx_T)
+    # dx_{S - T}, with each E(dx_T) a function: so the forms dx_ijk decide
+    # the conjugation identity, and E is zero below degree 3
+    rng = random.Random(SEED + 6)
+    alphas = [_random_polynomial_bivector(rng, v) for v in (3, 4, 5, 6) for _ in range(6)]
+    alphas += [builtin_bivector(name) for name in ("so3", "nonjacobi4")]
+    # Poisson on more than three variables: constant symplectic on 4 and 6,
+    # and d1^d2 + x1 d2^d3 on 5
+    alphas += [ConstantSymplectic(v).inverse_bivector() for v in (4, 6)]
+    alphas.append(Bivector(5, {(0, 1): {(0,) * 5: 1}, (1, 2): {(1, 0, 0, 0, 0): 1}}))
+    nonzero = zero = 0
+    for alpha in alphas:
+        v, defect = alpha.nvars, _conjugation_defect(alpha)
+        null = (0,) * v
+        at_triples = {T: defect((null, T)) for T in combinations(range(v), 3)}
+        assert all(S == () for image in at_triples.values() for _, S in image), alpha
+        for r in range(v + 1):
+            for S in combinations(range(v), r):
+                expected = {}
+                for T in combinations(S, 3):
+                    R = tuple(i for i in S if i not in T)
+                    sign = (-1) ** sum(1 for t in T for i in R if t > i)
+                    for (e, _), c in at_triples[T].items():
+                        _acc(expected, (e, R), sign * c)
+                assert defect((null, S)) == expected, (alpha, S)
+        nonzero += any(at_triples.values())
+        zero += not any(at_triples.values())
+    assert nonzero >= 10 and zero >= 5  # the sample holds Poisson bivectors and others
 
 
 @pytest.mark.parametrize("argv", [("jacobi", "--bivector", "so3"),
@@ -570,7 +608,8 @@ def test_the_conjugation_defect_commutes_with_monomials():
                          ids=lambda argv: "-".join(argv[::2]))
 def test_the_checks_evaluate_the_same_terms_at_every_degree(monkeypatch, capsys, argv):
     # every bracket jacobi takes and every term conjugation and star compare
-    # is recorded: --degree 0 and --degree 6 evaluate the same ones
+    # is recorded: --degree 0 and --degree 6 evaluate the same ones, and
+    # conjugation compares the forms dx_ijk, in order, up to its witness
     monkeypatch.delenv("NCHODGE_CACHE_DIR", raising=False)
     evaluated = []
     bracket, first_difference = poisson.poisson_bracket, poisson._first_difference
@@ -591,3 +630,10 @@ def test_the_checks_evaluate_the_same_terms_at_every_degree(monkeypatch, capsys,
         main(["poisson", *argv, "--degree", degree])
         runs.append((list(evaluated), json.loads(capsys.readouterr().out)["result"]))
     assert runs[0][0] and runs[0] == runs[1]
+    if argv[0] == "conjugation":
+        forms, result = runs[0]
+        v = builtin_bivector(argv[2]).nvars
+        triples = [((0,) * v, T) for T in combinations(range(v), 3)]
+        if not result["pass"]:
+            triples = triples[:triples.index(((0,) * v, tuple(result["witness"]["dxs"]))) + 1]
+        assert forms == triples
