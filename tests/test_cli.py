@@ -1463,9 +1463,11 @@ _EXIT_CODES = {
                   1: ("--algebra", "dual_numbers", "--field", "F2", *_NO_DIR),
                   2: ("--algebra", "dual_numbers", "--field", "F2", "--lift", "nope"),
                   3: ("--algebra", "dual_numbers", "--field", "Q")},
+    # an empty V, and more rotation terms than cyclic.MAX_ROTATION_TERMS
     ("graded-pieces",): {0: ("--dim-v", "2", "--n", "3", "--field", "F3"),
                          1: ("--dim-v", "2", "--n", "3", "--field", "F3", *_NO_DIR),
-                         2: ("--dim-v", "0", "--n", "3", "--field", "F3")},
+                         2: [("--dim-v", "0", "--n", "3", "--field", "F3"),
+                             ("--dim-v", "3", "--n", "12", "--field", "F3")]},
     # the d-only and (d + uB) free ranks of the dual numbers disagree at N = 1
     ("charp-compare",): {0: ("--algebra", "truncated_poly", "--param", "m=3", "--field", "F3",
                              "--n-max", "4", "--u-trunc", "2"),
@@ -1555,20 +1557,27 @@ def test_a_broken_staircase_profile_exits_1(tmp_path, capsys, monkeypatch):
     assert not report.exists() and not list(cache.glob("*"))
 
 
+def _run_capped(cwd, argv):
+    """Run `main(argv)` in cwd, in a child whose address space is capped at
+    1 GB: a size refused too late ends there in a MemoryError, where
+    unbounded it would take the machine's memory."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    cap = 1 << 30
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from nchodge.cli import main; "
+            f"sys.exit(main({list(argv)!r}))")
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+
+
 def test_a_dim_beyond_the_structure_entries_is_refused_before_any_allocation(tmp_path):
     # a unit needs d entries 1 * e_i = e_i; this file declares 10^8 basis
     # elements and lists one entry.  It is run only in a child whose address
     # space is capped, as building anything of size dim would exhaust memory.
     obj = algebra_to_json(builtin("point")) | {"dim": 100_000_000}
     (tmp_path / "huge.json").write_text(json.dumps(obj))
-    src = Path(__file__).resolve().parent.parent / "src"
-    cap = 1 << 30
-    code = ("import resource, sys; "
-            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
-            "from nchodge.cli import main; "
-            "sys.exit(main(['hh', '--algebra', 'huge.json', '--n-max', '1']))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    proc = _run_capped(tmp_path, ["hh", "--algebra", "huge.json", "--n-max", "1"])
     assert proc.returncode == 2 and not proc.stdout
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: huge.json: algebra: dim 100000000 but only 1 ")
@@ -1631,20 +1640,23 @@ def test_a_poisson_size_beyond_its_bound_is_refused_before_any_allocation(tmp_pa
     # exp(B) has 2^nvars terms and ConstantSymplectic lists nvars/2 pairs,
     # the jacobi and conjugation checks walk C(nvars, 3) coordinate triples,
     # and the homology complex holds every form of total degree <= D: each
-    # is refused by its size first.  It is run only in a child whose address space is capped,
-    # as building anything of that size would exhaust memory.
+    # is refused by its size first.  It is run only in a child whose address
+    # space is capped, as building anything of that size would exhaust memory.
     argv, message = _POISSON_SIZES[sub]
     (tmp_path / "huge.json").write_text(json.dumps(_HUGE))
-    src = Path(__file__).resolve().parent.parent / "src"
-    cap = 1 << 30
-    code = ("import resource, sys; "
-            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
-            "from nchodge.cli import main; "
-            f"sys.exit(main({argv!r}))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    proc = _run_capped(tmp_path, argv)
     assert proc.returncode == 2 and not proc.stdout
     assert "Traceback" not in proc.stderr and proc.stderr == message
+
+
+def test_graded_pieces_beyond_its_bound_are_refused_before_any_allocation(tmp_path):
+    # V^(x)12 of a 3-dimensional V has 531 441 words, 12 rotations each; it
+    # is run only in a capped child, as building them would exhaust memory
+    proc = _run_capped(tmp_path, ["graded-pieces", "--dim-v", "3", "--n", "12",
+                                  "--field", "F2"])
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == ("error: graded pieces of dimV = 3, n = 12 need more than "
+                           "MAX_ROTATION_TERMS = 100000 rotation terms\n")
 
 
 @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])

@@ -9,7 +9,7 @@ from nchodge.cli import main
 from nchodge.cyclic import (UnsupportedError, WindowError, char_p_compare,
                             degeneration_check, graded_piece_analysis,
                             hodge_filtration, hp_ranks, negative_cyclic)
-from nchodge.fields import GF, QQ
+from nchodge.fields import GF, QQ, SizeError
 from nchodge.hochschild import DegreeWindow, hh_ranks
 from test_block_layout import _exterior
 
@@ -155,6 +155,32 @@ def test_graded_pieces_acyclicity():
 def test_graded_pieces_char_zero_always_acyclic():
     for n in (1, 2, 3):
         assert graded_piece_analysis(2, n, QQ)["acyclic"]
+
+
+def test_graded_pieces_size_is_bounded(monkeypatch):
+    # the count is exact: a bound of n * dimV^n admits the complex, and one
+    # less refuses it before anything is built
+    built = []
+    monkeypatch.setattr(cyclic, "_rotation_matrices",
+                        lambda dimV, n, F: built.append((dimV, n)) or ([], []))
+    monkeypatch.setattr(cyclic, "homology_rank", lambda *args: 0)
+    for dimV, n in ((1, 1), (1, 40), (2, 1), (2, 5), (3, 3), (7, 2), (2, 17), (40, 1)):
+        count = n * dimV ** n
+        monkeypatch.setattr(cyclic, "MAX_ROTATION_TERMS", count)
+        graded_piece_analysis(dimV, n, QQ)
+        monkeypatch.setattr(cyclic, "MAX_ROTATION_TERMS", count - 1)
+        with pytest.raises(SizeError, match="MAX_ROTATION_TERMS"):
+            graded_piece_analysis(dimV, n, QQ)
+    monkeypatch.undo()
+    assert len(built) == 8
+    # the benchmark's 3^6 is far inside; n = 12 and 10^9 are refused with
+    # no large power taken
+    assert cyclic.MAX_ROTATION_TERMS == 100_000
+    graded_piece_analysis(1, cyclic.MAX_ROTATION_TERMS, GF(2))
+    for dimV, n in ((1, cyclic.MAX_ROTATION_TERMS + 1), (3, 12), (2, 10 ** 9),
+                    (10 ** 9, 1), (10 ** 9, 10 ** 9)):
+        with pytest.raises(SizeError, match="MAX_ROTATION_TERMS"):
+            graded_piece_analysis(dimV, n, GF(2))
 
 
 def test_each_boundary_block_is_eliminated_once(monkeypatch):
