@@ -90,18 +90,20 @@ The grid:
   with m = 3 at `--u-trunc 5` of E11 + 4/9 E12 - 5/8 E13 over Q in json
   and csv and over F11, and `mat` with m = 2 at `--u-trunc 7` of
   E11 + 2/3 E12 over Q in markdown;
-- `poisson star --nvars 14`, above `poisson.MAX_SYMPLECTIC_NVARS` (exit
-  2; a checkout without that bound runs it for hours).
+- `poisson star --nvars 14`, above the Poisson variable bound (exit 2; a
+  checkout without a bound on the star runs it for hours).
 - `--degree` where it changes no check: `poisson star --nvars 8 --degree
   4`, `poisson jacobi --bivector so3 --degree 6` and `poisson conjugation
   --bivector so3 --degree 20`; `--degree -1` of `jacobi`, `conjugation`,
   `star` and `homology` (exit 2), and of `star --nvars 3`, whose odd
   dimension is refused first.
-- the Poisson size bounds, at and just above each: `poisson conjugation`
-  of a bivector file on 10 and on 11 variables
-  (`poisson.MAX_CONJUGATION_NVARS`; 11 exits 2), and `poisson homology`
-  of so3 at `--degree` 24 and 25 (`poisson.MAX_HOMOLOGY_FORMS`; 25 exits
-  2).
+- the size bounds, at and just above each: `poisson conjugation` of a
+  bivector file on 10 and on 11 variables; `poisson jacobi`, `conjugation`
+  and `homology --degree 2` of one on 12 and on 13 variables
+  (`poisson.MAX_NVARS`; 13 exits 2); `poisson homology` of so3 at
+  `--degree` 24 and 25 (`poisson.MAX_HOMOLOGY_FORMS`; 25 exits 2); and
+  `graded-pieces --dim-v 1` at `--n` 100000 and 100001
+  (`cyclic.MAX_ROTATION_TERMS`; 100001 exits 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -284,6 +286,8 @@ def _input_files() -> dict:
             "alpha-twice.json": _bivector(_poly(((1, 1), "1")), _poly(((0, 0), "1"))),
             "alpha-10.json": _wide_bivector(10),
             "alpha-11.json": _wide_bivector(11),
+            "alpha-12.json": _wide_bivector(12),
+            "alpha-13.json": _wide_bivector(13),
             # E11 + 2/3 E12 of Mat_2, E12 named by its index
             "pi-mixed.json": _idempotent({"E11*1": "1", "2": "2/3"}),
             "pi-twice.json": _idempotent({"E11*1": "1", "E12*1": "1/2", "2": "3"}),
@@ -447,7 +451,7 @@ def grid() -> list:
                 "--idempotent", "pi-mixed.json", "--format", "markdown"))
     out.append(("chern", "--algebra", "mat", "--param", "m=3", "--field", "F11", "--u-trunc", "5",
                 "--idempotent", "pi-coprime.json"))
-    # a symplectic dimension above poisson.MAX_SYMPLECTIC_NVARS (exit 2)
+    # a symplectic dimension above poisson.MAX_NVARS (exit 2)
     out.append(("poisson", "star", "--nvars", "14", "--degree", "0"))
     # --degree where it changes no check, and a negative one (exit 2)
     out.append(("poisson", "star", "--nvars", "8", "--degree", "4"))
@@ -462,6 +466,11 @@ def grid() -> list:
         out.append(("poisson", "conjugation", "--bivector", path, "--degree", "2"))
     for degree in ("24", "25"):
         out.append(("poisson", "homology", "--bivector", "so3", "--degree", degree))
+    for path in ("alpha-12.json", "alpha-13.json"):
+        for command in ("jacobi", "conjugation", "homology"):
+            out.append(("poisson", command, "--bivector", path, "--degree", "2"))
+    for n in ("100000", "100001"):
+        out.append(("graded-pieces", "--dim-v", "1", "--n", n, "--field", "F2"))
     return out
 
 
