@@ -268,18 +268,20 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
 
 # One bound on the variable count of every identity check.  At 12
 # variables each stays under 1 s on the worst input measured: the star
-# identity 0.43 s; jacobi 0.36-0.71 s on the quadratic bivector
-# sum_{i<j} (i+j+1) x_i x_j d_i^d_j; conjugation on the dx_ijk 0.02-0.04 s.
+# identity 0.43-0.72 s; jacobi 0.36-0.71 s on the quadratic bivector
+# sum_{i<j} (i+j+1) x_i x_j d_i^d_j; conjugation on the dx_ijk 0.02-0.04 s
+# (on every dx_S it took 44 s and 2.0 GB).
 MAX_NVARS = 12
 
 
-def _triples(nvars: int) -> list:
+def _triples(nvars: int):
     """The coordinate triples i < j < k of nvars variables, in order: the
     generators of the Jacobi and the conjugation identity.  More than
-    MAX_NVARS variables are refused before any is listed."""
+    MAX_NVARS variables are refused when this is called, before any triple
+    is made."""
     if nvars > MAX_NVARS:
         raise SizeError(f"bivector on {nvars} variables exceeds MAX_NVARS = {MAX_NVARS}")
-    return list(combinations(range(nvars), 3))
+    return combinations(range(nvars), 3)
 
 
 def jacobi_check(alpha: Bivector) -> dict:
