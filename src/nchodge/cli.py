@@ -825,15 +825,14 @@ def _chain_json(A, chain, N: int) -> list:
     """Components u^0 .. u^(N-1) of a chain as report values: each one's
     u_power and its terms (`_Terms`), words sorted and coefficients
     formatted over A's field.  A `kchern.UChain` holds each component as
-    integer numerators over one denominator, in sorted word order, and
-    each distinct numerator of a component is formatted once."""
+    blocks of integer numerators over one denominator, in sorted word
+    order, and each distinct numerator of a component is formatted once."""
     labels = [A.label(i) for i in range(A.dim)]
     out = []
     for t in range(N):
-        numerators = chain.numerators[t]
+        words, numerators = chain.terms(t)
         text = {c: format_scalar(v, A.field) for c, v in chain.values(t).items()}
-        out.append({"u_power": t, "terms": _Terms(list(numerators),
-                                                  [text[c] for c in numerators.values()],
+        out.append({"u_power": t, "terms": _Terms(words, [text[c] for c in numerators],
                                                   labels)})
     return out
 

@@ -52,14 +52,23 @@ Word images come in two forms, one rule for each face and rotation.
 `boundary_word` and `connes_word` give the image of one word as a {word
 tuple: coefficient} dict: matrix assembly looks each image word up in a
 block index, and the differential identities compose images word by word.
-`add_boundaries` and `add_connes` apply the boundary and B to a whole
-combination, as the Chern cycle certificate needs, and hold each image
-word as its code, the int whose digits in radix dim A are the word's
-letters (`decode` turns it back).  A code is built from the word's code with a few int operations
-and hashes at once, where a tuple is built slot by slot and rehashed on
-every lookup; a decode in every `boundary_word` call would slow the
-assembly instead.  The two forms are checked against each other word by
-word in the test suite.
+`boundary_blocks` and `connes_blocks` apply the boundary and B to a block,
+a dense combination: one sorted letter support per slot and the row-major
+list of coefficients over the words of their product, as the Chern cycle
+certificate holds its chains.  Their images are blocks again, moved with
+list slices: face i contracts slots i and i + 1 through the letters'
+product table, in contiguous runs along the suffix when it is at least as
+long as the prefix count and in strided runs otherwise; the wrap face and
+each rotation of B move slots with one transpose, B drops S heads by
+restricting slot 0 and puts each letter's rows under the vertex idempotent
+where it starts, and on super algebras the Koszul signs are a mask built
+from the slot parities.  `add_blocks` sums image blocks that agree outside
+their head slot row by row, and scatters only the nonzero rows into an
+accumulator keyed by word codes, the ints whose digits in radix dim A are
+the words' letters (`decode` turns one back); a code hashes at once, where
+a tuple is rehashed on every lookup.  The two forms are checked against
+each other, single words and random full-product blocks, in the test
+suite.
 
 Sign conventions (pinned by the exact identities d^2 = B^2 = dB + Bd = 0,
 verified in the test suite on commutative, non-commutative and super
@@ -72,7 +81,9 @@ moving a_i..a_n past a_0..a_{i-1}.  Koszul signs use the plain parities.
 
 from __future__ import annotations
 
-from math import comb
+from bisect import bisect_left
+from itertools import product
+from math import comb, prod
 
 from .algebra import AlgebraSpec, AlgebraError, bilinear
 from .fields import SizeError, linear_combination, reduced_entries
@@ -416,7 +427,7 @@ class ChainComplex:
         return self.matrix(self.layout([(n, weight, parity)]),
                            self.layout([(n + 1, weight, parity)]), ("connes",))
 
-    # -- images of combinations, in word codes ------------------------------
+    # -- images of blocks, in word codes ------------------------------------
 
     def decode(self, code: int, length: int) -> tuple:
         """The word of `length` letters whose code is `code`."""
@@ -426,125 +437,105 @@ class ChainComplex:
             code, word[j] = divmod(code, R)
         return tuple(word)
 
-    @staticmethod
-    def _length(combination: dict) -> int:
-        lengths = set(map(len, combination))
-        if len(lengths) > 1:
-            raise ValueError("the words of a combination differ in length")
-        return lengths.pop() if lengths else 0
-
-    def add_boundaries(self, combination: dict, acc: dict):
-        """Add the boundary of a combination {word: c} into acc, {code:
-        coefficient}, with plain + and *.
-
-        Every word of the combination has the same length; an image word of
-        m letters is held as its code, the m-digit number whose digits in
-        radix `A.dim` are its letters, most significant first (`decode`
-        inverts it).  Codes of one length sort as their words do; one
-        accumulator holds codes of one length.  The sums are left raw:
-        entries may be zero and, over F_p, unreduced ints;
-        `fields.reduced_entries` drops the zeros and reduces once, when the
-        caller has added every image.  The faces and signs are those of
-        `boundary_word`.
-        """
-        n = self._length(combination) - 1
+    def boundary_blocks(self, supports: tuple, nums: list) -> list:
+        """The boundary of a block as a list of blocks (see the module
+        docstring): faces 0 .. n-1 contract slots i and i + 1, and the wrap
+        face moves a_n in front of a_0 with one transpose, then contracts as
+        face 0 does.  Faces and signs are those of `boundary_word`."""
+        n = len(supports) - 1
         if n <= 0:
-            return
-        R = self.A.dim
+            return []
         L = self.letters
-        parity = L.parity
-        power = [R ** j for j in range(n + 2)]
-        lead = power[n - 1]
+        out = [_contract(supports, nums, i, L.inner if i else L.products, -1 if i % 2 else 1)
+               for i in range(n)]
+        last = supports[n]
+        C = len(last)
+        moved = [x for c in range(C) for x in nums[c::C]]
+        if L.parity is not None:
+            # the Koszul sign of moving a_n past a_0 .. a_{n-1}
+            moved = _koszul(moved, _parities(L.parity, (last,)), _parities(L.parity, supports[:n]))
+        out.append(_contract((last,) + supports[:n], moved, 0, L.products, -1 if n % 2 else 1))
+        return [block for block in out if block]
 
-        def shifted(table: dict, s: int) -> list:
-            # table[(a, b)] as rows[a][b], each product as (k R^s, c): k at
-            # the digit of weight R^s
-            rows = [[()] * R for _ in range(R)]
-            for (a, b), prod in table.items():
-                rows[a][b] = tuple((k * power[s], v) for k, v in prod.items())
-            return rows
-
-        # face i of (a_0 .. a_n) multiplies a_i a_{i+1} into the digit of
-        # weight R^{n-1-i}; face 0 keeps S components, the inner faces drop
-        # them, and the wrap face is face 0 of a_n a_0 a_1 .. a_{n-1}
-        faces = [shifted(L.inner if i else L.products, n - 1 - i) for i in range(n)]
-        wrap, last = faces[0], faces[n - 1]
-        # words that share a_0 .. a_{n-1} share faces 0 .. n-2 up to their
-        # last digit a_n: those images are found once per head
-        heads: dict = {}
-        for word, c in combination.items():
-            tails = heads.get(head := word[:-1])
-            if tails is None:
-                heads[head] = [(word[-1], c)]
-            else:
-                tails.append((word[-1], c))
-        get = acc.get
-        last_sign, wrap_sign = (-1 if (n - 1) % 2 else 1), (-1 if n % 2 else 1)
-        for head, tails in heads.items():
-            code = 0  # of a_0 .. a_{n-1}
-            for x in head:
-                code = code * R + x
-            images = []  # (target less a_n, signed coefficient) of faces 0 .. n-2
-            a = head[0]
-            i = 0
-            for b in head[1:]:
-                prod = faces[i][a][b]
-                if prod:
-                    s = n - 2 - i
-                    # a_0 .. a_{i-1} moved one digit down, a_{i+2} .. a_{n-1} kept
-                    base = (code // power[s + 2] * power[s + 1] + code % power[s]) * R
-                    for k, v in prod:
-                        images.append((base + k, -v if i % 2 else v))
-                a = b
-                i += 1
-            a0 = head[0]
-            front = code // R * R  # face n-1: a_0 .. a_{n-2} (a_{n-1} a_n)
-            rest = code - a0 * lead  # wrap face: (a_n a_0) a_1 .. a_{n-1}
-            odd_head = parity is not None and sum(parity[j] for j in head) % 2
-            for z, c in tails:
-                for target, v in images:
-                    target += z
-                    acc[target] = get(target, 0) + c * v
-                ci = c * last_sign
-                for k, v in last[a][z]:
-                    target = front + k
-                    acc[target] = get(target, 0) + ci * v
-                prod = wrap[z][a0]
-                if prod:
-                    ci = -c * wrap_sign if odd_head and parity[z] % 2 else c * wrap_sign
-                    for k, v in prod:
-                        target = rest + k
-                        acc[target] = get(target, 0) + ci * v
-
-    def add_connes(self, combination: dict, acc: dict):
-        """Add B of a combination {word: c} into acc, {code: coefficient}, as
-        `add_boundaries` adds the boundary; the rotations and signs are
-        those of `connes_word`."""
-        n = self._length(combination) - 1
-        if n < 0:
-            return
-        R = self.A.dim
+    def connes_blocks(self, supports: tuple, nums: list) -> list:
+        """B of a block as a list of blocks: rotation i moves slots 0 .. i-1
+        behind slot n with one transpose, and each letter's rows of the new
+        head slot go under the vertex idempotent where it starts.  Words
+        with an S head give nothing, as in `connes_word`, whose rotations
+        and signs these are."""
         L = self.letters
-        V, source, parity = L.vertices, L.source, L.parity
-        lead, top = R ** n, R ** (n + 1)
+        head = supports[0]
+        cut = bisect_left(head, L.vertices)  # letters below `vertices` are S
+        if cut == len(head):
+            return []
+        if cut:
+            nums = nums[cut * (len(nums) // len(head)):]
+            supports = (head[cut:],) + supports[1:]
+        n = len(supports) - 1
+        parity, source = L.parity, L.source
+        out = []
+        front = 1  # words of slots 0 .. i-1
+        for i, first in enumerate(supports):
+            C = len(nums) // front
+            rotated = [x for c in range(C) for x in nums[c::C]] if i else nums
+            if parity is not None:
+                rotated = _koszul(rotated, _parities(parity, supports[i:]),
+                                  _parities(parity, supports[:i]))
+            if n * i % 2:
+                rotated = [-x for x in rotated]
+            rest = supports[i + 1:] + supports[:i]
+            W = len(rotated) // len(first)  # one row per letter of slot i
+            by_vertex: dict = {}
+            for j, x in enumerate(first):
+                by_vertex.setdefault(source[x], []).append(j)
+            for v, rows in by_vertex.items():
+                if len(rows) < len(first):
+                    part = [x for j in rows for x in rotated[j * W:(j + 1) * W]]
+                else:
+                    part = rotated
+                out.append((((v,), tuple(first[j] for j in rows)) + rest, part))
+            front *= len(first)
+        return out
+
+    def add_blocks(self, blocks: list, acc: dict):
+        """Add blocks of one word length into acc, {code: coefficient}, with
+        plain + and *.
+
+        Blocks with equal supports outside the head slot are summed first,
+        row by row under their head letters; only the nonzero rows of those
+        sums reach acc, each image word held as its code, the number whose
+        digits in radix `A.dim` are its letters, most significant first
+        (`decode` inverts it).  Codes of one length sort as their words do.
+        The sums in acc are left raw: entries may be zero and, over F_p,
+        unreduced ints; `fields.reduced_entries` drops the zeros and reduces
+        once, when the caller has added every image."""
+        if len({len(supports) for supports, _ in blocks}) > 1:
+            raise ValueError("the blocks differ in word length")
+        sums: dict = {}
+        for supports, nums in blocks:
+            rows = sums.setdefault(supports[1:], {})
+            W = len(nums) // len(supports[0])
+            for j, x in enumerate(supports[0]):
+                row = nums[j * W:(j + 1) * W]
+                old = rows.get(x)
+                rows[x] = row if old is None else [a + b for a, b in zip(old, row)]
+        R, p = self.A.dim, self.A.field.p
         get = acc.get
-        for word, c in combination.items():
-            if word[0] < V:
-                continue  # S head: every rotation puts it in a tail slot
-            code = 0
-            for x in word:
-                code = code * R + x
-            total = 0 if parity is None else sum(parity[j] for j in word) % 2
-            front = 0  # parity of a_0 .. a_{i-1}
-            for i, x in enumerate(word):
-                # rotation i: e_v a_i .. a_n a_0 .. a_{i-1}, v where a_i
-                # starts; the next one moves a_i from the front to the end
-                negate = (n * i + front * (total ^ front)) % 2
-                target = source[x] * top + code
-                acc[target] = get(target, 0) + (-c if negate else c)
-                code = (code - x * lead) * R + x
-                if parity is not None:
-                    front ^= parity[x] % 2
+        for tail, rows in sums.items():
+            codes = None
+            lead = R ** len(tail)
+            for x, row in rows.items():
+                if p is not None:
+                    row = [v % p for v in row]
+                if not any(row):
+                    continue
+                if codes is None:
+                    codes = _codes(tail, R)
+                base = x * lead
+                for code, v in zip(codes, row):
+                    if v:
+                        code += base
+                        acc[code] = get(code, 0) + v
 
     # -- homology -----------------------------------------------------------
 
@@ -562,6 +553,71 @@ class ChainComplex:
         return homology_from_ranks(len(self.basis(n, weight, parity)),
                                    self.boundary_rank(n, weight, parity),
                                    self.boundary_rank(n + 1, weight, parity))
+
+
+def _contract(supports: tuple, nums: list, i: int, table: dict, sign: int):
+    """Face i of a block: slots i and i + 1 multiplied through `table`, {(a,
+    b): {k: c}}, each product's coefficient times `sign`; the block of the
+    images, or None when no pair of the two slots multiplies.
+
+    The block is read as [P][X][Q], X the pairs (a, b) of the two slots and
+    P, Q the words before and after them, and each image letter k gathers
+    the pairs whose product holds it.  Its values move as list slices: one
+    contiguous run of Q per prefix when Q >= P, else one strided run of P
+    per suffix position."""
+    left, right = supports[i], supports[i + 1]
+    pairs: dict = {}  # k -> [(pair position, coefficient)]
+    for x, ab in enumerate(product(left, right)):
+        for k, c in table.get(ab, {}).items():
+            pairs.setdefault(k, []).append((x, c * sign))
+    if not pairs:
+        return None
+    letters = sorted(pairs)
+    X, Y, Q = len(left) * len(right), len(letters), prod(map(len, supports[i + 2:]))
+    P = len(nums) // (X * Q)
+    if Q >= P:
+        runs, run, jump_in, jump_out, step_in, step_out = P, Q, X * Q, Y * Q, 1, 1
+    else:
+        runs, run, jump_in, jump_out, step_in, step_out = Q, P, 1, 1, X * Q, Y * Q
+    out = [0] * (P * Y * Q)
+    for y, k in enumerate(letters):
+        (x0, c0), *more = pairs[k]
+        for j in range(runs):
+            at = j * jump_in + x0 * Q
+            vals = nums[at:at + run * step_in:step_in]
+            if c0 != 1:
+                vals = [c0 * v for v in vals]
+            for x, c in more:
+                at = j * jump_in + x * Q
+                vals = [u + c * v for u, v in zip(vals, nums[at:at + run * step_in:step_in])]
+            at = j * jump_out + y * Q
+            out[at:at + run * step_out:step_out] = vals
+    return supports[:i] + (tuple(letters),) + supports[i + 2:], out
+
+
+def _parities(parity: tuple, slots) -> list:
+    """The Koszul parity of every word of the slots, in row-major order."""
+    out = [0]
+    for slot in slots:
+        bits = [parity[x] % 2 for x in slot]
+        out = [a ^ b for a in out for b in bits]
+    return out
+
+
+def _koszul(nums: list, first: list, rest: list) -> list:
+    """nums read as [first][rest], negated where both parities are odd."""
+    if not any(first) or not any(rest):
+        return nums
+    mask = [a & b for a in first for b in rest]
+    return [-v if m else v for v, m in zip(nums, mask)]
+
+
+def _codes(slots, R: int) -> list:
+    """The code of every word of the slots, in row-major order."""
+    out = [0]
+    for slot in slots:
+        out = [c * R + x for c in out for x in slot]
+    return out
 
 
 def guard_safe_weights(A: AlgebraSpec, weights) -> dict:

@@ -3,16 +3,18 @@ the characteristic-p power operation on HH_0 with its u-lift at p = 2.
 
 A negative-cyclic chain mod u^N (`UChain`) is a list of per-u-power
 components, component t being a combination of reduced chain words of
-tensor length 2t, held as {word: int numerator} over one chain-wide
-denominator (over F_p, residues over 1).  The builders expand their tensor
-products in ints (`_tensor_words`), in sorted word order and with no field
-element per word; the report formats each distinct numerator once.  The
-cycle condition (d + uB) ch = 0 mod u^N amounts to d(c_t) + B(c_{t-1}) = 0
-for every t < N, and is checked on emission: the certificate is the sole
-arbiter of the coefficient conventions.  It applies d and B to each
-component's numerators as a whole, with image words held as int codes
-(`ChainComplex.add_boundaries` and `add_connes`), and turns back into words
-and field elements only what does not cancel.
+tensor length 2t, held as dense blocks of int numerators over one
+chain-wide denominator (over F_p, residues over 1): a sorted letter support
+per slot and the row-major numerators over the words of their product.
+The builders expand their tensor products in ints (`_tensor_words`), one
+block per component with no word built at all; the report reads the words
+off each block in sorted order and formats each distinct numerator once.
+The cycle condition (d + uB) ch = 0 mod u^N amounts to d(c_t) + B(c_{t-1})
+= 0 for every t < N, and is checked on emission: the certificate is the
+sole arbiter of the coefficient conventions.  It applies d and B block by
+block, with list slices and transposes (`ChainComplex.boundary_blocks` and
+`connes_blocks`), sums the image blocks (`add_blocks`), and turns back into
+words and field elements only what does not cancel.
 
 Classes in HH_0 = A/[A,A] come from `hochschild.commutator_classes`, the
 `sparse.Echelon` of the commutators whose rows `hh0_direct` counts: the
@@ -48,28 +50,44 @@ class Idempotent:
 
 
 class UChain:
-    """Chain over k[u]/u^N: component t, for t < N, is a {word: coefficient}
-    combination of words of 2t + 1 letters, i.e. of tensor length 2t.
+    """Chain over k[u]/u^N: component t, for t < N, is a combination of
+    words of 2t + 1 letters, i.e. of tensor length 2t.
 
-    The chain is held as integer numerators over one denominator:
-    `numerators[t]` is component t times `denominator`, a {word: int} dict
-    in sorted word order, and over F_p the denominator is 1 and the
-    numerators are the coefficients themselves.  `UChain(A, N, components)`
-    takes components of field elements, sorts their words and clears their
-    denominators once; `_of` takes (numerators, denominator) pairs, one
-    per component, as the builders below make them.
-    `component(t)` and `components` give the coefficients back as field
-    elements, built anew on each read: a changed chain is a new `UChain`.
+    The chain is held as integer numerators over one denominator, in
+    blocks: `blocks[t]` lists component t as (supports, numerators) pairs,
+    supports a tuple of one sorted, nonempty letter tuple per slot and
+    numerators the row-major list of ints over the words of their product
+    (`itertools.product` order), each the word's coefficient times
+    `denominator`.  The blocks of a component hold distinct words, in
+    sorted order; over F_p the denominator is 1 and the numerators are the
+    coefficients themselves.  The builders below make one block per
+    component.  `UChain(A, N, components)` takes components of field
+    elements, {word: coefficient}, clears their denominators once and groups
+    each one's words by all but their last letter, into blocks whose slots
+    are single letters but the last; `_of` takes (blocks, denominator)
+    pairs, one per component, as the builders make them.
+    `terms(t)`, `numerators`, `component(t)` and `components` read the
+    chain back word by word, built anew on each read: a changed chain is a
+    new `UChain`.
     """
 
     def __init__(self, algebra: AlgebraSpec, N: int, components: list):
-        self._put(algebra, N, [_numerators(dict(sorted(comp.items()))) for comp in components])
+        parts = []
+        for comp in components:
+            nums, den = _numerators(dict(sorted(comp.items())))
+            heads: dict = {}
+            for word, c in nums.items():
+                lasts, cs = heads.setdefault(word[:-1], ([], []))
+                lasts.append(word[-1])
+                cs.append(c)
+            parts.append(([(tuple((x,) for x in head) + (tuple(lasts),), cs)
+                           for head, (lasts, cs) in heads.items()], den))
+        self._put(algebra, N, parts)
 
     @classmethod
     def _of(cls, algebra: AlgebraSpec, N: int, parts: list) -> UChain:
-        """The chain whose component t is parts[t] = (numerators, den), the
-        {word: int} dict numerators, in sorted word order, over the
-        positive int den."""
+        """The chain whose component t is parts[t] = (blocks, den): blocks
+        of int numerators over the positive int den."""
         chain = cls.__new__(cls)
         chain._put(algebra, N, parts)
         return chain
@@ -80,24 +98,41 @@ class UChain:
         self.algebra = algebra
         self.N = N
         self.denominator = den
-        self.numerators = [nums if d == den else {w: c * (den // d) for w, c in nums.items()}
-                           for nums, d in parts]
+        self.blocks = [blocks if d == den else
+                       [(supports, [c * (den // d) for c in nums]) for supports, nums in blocks]
+                       for blocks, d in parts]
+
+    def terms(self, t: int) -> tuple:
+        """(words, numerators) of component t, two lists in sorted word
+        order."""
+        words, nums = [], []
+        for supports, cs in self.blocks[t]:
+            words += product(*supports)
+            nums += cs
+        return words, nums
+
+    @property
+    def numerators(self) -> list:
+        """Every component as {word: int numerator}, one dict per u-power."""
+        return [dict(zip(*self.terms(t))) for t in range(len(self.blocks))]
 
     def values(self, t: int) -> dict:
         """{numerator: field element} for each distinct numerator of
         component t."""
         den, from_fraction = self.denominator, self.algebra.field.from_fraction
-        return {c: from_fraction(Fraction(c, den)) for c in set(self.numerators[t].values())}
+        return {c: from_fraction(Fraction(c, den))
+                for c in {c for _, nums in self.blocks[t] for c in nums}}
 
     def component(self, t: int) -> dict:
         """Component t as {word: field element}."""
         values = self.values(t)
-        return {w: values[c] for w, c in self.numerators[t].items()}
+        words, nums = self.terms(t)
+        return {w: values[c] for w, c in zip(words, nums)}
 
     @property
     def components(self) -> list:
         """Every component as {word: field element}, one dict per u-power."""
-        return [self.component(t) for t in range(len(self.numerators))]
+        return [self.component(t) for t in range(len(self.blocks))]
 
 
 def _reduce_tail(F: Field, vec: dict) -> dict:
@@ -115,30 +150,32 @@ def _numerators(vec: dict) -> tuple:
 
 
 def _tensor_words(F: Field, factors: list, scale: int = 1) -> tuple:
-    """(numerators, den) of scale * (x)_i factors[i], a tensor product of
-    coefficient vectors, expanded into chain words: the product is
-    numerators[word] / den for each word.
+    """(blocks, den) of scale * (x)_i factors[i], a tensor product of
+    coefficient vectors, as a chain component: one block, or none when the
+    product vanishes, whose numerators over den are the product's
+    coefficients.
 
-    Each factor's denominators are cleared by their lcm (`_numerators`),
-    den is the product of those lcms, and the expansion multiplies ints
-    only, with no field element per word; over F_p den is 1 and the
-    numerators are reduced mod p once, at the end.  The factors' zero
-    coefficients are dropped and their indices taken in increasing order:
-    the words are `itertools.product` of the index lists, in sorted order,
-    and the numerators the matching products, grown factor by factor.
+    The factors' zero coefficients are dropped and their indices, in
+    increasing order, are the block's slots; each factor's denominators are
+    cleared by their lcm (`_numerators`), den is the product of those lcms,
+    and the numerators, grown factor by factor, are the products of ints in
+    row-major order, with no field element per word; over F_p den is 1 and
+    the numerators are reduced mod p once, at the end.
     """
     if F.is_zero(F.from_int(scale)):
-        return {}, 1
-    indices, numerators, den = [], [scale], 1
+        return [], 1
+    supports, numerators, den = [], [scale], 1
     for vec in factors:
         nums, d = _numerators({i: v for i, v in sorted(vec.items()) if not F.is_zero(v)})
         den *= d
-        indices.append(list(nums))
+        supports.append(tuple(nums))
         values = list(nums.values())
         numerators = [c * n for c in numerators for n in values]
+    if not numerators:
+        return [], 1
     if F.p is not None:
         numerators = [c % F.p for c in numerators]
-    return dict(zip(product(*indices), numerators)), den
+    return [(tuple(supports), numerators)], den
 
 
 def cycle_certificate(chain: UChain) -> dict:
@@ -149,26 +186,29 @@ def cycle_certificate(chain: UChain) -> dict:
     nonzero, so the numerators form a cycle exactly when the chain does,
     and only the nonzero residue is divided by D on the way out.
     Component t of the image, words of 2t letters, gathers d of component t
-    and B of component t - 1 in one accumulator keyed by word codes
-    (`ChainComplex.add_boundaries` and `add_connes`, plain + and *), which
-    drops its zeros (over F_p, after reducing mod p) once, when it is
-    complete; only the nonzero residue is decoded back into words.
+    and B of component t - 1 block by block (`ChainComplex.boundary_blocks`
+    and `connes_blocks`, list slices and transposes); `add_blocks` sums the
+    image blocks and scatters what does not cancel into one accumulator
+    keyed by word codes, which drops its zeros (over F_p, after reducing
+    mod p) once, when it is complete; only that nonzero residue is decoded
+    back into words.
     """
     A = chain.algebra
     F = A.field
     cx = ChainComplex(A)
-    comps = chain.numerators
-    for t, comp in enumerate(comps):
-        if set(map(len, comp)) - {2 * t + 1}:
+    comps = chain.blocks
+    for t, blocks in enumerate(comps):
+        if any(len(supports) != 2 * t + 1 for supports, _ in blocks):
             raise ContractError(f"component {t} of a chain holds a word that does not "
                                 f"have {2 * t + 1} letters")
     den = chain.denominator
     out = []
     for t in range(chain.N):
-        acc: dict = {}
-        cx.add_boundaries(comps[t], acc)
+        images = [image for block in comps[t] for image in cx.boundary_blocks(*block)]
         if t >= 1:
-            cx.add_connes(comps[t - 1], acc)
+            images += [image for block in comps[t - 1] for image in cx.connes_blocks(*block)]
+        acc: dict = {}
+        cx.add_blocks(images, acc)
         out.append({cx.decode(code, 2 * t): v if den == 1 else F.from_fraction(Fraction(v, den))
                     for code, v in reduced_entries(acc, F).items()})
     return {"is_cycle": all(not a for a in out), "residue": out}
@@ -190,7 +230,7 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     half = F.from_fraction(Fraction(1, 2))
     shifted = linear_combination(((1, pi.vector), (-half, {0: 1})), F)
     tail = _reduce_tail(F, pi.vector)
-    parts = [_numerators({(k,): v for k, v in sorted(pi.vector.items()) if not F.is_zero(v)})]
+    parts = [_tensor_words(F, [pi.vector])]
     for k in range(1, N):
         coeff = (-1) ** k * factorial(2 * k) // factorial(k)
         parts.append(_tensor_words(F, [shifted] + [tail] * (2 * k), coeff))
@@ -289,9 +329,9 @@ def ppower_lift_p2(A: AlgebraSpec, a: dict) -> UChain:
     F = A.field
     if F.characteristic != 2:
         raise UnsupportedError("ppower_lift_p2 requires characteristic 2")
-    c0 = {(k,): v for k, v in sorted(A.mul_vec(a, a).items())}
     abar = _reduce_tail(F, a)
-    chain = UChain._of(A, 2, [(c0, 1), _tensor_words(F, [{0: F.one()}, abar, abar])])
+    chain = UChain._of(A, 2, [_tensor_words(F, [A.mul_vec(a, a)]),
+                              _tensor_words(F, [{0: F.one()}, abar, abar])])
     cert = cycle_certificate(chain)
     if not cert["is_cycle"]:
         raise ContractError("ppower_lift_p2: cycle certificate failed")

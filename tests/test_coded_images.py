@@ -1,17 +1,22 @@
-"""The coded word images of `ChainComplex.add_boundaries` and
-`add_connes` against the tuple
-images of `boundary_word` and `connes_word`.
+"""The block images of `ChainComplex.boundary_blocks` and `connes_blocks`,
+summed into word codes by `add_blocks`, against the tuple images of
+`boundary_word` and `connes_word`.
 
 The two are separate implementations of the same face and rotation rules:
-the tuple ones assemble matrices and check criterion 01, the coded ones
-certify Chern chains.  Here each single word's coded image, decoded, must be
-exactly its tuple image, on random words of every tensor length 0-6, over
-every catalogue algebra and the algebras with vertex idempotents of the
+the tuple ones assemble matrices and check criterion 01, the block ones
+certify Chern chains.  Here a block's images, decoded, must be exactly the
+sum of its words' tuple images times their coefficients: for single words
+(a block of singleton supports), on random words of every tensor length
+0-6, and for random full-product blocks (random supports per slot, random
+int coefficients, Fractions over Q) of tensor length 0-5, over every
+catalogue algebra and the algebras with vertex idempotents of the
 relative-complex tests, on the absolute and the relative complex, over Q,
 F_2 and F_3.
 """
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -53,24 +58,63 @@ def _random_words(cx, n, rng, tries=60) -> set:
     return out
 
 
-def _decoded(cx, word, add_images, length):
+def _decoded(cx, images, length):
     acc = {}
-    add_images({word: 1}, acc)
+    cx.add_blocks(images, acc)
     return {cx.decode(code, length): v for code, v in reduced_entries(acc, cx.A.field).items()}
+
+
+def _word_sum(cx, word_image, terms):
+    """sum of c * word_image(w) over the (w, c) terms, in field methods."""
+    F = cx.A.field
+    out = {}
+    for w, c in terms:
+        for t, v in word_image(w).items():
+            out[t] = F.add(out.get(t, F.zero()), F.mul(F.from_fraction(Fraction(c)), v))
+    return {t: v for t, v in out.items() if not F.is_zero(v)}
 
 
 @pytest.mark.parametrize("relative", (False, True), ids=("absolute", "relative"))
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_coded_images_decode_to_the_word_images(field, relative):
+def test_single_word_blocks_decode_to_the_word_images(field, relative):
     rng = random.Random(20261018)
     checked = 0
     for A in _algebras(field):
         cx = ChainComplex(A, relative)
         for n in range(7):
             for word in sorted(_random_words(cx, n, rng))[:12]:
-                assert _decoded(cx, word, cx.add_boundaries, n) == cx.boundary_word(word), \
+                block = (tuple((x,) for x in word), [1])
+                assert _decoded(cx, cx.boundary_blocks(*block), n) == cx.boundary_word(word), \
                     (A.name, word)
-                assert _decoded(cx, word, cx.add_connes, n + 2) == cx.connes_word(word), \
+                assert _decoded(cx, cx.connes_blocks(*block), n + 2) == cx.connes_word(word), \
                     (A.name, word)
                 checked += 1
     assert checked > 500
+
+
+@pytest.mark.parametrize("relative", (False, True), ids=("absolute", "relative"))
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_full_product_blocks_decode_to_the_sum_of_word_images(field, relative):
+    # every slot draws from all letters, S ones included, so the head
+    # restriction of B, every face table and both Koszul masks are reached;
+    # the supports are long enough for faces that run contiguous and strided
+    rng = random.Random(20261019)
+    coeffs = list(range(-9, 10))
+    checked = 0
+    for A in _algebras(field):
+        cx = ChainComplex(A, relative)
+        d = A.dim
+        for n in range(6):
+            for _ in range(3):
+                supports = tuple(tuple(sorted(rng.sample(range(d), rng.randint(1, min(d, 3)))))
+                                 for _ in range(n + 1))
+                nums = [rng.choice(coeffs) for _ in product(*supports)]
+                if field.p is None:
+                    nums = [Fraction(c, rng.choice((1, 2, 3))) for c in nums]
+                terms = list(zip(product(*supports), nums))
+                assert _decoded(cx, cx.boundary_blocks(supports, nums), n) \
+                    == _word_sum(cx, cx.boundary_word, terms), (A.name, supports)
+                assert _decoded(cx, cx.connes_blocks(supports, nums), n + 2) \
+                    == _word_sum(cx, cx.connes_word, terms), (A.name, supports)
+                checked += 1
+    assert checked >= 6 * 3 * len(_algebras(field))

@@ -121,10 +121,10 @@ def test_super_wrap_sign():
     assert set(img) <= {(0,)}
 
 
-def test_add_images_accumulates_scaled_images():
-    # add_boundaries and add_connes add c times the image of each word of a
-    # combination, keyed
-    # by word code, with plain + and *; decoded after reduced_entries it
+def test_add_blocks_accumulates_scaled_images():
+    # boundary_blocks and connes_blocks of c times each word of a
+    # combination, as blocks of singleton supports, summed by add_blocks
+    # into word codes with plain + and *: decoded after reduced_entries it
     # equals the field-method sum of the scaled images, for unreduced int
     # scales over F_p and Fraction scales over Q, on both complexes
     rng = random.Random(5)
@@ -140,11 +140,13 @@ def test_add_images_accumulates_scaled_images():
                     if F.p is None:
                         picked = {w: Fraction(c, rng.choice((1, 2, 3)))
                                   for w, c in picked.items()}
-                    for add_images, word_image, length in (
-                            (cx.add_boundaries, cx.boundary_word, n),
-                            (cx.add_connes, cx.connes_word, n + 2)):
+                    for block_images, word_image, length in (
+                            (cx.boundary_blocks, cx.boundary_word, n),
+                            (cx.connes_blocks, cx.connes_word, n + 2)):
                         acc = {}
-                        add_images(picked, acc)
+                        cx.add_blocks([image for w, c in picked.items()
+                                       for image in block_images(tuple((x,) for x in w), [c])],
+                                      acc)
                         expected = {}
                         for w, c in picked.items():
                             for t, v in word_image(w).items():
@@ -155,15 +157,14 @@ def test_add_images_accumulates_scaled_images():
                                 in reduced_entries(acc, F).items()} == expected
 
 
-def test_add_images_refuses_mixed_lengths():
+def test_add_blocks_refuses_mixed_lengths():
     cx = ChainComplex(builtin("mat", QQ))
-    for add_images in (cx.add_boundaries, cx.add_connes):
-        with pytest.raises(ValueError):
-            add_images({(1, 2): 1, (1, 2, 3): 1}, {})
+    with pytest.raises(ValueError):
+        cx.add_blocks([(((1,), (2,)), [1]), (((1,), (2,), (3,)), [1])], {})
     acc = {}
-    cx.add_boundaries({}, acc)
-    cx.add_connes({}, acc)
+    cx.add_blocks([], acc)
     assert acc == {}
+    assert cx.boundary_blocks(((1,),), [1]) == []
 
 
 def test_codes_sort_as_their_words():

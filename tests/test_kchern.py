@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -211,6 +212,11 @@ def _fraction_tensor_words(factors, scale):
     return words
 
 
+def _block_words(blocks):
+    """{word: numerator} of blocks, in their order."""
+    return {w: c for supports, nums in blocks for w, c in zip(product(*supports), nums)}
+
+
 def test_tensor_words_match_fraction_products():
     rng = random.Random(4)
     values = [0, 1, -1, 2, -6, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7),
@@ -219,7 +225,9 @@ def test_tensor_words_match_fraction_products():
         factors = [{i: rng.choice(values) for i in rng.sample(range(6), rng.randrange(1, 4))}
                    for _ in range(rng.randrange(0, 5))]
         scale = rng.choice([1, -2, 12, -120])
-        words, den = _tensor_words(QQ, factors, scale)
+        blocks, den = _tensor_words(QQ, factors, scale)
+        assert len(blocks) <= 1  # one block, or none for an empty product
+        words = _block_words(blocks)
         expected = _fraction_tensor_words(factors, scale)
         assert {w: Fraction(c, den) for w, c in words.items()} == expected
         assert list(words) == sorted(expected)  # the words come out sorted
@@ -230,7 +238,8 @@ def test_tensor_words_match_fraction_products():
                        for vec in factors if all(Fraction(v).denominator % p for v in vec.values())]
             expected_p = {w: c for w, c in ((w, F.from_fraction(c)) for w, c in
                                             _fraction_tensor_words(reduced, scale).items()) if c}
-            assert _tensor_words(F, reduced, scale) == (expected_p, 1)
+            blocks, den = _tensor_words(F, reduced, scale)
+            assert (_block_words(blocks), den) == (expected_p, 1)
 
 
 def _chern_formula(pi: dict, N: int) -> list:
@@ -413,3 +422,62 @@ def test_hh0_forms_agree_with_the_dense_commutator_rank(field):
         if field.p is not None:
             rep = ppower_on_hh0(A)
             assert rep["hh0_rank"] == rep["hh0_rank_direct"] == direct, A.name
+
+
+def _word_form(chain):
+    """The same chain given as word dicts: blocks of one word's head each."""
+    return UChain(chain.algebra, chain.N, chain.components)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7), GF(11)), ids=str)
+def test_block_and_word_forms_certify_alike(field):
+    # a chain of dense blocks (one per component, as chern_idempotent makes
+    # it) and the same chain as word dicts (grouped by head into many
+    # blocks) give the same certificate and residue, intact and broken,
+    # on even algebras and on super ones with odd letters in the chain
+    rng = random.Random(34 + field.characteristic)
+    cases = [(builtin(name, field, **params), pi) for name, params, pi in _random_idempotents(rng)]
+    cases.append(_super_glue_corner(field))
+    # (1 +- xi)/2 in clifford1: the odd xi fills every slot past the head
+    cases += [(builtin("clifford1", field), {0: Fraction(1, 2), 1: Fraction(sign, 2)})
+              for sign in (1, -1)]
+    F = field
+    for A, pi in cases:
+        for N in range(1, 4):
+            if F.p is not None and F.p <= 2 * N:
+                continue
+            vector = {i: F.from_fraction(Fraction(v)) for i, v in pi.items()}
+            chain = chern_idempotent(Idempotent(A, vector), N)
+            words = _word_form(chain)
+            assert words.components == chain.components
+            assert all(len(blocks) <= 1 for blocks in chain.blocks)
+            assert cycle_certificate(words) == cycle_certificate(chain) == {
+                "is_cycle": True, "residue": [{}] * N}
+            for t in range(N):
+                if not chain.blocks[t]:
+                    continue
+                # perturb a few numerators of one dense block
+                parts = []
+                for s, blocks in enumerate(chain.blocks):
+                    blocks = [(supports, list(nums)) for supports, nums in blocks]
+                    if s == t:
+                        nums = blocks[0][1]
+                        for j in rng.sample(range(len(nums)), min(3, len(nums))):
+                            nums[j] += rng.choice((1, -1)) * rng.randint(1, 5)
+                    parts.append((blocks, chain.denominator))
+                broken = UChain._of(A, N, parts)
+                cert = cycle_certificate(broken)
+                assert cert == cycle_certificate(_word_form(broken)), (A.name, N, t)
+                residue = _fraction_residue(broken) if F.p is None else _field_residue(broken)
+                assert cert["residue"] == residue, (A.name, N, t)
+
+
+def _super_glue_corner(field):
+    """The glued super algebra of the relative-complex tests with the
+    idempotent of its first corner: a super chain with odd letters."""
+    A = CASES["glue-super"][0](field)
+    for i in range(1, A.dim):
+        v = {i: field.one()}
+        if A.mul_vec(v, v) == v:
+            return A, {i: Fraction(1)}
+    raise AssertionError("no corner idempotent")
