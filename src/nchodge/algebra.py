@@ -403,6 +403,11 @@ def _poly_truncated(field: Field, vars: int, max_weight: int) -> AlgebraSpec:
     if vars < 1 or max_weight < 0:
         raise AlgebraError(f"poly_truncated needs vars >= 1 and max_weight >= 0, "
                            f"got vars={vars}, max_weight={max_weight}")
+    # every monomial is a tuple of vars exponents, also at max_weight 0,
+    # where the dimension is 1 and `builtin` lets any vars through
+    if vars > MAX_CATALOGUE_DIM:
+        raise AlgebraError(f"poly_truncated needs vars <= MAX_CATALOGUE_DIM = "
+                           f"{MAX_CATALOGUE_DIM}, got vars={vars}")
     return _monomial_algebra(
         f"poly_truncated({vars},{max_weight})", field, vars, max_weight,
         lambda e: "*".join(f"x{i+1}^{k}" for i, k in enumerate(e) if k), max_weight=max_weight)
@@ -466,6 +471,38 @@ CATALOGUE = {
 }
 
 
+# The largest catalogue algebra `builtin` builds.  Building and validating
+# one near it takes up to about 3 s (truncated_poly m = 100, whose table is
+# dense; mat m = 10 and the graded entries of dimension about 100 take
+# 0.5-1 s) on a 2-CPU host, and the validation grows as dim^3.
+MAX_CATALOGUE_DIM = 100
+
+
+def _monomial_count(nvars: int, top: int) -> int:
+    """C(nvars + top, top), the monomials of total degree <= top in nvars
+    variables (0 for parameters the entry refuses), grown factor by factor
+    and returned as soon as it is above MAX_CATALOGUE_DIM, so no large
+    number is formed."""
+    if nvars < 1 or top < 0:
+        return 0
+    count, big = 1, max(nvars, top)
+    for i in range(1, min(nvars, top) + 1):
+        count = count * (big + i) // i  # C(big + i, i)
+        if count > MAX_CATALOGUE_DIM:
+            break
+    return count
+
+
+# name -> the dimension of the entry from its parameter values, counted
+# before it is built; an entry without parameters has at most 3
+_DIMENSION = {
+    "truncated_poly": lambda m: m,
+    "poly_truncated": _monomial_count,
+    "quantum_plane": lambda q, max_weight: _monomial_count(2, max_weight),
+    "mat": lambda m: max(m, 0) ** 2,
+}
+
+
 def _catalogue_param(key: str, value, field: Field):
     """One catalogue parameter as given (a string from the command line, or
     an int, or for q a Fraction or field element) in the type it takes."""
@@ -482,7 +519,9 @@ def builtin(name: str, field: Field = QQ, **params) -> AlgebraSpec:
     """Construct a catalogue algebra by name; the result passes validate.
 
     AlgebraError names a parameter that the entry does not take (see
-    `CATALOGUE`) or whose value does not parse."""
+    `CATALOGUE`) or whose value does not parse, or an entry of more than
+    MAX_CATALOGUE_DIM basis elements, counted from its parameters before
+    anything is built."""
     if name not in CATALOGUE:
         raise AlgebraError(f"unknown catalogue algebra {name!r}")
     build, takes = CATALOGUE[name]
@@ -498,6 +537,10 @@ def builtin(name: str, field: Field = QQ, **params) -> AlgebraSpec:
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             kind = f"an element of {field} ({exc})" if key == "q" else "an integer"
             raise AlgebraError(f"parameter {key}={value} is not {kind}")
+    if name in _DIMENSION and _DIMENSION[name](*values) > MAX_CATALOGUE_DIM:
+        given = ", ".join(f"{key}={value}" for key, value in zip(takes, values))
+        raise AlgebraError(f"catalogue algebra {name} with {given} has more than "
+                           f"MAX_CATALOGUE_DIM = {MAX_CATALOGUE_DIM} basis elements")
     spec = build(field, *values)
     report = validate(spec)
     if not report.ok:

@@ -83,7 +83,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import product
-from math import comb, prod
+from math import comb
 
 from .algebra import AlgebraSpec, AlgebraError, bilinear
 from .fields import SizeError, linear_combination, reduced_entries
@@ -446,15 +446,19 @@ class ChainComplex:
         if n <= 0:
             return []
         L = self.letters
-        out = [_contract(supports, nums, i, L.inner if i else L.products, -1 if i % 2 else 1)
-               for i in range(n)]
+        after = [1] * (n + 1)  # after[i]: words of slots i + 1 .. n
+        for i in range(n - 1, -1, -1):
+            after[i] = after[i + 1] * len(supports[i + 1])
+        out = [_contract(supports, nums, i, after[i + 1], L.inner if i else L.products,
+                         -1 if i % 2 else 1) for i in range(n)]
         last = supports[n]
         C = len(last)
         moved = [x for c in range(C) for x in nums[c::C]]
         if L.parity is not None:
             # the Koszul sign of moving a_n past a_0 .. a_{n-1}
             moved = _koszul(moved, _parities(L.parity, (last,)), _parities(L.parity, supports[:n]))
-        out.append(_contract((last,) + supports[:n], moved, 0, L.products, -1 if n % 2 else 1))
+        out.append(_contract((last,) + supports[:n], moved, 0, len(moved) // C // len(supports[0]),
+                             L.products, -1 if n % 2 else 1))
         return [block for block in out if block]
 
     def connes_blocks(self, supports: tuple, nums: list) -> list:
@@ -555,13 +559,14 @@ class ChainComplex:
                                    self.boundary_rank(n + 1, weight, parity))
 
 
-def _contract(supports: tuple, nums: list, i: int, table: dict, sign: int):
+def _contract(supports: tuple, nums: list, i: int, Q: int, table: dict, sign: int):
     """Face i of a block: slots i and i + 1 multiplied through `table`, {(a,
     b): {k: c}}, each product's coefficient times `sign`; the block of the
     images, or None when no pair of the two slots multiplies.
 
     The block is read as [P][X][Q], X the pairs (a, b) of the two slots and
-    P, Q the words before and after them, and each image letter k gathers
+    P, Q the words before and after them (Q is given, the product of the
+    sizes of slots i + 2 ..), and each image letter k gathers
     the pairs whose product holds it.  Its values move as list slices: one
     contiguous run of Q per prefix when Q >= P, else one strided run of P
     per suffix position."""
@@ -573,7 +578,7 @@ def _contract(supports: tuple, nums: list, i: int, table: dict, sign: int):
     if not pairs:
         return None
     letters = sorted(pairs)
-    X, Y, Q = len(left) * len(right), len(letters), prod(map(len, supports[i + 2:]))
+    X, Y = len(left) * len(right), len(letters)
     P = len(nums) // (X * Q)
     if Q >= P:
         runs, run, jump_in, jump_out, step_in, step_out = P, Q, X * Q, Y * Q, 1, 1

@@ -165,8 +165,12 @@ def _tensor_words(F: Field, factors: list, scale: int = 1) -> tuple:
     if F.is_zero(F.from_int(scale)):
         return [], 1
     supports, numerators, den = [], [scale], 1
+    cleared: dict = {}  # a factor given more than once is cleared once
     for vec in factors:
-        nums, d = _numerators({i: v for i, v in sorted(vec.items()) if not F.is_zero(v)})
+        if id(vec) not in cleared:
+            cleared[id(vec)] = _numerators({i: v for i, v in sorted(vec.items())
+                                            if not F.is_zero(v)})
+        nums, d = cleared[id(vec)]
         den *= d
         supports.append(tuple(nums))
         values = list(nums.values())
@@ -214,6 +218,37 @@ def cycle_certificate(chain: UChain) -> dict:
     return {"is_cycle": all(not a for a in out), "residue": out}
 
 
+# The largest Chern chain `chern_idempotent` builds, in certificate terms
+# (`_check_chain_terms`).  In fresh processes on a 2-CPU host, a chain near
+# it takes about a second.
+MAX_CHAIN_TERMS = 3_000_000
+
+
+def _check_chain_terms(N: int, first: int, shifted: int, tail: int):
+    """Refuse a Chern chain of more than MAX_CHAIN_TERMS certificate terms,
+    counted from the sizes of the factor supports before anything is built.
+
+    Component t >= 1 holds shifted * tail^(2t) words of 2t + 1 letters, and
+    component 0 the first ones of one letter.  The certificate applies the
+    2t + 1 faces (and as many rotations) of component t to each of its Pi_t
+    words, and each face and rotation also walks the 2t + 1 slots, so the
+    count is sum_{t<N} (2t + 1)(Pi_t + 2t + 1): it bounds the report's
+    letters and the certificate's work alike, also for chains of a few long
+    words.  The slot part, N(2N - 1)(2N + 1)/3, is counted first, so N is
+    small when the words are counted, and the count stops once it is over
+    the bound, with no large power formed."""
+    terms = N * (2 * N - 1) * (2 * N + 1) // 3 + first
+    size = shifted
+    for t in range(1, N):
+        if terms > MAX_CHAIN_TERMS:
+            break
+        size *= tail * tail
+        terms += (2 * t + 1) * size
+    if terms > MAX_CHAIN_TERMS:
+        raise SizeError(f"the Chern chain to u^{N} needs more than "
+                        f"MAX_CHAIN_TERMS = {MAX_CHAIN_TERMS} certificate terms")
+
+
 def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     """The Chern character chain
     ch(pi) = pi + sum_{1<=k<N} (-1)^k (2k)!/k! (pi - 1/2) (x) pi^{(x)2k} u^k,
@@ -230,6 +265,8 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     half = F.from_fraction(Fraction(1, 2))
     shifted = linear_combination(((1, pi.vector), (-half, {0: 1})), F)
     tail = _reduce_tail(F, pi.vector)
+    first = sum(not F.is_zero(v) for v in pi.vector.values())
+    _check_chain_terms(N, first, len(shifted), len(tail))
     parts = [_tensor_words(F, [pi.vector])]
     for k in range(1, N):
         coeff = (-1) ** k * factorial(2 * k) // factorial(k)

@@ -256,10 +256,20 @@ def lie_derivative(alpha: Bivector, form: PolyForm) -> PolyForm:
                                          form.terms, 1, {}))
 
 
+def _variables(p: Poly) -> set:
+    """The variables that occur in p."""
+    return {i for e in p for i, k in enumerate(e) if k}
+
+
 def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
-    """{f, g} = sum_{i<j} alpha^{ij} (d_i f d_j g - d_j f d_i g)."""
+    """{f, g} = sum_{i<j} alpha^{ij} (d_i f d_j g - d_j f d_i g), summed
+    over the components (i, j) where one of f and g has x_i and the other
+    x_j: on every other component both products are zero."""
+    fv, gv = _variables(f), _variables(g)
     out: Poly = {}
     for (i, j), p in alpha.components.items():
+        if not ((i in fv and j in gv) or (j in fv and i in gv)):
+            continue
         term = _apply(None, poly_mul(poly_diff(f, j), poly_diff(g, i)), -1,
                       poly_mul(poly_diff(f, i), poly_diff(g, j)))
         _apply(None, poly_mul(p, term), 1, out)
@@ -268,9 +278,11 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
 
 # One bound on the variable count of every identity check.  At 12
 # variables each stays under 1 s on the worst input measured: the star
-# identity 0.43-0.72 s; jacobi 0.36-0.71 s on the quadratic bivector
-# sum_{i<j} (i+j+1) x_i x_j d_i^d_j; conjugation on the dx_ijk 0.02-0.04 s
-# (on every dx_S it took 44 s and 2.0 GB).
+# identity 0.43-0.72 s; jacobi 0.11 s on the quadratic bivector
+# sum_{i<j} (i+j+1) x_i x_j d_i^d_j, whose brackets visit only the
+# components that touch both arguments (1.06 s on the same host when each
+# bracket walked all 66); conjugation on the dx_ijk 0.02-0.04 s (on every
+# dx_S it took 44 s and 2.0 GB).
 MAX_NVARS = 12
 
 

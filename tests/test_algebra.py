@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from nchodge.algebra import (CATALOGUE, AlgebraError, AlgebraSpec, BimoduleSpec, SchemaError,
-                             algebra_from_json, algebra_to_json, builtin, glue,
+from nchodge.algebra import (CATALOGUE, MAX_CATALOGUE_DIM, AlgebraError, AlgebraSpec,
+                             BimoduleSpec, SchemaError, _DIMENSION, algebra_from_json, algebra_to_json, builtin, glue,
                              matrix_algebra, opposite, trivial_bimodule,
                              validate, zero_bimodule)
 from nchodge.fields import GF, QQ
@@ -247,6 +247,45 @@ def test_catalogue_builders_take_the_table_parameters():
     for name, (build, takes) in CATALOGUE.items():
         names = list(inspect.signature(build).parameters)
         assert names == ["field", *takes], name
+
+
+def test_catalogue_dimension_is_counted_before_the_build():
+    # the count from the parameters is each built entry's dimension, at
+    # every parameter value up to the bound, and one past it is refused by
+    # that count, before the entry's builder runs
+    sizes = {"truncated_poly": [{"m": m} for m in (1, 2, 7, 30)],
+             "poly_truncated": [{"vars": v, "max_weight": w} for v in (1, 2, 3, 4)
+                                for w in range(0, 6)] + [{"vars": 100, "max_weight": 0}],
+             "quantum_plane": [{"max_weight": w} for w in (0, 1, 5, 8)],
+             "mat": [{"m": m} for m in (1, 2, 5)]}
+    assert sorted(sizes) == sorted(_DIMENSION)
+    for name, params in sizes.items():
+        build, takes = CATALOGUE[name]
+        for given in params:
+            values = [given.get(key, default) for key, default in takes.items()]
+            if _DIMENSION[name](*values) <= MAX_CATALOGUE_DIM:
+                assert builtin(name, QQ, **given).dim == _DIMENSION[name](*values), given
+    assert all(builtin(name, QQ).dim <= 3 for name in CATALOGUE if name not in _DIMENSION)
+    # the largest admitted entries (built in the digest grid)
+    assert _DIMENSION["mat"](10) == _DIMENSION["truncated_poly"](100) == MAX_CATALOGUE_DIM
+    assert _DIMENSION["poly_truncated"](2, 12) == _DIMENSION["quantum_plane"](2, 12) == 91
+    huge = 10 ** 9
+    for name, given in (("mat", {"m": 11}), ("mat", {"m": huge}),
+                        ("truncated_poly", {"m": 101}), ("truncated_poly", {"m": huge}),
+                        ("poly_truncated", {"vars": 2, "max_weight": 13}),
+                        ("poly_truncated", {"vars": huge, "max_weight": huge}),
+                        ("poly_truncated", {"vars": 1, "max_weight": huge}),
+                        ("quantum_plane", {"max_weight": 13}),
+                        ("quantum_plane", {"max_weight": huge})):
+        with pytest.raises(AlgebraError, match=f"more than MAX_CATALOGUE_DIM = "
+                                               f"{MAX_CATALOGUE_DIM} basis elements"):
+            builtin(name, QQ, **given)
+    # at max_weight 0 the dimension is 1, but each monomial has vars entries
+    with pytest.raises(AlgebraError, match="vars <= MAX_CATALOGUE_DIM"):
+        builtin("poly_truncated", QQ, vars=huge, max_weight=0)
+    # a parameter that the entry refuses keeps its own message
+    with pytest.raises(AlgebraError, match="matrix size must be >= 1"):
+        builtin("mat", QQ, m=-20)
 
 
 def _full_associativity(spec):

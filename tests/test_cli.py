@@ -1431,9 +1431,12 @@ _FORM_XY = '[{"exponents": [1, 0], "dxs": [1], "coeff": "1"}]'
 _EXIT_CODES = {
     ("validate",): {0: ("--algebra", "dual_numbers"), 1: ("--algebra", "absent.json"),
                     2: ("--algebra", "broken.json")},
+    # a negative window, and a catalogue algebra of more basis elements than
+    # algebra.MAX_CATALOGUE_DIM
     ("hh",): {0: ("--algebra", "dual_numbers", "--n-max", "2"),
               1: ("--algebra", "dual_numbers", "--n-max", "2", *_NO_DIR),
-              2: ("--algebra", "dual_numbers", "--n-max", "-1")},
+              2: [("--algebra", "dual_numbers", "--n-max", "-1"),
+                  ("--algebra", "mat", "--param", "m=11", "--n-max", "2")]},
     ("hc",): {0: _DUAL_HC, 1: (*_DUAL_HC, *_NO_DIR),
               2: ("--algebra", "dual_numbers", "--n-max", "3", "--u-trunc", "2")},
     # the verdict of truncated_poly m=3 at n_max 4, N 2 is inconclusive
@@ -1454,9 +1457,12 @@ _EXIT_CODES = {
                             "--strict"),
                         1: (*_DUAL_HC, *_NO_DIR),
                         2: ("--algebra", "dual_numbers", "--n-max", "3", "--u-trunc", "2")},
+    # an element that is not idempotent, and a chain of more certificate
+    # terms than kchern.MAX_CHAIN_TERMS
     ("chern",): {0: ("--algebra", "mat", "--u-trunc", "2", "--idempotent", "pi.json"),
                  1: ("--algebra", "mat", "--u-trunc", "2", "--idempotent", "absent.json"),
-                 2: ("--algebra", "mat", "--u-trunc", "2", "--idempotent", "not-pi.json"),
+                 2: [("--algebra", "mat", "--u-trunc", "2", "--idempotent", "not-pi.json"),
+                     ("--algebra", "mat", "--u-trunc", "131", "--idempotent", "pi.json")],
                  3: ("--algebra", "mat", "--field", "F3", "--u-trunc", "2",
                      "--idempotent", "pi.json")},
     ("ppower",): {0: ("--algebra", "dual_numbers", "--field", "F2"),
@@ -1657,6 +1663,49 @@ def test_graded_pieces_beyond_its_bound_are_refused_before_any_allocation(tmp_pa
     assert proc.returncode == 2 and not proc.stdout
     assert proc.stderr == ("error: graded pieces of dimV = 3, n = 12 need more than "
                            "MAX_ROTATION_TERMS = 100000 rotation terms\n")
+
+
+# a Chern chain and catalogue algebras beyond their bounds
+_BUILD_SIZES = {
+    "chern": (["chern", "--algebra", "mat", "--param", "m=3", "--u-trunc", "9",
+               "--idempotent", "pi3.json"],
+              "error: the Chern chain to u^9 needs more than MAX_CHAIN_TERMS = 3000000 "
+              "certificate terms\n"),
+    # the unit: every component past u^0 is empty, and N alone is counted
+    "chern-unit": (["chern", "--algebra", "mat", "--u-trunc", "1000000000",
+                    "--idempotent", "unit.json"],
+                   "error: the Chern chain to u^1000000000 needs more than "
+                   "MAX_CHAIN_TERMS = 3000000 certificate terms\n"),
+    "mat": (["hh", "--algebra", "mat", "--param", "m=1000000000", "--n-max", "1"],
+            "error: mat: catalogue algebra mat with m=1000000000 has more than "
+            "MAX_CATALOGUE_DIM = 100 basis elements\n"),
+    "poly_truncated": (["hh", "--algebra", "poly_truncated", "--param", "vars=1000000000",
+                        "--param", "max_weight=1000000000", "--n-max", "1"],
+                       "error: poly_truncated: catalogue algebra poly_truncated with "
+                       "vars=1000000000, max_weight=1000000000 has more than "
+                       "MAX_CATALOGUE_DIM = 100 basis elements\n"),
+    "poly_truncated-vars": (["hh", "--algebra", "poly_truncated", "--param", "vars=1000000000",
+                             "--param", "max_weight=0", "--n-max", "1"],
+                            "error: poly_truncated: poly_truncated needs vars <= "
+                            "MAX_CATALOGUE_DIM = 100, got vars=1000000000\n")}
+
+
+@pytest.mark.parametrize("sub", _BUILD_SIZES)
+def test_a_chain_or_catalogue_size_beyond_its_bound_is_refused_before_any_allocation(
+        tmp_path, sub):
+    # the chain's terms and the catalogue algebra's basis are counted from
+    # the input before anything is built: expanded, a Chern chain of Mat_3 to
+    # u^9 or a catalogue algebra of that size would exhaust memory, and the
+    # unit's 10^9 empty components or 10^9 exponents per monomial would run
+    # for hours, so they run only in a child whose address space is capped
+    argv, message = _BUILD_SIZES[sub]
+    (tmp_path / "pi3.json").write_text(json.dumps(
+        {"format": "ncg-idempotent/1", "vector": {"E11*1": "1", "E12*1": "1", "E13*1": "1"}}))
+    (tmp_path / "unit.json").write_text(json.dumps(
+        {"format": "ncg-idempotent/1", "vector": {"1": "1"}}))
+    proc = _run_capped(tmp_path, argv)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in proc.stderr and proc.stderr == message
 
 
 @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])

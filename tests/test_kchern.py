@@ -8,9 +8,10 @@ import pytest
 from nchodge import kchern, oracle
 from nchodge.algebra import CATALOGUE, builtin, glue, zero_bimodule
 from nchodge.cyclic import UnsupportedError
-from nchodge.fields import GF, QQ, linear_combination
+from nchodge.fields import GF, QQ, SizeError, linear_combination
 from nchodge.hochschild import ChainComplex, hh0_direct
-from nchodge.kchern import (ContractError, Idempotent, UChain, _tensor_words,
+from nchodge.kchern import (MAX_CHAIN_TERMS, ContractError, Idempotent, UChain,
+                            _check_chain_terms, _tensor_words,
                             chern_idempotent, cycle_certificate,
                             lift_difference_is_boundary, ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
 from test_block_layout import _exterior, _super_mat11
@@ -481,3 +482,50 @@ def _super_glue_corner(field):
         if A.mul_vec(v, v) == v:
             return A, {i: Fraction(1)}
     raise AssertionError("no corner idempotent")
+
+
+def _certificate_terms(chain):
+    """sum_t (2t + 1)(words of component t + 2t + 1), read off the chain."""
+    return sum((2 * t + 1) * (sum(len(nums) for _, nums in blocks) + 2 * t + 1)
+               for t, blocks in enumerate(chain.blocks))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(11)), ids=str)
+def test_chain_terms_are_counted_exactly_before_the_chain_is_built(field, monkeypatch):
+    # the count from the supports is the built chain's, for thin chains (a
+    # single tail letter), dense ones, an empty tail (the unit and 0) and a
+    # chain whose idempotent has a unit coordinate; the bound admits a chain
+    # of exactly MAX_CHAIN_TERMS terms and refuses one more
+    mat2, mat3 = builtin("mat", field, m=2), builtin("mat", field, m=3)
+    third = field.from_fraction(Fraction(1, 3))
+    cases = [(mat2, {1: 1}), (mat2, {1: 1, 2: third}), (mat3, {1: 1, 2: 2, 3: third}),
+             (builtin("group_z2", field), {0: field.from_fraction(Fraction(1, 2)),
+                                           1: field.from_fraction(Fraction(1, 2))}),
+             (mat2, {0: 1}), (mat2, {})]
+    for A, vector in cases:
+        pi = Idempotent(A, vector)
+        for N in range(1, 5):
+            terms = _certificate_terms(chern_idempotent(pi, N))
+            monkeypatch.setattr(kchern, "MAX_CHAIN_TERMS", terms)
+            chern_idempotent(pi, N)
+            monkeypatch.setattr(kchern, "MAX_CHAIN_TERMS", terms - 1)
+            with pytest.raises(SizeError, match=f"MAX_CHAIN_TERMS = {terms - 1} "):
+                chern_idempotent(pi, N)
+            monkeypatch.undo()
+
+
+def test_chain_size_is_bounded():
+    # (N, words of pi, of pi - 1/2, of its tail): the benchmark's two chains
+    # and Mat_3 to u^6 are admitted, Mat_3 to u^7 is not; a thin chain
+    # (E11 in Mat_2) is admitted to u^130; an empty tail does not let N grow
+    # without bound, and a huge N forms no huge power
+    assert MAX_CHAIN_TERMS == 3_000_000
+    for admitted in ((5, 3, 4, 3), (7, 2, 3, 2), (6, 3, 4, 3), (130, 1, 2, 1), (131, 1, 1, 0)):
+        _check_chain_terms(*admitted)
+    for refused in ((7, 3, 4, 3), (9, 3, 4, 3), (131, 1, 2, 1), (132, 1, 1, 0),
+                    (10 ** 9, 1, 1, 0), (10 ** 9, 10 ** 9, 10 ** 9, 10 ** 9), (2, 1, 1, 10 ** 9)):
+        with pytest.raises(SizeError, match="MAX_CHAIN_TERMS = 3000000 certificate terms"):
+            _check_chain_terms(*refused)
+    A = builtin("point", QQ)
+    with pytest.raises(SizeError, match=r"the Chern chain to u\^1000000000 needs more"):
+        chern_idempotent(Idempotent(A, {0: 1}), 10 ** 9)

@@ -16,7 +16,7 @@ from nchodge.poisson import (BIVECTOR_CATALOGUE, MAX_NVARS, Bivector,
                              builtin_bivector, conjugation_check, d, hodge_star,
                              iota, jacobi_check, lie_derivative, monomial,
                              monomial_form, poisson_bracket,
-                             poisson_homology_ranks, star_identity_check)
+                             poisson_homology_ranks, poly_diff, poly_mul, star_identity_check)
 
 
 def test_d_squared_zero():
@@ -322,6 +322,42 @@ def test_bracket_agrees_with_the_per_term_reference():
              for _ in range(3)}
         g = {tuple(rng.randrange(3) for _ in range(v)): rng.randint(1, 4) for _ in range(2)}
         assert poisson_bracket(f, g, alpha) == _ref_bracket(f, g, alpha)
+
+
+def _full_walk_bracket(f, g, alpha):
+    """{f, g} summed over every component of alpha, none skipped."""
+    out = {}
+    for (i, j), p in alpha.components.items():
+        term = poly_mul(poly_diff(f, i), poly_diff(g, j))
+        for e, c in poly_mul(poly_diff(f, j), poly_diff(g, i)).items():
+            _acc(term, e, -c)
+        for e, c in poly_mul(p, term).items():
+            _acc(out, e, c)
+    return out
+
+
+def test_bracket_skips_only_components_whose_terms_vanish():
+    # the bracket visits (i, j) only when one of f and g has x_i and the
+    # other x_j; on the random bivectors, with f and g in few variables so
+    # that most components are skipped, it equals the walk over them all,
+    # in both orientations of each component
+    rng = random.Random(SEED + 7)
+    skipped = 0
+    for alpha in _random_bivectors(30) + [builtin_bivector(n) for n in ("so3", "nonjacobi4")]:
+        v = alpha.nvars
+        for _ in range(6):
+            f, g = ({tuple(rng.randrange(2) if i in chosen else 0 for i in range(v)):
+                     rng.choice((1, -2, Fraction(1, 3)))
+                     for _ in range(rng.randint(1, 3))}
+                    for chosen in (rng.sample(range(v), rng.randint(1, 2)) for _ in range(2)))
+            assert poisson_bracket(f, g, alpha) == _full_walk_bracket(f, g, alpha), (alpha, f, g)
+            fv, gv = ({i for e in p for i, k in enumerate(e) if k} for p in (f, g))
+            skipped += sum(not ((i in fv and j in gv) or (j in fv and i in gv))
+                           for i, j in alpha.components)
+    assert skipped >= 100
+    # x_1 and x_0 on the component (0, 1): only the second product is live
+    alpha = Bivector(2, {(0, 1): {(0, 0): Fraction(3)}})
+    assert poisson_bracket({(0, 1): 1}, {(1, 0): 1}, alpha) == {(0, 0): -3}
 
 
 def _assert_invariants(form, nvars):

@@ -104,6 +104,15 @@ The grid:
   `--degree` 24 and 25 (`poisson.MAX_HOMOLOGY_FORMS`; 25 exits 2); and
   `graded-pieces --dim-v 1` at `--n` 100000 and 100001
   (`cyclic.MAX_ROTATION_TERMS`; 100001 exits 2).
+- `chern` in json of the corner idempotent of the glued super algebra
+  file and of (1 + xi)/2 in `clifford1`, whose chain words past the head
+  are odd letters; `chern` of `mat` with m = 3 over F11 at `--u-trunc 5`
+  of the benchmark's seed-1 idempotent.
+- the chain and catalogue bounds, at and just above each: `chern` of E11
+  in `mat` at `--u-trunc` 130 and 131 (`kchern.MAX_CHAIN_TERMS`; 131 exits
+  2), and `validate` of `mat` with m = 10 and 11, of `poly_truncated`
+  with vars = 2 at max_weight 12 and 13 and with max_weight 0 at vars = 100
+  and 101 (`algebra.MAX_CATALOGUE_DIM`; the second of each exits 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -307,6 +316,9 @@ def _input_files() -> dict:
             # E11 + 4/9 E12 - 5/8 E13 of Mat_3: coordinates of coprime
             # denominators, so the chain's components carry different ones
             "pi-coprime.json": _idempotent({"E11*1": "1", "E12*1": "4/9", "E13*1": "-5/8"}),
+            # E11 of Mat_2: one tail letter, so each component has two words
+            "pi-e11.json": _idempotent({"E11*1": "1"}),
+            "pi-xi.json": _idempotent({"1": "1/2", "xi": "1/2"}),
             "p-5000-digits.json": json.dumps(algebra_to_json(builtin("point", GF(2))))
                                   .replace('"p": 2', f'"p": {_ONES}')}
 
@@ -471,6 +483,25 @@ def grid() -> list:
             out.append(("poisson", command, "--bivector", path, "--degree", "2"))
     for n in ("100000", "100001"):
         out.append(("graded-pieces", "--dim-v", "1", "--n", n, "--field", "F2"))
+    # super chains in json: the glued corner (even letters) and (1 + xi)/2
+    # of clifford1, whose tail letters are odd
+    out.append(("chern", "--algebra", "glue-super.json", "--u-trunc", "3",
+                "--idempotent", "pi-corner.json"))
+    out.append(("chern", "--algebra", "clifford1", "--u-trunc", "4", "--idempotent",
+                "pi-xi.json"))
+    # the benchmark's Mat_3 chain over F11
+    out.append(("chern", "--algebra", "mat", "--param", "m=3", "--field", "F11", "--u-trunc", "5",
+                "--idempotent", "chern-mat3-u5.idempotent.json"))
+    # the chain and catalogue size bounds, at and just above each (the
+    # second of each pair exits 2)
+    for N in ("130", "131"):
+        out.append(("chern", "--algebra", "mat", "--u-trunc", N, "--idempotent", "pi-e11.json"))
+    for params in (("m=10",), ("m=11",)):
+        out.append(("validate", "--algebra", "mat", *(f for p in params for f in ("--param", p))))
+    for params in (("vars=2", "max_weight=12"), ("vars=2", "max_weight=13"),
+                   ("vars=100", "max_weight=0"), ("vars=101", "max_weight=0")):
+        out.append(("validate", "--algebra", "poly_truncated",
+                    *(f for p in params for f in ("--param", p))))
     return out
 
 
