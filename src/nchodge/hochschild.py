@@ -81,7 +81,6 @@ moving a_i..a_n past a_0..a_{i-1}.  Koszul signs use the plain parities.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import product
 from math import comb
 
@@ -457,8 +456,8 @@ class ChainComplex:
         if L.parity is not None:
             # the Koszul sign of moving a_n past a_0 .. a_{n-1}
             moved = _koszul(moved, _parities(L.parity, (last,)), _parities(L.parity, supports[:n]))
-        out.append(_contract((last,) + supports[:n], moved, 0, len(moved) // C // len(supports[0]),
-                             L.products, -1 if n % 2 else 1))
+        out.append(_contract((last,) + supports[:n], moved, 0, after[0] // C, L.products,
+                             -1 if n % 2 else 1))
         return [block for block in out if block]
 
     def connes_blocks(self, supports: tuple, nums: list) -> list:
@@ -469,7 +468,7 @@ class ChainComplex:
         and signs these are."""
         L = self.letters
         head = supports[0]
-        cut = bisect_left(head, L.vertices)  # letters below `vertices` are S
+        cut = sum(x < L.vertices for x in head)  # the S letters lead the sorted slot
         if cut == len(head):
             return []
         if cut:

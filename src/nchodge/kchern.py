@@ -66,7 +66,7 @@ class UChain:
     each one's words by all but their last letter, into blocks whose slots
     are single letters but the last; `_of` takes (blocks, denominator)
     pairs, one per component, as the builders make them.
-    `terms(t)`, `numerators`, `component(t)` and `components` read the
+    `terms(t)`, `component(t)` and `components` read the
     chain back word by word, built anew on each read: a changed chain is a
     new `UChain`.
     """
@@ -110,11 +110,6 @@ class UChain:
             words += product(*supports)
             nums += cs
         return words, nums
-
-    @property
-    def numerators(self) -> list:
-        """Every component as {word: int numerator}, one dict per u-power."""
-        return [dict(zip(*self.terms(t))) for t in range(len(self.blocks))]
 
     def values(self, t: int) -> dict:
         """{numerator: field element} for each distinct numerator of

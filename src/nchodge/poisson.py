@@ -279,10 +279,9 @@ def poisson_bracket(f: Poly, g: Poly, alpha: Bivector) -> Poly:
 # One bound on the variable count of every identity check.  At 12
 # variables each stays under 1 s on the worst input measured: the star
 # identity 0.43-0.72 s; jacobi 0.11 s on the quadratic bivector
-# sum_{i<j} (i+j+1) x_i x_j d_i^d_j, whose brackets visit only the
-# components that touch both arguments (1.06 s on the same host when each
-# bracket walked all 66); conjugation on the dx_ijk 0.02-0.04 s (on every
-# dx_S it took 44 s and 2.0 GB).
+# sum_{i<j} (i+j+1) x_i x_j d_i^d_j, as each bracket visits only the
+# components that touch both its arguments; conjugation on the dx_ijk
+# 0.02-0.04 s (on every dx_S it took 44 s and 2.0 GB).
 MAX_NVARS = 12
 
 

@@ -286,10 +286,11 @@ def test_chern_chain_numerators_match_the_formula(field):
             A = builtin(name, field, **params)
             vector = {i: field.from_fraction(v) for i, v in pi.items()}
             chain = chern_idempotent(Idempotent(A, vector), N)
-            assert len(chain.numerators) == N
+            assert len(chain.blocks) == N and all(len(blocks) <= 1 for blocks in chain.blocks)
             assert type(chain.denominator) is int and chain.denominator >= 1
-            assert all(type(c) is int for nums in chain.numerators for c in nums.values())
-            assert all(list(nums) == sorted(nums) for nums in chain.numerators)
+            terms = [chain.terms(t) for t in range(N)]
+            assert all(type(c) is int for _, nums in terms for c in nums)
+            assert all(words == sorted(words) for words, _ in terms)
             for t, formula in enumerate(_chern_formula(pi, N)):
                 expected = {w: c for w, c in ((w, field.from_fraction(c))
                                               for w, c in formula.items()) if c}
@@ -307,9 +308,11 @@ def test_chain_of_field_elements_clears_denominators_once():
     comps = [{(2,): 3, (1,): Fraction(1, 2)}, {(0, 2, 1): 0, (0, 1, 2): Fraction(-2, 3)}]
     chain = UChain(A, 2, comps)
     assert chain.denominator == 6
-    assert chain.numerators == [{(1,): 3, (2,): 18}, {(0, 1, 2): -4, (0, 2, 1): 0}]
-    # the words are held in sorted order
-    assert [list(nums) for nums in chain.numerators] == [[(1,), (2,)], [(0, 1, 2), (0, 2, 1)]]
+    # the words are held in sorted order, grouped by their head into blocks
+    assert [chain.terms(t) for t in range(2)] == [([(1,), (2,)], [3, 18]),
+                                                  ([(0, 1, 2), (0, 2, 1)], [-4, 0])]
+    assert chain.blocks == [[(((1, 2),), [3, 18])],
+                            [(((0,), (1,), (2,)), [-4]), (((0,), (2,), (1,)), [0])]]
     assert chain.components == comps
     assert [type(c) for c in chain.component(0).values()] == [Fraction, int]
 
