@@ -65,10 +65,9 @@ class UChain:
     elements, {word: coefficient}, clears their denominators once and groups
     each one's words by all but their last letter, into blocks whose slots
     are single letters but the last; `_of` takes (blocks, denominator)
-    pairs, one per component, as the builders make them.
-    `terms(t)`, `component(t)` and `components` read the
-    chain back word by word, built anew on each read: a changed chain is a
-    new `UChain`.
+    pairs, one per component, as the builders make them.  `terms(t)`,
+    `component(t)` and `components` read the chain back word by word, built
+    anew on each read: a changed chain is a new `UChain`.
     """
 
     def __init__(self, algebra: AlgebraSpec, N: int, components: list):
