@@ -64,8 +64,7 @@ from __future__ import annotations
 from .algebra import AlgebraSpec
 from .fields import Field, SizeError, reduced_entries
 from .hochschild import ChainComplex, DegreeWindow, absolute_block_size, guard_safe_weights
-from .sparse import (SparseMatrix, homology_from_ranks, homology_rank, kernel_basis, rank,
-                     rank_of_columns)
+from .sparse import SparseMatrix, homology_from_ranks, kernel_basis, rank, rank_of_columns
 from .umodule import (UTruncation, UComplex, UModuleReport,
                       blocks_from_filtration_dims, u_module_decompose)
 
@@ -138,12 +137,11 @@ def _profile(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
 def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
     """Z/2-folded (d + uB)-complex of the weight-w subchains as a UComplex.
 
-    Positions 0/1 carry the even/odd total parity, and are the only ones
-    listed; the map out of 0 is also the map into 1, at key 2.  Each
-    differential is [d, B], its coefficients of u^0 and u^1, and [d] alone
-    with N = 1.  It holds the lengths n whose `cx.weights(n)` holds w: on a
-    connected-graded algebra n <= w, so the complex fits in the window
-    (n <= n_max) when w <= n_max.
+    Positions 0/1 carry the even/odd total parity, and diffs[q] maps q to
+    1 - q.  Each differential is [d, B], its coefficients of u^0 and u^1,
+    and [d] alone with N = 1.  It holds the lengths n whose `cx.weights(n)`
+    holds w: on a connected-graded algebra n <= w, so the complex fits in
+    the window (n <= n_max) when w <= n_max.
     """
     lengths = [n for n in range(min(w, n_max) + 1) if w in cx.weights(n)]
     layouts = [cx.layout((n, w, (q - n) % 2) for n in lengths) for q in (0, 1)]
@@ -153,7 +151,6 @@ def _folded_weight_complex(cx: ChainComplex, w: int, N: int, n_max: int):
         diffs[q] = [cx.matrix(src, dst, ("boundary",))]
         if N > 1:
             diffs[q].append(cx.matrix(src, dst, ("connes",)))
-    diffs[2] = diffs[0]
     return UComplex(UTruncation(N), {0: layouts[0][1], 1: layouts[1][1]}, diffs)
 
 
@@ -503,7 +500,7 @@ def graded_piece_analysis(dimV: int, n: int, F: Field) -> dict:
                         f"MAX_ROTATION_TERMS = {MAX_ROTATION_TERMS} rotation terms")
     one_minus, norm = _rotation_matrices(dimV, n, F)
     # Both homologies are dim - rank(1 - sigma) - rank(norm).
-    h = homology_rank(one_minus, norm, F)
+    h = homology_from_ranks(dimV ** n, rank(one_minus, F), rank(norm, F))
     return {
         "dimV": dimV, "n": n, "field": str(F),
         "ker_one_minus_sigma_mod_norm": h,

@@ -59,16 +59,17 @@ certificate holds its chains.  Their images are blocks again, moved with
 list slices: face i contracts slots i and i + 1 through the letters'
 product table, in contiguous runs along the suffix when it is at least as
 long as the prefix count and in strided runs otherwise; the wrap face and
-each rotation of B move slots with one transpose, B drops S heads by
-restricting slot 0 and puts each letter's rows under the vertex idempotent
-where it starts, and on super algebras the Koszul signs are a mask built
-from the slot parities.  `add_blocks` sums image blocks that agree outside
-their head slot row by row, and scatters only the nonzero rows into an
-accumulator keyed by word codes, the ints whose digits in radix dim A are
-the words' letters (`decode` turns one back); a code hashes at once, where
-a tuple is rehashed on every lookup.  The two forms are checked against
-each other, single words and random full-product blocks, in the test
-suite.
+each rotation of B move slots with one transpose, B drops unit heads by
+restricting slot 0 and puts every rotation under the unit, and on super
+algebras the Koszul signs are a mask built from the slot parities.  The
+block form of B is for the absolute complex, the one the certificate
+builds, and refuses a complex relative to more than one vertex.
+`add_blocks` sums image blocks that agree outside their head slot row by
+row, and scatters only the nonzero rows into an accumulator keyed by word
+codes, the ints whose digits in radix dim A are the words' letters
+(`decode` turns one back); a code hashes at once, where a tuple is
+rehashed on every lookup.  The two forms are checked against each other,
+single words and random full-product blocks, in the test suite.
 
 Sign conventions (pinned by the exact identities d^2 = B^2 = dB + Bd = 0,
 verified in the test suite on commutative, non-commutative and super
@@ -461,42 +462,34 @@ class ChainComplex:
         return [block for block in out if block]
 
     def connes_blocks(self, supports: tuple, nums: list) -> list:
-        """B of a block as a list of blocks: rotation i moves slots 0 .. i-1
-        behind slot n with one transpose, and each letter's rows of the new
-        head slot go under the vertex idempotent where it starts.  Words
-        with an S head give nothing, as in `connes_word`, whose rotations
-        and signs these are."""
+        """B of a block of the absolute complex as a list of blocks: rotation
+        i moves slots 0 .. i-1 behind slot n with one transpose, under the
+        unit as the new head.  Words with the unit at the head give nothing,
+        as in `connes_word`, whose rotations and signs these are.  A complex
+        relative to more than one vertex puts each rotation under the vertex
+        where its first letter starts, which this form does not do, so it
+        raises ValueError there."""
         L = self.letters
+        if L.vertices > 1:
+            raise ValueError("connes_blocks applies B on the absolute complex only")
         head = supports[0]
-        cut = sum(x < L.vertices for x in head)  # the S letters lead the sorted slot
-        if cut == len(head):
-            return []
-        if cut:
-            nums = nums[cut * (len(nums) // len(head)):]
-            supports = (head[cut:],) + supports[1:]
+        if head[0] == 0:  # the unit leads the sorted slot
+            if len(head) == 1:
+                return []
+            nums = nums[len(nums) // len(head):]
+            supports = (head[1:],) + supports[1:]
         n = len(supports) - 1
-        parity, source = L.parity, L.source
         out = []
         front = 1  # words of slots 0 .. i-1
         for i, first in enumerate(supports):
             C = len(nums) // front
             rotated = [x for c in range(C) for x in nums[c::C]] if i else nums
-            if parity is not None:
-                rotated = _koszul(rotated, _parities(parity, supports[i:]),
-                                  _parities(parity, supports[:i]))
+            if L.parity is not None:
+                rotated = _koszul(rotated, _parities(L.parity, supports[i:]),
+                                  _parities(L.parity, supports[:i]))
             if n * i % 2:
                 rotated = [-x for x in rotated]
-            rest = supports[i + 1:] + supports[:i]
-            W = len(rotated) // len(first)  # one row per letter of slot i
-            by_vertex: dict = {}
-            for j, x in enumerate(first):
-                by_vertex.setdefault(source[x], []).append(j)
-            for v, rows in by_vertex.items():
-                if len(rows) < len(first):
-                    part = [x for j in rows for x in rotated[j * W:(j + 1) * W]]
-                else:
-                    part = rotated
-                out.append((((v,), tuple(first[j] for j in rows)) + rest, part))
+            out.append((((0,),) + supports[i:] + supports[:i], rotated))
             front *= len(first)
         return out
 

@@ -60,39 +60,15 @@ class UChain:
     (`itertools.product` order), each the word's coefficient times
     `denominator`.  The blocks of a component hold distinct words, in
     sorted order; over F_p the denominator is 1 and the numerators are the
-    coefficients themselves.  The builders below make one block per
-    component.  `UChain(A, N, components)` takes components of field
-    elements, {word: coefficient}, clears their denominators once and groups
-    each one's words by all but their last letter, into blocks whose slots
-    are single letters but the last; `_of` takes (blocks, denominator)
-    pairs, one per component, as the builders make them.  `terms(t)`,
-    `component(t)` and `components` read the chain back word by word, built
-    anew on each read: a changed chain is a new `UChain`.
+    coefficients themselves.  `UChain(A, N, parts)` takes one (blocks, den)
+    pair per component, blocks of int numerators over the positive int den,
+    as the builders below make them (one block per component), and puts
+    every component over the lcm of the dens.  `terms(t)`, `component(t)`
+    and `components` read the chain back word by word, built anew on each
+    read: a changed chain is a new `UChain`.
     """
 
-    def __init__(self, algebra: AlgebraSpec, N: int, components: list):
-        parts = []
-        for comp in components:
-            nums, den = _numerators(dict(sorted(comp.items())))
-            heads: dict = {}
-            for word, c in nums.items():
-                lasts, cs = heads.setdefault(word[:-1], ([], []))
-                lasts.append(word[-1])
-                cs.append(c)
-            parts.append(([(tuple((x,) for x in head) + (tuple(lasts),), cs)
-                           for head, (lasts, cs) in heads.items()], den))
-        self._put(algebra, N, parts)
-
-    @classmethod
-    def _of(cls, algebra: AlgebraSpec, N: int, parts: list) -> UChain:
-        """The chain whose component t is parts[t] = (blocks, den): blocks
-        of int numerators over the positive int den."""
-        chain = cls.__new__(cls)
-        chain._put(algebra, N, parts)
-        return chain
-
-    def _put(self, algebra: AlgebraSpec, N: int, parts: list):
-        # every component goes over the lcm of their denominators
+    def __init__(self, algebra: AlgebraSpec, N: int, parts: list):
         den = lcm(*(d for _, d in parts))
         self.algebra = algebra
         self.N = N
@@ -265,7 +241,7 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     for k in range(1, N):
         coeff = (-1) ** k * factorial(2 * k) // factorial(k)
         parts.append(_tensor_words(F, [shifted] + [tail] * (2 * k), coeff))
-    chain = UChain._of(A, N, parts)
+    chain = UChain(A, N, parts)
     cert = cycle_certificate(chain)
     if not cert["is_cycle"]:
         raise ContractError("chern_idempotent: cycle certificate failed; "
@@ -361,8 +337,8 @@ def ppower_lift_p2(A: AlgebraSpec, a: dict) -> UChain:
     if F.characteristic != 2:
         raise UnsupportedError("ppower_lift_p2 requires characteristic 2")
     abar = _reduce_tail(F, a)
-    chain = UChain._of(A, 2, [_tensor_words(F, [A.mul_vec(a, a)]),
-                              _tensor_words(F, [{0: F.one()}, abar, abar])])
+    chain = UChain(A, 2, [_tensor_words(F, [A.mul_vec(a, a)]),
+                          _tensor_words(F, [{0: F.one()}, abar, abar])])
     cert = cycle_certificate(chain)
     if not cert["is_cycle"]:
         raise ContractError("ppower_lift_p2: cycle certificate failed")

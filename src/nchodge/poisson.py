@@ -50,7 +50,7 @@ from operator import add
 
 from .algebra import _monomials_upto
 from .fields import QQ, SizeError
-from .sparse import SparseMatrix, homology_rank
+from .sparse import SparseMatrix, homology_from_ranks, rank
 
 Poly = dict  # exponent tuple -> rational (int or Fraction)
 
@@ -522,7 +522,7 @@ def _folded_ranks(alpha: Bivector, D: int, diff: _Table):
         # above the cutoff would have mapped back below it
         raise PoissonError(f"truncation at total degree {D} breaks "
                            f"(d + hbar L_alpha)^2 = 0; no homology to report")
-    even = homology_rank(d_eo, d_oe, QQ)
+    even = homology_from_ranks(len(evens), rank(d_eo, QQ), rank(d_oe, QQ))
     # Both parities are dims minus the same two ranks, so they differ by
     # the difference of the dims (the 2-periodic Euler characteristic).
     return {"even": even, "odd": even - len(evens) + len(odds)}

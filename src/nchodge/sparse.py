@@ -38,8 +38,8 @@ rule: take the shortest row, then its least-populated column.
   are counted beside the lists; rows used as pivots stay in the counts,
   and the pivot columns chosen (hence the kernel bases) depend on that.
 
-On top of the core, `homology_rank` gives dim ker(d_out) / im(d_in) as
-cols - rank(d_out) - rank(d_in), with no kernel basis, through
+A homology rank dim ker(d_out) / im(d_in) needs no kernel basis: its
+callers take the two ranks with `rank` and hand them to
 `homology_from_ranks`, the one place that formula is written.
 
 Arithmetic.  Both forms of elimination reduce at every step: a pivot or a
@@ -277,12 +277,6 @@ def homology_from_ranks(dim: int, rank_out: int, rank_in: int) -> int:
         raise StructuralError(f"homology dimension {dim} - {rank_out} - {rank_in} "
                               f"< 0: the differentials do not compose to zero")
     return h
-
-
-def homology_rank(d_out: SparseMatrix, d_in: SparseMatrix | None, field: Field) -> int:
-    """dim ker(d_out) / im(d_in); d_in None stands for the zero map."""
-    r_in = rank(d_in, field) if d_in is not None else 0
-    return homology_from_ranks(d_out.cols, rank(d_out, field), r_in)
 
 
 class Echelon:

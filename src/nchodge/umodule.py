@@ -1,4 +1,4 @@
-"""Homology of finite complexes of free k[u]-modules, modulo u^N.
+"""Homology of Z/2-folded complexes of free k[u]-modules, modulo u^N.
 
 Each differential D is a list of matrices over k, the coefficients of u^0,
 u^1, ...  D must square to zero over k[u] itself, not only modulo u^N;
@@ -19,11 +19,10 @@ slot s holds columns of slots <= s only: `sparse.leading_ranks`.  Without
 D^2 = 0 over k[u] there are no pieces: D = u on a rank-1 Z/2-folded
 complex squares to zero mod u^2, has homology 0, and gives free rank -1.
 
-Every position the complex lists is decomposed; a map's far end, which
-need not be listed, is read off the map's shape.  A differential read at
-two positions is eliminated once: `cyclic`'s folded complexes list
-positions 0 and 1 only, and use one differential as the out-map of 0 and
-the in-map of 1.
+The complex is the Z/2-folded pair that `cyclic` builds: positions 0 and
+1, D0 from 0 to 1 and D1 from 1 to 0 (`UComplex`).  Each differential is the out-map
+of one position and the in-map of the other, so it is eliminated once and
+read at both.
 """
 
 from __future__ import annotations
@@ -122,13 +121,12 @@ def blocks_from_filtration_dims(dims: list[int], N: int) -> UModuleReport:
 
 
 class UComplex:
-    """Finite complex of free k[u]-modules, read modulo u^N.
+    """A Z/2-folded complex of free k[u]-modules, read modulo u^N.
 
-    ranks[pos] is the free rank at each homological position pos that is
-    to be decomposed; diffs[pos], the differential out of pos into pos-1
-    (zero if absent), is a list of sparse matrices over k, the coefficients
-    of u^0, u^1, ...  A differential may run to or from a position that
-    ranks does not list.
+    ranks = {0: r0, 1: r1} are the free ranks of the two positions, and
+    diffs = {0: D0, 1: D1} the maps D0 from 0 to 1 (r1 x r0) and D1 from 1
+    to 0 (r0 x r1), each a list of sparse matrices over k, the coefficients
+    of u^0, u^1, ...
     """
 
     def __init__(self, truncation: UTruncation, ranks: dict, diffs: dict):
@@ -146,7 +144,7 @@ def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) ->
     """
     entries = {}
     for t, mat in enumerate(diff):
-        if mat is None or mat.is_zero():
+        if mat.is_zero():
             continue
         if (mat.rows, mat.cols) != (dst_rank, src_rank):
             raise StructuralError("differential coefficient shape mismatch")
@@ -157,12 +155,11 @@ def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) ->
 
 
 def _check_square_zero(c: UComplex, field: Field):
-    """D^2 = 0 over k[u]: every coefficient of the product, not only those
-    below u^N."""
-    for pos in sorted(c.ranks):
-        d1, d2 = c.diffs.get(pos), c.diffs.get(pos + 1)
-        if d1 is None or d2 is None:
-            continue
+    """D0 . D1 = 0 and D1 . D0 = 0 over k[u]: every coefficient of each
+    product, not only those below u^N.  A product that is not zero is named
+    by the position it starts from."""
+    for q in (0, 1):
+        d1, d2 = c.diffs[q], c.diffs[1 - q]
         for t in range(len(d1) + len(d2) - 1):
             acc: dict = {}
             for a in range(max(0, t + 1 - len(d2)), min(t + 1, len(d1))):
@@ -170,40 +167,31 @@ def _check_square_zero(c: UComplex, field: Field):
             acc = reduced_entries(acc, field)
             if acc:
                 (r, cidx), v = min(acc.items())
-                raise ContractViolation(f"d^2 != 0 at position {pos + 1}, u^{t} coefficient, "
+                raise ContractViolation(f"d^2 != 0 at position {1 - q}, u^{t} coefficient, "
                                         f"entry ({r},{cidx}) = {v}")
 
 
 def u_module_decompose(c: UComplex, field: Field) -> dict:
-    """Decompose the homology modulo u^N at every position the complex
-    lists, from the leading ranks of the differentials there.
+    """Decompose the homology modulo u^N at positions 0 and 1, from the
+    leading ranks of D0 and D1, one elimination each.
 
-    Returns {position: UModuleReport}.  The differentials are checked to
-    square to zero over k[u] first (see the module docstring).
+    Returns {0: UModuleReport, 1: UModuleReport}.  The differentials are
+    checked to square to zero over k[u] first (see the module docstring).
     """
     N = c.truncation.N
     _check_square_zero(c, field)
-    counts: dict = {}  # id(diff) -> [L_0..L_N], L_j the pieces of size < j
-
-    def pieces(diff, src, dst):
-        if diff is None or not (src and dst):
-            return [0] * (N + 1)
-        key = id(diff)
-        if key not in counts:
-            rho = leading_ranks(_k_expand(diff, N, src, dst), field, dst, N)
-            counts[key] = [0] + [b - a for a, b in zip([0] + rho, rho)]
-        return counts[key]
-
+    r = c.ranks
+    pieces = [[0] * (N + 1)] * 2  # per D_q, [L_0..L_N], L_j the pieces of size < j
+    for q in (0, 1):
+        if r[q] and r[1 - q]:
+            rho = leading_ranks(_k_expand(c.diffs[q], N, r[q], r[1 - q]), field, r[1 - q], N)
+            pieces[q] = [0] + [b - a for a, b in zip([0] + rho, rho)]
     reports = {}
-    for pos in sorted(c.ranks):
-        r = c.ranks[pos]
-        d_out, d_in = c.diffs.get(pos), c.diffs.get(pos + 1)
-        out = pieces(d_out, r, d_out[0].rows if d_out else 0)
-        in_ = pieces(d_in, d_in[0].cols if d_in else 0, r)
+    for q in (0, 1):
+        out, in_ = pieces[q], pieces[1 - q]
         blocks = {}
         for a in range(1, N):
             if m := out[a + 1] - out[a] + in_[a + 1] - in_[a]:
                 blocks[a] = m
-        reports[pos] = UModuleReport(r - out[N] - in_[N], blocks, N)
+        reports[q] = UModuleReport(r[q] - out[N] - in_[N], blocks, N)
     return reports
-

@@ -126,7 +126,7 @@ def _ref_folded(cx, w, N, n_max):
         if N > 1:
             coeffs.append((*shape, b_entries))
         out[q] = coeffs
-    return {0: len(bases[0]), 1: len(bases[1])}, {0: out[0], 1: out[1], 2: out[0]}
+    return {0: len(bases[0]), 1: len(bases[1])}, out
 
 
 class _RefStaircase:

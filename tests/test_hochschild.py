@@ -126,7 +126,8 @@ def test_add_blocks_accumulates_scaled_images():
     # combination, as blocks of singleton supports, summed by add_blocks
     # into word codes with plain + and *: decoded after reduced_entries it
     # equals the field-method sum of the scaled images, for unreduced int
-    # scales over F_p and Fraction scales over Q, on both complexes
+    # scales over F_p and Fraction scales over Q; the boundary on both
+    # complexes, B on the absolute one, the only one its block form takes
     rng = random.Random(5)
     for name, F in (("mat", QQ), ("clifford1", QQ), ("clifford1", GF(3)),
                     ("a2_path", GF(5)), ("quantum_plane", GF(7))):
@@ -140,9 +141,10 @@ def test_add_blocks_accumulates_scaled_images():
                     if F.p is None:
                         picked = {w: Fraction(c, rng.choice((1, 2, 3)))
                                   for w, c in picked.items()}
-                    for block_images, word_image, length in (
-                            (cx.boundary_blocks, cx.boundary_word, n),
-                            (cx.connes_blocks, cx.connes_word, n + 2)):
+                    forms = [(cx.boundary_blocks, cx.boundary_word, n)]
+                    if not relative:
+                        forms.append((cx.connes_blocks, cx.connes_word, n + 2))
+                    for block_images, word_image, length in forms:
                         acc = {}
                         cx.add_blocks([image for w, c in picked.items()
                                        for image in block_images(tuple((x,) for x in w), [c])],

@@ -11,11 +11,22 @@ from nchodge.cyclic import UnsupportedError
 from nchodge.fields import GF, QQ, SizeError, linear_combination
 from nchodge.hochschild import ChainComplex, hh0_direct
 from nchodge.kchern import (MAX_CHAIN_TERMS, ContractError, Idempotent, UChain,
-                            _check_chain_terms, _tensor_words,
+                            _check_chain_terms, _numerators, _tensor_words,
                             chern_idempotent, cycle_certificate,
                             lift_difference_is_boundary, ppower_lift_p2, ppower_on_hh0, u0_class_nonzero)
 from test_block_layout import _exterior, _super_mat11
 from test_relative_complex import CASES, _catalogue_entry
+
+
+def _chain(A, N, components):
+    """The UChain of components given as {word: field element}: one block
+    of singleton supports per word, in sorted word order, with each
+    component's denominators cleared by `_numerators`."""
+    parts = []
+    for comp in components:
+        nums, den = _numerators(dict(sorted(comp.items())))
+        parts.append(([(tuple((x,) for x in word), [c]) for word, c in nums.items()], den))
+    return UChain(A, N, parts)
 
 
 def _mat2_e11():
@@ -113,7 +124,7 @@ def test_lift_difference_that_is_not_a_boundary(monkeypatch):
         chain = original(A, x)
         if x == {0: 1, 1: 1}:
             u0, u1 = chain.components
-            chain = UChain(A, 2, [linear_combination(((1, u0), (1, {(0,): 1})), A.field), u1])
+            chain = _chain(A, 2, [linear_combination(((1, u0), (1, {(0,): 1})), A.field), u1])
         return chain
 
     monkeypatch.setattr(kchern, "ppower_lift_p2", lift_with_unit)
@@ -124,11 +135,10 @@ def test_lift_difference_that_is_not_a_boundary(monkeypatch):
 def test_clifford1_unit_is_a_commutator():
     # [xi, xi] = 2 xi^2 = 2 . 1 in the super sense, so the unit's class in
     # HH_0 of clifford1 over Q vanishes; xi spans HH_0
-    from nchodge.kchern import UChain
     A = builtin("clifford1", QQ)
     one = A.field.one()
-    assert not u0_class_nonzero(UChain(A, 1, [{(0,): one}]))
-    assert u0_class_nonzero(UChain(A, 1, [{(1,): one}]))
+    assert not u0_class_nonzero(_chain(A, 1, [{(0,): one}]))
+    assert u0_class_nonzero(_chain(A, 1, [{(1,): one}]))
 
 
 def test_ppower_clifford1_f3_uses_super_commutators():
@@ -192,9 +202,9 @@ def test_certificate_of_broken_chain_with_fractional_coefficients():
     broken[1] = {w: c * Fraction(3, 7) for w, c in broken[1].items()}
     stray = (labels["E21*1"], labels["E12*1"], labels["E11*1"])
     broken[1][stray] = broken[1].get(stray, 0) + Fraction(-5, 11)
-    cert = cycle_certificate(UChain(A, 3, broken))
+    cert = cycle_certificate(_chain(A, 3, broken))
     assert not cert["is_cycle"]
-    assert cert["residue"] == _fraction_residue(UChain(A, 3, broken))
+    assert cert["residue"] == _fraction_residue(_chain(A, 3, broken))
     assert not any(isinstance(v, float) for acc in cert["residue"] for v in acc.values())
     # the intact chain certifies, and its residue is empty in every component
     assert cycle_certificate(chain)["residue"] == [{}, {}, {}]
@@ -298,23 +308,31 @@ def test_chern_chain_numerators_match_the_formula(field):
             cert = cycle_certificate(chain)
             assert cert["is_cycle"] and cert["residue"] == [{}] * N
             # the same components given as field elements make the same chain
-            again = UChain(A, N, chain.components)
+            again = _chain(A, N, chain.components)
             assert again.components == chain.components
             assert cycle_certificate(again)["is_cycle"]
 
 
-def test_chain_of_field_elements_clears_denominators_once():
+def test_chain_puts_its_components_over_one_denominator():
+    # a part over 2 and a part over 3 go over their lcm 6, numerators
+    # scaled; the words read back in sorted order, block by block
     A = builtin("mat", QQ, m=2)
-    comps = [{(2,): 3, (1,): Fraction(1, 2)}, {(0, 2, 1): 0, (0, 1, 2): Fraction(-2, 3)}]
-    chain = UChain(A, 2, comps)
+    u0 = [(((1, 2),), [1, 6])]
+    u1 = [(((0,), (1,), (2,)), [-2]), (((0,), (2,), (1,)), [0])]
+    chain = UChain(A, 2, [(u0, 2), (u1, 3)])
     assert chain.denominator == 6
-    # the words are held in sorted order, grouped by their head into blocks
-    assert [chain.terms(t) for t in range(2)] == [([(1,), (2,)], [3, 18]),
-                                                  ([(0, 1, 2), (0, 2, 1)], [-4, 0])]
     assert chain.blocks == [[(((1, 2),), [3, 18])],
                             [(((0,), (1,), (2,)), [-4]), (((0,), (2,), (1,)), [0])]]
+    assert [chain.terms(t) for t in range(2)] == [([(1,), (2,)], [3, 18]),
+                                                  ([(0, 1, 2), (0, 2, 1)], [-4, 0])]
+    comps = [{(1,): Fraction(1, 2), (2,): 3}, {(0, 1, 2): Fraction(-2, 3), (0, 2, 1): 0}]
     assert chain.components == comps
     assert [type(c) for c in chain.component(0).values()] == [Fraction, int]
+    # the word form of the tests clears each component's denominators once,
+    # one block per word, and reads back the same words and coefficients
+    words = _chain(A, 2, comps)
+    assert words.denominator == 6 and words.components == comps
+    assert words.blocks[0] == [(((1,),), [3]), (((2,),), [18])]
 
 
 def _field_residue(chain):
@@ -346,7 +364,7 @@ def test_certificate_of_broken_chain_over_fp(p, N):
     broken[1] = {w: c * 2 % p for w, c in broken[1].items()}
     stray = (labels["E21*1"], labels["E12*1"], labels["E11*1"])
     broken[1][stray] = (broken[1].get(stray, 0) + 4) % p
-    bad = UChain(A, N, broken)
+    bad = _chain(A, N, broken)
     cert = cycle_certificate(bad)
     assert not cert["is_cycle"]
     assert cert["residue"] == _field_residue(bad)
@@ -364,7 +382,7 @@ def test_certificate_of_random_super_chains(field):
         comps = [{(rng.randrange(A.dim),) + tuple(rng.randrange(1, A.dim)
                                                   for _ in range(2 * t)): rng.choice(coeffs)
                   for _ in range(rng.randrange(0, 4))} for t in range(N)]
-        chain = UChain(A, N, comps)
+        chain = _chain(A, N, comps)
         cert = cycle_certificate(chain)
         assert cert["residue"] == _field_residue(chain)
         assert cert["is_cycle"] == (not any(_field_residue(chain)))
@@ -397,7 +415,7 @@ def test_certificate_rejects_every_perturbed_coefficient():
             broken = [dict(c) for c in chain.components]
             broken[t][word] += Fraction(rng.choice((1, -1)) * rng.randint(1, 9),
                                         rng.randint(1, 5))
-            bad = UChain(A, chain.N, broken)
+            bad = _chain(A, chain.N, broken)
             cert = cycle_certificate(bad)
             assert cert["residue"] == _fraction_residue(bad), (t, word)
             moves = cx.boundary_word(word) or (t < chain.N - 1 and cx.connes_word(word))
@@ -409,7 +427,7 @@ def test_certificate_rejects_every_perturbed_coefficient():
 def test_certificate_refuses_a_word_of_the_wrong_length():
     A = builtin("mat", QQ, m=2)
     with pytest.raises(ContractError):
-        cycle_certificate(UChain(A, 2, [{(1,): 1}, {(1, 2): 1}]))
+        cycle_certificate(_chain(A, 2, [{(1,): 1}, {(1, 2): 1}]))
 
 
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5)), ids=str)
@@ -429,16 +447,16 @@ def test_hh0_forms_agree_with_the_dense_commutator_rank(field):
 
 
 def _word_form(chain):
-    """The same chain given as word dicts: blocks of one word's head each."""
-    return UChain(chain.algebra, chain.N, chain.components)
+    """The same chain given as word dicts: one block per word (`_chain`)."""
+    return _chain(chain.algebra, chain.N, chain.components)
 
 
 @pytest.mark.parametrize("field", (QQ, GF(7), GF(11)), ids=str)
 def test_block_and_word_forms_certify_alike(field):
     # a chain of dense blocks (one per component, as chern_idempotent makes
-    # it) and the same chain as word dicts (grouped by head into many
-    # blocks) give the same certificate and residue, intact and broken,
-    # on even algebras and on super ones with odd letters in the chain
+    # it) and the same chain as word dicts (one block per word) give the
+    # same certificate and residue, intact and broken, on even algebras and
+    # on super ones with odd letters in the chain
     rng = random.Random(34 + field.characteristic)
     cases = [(builtin(name, field, **params), pi) for name, params, pi in _random_idempotents(rng)]
     cases.append(_super_glue_corner(field))
@@ -469,7 +487,7 @@ def test_block_and_word_forms_certify_alike(field):
                         for j in rng.sample(range(len(nums)), min(3, len(nums))):
                             nums[j] += rng.choice((1, -1)) * rng.randint(1, 5)
                     parts.append((blocks, chain.denominator))
-                broken = UChain._of(A, N, parts)
+                broken = UChain(A, N, parts)
                 cert = cycle_certificate(broken)
                 assert cert == cycle_certificate(_word_form(broken)), (A.name, N, t)
                 residue = _fraction_residue(broken) if F.p is None else _field_residue(broken)

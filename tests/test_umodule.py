@@ -1,17 +1,27 @@
 import pytest
 
+from nchodge import umodule
 from nchodge.fields import GF, QQ
 from nchodge.sparse import SparseMatrix
 from nchodge.umodule import (ContractViolation, UComplex, UModuleReport,
                              UTruncation, blocks_from_filtration_dims, u_module_decompose)
 
 
+def _pair(N, r0, r1, d0=(), d1=()):
+    """The Z/2 pair of ranks r0, r1 with D0 (0 -> 1) and D1 (1 -> 0) given
+    by their u-coefficients, each zero when not given."""
+    return UComplex(UTruncation(N), {0: r0, 1: r1},
+                    {0: list(d0) or [SparseMatrix.zero(r1, r0)],
+                     1: list(d1) or [SparseMatrix.zero(r0, r1)]})
+
+
 def two_term_u_complex(N, field):
-    """The complex k[u]/u^N --(mult by u)--> k[u]/u^N at positions 1, 0."""
+    """The pair k[u]/u^N --(mult by u)--> k[u]/u^N from position 1 to 0,
+    with D0 = 0."""
     diff = [SparseMatrix.zero(1, 1) for _ in range(N)]
     if N > 1:
         diff[1] = SparseMatrix(1, 1, {(0, 0): field.one()})
-    return UComplex(UTruncation(N), {0: 1, 1: 1}, {1: diff})
+    return _pair(N, 1, 1, d1=diff)
 
 
 def test_two_term_complex_torsion():
@@ -29,27 +39,65 @@ def test_two_term_complex_torsion():
 def test_identity_complex_acyclic():
     N = 3
     diff = [SparseMatrix.identity(1, QQ)] + [SparseMatrix.zero(1, 1)] * (N - 1)
-    c = UComplex(UTruncation(N), {0: 1, 1: 1}, {1: diff})
-    reports = u_module_decompose(c, QQ)
+    reports = u_module_decompose(_pair(N, 1, 1, d1=diff), QQ)
     assert reports[0].free_rank == 0 and reports[0].torsion_blocks == {}
     assert reports[1].free_rank == 0 and reports[1].torsion_blocks == {}
 
 
 def test_zero_complex_free():
     N = 3
-    c = UComplex(UTruncation(N), {0: 2}, {})
-    reports = u_module_decompose(c, QQ)
+    reports = u_module_decompose(_pair(N, 2, 0), QQ)
     assert reports[0].free_rank == 2
     assert reports[0].torsion_blocks == {}
+    assert (reports[1].free_rank, reports[1].torsion_blocks) == (0, {})
 
 
 def test_square_zero_enforced():
     # d has a u^0 part that does not square to zero
     N = 2
-    d1 = [SparseMatrix.identity(1, QQ), SparseMatrix.zero(1, 1)]
-    c = UComplex(UTruncation(N), {0: 1, 1: 1, 2: 1}, {1: d1, 2: d1})
+    d = [SparseMatrix.identity(1, QQ), SparseMatrix.zero(1, 1)]
     with pytest.raises(ContractViolation):
-        u_module_decompose(c, QQ)
+        u_module_decompose(_pair(N, 1, 1, d, d), QQ)
+
+
+def test_square_zero_names_the_position_the_product_starts_from():
+    # D0 = (1 0) from rank 2 to rank 1 and D1 = (0 1)^T back: D0 . D1, from
+    # position 1, is 0, and D1 . D0, from position 0, has a 1 at (1, 0)
+    D0 = SparseMatrix(1, 2, {(0, 0): 1})
+    D1 = SparseMatrix(2, 1, {(1, 0): 1})
+    with pytest.raises(ContractViolation,
+                       match=r"at position 0, u\^0 coefficient, entry \(1,0\) = 1$"):
+        u_module_decompose(_pair(1, 2, 1, [D0], [D1]), QQ)
+    # the other way round the nonzero product starts from position 1
+    with pytest.raises(ContractViolation, match=r"at position 1, u\^0 coefficient"):
+        u_module_decompose(_pair(1, 1, 2, [D1], [D0]), QQ)
+
+
+def test_each_differential_is_eliminated_once(monkeypatch):
+    # D0 sends e0 to u f0 and D1 sends f1 to e1: each is the out-map of one
+    # position and the in-map of the other, and is eliminated once, by one
+    # leading_ranks call; the piece of size 1 leaves a block at both
+    # positions, the identity piece nothing
+    calls = []
+    original = umodule.leading_ranks
+
+    def counting(M, field, stride, stages):
+        calls.append((M.rows, M.cols))
+        return original(M, field, stride, stages)
+
+    monkeypatch.setattr(umodule, "leading_ranks", counting)
+    N = 3
+    zero = SparseMatrix.zero(2, 2)
+    d0 = [zero, SparseMatrix(2, 2, {(0, 0): 1})]
+    d1 = [SparseMatrix(2, 2, {(1, 1): 1}), zero]
+    reports = u_module_decompose(_pair(N, 2, 2, d0, d1), QQ)
+    assert [(rep.free_rank, rep.torsion_blocks) for rep in reports.values()] == \
+        [(0, {1: 1}), (0, {1: 1})]
+    assert calls == [(2 * N, 2 * N)] * 2
+    # no chain at one position: both maps are empty and nothing is eliminated
+    calls.clear()
+    u_module_decompose(_pair(N, 2, 0), QQ)
+    assert calls == []
 
 
 def test_square_zero_enforced_over_k_u_not_only_mod_u_n():
@@ -59,9 +107,8 @@ def test_square_zero_enforced_over_k_u_not_only_mod_u_n():
     N = 2
     u = [SparseMatrix.zero(1, 1), SparseMatrix.identity(1, QQ)]
     for field in (QQ, GF(2)):
-        c = UComplex(UTruncation(N), {0: 1, 1: 1}, {0: u, 1: u, 2: u})
         with pytest.raises(ContractViolation, match=r"u\^2 coefficient"):
-            u_module_decompose(c, field)
+            u_module_decompose(_pair(N, 1, 1, u, u), field)
 
 
 def test_truncated_report_frees_the_blocks_at_or_above_the_new_truncation():
@@ -81,9 +128,8 @@ def test_square_zero_reports_the_reduced_entry():
     A1 = SparseMatrix(2, 2, {(0, 1): 2, (1, 1): 2})
     B0 = SparseMatrix(2, 2, {(1, 0): 1, (1, 1): 1})
     B1 = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 2})
-    c = UComplex(UTruncation(2), {0: 2, 1: 2, 2: 2}, {1: [A0, A1], 2: [B0, B1]})
     with pytest.raises(ContractViolation, match=r"u\^1 coefficient, entry \(0,0\) = 1$"):
-        u_module_decompose(c, F)
+        u_module_decompose(_pair(2, 2, 2, [A0, A1], [B0, B1]), F)
 
 
 def test_blocks_from_filtration_dims():

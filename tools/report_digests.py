@@ -113,6 +113,10 @@ The grid:
   2), and `validate` of `mat` with m = 10 and 11, of `poly_truncated`
   with vars = 2 at max_weight 12 and 13 and with max_weight 0 at vars = 100
   and 101 (`algebra.MAX_CATALOGUE_DIM`; the second of each exits 2).
+- the Koszul signs and the residue of the cycle certificate: `chern` of
+  E11 + E12 in an algebra file of Mat(1|1), whose E12 and E21 are odd, at
+  `--u-trunc 3` (an idempotent that is not even gives no cycle: exit 2),
+  and `ppower --lift xi` of `clifford1` over F2.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -270,6 +274,21 @@ def _exterior2(F) -> AlgebraSpec:
     return AlgebraSpec("exterior2", F, 4, structure, weight=(0, 1, 1, 2), parity=(0, 1, 1, 0))
 
 
+def _super_mat11() -> AlgebraSpec:
+    """Mat(1|1) over Q on the basis 1, E11, E12, E21 (E22 = 1 - E11), with
+    E12 and E21 odd: a super algebra whose idempotent E11 + E12 is not
+    even."""
+    units = (((1, 0), (0, 1)), ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)))
+    structure = {}
+    for i, a in enumerate(units):
+        for j, b in enumerate(units):
+            m = [[sum(a[r][k] * b[k][c] for k in range(2)) for c in range(2)] for r in range(2)]
+            coords = (m[1][1], m[0][0] - m[1][1], m[0][1], m[1][0])
+            if any(coords):
+                structure[(i, j)] = {k: v for k, v in enumerate(coords) if v}
+    return AlgebraSpec("mat(1|1)", QQ, 4, structure, parity=(0, 0, 1, 1))
+
+
 def _input_files() -> dict:
     """File name -> JSON object, or JSON text, of every input file the grid
     reads."""
@@ -283,6 +302,7 @@ def _input_files() -> dict:
             "dual.json": algebra_to_json(dual),
             "exterior2.json": algebra_to_json(_exterior2(QQ)),
             "exterior2-F3.json": algebra_to_json(_exterior2(GF(3))),
+            "mat11.json": algebra_to_json(_super_mat11()),
             "mat2.json": algebra_to_json(builtin("mat", QQ, m=2)),
             "tp3-F3.json": algebra_to_json(builtin("truncated_poly", GF(3), m=3)),
             "negative-weight.json": negative,
@@ -319,6 +339,8 @@ def _input_files() -> dict:
             # E11 of Mat_2: one tail letter, so each component has two words
             "pi-e11.json": _idempotent({"E11*1": "1"}),
             "pi-xi.json": _idempotent({"1": "1/2", "xi": "1/2"}),
+            # E11 + E12 of Mat(1|1), by index: an idempotent that is not even
+            "pi-e11-e12.json": _idempotent({"1": "1", "2": "1"}),
             "p-5000-digits.json": json.dumps(algebra_to_json(builtin("point", GF(2))))
                                   .replace('"p": 2', f'"p": {_ONES}')}
 
@@ -502,6 +524,10 @@ def grid() -> list:
                    ("vars=100", "max_weight=0"), ("vars=101", "max_weight=0")):
         out.append(("validate", "--algebra", "poly_truncated",
                     *(f for p in params for f in ("--param", p))))
+    # the Koszul signs and the residue of the cycle certificate
+    out.append(("chern", "--algebra", "mat11.json", "--u-trunc", "3",
+                "--idempotent", "pi-e11-e12.json"))
+    out.append(("ppower", "--algebra", "clifford1", "--field", "F2", "--lift", "xi"))
     return out
 
 
