@@ -117,7 +117,11 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     """Check unit, associativity and weight/parity multiplicativity.
 
     Violations are data, not faults: the full list is returned with
-    witnessing index triples.
+    witnessing index triples.  The weight and the parity table are checked
+    by one rule, in that order: the table's length, then the unit's degree
+    (weight 0, even), then e_i e_j = c e_k with c != 0 only where deg k =
+    deg i + deg j, a parity taken mod 2; each check runs only when the one
+    before it passed.
     """
     F = spec.field
     v: list[Violation] = []
@@ -136,12 +140,9 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
                 v.append(Violation("stored-zero", (i, j, k), "zero structure constant stored"))
     for i in range(d):
         e = {i: F.one()}
-        left = spec.mul_vec({0: F.one()}, e)
-        right = spec.mul_vec(e, {0: F.one()})
-        if left != e:
-            v.append(Violation("unit", (0, i), "1*e_i != e_i"))
-        if right != e:
-            v.append(Violation("unit", (i, 0), "e_i*1 != e_i"))
+        for a, b, detail in ((0, i, "1*e_i != e_i"), (i, 0, "e_i*1 != e_i")):
+            if spec.mul_vec({a: F.one()}, {b: F.one()}) != e:
+                v.append(Violation("unit", (a, b), detail))
     # (e_i e_j) e_k and e_i (e_j e_k) are both {} when neither e_i e_j nor
     # e_j e_k is stored, so only the k with e_j e_k stored need a check then
     stored_right = [[k for k in range(d) if spec.structure.get((j, k))] for j in range(d)]
@@ -154,24 +155,19 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
                 rhs = spec.mul_vec(ei, spec.mul_basis(j, k))
                 if lhs != rhs:
                     v.append(Violation("associativity", (i, j, k)))
-    if spec.weight is not None:
-        if len(spec.weight) != d:
-            v.append(Violation("weight-table", (len(spec.weight),), "wrong length"))
-        elif spec.weight[0] != 0:
-            v.append(Violation("weight-unit", (0,), "unit must have weight 0"))
+    for name, table, degree, unit in (
+            ("weight", spec.weight, lambda x: x, "unit must have weight 0"),
+            ("parity", spec.parity, lambda x: x % 2, "unit must be even")):
+        if table is None:
+            continue
+        if len(table) != d:
+            v.append(Violation(f"{name}-table", (len(table),), "wrong length"))
+        elif degree(table[0]) != 0:
+            v.append(Violation(f"{name}-unit", (0,), unit))
         else:
             for i, j, k in triples:
-                if spec.weight[k] != spec.weight[i] + spec.weight[j]:
-                    v.append(Violation("weight-multiplicativity", (i, j, k)))
-    if spec.parity is not None:
-        if len(spec.parity) != d:
-            v.append(Violation("parity-table", (len(spec.parity),), "wrong length"))
-        elif spec.parity[0] % 2 != 0:
-            v.append(Violation("parity-unit", (0,), "unit must be even"))
-        else:
-            for i, j, k in triples:
-                if spec.parity[k] % 2 != (spec.parity[i] + spec.parity[j]) % 2:
-                    v.append(Violation("parity-multiplicativity", (i, j, k)))
+                if degree(table[k]) != degree(table[i] + table[j]):
+                    v.append(Violation(f"{name}-multiplicativity", (i, j, k)))
     return ValidationReport(v)
 
 

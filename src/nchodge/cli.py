@@ -341,6 +341,12 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
     float, an unformatted scalar, a non-string key) raises TypeError.
     `escape`, if given, is applied to every encoded string and key; no
     other piece can hold a '"' or a '|'.
+
+    Lists and dicts go through one container loop (`encode_items`): the
+    opening, the separators, the closing and the chunk check are written
+    once, and a dict adds its keys in sorted order, each a string followed
+    by ": ".  Chain terms keep their own loop, the hot one of a Chern
+    report, which writes each term as one piece.
     """
     parts, check = pieces.parts, pieces.check
     add = parts.append
@@ -364,9 +370,9 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
         if isinstance(obj, str):
             add(strings[obj])
         elif isinstance(obj, dict):
-            encode_dict(obj, level)
+            encode_items(obj, level, "{}")
         elif isinstance(obj, list):
-            encode_list(obj, level)
+            encode_items(obj, level, "[]")
         elif obj is None:
             add("null")
         elif obj is True:
@@ -381,19 +387,23 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
             raise TypeError(f"Object of type {type(obj).__name__} "
                             f"is not JSON serializable")
 
-    def encode_list(lst, level):
-        if not lst:
-            add("[]")
+    def encode_items(obj, level, brackets):
+        """A list, or a dict (brackets "{}"): its keys in sorted order, each
+        a string, written with ": " before its value."""
+        if not obj:
+            add(brackets)
             return
-        open_, sep, close = delimiters(level, "[", "]")
-        add(open_)
+        keyed = brackets == "{}"
+        lead, sep, close = delimiters(level, *brackets)
         level += 1
-        first = True
-        for item in lst:
-            if first:
-                first = False
-            else:
-                add(sep)
+        for item in sorted(obj) if keyed else obj:
+            add(lead)
+            lead = sep
+            if keyed:
+                if not isinstance(item, str):
+                    raise TypeError(f"keys must be str, not {type(item).__name__}")
+                add(strings[item] + ": ")
+                item = obj[item]
             encode(item, level)
             if len(parts) >= 1024:
                 check()
@@ -420,27 +430,6 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
                 check()
         add(close)
 
-    def encode_dict(d, level):
-        if not d:
-            add("{}")
-            return
-        open_, sep, close = delimiters(level, "{", "}")
-        add(open_)
-        level += 1
-        first = True
-        for k in sorted(d):
-            if first:
-                first = False
-            else:
-                add(sep)
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            add(strings[k] + ": ")
-            encode(d[k], level)
-            if len(parts) >= 1024:
-                check()
-        add(close)
-
     return encode
 
 
@@ -458,6 +447,14 @@ def _leaves(prefix: str, d: dict):
             yield key, v
 
 
+# csv and markdown: the header (the report's command fills a "{}"), the escape
+# of every encoded string and key, and the text before a row's key, between
+# its key and its value, and after its value
+_ROWS = {"csv": ("key,value\n", lambda s: s.replace('"', '""'), "", ',"', '"\n'),
+         "markdown": ("# {}\n\n| key | value |\n| --- | --- |\n",
+                      lambda s: s.replace("|", "\\|"), "| ", " | ", " |\n")}
+
+
 def _render(report: dict, fmt: str, write) -> None:
     """Stream a report to `write` in pieces of about `_CHUNK` characters.
 
@@ -467,32 +464,25 @@ def _render(report: dict, fmt: str, write) -> None:
     newline, chain terms as the term dicts they stand for.  csv and
     markdown have one row per leaf of the report (a value that is not a
     dict), holding the leaf as compact JSON with '"' doubled (csv) or '|'
-    escaped (markdown).  A csv key is quoted, with '"' doubled, when it
-    holds a comma, a quote or a line break.
+    escaped (markdown), and share one row loop: each is given by its header,
+    its escape and its row delimiters (`_ROWS`).  A csv key is quoted, with
+    '"' doubled, when it holds a comma, a quote or a line break.
     """
     pieces = _Pieces(write)
     add = pieces.parts.append
     if fmt == "json":
         _encoder(pieces, 2)(report, 0)
         add("\n")
-    elif fmt == "csv":
-        encode = _encoder(pieces, None, lambda s: s.replace('"', '""'))
-        add("key,value\n")
-        for key, value in _leaves("", report):
-            if any(c in key for c in ',"\r\n'):
-                key = '"' + key.replace('"', '""') + '"'
-            add(key + ',"')
-            encode(value, 0)
-            add('"\n')
-            pieces.check()
     else:
-        encode = _encoder(pieces, None, lambda s: s.replace("|", "\\|"))
-        add(f"# {report.get('command', 'report')}\n\n"
-            "| key | value |\n| --- | --- |\n")
+        header, escape, lead, middle, end = _ROWS[fmt]
+        encode = _encoder(pieces, None, escape)
+        add(header.format(report.get("command", "report")))
         for key, value in _leaves("", report):
-            add(f"| {key} | ")
+            if fmt == "csv" and any(c in key for c in ',"\r\n'):
+                key = '"' + key.replace('"', '""') + '"'
+            add(lead + key + middle)
             encode(value, 0)
-            add(" |\n")
+            add(end)
             pieces.check()
     pieces.close()
 

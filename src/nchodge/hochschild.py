@@ -632,7 +632,8 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
     needs the block at n+1, so ranks are reported for n <= n_max - 1.  A
     graded degree n is computed at the weights `cx.weights(n)`, where alone
     its block holds words, within w_min..w_max (by default up to the
-    max_weight of a truncated algebra); per_n_weight lists them by weight.
+    max_weight of a truncated algebra; a w_min above that default top
+    raises SizeError); per_n_weight lists them by weight.
     The ranks are those of the complex relative to the vertex idempotents,
     which equal the absolute ones.
     """
@@ -644,6 +645,11 @@ def hh_ranks(A: AlgebraSpec, window: DegreeWindow) -> dict:
         window.refuse_weight_bounds(f"{A.name} has no weights")
         return {"per_n": {n: cx.hh_rank(n) for n in range(n_top + 1)}}
     w_lo, w_hi = window.w_min, window.w_max if window.w_max is not None else A.max_weight
+    if w_lo is not None and w_hi is not None and w_lo > w_hi:
+        # only the default top, max_weight, can lie below w_min; the weights
+        # above it are not computed, so zeros there are no result
+        raise SizeError(f"weight bound w_min={w_lo} is above the top weight {w_hi} "
+                        f"that hh computes without w_max (max_weight of {A.name})")
     per_nw, per_n = {}, {}
     for n in range(n_top + 1):
         ranks = [((n, w), cx.hh_rank(n, w)) for w in cx.weights(n)

@@ -44,9 +44,15 @@ callers take the two ranks with `rank` and hand them to
 
 Arithmetic.  Both forms of elimination reduce at every step: a pivot or a
 fill-in entry must be tested against zero in the field as soon as it is
-formed.  Every other product here (`mul`, `mul_into`, `apply`) follows the
-rule of `fields`: sum in plain arithmetic, then reduce once with
-`reduced_entries`, as `Echelon.reduce` does to its input.
+formed.  One sparse row update, `_subtract` (dst -= f * src, each entry
+reduced and a zero dropped as it forms), serves back-substitution and both
+halves of `Echelon.reduce`, its remainder and its coordinates.  The
+elimination loop of `_row_echelon` keeps its own copy of that update,
+because it also keeps the column index and the column counts in step with
+every entry it adds or clears.  Every other product here (`mul`,
+`mul_into`, `apply`) follows the rule of `fields`: sum in plain
+arithmetic, then reduce once with `reduced_entries`, as `Echelon.reduce`
+does to its input.
 """
 from __future__ import annotations
 
@@ -128,6 +134,18 @@ class SparseMatrix:
         return reduced_entries(out, field)
 
 
+def _subtract(dst: dict, f, src: dict, field: Field) -> None:
+    """dst -= f * src in place, each entry reduced as it is formed and
+    dropped once it is zero."""
+    sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
+    for c, v in src.items():
+        s = sub(dst.get(c, zero), mul(f, v))
+        if is_zero(s):
+            dst.pop(c, None)
+        else:
+            dst[c] = s
+
+
 def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None):
     """Shared elimination core on a SparseMatrix or a list of row dicts
     (which it consumes).
@@ -206,19 +224,12 @@ def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None
         return per_slot, None
     # Back-substitute to reduced echelon form.  A pivot row holds no earlier
     # pivot column, so clearing rows from the last pivot back to the first
-    # reduces each row against rows that are already fully reduced.
+    # reduces each row against rows that are already fully reduced.  The
+    # pivot row of qc holds 1 at qc, so subtracting row[qc] times it clears qc.
     owner = {pc: row for pc, row in pivots}
     for pc, row in reversed(pivots):
         for qc in [c for c in row if c != pc and c in owner]:
-            f = row.pop(qc)
-            for c, v in owner[qc].items():
-                if c == qc:
-                    continue
-                s = sub(row.get(c, zero), mul(f, v))
-                if is_zero(s):
-                    row.pop(c, None)
-                else:
-                    row[c] = s
+            _subtract(row, row[qc], owner[qc], field)
     pivots.sort(key=lambda t: t[0])
     return per_slot, pivots
 
@@ -301,21 +312,13 @@ class Echelon:
         linear in vec, empty exactly when vec lies in the span, and names
         the class of vec modulo the span."""
         F = self.field
-        add, sub, mul, is_zero, zero = F.add, F.sub, F.mul, F.is_zero, F.zero()
         rest, coords = reduced_entries(vec, F), {}
         for pivot, row, row_coords in self.rows:
             f = rest.get(pivot)
-            if f is None:
-                continue
-            for c, v in row.items():
-                r = sub(rest.get(c, zero), mul(f, v))
-                if is_zero(r):
-                    rest.pop(c, None)
-                else:
-                    rest[c] = r
-            for j, v in row_coords.items():
-                coords[j] = add(coords.get(j, zero), mul(f, v))
-        return rest, {j: v for j, v in coords.items() if not is_zero(v)}
+            if f is not None:
+                _subtract(rest, f, row, F)
+                _subtract(coords, F.neg(f), row_coords, F)
+        return rest, coords
 
     def add(self, vec: dict) -> bool:
         """Keep vec, as the next kept vector, when it is independent of the

@@ -10,6 +10,8 @@ from nchodge.algebra import (CATALOGUE, MAX_CATALOGUE_DIM, AlgebraError, Algebra
                              matrix_algebra, opposite, trivial_bimodule,
                              validate, zero_bimodule)
 from nchodge.fields import GF, QQ
+from nchodge.hochschild import DegreeWindow, hh_ranks
+from test_block_layout import _super_mat11
 
 
 def _catalogue_specimens(field=QQ):
@@ -59,6 +61,18 @@ def test_matrix_algebra_and_opposite():
     M2dual = matrix_algebra(builtin("dual_numbers"), 2)
     assert M2dual.dim == 8
     assert validate(M2dual).ok
+
+
+def test_opposite_of_a_super_algebra():
+    # in Mat(1|1) (basis 1, E11, E12, E21; E12 and E21 odd) E12 E21 = E11,
+    # so E21 . E12 = -E11 in the opposite: the Koszul sign of two odd factors
+    A = _super_mat11(QQ)
+    op = opposite(A)
+    assert validate(op).ok
+    assert A.mul_basis(2, 3) == {1: 1} and op.mul_basis(3, 2) == {1: -1}
+    assert op.mul_basis(1, 2) == A.mul_basis(2, 1)  # an even factor: no sign
+    window = DegreeWindow(4)
+    assert hh_ranks(op, window) == hh_ranks(A, window)
 
 
 def test_invalid_structure_rejected():

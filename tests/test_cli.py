@@ -1088,6 +1088,9 @@ def test_non_positive_sizes_exit_2(capsys, argv, words):
     # this one named w_min=0, a bound the command line did not set
     (("hc", "--algebra", "dual_numbers", "--n-max", "4", "--u-trunc", "2", "--w-max", "-1"),
      ("w_max=-1", "below 0")),
+    # hh stops at max_weight without --w-max, so a w_min above it selects nothing
+    (("hh", "--algebra", "poly_truncated", "--n-max", "4", "--w-min", "5"),
+     ("w_min=5", "top weight 4", "max_weight")),
 ], ids=["hc-ungraded-N0", "degeneration-ungraded-N0", "charp-compare-ungraded-N0",
         "hc-ungraded-N-2", "hc-graded-N0", "hp-N1", "filtration-N1", "hp-window-below-2N",
         "hh-n_max-2", "hh-n_max-1", "graded-pieces-dimV0", "graded-pieces-n0",
@@ -1095,7 +1098,7 @@ def test_non_positive_sizes_exit_2(capsys, argv, words):
         "poisson-homology-below-guard", "hh-weight-bound-without-weights",
         "hc-weight-bound-not-connected-graded", "hp-empty-weight-window",
         "hc-w_min-above-computed-weights", "hp-w_min-above-computed-weights",
-        "hc-w_max-below-0"])
+        "hc-w_max-below-0", "hh-w_min-above-max_weight"])
 def test_out_of_range_sizes_exit_2(capsys, argv, words):
     _assert_refused(*run(capsys, *argv), *words)
 

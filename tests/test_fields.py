@@ -31,6 +31,13 @@ def test_prime_field_arithmetic():
     assert F.is_zero(10)
 
 
+@pytest.mark.parametrize("F, zero", [(QQ, 0), (QQ, Fraction(0)), (GF(5), 0), (GF(5), 10)],
+                         ids=["Q-int", "Q-fraction", "F5-0", "F5-10"])
+def test_inverse_of_zero_raises(F, zero):
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        F.inv(zero)
+
+
 def test_nonprime_rejected():
     with pytest.raises(ValueError):
         Field(6)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nchodge.algebra import AlgebraSpec, builtin
+from nchodge.algebra import AlgebraError, AlgebraSpec, builtin
 from nchodge.cli import main
 from nchodge.fields import GF, QQ, reduced_entries
 from nchodge.hochschild import (ChainComplex, DegreeWindow, chain_basis,
@@ -42,6 +42,8 @@ def test_chain_basis_weight_filter():
     A = builtin("poly_truncated", QQ, vars=2, max_weight=3)
     for w in chain_basis(A, 2, weight=2):
         assert sum(A.weight[i] for i in w) == 2
+    with pytest.raises(AlgebraError, match="ungraded"):
+        chain_basis(builtin("group_z2", QQ), 2, weight=0)
 
 
 def test_differential_identities_small():

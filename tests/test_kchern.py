@@ -74,6 +74,14 @@ def test_chern_small_char_unsupported():
         chern_idempotent(Idempotent(A, {labels["E11*1"]: A.field.one()}), 3)
 
 
+def test_chern_of_an_idempotent_that_is_not_even_is_refused():
+    # E11 + E12 of Mat(1|1) is idempotent, but E12 is odd: its Chern chain
+    # is no cycle, and the certificate refuses it rather than renormalize
+    A = _super_mat11(QQ)
+    with pytest.raises(ContractError, match="cycle certificate failed"):
+        chern_idempotent(Idempotent(A, {1: QQ.one(), 2: QQ.one()}), 3)
+
+
 def test_ppower_on_hh0_certificates():
     for A in (builtin("mat", GF(2), m=2),
               builtin("truncated_poly", GF(3), m=3),
@@ -87,6 +95,12 @@ def test_ppower_on_hh0_certificates():
 def test_ppower_requires_prime_field():
     with pytest.raises(UnsupportedError):
         ppower_on_hh0(builtin("dual_numbers"))
+
+
+def test_ppower_lift_requires_characteristic_2():
+    A = builtin("dual_numbers", GF(3))
+    with pytest.raises(UnsupportedError, match="characteristic 2"):
+        ppower_lift_p2(A, {1: A.field.one()})
 
 
 def test_ppower_lift_p2_eps():

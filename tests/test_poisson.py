@@ -400,6 +400,10 @@ def test_constructor_validates_outside_input():
         PolyForm(2, {((1, 0), (1, 0)): 1})
     with pytest.raises(PoissonError):
         monomial_form(2, (0, 0), (0, 2))
+    with pytest.raises(PoissonError, match="out of order"):
+        Bivector(2, {(1, 0): {(0, 0): 1}})
+    with pytest.raises(PoissonError, match="variable count mismatch"):
+        hodge_star(monomial_form(2, (0, 0), ()), ConstantSymplectic(4))
 
 
 @pytest.mark.parametrize("nvars", [0, -2, 3])

@@ -52,6 +52,11 @@ def test_structural_errors():
         SparseMatrix(1, 1, {(2, 0): Fraction(1)})
     with pytest.raises(StructuralError):
         SparseMatrix(1, 1, {(0, 0): Fraction(0)})
+    with pytest.raises(StructuralError, match="shape mismatch"):
+        M(2, 3, {(0, 0): 1}).mul(M(2, 2, {(0, 0): 1}), QQ)
+    with pytest.raises(StructuralError, match="out of bounds"):
+        M(2, 3, {(0, 0): 1}).apply({3: 1}, QQ)
+    assert M(2, 3, {(0, 0): 1}).apply({}, QQ) == {}
 
 
 def test_mul_and_identity():

@@ -2,7 +2,7 @@ import pytest
 
 from nchodge import umodule
 from nchodge.fields import GF, QQ
-from nchodge.sparse import SparseMatrix
+from nchodge.sparse import SparseMatrix, StructuralError
 from nchodge.umodule import (ContractViolation, UComplex, UModuleReport,
                              UTruncation, blocks_from_filtration_dims, u_module_decompose)
 
@@ -156,6 +156,12 @@ def test_mod_p_decomposition():
     reports = u_module_decompose(two_term_u_complex(3, GF(2)), GF(2))
     assert reports[0].torsion_blocks == {1: 1}
     assert reports[1].torsion_blocks == {1: 1}
+
+
+def test_expansion_refuses_a_coefficient_of_the_wrong_shape():
+    # a 2 x 1 coefficient of a map from rank 1 to rank 1
+    with pytest.raises(StructuralError, match="shape mismatch"):
+        umodule._k_expand([SparseMatrix(2, 1, {(0, 0): 1})], 2, 1, 1)
 
 
 def test_truncation_validation():

@@ -117,6 +117,8 @@ The grid:
   E11 + E12 in an algebra file of Mat(1|1), whose E12 and E21 are odd, at
   `--u-trunc 3` (an idempotent that is not even gives no cycle: exit 2),
   and `ppower --lift xi` of `clifford1` over F2.
+- `hh --w-min 5` of `poly_truncated`, above the max_weight 4 where `hh`
+  stops without `--w-max` (exit 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -528,6 +530,8 @@ def grid() -> list:
     out.append(("chern", "--algebra", "mat11.json", "--u-trunc", "3",
                 "--idempotent", "pi-e11-e12.json"))
     out.append(("ppower", "--algebra", "clifford1", "--field", "F2", "--lift", "xi"))
+    # a weight bound above the weights that hh computes (exit 2)
+    out.append(("hh", "--algebra", "poly_truncated", "--n-max", "4", "--w-min", "5"))
     return out
 
 
