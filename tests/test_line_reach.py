@@ -11,8 +11,8 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "line_reach.py"
 # module-level one, the def on lines 5-6 (decorator and header) among
 # them, and lines 8 (if) and 9-10 (a return over two lines); never: 11 (an
 # assignment over two lines), 13 (return y) and 17 (return 0 of g, never
-# called).  The docstrings of f and g's `global` hold no bytecode and are
-# left out.
+# called).  f's docstring and g's `global` hold no bytecode and are left
+# out.
 FIXTURE = '''"""A docstring."""
 import functools
 

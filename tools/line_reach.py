@@ -9,9 +9,10 @@ each, in module and line order (the statement's first line, stripped):
 
 The default run is the grid of `tools/report_digests.py`, in process, its
 digests dropped.  After `--pytest` every argument goes to `pytest.main`,
-run in this process from the current directory; the tool then exits with
-pytest's code.  Run it from the repository root.  Tracing slows the run
-several times over: the grid takes minutes, not seconds.
+run in this process from the current directory, its output sent to
+stderr; the tool then exits with pytest's code.  Run it from the
+repository root.  Tracing slows the run several times over: the grid took
+118 s under the trace on a 2-CPU host, against 19 s without it.
 
 The rule.  A statement is its own lines only: a simple statement's
 lines, and a compound statement's header, from its first decorator to
@@ -27,6 +28,7 @@ pytest).
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib.util
 import os
 import sys
@@ -134,7 +136,8 @@ def main(argv=None) -> int:
 
         def run():
             nonlocal code
-            code = pytest.main(argv[1:])
+            with contextlib.redirect_stdout(sys.stderr):  # stdout: statements only
+                code = pytest.main(argv[1:])
     elif argv:
         print(f"usage: line_reach.py [--pytest ARGS...]; got {argv}", file=sys.stderr)
         return 2
