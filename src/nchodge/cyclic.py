@@ -62,15 +62,11 @@ j < N.  Both lay their blocks out by ascending length.
 from __future__ import annotations
 
 from .algebra import AlgebraSpec
-from .fields import Field, SizeError, reduced_entries
+from .fields import Field, SizeError, UnsupportedError, reduced_entries
 from .hochschild import ChainComplex, DegreeWindow, absolute_block_size, guard_safe_weights
 from .sparse import SparseMatrix, homology_from_ranks, kernel_basis, rank, rank_of_columns
 from .umodule import (UTruncation, UComplex, UModuleReport,
                       blocks_from_filtration_dims, u_module_decompose)
-
-
-class UnsupportedError(ValueError):
-    """Operation not available for the given field or parameters."""
 
 
 class WindowError(SizeError):

@@ -14,6 +14,11 @@ steps for a list of scaled vectors.  The one exception is elimination in
 `sparse` (`_row_echelon` under `rank` and `kernel_basis`, and the
 `Echelon` of span questions), which reduces at every step so that pivots
 and fill-in are tested against zero in the field.
+
+Two errors of a computation have their own exit codes on the command line
+and live here, below every module that raises them: `SizeError`, a size
+outside its range (exit 2), and `UnsupportedError`, an operation the field
+or parameters do not admit (exit 3).
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ class SizeError(ValueError):
     """A size, degree, window or truncation outside its range: the one
     error of every such check in a computation, on which the command line
     exits 2."""
+
+
+class UnsupportedError(ValueError):
+    """Operation not available for the given field or parameters: the
+    error on which the command line exits 3."""
 
 
 def _is_prime(n: int) -> bool:

@@ -58,12 +58,14 @@ list of coefficients over the words of their product, as the Chern cycle
 certificate holds its chains.  Their images are blocks again, moved with
 list slices: face i contracts slots i and i + 1 through the letters'
 product table, in contiguous runs along the suffix when it is at least as
-long as the prefix count and in strided runs otherwise; the wrap face and
-each rotation of B move slots with one transpose, B drops unit heads by
-restricting slot 0 and puts every rotation under the unit, and on super
-algebras the Koszul signs are a mask built from the slot parities.  The
-block form of B is for the absolute complex, the one the certificate
-builds, and refuses a complex relative to more than one vertex.
+long as the prefix count and in strided runs otherwise.  The wrap face
+and each rotation of B are one move, `_rotate`: slots i.. go in front of
+slots ..i-1 with one transpose and, on super algebras, a Koszul sign mask
+built from the slot parities (the wrap face is i = n; B adds its sign
+(-1)^{n i}).  B drops unit heads by restricting slot 0 and puts every
+rotation under the unit.  The block form of B is for the absolute
+complex, the one the certificate builds, and refuses a complex relative
+to more than one vertex.
 `add_blocks` sums image blocks that agree outside their head slot row by
 row, and scatters only the nonzero rows into an accumulator keyed by word
 codes, the ints whose digits in radix dim A are the words' letters
@@ -451,14 +453,9 @@ class ChainComplex:
             after[i] = after[i + 1] * len(supports[i + 1])
         out = [_contract(supports, nums, i, after[i + 1], L.inner if i else L.products,
                          -1 if i % 2 else 1) for i in range(n)]
-        last = supports[n]
-        C = len(last)
-        moved = [x for c in range(C) for x in nums[c::C]]
-        if L.parity is not None:
-            # the Koszul sign of moving a_n past a_0 .. a_{n-1}
-            moved = _koszul(moved, _parities(L.parity, (last,)), _parities(L.parity, supports[:n]))
-        out.append(_contract((last,) + supports[:n], moved, 0, after[0] // C, L.products,
-                             -1 if n % 2 else 1))
+        C = len(supports[n])
+        wrapped, moved = _rotate(supports, nums, n, C, L.parity)
+        out.append(_contract(wrapped, moved, 0, after[0] // C, L.products, -1 if n % 2 else 1))
         return [block for block in out if block]
 
     def connes_blocks(self, supports: tuple, nums: list) -> list:
@@ -482,14 +479,10 @@ class ChainComplex:
         out = []
         front = 1  # words of slots 0 .. i-1
         for i, first in enumerate(supports):
-            C = len(nums) // front
-            rotated = [x for c in range(C) for x in nums[c::C]] if i else nums
-            if L.parity is not None:
-                rotated = _koszul(rotated, _parities(L.parity, supports[i:]),
-                                  _parities(L.parity, supports[:i]))
+            slots, rotated = _rotate(supports, nums, i, len(nums) // front, L.parity)
             if n * i % 2:
                 rotated = [-x for x in rotated]
-            out.append((((0,),) + supports[i:] + supports[:i], rotated))
+            out.append((((0,),) + slots, rotated))
             front *= len(first)
         return out
 
@@ -599,6 +592,18 @@ def _parities(parity: tuple, slots) -> list:
         bits = [parity[x] % 2 for x in slot]
         out = [a ^ b for a in out for b in bits]
     return out
+
+
+def _rotate(supports: tuple, nums: list, i: int, C: int, parity) -> tuple:
+    """The block with slots i .. n moved in front of slots 0 .. i-1: nums
+    read as [front][C], C the words of slots i .. n, and transposed with
+    one strided slice per column (i = 0 moves nothing), then, where
+    `parity` gives the letters' parities, negated by the Koszul sign of
+    moving a_i .. a_n past a_0 .. a_{i-1}."""
+    moved = [x for c in range(C) for x in nums[c::C]] if i else nums
+    if parity is not None:
+        moved = _koszul(moved, _parities(parity, supports[i:]), _parities(parity, supports[:i]))
+    return supports[i:] + supports[:i], moved
 
 
 def _koszul(nums: list, first: list, rest: list) -> list:

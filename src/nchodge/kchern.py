@@ -31,8 +31,7 @@ from itertools import product
 from math import factorial, lcm
 
 from .algebra import AlgebraSpec
-from .cyclic import UnsupportedError, _staircase_layout
-from .fields import Field, SizeError, linear_combination, reduced_entries
+from .fields import Field, SizeError, UnsupportedError, linear_combination, reduced_entries
 from .hochschild import ChainComplex, commutator_classes, commutator_columns
 from .sparse import Echelon, rank_of_columns
 
@@ -350,7 +349,8 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
 
     The difference lives in T^0 = C_0 (+) C_2 u of the N = 2 staircase; a
     preimage is sought in T^{-1} = C_1 (+) C_3 u under its D = d + uB, both
-    laid out by `cyclic._staircase_layout` (n_max = 3, no parity filter).
+    laid out by `ChainComplex.layout` over their lengths, with no parity
+    filter.
     """
     F = A.field
     la, lb = ppower_lift_p2(A, a), ppower_lift_p2(A, b)
@@ -360,7 +360,7 @@ def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:
     if not diff:
         return True
     cx = ChainComplex(A)
-    src, dst = (_staircase_layout(cx, m, None, 3, 2) for m in (-1, 0))
+    src, dst = (cx.layout((n, None, None) for n in lengths) for lengths in ((1, 3), (0, 2)))
     columns = cx.matrix(src, dst, ("boundary", "connes")).columns()
     rows, _ = dst
     rhs = {rows[len(w) - 1][0] + cx.index(len(w) - 1)[w]: v for w, v in diff.items()}

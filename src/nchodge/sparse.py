@@ -50,9 +50,9 @@ halves of `Echelon.reduce`, its remainder and its coordinates.  The
 elimination loop of `_row_echelon` keeps its own copy of that update,
 because it also keeps the column index and the column counts in step with
 every entry it adds or clears.  Every other product here (`mul`,
-`mul_into`, `apply`) follows the rule of `fields`: sum in plain
-arithmetic, then reduce once with `reduced_entries`, as `Echelon.reduce`
-does to its input.
+`mul_into`) follows the rule of `fields`: sum in plain arithmetic, then
+reduce once with `reduced_entries`, as `Echelon.reduce` does to its
+input.
 """
 from __future__ import annotations
 
@@ -118,20 +118,6 @@ class SparseMatrix:
                 k = (rr, c)
                 out[k] = out.get(k, 0) + w * v
         return out
-
-    def apply(self, vec: dict, field: Field) -> dict:
-        """Apply to a sparse column vector {index: value}."""
-        if any(not 0 <= c < self.cols for c in vec):
-            raise StructuralError("vector index out of bounds")
-        if not vec:
-            return {}
-        cols = self.columns()
-        out: dict = {}
-        get = out.get
-        for c, v in vec.items():
-            for r, w in cols[c].items():
-                out[r] = get(r, 0) + w * v
-        return reduced_entries(out, field)
 
 
 def _subtract(dst: dict, f, src: dict, field: Field) -> None:

@@ -75,9 +75,6 @@ class UModuleReport:
             out.extend([a] * self.torsion_blocks[a])
         return out
 
-    def total_k_dimension(self) -> int:
-        return self.free_rank * self.N + sum(a * m for a, m in self.torsion_blocks.items())
-
     def truncated(self, M: int) -> "UModuleReport":
         """The profile modulo u^M, M <= N, of the same k[u]-complex: blocks
         of size >= M become free rank."""

@@ -300,6 +300,8 @@ def test_catalogue_dimension_is_counted_before_the_build():
     # a parameter that the entry refuses keeps its own message
     with pytest.raises(AlgebraError, match="matrix size must be >= 1"):
         builtin("mat", QQ, m=-20)
+    with pytest.raises(AlgebraError, match=r"parameter m=2\.5 is not an integer"):
+        builtin("mat", QQ, m=2.5)
 
 
 def _full_associativity(spec):

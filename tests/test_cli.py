@@ -619,6 +619,52 @@ def test_failed_render_leaves_no_cache_entry(tmp_path, capsys, monkeypatch):
     assert list(cache.iterdir()) == []
 
 
+class _FullAfterOnePiece:
+    """A cache file whose writes fail after the first, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device")
+        self.fh.write(text)
+
+    def close(self):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("fault", ["commit", "write"])
+def test_a_cache_entry_that_fails_warns_and_leaves_no_tmp_file(tmp_path, capsys, monkeypatch,
+                                                                fault):
+    cache = tmp_path / "cache"
+    argv = _chern_argv(tmp_path, 2, 5, {"E11*1": "1/1", "E12*1": "-3/2"})
+    _, report, _ = run(capsys, *argv)
+    files = []
+    if fault == "commit":
+        # a directory holds the entry's name, so the finished .tmp file
+        # cannot replace it, and the entry cannot be replayed either
+        assert run(capsys, *argv, "--cache-dir", str(cache))[1] == report
+        [entry] = cache.iterdir()
+        entry.unlink()
+        entry.mkdir()
+    else:
+        opened = cli._CacheEntry.__init__
+
+        def open_full(self, *args):
+            opened(self, *args)
+            self.fh = _FullAfterOnePiece(self.fh)
+            files.append(self.fh)
+
+        monkeypatch.setattr(cli._CacheEntry, "__init__", open_full)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache))
+    assert (code, out) == (0, report)
+    assert err.startswith("warning: cache directory unwritable") and err.count("\n") == 1
+    assert [f.writes for f in files] == ([2] if fault == "write" else [])
+    assert not list(cache.glob("*.tmp"))
+
+
 # ---------------------------------------------------------------------------
 # file algebras are validated once, on load; every field is type-checked
 # ---------------------------------------------------------------------------

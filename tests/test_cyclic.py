@@ -18,6 +18,8 @@ def test_window_precondition():
     A = builtin("dual_numbers")
     with pytest.raises(WindowError):
         hp_ranks(A, DegreeWindow(4), 3)  # needs n_max >= 2N
+    with pytest.raises(SizeError, match="window too small"):
+        hh_ranks(A, DegreeWindow(0))  # degree n needs the block at n + 1
 
 
 def test_negative_cyclic_dual_numbers():

@@ -41,6 +41,17 @@ def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
     assert done.stdout.strip() == ""
 
 
+def test_kchern_stands_on_hochschild_alone():
+    # the Chern chains and their certificate need the chain complex, not
+    # the cyclic staircase or the k[u]-module decomposition
+    code = ("import sys, nchodge.kchern; "
+            "print(' '.join(m for m in ('nchodge.cyclic', 'nchodge.umodule') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert done.stdout.strip() == ""
+
+
 # each launcher runs `nchodge catalogue` after an atexit handler is
 # registered; the handler prints at shutdown whether the heap is frozen
 _LAUNCHERS = {

@@ -126,6 +126,10 @@ def test_dense_blocks_from_dims():
     free, blocks = oracle.dense_blocks_from_dims(dims)
     assert free == 1
     assert blocks == {2: 1}
+    # a negative count of blocks below the top, and of blocks at the top
+    for dims in ([2, 2, 1], [3, 1, 1]):
+        with pytest.raises(ValueError, match="inconsistent filtration dims"):
+            oracle.dense_blocks_from_dims(dims)
 
 
 def test_independent_jacobiator():

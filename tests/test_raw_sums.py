@@ -181,22 +181,10 @@ def test_commutator_columns_match_the_field_method_reference(F):
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
-def test_apply_and_span_quotient_match_the_field_method_reference(F):
+def test_span_quotient_matches_the_field_method_reference(F):
     rng = random.Random(SEED + 2)
     for _ in range(30):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        M = SparseMatrix(rows, cols, {(r, c): _scalar(rng, F)
-                                      for r in range(rows) for c in range(cols)
-                                      if rng.random() < 0.4})
-        v = _vector(rng, F, cols)
-        expected = {}
-        for (r, c), w in M.entries.items():
-            if c in v:
-                _accumulate(expected, r, F.mul(w, v[c]), F)
-        got = M.apply(v, F)
-        assert got == expected
-        _assert_field_elements(got.values(), F)
-
+        rows = rng.randint(1, 7)
         columns = [_vector(rng, F, rows) for _ in range(rng.randint(0, 4))]
         annihilator = kernel_basis(SparseMatrix(len(columns), rows, {
             (i, r): x for i, col in enumerate(columns) for r, x in col.items()}), F)

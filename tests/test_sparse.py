@@ -15,6 +15,11 @@ def M(rows, cols, entries, field=QQ):
     return SparseMatrix(rows, cols, conv)
 
 
+def _annihilates(m, v, field):
+    """Whether m @ v = 0, the vector v taken as a one-column matrix."""
+    return not m.mul(SparseMatrix(m.cols, 1, {(c, 0): x for c, x in v.items()}), field).entries
+
+
 def test_rank_rational():
     m = M(3, 3, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4, (2, 2): 1})
     assert rank(m, QQ) == 2
@@ -38,8 +43,7 @@ def test_kernel_basis_is_exact_kernel():
     ker = kernel_basis(m, QQ)
     assert len(ker) == 1
     for v in ker:
-        img = m.apply(v, QQ)
-        assert not img
+        assert _annihilates(m, v, QQ)
 
 
 def test_rank_of_columns():
@@ -54,9 +58,6 @@ def test_structural_errors():
         SparseMatrix(1, 1, {(0, 0): Fraction(0)})
     with pytest.raises(StructuralError, match="shape mismatch"):
         M(2, 3, {(0, 0): 1}).mul(M(2, 2, {(0, 0): 1}), QQ)
-    with pytest.raises(StructuralError, match="out of bounds"):
-        M(2, 3, {(0, 0): 1}).apply({3: 1}, QQ)
-    assert M(2, 3, {(0, 0): 1}).apply({}, QQ) == {}
 
 
 def test_mul_and_identity():
@@ -147,7 +148,7 @@ def test_rank_and_kernel_match_dense_oracle(F):
         ker = kernel_basis(M, F)
         assert len(ker) == M.cols - expected
         for v in ker:
-            assert not M.apply(v, F)
+            assert _annihilates(M, v, F)
         if ker:
             dense_ker = [[v.get(c, F.zero()) for c in range(M.cols)] for v in ker]
             assert oracle.dense_rank(dense_ker, F) == len(ker)
@@ -458,7 +459,7 @@ def test_mixed_int_fraction_entries_match_dense_oracle():
         assert _no_float(ker)
         assert len(ker) == cols - expected
         for v in ker:
-            assert not M.apply(v, QQ)
+            assert _annihilates(M, v, QQ)
         if ker:
             dense_ker = [[v.get(c, 0) for c in range(cols)] for v in ker]
             assert oracle.dense_rank(dense_ker, QQ) == len(ker)

@@ -141,7 +141,6 @@ def test_blocks_from_filtration_dims():
     assert rep.free_rank == 1
     assert rep.torsion_blocks == {2: 1}
     assert rep.torsion_list == [2]
-    assert rep.total_k_dimension() == N + 2
 
 
 def test_report_merge_and_saturation():
@@ -172,3 +171,5 @@ def test_truncation_validation():
 def test_truncation_is_an_immutable_value():
     with pytest.raises(AttributeError):
         UTruncation(3).N = 4
+    with pytest.raises(AttributeError):
+        del UTruncation(3).N

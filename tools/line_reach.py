@@ -14,6 +14,17 @@ stderr; the tool then exits with pytest's code.  Run it from the
 repository root.  Tracing slows the run several times over: the grid took
 118 s under the trace on a 2-CPU host, against 19 s without it.
 
+Over the whole test suite, deselect acceptance criterion 01, whose own
+bound is 120 s: under the trace it took 237 s on that host, so it fails,
+and a run with `-x` stops there.
+
+    PYTHONPATH=src python3 tools/line_reach.py --pytest -q \\
+        --deselect tests/test_acceptance.py::test_criterion_01_differential_identities
+
+The trace sees this process only.  Statements that tests run in a child
+process show as never run: the `cli.entry` launcher and the closed-stdout
+handling of `cli._report_output`, among others.
+
 The rule.  A statement is its own lines only: a simple statement's
 lines, and a compound statement's header, from its first decorator to
 the line before its body.  It counts as run when the trace saw a line
