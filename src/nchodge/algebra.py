@@ -98,6 +98,11 @@ class AlgebraSpec:
             out = self.mul_vec(out, v)
         return out
 
+    def koszul(self, i: int, j: int) -> int:
+        """(-1)^{|e_i||e_j|}, the Koszul sign of moving basis element e_i past
+        e_j: -1 when both are odd, and 1 otherwise or without parities."""
+        return (-1) ** (self.parity is not None and self.parity[i] * self.parity[j] % 2)
+
     @property
     def is_super(self) -> bool:
         return self.parity is not None and any(self.parity)
@@ -250,11 +255,8 @@ def opposite(A: AlgebraSpec) -> AlgebraSpec:
     F = A.field
     structure = {}
     for (i, j), comps in A.structure.items():
-        sign = 1
-        if A.parity is not None and A.parity[i] % 2 and A.parity[j] % 2:
-            sign = -1
-        out = comps if sign == 1 else {k: F.neg(c) for k, c in comps.items()}
-        structure[(j, i)] = out
+        structure[(j, i)] = (comps if A.koszul(i, j) == 1 else
+                             {k: F.neg(c) for k, c in comps.items()})
     return AlgebraSpec(f"op({A.name})", F, A.dim, structure, A.weight, A.parity,
                        A.max_weight, A.basis_labels)
 

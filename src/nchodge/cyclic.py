@@ -69,10 +69,6 @@ from .umodule import (UTruncation, UComplex, UModuleReport,
                       blocks_from_filtration_dims, u_module_decompose)
 
 
-class WindowError(SizeError):
-    """Window too small for the requested truncation."""
-
-
 class CyclicReport:
     """u-module profile of the truncated negative cyclic complex.
 
@@ -115,7 +111,7 @@ def _profile(cx: ChainComplex, window: DegreeWindow, N: int) -> CyclicReport:
     if N < 1:
         raise SizeError(f"truncation N={N} must be >= 1")
     if window.n_max < 2 * N:
-        raise WindowError(
+        raise SizeError(
             f"window n_max={window.n_max} too small for truncation N={N}: "
             f"need n_max >= 2N")
     if cx.A.connected_graded:
@@ -327,11 +323,9 @@ def hp_ranks(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
     saturated = rep.even.saturated_at_N and rep.odd.saturated_at_N
     conclusive = stable and saturated
     filtration = {}
-    for i in range(N):
-        filtration[str(i)] = rep.even.free_rank if conclusive else 0
-        filtration[f"{2 * i + 1}/2"] = rep.odd.free_rank if conclusive else 0
-    filtration[str(N)] = 0
-    filtration[f"{2 * N + 1}/2"] = 0
+    for i in range(N + 1):  # F^N and F^{N+1/2} are 0
+        filtration[str(i)] = rep.even.free_rank if conclusive and i < N else 0
+        filtration[f"{2 * i + 1}/2"] = rep.odd.free_rank if conclusive and i < N else 0
     verdict = ("inconclusive" if not conclusive else
                "finite-torsion-found" if rep.torsion_inventory() else "collapses-in-window")
     return {"hp_even": rep.even.free_rank, "hp_odd": rep.odd.free_rank,
@@ -396,7 +390,6 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
             return [r.free_rank for r in with_b.per_weight.get(w, ())] or [0, 0]
 
         slots = []
-        agree_all = True
         for w in sorted(with_b.per_weight):
             if p * w > w_hi:
                 continue  # partner slot outside the computed window
@@ -408,8 +401,6 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
             slots.append({"weight": w, "partner_weight": p * w,
                           "without_b": lhs, "with_b": rhs,
                           "agree": agree, "guard_safe": guard})
-            if guard and not agree:
-                agree_all = False
         off_frobenius = []
         for s in sorted(with_b.per_weight):
             if s % p == 0:
@@ -418,8 +409,9 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
             ok = pair == [0, 0]
             off_frobenius.append({"weight": s, "with_b": pair, "vanishes": ok,
                                   "guard_safe": safe[s]})
-            if safe[s] and not ok:
-                agree_all = False
+        # only the slots and weights the guard band leaves intact are judged
+        agree_all = (all(s["agree"] for s in slots if s["guard_safe"])
+                     and all(o["vanishes"] for o in off_frobenius if o["guard_safe"]))
         return {"per_slot": slots, "off_frobenius": off_frobenius,
                 "agree": agree_all, "truncation": N, "n_max": window.n_max}
     # The d-only complex C (x) k[u]/u^N is u-free of rank dim H(C, d), counted

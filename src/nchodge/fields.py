@@ -18,7 +18,9 @@ and fill-in are tested against zero in the field.
 Two errors of a computation have their own exit codes on the command line
 and live here, below every module that raises them: `SizeError`, a size
 outside its range (exit 2), and `UnsupportedError`, an operation the field
-or parameters do not admit (exit 3).
+or parameters do not admit (exit 3).  `Immutable`, the one rule of the
+values never changed once built (`Field` and `umodule.UTruncation`), lives
+here too.
 """
 
 from __future__ import annotations
@@ -69,7 +71,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Field:
+class Immutable:
+    """A value whose attributes are set once, in `__init__` through
+    `object.__setattr__`, and never again: setting or deleting one raises
+    AttributeError("a <class name> is immutable")."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a {type(self).__name__} is immutable")
+
+
+class Field(Immutable):
     """Descriptor for the ground field: Q when p is None, else F_p.
     Immutable, and equal and hashed by p."""
 
@@ -77,12 +91,6 @@ class Field:
         if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a Field is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("a Field is immutable")
 
     def __eq__(self, other):
         return self.p == other.p if other.__class__ is Field else NotImplemented
@@ -129,8 +137,7 @@ class Field:
                 raise ZeroDivisionError("inverse of zero")
             if a == 1 or a == -1:
                 return int(a)
-            q = Fraction(1, a)
-            return q.numerator if q.denominator == 1 else q
+            return self.from_fraction(Fraction(1, a))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)

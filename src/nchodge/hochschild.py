@@ -675,10 +675,7 @@ def commutator_columns(A: AlgebraSpec) -> list[dict]:
     cols = []
     for i in range(A.dim):
         for j in range(i, A.dim):
-            sign = 1
-            if A.parity is not None and A.parity[i] % 2 and A.parity[j] % 2:
-                sign = -1
-            v = linear_combination(((1, A.mul_basis(i, j)), (-sign, A.mul_basis(j, i))),
+            v = linear_combination(((1, A.mul_basis(i, j)), (-A.koszul(i, j), A.mul_basis(j, i))),
                                    A.field)
             if v:
                 cols.append(v)

@@ -187,6 +187,15 @@ def cycle_certificate(chain: UChain) -> dict:
     return {"is_cycle": all(not a for a in out), "residue": out}
 
 
+def _certified(chain: UChain, refusal: str) -> UChain:
+    """The chain itself once `cycle_certificate` finds it a cycle; otherwise
+    ContractError(refusal): a failed certificate is refused, never
+    renormalized."""
+    if not cycle_certificate(chain)["is_cycle"]:
+        raise ContractError(refusal)
+    return chain
+
+
 # The largest Chern chain `chern_idempotent` builds, in certificate terms
 # (`_check_chain_terms`).  In fresh processes on a 2-CPU host, a chain near
 # it takes about a second.
@@ -240,12 +249,8 @@ def chern_idempotent(pi: Idempotent, N: int) -> UChain:
     for k in range(1, N):
         coeff = (-1) ** k * factorial(2 * k) // factorial(k)
         parts.append(_tensor_words(F, [shifted] + [tail] * (2 * k), coeff))
-    chain = UChain(A, N, parts)
-    cert = cycle_certificate(chain)
-    if not cert["is_cycle"]:
-        raise ContractError("chern_idempotent: cycle certificate failed; "
-                            "refusing to renormalize")
-    return chain
+    return _certified(UChain(A, N, parts), "chern_idempotent: cycle certificate failed; "
+                                           "refusing to renormalize")
 
 
 def u0_class_nonzero(chain: UChain) -> bool:
@@ -291,24 +296,22 @@ def ppower_on_hh0(A: AlgebraSpec) -> dict:
     powers = [A.power({i: F.one()}, p) for i in range(A.dim)]  # e_i^p
     matrix = {t: project(powers[i]) for t, i in enumerate(reps)}
 
+    def vanishes(*terms) -> bool:
+        """Whether the combination `linear_combination(terms, F)` of
+        (coefficient, vector) terms lies in [A,A], i.e. is 0 in HH_0."""
+        return not reduce(linear_combination(terms, F))
+
+    def pth_power(*summands) -> dict:
+        """(sum of the summand vectors)^p."""
+        return A.power(linear_combination([(1, v) for v in summands], F), p)
+
     # certificate (i): independence of the choice of lift — perturbing any
     # representative by any spanning commutator does not change the class
-    well_defined = True
-    for i in reps:
-        for c in comm:
-            perturbed = linear_combination(((1, c), (1, {i: 1})), F)
-            diff = linear_combination(((1, A.power(perturbed, p)), (-1, powers[i])), F)
-            if reduce(diff):
-                well_defined = False
+    well_defined = all(vanishes((1, pth_power(c, {i: 1})), (-1, powers[i]))
+                       for i in reps for c in comm)
     # certificate (ii): additivity on all basis pairs
-    additive = True
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ab = linear_combination(((1, {i: 1}), (1, {j: 1})), F)
-            diff = linear_combination(((1, A.power(ab, p)), (-1, powers[i]), (-1, powers[j])),
-                                      F)
-            if reduce(diff):
-                additive = False
+    additive = all(vanishes((1, pth_power({i: 1}, {j: 1})), (-1, powers[i]), (-1, powers[j]))
+                   for i in range(A.dim) for j in range(A.dim))
     return {
         "p": p,
         "hh0_rank": len(reps),
@@ -336,12 +339,9 @@ def ppower_lift_p2(A: AlgebraSpec, a: dict) -> UChain:
     if F.characteristic != 2:
         raise UnsupportedError("ppower_lift_p2 requires characteristic 2")
     abar = _reduce_tail(F, a)
-    chain = UChain(A, 2, [_tensor_words(F, [A.mul_vec(a, a)]),
-                          _tensor_words(F, [{0: F.one()}, abar, abar])])
-    cert = cycle_certificate(chain)
-    if not cert["is_cycle"]:
-        raise ContractError("ppower_lift_p2: cycle certificate failed")
-    return chain
+    return _certified(UChain(A, 2, [_tensor_words(F, [A.mul_vec(a, a)]),
+                                    _tensor_words(F, [{0: F.one()}, abar, abar])]),
+                      "ppower_lift_p2: cycle certificate failed")
 
 
 def lift_difference_is_boundary(A: AlgebraSpec, a: dict, b: dict) -> bool:

@@ -500,22 +500,20 @@ def _folded_ranks(alpha: Bivector, D: int, diff: _Table):
     degree <= D (overflowing terms dropped); diff is the table of
     d + hbar L_alpha."""
     basis = _form_basis(alpha.nvars, D)
-    evens = [b for b in basis if len(b[1]) % 2 == 0]
-    odds = [b for b in basis if len(b[1]) % 2 == 1]
-    idx_e = {b: i for i, b in enumerate(evens)}
-    idx_o = {b: i for i, b in enumerate(odds)}
+    evens, odds = ([b for b in basis if len(b[1]) % 2 == q] for q in (0, 1))
 
-    def diff_matrix(src, dst_idx):
+    def diff_matrix(src, dst):
+        index = {b: i for i, b in enumerate(dst)}
         entries = {}
         for c, mu in enumerate(src):
             for (e2, S2), coeff in diff[mu].items():
                 if sum(e2) + len(S2) > D:
                     continue  # truncation overflow, flagged by guard logic
-                entries[(dst_idx[(e2, S2)], c)] = coeff
-        return SparseMatrix(len(dst_idx), len(src), entries)
+                entries[(index[(e2, S2)], c)] = coeff
+        return SparseMatrix(len(dst), len(src), entries)
 
-    d_eo = diff_matrix(evens, idx_o)
-    d_oe = diff_matrix(odds, idx_e)
+    d_eo = diff_matrix(evens, odds)
+    d_oe = diff_matrix(odds, evens)
 
     if not (d_eo.mul(d_oe, QQ).is_zero() and d_oe.mul(d_eo, QQ).is_zero()):
         # alpha mixes coefficients of degree <= 1 and >= 3: terms dropped

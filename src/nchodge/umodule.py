@@ -27,24 +27,18 @@ read at both.
 
 from __future__ import annotations
 
-from .fields import Field, SizeError, reduced_entries
+from .fields import Field, Immutable, SizeError, reduced_entries
 # kernel_basis is unused here; perfbench's tracer test pins it in this namespace
 from .sparse import SparseMatrix, StructuralError, kernel_basis, leading_ranks  # noqa: F401
 
 
-class UTruncation:
+class UTruncation(Immutable):
     """The truncation order N of k[u]/u^N.  Immutable."""
 
     def __init__(self, N: int):
         if N < 1:
             raise SizeError("truncation order must be >= 1")
         object.__setattr__(self, "N", N)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a UTruncation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("a UTruncation is immutable")
 
 
 class ContractViolation(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from nchodge import cyclic, hochschild, oracle, sparse, umodule
 from nchodge.algebra import CATALOGUE, AlgebraError, builtin
 from nchodge.cli import main
-from nchodge.cyclic import (UnsupportedError, WindowError, char_p_compare,
+from nchodge.cyclic import (UnsupportedError, char_p_compare,
                             degeneration_check, graded_piece_analysis,
                             hodge_filtration, hp_ranks, negative_cyclic)
 from nchodge.fields import GF, QQ, SizeError
@@ -16,7 +16,7 @@ from test_block_layout import _exterior
 
 def test_window_precondition():
     A = builtin("dual_numbers")
-    with pytest.raises(WindowError):
+    with pytest.raises(SizeError, match="too small for truncation"):
         hp_ranks(A, DegreeWindow(4), 3)  # needs n_max >= 2N
     with pytest.raises(SizeError, match="window too small"):
         hh_ranks(A, DegreeWindow(0))  # degree n needs the block at n + 1
@@ -56,7 +56,7 @@ def test_filtration_dual_numbers():
 def test_filtration_inconclusive_raises():
     # a window too tight to stabilize must refuse to hand out a filtration
     A = builtin("truncated_poly", QQ, m=3)
-    with pytest.raises((UnsupportedError, WindowError)):
+    with pytest.raises((UnsupportedError, SizeError)):
         hodge_filtration(A, DegreeWindow(4), 2)
 
 
@@ -93,6 +93,21 @@ def test_char_p_compare_truncated_poly_f3():
     A = builtin("truncated_poly", GF(3), m=3)
     rep = char_p_compare(A, DegreeWindow(8), 3)
     assert rep["agree"]
+
+
+def test_char_p_compare_judges_guard_safe_weights_only():
+    # poly_truncated(2, 2) over F2 at N = 1: a slot and an off-Frobenius
+    # weight that feel the truncation disagree, but the guard band flags
+    # them, so the comparison still agrees
+    A = builtin("poly_truncated", GF(2), vars=2, max_weight=2)
+    rep = char_p_compare(A, DegreeWindow(2), 1)
+    assert any(not s["guard_safe"] and not s["agree"] for s in rep["per_slot"])
+    assert any(not o["guard_safe"] and not o["vanishes"] for o in rep["off_frobenius"])
+    assert rep["agree"]
+    # at max_weight 3 the guard-safe weight 1 does not vanish: no agreement
+    A = builtin("poly_truncated", GF(2), vars=1, max_weight=3)
+    rep = char_p_compare(A, DegreeWindow(6), 1)
+    assert not rep["agree"]
 
 
 def _d_only_free_ranks(A, n_top):

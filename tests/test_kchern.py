@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,8 @@ from math import factorial
 import pytest
 
 from nchodge import kchern, oracle
-from nchodge.algebra import CATALOGUE, builtin, glue, zero_bimodule
+from nchodge.algebra import CATALOGUE, AlgebraSpec, builtin, glue, zero_bimodule
+from nchodge.cli import main
 from nchodge.cyclic import UnsupportedError
 from nchodge.fields import GF, QQ, SizeError, linear_combination
 from nchodge.hochschild import ChainComplex, hh0_direct
@@ -90,6 +92,45 @@ def test_ppower_on_hh0_certificates():
         assert rep["well_defined"], A.name
         assert rep["additive"], A.name
         assert rep["hh0_rank"] == rep["hh0_rank_direct"]
+
+
+def test_ppower_certificates_catch_a_broken_power(monkeypatch, capsys):
+    # a power map that adds E11 to the p-th power of every vector with two
+    # or more coordinates: the p-th powers of the basis vectors are kept,
+    # but neither the perturbed lifts nor the sums e_i + e_j map to their
+    # classes, and E11 is no commutator, so both certificates fail and the
+    # command exits 2
+    power = AlgebraSpec.power
+
+    def broken(self, v, n):
+        out = power(self, v, n)
+        if len(v) < 2:
+            return out
+        return linear_combination(((1, out), (1, {self.basis_labels.index("E11*1"): 1})),
+                                  self.field)
+
+    monkeypatch.setattr(AlgebraSpec, "power", broken)
+    monkeypatch.delenv("NCHODGE_CACHE_DIR", raising=False)  # no cached report replayed
+    rep = ppower_on_hh0(builtin("mat", GF(2), m=2))
+    assert not rep["well_defined"] and not rep["additive"]
+    assert main(["ppower", "--algebra", "mat", "--param", "m=2", "--field", "F2"]) == 2
+    assert json.loads(capsys.readouterr().out)["result"]["well_defined"] is False
+
+
+@pytest.mark.parametrize("build, refusal", [
+    (lambda: chern_idempotent(_mat2_e11()[1], 3),
+     "chern_idempotent: cycle certificate failed; refusing to renormalize"),
+    (lambda: ppower_lift_p2(builtin("dual_numbers", GF(2)), {1: 1}),
+     "ppower_lift_p2: cycle certificate failed"),
+], ids=["chern", "lift"])
+def test_a_chain_without_a_cycle_certificate_is_refused(monkeypatch, build, refusal):
+    # both builders return a chain only once the certificate finds a cycle;
+    # a certificate that finds none makes each refuse with its own message
+    monkeypatch.setattr(kchern, "cycle_certificate",
+                        lambda chain: {"is_cycle": False, "residue": []})
+    with pytest.raises(ContractError) as err:
+        build()
+    assert str(err.value) == refusal
 
 
 def test_ppower_requires_prime_field():

@@ -50,6 +50,9 @@ def test_unrun_statements_of_a_fixture(tmp_path):
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         assert module.f(1) == 2
+        # an edit during the run shifts every line by two; the statements
+        # are still reported by the version that ran
+        path.write_text("# edited\n# during the run\n" + FIXTURE)
 
     previous = sys.gettrace()
     lines, count = tool.unrun([path], run)

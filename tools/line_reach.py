@@ -32,8 +32,9 @@ event on one of them, and is left out when none of them holds bytecode
 (a docstring, `global`).  A line that holds two statements, such as
 `if x: return`, counts for both.  The trace starts before the source is
 imported, so definitions and module-level statements count too.  The
-last line on stderr gives the counts.  Stdlib only (`--pytest` needs
-pytest).
+last line on stderr gives the counts.  The source files are read before
+the run starts, so one edited during the run is still reported by the
+version that ran.  Stdlib only (`--pytest` needs pytest).
 """
 
 from __future__ import annotations
@@ -113,12 +114,15 @@ def trace(paths: list, run) -> dict:
 def unrun(paths: list, run) -> tuple:
     """(lines, count): one `module:line statement` line per statement of the
     given source files that run() never reached, and how many statements
-    hold bytecode."""
+    hold bytecode.  The sources are read before run() starts, so a file
+    edited during the run is judged by the lines that were executed."""
+    sources = {path: (executable_lines(path), statements(path))
+               for path in (Path(os.path.realpath(p)) for p in paths)}
     ran = trace(paths, run)
     out, count = [], 0
-    for path in sorted(ran, key=lambda p: p.stem):
-        code = executable_lines(path)
-        for first, lines, text in statements(path):
+    for path in sorted(sources, key=lambda p: p.stem):
+        code, stmts = sources[path]
+        for first, lines, text in stmts:
             if code.isdisjoint(lines):
                 continue
             count += 1
