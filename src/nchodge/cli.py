@@ -24,9 +24,12 @@ Reports follow the "ncg-report/1" shape: every report embeds the tool
 version, field, window, truncation and guard/diagnostic flags alongside the
 result payload.  Commands build it from JSON values (strings, ints, bools,
 None, lists, dicts with string keys in any order) and a chain's terms, one
-value per component (`_Terms`); the renderer alone sorts and escapes them,
-with fixed separators, so that identical runs are byte-identical, and
-refuses anything else with TypeError in every format.
+value per component (`_Terms`): the component's blocks, a letter support
+per slot and the coefficient texts over their product, from which the
+renderer spells the words, with no word tuple and no join per term.  The
+renderer alone sorts and escapes the values, with fixed separators, so
+that identical runs are byte-identical, and refuses anything else with
+TypeError in every format.
 
 Reports are streamed: one renderer writes the text in pieces of about
 64 KB to stdout or, progressively, to the --output file, and the same
@@ -52,6 +55,7 @@ import gc
 import json
 import os
 import sys
+from itertools import product
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -271,14 +275,21 @@ def _form_json(form: PolyForm) -> list:
 # pieces of about this many characters.
 _CHUNK = 1 << 16
 
+# Chain terms are written in runs, the words of a block that share their
+# leading slots: at most this many, unless a block's last slot alone holds
+# more letters (`_encoder`).
+_RUN = 256
+
 
 class _Pieces:
-    """Rendered text collected as small pieces and passed to `write` about
-    `_CHUNK` characters at a time."""
+    """Rendered text collected as pieces, small ones and runs of chain
+    terms (`put`), and passed to `write` about `_CHUNK` characters at a
+    time."""
 
     def __init__(self, write):
         self.write = write
         self.parts: list = []
+        self.size = 0  # characters of the runs among the parts (`put`)
 
     def check(self):
         """Pass the text on once it reaches `_CHUNK` characters.  The text
@@ -290,13 +301,25 @@ class _Pieces:
         self.parts.clear()
         if len(text) >= _CHUNK:
             self.write(text)
+            self.size = 0
         else:
             self.parts.append(text)
 
-    def close(self):
+    def put(self, run: str):
+        """Add a run of chain terms, a piece of up to tens of KB, and pass
+        the text on once the runs among the pieces reach `_CHUNK`
+        characters."""
+        self.parts.append(run)
+        self.size += len(run)
+        if self.size >= _CHUNK:
+            self.flush()
+
+    def flush(self):
+        """Pass on all the text collected so far."""
         if self.parts:
             self.write("".join(self.parts))
             self.parts.clear()
+        self.size = 0
 
 
 class _Encoded(dict):
@@ -318,16 +341,18 @@ class _Encoded(dict):
 
 
 class _Terms:
-    """The terms of a chain component as one report value: the words
-    (tuples of basis indices) in sorted order, their coefficients as
-    formatted strings, and the basis labels.  The renderer writes it as the
-    list [{"coeff": coeffs[i], "word": [labels[j] for j in words[i]]}, ...]
-    without building that list."""
+    """The terms of a chain component as one report value: its blocks, each
+    a (supports, coefficient texts) pair, and the basis labels.  supports is
+    a tuple of letter tuples (basis indices), one per slot, and the texts
+    are the formatted coefficients of the words of their product, in
+    `itertools.product` order.  The renderer writes it as the list
+    [{"coeff": texts[i], "word": [labels[j] for j in words[i]]}, ...] over
+    every block's words without building that list or any word."""
 
-    __slots__ = ("words", "coeffs", "labels")
+    __slots__ = ("blocks", "labels")
 
-    def __init__(self, words: list, coeffs: list, labels: list):
-        self.words, self.coeffs, self.labels = words, coeffs, labels
+    def __init__(self, blocks: list, labels: list):
+        self.blocks, self.labels = blocks, labels
 
 
 def _encoder(pieces: _Pieces, indent: int | None, escape=None):
@@ -345,10 +370,18 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
     Lists and dicts go through one container loop (`encode_items`): the
     opening, the separators, the closing and the chunk check are written
     once, and a dict adds its keys in sorted order, each a string followed
-    by ": ".  Chain terms keep their own loop, the hot one of a Chern
-    report, which writes each term as one piece.
+    by ": ".  Chain terms keep their own loop (`encode_terms`), the hot one
+    of a Chern report, which spells the words from each block's slots, split
+    into leading and trailing ones: the trailing slots are all but the
+    first, or, when their product holds more than `_RUN` words, the longest
+    tail of at most `_RUN` words (and at least the last slot).  Each
+    trailing word's text, with its closing delimiters, is spelled once per
+    block and shared by every prefix (a word of the leading slots), and each
+    prefix is spelled once; the words of one prefix are written as one
+    piece, a run, with one join, so that a long word stays linear in its
+    letters.  Runs are passed on once they reach `_CHUNK` characters.
     """
-    parts, check = pieces.parts, pieces.check
+    parts, check, put = pieces.parts, pieces.check, pieces.put
     add = parts.append
     strings = _Encoded(escape)
     frames: dict = {}
@@ -410,9 +443,13 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
         add(close)
 
     def encode_terms(terms, level):
-        """Each term is one piece, spelled from the delimiters of the three
-        levels it spans: the term list, the term dict and its word."""
-        if not terms.words:
+        """Each run of words is one piece: the term opening (the list's
+        opening or separator, then the term dict's), then per word its
+        coefficient, the prefix (the word key, the word's opening and its
+        leading letters) and its trailing text (the trailing letters and
+        the closings of the word and the term dict), with the next term's
+        opening appended to every trailing text but the run's last."""
+        if not terms.blocks:
             add("[]")
             return
         open_, sep, close = delimiters(level, "[", "]")
@@ -420,14 +457,43 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
         word_open, word_sep, word_close = delimiters(level + 2, "[", "]")
         coeff_key = term_open + strings["coeff"] + ": "
         word_key = term_sep + strings["word"] + ": "
+        head = sep + coeff_key
+        closing = word_close + term_close
         label = list(map(strings.__getitem__, terms.labels)).__getitem__
         lead = open_ + coeff_key
-        for w, c in zip(terms.words, terms.coeffs):
-            word = (word_open + word_sep.join(map(label, w)) + word_close) if w else "[]"
-            add(lead + strings[c] + word_key + word + term_close)
-            lead = sep + coeff_key
-            if len(parts) >= 1024:
-                check()
+        for supports, coeffs in terms.blocks:
+            if not supports:
+                prefixes, trails, n = [word_key + "[]"], [term_close], 1
+            else:
+                # the trailing slots: all but the first, or, when their
+                # product holds more than _RUN words, the longest tail of
+                # at most _RUN words and at least the last slot
+                split, n = 0, len(coeffs)
+                if len(supports) > 1:
+                    split, n = 1, n // len(supports[0])
+                    if n > _RUN:
+                        split, n = len(supports) - 1, len(supports[-1])
+                        while n * len(supports[split - 1]) <= _RUN:
+                            split -= 1
+                            n *= len(supports[split])
+                prefixes = [word_key + word_open + word_sep.join(map(label, w)) + word_sep
+                            for w in product(*supports[:split])] if split else [word_key + word_open]
+                trails = [word_sep.join(map(label, w)) + closing
+                          for w in product(*supports[split:])]
+            if n == 1:  # one word per prefix: no row to fill
+                for c, prefix in zip(coeffs, prefixes):
+                    put("".join((lead, strings[c], prefix, trails[0])))
+                    lead = head
+                continue
+            texts = list(map(strings.__getitem__, coeffs))
+            row = [None] * (3 * n + 1)
+            row[3::3] = [text + head for text in trails[:-1]] + trails[-1:]
+            for k, prefix in enumerate(prefixes):
+                row[0] = lead
+                row[1::3] = texts[k * n:(k + 1) * n]
+                row[2::3] = [prefix] * n
+                put("".join(row))
+                lead = head
         add(close)
 
     return encode
@@ -484,7 +550,7 @@ def _render(report: dict, fmt: str, write) -> None:
             encode(value, 0)
             add(end)
             pieces.check()
-    pieces.close()
+    pieces.flush()
 
 
 @contextlib.contextmanager
@@ -813,17 +879,17 @@ def _verdict(ok: bool) -> tuple:
 
 def _chain_json(A, chain, N: int) -> list:
     """Components u^0 .. u^(N-1) of a chain as report values: each one's
-    u_power and its terms (`_Terms`), words sorted and coefficients
-    formatted over A's field.  A `kchern.UChain` holds each component as
-    blocks of integer numerators over one denominator, in sorted word
-    order, and each distinct numerator of a component is formatted once."""
+    u_power and its terms (`_Terms`), the component's blocks with their
+    coefficients formatted over A's field.  A `kchern.UChain` holds each
+    component as blocks of integer numerators over one denominator, in
+    sorted word order; each distinct numerator of a component is formatted
+    once, and the numerators are mapped through that table."""
     labels = [A.label(i) for i in range(A.dim)]
     out = []
     for t in range(N):
-        words, numerators = chain.terms(t)
-        text = {c: format_scalar(v, A.field) for c, v in chain.values(t).items()}
-        out.append({"u_power": t, "terms": _Terms(words, [text[c] for c in numerators],
-                                                  labels)})
+        text = {c: format_scalar(v, A.field) for c, v in chain.values(t).items()}.__getitem__
+        blocks = [(supports, list(map(text, nums))) for supports, nums in chain.blocks[t]]
+        out.append({"u_power": t, "terms": _Terms(blocks, labels)})
     return out
 
 

@@ -7,8 +7,9 @@ tensor length 2t, held as dense blocks of int numerators over one
 chain-wide denominator (over F_p, residues over 1): a sorted letter support
 per slot and the row-major numerators over the words of their product.
 The builders expand their tensor products in ints (`_tensor_words`), one
-block per component with no word built at all; the report reads the words
-off each block in sorted order and formats each distinct numerator once.
+block per component with no word built at all; the report formats each
+distinct numerator once and writes the words straight from each block's
+slots, with no word tuple per term.
 The cycle condition (d + uB) ch = 0 mod u^N amounts to d(c_t) + B(c_{t-1})
 = 0 for every t < N, and is checked on emission: the certificate is the
 sole arbiter of the coefficient conventions.  It applies d and B block by

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -395,7 +396,8 @@ def _expand_terms(value):
     if type(value) is not cli._Terms:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     return [{"coeff": c, "word": [value.labels[i] for i in w]}
-            for w, c in zip(value.words, value.coeffs)]
+            for supports, coeffs in value.blocks
+            for w, c in zip(product(*supports), coeffs)]
 
 
 def _reference_render(report, fmt):
@@ -444,12 +446,17 @@ def _random_key(rng):
 
 def _random_terms(rng):
     """Chain terms over random labels, which may need escaping, with random
-    coefficient texts; one in four has no terms."""
+    coefficient texts: 0-3 blocks, each of 0-4 slots of 1 to len(labels)
+    distinct letters."""
     labels = [_random_string(rng) for _ in range(rng.randrange(1, 5))]
-    words = [tuple(rng.randrange(len(labels)) for _ in range(rng.randrange(0, 4)))
-             for _ in range(rng.randrange(0, 5) if rng.random() < 0.75 else 0)]
-    coeffs = [rng.choice([_random_string(rng), "-3/2", "1/1", str(10 ** 30)]) for _ in words]
-    return cli._Terms(words, coeffs, labels)
+    blocks = []
+    for _ in range(rng.randrange(0, 4)):
+        supports = tuple(tuple(rng.sample(range(len(labels)), rng.randint(1, len(labels))))
+                         for _ in range(rng.randrange(0, 5)))
+        coeffs = [rng.choice([_random_string(rng), "-3/2", "1/1", str(10 ** 30)])
+                  for _ in product(*supports)]
+        blocks.append((supports, coeffs))
+    return cli._Terms(blocks, labels)
 
 
 def _random_value(rng, depth):
@@ -525,11 +532,15 @@ def _chern_argv(tmp_path, m, N, vector, *extra):
             "--idempotent", str(idem)) + extra
 
 
+# the chern report of mat m=3 at u^5, and its golden digest
+_CHERN_MAT3_U5 = ((3, 5, {"E11*1": "1/1", "E12*1": "2/3", "E13*1": "-5/7"}),
+                  "322d52c1c71af0f5452e77088fa1b09f215bcd5a506167b3f566bb995e8944a6")
+
+
 # sha256 of reports rendered by the whole-string renderer that the streaming
 # one replaced; the bytes must not change
 @pytest.mark.parametrize("argv, digest", [
-    ((3, 5, {"E11*1": "1/1", "E12*1": "2/3", "E13*1": "-5/7"}),
-     "322d52c1c71af0f5452e77088fa1b09f215bcd5a506167b3f566bb995e8944a6"),
+    _CHERN_MAT3_U5,
     ((2, 7, {"E11*1": "1/1", "E12*1": "-3/2"}, "--format", "csv"),
      "9890fab0919fcf1e81f67dfebec9e1ea58639dcae302b4c974487701e8fdf28f"),
     (("hp", "--algebra", "clifford1", "--n-max", "8", "--u-trunc", "3",
@@ -579,6 +590,51 @@ def test_golden_reports(tmp_path, capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _Collect:
+    """A stdout that keeps every piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_chain_terms_stream_in_chunks(tmp_path, monkeypatch):
+    # chain terms are written in runs of words; the runs still reach
+    # write() in pieces of about 64 KB, with the golden bytes
+    argv, digest = _CHERN_MAT3_U5
+    out = _Collect()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(list(_chern_argv(tmp_path, *argv))) == 0
+    monkeypatch.undo()
+    assert len(out.pieces) > 5
+    assert all(len(p) < 4 * cli._CHUNK for p in out.pieces)
+    assert hashlib.sha256("".join(out.pieces).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_thin_and_wide_chain_terms_match_the_reference(fmt):
+    from nchodge.kchern import Idempotent, chern_idempotent
+    A = builtin("mat", m=2)
+    labels = {A.label(i): i for i in range(A.dim)}
+    # a thin chain: every slot past the first holds one letter
+    chain = chern_idempotent(Idempotent(A, {labels["E11*1"]: 1}), 40)
+    report = {"command": "chern", "components": cli._chain_json(A, chain, 40)}
+    # a wide block: its product, 4^6 words, spans many runs of leading slots
+    supports = ((0, 1, 2, 3),) * 6
+    wide = cli._Terms([((), ["1/2"]), (supports, [str(k) for k in range(4 ** 6)])],
+                      [A.label(i) for i in range(A.dim)])
+    report["wide"] = [wide, cli._Terms([], ["a"])]
+    pieces = []
+    cli._render(report, fmt, pieces.append)
+    assert "".join(pieces) == _reference_render(report, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
