@@ -459,7 +459,9 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
         word_key = term_sep + strings["word"] + ": "
         head = sep + coeff_key
         closing = word_close + term_close
-        label = list(map(strings.__getitem__, terms.labels)).__getitem__
+        labels = list(map(strings.__getitem__, terms.labels))
+        label = labels.__getitem__
+        leading = [text + word_sep for text in labels].__getitem__
         lead = open_ + coeff_key
         for supports, coeffs in terms.blocks:
             if not supports:
@@ -476,8 +478,8 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
                         while n * len(supports[split - 1]) <= _RUN:
                             split -= 1
                             n *= len(supports[split])
-                prefixes = [word_key + word_open + word_sep.join(map(label, w)) + word_sep
-                            for w in product(*supports[:split])] if split else [word_key + word_open]
+                prefixes = [word_key + word_open + "".join(map(leading, w))
+                            for w in product(*supports[:split])]
                 trails = [word_sep.join(map(label, w)) + closing
                           for w in product(*supports[split:])]
             if n == 1:  # one word per prefix: no row to fill
