@@ -627,7 +627,7 @@ def test_thin_and_wide_chain_terms_match_the_reference(fmt):
     # a thin chain: every slot past the first holds one letter
     chain = chern_idempotent(Idempotent(A, {labels["E11*1"]: 1}), 40)
     report = {"command": "chern", "components": cli._chain_json(A, chain, 40)}
-    # a wide block: its product, 4^6 words, spans many runs of leading slots
+    # a wide block: its 4^6 words are 16 runs, one per word of two leading slots
     supports = ((0, 1, 2, 3),) * 6
     wide = cli._Terms([((), ["1/2"]), (supports, [str(k) for k in range(4 ** 6)])],
                       [A.label(i) for i in range(A.dim)])

@@ -119,8 +119,8 @@ The grid:
   and `ppower --lift xi` of `clifford1` over F2.
 - `hh --w-min 5` of `poly_truncated`, above the max_weight 4 where `hh`
   stops without `--w-max` (exit 2).
-- thin chains, whose every slot holds one letter: `chern` of E11 in `mat`
-  with m = 2 at `--u-trunc 40`, in json and csv.
+- a thin chain, whose every slot past the head holds one letter: `chern`
+  of E11 in `mat` with m = 2 at `--u-trunc 40`, in json and csv.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -534,7 +534,7 @@ def grid() -> list:
     out.append(("ppower", "--algebra", "clifford1", "--field", "F2", "--lift", "xi"))
     # a weight bound above the weights that hh computes (exit 2)
     out.append(("hh", "--algebra", "poly_truncated", "--n-max", "4", "--w-min", "5"))
-    # thin chains: every slot of E11's chain holds one letter
+    # a thin chain: every slot of E11's chain past the head holds one letter
     for fmt in ("json", "csv"):
         out.append(("chern", "--algebra", "mat", "--param", "m=2", "--u-trunc", "40",
                     "--idempotent", "pi-e11.json", "--format", fmt))
