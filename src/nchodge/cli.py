@@ -372,9 +372,9 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
     once, and a dict adds its keys in sorted order, each a string followed
     by ": ".  Chain terms keep their own loop (`encode_terms`), the hot one
     of a Chern report, which spells the words from each block's slots, split
-    into leading and trailing ones: the trailing slots are all but the
-    first, or, when their product holds more than `_RUN` words, the longest
-    tail of at most `_RUN` words (and at least the last slot).  Each
+    into leading and trailing ones: the trailing slots are the last slot and
+    as many slots before it, but not the first, as keep their product
+    within `_RUN` words.  Each
     trailing word's text, with its closing delimiters, is spelled once per
     block and shared by every prefix (a word of the leading slots), and each
     prefix is spelled once; the words of one prefix are written as one
@@ -467,26 +467,14 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
             if not supports:
                 prefixes, trails, n = [word_key + "[]"], [term_close], 1
             else:
-                # the trailing slots: all but the first, or, when their
-                # product holds more than _RUN words, the longest tail of
-                # at most _RUN words and at least the last slot
                 split, n = 0, len(coeffs)
-                if len(supports) > 1:
-                    split, n = 1, n // len(supports[0])
-                    if n > _RUN:
-                        split, n = len(supports) - 1, len(supports[-1])
-                        while n * len(supports[split - 1]) <= _RUN:
-                            split -= 1
-                            n *= len(supports[split])
+                while split < len(supports) - 1 and (n > _RUN or not split):
+                    n //= len(supports[split])
+                    split += 1
                 prefixes = [word_key + word_open + "".join(map(leading, w))
                             for w in product(*supports[:split])]
                 trails = [word_sep.join(map(label, w)) + closing
                           for w in product(*supports[split:])]
-            if n == 1:  # one word per prefix: no row to fill
-                for c, prefix in zip(coeffs, prefixes):
-                    put("".join((lead, strings[c], prefix, trails[0])))
-                    lead = head
-                continue
             texts = list(map(strings.__getitem__, coeffs))
             row = [None] * (3 * n + 1)
             row[3::3] = [text + head for text in trails[:-1]] + trails[-1:]

@@ -515,14 +515,22 @@ def test_render_refuses_what_is_not_a_report_value(fmt, bad):
 
 
 def test_render_streams_in_chunks():
-    # a 1 MB report reaches write() in several pieces of about 64 KB
-    report = {"command": "x", "result": [{"word": ["E11*1", "E12*1"], "coeff": "-3/2"}
-                                         for _ in range(20000)]}
-    pieces = []
-    cli._render(report, "json", pieces.append)
-    assert "".join(pieces) == _reference_render(report, "json")
-    assert len(pieces) > 5
-    assert all(len(p) < 4 * 65536 for p in pieces)
+    # a 1 MB report, and the chain terms of chern Mat_3 at u^5, which are
+    # written in runs of words, reach write() in several pieces of about 64 KB
+    from nchodge.kchern import Idempotent, chern_idempotent
+    A = builtin("mat", m=3)
+    labels = {A.label(i): i for i in range(A.dim)}
+    vector = {labels["E11*1"]: Fraction(1), labels["E12*1"]: Fraction(2, 3),
+              labels["E13*1"]: Fraction(-5, 7)}
+    chain = chern_idempotent(Idempotent(A, vector), 5)
+    for report in ({"command": "x", "result": [{"word": ["E11*1", "E12*1"], "coeff": "-3/2"}
+                                               for _ in range(20000)]},
+                   {"command": "chern", "components": cli._chain_json(A, chain, 5)}):
+        pieces = []
+        cli._render(report, "json", pieces.append)
+        assert "".join(pieces) == _reference_render(report, "json")
+        assert len(pieces) > 5
+        assert all(len(p) < 4 * 65536 for p in pieces)
 
 
 def _chern_argv(tmp_path, m, N, vector, *extra):
@@ -532,15 +540,11 @@ def _chern_argv(tmp_path, m, N, vector, *extra):
             "--idempotent", str(idem)) + extra
 
 
-# the chern report of mat m=3 at u^5, and its golden digest
-_CHERN_MAT3_U5 = ((3, 5, {"E11*1": "1/1", "E12*1": "2/3", "E13*1": "-5/7"}),
-                  "322d52c1c71af0f5452e77088fa1b09f215bcd5a506167b3f566bb995e8944a6")
-
-
 # sha256 of reports rendered by the whole-string renderer that the streaming
 # one replaced; the bytes must not change
 @pytest.mark.parametrize("argv, digest", [
-    _CHERN_MAT3_U5,
+    ((3, 5, {"E11*1": "1/1", "E12*1": "2/3", "E13*1": "-5/7"}),
+     "322d52c1c71af0f5452e77088fa1b09f215bcd5a506167b3f566bb995e8944a6"),
     ((2, 7, {"E11*1": "1/1", "E12*1": "-3/2"}, "--format", "csv"),
      "9890fab0919fcf1e81f67dfebec9e1ea58639dcae302b4c974487701e8fdf28f"),
     (("hp", "--algebra", "clifford1", "--n-max", "8", "--u-trunc", "3",
@@ -590,33 +594,6 @@ def test_golden_reports(tmp_path, capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-class _Collect:
-    """A stdout that keeps every piece written to it."""
-
-    def __init__(self):
-        self.pieces = []
-
-    def write(self, text):
-        self.pieces.append(text)
-        return len(text)
-
-    def flush(self):
-        pass
-
-
-def test_chain_terms_stream_in_chunks(tmp_path, monkeypatch):
-    # chain terms are written in runs of words; the runs still reach
-    # write() in pieces of about 64 KB, with the golden bytes
-    argv, digest = _CHERN_MAT3_U5
-    out = _Collect()
-    monkeypatch.setattr(sys, "stdout", out)
-    assert main(list(_chern_argv(tmp_path, *argv))) == 0
-    monkeypatch.undo()
-    assert len(out.pieces) > 5
-    assert all(len(p) < 4 * cli._CHUNK for p in out.pieces)
-    assert hashlib.sha256("".join(out.pieces).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
