@@ -33,6 +33,13 @@ One thing is kept for the whole process: `_star_table`, a module-level
 per v.  Sharing it across calls is safe because its value depends only on
 v, not on any bivector, form or field of a call.
 
+The folded homology is the homology of the 2-periodic complex of forms
+of total degree <= D, even forms against odd ones, under d + hbar
+L_alpha.  Its two matrices go to `umodule.u_module_decompose` at N = 1,
+the route of every folded complex into the elimination: one square-zero
+check and one elimination per differential, with the homology read off
+as free ranks.
+
 Validation happens where outside input enters: the public `PolyForm(...)`
 constructor (used by `monomial_form` and by the command line's --form)
 checks every term.  Results of the operators keep the invariants by
@@ -50,7 +57,8 @@ from operator import add
 
 from .algebra import _monomials_upto
 from .fields import QQ, SizeError
-from .sparse import SparseMatrix, homology_from_ranks, rank
+from .sparse import SparseMatrix
+from .umodule import ContractViolation, UComplex, UTruncation, u_module_decompose
 
 Poly = dict  # exponent tuple -> rational (int or Fraction)
 
@@ -496,9 +504,14 @@ def _form_basis(nvars: int, D: int):
 
 
 def _folded_ranks(alpha: Bivector, D: int, diff: _Table):
-    """Ranks of the folded (d + hbar L_alpha)-complex on forms of total
-    degree <= D (overflowing terms dropped); diff is the table of
-    d + hbar L_alpha."""
+    """Homology ranks of the folded (d + hbar L_alpha)-complex on forms of
+    total degree <= D (overflowing terms dropped); diff is the table of
+    d + hbar L_alpha.
+
+    The complex goes to `u_module_decompose` as a complex over k[u]/u^1,
+    evens at position 0 and odds at position 1, and each parity's rank is
+    the free rank there.  Its check that D^2 = 0 is the check that the
+    truncation keeps a complex."""
     basis = _form_basis(alpha.nvars, D)
     evens, odds = ([b for b in basis if len(b[1]) % 2 == q] for q in (0, 1))
 
@@ -512,18 +525,16 @@ def _folded_ranks(alpha: Bivector, D: int, diff: _Table):
                 entries[(index[(e2, S2)], c)] = coeff
         return SparseMatrix(len(dst), len(src), entries)
 
-    d_eo = diff_matrix(evens, odds)
-    d_oe = diff_matrix(odds, evens)
-
-    if not (d_eo.mul(d_oe, QQ).is_zero() and d_oe.mul(d_eo, QQ).is_zero()):
+    folded = UComplex(UTruncation(1), {0: len(evens), 1: len(odds)},
+                      {0: [diff_matrix(evens, odds)], 1: [diff_matrix(odds, evens)]})
+    try:
+        reports = u_module_decompose(folded, QQ)
+    except ContractViolation:
         # alpha mixes coefficients of degree <= 1 and >= 3: terms dropped
         # above the cutoff would have mapped back below it
         raise PoissonError(f"truncation at total degree {D} breaks "
-                           f"(d + hbar L_alpha)^2 = 0; no homology to report")
-    even = homology_from_ranks(len(evens), rank(d_eo, QQ), rank(d_oe, QQ))
-    # Both parities are dims minus the same two ranks, so they differ by
-    # the difference of the dims (the 2-periodic Euler characteristic).
-    return {"even": even, "odd": even - len(evens) + len(odds)}
+                           f"(d + hbar L_alpha)^2 = 0; no homology to report") from None
+    return {"even": reports[0].free_rank, "odd": reports[1].free_rank}
 
 
 # The folded complex has one basis form per monomial form of total degree

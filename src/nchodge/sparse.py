@@ -1,13 +1,18 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices are stored as mappings (row, col) -> nonzero entry.  All
-arithmetic is exact, and elimination takes one of two forms, each suited
-to one shape of question.
+A matrix takes one of two forms.  `SparseMatrix` holds its entries as a
+mapping (row, col) -> nonzero value, checked when it is built: the form
+that assembly writes and that a product (`mul_into`) reads.  The
+elimination consumes a list of row dicts {col: value}, one per row, and
+changes them as it goes; `SparseMatrix.row_dicts` gives them, and a
+caller that builds rows itself (`umodule`'s k[u] expansion) hands them in
+directly.  All arithmetic is exact, and elimination takes one of two
+forms, each suited to one shape of question.
 
 * `_row_echelon`, for batch ranks and kernels: `rank`, `rank_of_columns`,
-  `leading_ranks` and `kernel_basis` hand it a whole matrix, and it picks
-  its pivots across all the rows at once (below), which keeps fill-in low
-  on the large boundary and B matrices.
+  `leading_ranks` and `kernel_basis` hand it a whole matrix as rows, and
+  it picks its pivots across all the rows at once (below), which keeps
+  fill-in low on the large boundary and B matrices.
 * `Echelon`, for span questions asked in order: vectors are added one at a
   time, and each is reduced against those kept before it.  `add` says
   whether a vector was independent of them; `reduce` gives its remainder,
@@ -40,7 +45,9 @@ rule: take the shortest row, then its least-populated column.
 
 A homology rank dim ker(d_out) / im(d_in) needs no kernel basis: its
 callers take the two ranks with `rank` and hand them to
-`homology_from_ranks`, the one place that formula is written.
+`homology_from_ranks`, the one place that formula is written.  A
+Z/2-folded complex goes to `umodule` instead, which reads its homology
+off the leading ranks.
 
 Arithmetic.  Both forms of elimination reduce at every step: a pivot or a
 fill-in entry must be tested against zero in the field as soon as it is
@@ -49,10 +56,9 @@ reduced and a zero dropped as it forms), serves back-substitution and both
 halves of `Echelon.reduce`, its remainder and its coordinates.  The
 elimination loop of `_row_echelon` keeps its own copy of that update,
 because it also keeps the column index and the column counts in step with
-every entry it adds or clears.  Every other product here (`mul`,
-`mul_into`) follows the rule of `fields`: sum in plain arithmetic, then
-reduce once with `reduced_entries`, as `Echelon.reduce` does to its
-input.
+every entry it adds or clears.  The one matrix product, `mul_into`,
+follows the rule of `fields`: sum in plain arithmetic, then reduce once
+with `reduced_entries`, as `Echelon.reduce` does to its input.
 """
 from __future__ import annotations
 
@@ -67,6 +73,11 @@ class StructuralError(ValueError):
 
 
 class SparseMatrix:
+    """A rows x cols matrix as its entries, (row, col) -> nonzero value:
+    the form that assembly writes and a product reads (see the module
+    docstring).  The constructor checks every entry, in bounds and not a
+    stored zero, and raises StructuralError otherwise."""
+
     def __init__(self, rows: int, cols: int, entries: dict):
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
@@ -76,18 +87,6 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-
-    @classmethod
-    def identity(cls, n: int, field: Field) -> "SparseMatrix":
-        one = field.one()
-        return cls(n, n, {(i, i): one for i in range(n)})
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols, {})
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def nnz(self) -> int:
         return len(self.entries)
@@ -99,10 +98,13 @@ class SparseMatrix:
             cols[c][r] = v
         return cols
 
-    def mul(self, other: "SparseMatrix", field: Field) -> "SparseMatrix":
-        """Matrix product self @ other."""
-        return SparseMatrix(self.rows, other.cols,
-                            reduced_entries(self.mul_into(other, {}), field))
+    def row_dicts(self) -> list[dict]:
+        """All rows as col->value dicts (including empty ones): the form
+        that the elimination consumes."""
+        rows = [dict() for _ in range(self.rows)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        return rows
 
     def mul_into(self, other: "SparseMatrix", out: dict) -> dict:
         """out += self @ other in plain arithmetic: entries are neither
@@ -132,9 +134,9 @@ def _subtract(dst: dict, f, src: dict, field: Field) -> None:
             dst[c] = s
 
 
-def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None):
-    """Shared elimination core on a SparseMatrix or a list of row dicts
-    (which it consumes).
+def _row_echelon(rows: list, field: Field, want_basis: bool, stride: int | None = None):
+    """Shared elimination core on a list of row dicts {col: value}, which
+    it consumes.
 
     Row i lies in slot i // stride (one slot without a stride), and the
     slot comes first in the pivot queue's key: every row of a slot is used
@@ -147,12 +149,6 @@ def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None
     sorted by pivot column, each row 1 at its own pivot and 0 at every
     other pivot column.
     """
-    if isinstance(data, SparseMatrix):
-        rows = [dict() for _ in range(data.rows)]
-        for (r, c), v in data.entries.items():
-            rows[r][c] = v
-    else:
-        rows = data
     sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
     holders: dict[int, list] = {}
     colcount: dict[int, int] = {}
@@ -222,23 +218,22 @@ def _row_echelon(data, field: Field, want_basis: bool, stride: int | None = None
 
 def rank(M: SparseMatrix, field: Field) -> int:
     """Exact rank of M over the field."""
-    return sum(_row_echelon(M, field, want_basis=False)[0])
+    return sum(_row_echelon(M.row_dicts(), field, want_basis=False)[0])
 
 
-def leading_ranks(M: SparseMatrix, field: Field, stride: int, stages: int) -> list[int]:
-    """[rank of the first j * stride rows of M for j = 1..stages], from one
-    elimination; M has stages * stride rows.
+def leading_ranks(rows: list[dict], field: Field, stride: int) -> list[int]:
+    """[rank of the first j * stride rows for j = 1..len(rows) // stride],
+    from one elimination of the row dicts, which it consumes; a row count
+    that is not a whole number of slots of stride raises StructuralError.
 
-    On a block-lower-triangular M (row slot i // stride, a row of slot s
+    On block-lower-triangular rows (row slot i // stride, a row of slot s
     holding columns of slots <= s only, for the same column stride) the
     first j * stride rows are the leading block of the first j slots, with
     zeros beside it, so these are the ranks of the leading blocks.
     """
-    if M.rows != stride * stages:
-        raise StructuralError(f"{M.rows} rows are not {stages} slots of {stride}")
-    if not M.entries:
-        return [0] * stages
-    return list(accumulate(_row_echelon(M, field, False, stride)[0]))
+    if len(rows) % stride:
+        raise StructuralError(f"{len(rows)} rows are not whole slots of {stride}")
+    return list(accumulate(_row_echelon(rows, field, False, stride)[0]))
 
 
 def kernel_basis(M: SparseMatrix, field: Field) -> list[dict]:
@@ -248,7 +243,7 @@ def kernel_basis(M: SparseMatrix, field: Field) -> list[dict]:
     a 1 in that position, its first key, and 0 at every other free column
     (deterministic given the matrix).
     """
-    _, pivots = _row_echelon(M, field, want_basis=True)
+    _, pivots = _row_echelon(M.row_dicts(), field, want_basis=True)
     pivot_cols = {pc for pc, _ in pivots}
     one = field.one()
     basis = {f: {f: one} for f in range(M.cols) if f not in pivot_cols}

@@ -19,10 +19,14 @@ slot s holds columns of slots <= s only: `sparse.leading_ranks`.  Without
 D^2 = 0 over k[u] there are no pieces: D = u on a rank-1 Z/2-folded
 complex squares to zero mod u^2, has homology 0, and gives free rank -1.
 
-The complex is the Z/2-folded pair that `cyclic` builds: positions 0 and
-1, D0 from 0 to 1 and D1 from 1 to 0 (`UComplex`).  Each differential is the out-map
-of one position and the in-map of the other, so it is eliminated once and
-read at both.
+The complex is a Z/2-folded pair (`UComplex`): positions 0 and 1, D0 from
+0 to 1 and D1 from 1 to 0.  `cyclic` builds the (b + uB)-complex of each
+weight, and `poisson` its folded (d + hbar L_alpha)-complex at N = 1, a
+complex over k, whose homology is then the free rank.  Each differential
+is the out-map of one position and the in-map of the other, so it is
+eliminated once and read at both.  Its coefficient matrices
+(`SparseMatrix`) are checked and multiplied for D^2 = 0, then expanded
+straight into the row dicts that the elimination consumes.
 """
 
 from __future__ import annotations
@@ -126,23 +130,24 @@ class UComplex:
         self.diffs = diffs
 
 
-def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) -> SparseMatrix:
-    """Expand an R-linear map to a k-matrix on coefficient slots.
+def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) -> list[dict]:
+    """Expand an R-linear map to the N * dst_rank rows of a k-matrix on
+    coefficient slots, as row dicts for `leading_ranks`.
 
     Basis element (j, v) = u^j e_v is column j*src_rank + v; u^t coefficient
     matrices shift the slot index by t, truncating at N (the coefficients of
-    u^t, t >= N, drop out).
+    u^t, t >= N, drop out).  Every coefficient must be dst_rank x src_rank,
+    a zero one too, else StructuralError.
     """
-    entries = {}
+    rows = [{} for _ in range(N * dst_rank)]
     for t, mat in enumerate(diff):
-        if mat.is_zero():
-            continue
         if (mat.rows, mat.cols) != (dst_rank, src_rank):
             raise StructuralError("differential coefficient shape mismatch")
-        for (r, c), v in mat.entries.items():
-            for j in range(N - t):
-                entries[((j + t) * dst_rank + r, j * src_rank + c)] = v
-    return SparseMatrix(N * dst_rank, N * src_rank, entries)
+        for j in range(N - t):
+            row0, col0 = (j + t) * dst_rank, j * src_rank
+            for (r, c), v in mat.entries.items():
+                rows[row0 + r][col0 + c] = v
+    return rows
 
 
 def _check_square_zero(c: UComplex, field: Field):
@@ -175,7 +180,7 @@ def u_module_decompose(c: UComplex, field: Field) -> dict:
     pieces = [[0] * (N + 1)] * 2  # per D_q, [L_0..L_N], L_j the pieces of size < j
     for q in (0, 1):
         if r[q] and r[1 - q]:
-            rho = leading_ranks(_k_expand(c.diffs[q], N, r[q], r[1 - q]), field, r[1 - q], N)
+            rho = leading_ranks(_k_expand(c.diffs[q], N, r[q], r[1 - q]), field, r[1 - q])
             pieces[q] = [0] + [b - a for a, b in zip([0] + rho, rho)]
     reports = {}
     for q in (0, 1):

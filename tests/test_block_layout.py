@@ -314,7 +314,7 @@ def test_folded_expansion_is_the_weight_staircase_by_degree(F):
                     src, dst = uc.ranks[q], uc.ranks[1 - q]
                     if src and dst:
                         expanded = umodule._k_expand(uc.diffs[q], N, src, dst)
-                        for j, r in enumerate(leading_ranks(expanded, F, dst, N)):
+                        for j, r in enumerate(leading_ranks(expanded, F, dst)):
                             folded[j] += r
                 assert folded == [staircase[j] for j in range(1, N + 1)], (A.name, N, w)
                 checked += 1

@@ -282,9 +282,9 @@ def test_graded_path_decomposes_only_positions_0_and_1(monkeypatch):
         occupied.append(sum(1 for pos in (0, 1) if c.ranks.get(pos, 0)))
         return reports
 
-    def counting_ranks(M, field, stride, stages):
+    def counting_ranks(rows, field, stride):
         eliminations[len(decomposed)] += 1
-        return original_ranks(M, field, stride, stages)
+        return original_ranks(rows, field, stride)
 
     monkeypatch.setattr(cyclic, "u_module_decompose", recording)
     monkeypatch.setattr(umodule, "leading_ranks", counting_ranks)
@@ -311,8 +311,7 @@ def test_char_p_compare_d_only_side_matches_decomposition(name, params, p):
     for slot in rep["per_slot"]:
         uc = cyclic._folded_weight_complex(cx, slot["weight"], N, window.n_max)
         for pos, coeffs in uc.diffs.items():
-            uc.diffs[pos] = [coeffs[0]] + [sparse.SparseMatrix.zero(coeffs[0].rows,
-                                                                    coeffs[0].cols)
+            uc.diffs[pos] = [coeffs[0]] + [sparse.SparseMatrix(coeffs[0].rows, coeffs[0].cols, {})
                                            for _ in range(N - 1)]
         reports = umodule.u_module_decompose(uc, A.field)
         assert not reports[0].torsion_blocks and not reports[1].torsion_blocks
