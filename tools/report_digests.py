@@ -121,6 +121,15 @@ The grid:
   stops without `--w-max` (exit 2).
 - a thin chain, whose every slot past the head holds one letter: `chern`
   of E11 in `mat` with m = 2 at `--u-trunc 40`, in json and csv.
+- the command line's refusals: `hh` of a missing algebra file (exit 1), of
+  a file that is no JSON and of `dual.json` with `--field F3`; `hh
+  --output` into a missing directory (exit 1); `--param m` without a value
+  and `--param` m given twice; `hh --n-max -1`; `glue` of a file algebra
+  and an unknown part with `--param m=2`; `poisson bracket` with an `--f`
+  that is no JSON and one that names `coeff` twice; `poisson jacobi` of a
+  bivector file that is no JSON and of one with the component (1, 0); and
+  `chern` with an idempotent file that is no JSON, a missing one (exit 1)
+  and one that names the unknown label `E99*1` (all others exit 2).
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
@@ -346,7 +355,16 @@ def _input_files() -> dict:
             # E11 + E12 of Mat(1|1), by index: an idempotent that is not even
             "pi-e11-e12.json": _idempotent({"1": "1", "2": "1"}),
             "p-5000-digits.json": json.dumps(algebra_to_json(builtin("point", GF(2))))
-                                  .replace('"p": 2', f'"p": {_ONES}')}
+                                  .replace('"p": 2', f'"p": {_ONES}'),
+            # files that the loaders refuse: text that is no JSON, a label
+            # that names no basis element, and a component (1, 0)
+            "invalid.json": '{"format": }',
+            "alpha-invalid.json": '{"format": "ncg-bivector/1", "nvars": 2,}',
+            "pi-invalid.json": '{"format": "ncg-idempotent/1", "vector": {"E11*1": "1"',
+            "pi-unknown-label.json": _idempotent({"E99*1": "1"}),
+            "alpha-bad-pair.json": {"format": "ncg-bivector/1", "nvars": 2,
+                                    "components": [{"i": 1, "j": 0,
+                                                    "poly": _poly(((0, 0), "1"))}]}}
 
 
 def grid() -> list:
@@ -538,6 +556,21 @@ def grid() -> list:
     for fmt in ("json", "csv"):
         out.append(("chern", "--algebra", "mat", "--param", "m=2", "--u-trunc", "40",
                     "--idempotent", "pi-e11.json", "--format", fmt))
+    # the command line's refusals of its inputs and its output
+    for algebra in (("missing.json",), ("invalid.json",), ("dual.json", "--field", "F3")):
+        out.append(("hh", "--algebra", *algebra, "--n-max", "2"))
+    out.append(("hh", "--algebra", "dual_numbers", "--n-max", "2", "--output", "missing/r.json"))
+    for params in (("m",), ("m=2", "m=3")):
+        out.append(("hh", "--algebra", "mat", *(f for p in params for f in ("--param", p)),
+                    "--n-max", "2"))
+    out.append(("hh", "--algebra", "dual_numbers", "--n-max", "-1"))
+    out.append(("glue", "--algebra-a", "dual.json", "--algebra-b", "nosuch", "--param", "m=2"))
+    for f in ('[{', '[{"exponents": [1, 0], "coeff": "1", "coeff": "2"}]'):
+        out.append(("poisson", "bracket", "--bivector", "alpha.json", "--f", f, "--g", _Y))
+    for path in ("alpha-invalid.json", "alpha-bad-pair.json"):
+        out.append(("poisson", "jacobi", "--bivector", path))
+    for path in ("pi-invalid.json", "missing.json", "pi-unknown-label.json"):
+        out.append(("chern", "--algebra", "mat", "--u-trunc", "2", "--idempotent", path))
     return out
 
 
