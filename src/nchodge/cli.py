@@ -41,7 +41,10 @@ Exit codes: 0 success, 1 structural error (an unreadable input, an
 unwritable report, or a fault inside a computation, such as cyclic
 filtration dims that belong to no k[u]/u^N-module), 2 validation failure
 (a failed certificate or check, an invalid input or a size out of range),
-3 an operation the field or parameters do not support.  The one
+3 an operation the field or parameters do not support.  An error's class
+decides its code, through `_ERROR_CODES`: every refusal of an input is a
+SchemaError, an unreadable input or an unwritable report a plain
+ValueError, and `main` prints any ValueError as one `error:` line.  The one
 inconclusive result is `hp`'s, which exits 3 under --strict; `filtration`
 refuses it with exit 3, and `degeneration`, whose verdict is read off the
 torsion inventory alone, never exits 3.
@@ -87,19 +90,9 @@ EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 # ---------------------------------------------------------------------------
 # input loading
 # ---------------------------------------------------------------------------
-
-
-class _RepeatedKey(ValueError):
-    pass
 
 
 def _unique_keys(pairs) -> dict:
@@ -108,22 +101,23 @@ def _unique_keys(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise _RepeatedKey(f"key {key!r} is given twice in one object")
+            raise SchemaError(f"key {key!r} is given twice in one object")
         obj[key] = value
     return obj
 
 
 def _load_json(path: str):
+    """Read an input file.  Text that is no JSON, or names a key twice in
+    one object, raises SchemaError without the path: its loader names the
+    file.  A file that cannot be read raises ValueError, "cannot read
+    <path>: ...", which no loader prefixes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_STRUCTURAL)
+        raise ValueError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON at line {exc.lineno}, "
-                       f"column {exc.colno}: {exc.msg}", EXIT_VALIDATION)
-    except _RepeatedKey as exc:
-        raise CliError(f"{path}: {exc}", EXIT_VALIDATION)
+        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
 def _is_path(ref: str) -> bool:
@@ -148,23 +142,21 @@ def load_algebra(ref: str, field: Field | None, params: dict, allow_invalid: boo
             raise AlgebraError(f"--param {', '.join(params)} does not apply to a file algebra")
         A = algebra_from_json(_load_json(ref))
     except (SchemaError, AlgebraError) as exc:
-        raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
+        raise SchemaError(f"{ref}: {exc}")
     report = validate(A)
     if not (report.ok or allow_invalid):
         first = report.violations[0]
-        raise CliError(f"{ref}: not a valid algebra, {len(report.violations)} "
-                       f"violation(s); the first: {first.kind} at "
-                       f"{list(first.witness)}", EXIT_VALIDATION)
+        raise SchemaError(f"{ref}: not a valid algebra, {len(report.violations)} "
+                          f"violation(s); the first: {first.kind} at {list(first.witness)}")
     if field is not None and field != A.field:
-        raise CliError(f"{ref}: --field {field} differs from the file's field {A.field}",
-                       EXIT_VALIDATION)
+        raise SchemaError(f"{ref}: --field {field} differs from the file's field {A.field}")
     return A, report
 
 
 def load_idempotent(path: str, algebra) -> Idempotent:
-    obj = _load_json(path)
     labels = {algebra.label(i): i for i in range(algebra.dim)}
     try:
+        obj = _load_json(path)
         json_object(obj, IDEMPOTENT_FORMAT, ("format", "vector"), "idempotent")
         if not isinstance(obj.get("vector"), dict):
             raise SchemaError("'vector' must map basis labels or indices to scalars")
@@ -185,7 +177,7 @@ def load_idempotent(path: str, algebra) -> Idempotent:
             vec[idx] = json_scalar(val, algebra.field, f"coefficient of {key!r}")
         return Idempotent(algebra, vec)
     except (SchemaError, ContractError) as exc:
-        raise CliError(f"{path}: {exc}", EXIT_VALIDATION)
+        raise SchemaError(f"{path}: {exc}")
 
 
 def _terms(obj, nvars: int, what: str, forms: bool = False) -> dict:
@@ -239,7 +231,7 @@ def load_bivector(ref: str) -> Bivector:
             raise SchemaError("'name' must be a string")
         return Bivector(nvars, comps, name=name, hbar=hbar)
     except (SchemaError, PoissonError) as exc:
-        raise CliError(f"{ref}: {exc}", EXIT_VALIDATION)
+        raise SchemaError(f"{ref}: {exc}")
 
 
 def _term_arg(option: str, text: str, nvars: int):
@@ -247,9 +239,9 @@ def _term_arg(option: str, text: str, nvars: int):
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{option}: invalid JSON: {exc.msg}", EXIT_VALIDATION)
-    except _RepeatedKey as exc:
-        raise CliError(f"{option}: {exc}", EXIT_VALIDATION)
+        raise SchemaError(f"{option}: invalid JSON: {exc.msg}")
+    except SchemaError as exc:
+        raise SchemaError(f"{option}: {exc}")
     if option != "--form":
         return _terms(obj, nvars, option)
     return PolyForm(nvars, _terms(obj, nvars, option, forms=True))
@@ -547,7 +539,7 @@ def _render(report: dict, fmt: str, write) -> None:
 def _report_output(args):
     """write(text) for the report's destination: --output or stdout.  A
     destination that cannot be written, a closed pipe included, raises
-    CliError (exit 1)."""
+    ValueError, "cannot write ..." (exit 1)."""
     out = getattr(args, "output", None)
     try:
         if out:
@@ -563,7 +555,7 @@ def _report_output(args):
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise CliError(f"cannot write {out or 'stdout'}: {exc}", EXIT_STRUCTURAL)
+        raise ValueError(f"cannot write {out or 'stdout'}: {exc}")
 
 
 def _cache_dir(args) -> str | None:
@@ -721,11 +713,10 @@ def _algebra_params(args) -> dict:
     params = {}
     for item in getattr(args, "param", None) or []:
         if "=" not in item:
-            raise CliError(f"--param needs key=value, got {item!r}",
-                           EXIT_VALIDATION)
+            raise SchemaError(f"--param needs key=value, got {item!r}")
         k, v = item.split("=", 1)
         if k in params:
-            raise CliError(f"--param key {k!r} is given twice", EXIT_VALIDATION)
+            raise SchemaError(f"--param key {k!r} is given twice")
         params[k] = v
     return params
 
@@ -747,9 +738,8 @@ def _glue_params(refs: tuple, params: dict) -> tuple:
         takers = [i for i, ref in enumerate(refs)
                   if not _is_path(ref) and key in CATALOGUE.get(ref, (None, {}))[1]]
         if len(takers) != 1:
-            raise CliError(f"--param {key} must be a parameter of exactly one glued part: "
-                           f"--algebra-a {_takes(refs[0])}; --algebra-b {_takes(refs[1])}",
-                           EXIT_VALIDATION)
+            raise SchemaError(f"--param {key} must be a parameter of exactly one glued part: "
+                              f"--algebra-a {_takes(refs[0])}; --algebra-b {_takes(refs[1])}")
         parts[takers[0]][key] = value
     return parts
 
@@ -761,7 +751,7 @@ def _load(args) -> _Inputs:
         try:
             x.field = parse_field(args.field)
         except ValueError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
+            raise SchemaError(str(exc))
     params = _algebra_params(args)
     if hasattr(args, "algebra"):
         x.algebra, x.report = load_algebra(args.algebra, x.field, params,
@@ -771,19 +761,18 @@ def _load(args) -> _Inputs:
         A, B = (load_algebra(ref, x.field, part)[0]
                 for ref, part in zip(refs, _glue_params(refs, params)))
         if A.field != B.field:
-            raise CliError(f"glue: --algebra-a {refs[0]} is over {A.field} and "
-                           f"--algebra-b {refs[1]} over {B.field}", EXIT_VALIDATION)
+            raise SchemaError(f"glue: --algebra-a {refs[0]} is over {A.field} and "
+                              f"--algebra-b {refs[1]} over {B.field}")
         if args.bimodule == "trivial":
             for option, ref, part in zip(("--algebra-a", "--algebra-b"), refs, (A, B)):
                 witness = unit_coordinate_product(part)
                 if witness is not None:
                     i, j = witness
-                    raise CliError(
+                    raise SchemaError(
                         f"glue: --bimodule trivial is not a bimodule over {option} {ref}: "
                         f"the product of {part.label(i)} and {part.label(j)} has a unit "
                         f"coordinate, so the non-unit basis elements do not span an ideal; "
-                        f"use --bimodule zero",
-                        EXIT_VALIDATION)
+                        f"use --bimodule zero")
         bimodule = trivial_bimodule if args.bimodule == "trivial" else zero_bimodule
         x.parts = (A, B)
         x.algebra = glue(A, B, bimodule(B, A))
@@ -792,7 +781,7 @@ def _load(args) -> _Inputs:
     if getattr(args, "lift", None) is not None:
         labels = {x.algebra.label(i): i for i in range(x.algebra.dim)}
         if args.lift not in labels:
-            raise CliError(f"unknown basis label {args.lift!r}", EXIT_VALIDATION)
+            raise SchemaError(f"unknown basis label {args.lift!r}")
         x.lift = labels[args.lift]
     if hasattr(args, "bivector"):
         x.bivector = load_bivector(args.bivector)
@@ -801,7 +790,7 @@ def _load(args) -> _Inputs:
                for name in ("f", "g", "form") if getattr(args, name, None) is not None}
     if hasattr(args, "n_max"):
         if args.command == "hh" and args.n_max < 0:
-            raise CliError(f"--n-max {args.n_max} must be >= 0", EXIT_VALIDATION)
+            raise SchemaError(f"--n-max {args.n_max} must be >= 0")
         # hh reports degrees up to --n-max; degree n needs the chain block
         # at n + 1, so its window is one longer
         n_max = args.n_max + 1 if args.command == "hh" else args.n_max
@@ -1018,7 +1007,7 @@ def _poisson(args, x):
         try:
             omega = ConstantSymplectic(args.nvars)
         except PoissonError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
+            raise SchemaError(str(exc))
     # every --degree is reported, and a negative one refused, also where the
     # check computes nothing from it (jacobi, conjugation, star)
     if getattr(args, "degree", 0) < 0:
@@ -1038,9 +1027,8 @@ def _poisson(args, x):
     else:
         jac = jacobi_check(alpha)
         if not jac["pass"]:
-            raise CliError("poisson homology requires a Poisson bivector "
-                           f"(Jacobiator witness: {jac['witness']})",
-                           EXIT_VALIDATION)
+            raise SchemaError("poisson homology requires a Poisson bivector "
+                              f"(Jacobiator witness: {jac['witness']})")
         result = poisson_homology_ranks(alpha, args.degree)
     # a failed identity check exits 2 under --strict; star's check is its
     # "identity", jacobi's and conjugation's the result itself
@@ -1157,8 +1145,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exit codes of the errors a command may raise, most specific first: every
-# class is a ValueError subclass.
+# The one rule from an error to its exit code: `main` reports every
+# ValueError, and the first row whose classes hold it gives the code.
 _ERROR_CODES = (((SchemaError, ContractError, SizeError), EXIT_VALIDATION),
                 (UnsupportedError, EXIT_INCONCLUSIVE),
                 (ValueError, EXIT_STRUCTURAL))
@@ -1172,10 +1160,8 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return run(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CliError):
-            return exc.code
         return next(code for kinds, code in _ERROR_CODES if isinstance(exc, kinds))
     finally:
         sys.set_int_max_str_digits(digits)

@@ -25,8 +25,8 @@ weight, and `poisson` its folded (d + hbar L_alpha)-complex at N = 1, a
 complex over k, whose homology is then the free rank.  Each differential
 is the out-map of one position and the in-map of the other, so it is
 eliminated once and read at both.  Its coefficient matrices
-(`SparseMatrix`) are checked and multiplied for D^2 = 0, then expanded
-straight into the row dicts that the elimination consumes.
+(`SparseMatrix`) are checked for their shapes and multiplied for D^2 = 0,
+then expanded straight into the row dicts that the elimination consumes.
 """
 
 from __future__ import annotations
@@ -136,13 +136,11 @@ def _k_expand(diff: list[SparseMatrix], N: int, src_rank: int, dst_rank: int) ->
 
     Basis element (j, v) = u^j e_v is column j*src_rank + v; u^t coefficient
     matrices shift the slot index by t, truncating at N (the coefficients of
-    u^t, t >= N, drop out).  Every coefficient must be dst_rank x src_rank,
-    a zero one too, else StructuralError.
+    u^t, t >= N, drop out).  Every coefficient is dst_rank x src_rank:
+    `u_module_decompose` checks that before it expands anything.
     """
     rows = [{} for _ in range(N * dst_rank)]
     for t, mat in enumerate(diff):
-        if (mat.rows, mat.cols) != (dst_rank, src_rank):
-            raise StructuralError("differential coefficient shape mismatch")
         for j in range(N - t):
             row0, col0 = (j + t) * dst_rank, j * src_rank
             for (r, c), v in mat.entries.items():
@@ -171,12 +169,17 @@ def u_module_decompose(c: UComplex, field: Field) -> dict:
     """Decompose the homology modulo u^N at positions 0 and 1, from the
     leading ranks of D0 and D1, one elimination each.
 
-    Returns {0: UModuleReport, 1: UModuleReport}.  The differentials are
-    checked to square to zero over k[u] first (see the module docstring).
+    Returns {0: UModuleReport, 1: UModuleReport}.  Every coefficient of
+    D_q, a zero one and one of a rank-0 position too, is checked first to be
+    r[1 - q] x r[q] (else StructuralError), and then the differentials to
+    square to zero over k[u] (see the module docstring).
     """
     N = c.truncation.N
-    _check_square_zero(c, field)
     r = c.ranks
+    for q in (0, 1):
+        if any((mat.rows, mat.cols) != (r[1 - q], r[q]) for mat in c.diffs[q]):
+            raise StructuralError("differential coefficient shape mismatch")
+    _check_square_zero(c, field)
     pieces = [[0] * (N + 1)] * 2  # per D_q, [L_0..L_N], L_j the pieces of size < j
     for q in (0, 1):
         if r[q] and r[1 - q]:

@@ -1704,6 +1704,50 @@ def test_a_refusal_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, na
     assert "Traceback" not in err
 
 
+# refusals and the code each exits with: (argv, exit code, start of the
+# error line); the files are those the test below writes
+_COIN = '[{"exponents": [1, 0], "coeff": "1", "coeff": "2"}]'
+_REFUSAL_CODES = {
+    "field-of-a-file": (("hh", "--algebra", "dual.json", "--field", "F3", "--n-max", "2"), 2,
+                        "error: dual.json: --field F3 differs from the file's field Q"),
+    "inline-invalid-json": (("poisson", "bracket", "--bivector", "standard", "--f", "[{",
+                             "--g", _Y), 2, "error: --f: invalid JSON: "),
+    "file-key-twice": (("hh", "--algebra", "dual-twice.json", "--n-max", "2"), 2,
+                       "error: dual-twice.json: key 'weight' is given twice in one object"),
+    "inline-key-twice": (("poisson", "bracket", "--bivector", "standard", "--f", _COIN,
+                          "--g", _Y), 2,
+                         "error: --f: key 'coeff' is given twice in one object"),
+    "negative-n-max": (("hh", "--algebra", "dual_numbers", "--n-max", "-1"), 2,
+                       "error: --n-max -1 must be >= 0"),
+    "glue-file-part": (("glue", "--algebra-a", "dual.json", "--algebra-b", "nosuch",
+                        "--param", "m=2"), 2,
+                       "error: --param m must be a parameter of exactly one glued part: "
+                       "--algebra-a dual.json is a file algebra; --algebra-b nosuch is not "
+                       "a catalogue algebra"),
+    "component-indices": (("poisson", "jacobi", "--bivector", "bad-pair.json"), 2,
+                          "error: bad-pair.json: component indices (1,0) must satisfy "
+                          "0 <= i < j < nvars"),
+    "missing-file": (("hh", "--algebra", "missing.json", "--n-max", "2"), 1,
+                     "error: cannot read missing.json: "),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSAL_CODES)
+def test_a_refusal_exits_with_its_code_and_one_error_line(tmp_path, capsys, monkeypatch,
+                                                          name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dual.json").write_text(json.dumps(algebra_to_json(builtin("dual_numbers"))))
+    (tmp_path / "dual-twice.json").write_text(_DUAL_TWICE)
+    bad_pair = {"format": "ncg-bivector/1", "nvars": 2,
+                "components": [{"i": 1, "j": 0, "poly": _poly(((0, 0), "1"))}]}
+    (tmp_path / "bad-pair.json").write_text(json.dumps(bad_pair))
+    argv, code, start = _REFUSAL_CODES[name]
+    got, out, err = run(capsys, *argv)
+    assert got == code and not out
+    assert err.startswith(start) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 # a symplectic dimension and a bivector on 10^9 variables, and a homology
 # cutoff of degree 10^9
 _HUGE = {"format": "ncg-bivector/1", "nvars": 1_000_000_000, "components": []}

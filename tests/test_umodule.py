@@ -162,9 +162,14 @@ def test_expansion_refuses_a_coefficient_of_the_wrong_shape():
     # a 2 x 1 coefficient of a map from rank 1 to rank 1, a nonzero one and
     # a zero one
     with pytest.raises(StructuralError, match="shape mismatch"):
-        umodule._k_expand([SparseMatrix(2, 1, {(0, 0): 1})], 2, 1, 1)
+        u_module_decompose(_pair(2, 1, 1, [SparseMatrix(2, 1, {(0, 0): 1})]), QQ)
     with pytest.raises(StructuralError, match="shape mismatch"):
-        umodule._k_expand([SparseMatrix(1, 1, {(0, 0): 1}), SparseMatrix(2, 1, {})], 2, 1, 1)
+        u_module_decompose(_pair(2, 1, 1, [SparseMatrix(1, 1, {(0, 0): 1}),
+                                           SparseMatrix(2, 1, {})]), QQ)
+    # a position of rank 0, where nothing is expanded: D0 must be 2 x 0
+    with pytest.raises(StructuralError, match="shape mismatch"):
+        u_module_decompose(_pair(2, 0, 2, [SparseMatrix(3, 0, {})],
+                                 [SparseMatrix(0, 3, {})]), QQ)
 
 
 def test_truncation_validation():
