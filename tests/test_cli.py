@@ -1706,7 +1706,7 @@ def test_a_refusal_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, na
 
 # refusals and the code each exits with: (argv, exit code, start of the
 # error line); the files are those the test below writes
-_COIN = '[{"exponents": [1, 0], "coeff": "1", "coeff": "2"}]'
+_COEFF_TWICE = '[{"exponents": [1, 0], "coeff": "1", "coeff": "2"}]'
 _REFUSAL_CODES = {
     "field-of-a-file": (("hh", "--algebra", "dual.json", "--field", "F3", "--n-max", "2"), 2,
                         "error: dual.json: --field F3 differs from the file's field Q"),
@@ -1714,7 +1714,7 @@ _REFUSAL_CODES = {
                              "--g", _Y), 2, "error: --f: invalid JSON: "),
     "file-key-twice": (("hh", "--algebra", "dual-twice.json", "--n-max", "2"), 2,
                        "error: dual-twice.json: key 'weight' is given twice in one object"),
-    "inline-key-twice": (("poisson", "bracket", "--bivector", "standard", "--f", _COIN,
+    "inline-key-twice": (("poisson", "bracket", "--bivector", "standard", "--f", _COEFF_TWICE,
                           "--g", _Y), 2,
                          "error: --f: key 'coeff' is given twice in one object"),
     "negative-n-max": (("hh", "--algebra", "dual_numbers", "--n-max", "-1"), 2,
