@@ -130,11 +130,18 @@ The grid:
   bivector file that is no JSON and of one with the component (1, 0); and
   `chern` with an idempotent file that is no JSON, a missing one (exit 1)
   and one that names the unknown label `E99*1` (all others exit 2).
+- `graded-pieces` of dimV 1-3 at every n from 1 to 7 over Q, F2, F3, F5
+  and F7 (the benchmark's dimV 3, n 6 over F3 once, among its jobs).
+- `ppower --lift eps` of `dual_numbers` over F2 and `poisson jacobi` of a
+  bivector file at `--degree 2`, each twice with `--cache-dir cache`.
+- an algebra, an idempotent and a bivector file that are not UTF-8 text,
+  and `poisson homology --degree 4` of a Poisson bivector whose cutoff
+  breaks (d + hbar L_alpha)^2 = 0.
 
 Input files are written to a fresh temporary directory, which is the
 working directory while the grid runs; they are named relative to it, so
 no line depends on where it is.  The report cache is off except for the
-two runs that name `--cache-dir`, whose cache lies in that directory too.  The `nchodge`
+six runs that name `--cache-dir`, whose cache lies in that directory too.  The `nchodge`
 run is the one in this checkout's `src`.  Stdlib only; the total runtime
 goes to stderr.
 """
@@ -303,8 +310,8 @@ def _super_mat11() -> AlgebraSpec:
 
 
 def _input_files() -> dict:
-    """File name -> JSON object, or JSON text, of every input file the grid
-    reads."""
+    """File name -> JSON object, JSON text or raw bytes, of every input file
+    the grid reads."""
     negative = algebra_to_json(builtin("truncated_poly", QQ, m=3))
     negative["weight"] = [0, -1, -2]
     dual = builtin("dual_numbers", QQ)
@@ -364,7 +371,14 @@ def _input_files() -> dict:
             "pi-unknown-label.json": _idempotent({"E99*1": "1"}),
             "alpha-bad-pair.json": {"format": "ncg-bivector/1", "nvars": 2,
                                     "components": [{"i": 1, "j": 0,
-                                                    "poly": _poly(((0, 0), "1"))}]}}
+                                                    "poly": _poly(((0, 0), "1"))}]},
+            # a byte that starts no UTF-8 character
+            "not-utf8.json": b'{"format": "\xff"}',
+            # 2 x1 x2^2 d1^d3 + d2^d3: a Poisson bivector whose terms dropped
+            # above the cutoff at total degree 4 map back below it
+            "alpha-breaks.json": {"format": "ncg-bivector/1", "nvars": 3, "components": [
+                {"i": 0, "j": 2, "poly": _poly(((1, 2, 0), "2"))},
+                {"i": 1, "j": 2, "poly": _poly(((0, 0, 0), "1"))}]}}
 
 
 def grid() -> list:
@@ -571,6 +585,24 @@ def grid() -> list:
         out.append(("poisson", "jacobi", "--bivector", path))
     for path in ("pi-invalid.json", "missing.json", "pi-unknown-label.json"):
         out.append(("chern", "--algebra", "mat", "--u-trunc", "2", "--idempotent", path))
+    # the graded pieces over every small field; the benchmark's job is in
+    # the grid already
+    for dim_v in range(1, 4):
+        for n in range(1, 8):
+            for field in ("Q", *PPOWER_FIELDS):
+                argv = ("graded-pieces", "--dim-v", str(dim_v), "--n", str(n), "--field", field)
+                if argv not in out:
+                    out.append(argv)
+    # cached ppower and poisson reports, each written and then replayed
+    out += [("ppower", "--algebra", "dual_numbers", "--field", "F2", "--lift", "eps",
+             "--cache-dir", "cache")] * 2
+    out += [("poisson", "jacobi", "--bivector", "alpha.json", "--degree", "2",
+             "--cache-dir", "cache")] * 2
+    # input files that are not UTF-8 text, and a cutoff that breaks the complex
+    out.append(("hh", "--algebra", "not-utf8.json", "--n-max", "2"))
+    out.append(("chern", "--algebra", "mat", "--u-trunc", "2", "--idempotent", "not-utf8.json"))
+    out.append(("poisson", "jacobi", "--bivector", "not-utf8.json"))
+    out.append(("poisson", "homology", "--bivector", "alpha-breaks.json", "--degree", "4"))
     return out
 
 
@@ -582,8 +614,11 @@ def inputs():
     cache = os.environ.pop("NCHODGE_CACHE_DIR", None)
     with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
         for name, obj in _input_files().items():
-            text = obj if isinstance(obj, str) else json.dumps(obj)
-            Path(tmp, name).write_text(text, encoding="utf-8")
+            if isinstance(obj, bytes):
+                Path(tmp, name).write_bytes(obj)
+            else:
+                text = obj if isinstance(obj, str) else json.dumps(obj)
+                Path(tmp, name).write_text(text, encoding="utf-8")
         os.chdir(tmp)
         try:
             workloads = _workloads()
