@@ -57,14 +57,19 @@ their d and B images.  Position q of the folded complex holds the weight-w
 blocks of word parity (q - n) mod 2 and of the lengths n with w in
 `ChainComplex.weights(n)`; T^m of the staircase, those of lengths 2j - m,
 j < N.  Both lay their blocks out by ascending length.
+
+The graded pieces need no chain complex of an algebra and no elimination:
+the homology of (1 - sigma, norm) on V^{(x)n} is a count of the rotation
+orbits of the words, by Shapiro's lemma (`graded_piece_analysis`), so
+this module forms no matrix of its own.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraSpec
-from .fields import Field, SizeError, UnsupportedError, reduced_entries
+from .fields import Field, SizeError, UnsupportedError
 from .hochschild import ChainComplex, DegreeWindow, absolute_block_size, guard_safe_weights
-from .sparse import SparseMatrix, homology_from_ranks, kernel_basis, rank, rank_of_columns
+from .sparse import homology_from_ranks, kernel_basis, rank, rank_of_columns
 from .umodule import (UTruncation, UComplex, UModuleReport,
                       blocks_from_filtration_dims, u_module_decompose)
 
@@ -433,51 +438,35 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_matrices(dimV: int, n: int, F: Field) -> tuple:
-    """(1 - sigma, norm) on V^{(x)n}, the norm being sum_{k<n} sigma^k.
-
-    sigma is the cyclic rotation with the shifted-sign rule: rotating a word
-    of length n carries the sign (-1)^{n-1}.  A word (v_1..v_n) is its
-    base-dimV index; sigma moves the last letter to the front, so sigma^k
-    sends a word to its k-th rotation with the sign (-1)^{k(n-1)}.  Entries
-    are summed raw (a word fixed by sigma gets both terms of 1 - sigma) and
-    reduced once.
-    """
-    dim = dimV ** n
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    top = dimV ** (n - 1)
-
-    def rotate(i: int) -> int:
-        return i // dimV + (i % dimV) * top
-
-    one_minus: dict = {}
-    norm: dict = {}
-    for i in range(dim):
-        one_minus[(i, i)] = 1
-        one_minus[(rotate(i), i)] = one_minus.get((rotate(i), i), 0) - sign
-        j, s = i, 1
-        for _ in range(n):
-            norm[(j, i)] = norm.get((j, i), 0) + s
-            j, s = rotate(j), s * sign
-    return (SparseMatrix(dim, dim, reduced_entries(one_minus, F)),
-            SparseMatrix(dim, dim, reduced_entries(norm, F)))
-
-
-# The norm sums the n rotations of each of the dimV^n words.  At 100 000
-# rotation terms the slowest shapes measured took under 1 s and 90 MB
-# (dimV = 223, n = 2 over F2: 0.92 s; dimV = 100 000, n = 1: 0.82 s);
-# 297^2 (176 418 terms) took 1.76 s over Q, and 2^16 3.2 s and 251 MB.
+# The complex holds n * dimV^n rotation terms, dimV^n words of n rotations
+# each.  The orbit count forms none of them, but the bound stays, so that
+# every input the command took is still taken and every other refused: it
+# bounds each dimV^d the count forms as an exact integer (d | n), and
+# refuses a large n or dimV before any power is taken.
 MAX_ROTATION_TERMS = 100_000
 
 
 def graded_piece_analysis(dimV: int, n: int, F: Field) -> dict:
-    """Homology ranks of the 2-periodic complex (1 - sigma, norm) on V^{(x)n}
-    (see `_rotation_matrices`).
+    """Homology ranks of the 2-periodic complex (1 - sigma, norm) on V^{(x)n},
+    the norm being sum_{k<n} sigma^k.
 
-    Returns the ranks of ker(1-sigma)/im(norm) and ker(norm)/im(1-sigma);
-    both vanish exactly when gcd(n, char) = 1.  More than
-    MAX_ROTATION_TERMS rotation terms n * dimV^n are refused before
-    anything is built.
+    sigma is the cyclic rotation with the shifted-sign rule: it moves the
+    last letter of a word to the front with the sign (-1)^{n-1}, so sigma^n
+    = 1 and the complex is the Tate complex of Z/n acting on V^{(x)n}.  It
+    splits over the rotation orbits of the words.  The words of least
+    period s (s | n) number prim(s) = dimV^s - sum prim(d) over the
+    divisors d < s of s, and form prim(s)/s orbits.  Such an orbit spans
+    the module induced from its stabilizer, the order-n/s subgroup of
+    sigma^s, which multiplies the orbit's first word by eps = (-1)^{s(n-1)}.
+    By Shapiro's lemma its Tate cohomology is that of Z/(n/s) on the line
+    k with eps: there 1 - sigma^s is 1 - eps and the norm sum_j eps^j, so
+    both homologies are k exactly when p divides n/s and eps = 1 (or
+    p = 2, where eps = 1), and 0 otherwise, over Q always.  So both ranks
+    are the number h of such orbits; they vanish when gcd(n, char) = 1.
+
+    Returns the ranks of ker(1-sigma)/im(norm) and ker(norm)/im(1-sigma).
+    More than MAX_ROTATION_TERMS rotation terms n * dimV^n are refused
+    before anything is formed.
     """
     if dimV < 1 or n < 1:
         raise SizeError("need dimV >= 1 and n >= 1")
@@ -486,9 +475,13 @@ def graded_piece_analysis(dimV: int, n: int, F: Field) -> dict:
     if n * dimV ** min(n, MAX_ROTATION_TERMS.bit_length()) > MAX_ROTATION_TERMS:
         raise SizeError(f"graded pieces of dimV = {dimV}, n = {n} need more than "
                         f"MAX_ROTATION_TERMS = {MAX_ROTATION_TERMS} rotation terms")
-    one_minus, norm = _rotation_matrices(dimV, n, F)
-    # Both homologies are dim - rank(1 - sigma) - rank(norm).
-    h = homology_from_ranks(dimV ** n, rank(one_minus, F), rank(norm, F))
+    p = F.characteristic
+    prim: dict = {}  # least period s -> number of words
+    h = 0
+    for s in (s for s in range(1, n + 1) if n % s == 0):
+        prim[s] = dimV ** s - sum(c for d, c in prim.items() if s % d == 0)
+        if p and (n // s) % p == 0 and (p == 2 or s * (n - 1) % 2 == 0):
+            h += prim[s] // s
     return {
         "dimV": dimV, "n": n, "field": str(F),
         "ker_one_minus_sigma_mod_norm": h,

@@ -5,7 +5,9 @@ Each path is compared with a reference kept here that accumulates with the
 `Field` methods term by term (add, then drop a zero sum), which is how these
 paths computed before.  Vectors are random over Q (ints and Fractions), F_2,
 F_3 and F_7, and every output must hold field elements only: no stored
-zero, no residue outside 1..p-1 and no float.
+zero, no residue outside 1..p-1 and no float.  The graded pieces, which
+`cyclic` counts from rotation orbits, are checked against the homology of
+the (1 - sigma, norm) matrices summed the same way.
 """
 
 import random
@@ -13,9 +15,10 @@ from fractions import Fraction
 
 import pytest
 
+from nchodge import oracle
 from nchodge.algebra import (CATALOGUE, bilinear, builtin, glue, trivial_bimodule,
                              zero_bimodule)
-from nchodge.cyclic import _rotation_matrices
+from nchodge.cyclic import MAX_ROTATION_TERMS, graded_piece_analysis
 from nchodge.fields import GF, QQ
 from nchodge.hochschild import commutator_columns
 from nchodge.sparse import Echelon, SparseMatrix, kernel_basis
@@ -223,8 +226,8 @@ def test_span_quotient_matches_the_field_method_reference(F):
 
 
 def _sigma_power_reference(dimV, n, F):
-    """(1 - sigma, norm) as the parent built them: the identity plus -1 times
-    sigma, and the norm as the sum of the products sigma^k, k < n."""
+    """(1 - sigma, norm) on V^{(x)n} from their definition: the identity plus
+    -1 times sigma, and the norm as the sum of the products sigma^k, k < n."""
     dim = dimV ** n
     sign = F.one() if (n - 1) % 2 == 0 else F.neg(F.one())
     sigma = {(i // dimV + (i % dimV) * dimV ** (n - 1), i): sign for i in range(dim)}
@@ -244,14 +247,28 @@ def _sigma_power_reference(dimV, n, F):
     return one_minus, norm
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=str)
-def test_rotation_matrices_match_the_sigma_power_construction(F):
-    for dimV in (1, 2, 3):
-        for n in range(1, 7):
-            one_minus, norm = _rotation_matrices(dimV, n, F)
-            expected_one_minus, expected_norm = _sigma_power_reference(dimV, n, F)
-            assert one_minus.entries == expected_one_minus, (dimV, n)
-            assert norm.entries == expected_norm, (dimV, n)
-            assert one_minus.rows == one_minus.cols == norm.rows == dimV ** n
-            _assert_field_elements(list(one_minus.entries.values())
-                                   + list(norm.entries.values()), F)
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+def test_graded_pieces_count_the_homology_of_the_sigma_power_construction(F):
+    # the orbit count against dimV^n - rank(1 - sigma) - rank(norm) of the
+    # reference matrices, ranked by the oracle's dense elimination
+    for dimV in range(1, 5):
+        for n in range(1, 8):
+            dim = dimV ** n
+            if dim > 128:
+                continue
+            ranks = []
+            for matrix in _sigma_power_reference(dimV, n, F):
+                rows = [[0] * dim for _ in range(dim)]
+                for (r, c), v in matrix.items():
+                    rows[r][c] = v
+                ranks.append(oracle.dense_rank(rows, F))
+            h = dim - sum(ranks)
+            rep = graded_piece_analysis(dimV, n, F)
+            assert rep["ker_one_minus_sigma_mod_norm"] == h, (dimV, n)
+            assert rep["ker_norm_mod_one_minus_sigma"] == h, (dimV, n)
+            assert rep["acyclic"] == (h == 0), (dimV, n)
+    # n = p over F_p: the dimV constant words are the orbits that count
+    p = F.characteristic
+    for dimV in range(1, 7):
+        if p and p * dimV ** p <= MAX_ROTATION_TERMS:
+            assert graded_piece_analysis(dimV, p, F)["ker_norm_mod_one_minus_sigma"] == dimV
