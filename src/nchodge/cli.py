@@ -43,8 +43,9 @@ filtration dims that belong to no k[u]/u^N-module), 2 validation failure
 (a failed certificate or check, an invalid input or a size out of range),
 3 an operation the field or parameters do not support.  An error's class
 decides its code, through `_ERROR_CODES`: every refusal of an input is a
-SchemaError, an unreadable input or an unwritable report a plain
-ValueError, and `main` prints any ValueError as one `error:` line.  The one
+SchemaError or, from the Poisson checks, a PoissonError, an unreadable
+input or an unwritable report a plain ValueError, and `main` prints any
+ValueError as one `error:` line.  The one
 inconclusive result is `hp`'s, which exits 3 under --strict; `filtration`
 refuses it with exit 3, and `degeneration`, whose verdict is read off the
 torsion inventory alone, never exits 3.
@@ -107,15 +108,17 @@ def _unique_keys(pairs) -> dict:
 
 
 def _load_json(path: str):
-    """Read an input file.  Text that is no JSON, or names a key twice in
-    one object, raises SchemaError without the path: its loader names the
-    file.  A file that cannot be read raises ValueError, "cannot read
-    <path>: ...", which no loader prefixes."""
+    """Read an input file.  A file that is not UTF-8 text, or text that is
+    no JSON or names a key twice in one object, raises SchemaError without
+    the path: its loader names the file.  A file that cannot be read raises
+    ValueError, "cannot read <path>: ...", which no loader prefixes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
@@ -1004,10 +1007,7 @@ def _poisson_meta(args) -> dict:
 def _poisson(args, x):
     sub, alpha = args.poisson_command, x.bivector
     if sub == "star":
-        try:
-            omega = ConstantSymplectic(args.nvars)
-        except PoissonError as exc:
-            raise SchemaError(str(exc))
+        omega = ConstantSymplectic(args.nvars)
     # every --degree is reported, and a negative one refused, also where the
     # check computes nothing from it (jacobi, conjugation, star)
     if getattr(args, "degree", 0) < 0:
@@ -1147,7 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The one rule from an error to its exit code: `main` reports every
 # ValueError, and the first row whose classes hold it gives the code.
-_ERROR_CODES = (((SchemaError, ContractError, SizeError), EXIT_VALIDATION),
+_ERROR_CODES = (((SchemaError, ContractError, SizeError, PoissonError), EXIT_VALIDATION),
                 (UnsupportedError, EXIT_INCONCLUSIVE),
                 (ValueError, EXIT_STRUCTURAL))
 

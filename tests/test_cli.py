@@ -1729,6 +1729,19 @@ _REFUSAL_CODES = {
                           "0 <= i < j < nvars"),
     "missing-file": (("hh", "--algebra", "missing.json", "--n-max", "2"), 1,
                      "error: cannot read missing.json: "),
+    # a file that is not UTF-8 text is an invalid input, named by each loader
+    **{f"not-utf8-{option}": (argv, 2, "error: bad.json: not UTF-8 text: invalid start byte "
+                                       "at byte 12\n")
+       for option, argv in (
+           ("algebra", ("hh", "--algebra", "bad.json", "--n-max", "2")),
+           ("idempotent", ("chern", "--algebra", "mat", "--u-trunc", "2",
+                           "--idempotent", "bad.json")),
+           ("bivector", ("poisson", "jacobi", "--bivector", "bad.json")))},
+    # the input's cutoff breaks the complex: a refusal, not a fault
+    "homology-truncation": (("poisson", "homology", "--bivector", "breaks.json",
+                             "--degree", "4"), 2,
+                            "error: truncation at total degree 4 breaks "
+                            "(d + hbar L_alpha)^2 = 0"),
 }
 
 
@@ -1741,6 +1754,12 @@ def test_a_refusal_exits_with_its_code_and_one_error_line(tmp_path, capsys, monk
     bad_pair = {"format": "ncg-bivector/1", "nvars": 2,
                 "components": [{"i": 1, "j": 0, "poly": _poly(((0, 0), "1"))}]}
     (tmp_path / "bad-pair.json").write_text(json.dumps(bad_pair))
+    (tmp_path / "bad.json").write_bytes(b'{"format": "\xff"}')
+    # 2 x1 x2^2 d1^d3 + d2^d3, Poisson (tests/test_poisson.py)
+    breaks = {"format": "ncg-bivector/1", "nvars": 3,
+              "components": [{"i": 0, "j": 2, "poly": _poly(((1, 2, 0), "2"))},
+                             {"i": 1, "j": 2, "poly": _poly(((0, 0, 0), "1"))}]}
+    (tmp_path / "breaks.json").write_text(json.dumps(breaks))
     argv, code, start = _REFUSAL_CODES[name]
     got, out, err = run(capsys, *argv)
     assert got == code and not out
