@@ -439,10 +439,10 @@ def char_p_compare(A: AlgebraSpec, window: DegreeWindow, N: int) -> dict:
 
 
 # The complex holds n * dimV^n rotation terms, dimV^n words of n rotations
-# each.  The orbit count forms none of them, but the bound stays, so that
-# every input the command took is still taken and every other refused: it
-# bounds each dimV^d the count forms as an exact integer (d | n), and
-# refuses a large n or dimV before any power is taken.
+# each.  The orbit count forms none of them, but the bound stays: n * dimV^n
+# is still the size of the complex the command reports on, so every input
+# it took is still taken and every other refused, and it bounds the exact
+# integers dimV^d (d | n) that the count forms.
 MAX_ROTATION_TERMS = 100_000
 
 
@@ -460,9 +460,10 @@ def graded_piece_analysis(dimV: int, n: int, F: Field) -> dict:
     sigma^s, which multiplies the orbit's first word by eps = (-1)^{s(n-1)}.
     By Shapiro's lemma its Tate cohomology is that of Z/(n/s) on the line
     k with eps: there 1 - sigma^s is 1 - eps and the norm sum_j eps^j, so
-    both homologies are k exactly when p divides n/s and eps = 1 (or
-    p = 2, where eps = 1), and 0 otherwise, over Q always.  So both ranks
-    are the number h of such orbits; they vanish when gcd(n, char) = 1.
+    both homologies are k exactly when the characteristic p divides n/s
+    and eps = 1 (or p = 2, where eps = 1), and 0 otherwise, so always 0
+    over Q.  Both ranks are the number h of such orbits; they vanish when
+    gcd(n, p) = 1.
 
     Returns the ranks of ker(1-sigma)/im(norm) and ker(norm)/im(1-sigma).
     More than MAX_ROTATION_TERMS rotation terms n * dimV^n are refused

@@ -1801,8 +1801,9 @@ def test_a_poisson_size_beyond_its_bound_is_refused_before_any_allocation(tmp_pa
 
 
 def test_graded_pieces_beyond_its_bound_are_refused_before_any_allocation(tmp_path):
-    # V^(x)12 of a 3-dimensional V has 531 441 words, 12 rotations each; it
-    # is run only in a capped child, as building them would exhaust memory
+    # V^(x)12 of a 3-dimensional V has 531 441 words, 12 rotations each:
+    # more rotation terms than the bound admits, refused in a capped child
+    # as the other size refusals are
     proc = _run_capped(tmp_path, ["graded-pieces", "--dim-v", "3", "--n", "12",
                                   "--field", "F2"])
     assert proc.returncode == 2 and not proc.stdout
