@@ -321,7 +321,8 @@ class _Encoded(dict):
     """str -> its JSON text (ASCII-escaped, quoted) with the report format's
     escape applied.  A report repeats a few strings many times (a basis
     label can occur in every word of a Chern chain), so each distinct
-    string is encoded once."""
+    string is encoded once: encoding each occurrence took chains-forms from
+    58-60 to 67-71 ms in process."""
 
     def __init__(self, escape=None):
         super().__init__()
@@ -379,7 +380,7 @@ def _encoder(pieces: _Pieces, indent: int | None, escape=None):
     parts, check, put = pieces.parts, pieces.check, pieces.put
     add = parts.append
     strings = _Encoded(escape)
-    frames: dict = {}
+    frames: dict = {}  # without it, a render of 20 000 dicts took 56 ms, not 46
 
     def delimiters(level, open_, close):
         """(opening, separator, closing) of a container at this level."""
@@ -574,7 +575,7 @@ def _cache_path(cache_dir: str, key: str) -> str:
 def _cache_replay(args, cache_dir: str, key: str) -> tuple | None:
     """Copy a cached report to the output and return the exit codes its
     entry records (without and with --strict); None when there is no valid
-    entry."""
+    entry, one whose codes are not both documented exit codes included."""
     path = _cache_path(cache_dir, key)
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -583,7 +584,7 @@ def _cache_replay(args, cache_dir: str, key: str) -> tuple | None:
     with fh:
         head = fh.readline().split()
         if not (len(head) == 4 and head[:2] == [CACHE_FORMAT, key]
-                and head[2].isdigit() and head[3].isdigit()):
+                and set(head[2:]) <= {str(c) for c in range(EXIT_INCONCLUSIVE + 1)}):
             print(f"warning: corrupted cache entry {path}; recomputing",
                   file=sys.stderr)
             return None
@@ -1074,7 +1075,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="content-addressed report cache directory "
                              "(overrides NCHODGE_CACHE_DIR)")
     common.add_argument("--strict", action="store_true",
-                        help="exit 3 on inconclusive verdicts")
+                        help="exit 3 on an inconclusive result; poisson jacobi, "
+                             "conjugation and star exit 2 when their identity fails")
 
     alg = argparse.ArgumentParser(add_help=False)
     alg.add_argument("--algebra", required=True,

@@ -135,8 +135,6 @@ class Field(Immutable):
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            if a == 1 or a == -1:
-                return int(a)
             return self.from_fraction(Fraction(1, a))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")

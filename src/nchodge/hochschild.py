@@ -348,10 +348,8 @@ class ChainComplex:
                 if n + step not in dst:
                     continue
                 row0 = dst[n + step][0]
-                index = self.index(n + step, weight, parity)
-                if row0:
-                    # shifted once per block, so that the entries of a row share one int
-                    index = {w: i + row0 for w, i in index.items()}
+                # shifted once per block, so that the entries of a row share one int
+                index = {w: i + row0 for w, i in self.index(n + step, weight, parity).items()}
                 for c, word in enumerate(self.basis(n, weight, parity), col0):
                     for t, v in word_image(word).items():
                         entries[(index[t], c)] = v
@@ -565,6 +563,7 @@ def _contract(supports: tuple, nums: list, i: int, Q: int, table: dict, sign: in
     letters = sorted(pairs)
     X, Y = len(left) * len(right), len(letters)
     P = len(nums) // (X * Q)
+    # runs along the longer side: one side only took chains-forms from 60-65 to 74-97 ms
     if Q >= P:
         runs, run, jump_in, jump_out, step_in, step_out = P, Q, X * Q, Y * Q, 1, 1
     else:
@@ -575,6 +574,7 @@ def _contract(supports: tuple, nums: list, i: int, Q: int, table: dict, sign: in
         for j in range(runs):
             at = j * jump_in + x0 * Q
             vals = nums[at:at + run * step_in:step_in]
+            # no copy for c0 = 1: without this test chains-forms took 67-72 ms, not 64
             if c0 != 1:
                 vals = [c0 * v for v in vals]
             for x, c in more:
@@ -608,8 +608,6 @@ def _rotate(supports: tuple, nums: list, i: int, C: int, parity) -> tuple:
 
 def _koszul(nums: list, first: list, rest: list) -> list:
     """nums read as [first][rest], negated where both parities are odd."""
-    if not any(first) or not any(rest):
-        return nums
     mask = [a & b for a in first for b in rest]
     return [-v if m else v for v, m in zip(nums, mask)]
 

@@ -73,6 +73,7 @@ class UChain:
         self.algebra = algebra
         self.N = N
         self.denominator = den
+        # blocks over den stay: rescaling all took chern Mat3 u^6 from 0.31-0.34 s to 0.34-0.45 s
         self.blocks = [blocks if d == den else
                        [(supports, [c * (den // d) for c in nums]) for supports, nums in blocks]
                        for blocks, d in parts]
@@ -135,12 +136,8 @@ def _tensor_words(F: Field, factors: list, scale: int = 1) -> tuple:
     if F.is_zero(F.from_int(scale)):
         return [], 1
     supports, numerators, den = [], [scale], 1
-    cleared: dict = {}  # a factor given more than once is cleared once
     for vec in factors:
-        if id(vec) not in cleared:
-            cleared[id(vec)] = _numerators({i: v for i, v in sorted(vec.items())
-                                            if not F.is_zero(v)})
-        nums, d = cleared[id(vec)]
+        nums, d = _numerators({i: v for i, v in sorted(vec.items()) if not F.is_zero(v)})
         den *= d
         supports.append(tuple(nums))
         values = list(nums.values())

@@ -92,8 +92,6 @@ def _apply(image_of_term, terms: dict, scale, out: dict) -> dict:
     """out += scale * L(terms), where image_of_term maps each basis term to
     its image under L (None: L is the identity); zero sums are dropped.
     Returns out."""
-    if not scale:
-        return out
     for k, c in terms.items():
         c = c * scale
         for k2, c2 in ((k, 1),) if image_of_term is None else image_of_term[k].items():

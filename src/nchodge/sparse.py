@@ -112,8 +112,6 @@ class SparseMatrix:
         per entry.  Returns out."""
         if self.cols != other.rows:
             raise StructuralError("shape mismatch in mul")
-        if not (self.entries and other.entries):
-            return out
         left_cols = self.columns()
         for (r, c), v in other.entries.items():
             for rr, w in left_cols[r].items():

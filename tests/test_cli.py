@@ -211,6 +211,28 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert "corrupted" in err
 
 
+@pytest.mark.parametrize("codes", ["\u00b2 0", "7 300", "0 300"])
+def test_cache_entry_with_undocumented_codes_recovers(tmp_path, capsys, codes):
+    # an exit code that is not 0-3 makes the entry corrupted, not a code to replay
+    cache = tmp_path / "cache"
+    args = ("hh", "--algebra", "dual_numbers", "--n-max", "2", "--cache-dir", str(cache))
+    _, fresh, _ = run(capsys, *args)
+    entry = next(cache.glob("*.report"))
+    head, body = entry.read_text(encoding="utf-8").split("\n", 1)
+    entry.write_text(" ".join(head.split()[:2] + [codes]) + "\n" + body, encoding="utf-8")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (0, fresh)
+    assert err.splitlines() == [f"warning: corrupted cache entry {entry}; recomputing"]
+    assert entry.read_text(encoding="utf-8") == head + "\n" + body
+
+
+def test_strict_help_says_what_the_flag_does(capsys):
+    with pytest.raises(SystemExit):
+        main(["poisson", "jacobi", "--help"])
+    assert ("--strict exit 3 on an inconclusive result; poisson jacobi, conjugation and "
+            "star exit 2 when their identity fails") in " ".join(capsys.readouterr().out.split())
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("NCHODGE_CACHE_DIR", str(cache))

@@ -17,6 +17,9 @@ def test_rationals_descriptor():
     assert QQ.from_int(3) == 3 and type(QQ.from_int(3)) in (int, Fraction)
     assert QQ.inv(3) == Fraction(1, 3) and not isinstance(QQ.inv(3), float)
     assert QQ.inv(Fraction(1, 3)) == 3
+    # an integral inverse is an int, so that unit pivots keep int arithmetic
+    for a, inverse in ((1, 1), (-1, -1), (Fraction(1), 1), (Fraction(1, 3), 3)):
+        assert QQ.inv(a) == inverse and type(QQ.inv(a)) is int
     assert format_scalar(3, QQ) == "3/1"
     assert format_scalar(3, GF(5)) == "3"
 
